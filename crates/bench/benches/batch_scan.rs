@@ -1,17 +1,14 @@
-//! Cross-query batch throughput: worker-pool engine vs. PR 1's
-//! sequential-batch execution.
+//! Cross-query batch throughput: one K×S fan-out vs. one query at a
+//! time.
 //!
-//! PR 1 executed a `QueryBatch` one query at a time, each query
-//! re-spawning scoped threads for its own shard fan-out. This bench
-//! pins three engines against each other on an 8-query batch over a
-//! 10k-tuple table:
+//! This bench pins two ways of running an 8-query batch over a
+//! 10k-tuple table against each other:
 //!
-//! * `sequential` — the PR 1 baseline: one thread, each query prepared
-//!   and scanned in turn ([`ShardedTable::scan_sequential`]).
-//! * `per_query_pool/P` — PR 1's *shape* on the new pool: K separate
-//!   1-query fan-outs, so shard parallelism without cross-query
-//!   parallelism or trapdoor sharing.
-//! * `batched_pool/P` — this PR's engine: one K×S task fan-out with
+//! * `per_query_pool/P` — K separate 1-query fan-outs, so shard
+//!   parallelism without cross-query parallelism or trapdoor sharing.
+//!   `per_query_pool/1` is the baseline: one thread, each query
+//!   prepared and scanned in turn.
+//! * `batched_pool/P` — the batch engine: one K×S task fan-out with
 //!   the per-batch trapdoor memo, so queries repeating a term (hot
 //!   values repeat in real workloads; the 8-query batch has 5 distinct
 //!   terms) share one prepared trapdoor *and* one match scan.
@@ -53,31 +50,27 @@ fn encrypt_batch(ph: &FinalSwpPh, depts: &[&str]) -> Vec<Vec<WireTrapdoor>> {
 fn run_group(c: &mut Criterion, name: &str, sharded: &ShardedTable, batch: &[Vec<WireTrapdoor>]) {
     let slices: Vec<&[WireTrapdoor]> = batch.iter().map(Vec::as_slice).collect();
 
+    let per_query = |pool: &Executor| -> Vec<_> {
+        slices
+            .iter()
+            .flat_map(|q| sharded.scan_batch_on(pool, &[q]))
+            .collect()
+    };
+
     // Sanity: every engine returns identical bytes per query.
-    let reference: Vec<_> = slices.iter().map(|q| sharded.scan_sequential(q)).collect();
-    let pool = Executor::new(2);
     assert_eq!(
-        sharded.scan_batch_on(&pool, &slices),
-        reference,
-        "batched engine diverged from sequential reference"
+        sharded.scan_batch_on(&Executor::new(2), &slices),
+        per_query(&Executor::new(1)),
+        "batched engine diverged from the one-query-at-a-time baseline"
     );
 
     let mut group = c.benchmark_group(name);
     group.throughput(Throughput::Elements((ROWS * batch.len()) as u64));
 
-    group.bench_function(BenchmarkId::new("sequential", "pr1"), |b| {
-        b.iter(|| -> Vec<_> { slices.iter().map(|q| sharded.scan_sequential(q)).collect() })
-    });
-
     for workers in POOLS {
         let pool = Executor::new(workers);
         group.bench_function(BenchmarkId::new("per_query_pool", workers), |b| {
-            b.iter(|| -> Vec<_> {
-                slices
-                    .iter()
-                    .flat_map(|q| sharded.scan_batch_on(&pool, &[q]))
-                    .collect()
-            })
+            b.iter(|| per_query(&pool))
         });
         group.bench_function(BenchmarkId::new("batched_pool", workers), |b| {
             b.iter(|| sharded.scan_batch_on(&pool, &slices))

@@ -1,15 +1,15 @@
 //! Encrypted-inverted-index probe vs. the reference trapdoor scan.
 //!
-//! The scan plan touches every stored document per term — a keyed
+//! The scan touches every stored document per term — a keyed
 //! match check per (trapdoor, word) pair, linear in the table. The
-//! opt-in index plan ([`dbph_core::index`]) answers a warmed term from
+//! opt-in index ([`dbph_core::index`], [`TableStore::query_indexed`]) answers a warmed term from
 //! its memoized posting list: a multimap lookup, a delta scan over the
 //! (empty, here) suffix appended since the posting's bound, and a
 //! crypto-free reassembly of just the matching documents. On a
 //! selective query over 100k documents that turns a
 //! 100k-match-check scan into work proportional to the result set —
 //! the sublinear gap this bench pins (≥50× on the selective shapes
-//! below). Both plans return byte-identical tables; the sanity check
+//! below). Both paths return byte-identical tables; the sanity check
 //! asserts it before any timing.
 //!
 //! Regenerate the checked-in artifact with:
@@ -18,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use dbph_core::protocol::WireTrapdoor;
-use dbph_core::{DatabasePh, FinalSwpPh, QueryPlan, TableStore};
+use dbph_core::{DatabasePh, FinalSwpPh, TableStore};
 use dbph_crypto::SecretKey;
 use dbph_relation::Query;
 use dbph_workload::EmployeeGen;
@@ -49,12 +49,14 @@ fn bench_index_scan(c: &mut Criterion) {
     let selective = terms(&ph, &Query::select("salary", 5500i64));
 
     for (label, query_terms) in [("point", &point), ("selective", &selective)] {
-        let plan = QueryPlan::all_index(query_terms.len());
         // First probe scans the whole table once (cold posting) and
         // memoizes; it doubles as the equivalence sanity check.
-        let (indexed, _) = store.query_planned("Emp", query_terms, &plan).unwrap();
+        let (indexed, _) = store.query_indexed("Emp", query_terms).unwrap();
         let scanned = store.query("Emp", query_terms).unwrap();
-        assert_eq!(indexed, scanned, "{label}: plans must agree exactly");
+        assert_eq!(
+            indexed, scanned,
+            "{label}: index and scan must agree exactly"
+        );
 
         let mut group = c.benchmark_group(format!("index_scan_{label}"));
         group.throughput(Throughput::Elements(ROWS as u64));
@@ -62,7 +64,7 @@ fn bench_index_scan(c: &mut Criterion) {
             b.iter(|| store.query("Emp", query_terms).unwrap())
         });
         group.bench_function(BenchmarkId::new("index", SHARDS), |b| {
-            b.iter(|| store.query_planned("Emp", query_terms, &plan).unwrap())
+            b.iter(|| store.query_indexed("Emp", query_terms).unwrap())
         });
         group.finish();
     }

@@ -4,8 +4,9 @@
 //! and one insert (plus eviction bookkeeping) after — a few `BTreeMap`
 //! operations under a mutex, against a write path whose cost is
 //! dominated by the group-commit `fdatasync` barrier. This bench pins
-//! that intuition with numbers: the same 8-writer durable ingest as
-//! `group_commit.rs`, once with plain mutations and once with every
+//! that intuition with numbers: an 8-writer × 64-append durable
+//! ingest (the same round `repl.rs` and `telemetry.rs` time), once
+//! with plain mutations and once with every
 //! append wrapped in a `(client_id, seq)` envelope (each writer its
 //! own client id, sequential seqs — the pattern the retrying pooled
 //! client produces).
@@ -56,7 +57,7 @@ fn ok(resp: &[u8]) {
     );
 }
 
-/// The `group_commit.rs` ingest round, parameterized over whether
+/// The 8-writer durable ingest round, parameterized over whether
 /// mutations ride the request envelope: fresh dir, durable server,
 /// 8 writers × 64 appends into per-writer tables. With `tagged`,
 /// writer `w` sends as client `w` with sequential seqs, exercising

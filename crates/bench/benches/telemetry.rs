@@ -13,7 +13,7 @@
 //!   every site short-circuits on the one relaxed load.
 //!
 //! The two variants run the identical 8-writer × 64-append round as
-//! `group_commit.rs`; the acceptance gate is enabled within 3% of
+//! `retry.rs` and `repl.rs`; the acceptance gate is enabled within 3% of
 //! disabled. Byte-identity of responses/transcripts/segments between
 //! the two is pinned separately by `tests/telemetry.rs`.
 //!
@@ -63,9 +63,8 @@ fn ok(resp: &[u8]) {
     );
 }
 
-/// One concurrent durable-ingest round, identical to
-/// `group_commit.rs`'s, with the registry flipped per variant before
-/// any traffic.
+/// One concurrent durable-ingest round, identical to `retry.rs`'s,
+/// with the registry flipped per variant before any traffic.
 fn ingest_round(telemetry_on: bool) {
     let tmp = TempDir::new("bench-telemetry").unwrap();
     let server =

@@ -52,7 +52,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
-use std::io::{Cursor, Write as _};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -85,7 +85,7 @@ const MANIFEST_MAGIC: &[u8; 8] = b"dbphman1";
 const MANIFEST_VERSION: u16 = 1;
 
 /// Bytes of the truncated-SHA-256 record trailer.
-pub(crate) const CHECKSUM_LEN: usize = 8;
+const CHECKSUM_LEN: usize = 8;
 /// Defensive cap on one record's framed payload. Mutation records are
 /// single protocol messages (transport-capped far below this) and
 /// snapshot records are chunked by construction; a length prefix
@@ -134,21 +134,6 @@ pub struct DurableOptions {
     /// than this are written as multiple chunked records so no single
     /// record approaches the framing cap.
     pub snapshot_chunk_bytes: u64,
-    /// Group commit: mutations still append their records strictly in
-    /// apply order under the writer lock, but the `fdatasync` barrier
-    /// is shared — one committer syncs on behalf of every record
-    /// appended so far and acks all of their waiters at once, so N
-    /// concurrent writers pay ~1 fsync per flush window instead of N.
-    /// A lone serial writer leads every window itself and behaves
-    /// exactly like fsync-per-mutation. `false` restores the PR 5
-    /// one-fsync-per-mutation path (the equality suites and the bench
-    /// baseline run both).
-    pub group_commit: bool,
-    /// How long a group-commit leader waits before issuing the shared
-    /// fsync, letting more concurrent writers join the window. Zero
-    /// (the default) syncs immediately — natural batching still
-    /// coalesces whoever queued behind the previous sync.
-    pub flush_window: std::time::Duration,
 }
 
 impl Default for DurableOptions {
@@ -156,8 +141,6 @@ impl Default for DurableOptions {
         DurableOptions {
             compact_threshold: 64 << 20,
             snapshot_chunk_bytes: 8 << 20,
-            group_commit: true,
-            flush_window: std::time::Duration::ZERO,
         }
     }
 }
@@ -230,6 +213,18 @@ struct Writer {
     sealed_bytes: Vec<u64>,
 }
 
+impl Writer {
+    /// `(segment id, record-prefix length)` in replay order: sealed
+    /// segments, then the active one.
+    fn segment_lens(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.sealed
+            .iter()
+            .copied()
+            .zip(self.sealed_bytes.iter().copied())
+            .chain(std::iter::once((self.active_id, self.active_bytes)))
+    }
+}
+
 /// The group-commit barrier, guarded by [`DurableLog::commit`].
 ///
 /// Records are numbered in append order (`appended`); `synced` is the
@@ -246,12 +241,6 @@ struct CommitState {
     synced: u64,
     /// Whether some thread is currently the sync leader.
     syncing: bool,
-    /// Threads currently inside [`DurableLog::wait_durable`]. A leader
-    /// electing itself with `waiters == 1` and its own record at the
-    /// append high-water mark is *serial*: nobody can join its window,
-    /// so it skips the flush-window sleep instead of paying pure added
-    /// latency for zero batching.
-    waiters: u64,
     /// The file the next shared fsync must hit — tracks the active
     /// segment across compaction swaps.
     file: Arc<File>,
@@ -641,95 +630,90 @@ fn replay_index(body: &[u8], index: &mut RecoveredIndex) -> Result<(), PhError> 
     Ok(())
 }
 
-/// How a segment replay ended.
-enum SegmentEnd {
-    /// Every byte consumed as complete, checksum-valid records.
-    Clean,
-    /// The tail after `good_bytes` is torn: an incomplete frame or a
-    /// record whose checksum does not verify.
-    Torn {
-        /// Length of the clean record prefix.
-        good_bytes: u64,
-    },
-}
-
-/// Length of the longest whole-record-frame prefix of `bytes` (frames
-/// are a `u32`-LE length followed by that many payload bytes).
-/// Boundary math only — checksum verification is the receiver's job.
-fn records_prefix(bytes: &[u8]) -> u64 {
-    let mut pos = 0usize;
-    while bytes.len() - pos >= 4 {
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        if len > MAX_RECORD || bytes.len() - pos - 4 < len {
-            break;
-        }
-        pos += 4 + len;
+/// Writes one framed record — a `u32`-LE length, then `tag ‖ body ‖
+/// checksum`, where `body` is `parts` concatenated — and returns its
+/// framed length. Every record of every segment is written here.
+fn write_record(out: &mut impl Write, record_tag: u8, parts: &[&[u8]]) -> Result<u64, PhError> {
+    let body_len: usize = parts.iter().map(|part| part.len()).sum();
+    let mut payload = Vec::with_capacity(1 + body_len + CHECKSUM_LEN);
+    payload.push(record_tag);
+    for part in parts {
+        payload.extend_from_slice(part);
     }
-    pos as u64
+    let sum = checksum(&payload);
+    payload.extend_from_slice(&sum);
+    codec::write_frame_capped(out, &payload, MAX_RECORD)
+        .map_err(|e| PhError::Durability(format!("write record: {e}")))?;
+    Ok((4 + payload.len()) as u64)
 }
 
-/// Walks `bytes` as a record stream verifying framing and checksums —
-/// without replaying anything — and reports `(records, clean_bytes)`:
-/// how many records verified and how far the clean prefix extends.
-/// `clean_bytes == bytes.len()` means every byte verified.
-pub(crate) fn verify_records(bytes: &[u8]) -> (u64, u64) {
-    let mut cursor = Cursor::new(bytes);
-    let mut records = 0u64;
-    let mut good = 0u64;
-    loop {
-        let payload = match codec::read_frame_capped(&mut cursor, MAX_RECORD) {
-            Ok(None) => return (records, good),
-            Ok(Some(payload)) => payload,
-            Err(_) => return (records, good),
-        };
+/// Splits `bytes` into whole record frames and yields each payload
+/// (`tag ‖ body ‖ checksum`), stopping at the first incomplete frame or
+/// implausible length prefix. Boundary math only — checksums are
+/// [`walk_records`]' job.
+fn frames(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = bytes;
+    std::iter::from_fn(move || {
+        let (header, tail) = rest.split_first_chunk::<4>()?;
+        let len = u32::from_le_bytes(*header) as usize;
+        if len > MAX_RECORD || tail.len() < len {
+            return None;
+        }
+        let (payload, next) = tail.split_at(len);
+        rest = next;
+        Some(payload)
+    })
+}
+
+/// Length of the longest whole-frame prefix of `bytes`.
+fn records_prefix(bytes: &[u8]) -> u64 {
+    frames(bytes).map(|payload| 4 + payload.len() as u64).sum()
+}
+
+/// The one record reader. Walks `bytes` as a record stream, handing
+/// each checksum-verified record's tag and body to `visit`, and stops
+/// at the first incomplete frame or bad checksum. Returns `(records,
+/// clean_bytes)`: how many records verified and how far the clean
+/// prefix extends — `clean_bytes == bytes.len()` means every byte
+/// verified, anything less is a torn tail. Never panics on any input;
+/// errors come only from `visit`.
+pub(crate) fn walk_records<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(u8, &'a [u8]) -> Result<(), PhError>,
+) -> Result<(u64, u64), PhError> {
+    let (mut records, mut clean) = (0u64, 0u64);
+    for payload in frames(bytes) {
         if payload.len() <= CHECKSUM_LEN {
-            return (records, good);
+            break;
         }
         let (body, sum) = payload.split_at(payload.len() - CHECKSUM_LEN);
         if checksum(body) != *sum {
-            return (records, good);
+            break;
         }
+        visit(body[0], &body[1..])?;
         records += 1;
-        good = cursor.position();
+        clean += 4 + payload.len() as u64;
     }
+    Ok((records, clean))
 }
 
-/// Replays every complete record of `bytes`, reporting where (and
-/// whether cleanly) the segment ended. Never panics on any input.
+/// Replays every complete record of `bytes` onto the recovery state and
+/// returns the length of the clean prefix (short of `bytes.len()` when
+/// the tail is torn).
 fn replay_segment(
     bytes: &[u8],
     tables: &mut BTreeMap<String, RecoveredTable>,
     dedup: &mut RecoveredDedup,
     index: &mut RecoveredIndex,
-) -> Result<SegmentEnd, PhError> {
-    let mut cursor = Cursor::new(bytes);
-    let mut good: u64 = 0;
-    loop {
-        let payload = match codec::read_frame_capped(&mut cursor, MAX_RECORD) {
-            Ok(None) => return Ok(SegmentEnd::Clean),
-            Ok(Some(payload)) => payload,
-            // Mid-frame EOF (or an implausible length prefix): the
-            // torn tail a crash leaves behind.
-            Err(_) => return Ok(SegmentEnd::Torn { good_bytes: good }),
-        };
-        if payload.len() <= CHECKSUM_LEN {
-            return Ok(SegmentEnd::Torn { good_bytes: good });
-        }
-        let (body, sum) = payload.split_at(payload.len() - CHECKSUM_LEN);
-        if checksum(body) != *sum {
-            return Ok(SegmentEnd::Torn { good_bytes: good });
-        }
-        let (record_tag, record) = (body[0], &body[1..]);
-        match record_tag {
-            TAG_MUTATION => replay_mutation(record, tables, dedup)?,
-            TAG_SNAPSHOT => replay_snapshot(record, tables)?,
-            TAG_DEDUP => replay_dedup(record, dedup)?,
-            TAG_INDEX => replay_index(record, index)?,
-            t => return Err(PhError::Durability(format!("unknown record tag {t}"))),
-        }
-        good = cursor.position();
-    }
+) -> Result<u64, PhError> {
+    let (_, clean) = walk_records(bytes, |record_tag, record| match record_tag {
+        TAG_MUTATION => replay_mutation(record, tables, dedup),
+        TAG_SNAPSHOT => replay_snapshot(record, tables),
+        TAG_DEDUP => replay_dedup(record, dedup),
+        TAG_INDEX => replay_index(record, index),
+        t => Err(PhError::Durability(format!("unknown record tag {t}"))),
+    })?;
+    Ok(clean)
 }
 
 impl DurableLog {
@@ -795,34 +779,29 @@ impl DurableLog {
         for &id in sealed_ids {
             let path = segment_path(&dir, id);
             let bytes = fs::read(&path).map_err(|e| io_err("read sealed segment", &e))?;
-            match replay_segment(&bytes, &mut tables, &mut dedup, &mut index)? {
-                SegmentEnd::Clean => {}
-                SegmentEnd::Torn { good_bytes } => {
-                    return Err(PhError::Durability(format!(
-                        "sealed segment {id} corrupt after {good_bytes} bytes"
-                    )));
-                }
+            let clean = replay_segment(&bytes, &mut tables, &mut dedup, &mut index)?;
+            if clean != bytes.len() as u64 {
+                return Err(PhError::Durability(format!(
+                    "sealed segment {id} corrupt after {clean} bytes"
+                )));
             }
-            sealed_bytes.push(bytes.len() as u64);
+            sealed_bytes.push(clean);
         }
         let active_path = segment_path(&dir, active_id);
         let bytes = fs::read(&active_path).map_err(|e| io_err("read active segment", &e))?;
-        let active_bytes = match replay_segment(&bytes, &mut tables, &mut dedup, &mut index)? {
-            SegmentEnd::Clean => bytes.len() as u64,
-            SegmentEnd::Torn { good_bytes } => {
-                // The crash contract: drop the torn tail, keep every
-                // fully persisted record. Truncate durably so the next
-                // append starts on a record boundary.
-                let file = File::options()
-                    .write(true)
-                    .open(&active_path)
-                    .map_err(|e| io_err("open active segment for truncation", &e))?;
-                file.set_len(good_bytes)
-                    .and_then(|()| file.sync_all())
-                    .map_err(|e| io_err("truncate torn tail", &e))?;
-                good_bytes
-            }
-        };
+        let active_bytes = replay_segment(&bytes, &mut tables, &mut dedup, &mut index)?;
+        if active_bytes != bytes.len() as u64 {
+            // The crash contract: drop the torn tail, keep every fully
+            // persisted record. Truncate durably so the next append
+            // starts on a record boundary.
+            let file = File::options()
+                .write(true)
+                .open(&active_path)
+                .map_err(|e| io_err("open active segment for truncation", &e))?;
+            file.set_len(active_bytes)
+                .and_then(|()| file.sync_all())
+                .map_err(|e| io_err("truncate torn tail", &e))?;
+        }
         let active = File::options()
             .append(true)
             .open(&active_path)
@@ -863,7 +842,6 @@ impl DurableLog {
                 appended: 0,
                 synced: 0,
                 syncing: false,
-                waiters: 0,
                 file: active,
             }),
             commit_cv: Condvar::new(),
@@ -994,25 +972,21 @@ impl DurableLog {
 
     /// Blocks until record `seq` is durable (acked) or the log poisons
     /// (failed closed). Implements the shared barrier: the first
-    /// waiter to find no sync in flight becomes the *leader*, waits
-    /// out the flush window (letting more writers append and queue),
-    /// fsyncs once on behalf of every record appended by then, and
-    /// wakes all of them; later waiters either find their record
-    /// already covered or lead the next window.
+    /// waiter to find no sync in flight becomes the *leader*, fsyncs
+    /// once on behalf of every record appended by then, and wakes all
+    /// of them; later waiters either find their record already
+    /// covered or lead the next window.
     fn wait_durable(&self, seq: u64) -> Result<(), PhError> {
         let barrier_t0 = self.tele().map(|_| Instant::now());
         let mut c = self.commit.lock();
-        c.waiters += 1;
         loop {
             if c.synced >= seq {
-                c.waiters -= 1;
                 if let (Some(t0), Some(t)) = (barrier_t0, self.tele()) {
                     t.commit_wait_nanos.record_duration(t0.elapsed());
                 }
                 return Ok(());
             }
             if self.is_poisoned() {
-                c.waiters -= 1;
                 return Err(PhError::Durability(
                     "group-commit window failed; mutation not durable".into(),
                 ));
@@ -1021,45 +995,29 @@ impl DurableLog {
                 self.commit_cv.wait(&mut c);
                 continue;
             }
-            // Become the leader for this window. A *serial* leader —
-            // sole waiter, own record at the append high-water mark —
-            // has nobody to coalesce with: waiting out a positive
-            // flush window would add its full duration to every
-            // mutation's latency for zero batching benefit, so it
-            // syncs immediately. (Records land in the file before
-            // their barrier seq is claimed, so the post-window target
-            // read below still covers any writer that slips in
-            // between — a race costs batching, never durability.)
+            // Become the leader for this window. Before reading the
+            // barrier target, give concurrently-appending threads a
+            // scheduling chance to land their records: the first
+            // waiter into a quiet log would otherwise lead a window of
+            // one and leave everyone who appended during its fsync to
+            // pay a second barrier. Yield until the high-water mark
+            // stops moving (bounded — each writer has at most one
+            // outstanding append, so growth stops once the runnable
+            // ones have landed). Timing-only — a lone serial writer
+            // burns exactly one no-op yield.
             c.syncing = true;
-            let serial = c.waiters == 1 && c.appended == seq;
+            let mut mark = c.appended;
             drop(c);
-            if !self.options.flush_window.is_zero() {
-                if !serial {
-                    std::thread::sleep(self.options.flush_window);
+            for _ in 0..16 {
+                std::thread::yield_now();
+                let now = self.commit.lock().appended;
+                if now == mark {
+                    break;
                 }
-            } else {
-                // Even with no window, give concurrently-appending
-                // threads a scheduling chance to land their records
-                // before the barrier target is read: the first waiter
-                // into a quiet log would otherwise lead a window of
-                // one and leave everyone who appended during its
-                // fsync to pay a second barrier. Yield until the
-                // high-water mark stops moving (bounded — each writer
-                // has at most one outstanding append, so growth stops
-                // once the runnable ones have landed). Timing-only —
-                // a lone serial writer burns exactly one no-op yield.
-                let mut mark = self.commit.lock().appended;
-                for _ in 0..16 {
-                    std::thread::yield_now();
-                    let now = self.commit.lock().appended;
-                    if now == mark {
-                        break;
-                    }
-                    mark = now;
-                }
+                mark = now;
             }
-            // Read the barrier target *after* the window: everything
-            // appended while we waited shares this one fsync.
+            // Read the barrier target *after* the yields: everything
+            // appended meanwhile shares this one fsync.
             let (target, file) = {
                 let c = self.commit.lock();
                 (c.appended, Arc::clone(&c.file))
@@ -1099,7 +1057,6 @@ impl DurableLog {
                     // The window failed: every waiter in it (and any
                     // record appended since) must fail closed, not be
                     // acked by some later successful sync.
-                    c.waiters -= 1;
                     self.poisoned.store(true, Ordering::SeqCst);
                     self.commit_cv.notify_all();
                     return Err(e);
@@ -1110,12 +1067,11 @@ impl DurableLog {
 
     /// Runs `apply` (the store mutation) under the log's writer lock
     /// and, when it reports the store changed, appends `message_bytes`
-    /// as one record — compacting first if the active segment has
+    /// as one record — compacting afterwards if the active segment has
     /// outgrown its threshold — then makes the record durable before
-    /// returning: under group commit by waiting on the shared
-    /// `fdatasync` barrier ([`Self::wait_durable`], outside the writer
-    /// lock so other sessions keep appending into the same window),
-    /// otherwise with an immediate per-mutation fsync. Holding the
+    /// returning by waiting on the shared `fdatasync` barrier
+    /// ([`Self::wait_durable`], outside the writer lock so other
+    /// sessions keep appending into the same window). Holding the
     /// lock across apply *and* append is what keeps the log's record
     /// order identical to the store's apply order under concurrent
     /// sessions; without it two racing appends could persist in the
@@ -1134,7 +1090,7 @@ impl DurableLog {
         store: &TableStore,
         apply: impl FnOnce() -> (R, bool),
     ) -> Result<R, PhError> {
-        let my_seq;
+        let seq;
         let result;
         let repl_end;
         {
@@ -1154,9 +1110,14 @@ impl DurableLog {
             if !mutated {
                 return Ok(result);
             }
-            if let Err(e) = self.append_record(&mut w, TAG_MUTATION, message_bytes) {
-                self.poison_and_wake();
-                return Err(e);
+            // The bytes hit the file in apply order but are not yet
+            // durable: the shared commit barrier below makes them so.
+            match write_record(&mut w.active.as_ref(), TAG_MUTATION, &[message_bytes]) {
+                Ok(framed) => w.active_bytes += framed,
+                Err(e) => {
+                    self.poison_and_wake();
+                    return Err(e);
+                }
             }
             // The record's end position in the virtual replication
             // stream: a follower ack at or beyond it means this exact
@@ -1164,39 +1125,14 @@ impl DurableLog {
             // writer lock (before any compaction below — offsets are
             // monotone across compaction, so a later ack still
             // satisfies the wait), consumed after local durability.
-            repl_end = if self.repl_min_acks.load(Ordering::SeqCst) > 0 {
-                Some(
-                    self.repl_base.load(Ordering::SeqCst)
-                        + w.sealed_bytes.iter().sum::<u64>()
-                        + w.active_bytes,
-                )
-            } else {
-                None
+            repl_end = (self.repl_min_acks.load(Ordering::SeqCst) > 0).then(|| self.stream_end(&w));
+            // Claim this record's barrier sequence number; the fsync
+            // itself happens outside the writer lock.
+            seq = {
+                let mut c = self.commit.lock();
+                c.appended += 1;
+                c.appended
             };
-            if self.options.group_commit {
-                // Claim this record's barrier sequence number; the
-                // fsync itself happens outside the writer lock.
-                let mut c = self.commit.lock();
-                c.appended += 1;
-                my_seq = Some(c.appended);
-            } else {
-                my_seq = None;
-                if let Err(e) = self.do_sync(&w.active) {
-                    self.poison_and_wake();
-                    return Err(e);
-                }
-                // Keep the barrier bookkeeping coherent even though
-                // nobody waits on it in this mode.
-                let mut c = self.commit.lock();
-                c.appended += 1;
-                c.synced = c.appended;
-                drop(c);
-                // Wake long-polled follower pulls: a new, already
-                // durable record is readable. (Under group commit the
-                // barrier leader wakes them instead, once per window.)
-                let _r = self.repl.lock();
-                self.repl_cv.notify_all();
-            }
             if w.active_bytes >= self.options.compact_threshold {
                 if let Err(e) = self.compact_locked(&mut w, store) {
                     self.poison_and_wake();
@@ -1204,9 +1140,7 @@ impl DurableLog {
                 }
             }
         }
-        if let Some(seq) = my_seq {
-            self.wait_durable(seq)?;
-        }
+        self.wait_durable(seq)?;
         if let Some(end) = repl_end {
             self.wait_replicated(end)?;
         }
@@ -1259,12 +1193,7 @@ impl DurableLog {
     /// acknowledged offset. Zero with no followers.
     #[must_use]
     pub fn replication_lag(&self) -> u64 {
-        let end = {
-            let w = self.writer.lock();
-            self.repl_base.load(Ordering::SeqCst)
-                + w.sealed_bytes.iter().sum::<u64>()
-                + w.active_bytes
-        };
+        let end = self.stream_end(&self.writer.lock());
         let r = self.repl.lock();
         r.acks
             .values()
@@ -1337,8 +1266,8 @@ impl DurableLog {
         let (w, base, total, stale) = loop {
             let w = self.writer.lock();
             let base = self.repl_base.load(Ordering::SeqCst);
-            let total: u64 = w.sealed_bytes.iter().sum::<u64>() + w.active_bytes;
-            let end = base + total;
+            let end = self.stream_end(&w);
+            let total = end - base;
             let stale = after_offset < base || after_offset > end;
             {
                 let mut r = self.repl.lock();
@@ -1416,6 +1345,13 @@ impl DurableLog {
         }
     }
 
+    /// Virtual offset one past the last record of the replication
+    /// stream: the current base plus every segment's record prefix.
+    /// Caller holds the writer lock (the only writer of all three).
+    fn stream_end(&self, w: &Writer) -> u64 {
+        self.repl_base.load(Ordering::SeqCst) + w.segment_lens().map(|(_, len)| len).sum::<u64>()
+    }
+
     /// Reads raw bytes `[start, start + len)` of the physical record
     /// stream (sealed segments in manifest order, then the active
     /// segment's record prefix). Caller holds the writer lock, so the
@@ -1426,13 +1362,7 @@ impl DurableLog {
         let mut pos = start;
         let end = start + len;
         let mut cum = 0u64;
-        let segs = w
-            .sealed
-            .iter()
-            .copied()
-            .zip(w.sealed_bytes.iter().copied())
-            .chain(std::iter::once((w.active_id, w.active_bytes)));
-        for (id, seg_len) in segs {
+        for (id, seg_len) in w.segment_lens() {
             let seg_start = cum;
             cum += seg_len;
             if cum <= pos {
@@ -1478,13 +1408,7 @@ impl DurableLog {
     pub fn scrub(&self) -> Result<ScrubReport, PhError> {
         let w = self.writer.lock();
         let mut report = ScrubReport::default();
-        let segs = w
-            .sealed
-            .iter()
-            .copied()
-            .zip(w.sealed_bytes.iter().copied())
-            .chain(std::iter::once((w.active_id, w.active_bytes)));
-        for (id, seg_len) in segs {
+        for (id, seg_len) in w.segment_lens() {
             let bytes = fs::read(segment_path(&self.dir, id))
                 .map_err(|e| io_err("read segment for scrub", &e))?;
             let len = usize::try_from(seg_len)
@@ -1495,7 +1419,7 @@ impl DurableLog {
                     bytes.len()
                 ))
             })?;
-            let (records, good) = verify_records(bytes);
+            let (records, good) = walk_records(bytes, |_, _| Ok(()))?;
             if good != seg_len {
                 return Err(PhError::Durability(format!(
                     "segment {id} corrupt: first bad record at byte {good} of {seg_len}"
@@ -1508,26 +1432,10 @@ impl DurableLog {
         Ok(report)
     }
 
-    /// Appends one checksummed record (`tag` + `body`) to the active
-    /// segment. The bytes hit the file (in apply order, under the
-    /// writer lock) but are *not* yet durable — the caller makes them
-    /// so, per mutation or through the shared commit barrier.
-    fn append_record(&self, w: &mut Writer, record_tag: u8, body: &[u8]) -> Result<(), PhError> {
-        let mut payload = Vec::with_capacity(1 + body.len() + CHECKSUM_LEN);
-        payload.push(record_tag);
-        payload.extend_from_slice(body);
-        let sum = checksum(&payload);
-        payload.extend_from_slice(&sum);
-        codec::write_frame_capped(&mut w.active.as_ref(), &payload, MAX_RECORD)
-            .map_err(|e| PhError::Durability(format!("append record: {e}")))?;
-        w.active_bytes += (4 + payload.len()) as u64;
-        Ok(())
-    }
-
     /// Appends a chunk of already-framed, already-checksummed records
     /// *verbatim* to the active segment and fsyncs once — the
     /// follower's tailing write. The caller (the replica) has verified
-    /// the chunk with [`verify_records`]; writing the primary's bytes
+    /// the chunk with [`walk_records`]; writing the primary's bytes
     /// unmodified is what makes the follower's log a byte substring of
     /// the primary's stream, so recovery/promote replay exactly what
     /// the primary logged. One `fdatasync` covers the whole chunk:
@@ -1597,13 +1505,7 @@ impl DurableLog {
             .map(|(client_id, watermark, seqs)| (client_id, (watermark, seqs)))
             .collect();
         if !dedup_image.is_empty() {
-            let mut payload = Vec::new();
-            payload.push(TAG_DEDUP);
-            dedup_image.encode(&mut payload);
-            let sum = checksum(&payload);
-            payload.extend_from_slice(&sum);
-            codec::write_frame_capped(&mut snapshot_file, &payload, MAX_RECORD)
-                .map_err(|e| PhError::Durability(format!("write dedup record: {e}")))?;
+            write_record(&mut snapshot_file, TAG_DEDUP, &[&dedup_image.to_wire()])?;
         }
         // The encrypted-multimap image rides along for the same
         // reason. Skipped when the index is off (or has no postings),
@@ -1623,13 +1525,7 @@ impl DurableLog {
                 })
                 .collect();
             if !index_image.is_empty() {
-                let mut payload = Vec::new();
-                payload.push(TAG_INDEX);
-                index_image.encode(&mut payload);
-                let sum = checksum(&payload);
-                payload.extend_from_slice(&sum);
-                codec::write_frame_capped(&mut snapshot_file, &payload, MAX_RECORD)
-                    .map_err(|e| PhError::Durability(format!("write index record: {e}")))?;
+                write_record(&mut snapshot_file, TAG_INDEX, &[&index_image.to_wire()])?;
             }
         }
         snapshot_file
@@ -1654,9 +1550,7 @@ impl DurableLog {
         // virtual base strictly past the old stream end so *any* prior
         // follower offset (even a fully caught-up one) reads as stale
         // and the follower re-bootstraps from the snapshot segment.
-        let old_end = self.repl_base.load(Ordering::SeqCst)
-            + w.sealed_bytes.iter().sum::<u64>()
-            + w.active_bytes;
+        let old_end = self.stream_end(w);
         let snapshot_bytes = snapshot_file
             .metadata()
             .map_err(|e| io_err("stat snapshot segment", &e))?
@@ -1706,18 +1600,13 @@ impl DurableLog {
         let chunk_budget =
             usize::try_from(self.options.snapshot_chunk_bytes.max(1)).unwrap_or(usize::MAX);
 
-        let write_record = |file: &mut File, count: usize, docs: &[u8]| -> Result<(), PhError> {
-            let mut payload = Vec::with_capacity(64 + name.len() + docs.len() + CHECKSUM_LEN);
-            payload.push(TAG_SNAPSHOT);
-            name.to_string().encode(&mut payload);
-            table.params().encode(&mut payload);
-            table.next_doc_id().encode(&mut payload);
-            count.encode(&mut payload);
-            payload.extend_from_slice(docs);
-            let sum = checksum(&payload);
-            payload.extend_from_slice(&sum);
-            codec::write_frame_capped(file, &payload, MAX_RECORD)
-                .map_err(|e| PhError::Durability(format!("write snapshot record: {e}")))
+        let write_chunk = |file: &mut File, count: usize, docs: &[u8]| -> Result<(), PhError> {
+            let mut header = Vec::with_capacity(64 + name.len());
+            name.to_string().encode(&mut header);
+            table.params().encode(&mut header);
+            table.next_doc_id().encode(&mut header);
+            count.encode(&mut header);
+            write_record(file, TAG_SNAPSHOT, &[&header, docs]).map(drop)
         };
 
         let mut docs_buf: Vec<u8> = Vec::new();
@@ -1735,7 +1624,7 @@ impl DurableLog {
                 }
                 count += 1;
                 if docs_buf.len() >= chunk_budget {
-                    write_record(file, count, &docs_buf)?;
+                    write_chunk(file, count, &docs_buf)?;
                     docs_buf.clear();
                     count = 0;
                     records += 1;
@@ -1743,7 +1632,7 @@ impl DurableLog {
             }
         }
         if count > 0 || records == 0 {
-            write_record(file, count, &docs_buf)?;
+            write_chunk(file, count, &docs_buf)?;
         }
         Ok(())
     }
@@ -2017,7 +1906,6 @@ mod tests {
         let options = DurableOptions {
             compact_threshold: 512,
             snapshot_chunk_bytes: 256,
-            ..DurableOptions::default()
         };
         let server = Server::open_durable_with(tmp.path(), 2, Some(1), options.clone()).unwrap();
         let _ = server.handle(&create_msg("t", 4));

@@ -211,53 +211,6 @@ impl IndexState {
     }
 }
 
-/// How one query term is executed — the planner's unit of choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TermPlan {
-    /// Full trapdoor scan over every document (the reference oracle).
-    Scan,
-    /// Encrypted-multimap probe: cached posting + delta scan over the
-    /// suffix appended since the posting's `bound`.
-    IndexProbe,
-}
-
-/// The per-query execution plan: one [`TermPlan`] per conjunctive
-/// term, chosen in `Server::handle` before dispatch. This seam is the
-/// entry point for a future join planner — a join is a plan over
-/// several tables' term plans, and it slots in here without touching
-/// the storage layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryPlan {
-    /// Plan per term, in term order.
-    pub terms: Vec<TermPlan>,
-}
-
-impl QueryPlan {
-    /// The legacy plan: every term scans. With this plan the server
-    /// takes the historical code path verbatim.
-    #[must_use]
-    pub fn all_scan(term_count: usize) -> Self {
-        QueryPlan {
-            terms: vec![TermPlan::Scan; term_count],
-        }
-    }
-
-    /// The indexed plan: every term probes the multimap.
-    #[must_use]
-    pub fn all_index(term_count: usize) -> Self {
-        QueryPlan {
-            terms: vec![TermPlan::IndexProbe; term_count],
-        }
-    }
-
-    /// Whether any term consults the index (if not, execution is the
-    /// byte-for-byte legacy scan path).
-    #[must_use]
-    pub fn uses_index(&self) -> bool {
-        self.terms.contains(&TermPlan::IndexProbe)
-    }
-}
-
 /// What one multimap probe did — surfaced to the observer so the
 /// transcript states exactly what the index revealed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -368,12 +321,5 @@ mod tests {
         restored.install_snapshot(image.clone());
         assert!(restored.is_enabled(), "a persisted image implies enabled");
         assert_eq!(restored.snapshot(), image);
-    }
-
-    #[test]
-    fn plans() {
-        assert!(!QueryPlan::all_scan(3).uses_index());
-        assert!(QueryPlan::all_index(3).uses_index());
-        assert!(!QueryPlan::all_index(0).uses_index());
     }
 }

@@ -1,173 +1,35 @@
-//! Database privacy homomorphisms — the paper's primary contribution.
+//! Database privacy homomorphisms — the paper's primary contribution,
+//! and the outsourcing deployment built around it.
 //!
 //! Evdokimov, Fischmann & Günther (ICDE 2006) define a *database
 //! privacy homomorphism* (Definition 1.1) as a tuple `(K, E, Eq, D)`
 //! where `E` encrypts tables, `Eq` encrypts queries, `D` decrypts, and
 //! plaintext relational operations commute with ciphertext operations:
-//! `E_k(σ_i(R)) = ψ_i(E_k(R))`. This crate provides:
+//! `E_k(σ_i(R)) = ψ_i(E_k(R))`. Alex holds the key; Eve (the server)
+//! stores ciphertext and evaluates `ψ`, and everything she sees is
+//! recorded by [`server::Observer`] as the adversary's transcript.
 //!
-//! * [`ph::DatabasePh`] — the trait capturing Definition 1.1. The
-//!   server-side operator `ψ` ([`ph::DatabasePh::apply`]) is an
-//!   associated function *without* `self`, so the type system enforces
-//!   that it runs keyless — exactly what an untrusted server can do.
-//! * [`encoding::WordCodec`] — the §3 attribute encoding
-//!   (`value | padding | attribute-id`) made injective with a length
-//!   prefix, plus [`encoding::paper_style`] reproducing the paper's
-//!   literal `"MontgomeryN"` rendering for the worked example.
-//! * [`swp_ph::SwpPh`] — the §3 construction: tuples become documents,
-//!   exact selects become searchable-encryption trapdoors, and the
-//!   client filters false positives. Generic over any
-//!   [`dbph_swp::SearchableScheme`], instantiated with the SWP final
-//!   scheme as [`swp_ph::FinalSwpPh`].
-//! * [`varlen::VarlenPh`] — the full-version "variable-length
-//!   attributes" optimization: per-attribute word widths instead of
-//!   one global width.
-//! * [`client`] / [`server`] / [`protocol`] / [`wire`] — the Alex/Eve
-//!   outsourcing deployment: a byte-level wire format, a server that
-//!   stores ciphertext and executes trapdoors, an observer recording
-//!   everything the server sees (the adversary's transcript), and a
-//!   client holding the only key.
-//! * [`storage`] / [`executor`] — the server's execution engine: each
-//!   table is partitioned into contiguous document shards
-//!   ([`storage::ShardedTable`]) and every scan runs on a persistent
-//!   worker pool ([`executor::Executor`], long-lived threads sized to
-//!   the machine). A whole `QueryBatch` fans out as K×S
-//!   `(query, shard)` tasks drained concurrently, with a per-batch
-//!   trapdoor memo preparing each distinct trapdoor once
-//!   ([`dbph_swp::PreparedTrapdoor`]) and sharing per-shard match sets
-//!   between queries that repeat a term. Results are byte-identical
-//!   for every shard count *and* pool size, and the observer
-//!   transcript is unchanged — scheduling is Eve spending her own
-//!   cores, not Alex leaking more. What the scan still *does* reveal
-//!   is exactly the seed's leakage: the access pattern (matched
-//!   document ids per query), trapdoor equality across queries
-//!   (visible on the wire with or without the memo), and, trivially
-//!   to Eve herself, per-shard match counts — deliberate non-goals to
-//!   hide, since Eve picks the partition and the schedule.
-//! * [`protocol`] batching — [`protocol::ClientMessage::QueryBatch`] /
-//!   [`protocol::ClientMessage::AppendBatch`] amortize round-trips for
-//!   multi-query and multi-insert sessions
-//!   ([`Client::select_many`] / [`Client::insert_many`]); the server
-//!   records the same per-query / per-document events as the
-//!   unbatched protocol, tagged with a [`server::BatchRef`].
-//! * [`codec`] / [`net`] — the socket deployment:
-//!   length-prefix-framed TCP ([`codec`]: `u32` LE length + payload,
-//!   defensive size cap, short-read/short-write loops) carrying the
-//!   protocol bytes verbatim. [`net::NetServer`] accepts N concurrent
-//!   connections, each draining frames into [`Server::handle`] (whose
-//!   scans fan out on the [`executor`] pool as in-process);
-//!   [`net::PooledClient`] multiplexes sessions over a bounded
-//!   connection pool with checkout/return, reconnect-on-EOF, and
-//!   pipelined batches. [`Client`] is generic over [`net::Transport`],
-//!   so the identical session runs in-process or across the wire — and
-//!   `tests/net_transport.rs` proves the two produce byte-identical
-//!   responses *and* observer transcripts: the socket adds timing,
-//!   never leakage. Two front-ends serve the same listener
-//!   ([`net::FrontEnd`]): the original thread-per-connection loop, and
-//!   a poll-based readiness event loop (raw `poll(2)`/`fcntl(2)` via
-//!   [`sys`], incremental frame reassembly via
-//!   [`codec::FrameAssembler`], write-buffer draining with
-//!   backpressure) that multiplexes a thousand-plus concurrent
-//!   sessions on one thread — `tests/session_scale.rs` pins responses
-//!   and transcripts byte-identical across both, at 1100 concurrent
-//!   pipelined sessions.
-//! * [`durable`] — segment-log persistence under a data directory:
-//!   every applied mutation is one checksummed, fsync'd record (the
-//!   raw client message, verbatim), a manifest tracks segment order,
-//!   compaction rewrites the live store arena-to-arena into a sealed
-//!   snapshot segment, and recovery replays the log — truncating a
-//!   torn tail record, never panicking — back into columnar shards.
-//!   A [`Server`] opened with [`Server::open_durable`] survives
-//!   `kill -9`; the disk image is made of exactly the bytes Eve (who
-//!   *is* the server) already observes, so durability changes nothing
-//!   in the transcript model (`tests/durability.rs` pins responses and
-//!   transcripts byte-identical with durability on vs. off).
-//!   Commit is grouped ([`DurableOptions::group_commit`], on by
-//!   default): records append in apply order under the writer lock,
-//!   then concurrent mutations share one `fdatasync` barrier per
-//!   flush window ([`DurableOptions::flush_window`]) — each ack still
-//!   waits for a barrier covering its record (never-ack-unpersisted
-//!   is unchanged), a failed barrier fails every waiter in the window
-//!   and poisons the log, and a serial session produces a
-//!   byte-identical segment file either way
-//!   (`tests/group_commit.rs`).
-//! * Exactly-once mutations — [`protocol::ClientMessage::Tagged`]
-//!   wraps a mutation in a `(client_id, seq)` request envelope; the
-//!   server keeps a bounded per-client dedup window
-//!   ([`storage::DedupWindow`]) that *replays the original encoded
-//!   response* for a re-sent id instead of re-applying, and because
-//!   the durable log already records raw client messages verbatim,
-//!   recovery rebuilds the window for free — a retry that straddles a
-//!   server crash still applies once. The client side opts in through
-//!   [`net::PoolOptions`]: a [`net::RetryPolicy`] (attempt budget,
-//!   exponential backoff with deterministic jitter, per-call
-//!   deadline), socket read/write timeouts, and a bounded-wait pool
-//!   checkout. [`fault`] supplies the proof harness — a seeded
-//!   in-process [`fault::FaultTransport`] and a frame-aware TCP
-//!   [`fault::ChaosProxy`] injecting resets, torn frames, swallowed
-//!   acks, and delays — and `tests/chaos.rs` drives randomized fault
-//!   schedules (including kill-and-restart) asserting every
-//!   acknowledged mutation applied exactly once and that a fault-free
-//!   tagged run stays byte-identical to the untagged protocol. The
-//!   envelope adds no leakage Eve did not have: she already links a
-//!   session's requests by connection, and `(client_id, seq)` names
-//!   the sender and an ordinal, never key material or plaintext.
-//! * [`replica`] — primary/follower replication by segment-log
-//!   shipping: a [`replica::Replica`] bootstraps from a primary's
-//!   compacted stream and tails appended records over the same framed
-//!   transport ([`protocol::ClientMessage::ReplPull`]), feeding every
-//!   shipped byte through the recovery path — so the follower's
-//!   store, dedup window, and index are byte-identical to what the
-//!   primary would itself recover. Semi-sync durability
-//!   ([`durable::ReplicationOptions`]) holds each mutation's ack,
-//!   after the local group-commit barrier, until `min_acks` followers
-//!   confirm append+fdatasync (degrading to async on timeout, counted);
-//!   [`replica::Replica::promote`] turns the follower into a serving
-//!   primary whose recovered dedup window replays — never re-applies —
-//!   acked envelopes a failed-over client re-sends. The shipped stream
-//!   is records Eve already received, forwarded to a second Eve: no
-//!   new leakage about Alex's data (see [`replica`]'s module docs),
-//!   which is why `ReplPull`/`Ping` record no transcript events.
-//! * [`index`] — the opt-in sublinear plan: an encrypted inverted
-//!   index (a memoizing encrypted multimap from trapdoor-derived
-//!   labels, [`dbph_swp::index_label`], to posting lists of matched
-//!   document ids) maintained beside the scan engine. A
-//!   [`index::QueryPlan`] chosen in the server's query path decides
-//!   per term between the reference scan and a multimap probe
-//!   (cached posting + delta scan over documents appended since the
-//!   posting's bound); deletes purge postings eagerly, and the match
-//!   decision's determinism makes every plan's response byte-identical
-//!   to the scan's. Off by default — disabled, the server is
-//!   bit-for-bit the scan-only deployment (responses, transcripts,
-//!   and durable segments); enabled, compaction persists the multimap
-//!   as its own record kind and `crates/games`' posting-length attack
-//!   measures exactly what the at-rest image reveals. The plan seam
-//!   is the entry point for the ROADMAP's join-planner direction.
-//! * [`telemetry`] — the transcript-invisible operator plane: a
-//!   hand-rolled metrics registry (relaxed-atomic counters, gauges,
-//!   log2 latency histograms) instrumenting every layer — executor
-//!   queue/task latency, fsync and group-commit barrier timings, net
-//!   front-end connection/frame/backpressure counts, dedup and index
-//!   plan decisions, replication shipping/resyncs, client retries —
-//!   snapshotted by [`protocol::ClientMessage::Stats`] into a
-//!   versioned [`telemetry::StatsSnapshot`] (recording no
-//!   `ServerEvent`s, like `Status`) and rendered as text by the
-//!   example's `--stats` flag. Every metric measures Eve's own
-//!   machine, never Alex's data: `tests/telemetry.rs` pins responses,
-//!   transcripts, and durable segment bytes byte-identical with
-//!   collection on vs off, across front-ends × durability × shards ×
-//!   pools.
-//! * Chunked table streaming —
-//!   [`protocol::ClientMessage::FetchChunk`] /
-//!   [`protocol::ServerResponse::TableChunk`] page a table transfer
-//!   with a doc-id-anchored continuation token (the id lower bound of
-//!   the next page, so pagination stays cut-consistent — no repeats,
-//!   no skips of surviving documents — even as deletes land between
-//!   pages), so snapshot export and rekey
-//!   ([`Client::fetch_table_chunked`], [`Client::rekey`]) move tables
-//!   frame-by-frame with bounded peak memory instead of one
-//!   monolithic `FetchAll` that a large table could not even frame
-//!   under the transport's 64 MiB cap.
+//! Module map (design history and open items live in `ROADMAP.md`):
+//!
+//! * The scheme: [`ph`] (the Definition 1.1 trait; `ψ` runs keyless),
+//!   [`encoding`] (the §3 attribute encoding), [`swp_ph`] (the §3
+//!   construction over SWP), [`varlen`] (per-attribute word widths).
+//! * Alex and Eve: [`client`], [`server`], [`protocol`] and [`wire`]
+//!   (the byte-level messages), [`codec`] and [`net`] (framed TCP, two
+//!   front-ends, a pooled client with retries), [`sys`] (the raw
+//!   `poll`/`fcntl` the readiness front-end needs), [`fault`] (seeded
+//!   fault injection for the chaos suites).
+//! * Eve's engine: [`storage`] (sharded columnar tables, batch scans,
+//!   the dedup window), [`arena`] (columnar word storage), [`executor`]
+//!   (the worker pool), [`index`] (the opt-in encrypted multimap).
+//! * Eve's disk: [`durable`] (the segment log, group commit,
+//!   compaction, recovery), [`replica`] (log-shipping followers),
+//!   [`snapshot`] (Alex's integrity-checked offline export).
+//! * The operator plane: [`telemetry`] (transcript-invisible metrics).
+//!
+//! Every server-internal mechanism — shards, pool size, front-end,
+//! durability, index, telemetry — must leave responses and transcripts
+//! byte-identical; the suites under `tests/` pin that.
 
 // `deny`, not `forbid`: the [`sys`] module (raw `poll`/`fcntl`
 // declarations for the readiness front-end) carries the crate's only
@@ -204,7 +66,7 @@ pub use encoding::WordCodec;
 pub use error::PhError;
 pub use executor::{Executor, ExecutorStats};
 pub use fault::{ChaosPlan, ChaosProxy, FaultPlan, FaultRng, FaultTransport};
-pub use index::{IndexState, Posting, ProbeStats, QueryPlan, TableIndex, TermPlan};
+pub use index::{IndexState, Posting, ProbeStats, TableIndex};
 pub use net::{
     FrontEnd, NetOptions, NetServer, PoolOptions, PooledClient, RetryPolicy, ServerHandle,
     Transport, REPL_PULL_EVENT_LOOP_REFUSED,

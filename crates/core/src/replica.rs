@@ -67,7 +67,7 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::durable::{self, DurableLog, DurableOptions, CHECKSUM_LEN, TAG_MUTATION};
+use crate::durable::{self, DurableLog, DurableOptions, TAG_MUTATION};
 use crate::error::PhError;
 use crate::net::Transport;
 use crate::protocol::ClientMessage;
@@ -198,34 +198,24 @@ fn pull(
     }
 }
 
-/// Rejects a shipped chunk whose framing or checksums do not verify
-/// end-to-end — the transport already frames reliably, but these bytes
-/// are about to become our durable log, so they get the same scrutiny
-/// recovery would apply.
-fn verify_chunk(records: &[u8]) -> Result<(), PhError> {
-    let (_, clean) = durable::verify_records(records);
-    if clean != records.len() as u64 {
+/// Splits a shipped chunk into its `(tag, body)` records, rejecting
+/// the whole chunk unless its framing and checksums verify end to end
+/// — the transport already frames reliably, but these bytes are about
+/// to become our durable log, so they get the same scrutiny recovery
+/// would apply.
+fn verified_records(chunk: &[u8]) -> Result<Vec<(u8, &[u8])>, PhError> {
+    let mut records = Vec::new();
+    let (_, clean) = durable::walk_records(chunk, |tag, body| {
+        records.push((tag, body));
+        Ok(())
+    })?;
+    if clean != chunk.len() as u64 {
         return Err(PhError::Durability(format!(
             "shipped chunk corrupt after {clean} of {} bytes",
-            records.len()
+            chunk.len()
         )));
     }
-    Ok(())
-}
-
-/// Iterates `(tag, body)` over a chunk [`verify_chunk`] accepted.
-fn records_in(chunk: &[u8]) -> impl Iterator<Item = (u8, &[u8])> {
-    let mut at = 0usize;
-    std::iter::from_fn(move || {
-        if chunk.len() - at < 4 {
-            return None;
-        }
-        let len =
-            u32::from_le_bytes([chunk[at], chunk[at + 1], chunk[at + 2], chunk[at + 3]]) as usize;
-        let payload = &chunk[at + 4..at + 4 + len];
-        at += 4 + len;
-        Some((payload[0], &payload[1..payload.len() - CHECKSUM_LEN]))
-    })
+    Ok(records)
 }
 
 /// Streams the primary's full physical log into a fresh `gen-NNNN`
@@ -279,7 +269,7 @@ fn bootstrap_generation(
             cursor = cursor.max(next_offset);
             break;
         }
-        verify_chunk(&records)?;
+        verified_records(&records)?;
         file.write_all(&records)
             .and_then(|()| file.sync_data())
             .map_err(|e| PhError::Durability(format!("write bootstrap seg: {e}")))?;
@@ -362,7 +352,7 @@ fn step(inner: &Inner) -> Result<bool, PhError> {
     if records.is_empty() {
         return Ok(false);
     }
-    verify_chunk(&records)?;
+    let applied = verified_records(&records)?;
     let log = server
         .durable_log()
         .ok_or_else(|| PhError::Durability("follower server lost its log".into()))?;
@@ -371,7 +361,7 @@ fn step(inner: &Inner) -> Result<bool, PhError> {
     // between the two re-applies from our own log instead of losing
     // acked records.
     log.append_raw(&records)?;
-    for (tag, body) in records_in(&records) {
+    for (tag, body) in applied {
         if tag != TAG_MUTATION {
             return Err(PhError::Durability(format!(
                 "non-mutation record tag {tag} above the snapshot horizon"

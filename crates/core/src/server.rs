@@ -299,9 +299,10 @@ impl Server {
     /// [`DurableOptions`]: recovers whatever a previous process
     /// persisted there (tolerating an unclean kill — a torn tail
     /// record is truncated, never a panic), then appends every further
-    /// applied mutation to the segment log, fsync'd per message,
-    /// before acknowledging it. An empty or absent directory starts an
-    /// empty durable store.
+    /// applied mutation to the segment log and acknowledges it only
+    /// once a group-commit `fdatasync` barrier covers its record
+    /// (concurrent sessions share one barrier). An empty or absent
+    /// directory starts an empty durable store.
     ///
     /// Responses and [`Observer`] transcripts are byte-identical to an
     /// in-memory server driven by the same session — durability is
@@ -746,38 +747,27 @@ impl Server {
         }
     }
 
-    /// Chooses how each term of a query executes — the `QueryPlan`
-    /// seam. Today's planner is binary: with the index enabled every
-    /// term probes the multimap, otherwise every term scans (the
-    /// byte-for-byte legacy path). A future join planner slots in
-    /// here: a join is a plan over several tables' term plans, chosen
-    /// from the same inputs (store state + received trapdoors).
-    fn plan_query(&self, terms: &[WireTrapdoor]) -> crate::index::QueryPlan {
-        if self.store.index().is_enabled() {
-            crate::index::QueryPlan::all_index(terms.len())
-        } else {
-            crate::index::QueryPlan::all_scan(terms.len())
-        }
-    }
-
+    /// Answers one query: through the encrypted multimap when the
+    /// index is enabled, by a full trapdoor scan otherwise. Both paths
+    /// return byte-identical responses.
     fn run_query(
         &self,
         name: &str,
         terms: Vec<WireTrapdoor>,
         batch: Option<BatchRef>,
     ) -> Result<EncryptedTable, String> {
-        let plan = self.plan_query(&terms);
+        let indexed = self.store.index().is_enabled();
         if self.telemetry.on() {
-            if plan.uses_index() {
+            if indexed {
                 self.telemetry.plan_probe_queries.inc();
             } else {
                 self.telemetry.plan_scan_queries.inc();
             }
         }
-        let result = if plan.uses_index() {
+        let result = if indexed {
             let (result, probes) = self
                 .store
-                .query_planned(name, &terms, &plan)
+                .query_indexed(name, &terms)
                 .map_err(|e| e.to_string())?;
             for probe in probes {
                 if self.telemetry.on() {
@@ -844,8 +834,8 @@ impl Server {
             ClientMessage::QueryBatch { name, queries } => {
                 let batch_id = self.next_batch.fetch_add(1, Ordering::Relaxed);
                 if self.store.index().is_enabled() {
-                    // Indexed plan: queries execute in batch order, each
-                    // through the planned path — term sharing comes from
+                    // Indexed: queries execute in batch order, each
+                    // through the index path — term sharing comes from
                     // the multimap itself (the first query installs a
                     // posting, repeats probe it), so the batch memo is
                     // not needed to avoid rescanning duplicates.
@@ -876,6 +866,9 @@ impl Server {
                 // which worker finished which task first.
                 match self.store.query_batch(&name, &queries) {
                     Ok(results) => {
+                        if self.telemetry.on() {
+                            self.telemetry.plan_scan_queries.add(results.len() as u64);
+                        }
                         for (index, (terms, result)) in
                             queries.into_iter().zip(&results).enumerate()
                         {

@@ -64,7 +64,7 @@ use dbph_swp::{CipherWord, PreparedTrapdoor, ScanKernel, SwpParams, TrapdoorData
 use crate::arena::WordArena;
 use crate::error::PhError;
 use crate::executor::Executor;
-use crate::index::{IndexState, Posting, ProbeStats, QueryPlan, TermPlan};
+use crate::index::{IndexState, Posting, ProbeStats};
 use crate::swp_ph::EncryptedTable;
 
 /// One document: `(document id, cipher words in attribute order)` —
@@ -512,33 +512,6 @@ impl ShardedTable {
         self.scan_batch_on(&Executor::global(), &[terms])
             .pop()
             .expect("one query in, one table out")
-    }
-
-    /// The seed's reference engine: prepares each query's trapdoors,
-    /// then scans every shard in order on the calling thread, one
-    /// query after the next — PR 1's sequential-batch semantics with
-    /// no pool, no memo, no cross-query sharing. The batch engine must
-    /// be byte-identical to this (the sharding tests enforce it); the
-    /// `batch_scan` bench measures the gap.
-    #[must_use]
-    pub fn scan_sequential<T: TrapdoorData>(&self, terms: &[T]) -> EncryptedTable {
-        let prepared: Vec<PreparedTrapdoor> = terms.iter().map(PreparedTrapdoor::new).collect();
-        let mut docs = Vec::new();
-        for shard in &self.shards {
-            for i in 0..shard.len() {
-                if prepared
-                    .iter()
-                    .all(|t| doc_matches_scalar(&self.params, shard, i, t))
-                {
-                    docs.push(shard.doc(i));
-                }
-            }
-        }
-        EncryptedTable {
-            params: self.params,
-            docs,
-            next_doc_id: self.next_doc_id,
-        }
     }
 
     /// `ψ` over a whole query batch: K queries over S shards become
@@ -1150,30 +1123,26 @@ impl TableStore {
         Ok(table.scan_batch_on(&self.pool, &views))
     }
 
-    /// Executes one query under an explicit [`QueryPlan`]: per term,
-    /// either a full trapdoor scan or an encrypted-multimap probe
-    /// (cached posting + delta scan over the documents appended since
-    /// the posting's bound), then an ascending-id intersection and a
-    /// crypto-free reassembly from the same table snapshot.
+    /// Executes one query through the encrypted multimap: per term, an
+    /// index probe (cached posting + delta scan over the documents
+    /// appended since the posting's bound), then an ascending-id
+    /// intersection and a crypto-free reassembly from the same table
+    /// snapshot. The server takes this path whenever the index is
+    /// enabled, and [`Self::query`] otherwise.
     ///
     /// Because the SWP match decision is deterministic per (trapdoor,
-    /// word bytes) — false positives included — every plan returns the
-    /// byte-identical response the legacy scan returns; only the work
-    /// done to produce it differs. Returns per-probe [`ProbeStats`]
-    /// for the observer (empty when no term probed the index).
+    /// word bytes) — false positives included — this returns the
+    /// byte-identical response [`Self::query`] returns; only the work
+    /// done to produce it differs. Returns one [`ProbeStats`] per
+    /// probed term, for the observer.
     ///
     /// # Errors
     /// Fails for unknown tables.
-    ///
-    /// # Panics
-    /// Panics if `plan` does not carry exactly one entry per term.
-    pub fn query_planned<T: TrapdoorData>(
+    pub fn query_indexed<T: TrapdoorData>(
         &self,
         name: &str,
         terms: &[T],
-        plan: &QueryPlan,
     ) -> Result<(EncryptedTable, Vec<ProbeStats>), PhError> {
-        assert_eq!(plan.terms.len(), terms.len(), "one plan entry per term");
         let table = self.snapshot(name)?;
         if terms.is_empty() {
             // Empty conjunction matches the whole table (scan parity).
@@ -1181,42 +1150,34 @@ impl TableStore {
         }
         let mut stats = Vec::new();
         let mut survivors: Option<Vec<u64>> = None;
-        for (term, term_plan) in terms.iter().zip(&plan.terms) {
-            let ids = match term_plan {
-                TermPlan::Scan => table.match_doc_ids_from(term, 0),
-                TermPlan::IndexProbe => {
-                    let label = dbph_swp::index_label(term);
-                    let cached = self.index.with_table(name, |index| index.lookup(&label));
-                    let (mut ids, delta_from, cached_len) = match cached {
-                        Some(posting) => {
-                            let len = posting.doc_ids.len();
-                            (posting.doc_ids, posting.bound, Some(len))
-                        }
-                        None => (Vec::new(), 0, None),
-                    };
-                    // Cached ids all precede `delta_from`; the delta
-                    // ids all follow it — concatenation stays
-                    // ascending. A cached id deleted by a racing purge
-                    // after this snapshot was cut is dropped at
-                    // reassembly (`docs_by_ids` skips absent ids), so
-                    // ghosts can linger in the memo but never in a
-                    // response.
-                    ids.extend(table.match_doc_ids_from(term, delta_from));
-                    let refreshed = Posting {
-                        doc_ids: ids.clone(),
-                        bound: table.next_doc_id(),
-                    };
-                    stats.push(ProbeStats {
-                        label,
-                        cached: cached_len,
-                        delta_from,
-                        posting: refreshed.doc_ids.len(),
-                    });
-                    self.index
-                        .with_table(name, |index| index.install(label, refreshed));
-                    ids
+        for term in terms {
+            let label = dbph_swp::index_label(term);
+            let cached = self.index.with_table(name, |index| index.lookup(&label));
+            let (mut ids, delta_from, cached_len) = match cached {
+                Some(posting) => {
+                    let len = posting.doc_ids.len();
+                    (posting.doc_ids, posting.bound, Some(len))
                 }
+                None => (Vec::new(), 0, None),
             };
+            // Cached ids all precede `delta_from`; the delta ids all
+            // follow it — concatenation stays ascending. A cached id
+            // deleted by a racing purge after this snapshot was cut is
+            // dropped at reassembly (`docs_by_ids` skips absent ids),
+            // so ghosts can linger in the memo but never in a response.
+            ids.extend(table.match_doc_ids_from(term, delta_from));
+            let refreshed = Posting {
+                doc_ids: ids.clone(),
+                bound: table.next_doc_id(),
+            };
+            stats.push(ProbeStats {
+                label,
+                cached: cached_len,
+                delta_from,
+                posting: refreshed.doc_ids.len(),
+            });
+            self.index
+                .with_table(name, |index| index.install(label, refreshed));
             survivors = Some(match survivors {
                 None => ids,
                 Some(acc) => intersect_sorted(&acc, &ids),
@@ -1727,12 +1688,18 @@ mod tests {
         // check assembly order, arity, and memo reuse.
         let st = ShardedTable::from_table(table(100), 4);
         let pool = Executor::new(3);
-        let queries: Vec<Vec<ByteTrapdoor>> = vec![vec![], vec![ByteTrapdoor(7)], vec![]];
-        let views: Vec<&[ByteTrapdoor]> = queries.iter().map(Vec::as_slice).collect();
+        let dead = crate::protocol::WireTrapdoor {
+            target: vec![7],
+            check_key: Vec::new(),
+        };
+        let queries = [vec![], vec![dead], vec![]];
+        let views: Vec<&[_]> = queries.iter().map(Vec::as_slice).collect();
         let batched = st.scan_batch_on(&pool, &views);
         assert_eq!(batched.len(), 3);
+        let flat = st.to_table();
         for (q, result) in views.iter().zip(&batched) {
-            assert_eq!(result, &st.scan_sequential(q), "batch diverged");
+            let reference = crate::server::execute_query(&flat, q);
+            assert_eq!(result, &reference, "batch diverged");
         }
         assert_eq!(batched[0].doc_ids(), (0..100).collect::<Vec<u64>>());
         assert!(batched[1].docs.is_empty());

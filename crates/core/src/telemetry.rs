@@ -413,9 +413,10 @@ pub struct Telemetry {
     pub dedup_replays: Counter,
     /// Tagged mutations rejected as older than the window.
     pub dedup_stale: Counter,
-    /// Queries planned as full trapdoor scans.
+    /// Queries answered by a full trapdoor scan (one per query,
+    /// batched or not).
     pub plan_scan_queries: Counter,
-    /// Queries planned through the encrypted inverted index.
+    /// Queries answered through the encrypted inverted index.
     pub plan_probe_queries: Counter,
     /// Index probes answered from a cached posting prefix.
     pub index_probe_hits: Counter,

@@ -51,27 +51,19 @@
 //!
 //! # Quickstart: many clients against one process
 //!
-//! Two more server-side flags tune the deployment for session count
-//! and write concurrency — neither changes a single response byte:
-//!
-//! * `--event-loop` — serve all connections from one poll-based
-//!   readiness loop instead of one OS thread per connection, so a
-//!   thousand-plus idle-ish sessions cost file descriptors, not
-//!   stacks (`tests/session_scale.rs` drives 1100 at once).
-//! * `--flush-window <ms>` — with `--data-dir`, group-commit
-//!   durability: concurrent mutations that land within the window
-//!   share one fsync barrier and are only acked after it completes.
-//!   `0` (the default) still group-commits — writers that collide
-//!   mid-fsync ride the next barrier together — a positive window
-//!   trades ack latency for bigger batches.
+//! `--event-loop` serves all connections from one poll-based readiness
+//! loop instead of one OS thread per connection, so a thousand-plus
+//! idle-ish sessions cost file descriptors, not stacks
+//! (`tests/session_scale.rs` drives 1100 at once). It changes no
+//! response byte. With `--data-dir`, concurrent sessions' mutations
+//! share group-commit fsync barriers, and each is acked only after a
+//! barrier covering it completes.
 //!
 //! ```text
 //! # terminal 1 — one process, ready for thousands of sessions
 //! $ cargo run --release --example encrypted_sql -- \
-//!       --listen 127.0.0.1:4460 --event-loop \
-//!       --data-dir /tmp/dbph-data --flush-window 2
+//!       --listen 127.0.0.1:4460 --event-loop --data-dir /tmp/dbph-data
 //! -- durable store at /tmp/dbph-data (0 table(s) recovered)
-//! -- group-commit flush window: 2 ms
 //! -- serving encrypted tables on 127.0.0.1:4460 (event-loop front-end)
 //!
 //! # terminals 2..N — as many concurrent sessions as you like
@@ -218,37 +210,28 @@ use std::time::Duration;
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
-    ChaosPlan, ChaosProxy, Client, DurableOptions, FinalSwpPh, FrontEnd, NetServer, PoolOptions,
-    PooledClient, Replica, ReplicaOptions, RetryPolicy, Server, Transport,
+    ChaosPlan, ChaosProxy, Client, FinalSwpPh, FrontEnd, NetServer, PoolOptions, PooledClient,
+    Replica, ReplicaOptions, RetryPolicy, Server, Transport,
 };
 use dbph::crypto::SecretKey;
 use dbph::relation::sql::{self, ExecOutcome, Statement};
 use dbph::relation::{Catalog, Tuple};
 
 /// Builds the server for a server-side mode: durable when the user
-/// passed `--data-dir` (group-committing with the given flush window),
-/// in-memory otherwise.
+/// passed `--data-dir`, in-memory otherwise.
 fn make_server(
     shards: usize,
     data_dir: Option<&str>,
-    flush_window: Option<Duration>,
     scrub: bool,
 ) -> Result<Server, Box<dyn std::error::Error>> {
     match data_dir {
         None => Ok(Server::with_shards(shards)),
         Some(dir) => {
-            let options = DurableOptions {
-                flush_window: flush_window.unwrap_or(Duration::ZERO),
-                ..DurableOptions::default()
-            };
-            let server = Server::open_durable_with(dir, shards, None, options)?;
+            let server = Server::open_durable(dir, shards)?;
             println!(
                 "-- durable store at {dir} ({} table(s) recovered)",
                 server.table_names().len()
             );
-            if let Some(w) = flush_window {
-                println!("-- group-commit flush window: {} ms", w.as_millis());
-            }
             if scrub {
                 let report = server.scrub()?;
                 println!(
@@ -362,27 +345,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .unwrap_or_default();
 
-    // `--flush-window <ms>` sets the group-commit window (needs
-    // `--data-dir`: without a log there is nothing to flush).
-    let flush_window = args
-        .iter()
-        .position(|a| a == "--flush-window")
-        .map(|i| {
-            args.remove(i); // the flag
-            if i < args.len() {
-                args.remove(i) // its value
-                    .parse::<u64>()
-                    .map(Duration::from_millis)
-                    .map_err(|_| "usage: --flush-window <milliseconds>")
-            } else {
-                Err("usage: --flush-window <milliseconds>")
-            }
-        })
-        .transpose()?;
-    if flush_window.is_some() && data_dir.is_none() {
-        return Err("--flush-window tunes the durable log; pair it with --data-dir".into());
-    }
-
     // `--scrub` re-verifies every log record before doing anything
     // else (needs `--data-dir`: there is nothing to scrub in memory).
     let scrub = args
@@ -495,15 +457,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if scrub {
                 // Offline integrity check: open (recover), verify
                 // every record, report, exit.
-                make_server(1, data_dir, flush_window, true)?;
+                make_server(1, data_dir, true)?;
                 return Ok(());
             }
             // In-process: the transport is the server itself.
-            run_script(make_server(1, data_dir, flush_window, false)?)
+            run_script(make_server(1, data_dir, false)?)
         }
         Some("--net") => {
             // Loopback: same script, real frames on a real socket.
-            let server = make_server(4, data_dir, flush_window, scrub)?;
+            let server = make_server(4, data_dir, scrub)?;
             let handle = NetServer::spawn_with(server, "127.0.0.1:0", front_end)?;
             println!(
                 "-- loopback server listening on {} ({front_end:?} front-end)",
@@ -531,11 +493,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 listener.local_addr()?
             );
             println!("-- connect with: cargo run --example encrypted_sql -- --connect {addr}");
-            NetServer::serve_with(
-                listener,
-                make_server(4, data_dir, flush_window, scrub)?,
-                front_end,
-            )?;
+            NetServer::serve_with(listener, make_server(4, data_dir, scrub)?, front_end)?;
             Ok(())
         }
         Some("--replicate-from") => {
@@ -634,7 +592,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(other) => Err(format!(
             "unknown mode {other:?}; use --net, --listen [addr], or --connect <addr> \
              (server-side extras: --data-dir <path> for persistence, --event-loop for \
-             the readiness front-end, --flush-window <ms> for group commit; client-side: \
+             the readiness front-end; client-side: \
              --retry <n> for exactly-once retries, --chaos-seed <s> for fault injection)"
         )
         .into()),

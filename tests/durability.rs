@@ -410,18 +410,13 @@ proptest! {
     fn crash_at_any_byte_offset_recovers_the_fsyncd_prefix(
         ops in proptest::collection::vec(arb_mut_op(), 1..25),
         cut_frac in 0u64..=1000,
-        group_commit in any::<bool>(),
     ) {
         let messages = lower_mutations(&ops);
         prop_assume!(!messages.is_empty());
-        // Group commit must uphold the identical recovery contract: a
-        // serial caller leads every flush window itself, so each
-        // handled message is fully appended *and* synced by return and
-        // the per-message boundaries below stay exact in both modes.
-        let options = DurableOptions {
-            group_commit,
-            ..DurableOptions::default()
-        };
+        // A serial caller leads every group-commit window itself, so
+        // each handled message is fully appended *and* synced by
+        // return and the per-message boundaries below stay exact.
+        let options = DurableOptions::default();
 
         // Drive a durable session, recording the active segment's
         // length after each (fsync'd) message — the record boundaries.
@@ -497,9 +492,9 @@ proptest! {
     /// segments are pruned — and recover. The manifest is the sole
     /// source of truth: recovery must restore exactly the acked
     /// prefix (which compaction never changes), sweep the orphaned
-    /// segment files, and leave a fully serviceable directory. Group
-    /// commit is on and the inverted index enabled, so the compacted
-    /// image also carries dedup/index record kinds.
+    /// segment files, and leave a fully serviceable directory. The
+    /// inverted index is enabled, so the compacted image also carries
+    /// the index record kind.
     #[test]
     fn crash_during_compaction_recovers_the_acked_prefix(
         ops in proptest::collection::vec(arb_mut_op(), 4..25),
@@ -508,10 +503,7 @@ proptest! {
     ) {
         let messages = lower_mutations(&ops);
         prop_assume!(!messages.is_empty());
-        let options = DurableOptions {
-            group_commit: true,
-            ..DurableOptions::default()
-        };
+        let options = DurableOptions::default();
 
         // Drive the acked workload, then capture the directory on both
         // sides of a real compaction; the two images bracket every
@@ -697,4 +689,154 @@ fn compacted_store_survives_restart_identically() {
     for probe in probe_messages_for(&["t1", "t2"]) {
         assert_eq!(recovered.handle(&probe), reference.handle(&probe));
     }
+}
+
+/// A cipher word that matches the trapdoor `(target, key)` under
+/// [`params`]: `target ⊕ (S ‖ F_key(S))` for a fixed stream part `S`.
+fn matching_word(target: &[u8], key: &[u8], salt: u8) -> CipherWord {
+    use dbph::crypto::{HmacPrf, Prf};
+    let params = params();
+    let split = params.stream_len();
+    let s: Vec<u8> = (0..split as u8)
+        .map(|i| salt ^ i.wrapping_mul(37))
+        .collect();
+    let f = HmacPrf::new(key).eval(&s, params.check_len);
+    let mut c = Vec::with_capacity(params.word_len);
+    c.extend(target[..split].iter().zip(&s).map(|(a, b)| a ^ b));
+    c.extend(target[split..].iter().zip(&f).map(|(a, b)| a ^ b));
+    CipherWord(c)
+}
+
+/// The on-disk format, pinned in absolute terms: a fixed, RNG-free
+/// session — plain and enveloped appends, a delete, index probes with
+/// the index enabled, a compaction, then more appends — must leave
+/// exactly these bytes in every segment file and in `MANIFEST`. The
+/// other suites diff two runs of one build against each other; this
+/// one fails when a change to the record codec, the snapshot writer
+/// or the compaction order moves a single byte.
+#[test]
+fn segment_and_manifest_bytes_are_pinned() {
+    use dbph::crypto::sha256::Sha256;
+
+    let hit = WireTrapdoor {
+        target: (0..13).map(|i| 0xA0 ^ i).collect(),
+        check_key: vec![0x5C; 32],
+    };
+    let hit_doc = |id: u64| -> (u64, Vec<CipherWord>) {
+        let mut words = doc(id).1;
+        words.push(matching_word(&hit.target, &hit.check_key, id as u8));
+        (id, words)
+    };
+    let append = |id: u64| ClientMessage::Append {
+        name: "emp".into(),
+        doc_id: id,
+        words: hit_doc(id).1,
+    };
+    let tagged = |seq: u64, inner: ClientMessage| ClientMessage::Tagged {
+        client_id: 77,
+        seq,
+        inner: Box::new(inner),
+    };
+    let query = |terms: Vec<WireTrapdoor>| ClientMessage::Query {
+        name: "emp".into(),
+        terms,
+    };
+
+    let tmp = TempDir::new("format-pin").unwrap();
+    let server =
+        Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
+    server.enable_index();
+    let mut emp = table(6);
+    for (id, words) in &mut emp.docs {
+        if id.is_multiple_of(2) {
+            words.push(matching_word(&hit.target, &hit.check_key, *id as u8));
+        }
+    }
+    let phase1 = vec![
+        ClientMessage::CreateTable {
+            name: "emp".into(),
+            table: emp,
+        },
+        ClientMessage::CreateTable {
+            name: "aux".into(),
+            table: table(2),
+        },
+        append(6),
+        tagged(1, append(7)),
+        tagged(
+            2,
+            ClientMessage::AppendBatch {
+                name: "emp".into(),
+                docs: vec![doc(8), hit_doc(9)],
+            },
+        ),
+        ClientMessage::DeleteDocs {
+            name: "emp".into(),
+            doc_ids: vec![2, 7],
+        },
+        query(vec![hit.clone()]),
+        query(vec![dead_trapdoor()]),
+        ClientMessage::AppendBatch {
+            name: "emp".into(),
+            docs: vec![hit_doc(10)],
+        },
+        query(vec![hit.clone(), dead_trapdoor()]),
+    ];
+    for m in phase1 {
+        let resp = ServerResponse::from_wire(&server.handle(&m.to_wire())).unwrap();
+        assert!(!matches!(resp, ServerResponse::Error(_)), "{resp:?}");
+    }
+    // The probes cache real postings, not just empty ones.
+    let hits = ServerResponse::from_wire(&server.handle(&query(vec![hit.clone()]).to_wire()));
+    match hits {
+        Ok(ServerResponse::Table(t)) => assert_eq!(t.doc_ids(), vec![0, 4, 6, 9, 10]),
+        other => panic!("{other:?}"),
+    }
+    server.compact().unwrap();
+    let phase2 = vec![
+        append(11),
+        tagged(3, append(12)),
+        ClientMessage::DeleteDocs {
+            name: "aux".into(),
+            doc_ids: vec![0],
+        },
+        query(vec![hit.clone()]),
+    ];
+    for m in phase2 {
+        let resp = ServerResponse::from_wire(&server.handle(&m.to_wire())).unwrap();
+        assert!(!matches!(resp, ServerResponse::Error(_)), "{resp:?}");
+    }
+    drop(server);
+
+    let digests: Vec<(String, String)> = dir_image(tmp.path())
+        .into_iter()
+        .map(|(name, bytes)| {
+            let hex = Sha256::digest(&bytes)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            (name, hex)
+        })
+        .collect();
+    // A mismatch here is an on-disk format change: existing data
+    // directories would no longer recover byte for byte.
+    let expected: &[(&str, &str)] = &[
+        (
+            "MANIFEST",
+            "b2be241dc9013eb9ca9b4d0ee643c8415dff1f6974768c71eb10732176a546a7",
+        ),
+        (
+            "seg-00000001.log",
+            "937a7efd052a9d1d88012d7c1abf323018ec537141bdd93fc21c13018afde7d4",
+        ),
+        (
+            "seg-00000002.log",
+            "edb2612e5c8bafb84abdc70cc38d7f772a01aac71fa429720db0a00df7e1b7f3",
+        ),
+    ];
+    let expected: Vec<(String, String)> = expected
+        .iter()
+        .map(|&(name, hex)| (name.to_string(), hex.to_string()))
+        .collect();
+    assert_eq!(digests, expected, "on-disk format changed");
 }

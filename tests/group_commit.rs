@@ -1,27 +1,20 @@
-//! Group-commit durability: one fsync per flush window, never a
-//! weaker promise.
+//! Group-commit durability: shared fsyncs, never a weaker promise.
 //!
-//! PR 5 pinned the per-mutation fsync discipline; this suite holds the
-//! group-commit committer to the same observable contract while
-//! verifying it actually shares barriers:
+//! Every durable mutation is acked only once an `fdatasync` barrier
+//! covers its record; concurrent writers share that barrier. This
+//! suite holds the committer to both halves:
 //!
-//! 1. **Fsync sharing.** Concurrent writers inside one flush window
-//!    ride a single `fdatasync` — the sync counter grows far slower
-//!    than the mutation count — and every acked mutation is still
-//!    there after an unclean kill.
-//! 2. **Byte-identical log.** A serial session writes the exact same
-//!    active-segment bytes under group commit as under
-//!    fsync-per-mutation: the committer changes *when* the barrier
-//!    runs, never what hits the disk.
-//! 3. **Fail closed.** A failing `fdatasync` fails every waiter in the
+//! 1. **Fsync sharing.** Concurrent writers ride shared `fdatasync`s —
+//!    the sync counter grows far slower than the mutation count — and
+//!    every acked mutation is still there after an unclean kill.
+//! 2. **Fail closed.** A failing `fdatasync` fails every waiter in the
 //!    window — no ack escapes a broken barrier — and poisons the log
 //!    so later mutations are refused while reads keep answering.
 //!
-//! (Crash-cut recovery under group commit is folded into the PR 5
-//! proptest in `tests/durability.rs`, which now runs both modes.)
+//! (Crash-cut recovery is the proptest in `tests/durability.rs`; the
+//! absolute segment bytes are pinned there too.)
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
@@ -84,11 +77,8 @@ fn concurrent_writers_share_fsyncs_and_all_recover() {
     const APPENDS: u64 = 25;
 
     let tmp = TempDir::new("group-share").unwrap();
-    let options = DurableOptions {
-        flush_window: Duration::from_millis(2),
-        ..DurableOptions::default()
-    };
-    let server = Server::open_durable_with(tmp.path(), 3, Some(2), options.clone()).unwrap();
+    let server =
+        Server::open_durable_with(tmp.path(), 3, Some(2), DurableOptions::default()).unwrap();
 
     // Tables are created serially so the concurrent phase is pure
     // appends — each thread owns one table, so per-table order is
@@ -131,7 +121,8 @@ fn concurrent_writers_share_fsyncs_and_all_recover() {
     // completed barrier, so recovery must replay all of them.
     drop(log);
     drop(server);
-    let recovered = Server::open_durable_with(tmp.path(), 3, Some(2), options).unwrap();
+    let recovered =
+        Server::open_durable_with(tmp.path(), 3, Some(2), DurableOptions::default()).unwrap();
     let reference = Server::with_shards(3);
     for w in 0..WRITERS {
         let name = format!("w{w}");
@@ -151,100 +142,12 @@ fn concurrent_writers_share_fsyncs_and_all_recover() {
 }
 
 #[test]
-fn serial_group_commit_log_is_byte_identical_to_fsync_per_mutation() {
-    let session = || {
-        let mut msgs = vec![create_msg("t")];
-        msgs.extend((0..12).map(|id| append_msg("t", id)));
-        msgs.push(
-            ClientMessage::DeleteDocs {
-                name: "t".into(),
-                doc_ids: vec![3, 7],
-            }
-            .to_wire(),
-        );
-        msgs
-    };
-
-    let run = |group_commit: bool| {
-        let tmp = TempDir::new("group-bytes").unwrap();
-        let options = DurableOptions {
-            group_commit,
-            ..DurableOptions::default()
-        };
-        let server = Server::open_durable_with(tmp.path(), 2, Some(1), options).unwrap();
-        let responses: Vec<_> = session().iter().map(|m| server.handle(m)).collect();
-        let log = Arc::clone(server.durable_log().unwrap());
-        let bytes = std::fs::read(log.active_segment_path()).unwrap();
-        (responses, bytes, log.sync_count())
-    };
-
-    let (group_responses, group_bytes, group_syncs) = run(true);
-    let (solo_responses, solo_bytes, solo_syncs) = run(false);
-
-    assert_eq!(group_responses, solo_responses, "responses diverged");
-    assert_eq!(
-        group_bytes, solo_bytes,
-        "group commit changed the on-disk record bytes"
-    );
-    // A lone serial writer leads every window itself: same barrier
-    // count, just reached through the shared committer.
-    assert_eq!(group_syncs, solo_syncs, "serial sync cadence diverged");
-}
-
-#[test]
-fn serial_leader_skips_the_flush_window_sleep() {
-    // A lone writer leads every window itself; with nobody else to
-    // wait for, holding the window open buys no batching and only adds
-    // the window's sleep to every ack. The leader must detect the
-    // solo case and sync immediately — same bytes, same sync cadence,
-    // none of the latency.
-    let session = |server: &Server| {
-        assert!(is_ok(&server.handle(&create_msg("t"))));
-        for id in 0..12 {
-            assert!(is_ok(&server.handle(&append_msg("t", id))));
-        }
-    };
-
-    let run = |flush_window: Duration| {
-        let tmp = TempDir::new("group-serial").unwrap();
-        let options = DurableOptions {
-            flush_window,
-            ..DurableOptions::default()
-        };
-        let server = Server::open_durable_with(tmp.path(), 2, Some(1), options).unwrap();
-        let started = std::time::Instant::now();
-        session(&server);
-        let elapsed = started.elapsed();
-        let log = Arc::clone(server.durable_log().unwrap());
-        let bytes = std::fs::read(log.active_segment_path()).unwrap();
-        (elapsed, bytes, log.sync_count())
-    };
-
-    // 200 ms × 13 serial mutations would be 2.6 s of pure sleeping if
-    // the leader waited out each window; the skip makes the window
-    // setting irrelevant to a serial session.
-    let (wide_elapsed, wide_bytes, wide_syncs) = run(Duration::from_millis(200));
-    let (zero_elapsed, zero_bytes, zero_syncs) = run(Duration::ZERO);
-
-    assert_eq!(wide_bytes, zero_bytes, "window width changed record bytes");
-    assert_eq!(wide_syncs, zero_syncs, "window width changed sync cadence");
-    assert!(
-        wide_elapsed < Duration::from_millis(1300),
-        "serial leader slept through flush windows: {wide_elapsed:?} \
-         (zero-window reference: {zero_elapsed:?})"
-    );
-}
-
-#[test]
 fn failing_fdatasync_fails_every_waiter_in_the_window_closed() {
     const WAITERS: usize = 4;
 
     let tmp = TempDir::new("group-poison").unwrap();
-    let options = DurableOptions {
-        flush_window: Duration::from_millis(20),
-        ..DurableOptions::default()
-    };
-    let server = Server::open_durable_with(tmp.path(), 2, Some(1), options).unwrap();
+    let server =
+        Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
     for w in 0..WAITERS {
         assert!(is_ok(&server.handle(&create_msg(&format!("p{w}")))));
     }

@@ -12,10 +12,9 @@
 //! 2. **Byte equality.** A fixed sequential session produces
 //!    byte-identical responses *and* an identical [`Observer`]
 //!    transcript across {event loop, thread-per-connection} ×
-//!    {in-memory, group-commit durable, fsync-per-mutation durable} ×
-//!    shard counts × pool sizes, versus the in-process baseline. The
-//!    front-end and the committer change scheduling and timing only —
-//!    never what Eve records.
+//!    {in-memory, durable} × shard counts × pool sizes, versus the
+//!    in-process baseline. The front-end and the group committer
+//!    change scheduling and timing only — never what Eve records.
 
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -191,15 +190,8 @@ fn matrix_session() -> Vec<Vec<u8>> {
     ]
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Store {
-    InMemory,
-    DurableGroup,
-    DurablePerMutation,
-}
-
 #[test]
-fn responses_and_transcripts_identical_across_front_ends_and_commit_modes() {
+fn responses_and_transcripts_identical_across_front_ends_and_stores() {
     let messages = matrix_session();
     for shards in [1usize, 3] {
         for workers in [1usize, 2] {
@@ -208,30 +200,21 @@ fn responses_and_transcripts_identical_across_front_ends_and_commit_modes() {
             let baseline_events = baseline.observer().events();
 
             for front_end in [FrontEnd::ThreadPerConnection, FrontEnd::EventLoop] {
-                for store in [
-                    Store::InMemory,
-                    Store::DurableGroup,
-                    Store::DurablePerMutation,
-                ] {
+                for durable in [false, true] {
                     let _tmp; // keeps the data dir alive through the run
-                    let server = match store {
-                        Store::InMemory => Server::with_pool(shards, workers),
-                        Store::DurableGroup | Store::DurablePerMutation => {
-                            let tmp = TempDir::new("matrix").unwrap();
-                            let options = DurableOptions {
-                                group_commit: matches!(store, Store::DurableGroup),
-                                ..DurableOptions::default()
-                            };
-                            let server = Server::open_durable_with(
-                                tmp.path(),
-                                shards,
-                                Some(workers),
-                                options,
-                            )
-                            .unwrap();
-                            _tmp = tmp;
-                            server
-                        }
+                    let server = if durable {
+                        let tmp = TempDir::new("matrix").unwrap();
+                        let server = Server::open_durable_with(
+                            tmp.path(),
+                            shards,
+                            Some(workers),
+                            DurableOptions::default(),
+                        )
+                        .unwrap();
+                        _tmp = tmp;
+                        server
+                    } else {
+                        Server::with_pool(shards, workers)
                     };
                     let handle =
                         NetServer::spawn_with(server.clone(), "127.0.0.1:0", front_end).unwrap();
@@ -241,7 +224,7 @@ fn responses_and_transcripts_identical_across_front_ends_and_commit_modes() {
                         .map(|m| pool.call(m).expect("transport call"))
                         .collect();
                     let label = format!(
-                        "{front_end:?} × {store:?} × {shards} shard(s) × {workers} worker(s)"
+                        "{front_end:?} × durable={durable} × {shards} shard(s) × {workers} worker(s)"
                     );
                     assert_eq!(
                         responses, baseline_responses,

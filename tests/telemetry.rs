@@ -301,9 +301,6 @@ fn dedup_counters_classify_fresh_replayed_and_stale_envelopes() {
 #[test]
 fn query_plan_and_index_counters_move() {
     let server = Server::with_shards(2);
-    // The default planner scans; count those first, then flip the
-    // index on and watch the probe-side counters move too.
-    server.enable_index();
     let scheme = ph();
     let relation = EmployeeGen {
         rows: 40,
@@ -324,21 +321,39 @@ fn query_plan_and_index_counters_move() {
         .unwrap(),
         ServerResponse::Error(_)
     ));
+    let terms = encrypt(&scheme, &Query::select("dept", "dept-00"));
     let query = ClientMessage::Query {
         name: "Emp".into(),
-        terms: encrypt(&scheme, &Query::select("dept", "dept-00")),
+        terms: terms.clone(),
     }
     .to_wire();
-    let a = server.handle(&query);
-    let b = server.handle(&query); // second probe rides the cached posting
-    assert_eq!(a, b);
-
+    let batch = ClientMessage::QueryBatch {
+        name: "Emp".into(),
+        queries: vec![terms.clone(); 3],
+    }
+    .to_wire();
     let t = server.telemetry();
-    assert!(
-        t.plan_probe_queries.get() + t.plan_scan_queries.get() >= 2,
-        "every query must pick a plan"
-    );
-    assert!(t.index_probe_hits.get() + t.index_probe_misses.get() > 0);
+
+    // Index off: every query scans, batched or not — one count each.
+    let a = server.handle(&query);
+    let batched_scan = server.handle(&batch);
+    assert_eq!(t.plan_scan_queries.get(), 4, "1 single + 3 batched scans");
+    assert_eq!(t.plan_probe_queries.get(), 0);
+
+    // Index on: every query probes, batched or not.
+    server.enable_index();
+    let b = server.handle(&query);
+    let c = server.handle(&query); // second probe rides the cached posting
+    let batched_probe = server.handle(&batch);
+    assert_eq!(a, b);
+    assert_eq!(b, c);
+    assert_eq!(batched_scan, batched_probe);
+    assert_eq!(t.plan_scan_queries.get(), 4, "no scans once indexed");
+    assert_eq!(t.plan_probe_queries.get(), 5, "2 single + 3 batched probes");
+
+    let per_query = terms.len() as u64;
+    assert_eq!(t.index_probe_misses.get(), per_query, "first probe misses");
+    assert_eq!(t.index_probe_hits.get(), 4 * per_query, "the rest hit");
     assert!(t.index_posting_len.count() > 0);
     assert!(t.request_latency(2).count() >= 2, "query latency histogram");
 }
