@@ -499,4 +499,77 @@ mod tests {
             assert!(!r.same_multiset(&emp()))
         }
     }
+    /// Pins Alex's ciphertext bytes: the `encrypt_table` output, one
+    /// appended tuple, three trapdoors and their index labels under a
+    /// fixed master key over a fixed 50-row `Emp` relation. Any change
+    /// to a primitive (SHA-256 backend, HMAC, Feistel `E''`, ChaCha
+    /// stream) that alters a single byte fails here.
+    #[test]
+    fn ciphertext_and_trapdoor_bytes_are_pinned() {
+        use dbph_crypto::sha256::Sha256;
+        use dbph_swp::{index_label, TrapdoorData};
+        use dbph_workload::EmployeeGen;
+
+        fn hex(d: [u8; 32]) -> String {
+            d.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        fn absorb_docs(h: &mut Sha256, docs: &[(u64, Vec<CipherWord>)]) {
+            for (id, words) in docs {
+                h.update(&id.to_le_bytes());
+                for w in words {
+                    h.update(w.as_bytes());
+                }
+            }
+        }
+
+        let ph = FinalSwpPh::new(EmployeeGen::schema(), &master()).unwrap();
+        let relation = EmployeeGen {
+            rows: 50,
+            ..EmployeeGen::default()
+        }
+        .generate(7);
+        let mut ct = ph.encrypt_table(&relation).unwrap();
+        let mut h = Sha256::new();
+        absorb_docs(&mut h, &ct.docs);
+        let table = hex(h.finalize());
+
+        let tuple = relation.tuples()[3].clone();
+        ph.append_tuple(&mut ct, &tuple).unwrap();
+        let mut h = Sha256::new();
+        absorb_docs(&mut h, &ct.docs[50..]);
+        let appended = hex(h.finalize());
+
+        let mut trapdoors = Sha256::new();
+        let mut labels = Sha256::new();
+        for q in [
+            Query::select("name", "emp-0000007"),
+            Query::select("dept", "dept-03"),
+            Query::select("salary", 5000i64),
+        ] {
+            for td in ph.encrypt_query(&q).unwrap().terms {
+                trapdoors.update(td.target());
+                trapdoors.update(td.check_key());
+                labels.update(&index_label(&td));
+            }
+        }
+        let trapdoors = hex(trapdoors.finalize());
+        let labels = hex(labels.finalize());
+
+        assert_eq!(
+            table,
+            "f91ef1f0c70a5fc17af911bb3b5f5e29b1e488a7adf96246c48e9170e4fafea8"
+        );
+        assert_eq!(
+            appended,
+            "d8dfaee6d0256c5e15a949743bfbe542ebdd1dcc299532b20ec4a846fe0be48f"
+        );
+        assert_eq!(
+            trapdoors,
+            "18c657c4dcabdbaf6873c06c386687a23f19fec117bd9808c70b88616ecf8f6d"
+        );
+        assert_eq!(
+            labels,
+            "73d2820e2012701519d7e3966e5ee6fda5beb1b9bbcb78126572f19628f22a77"
+        );
+    }
 }

@@ -23,7 +23,7 @@ use crate::chacha20;
 use crate::error::CryptoError;
 use crate::hmac::HmacSha256;
 use crate::keys::SecretKey;
-use crate::prf::{HmacPrf, Prf};
+use crate::prf::HmacPrf;
 use crate::rng::EntropySource;
 
 /// A randomized (CPA-secure) symmetric cipher.
@@ -214,56 +214,42 @@ impl WideBlockPrp {
     /// than two bytes.
     pub fn permute(&self, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
         Self::check_len(data)?;
-        let split = data.len() / 2;
-        let mut left = data[..split].to_vec();
-        let mut right = data[split..].to_vec();
-        // Round r: (L, R) -> (R, L ⊕ F_r(R)). With an even round count
-        // the halves end on their original sides, so the output splits
-        // at the same point as the input even for odd lengths.
-        for prf in &self.round_prfs {
-            let mask = round_mask(prf, &right, left.len());
-            for (l, m) in left.iter_mut().zip(mask.iter()) {
-                *l ^= m;
-            }
-            std::mem::swap(&mut left, &mut right);
+        let mut out = data.to_vec();
+        for r in 0..self.round_prfs.len() {
+            self.round(r, &mut out);
         }
-        let mut out = left;
-        out.extend_from_slice(&right);
         Ok(out)
     }
 
-    /// Inverse permutation.
+    /// Inverse permutation: every round is an involution, so the
+    /// rounds run again in reverse order.
     ///
     /// # Errors
     /// Returns [`CryptoError::InvalidParameter`] for inputs shorter
     /// than two bytes.
     pub fn invert(&self, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
         Self::check_len(data)?;
-        let split = data.len() / 2;
-        let mut left = data[..split].to_vec();
-        let mut right = data[split..].to_vec();
-        // Mirror of `permute`: undo the trailing swap of each round,
-        // then strip that round's mask.
-        for prf in self.round_prfs.iter().rev() {
-            std::mem::swap(&mut left, &mut right);
-            let mask = round_mask(prf, &right, left.len());
-            for (l, m) in left.iter_mut().zip(mask.iter()) {
-                *l ^= m;
-            }
+        let mut out = data.to_vec();
+        for r in (0..self.round_prfs.len()).rev() {
+            self.round(r, &mut out);
         }
-        let mut out = left;
-        out.extend_from_slice(&right);
         Ok(out)
     }
-}
 
-/// PRF mask for one Feistel round, domain-separated by half length so
-/// equal-content halves of different widths cannot collide.
-fn round_mask(prf: &HmacPrf, half: &[u8], len: usize) -> Vec<u8> {
-    let mut input = Vec::with_capacity(half.len() + 8);
-    input.extend_from_slice(&(half.len() as u64).to_be_bytes());
-    input.extend_from_slice(half);
-    prf.eval(&input, len)
+    /// Feistel round `r` in place on `A ‖ B` (split at `len / 2`):
+    /// even rounds XOR `F_r(B)` over `A`, odd rounds `F_r(A)` over `B`.
+    /// That is `(L, R) → (R, L ⊕ F_r(R))` with the halves left where
+    /// they are instead of swapped; after the even round count they
+    /// are back on their original sides, so the output splits at the
+    /// same point as the input even for odd lengths. The round input
+    /// is prefixed with the source half's length, so equal-content
+    /// halves of different widths cannot collide.
+    fn round(&self, r: usize, data: &mut [u8]) {
+        let (a, b) = data.split_at_mut(data.len() / 2);
+        let (target, source) = if r.is_multiple_of(2) { (a, b) } else { (b, a) };
+        let width = (source.len() as u64).to_be_bytes();
+        self.round_prfs[r].xor_into(&width, source, target);
+    }
 }
 
 impl DeterministicCipher for WideBlockPrp {

@@ -10,7 +10,8 @@
 //! * a **pseudorandom function** `F` (here: HMAC-SHA-256,
 //!   [`prf::HmacPrf`]),
 //! * a **deterministic cipher** `E''` used to pre-encrypt words
-//!   (here: AES-128 in ECB over fixed-width words, [`aes::Aes128`]),
+//!   (here: a length-preserving 4-round Feistel network with
+//!   HMAC-SHA-256 round functions, [`cipher::WideBlockPrp`]),
 //! * a **CPA-secure cipher** for tuple payloads (here: ChaCha20 with a
 //!   random nonce, [`cipher::StreamCipher`]).
 //!
@@ -19,6 +20,16 @@
 //! specification and validated against the official test vectors
 //! (FIPS 180-4, RFC 4231, RFC 8439, FIPS 197) in its module tests.
 //!
+//! # SHA-256 backends and `unsafe`
+//!
+//! Every SHA-256 compression — scalar hashing, HMAC, the 4-lane scan
+//! kernel — runs on the CPU's SHA extensions when it has them, chosen
+//! by one runtime feature check, and on portable Rust otherwise. The
+//! digests are bit-identical either way. The crate is
+//! `deny(unsafe_code)`; the one module allowed `unsafe` is the x86-64
+//! SHA-NI backend (`sha256_ni`), for its `#[target_feature]` calls and
+//! vector loads, each with a `SAFETY` comment.
+//!
 //! # Security disclaimer
 //!
 //! These implementations are written for clarity and reproducibility of
@@ -26,7 +37,7 @@
 //! beyond using constant-time equality ([`ct::ct_eq`]) where the
 //! protocol requires it.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
@@ -42,6 +53,8 @@ pub mod prf;
 pub mod prg;
 pub mod rng;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod sha256_ni;
 pub mod sha256x4;
 
 pub use cipher::{DeterministicCipher, RandomizedCipher, SealedCipher, StreamCipher};

@@ -133,22 +133,28 @@ impl HmacPrf {
         compress4_states(&mut states, &blocks);
         write_digests(&states, tags);
     }
+
+    /// XORs the first `target.len()` bytes of `F(prefix ‖ input)` —
+    /// exactly what [`Prf::eval_into`] writes for the concatenated
+    /// input — over `target`, without building the concatenation or
+    /// the output. Allocation-free.
+    pub(crate) fn xor_into(&self, prefix: &[u8], input: &[u8], target: &mut [u8]) {
+        for (counter, chunk) in (0u32..).zip(target.chunks_mut(MAC_LEN)) {
+            let mut h = self.mac.clone();
+            h.update(prefix);
+            h.update(input);
+            h.update(&counter.to_be_bytes());
+            for (t, m) in chunk.iter_mut().zip(h.finalize()) {
+                *t ^= m;
+            }
+        }
+    }
 }
 
 impl Prf for HmacPrf {
     fn eval_into(&self, input: &[u8], out: &mut [u8]) {
-        let mut offset = 0usize;
-        let mut counter: u32 = 0;
-        while offset < out.len() {
-            let mut h = self.mac.clone();
-            h.update(input);
-            h.update(&counter.to_be_bytes());
-            let block = h.finalize();
-            let take = (out.len() - offset).min(block.len());
-            out[offset..offset + take].copy_from_slice(&block[..take]);
-            offset += take;
-            counter += 1;
-        }
+        out.fill(0);
+        self.xor_into(&[], input, out);
     }
 }
 

@@ -1,10 +1,17 @@
 //! SHA-256 (FIPS 180-4), implemented from the specification.
 //!
 //! This is the collision-resistant hash underlying [`crate::hmac`] and,
-//! through it, every PRF in the workspace. The implementation is a
+//! through it, every PRF in the workspace. The hasher is a
 //! straightforward translation of FIPS 180-4 §6.2 with an incremental
 //! (`update`/`finalize`) interface so callers can hash streams without
 //! buffering them.
+//!
+//! Every block goes through `compress_blocks`, which runs on the
+//! CPU's SHA extensions when it has them (`sha256_ni`, picked
+//! by one runtime feature check) and on the portable
+//! `compress_portable` otherwise. The two backends are bit-identical;
+//! this module owns the round constants and initial state all
+//! backends share.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -13,7 +20,7 @@ pub const BLOCK_LEN: usize = 64;
 
 /// SHA-256 round constants: first 32 bits of the fractional parts of
 /// the cube roots of the first 64 primes (FIPS 180-4 §4.2.2).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -26,7 +33,7 @@ const K: [u32; 64] = [
 
 /// Initial hash state: first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes (FIPS 180-4 §5.3.3).
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -83,20 +90,15 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
+                compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
                 self.buf_len = 0;
             }
         }
 
-        // Whole blocks straight from the input.
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
-        }
+        // Whole blocks straight from the input, in one backend call.
+        let (blocks, tail) = rest.as_chunks::<BLOCK_LEN>();
+        compress_blocks(&mut self.state, blocks);
+        rest = tail;
 
         // Stash the remainder.
         if !rest.is_empty() {
@@ -108,25 +110,21 @@ impl Sha256 {
     /// Finishes the computation and returns the 32-byte digest.
     #[must_use]
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        // Padding in place: the buffered tail, 0x80, zeros, and the
+        // 64-bit big-endian bit length — one block, or two when the
+        // length no longer fits after the tail.
+        let n = self.buf_len;
+        let mut tail = [[0u8; BLOCK_LEN]; 2];
+        tail[0][..n].copy_from_slice(&self.buf[..n]);
+        tail[0][n] = 0x80;
+        let blocks = if n < BLOCK_LEN - 8 { 1 } else { 2 };
         let bit_len = self.total_len.wrapping_mul(8);
-
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        // `update` adjusted total_len; that's fine, we captured it first.
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
-        }
-        self.total_len = 0; // silence further accounting; we're done.
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&bit_len.to_be_bytes());
-        // Write the length directly: buf_len is 56 here.
-        self.buf[56..64].copy_from_slice(&len_bytes);
-        let block = self.buf;
-        self.compress(&block);
+        tail[blocks - 1][BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &tail[..blocks]);
 
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(&self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -150,54 +148,70 @@ impl Sha256 {
         );
         (self.state, self.total_len)
     }
+}
 
-    /// FIPS 180-4 §6.2.2 compression function over one 512-bit block.
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-
-        for t in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Compresses `blocks`, in order, into `state` on the fastest backend
+/// this CPU has. Every SHA-256 block in the crate except the 4-lane
+/// kernel's goes through here.
+pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = crate::sha256_ni::ShaNi::detect() {
+        ni.compress_blocks(state, blocks);
+        return;
     }
+    for block in blocks {
+        compress_portable(state, block);
+    }
+}
+
+/// FIPS 180-4 §6.2.2 compression function over one 512-bit block —
+/// the portable backend, and the reference the hardware one is tested
+/// against.
+pub(crate) fn compress_portable(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    for t in 0..64 {
+        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(big_s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[t])
+            .wrapping_add(w[t]);
+        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = big_s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 #[cfg(test)]
@@ -301,5 +315,249 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
         h.update(b"message");
         h2.update(b"message");
         assert_eq!(h.finalize(), h2.finalize());
+    }
+}
+
+/// Backend equivalence: the hardware compression (when this CPU has
+/// it) and the portable 4-lane kernel against the portable scalar
+/// reference, on random states and blocks, on the standard vectors,
+/// and through `finalize` at every padding length.
+#[cfg(test)]
+mod backend_tests {
+    use super::*;
+    use crate::rng::{DeterministicRng, EntropySource};
+    use crate::sha256x4::{compress4_portable, Sha256x4, LANES};
+
+    type Compress = fn(&mut [u32; 8], &[[u8; BLOCK_LEN]]);
+    type Compress4 = fn(&mut [[u32; 8]; LANES], &[[u8; BLOCK_LEN]; LANES]);
+
+    /// One backend's single-stream and 4-lane compressions.
+    struct Backend {
+        name: &'static str,
+        compress: Compress,
+        compress4: Compress4,
+    }
+
+    fn portable(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+        for block in blocks {
+            compress_portable(state, block);
+        }
+    }
+
+    /// Every backend this CPU can run, portable first. When SHA-NI is
+    /// missing, says so on the terminal — past the test harness's
+    /// output capture — so the skipped half is visible.
+    fn backends(test: &str) -> Vec<Backend> {
+        let mut out = vec![Backend {
+            name: "portable",
+            compress: portable,
+            compress4: compress4_portable,
+        }];
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha256_ni::ShaNi::detect().is_some() {
+            fn ni() -> crate::sha256_ni::ShaNi {
+                crate::sha256_ni::ShaNi::detect().expect("detected above")
+            }
+            out.push(Backend {
+                name: "sha-ni",
+                compress: |state, blocks| ni().compress_blocks(state, blocks),
+                compress4: |states, blocks| ni().compress4(states, blocks),
+            });
+        }
+        if out.len() == 1 {
+            use std::io::Write as _;
+            let _ = writeln!(
+                std::io::stderr(),
+                "{test}: SHA-NI not available on this CPU; hardware backend checks SKIPPED"
+            );
+        }
+        out
+    }
+
+    /// SHA-256 of `msg` with every block compressed by `compress` —
+    /// the FIPS 180-4 padding written out independently of `finalize`.
+    fn digest_with(compress: Compress, msg: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&((msg.len() as u64) * 8).to_be_bytes());
+        let (blocks, rest) = padded.as_chunks::<BLOCK_LEN>();
+        assert!(rest.is_empty());
+        let mut state = H0;
+        compress(&mut state, blocks);
+        let mut out = [0u8; DIGEST_LEN];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(&state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// HMAC-SHA-256 (RFC 2104) over [`digest_with`].
+    fn hmac_with(compress: Compress, key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            block[..DIGEST_LEN].copy_from_slice(&digest_with(compress, key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let pad = |byte: u8| block.iter().map(|k| k ^ byte).collect::<Vec<u8>>();
+        let mut inner = pad(0x36);
+        inner.extend_from_slice(msg);
+        let mut outer = pad(0x5c);
+        outer.extend_from_slice(&digest_with(compress, &inner));
+        digest_with(compress, &outer)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn random_state(rng: &mut DeterministicRng) -> [u32; 8] {
+        let bytes: [u8; 32] = rng.array();
+        std::array::from_fn(|i| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap()))
+    }
+
+    #[test]
+    fn sha256_backends_agree_on_random_states_and_blocks() {
+        let backends = backends("sha256_backends_agree_on_random_states_and_blocks");
+        let mut rng = DeterministicRng::from_seed(0x5ba2_5600);
+        for _ in 0..10_000 / LANES {
+            let states: [[u32; 8]; LANES] = std::array::from_fn(|_| random_state(&mut rng));
+            let blocks: [[u8; BLOCK_LEN]; LANES] = std::array::from_fn(|_| rng.array());
+            let mut expected = states;
+            for (state, block) in expected.iter_mut().zip(&blocks) {
+                compress_portable(state, block);
+            }
+            let mut chain_expected = states[0];
+            portable(&mut chain_expected, &blocks);
+
+            for backend in &backends {
+                let name = backend.name;
+                let mut lanes = states;
+                (backend.compress4)(&mut lanes, &blocks);
+                assert_eq!(lanes, expected, "{name}: 4-lane diverged");
+                let mut single = states;
+                for (state, block) in single.iter_mut().zip(&blocks) {
+                    (backend.compress)(state, std::slice::from_ref(block));
+                }
+                assert_eq!(single, expected, "{name}: single-lane diverged");
+                // Four chained blocks in one call.
+                let mut chain = states[0];
+                (backend.compress)(&mut chain, &blocks);
+                assert_eq!(chain, chain_expected, "{name}: block chain diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn sha256_fips_and_rfc4231_vectors_on_every_backend() {
+        let quad = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+        let fips: [(&[u8], &str); 5] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                quad,
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                &[b'a'; 1_000_000],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        let key4: Vec<u8> = (1..=25u8).collect();
+        let rfc4231: [(&[u8], &[u8], &str); 7] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &key4,
+                &[0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            // Case 5 is specified truncated to 128 bits.
+            (
+                &[0x0c; 20],
+                b"Test With Truncation",
+                "a3b6167473100ee06e0c796c2955552b",
+            ),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                &[0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for Backend { name, compress, .. } in
+            backends("sha256_fips_and_rfc4231_vectors_on_every_backend")
+        {
+            for (msg, want) in fips {
+                assert_eq!(hex(&digest_with(compress, msg)), want, "{name}: FIPS 180-4");
+            }
+            for (key, msg, want) in rfc4231 {
+                let tag = hex(&hmac_with(compress, key, msg));
+                assert_eq!(&tag[..want.len()], want, "{name}: RFC 4231");
+            }
+        }
+        // And through the dispatched production entry points.
+        for (msg, want) in fips {
+            assert_eq!(hex(&Sha256::digest(msg)), want);
+        }
+        for (key, msg, want) in rfc4231 {
+            let tag = hex(&crate::hmac::HmacSha256::mac(key, msg));
+            assert_eq!(&tag[..want.len()], want);
+        }
+    }
+
+    #[test]
+    fn sha256_finalize_every_length_matches_portable_and_lanes() {
+        let mut rng = DeterministicRng::from_seed(200);
+        let backends = backends("sha256_finalize_every_length_matches_portable_and_lanes");
+        for len in 0..=200usize {
+            let msgs: [Vec<u8>; LANES] = std::array::from_fn(|_| {
+                let mut m = vec![0u8; len];
+                rng.fill(&mut m);
+                m
+            });
+            let mut lanes = Sha256x4::new();
+            lanes.update([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
+            let mut lane_digests = [[0u8; DIGEST_LEN]; LANES];
+            lanes.finalize_into(&mut lane_digests);
+            for (msg, lane) in msgs.iter().zip(&lane_digests) {
+                let got = Sha256::digest(msg);
+                assert_eq!(got, *lane, "finalize vs Sha256x4 lane at len {len}");
+                for Backend { name, compress, .. } in &backends {
+                    assert_eq!(got, digest_with(*compress, msg), "{name} at len {len}");
+                }
+            }
+        }
     }
 }

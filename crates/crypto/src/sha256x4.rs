@@ -1,14 +1,4 @@
-//! Four-lane instruction-level-parallel SHA-256.
-//!
-//! A single SHA-256 compression is a long dependency chain: each of the
-//! 64 rounds needs the previous round's working variables, so a modern
-//! out-of-order core spends most of its issue width waiting. Four
-//! *independent* compressions, interleaved instruction by instruction,
-//! fill those idle slots — the classic multi-buffer technique (as in
-//! OpenSSL's SHA multi-block and Intel's isa-l), here written as plain
-//! portable Rust: every round operates on `[u32; 4]` lane arrays and
-//! the compiler schedules (and often vectorizes) the four independent
-//! data flows.
+//! Four-lane SHA-256: four independent hash computations in lockstep.
 //!
 //! The consumer is the server-side trapdoor scan: one HMAC check-PRF
 //! evaluation per `(trapdoor, cipher word)` pair, millions per query,
@@ -17,33 +7,26 @@
 //! lockstep (equal-length updates), seeded either fresh or from one
 //! shared block-aligned prefix state (the HMAC key schedule, run once).
 //!
+//! A single SHA-256 compression is a long dependency chain: each round
+//! needs the previous one, so a core spends most of its issue width
+//! waiting. Four *independent* compressions, interleaved, fill those
+//! idle slots — the classic multi-buffer technique (as in OpenSSL's SHA
+//! multi-block and Intel's isa-l). `compress4_states` runs the four
+//! blocks on the CPU's SHA extensions when it has them (four
+//! `sha256rnds2` chains interleaved, `sha256_ni`) and
+//! otherwise on the portable `compress4_portable`, where every round
+//! operates on `[u32; 4]` lane arrays that the compiler schedules and
+//! vectorizes.
+//!
 //! This is a pure scheduling transform: each lane computes bit-for-bit
-//! the digest [`Sha256`] computes (the module tests pin that), so
-//! callers funnel into identical accept/reject decisions whichever
-//! path ran.
+//! the digest [`Sha256`] computes (the module tests and the backend
+//! tests in [`crate::sha256`] pin that), so callers funnel into
+//! identical accept/reject decisions whichever path ran.
 
-use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN, H0, K};
 
 /// Number of interleaved hash lanes.
 pub const LANES: usize = 4;
-
-/// SHA-256 round constants (FIPS 180-4 §4.2.2) — same table the scalar
-/// implementation uses.
-const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-];
-
-/// Initial hash state (FIPS 180-4 §5.3.3).
-const H0: [u32; 8] = [
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-];
 
 /// Four SHA-256 computations advancing in lockstep.
 ///
@@ -214,14 +197,30 @@ pub(crate) fn write_digests(states: &[[u32; 8]; LANES], out: &mut [[u8; DIGEST_L
 /// fast path ([`crate::prf::HmacPrf::eval4_into`]), which pads its
 /// blocks itself and skips the buffering machinery entirely.
 ///
-/// Written in the multi-buffer idiom: every value is a [`V4`]
-/// (`[u32; LANES]` elementwise ops) and the 64 rounds are unrolled in
-/// the classic 8-round register-rotation pattern, so the whole body is
-/// straight-line SSA over vectors — LLVM keeps the working variables
-/// in SIMD registers and the four dependency chains issue in parallel.
-/// (The x86-64 SSE2 baseline has no vector rotate; build with a target
-/// that does — see `.cargo/config.toml` — for the full effect.)
+/// Runs on the CPU's SHA extensions when it has them
+/// (`sha256_ni`, four block chains interleaved) and on the
+/// portable `compress4_portable` otherwise; both are bit-identical.
 pub(crate) fn compress4_states(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BLOCK_LEN]; LANES]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = crate::sha256_ni::ShaNi::detect() {
+        ni.compress4(states, blocks);
+        return;
+    }
+    compress4_portable(states, blocks);
+}
+
+/// The portable interleaved compression, written in the multi-buffer
+/// idiom: every value is a [`V4`] (`[u32; LANES]` elementwise ops) and
+/// the 64 rounds are unrolled in the classic 8-round register-rotation
+/// pattern, so the whole body is straight-line SSA over vectors — LLVM
+/// keeps the working variables in SIMD registers and the four
+/// dependency chains issue in parallel. (The x86-64 SSE2 baseline has
+/// no vector rotate; a target with one — AVX-512, NEON — gets the full
+/// effect.)
+pub(crate) fn compress4_portable(
+    states: &mut [[u32; 8]; LANES],
+    blocks: &[[u8; BLOCK_LEN]; LANES],
+) {
     // Message schedules, lane-minor: w[t] is one `[u32; LANES]`.
     let mut w = [V4([0u32; LANES]); 64];
     for (t, wt) in w.iter_mut().take(16).enumerate() {

@@ -82,8 +82,7 @@ impl SearchableScheme for BasicScheme {
             });
         }
         // The global key decrypts both halves directly.
-        let mut bytes = self.engine.recover_left(location, cipher);
-        bytes.extend(self.engine.recover_right(location, cipher, &self.check_key));
+        let bytes = self.engine.decrypt(location, cipher, |_| self.check_key);
         Ok(Word::from_bytes_unchecked(bytes))
     }
 

@@ -84,33 +84,28 @@ impl Engine {
         CipherWord(out)
     }
 
-    /// Recovers the left (stream) part of `x` from a cipher word —
-    /// step one of decryption for the schemes that support it.
-    pub(crate) fn recover_left(&self, location: Location, cipher: &CipherWord) -> Vec<u8> {
-        let split = self.params.stream_len();
-        let mut out = vec![0u8; split];
-        self.stream_value_into(location, &mut out);
-        for (o, c) in out.iter_mut().zip(&cipher.0[..split]) {
-            *o ^= c;
-        }
-        out
-    }
-
-    /// Recovers the right (check) part of `x` given the check key.
-    pub(crate) fn recover_right(
+    /// Recovers the pre-processed word `x` from a cipher word, for the
+    /// schemes that can decrypt: `L = C_left ⊕ S_ℓ`, then
+    /// `k = check_key(L)`, then `R = C_right ⊕ F_k(S_ℓ)`. `S_ℓ` is
+    /// generated once for both halves.
+    pub(crate) fn decrypt<K: AsRef<[u8]>>(
         &self,
         location: Location,
         cipher: &CipherWord,
-        check_key: &[u8],
+        check_key: impl FnOnce(&[u8]) -> K,
     ) -> Vec<u8> {
         let split = self.params.stream_len();
         let s = self.stream_value(location);
-        let mut out = vec![0u8; self.params.check_len];
-        Self::check_block_into(check_key, &s, &mut out);
-        for (o, c) in out.iter_mut().zip(&cipher.0[split..]) {
-            *o ^= c;
+        let mut x = vec![0u8; self.params.word_len];
+        let (left, right) = x.split_at_mut(split);
+        for ((l, s), c) in left.iter_mut().zip(&s).zip(&cipher.0[..split]) {
+            *l = s ^ c;
         }
-        out
+        Self::check_block_into(check_key(left).as_ref(), &s, right);
+        for (r, c) in right.iter_mut().zip(&cipher.0[split..]) {
+            *r ^= c;
+        }
+        x
     }
 }
 
@@ -148,8 +143,11 @@ mod tests {
         let c = e.encrypt(loc, x, &key);
         assert_eq!(c.0.len(), 11);
         assert_ne!(&c.0[..], &x[..]);
-        assert_eq!(e.recover_left(loc, &c), b"hello w".to_vec());
-        assert_eq!(e.recover_right(loc, &c, &key), b"orld".to_vec());
+        let x_back = e.decrypt(loc, &c, |left| {
+            assert_eq!(left, b"hello w");
+            key
+        });
+        assert_eq!(x_back, x.to_vec());
     }
 
     #[test]

@@ -100,11 +100,9 @@ impl SearchableScheme for FinalScheme {
             });
         }
         // L = C_left ⊕ S_ℓ; k = f_k'(L); R = C_right ⊕ F_k(S_ℓ).
-        let left = self.engine.recover_left(location, cipher);
-        let key = self.left_key(&left);
-        let right = self.engine.recover_right(location, cipher, &key);
-        let mut x = left;
-        x.extend(right);
+        let x = self
+            .engine
+            .decrypt(location, cipher, |left| self.left_key(left));
         let w = self.pre.decrypt_det(&x)?;
         Ok(Word::from_bytes_unchecked(w))
     }
