@@ -28,6 +28,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dbph_core::executor::Executor;
 use dbph_core::protocol::WireTrapdoor;
 use dbph_core::storage::ShardedTable;
+use dbph_core::telemetry::Counter;
 use dbph_core::{DatabasePh, FinalSwpPh};
 use dbph_crypto::SecretKey;
 use dbph_relation::Query;
@@ -53,13 +54,13 @@ fn run_group(c: &mut Criterion, name: &str, sharded: &ShardedTable, batch: &[Vec
     let per_query = |pool: &Executor| -> Vec<_> {
         slices
             .iter()
-            .flat_map(|q| sharded.scan_batch_on(pool, &[q]))
+            .flat_map(|q| sharded.scan_batch_on(pool, &[q], &Counter::default()))
             .collect()
     };
 
     // Sanity: every engine returns identical bytes per query.
     assert_eq!(
-        sharded.scan_batch_on(&Executor::new(2), &slices),
+        sharded.scan_batch_on(&Executor::new(2), &slices, &Counter::default()),
         per_query(&Executor::new(1)),
         "batched engine diverged from the one-query-at-a-time baseline"
     );
@@ -73,7 +74,7 @@ fn run_group(c: &mut Criterion, name: &str, sharded: &ShardedTable, batch: &[Vec
             b.iter(|| per_query(&pool))
         });
         group.bench_function(BenchmarkId::new("batched_pool", workers), |b| {
-            b.iter(|| sharded.scan_batch_on(&pool, &slices))
+            b.iter(|| sharded.scan_batch_on(&pool, &slices, &Counter::default()))
         });
     }
     group.finish();

@@ -1,8 +1,10 @@
 //! Single-thread scan microbench: scalar vs. 4-lane kernel × boxed
 //! vs. columnar-arena storage.
 //!
-//! The PR 3 hot path (`boxed/scalar`) decides one `(trapdoor, word)`
-//! pair at a time over per-word `Vec<u8>` allocations: per check it
+//! Every cell runs the addressed scan: one check per row, against the
+//! word at the term's attribute position (`dept`, word 1). The PR 3
+//! hot path (`boxed/scalar`) decides one `(trapdoor, word)` pair at a
+//! time over per-word `Vec<u8>` allocations: per check it
 //! heap-allocates the XORed halves and the PRF output and clones two
 //! SHA-256 states. PR 4 replaces both axes independently:
 //!
@@ -32,39 +34,50 @@ use dbph_workload::EmployeeGen;
 
 const ROWS: usize = 10_000;
 
-/// The PR 3 decision loop: per document, scalar check per boxed word.
-fn boxed_scalar(params: &SwpParams, docs: &[Doc], term: &PreparedTrapdoor) -> Vec<u32> {
+/// The PR 3 decision loop: per document, one scalar check of the
+/// addressed boxed word.
+fn boxed_scalar(
+    params: &SwpParams,
+    docs: &[Doc],
+    attr: usize,
+    term: &PreparedTrapdoor,
+) -> Vec<u32> {
     docs.iter()
         .enumerate()
-        .filter(|(_, (_, words))| words.iter().any(|w| term.matches(params, w)))
+        .filter(|(_, (_, words))| words.get(attr).is_some_and(|w| term.matches(params, w)))
         .map(|(i, _)| i as u32)
         .collect()
 }
 
 /// Scalar checks over arena word views (columnar storage, no lanes).
-fn arena_scalar(params: &SwpParams, arena: &WordArena, term: &PreparedTrapdoor) -> Vec<u32> {
+fn arena_scalar(
+    params: &SwpParams,
+    arena: &WordArena,
+    attr: usize,
+    term: &PreparedTrapdoor,
+) -> Vec<u32> {
     (0..arena.len())
         .filter(|&i| {
-            arena
-                .word_range(i)
-                .any(|w| term.matches_bytes(params, arena.word(w)))
+            let words = arena.word_range(i);
+            words.start + attr < words.end
+                && term.matches_bytes(params, arena.word(words.start + attr))
         })
         .map(|i| i as u32)
         .collect()
 }
 
 /// 4-lane kernel fed from the boxed layout (lanes without the arena).
-fn boxed_lanes(params: &SwpParams, docs: &[Doc], term: &PreparedTrapdoor) -> Vec<u32> {
+fn boxed_lanes(params: &SwpParams, docs: &[Doc], attr: usize, term: &PreparedTrapdoor) -> Vec<u32> {
     let mut kernel = ScanKernel::new(*params, term);
     let mut hits: Vec<u32> = Vec::new();
     {
         let mut sink = |tag: u32, ok: bool| {
-            if ok && hits.last() != Some(&tag) {
+            if ok {
                 hits.push(tag);
             }
         };
         for (i, (_, words)) in docs.iter().enumerate() {
-            for w in words {
+            if let Some(w) = words.get(attr) {
                 kernel.push(i as u32, &w.0, &mut sink);
             }
         }
@@ -73,21 +86,27 @@ fn boxed_lanes(params: &SwpParams, docs: &[Doc], term: &PreparedTrapdoor) -> Vec
     hits
 }
 
-/// The shipped hot path: 4-lane kernel streaming arena slots.
-fn arena_lanes(params: &SwpParams, arena: &WordArena, term: &PreparedTrapdoor) -> Vec<u32> {
+/// The shipped hot path: 4-lane kernel streaming one arena slot per
+/// row.
+fn arena_lanes(
+    params: &SwpParams,
+    arena: &WordArena,
+    attr: usize,
+    term: &PreparedTrapdoor,
+) -> Vec<u32> {
     let mut kernel = ScanKernel::new(*params, term);
     let mut hits: Vec<u32> = Vec::new();
     {
         let mut sink = |tag: u32, ok: bool| {
-            if ok && hits.last() != Some(&tag) {
+            if ok {
                 hits.push(tag);
             }
         };
         for i in 0..arena.len() {
-            for w in arena.word_range(i) {
-                if let Some(slot) = arena.regular_slot(w) {
-                    kernel.push(i as u32, slot, &mut sink);
-                }
+            let words = arena.word_range(i);
+            let w = words.start + attr;
+            if let Some(slot) = (w < words.end).then(|| arena.regular_slot(w)).flatten() {
+                kernel.push(i as u32, slot, &mut sink);
             }
         }
         kernel.flush(&mut sink);
@@ -107,30 +126,31 @@ fn bench_scan_kernel(c: &mut Criterion) {
     // The shard_scan workload's selective query (~1/8 of the table).
     let qct = ph.encrypt_query(&Query::select("dept", "dept-02")).unwrap();
     let term = PreparedTrapdoor::new(&qct.terms[0]);
+    let attr = usize::from(qct.terms[0].attr);
 
     let docs = table.docs;
     let arena = WordArena::from_docs(params.word_len, docs.clone());
 
     // Sanity: all four cells decide the same candidate set.
-    let reference = boxed_scalar(&params, &docs, &term);
+    let reference = boxed_scalar(&params, &docs, attr, &term);
     assert!(!reference.is_empty(), "workload must select something");
-    assert_eq!(arena_scalar(&params, &arena, &term), reference);
-    assert_eq!(boxed_lanes(&params, &docs, &term), reference);
-    assert_eq!(arena_lanes(&params, &arena, &term), reference);
+    assert_eq!(arena_scalar(&params, &arena, attr, &term), reference);
+    assert_eq!(boxed_lanes(&params, &docs, attr, &term), reference);
+    assert_eq!(arena_lanes(&params, &arena, attr, &term), reference);
 
     let mut group = c.benchmark_group("scan_kernel");
     group.throughput(Throughput::Elements(ROWS as u64));
     group.bench_function(BenchmarkId::new("boxed", "scalar"), |b| {
-        b.iter(|| boxed_scalar(&params, &docs, &term))
+        b.iter(|| boxed_scalar(&params, &docs, attr, &term))
     });
     group.bench_function(BenchmarkId::new("boxed", "lanes"), |b| {
-        b.iter(|| boxed_lanes(&params, &docs, &term))
+        b.iter(|| boxed_lanes(&params, &docs, attr, &term))
     });
     group.bench_function(BenchmarkId::new("arena", "scalar"), |b| {
-        b.iter(|| arena_scalar(&params, &arena, &term))
+        b.iter(|| arena_scalar(&params, &arena, attr, &term))
     });
     group.bench_function(BenchmarkId::new("arena", "lanes"), |b| {
-        b.iter(|| arena_lanes(&params, &arena, &term))
+        b.iter(|| arena_lanes(&params, &arena, attr, &term))
     });
     group.finish();
 }

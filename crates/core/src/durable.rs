@@ -66,7 +66,7 @@ use dbph_swp::SwpParams;
 use crate::arena::WordArena;
 use crate::codec;
 use crate::error::PhError;
-use crate::index::Posting;
+use crate::index::{Posting, PostingKey};
 use crate::protocol::tag;
 use crate::storage::{ShardedTable, TableStore};
 use crate::telemetry::Telemetry;
@@ -117,7 +117,7 @@ const TAG_SNAPSHOT: u8 = 1;
 /// double-apply.
 const TAG_DEDUP: u8 = 2;
 /// Record tag: the body is the encrypted-index image at a compaction
-/// cut — per table, `(label, (bound, posting ids))` entries
+/// cut — per table, `((attr, label), (bound, posting ids))` entries
 /// ([`crate::index`]). Written only when the index is enabled *and*
 /// has postings, so a scan-only server's segments (and an indexed
 /// server's before its first probe) stay byte-identical to the
@@ -175,12 +175,12 @@ pub struct RecoveredDedup {
 /// server.
 #[derive(Debug, Default)]
 pub struct RecoveredIndex {
-    pub(crate) image: Vec<(String, Vec<(dbph_swp::IndexLabel, Posting)>)>,
+    pub(crate) image: Vec<(String, Vec<(PostingKey, Posting)>)>,
 }
 
 /// Wire shape of a persisted index image: per table, each posting as
-/// `(label bytes, (bound, doc ids))`.
-type IndexImageWire = Vec<(String, Vec<(Vec<u8>, (u64, Vec<u64>))>)>;
+/// `((attr, label bytes), (bound, doc ids))`.
+type IndexImageWire = Vec<(String, Vec<((u8, Vec<u8>), (u64, Vec<u64>))>)>;
 
 /// One dedup-relevant observation during log replay.
 #[derive(Debug)]
@@ -612,18 +612,18 @@ fn replay_dedup(body: &[u8], dedup: &mut RecoveredDedup) -> Result<(), PhError> 
 }
 
 /// Replays one index-record body: the multimap image a compaction cut
-/// persisted, `Vec<(table, Vec<(label, (bound, posting ids))>)>`.
+/// persisted, `Vec<(table, Vec<((attr, label), (bound, posting ids))>)>`.
 fn replay_index(body: &[u8], index: &mut RecoveredIndex) -> Result<(), PhError> {
     let mut r = Reader::new(body);
     let image = IndexImageWire::decode(&mut r)?;
     r.expect_end()?;
     for (name, postings) in image {
         let mut entries = Vec::with_capacity(postings.len());
-        for (label, (bound, doc_ids)) in postings {
+        for ((attr, label), (bound, doc_ids)) in postings {
             let label: dbph_swp::IndexLabel = label
                 .try_into()
                 .map_err(|_| PhError::Durability("index record label is not 32 bytes".into()))?;
-            entries.push((label, Posting { doc_ids, bound }));
+            entries.push(((attr, label), Posting { doc_ids, bound }));
         }
         index.image.push((name, entries));
     }
@@ -1519,7 +1519,9 @@ impl DurableLog {
                 .map(|(name, postings)| {
                     let postings = postings
                         .into_iter()
-                        .map(|(label, posting)| (label.to_vec(), (posting.bound, posting.doc_ids)))
+                        .map(|((attr, label), posting)| {
+                            ((attr, label.to_vec()), (posting.bound, posting.doc_ids))
+                        })
                         .collect();
                     (name, postings)
                 })

@@ -168,18 +168,22 @@ impl WordCodec {
         Ok(dbph_relation::Tuple::new(values))
     }
 
-    /// Encodes the single term of a simple exact select; conjunctions
-    /// encode each term separately.
+    /// Encodes each term of an exact-select conjunction as the word
+    /// its `⟨a:v⟩` would be stored as, paired with the attribute index
+    /// `a` — the word position the term can match at.
     ///
     /// # Errors
     /// Fails when the query does not bind against the schema.
-    pub fn encode_query_terms(&self, query: &Query) -> Result<Vec<Word>, PhError> {
+    pub fn encode_query_terms(&self, query: &Query) -> Result<Vec<(u8, Word)>, PhError> {
         let indices = query.bind(&self.schema)?;
         query
             .terms()
             .iter()
             .zip(indices)
-            .map(|(term, i)| self.encode(i, &term.value))
+            .map(|(term, i)| {
+                let attr = u8::try_from(i).expect("a schema holds at most 255 attributes");
+                Ok((attr, self.encode(i, &term.value)?))
+            })
             .collect()
     }
 }
@@ -308,8 +312,13 @@ mod tests {
         let terms = c.encode_query_terms(&q).unwrap();
         assert_eq!(terms.len(), 1);
         // The paper's key property: σ_name:Montgomery maps to exactly
-        // the word stored for ⟨name:"Montgomery"⟩.
-        assert_eq!(terms[0], c.encode(0, &Value::str("Montgomery")).unwrap());
+        // the word stored for ⟨name:"Montgomery"⟩, at name's position.
+        assert_eq!(
+            terms[0],
+            (0, c.encode(0, &Value::str("Montgomery")).unwrap())
+        );
+        let q = Query::select("salary", 7500i64);
+        assert_eq!(c.encode_query_terms(&q).unwrap()[0].0, 2);
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! **opt-in** alternative plan with the scan kept as the reference
 //! oracle:
 //!
-//! * **Label.** [`dbph_swp::index_label`] hashes the trapdoor's own
+//! * **Key.** [`dbph_swp::index_label`] hashes the trapdoor's own
 //!   bytes (`target`, `check_key`) — material the server already
-//!   holds — into a fixed 32-byte multimap key. Equal terms map to
-//!   equal labels, which is exactly the query-equality leakage the
-//!   wire already exhibits.
+//!   holds — into a fixed 32-byte label, and the multimap key is
+//!   [`PostingKey`] `(attr, label)`: the term's attribute position
+//!   plus that label. Equal terms map to equal keys, which is exactly
+//!   the query-equality leakage the wire already exhibits; the same
+//!   trapdoor bytes addressed to two positions match different words
+//!   and so get two postings.
 //! * **Posting.** [`Posting`] stores the ascending matched document
 //!   ids plus a `bound`: the table's `next_doc_id` when the posting
 //!   was last refreshed. Because document ids are strictly increasing
@@ -38,7 +41,7 @@
 //!   dissolves).
 //!
 //! Correctness (pinned by `tests/index_equivalence.rs`): the SWP match
-//! decision is **deterministic** per (trapdoor bytes, stored word
+//! decision is **deterministic** per (attr, trapdoor bytes, stored word
 //! bytes) — false positives included — so a cached posting equals the
 //! scan's match set over the prefix it covers, the delta scan equals
 //! it over the suffix, and their concatenation (still ascending)
@@ -47,7 +50,7 @@
 //! so they are byte-identical to the scan plan's.
 //!
 //! What the at-rest index reveals beyond the scan engine's state: the
-//! multimap `label → posting` itself, i.e. for every *queried* term
+//! multimap `(attr, label) → posting` itself, i.e. for every *queried* term
 //! the number (and identity) of matching documents, persisted across
 //! requests. `crates/games`' posting-length frequency attack measures
 //! the recovery rate this enables; the scan-only server exhibits no
@@ -58,6 +61,10 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 
 use dbph_swp::IndexLabel;
+
+/// A multimap key: the term's attribute position and its trapdoor
+/// label ([`dbph_swp::index_label`]).
+pub type PostingKey = (u8, IndexLabel);
 
 /// One posting list: the matched document ids (ascending) for a label,
 /// valid for every document with id below `bound`.
@@ -71,22 +78,22 @@ pub struct Posting {
     pub bound: u64,
 }
 
-/// The per-table encrypted multimap: label → posting list.
+/// The per-table encrypted multimap: `(attr, label)` → posting list.
 #[derive(Debug, Default)]
 pub struct TableIndex {
-    postings: HashMap<IndexLabel, Posting>,
+    postings: HashMap<PostingKey, Posting>,
 }
 
 impl TableIndex {
-    /// Looks up the cached posting for `label`, if any.
+    /// Looks up the cached posting for `key`, if any.
     #[must_use]
-    pub fn lookup(&self, label: &IndexLabel) -> Option<Posting> {
-        self.postings.get(label).cloned()
+    pub fn lookup(&self, key: &PostingKey) -> Option<Posting> {
+        self.postings.get(key).cloned()
     }
 
-    /// Installs (or replaces) the posting for `label`.
-    pub fn install(&mut self, label: IndexLabel, posting: Posting) {
-        self.postings.insert(label, posting);
+    /// Installs (or replaces) the posting for `key`.
+    pub fn install(&mut self, key: PostingKey, posting: Posting) {
+        self.postings.insert(key, posting);
     }
 
     /// Eagerly removes `deleted` ids from every posting — the
@@ -101,7 +108,7 @@ impl TableIndex {
         }
     }
 
-    /// Number of cached labels.
+    /// Number of cached keys.
     #[must_use]
     pub fn len(&self) -> usize {
         self.postings.len()
@@ -113,14 +120,14 @@ impl TableIndex {
         self.postings.is_empty()
     }
 
-    /// The at-rest image, sorted by label for determinism: what Eve
+    /// The at-rest image, sorted by key for determinism: what Eve
     /// reads out of her own memory, and what compaction persists.
     #[must_use]
-    pub fn at_rest(&self) -> Vec<(IndexLabel, Posting)> {
-        let mut all: Vec<(IndexLabel, Posting)> = self
+    pub fn at_rest(&self) -> Vec<(PostingKey, Posting)> {
+        let mut all: Vec<(PostingKey, Posting)> = self
             .postings
             .iter()
-            .map(|(label, posting)| (*label, posting.clone()))
+            .map(|(key, posting)| (*key, posting.clone()))
             .collect();
         all.sort_by_key(|entry| entry.0);
         all
@@ -181,12 +188,12 @@ impl IndexState {
         }
     }
 
-    /// The whole at-rest image, sorted by table name then label — the
+    /// The whole at-rest image, sorted by table name then key — the
     /// compaction snapshot input and the adversary's view.
     #[must_use]
-    pub fn snapshot(&self) -> Vec<(String, Vec<(IndexLabel, Posting)>)> {
+    pub fn snapshot(&self) -> Vec<(String, Vec<(PostingKey, Posting)>)> {
         let tables = self.tables.lock();
-        let mut all: Vec<(String, Vec<(IndexLabel, Posting)>)> = tables
+        let mut all: Vec<(String, Vec<(PostingKey, Posting)>)> = tables
             .iter()
             .filter(|(_, index)| !index.is_empty())
             .map(|(name, index)| (name.clone(), index.at_rest()))
@@ -198,12 +205,12 @@ impl IndexState {
     /// Installs a persisted image (recovery path) and enables the
     /// index — a `TAG_INDEX` record only ever exists because the index
     /// was on when the snapshot was cut.
-    pub(crate) fn install_snapshot(&self, image: Vec<(String, Vec<(IndexLabel, Posting)>)>) {
+    pub(crate) fn install_snapshot(&self, image: Vec<(String, Vec<(PostingKey, Posting)>)>) {
         let mut tables = self.tables.lock();
         for (name, postings) in image {
             let index = tables.entry(name).or_default();
-            for (label, posting) in postings {
-                index.install(label, posting);
+            for (key, posting) in postings {
+                index.install(key, posting);
             }
         }
         drop(tables);
@@ -215,9 +222,10 @@ impl IndexState {
 /// transcript states exactly what the index revealed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// The multimap label (trapdoor-derived; Eve can compute it from
-    /// the wire trapdoor herself).
-    pub label: IndexLabel,
+    /// The multimap key: the term's attribute position and its label
+    /// (trapdoor-derived; Eve can compute it from the wire term
+    /// herself).
+    pub key: PostingKey,
     /// Cached posting length served, if the label was present.
     pub cached: Option<usize>,
     /// First document id covered by the fresh delta scan (the old
@@ -232,34 +240,52 @@ pub struct ProbeStats {
 mod tests {
     use super::*;
 
-    fn label(b: u8) -> IndexLabel {
-        [b; 32]
+    fn key(b: u8) -> PostingKey {
+        (0, [b; 32])
     }
 
     #[test]
     fn install_lookup_purge() {
         let mut index = TableIndex::default();
-        assert!(index.lookup(&label(1)).is_none());
+        assert!(index.lookup(&key(1)).is_none());
         index.install(
-            label(1),
+            key(1),
             Posting {
                 doc_ids: vec![1, 5, 9],
                 bound: 10,
             },
         );
         index.install(
-            label(2),
+            key(2),
             Posting {
                 doc_ids: vec![5],
                 bound: 10,
             },
         );
-        assert_eq!(index.lookup(&label(1)).unwrap().doc_ids, vec![1, 5, 9]);
+        assert_eq!(index.lookup(&key(1)).unwrap().doc_ids, vec![1, 5, 9]);
         index.purge(&[5, 9]);
-        assert_eq!(index.lookup(&label(1)).unwrap().doc_ids, vec![1]);
-        assert!(index.lookup(&label(2)).unwrap().doc_ids.is_empty());
+        assert_eq!(index.lookup(&key(1)).unwrap().doc_ids, vec![1]);
+        assert!(index.lookup(&key(2)).unwrap().doc_ids.is_empty());
         // Bounds survive a purge: coverage is unchanged, membership is.
-        assert_eq!(index.lookup(&label(2)).unwrap().bound, 10);
+        assert_eq!(index.lookup(&key(2)).unwrap().bound, 10);
+    }
+
+    #[test]
+    fn same_label_at_two_attrs_is_two_postings() {
+        let mut index = TableIndex::default();
+        let label = [4u8; 32];
+        let posting = |ids: Vec<u64>| Posting {
+            doc_ids: ids,
+            bound: 5,
+        };
+        index.install((0, label), posting(vec![1]));
+        index.install((2, label), posting(vec![3, 4]));
+        assert_eq!(index.len(), 2);
+        assert_eq!(index.lookup(&(0, label)).unwrap().doc_ids, vec![1]);
+        assert_eq!(index.lookup(&(2, label)).unwrap().doc_ids, vec![3, 4]);
+        assert!(index.lookup(&(1, label)).is_none());
+        let keys: Vec<PostingKey> = index.at_rest().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![(0, label), (2, label)], "sorted by attr first");
     }
 
     #[test]
@@ -270,14 +296,14 @@ mod tests {
         assert!(state.is_enabled());
         state.with_table("zeta", |index| {
             index.install(
-                label(3),
+                key(3),
                 Posting {
                     doc_ids: vec![2],
                     bound: 3,
                 },
             );
             index.install(
-                label(1),
+                key(1),
                 Posting {
                     doc_ids: vec![],
                     bound: 3,
@@ -286,7 +312,7 @@ mod tests {
         });
         state.with_table("alpha", |index| {
             index.install(
-                label(9),
+                key(9),
                 Posting {
                     doc_ids: vec![0, 1],
                     bound: 2,
@@ -298,7 +324,7 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].0, "alpha");
         assert_eq!(snap[1].0, "zeta");
-        assert_eq!(snap[1].1[0].0, label(1), "labels sorted within a table");
+        assert_eq!(snap[1].1[0].0, key(1), "keys sorted within a table");
         state.clear_table("zeta");
         assert_eq!(state.snapshot().len(), 1);
     }
@@ -309,7 +335,7 @@ mod tests {
         state.enable();
         state.with_table("t", |index| {
             index.install(
-                label(7),
+                key(7),
                 Posting {
                     doc_ids: vec![4, 8],
                     bound: 9,

@@ -3,23 +3,29 @@
 //! Everything Alex sends is one of these messages, serialized through
 //! [`crate::wire`]. The protocol deliberately carries only material
 //! the scheme already declares server-visible: ciphertext tables,
-//! trapdoors (as raw `(target, check key)` bytes), and table names.
+//! query terms (each an attribute position plus the trapdoor's raw
+//! `(target, check key)` bytes), and table names.
 //!
-//! [`WireTrapdoor`] is the protocol-level trapdoor: it implements
+//! [`WireTrapdoor`] is the protocol-level query term: it implements
 //! [`dbph_swp::TrapdoorData`], so the *server can run the keyless
 //! match directly on received bytes* — Eve needs no knowledge of which
-//! SWP variant produced them.
+//! SWP variant produced them — and its `attr` names the one word of
+//! each document the match runs against. The attribute is the leak
+//! this addressing adds: see [`crate::swp_ph`].
 
 use dbph_swp::{CipherWord, TrapdoorData};
 
 use crate::error::PhError;
-use crate::swp_ph::EncryptedTable;
+use crate::swp_ph::{AddressedTrapdoor, EncryptedTable};
 use crate::wire::{Reader, WireDecode, WireEncode};
 
-/// A trapdoor in transit: exactly the two byte strings the scheme
-/// reveals to the server.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A query term in transit: the attribute position it targets and
+/// exactly the two byte strings the scheme reveals to the server.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WireTrapdoor {
+    /// The attribute index — the word position `ψ` checks. An index at
+    /// or beyond a document's word count matches nothing there.
+    pub attr: u8,
     /// The search target (`W` or `E''(W)` depending on the scheme).
     pub target: Vec<u8>,
     /// The check key handed to the server.
@@ -27,12 +33,14 @@ pub struct WireTrapdoor {
 }
 
 impl WireTrapdoor {
-    /// Converts any scheme trapdoor into its wire form.
+    /// Converts an addressed scheme trapdoor (an element of
+    /// [`crate::swp_ph::EncryptedQuery::terms`]) into its wire form.
     #[must_use]
-    pub fn from_trapdoor<T: TrapdoorData>(t: &T) -> Self {
+    pub fn from_trapdoor<T: TrapdoorData>(t: &AddressedTrapdoor<T>) -> Self {
         WireTrapdoor {
-            target: t.target().to_vec(),
-            check_key: t.check_key().to_vec(),
+            attr: t.attr,
+            target: t.trapdoor.target().to_vec(),
+            check_key: t.trapdoor.check_key().to_vec(),
         }
     }
 }
@@ -48,6 +56,7 @@ impl TrapdoorData for WireTrapdoor {
 
 impl WireEncode for WireTrapdoor {
     fn encode(&self, buf: &mut Vec<u8>) {
+        self.attr.encode(buf);
         self.target.encode(buf);
         self.check_key.encode(buf);
     }
@@ -56,6 +65,7 @@ impl WireEncode for WireTrapdoor {
 impl WireDecode for WireTrapdoor {
     fn decode(r: &mut Reader<'_>) -> Result<Self, PhError> {
         Ok(WireTrapdoor {
+            attr: u8::decode(r)?,
             target: Vec::decode(r)?,
             check_key: Vec::decode(r)?,
         })
@@ -120,11 +130,11 @@ pub enum ClientMessage {
         /// The table ciphertext.
         table: EncryptedTable,
     },
-    /// Run `ψ` with the given conjunction of trapdoors.
+    /// Run `ψ` with the given conjunction of addressed trapdoors.
     Query {
         /// Target table.
         name: String,
-        /// Per-term trapdoors (AND semantics).
+        /// Per-term addressed trapdoors (AND semantics).
         terms: Vec<WireTrapdoor>,
     },
     /// Download the full table ciphertext (e.g. for re-keying).
@@ -632,6 +642,7 @@ mod tests {
             ClientMessage::Query {
                 name: "Emp".into(),
                 terms: vec![WireTrapdoor {
+                    attr: 1,
                     target: vec![1; 13],
                     check_key: vec![2; 32],
                 }],
@@ -651,16 +662,19 @@ mod tests {
                 name: "Emp".into(),
                 queries: vec![
                     vec![WireTrapdoor {
+                        attr: 2,
                         target: vec![1; 13],
                         check_key: vec![2; 32],
                     }],
                     vec![],
                     vec![
                         WireTrapdoor {
+                            attr: 0,
                             target: vec![3; 13],
                             check_key: vec![4; 32],
                         },
                         WireTrapdoor {
+                            attr: 1,
                             target: vec![5; 13],
                             check_key: vec![6; 32],
                         },
@@ -842,8 +856,42 @@ mod tests {
         let td = scheme.trapdoor(&w).unwrap();
 
         // Convert to wire form, serialize, deserialize, and match.
-        let wire = WireTrapdoor::from_trapdoor(&td);
+        let addressed = AddressedTrapdoor {
+            attr: 1,
+            trapdoor: td,
+        };
+        let wire = WireTrapdoor::from_trapdoor(&addressed);
         let restored = WireTrapdoor::from_wire(&wire.to_wire()).unwrap();
+        assert_eq!(restored.attr, 1);
         assert!(matches(&params, &restored, &c));
+        // Addressed: only word `attr` of a document is checked.
+        use crate::swp_ph::matches_at;
+        let other = CipherWord(vec![0; 13]);
+        let at = |words: &[CipherWord]| matches_at(&params, restored.attr, &restored, words);
+        assert!(at(&[other.clone(), c.clone()]));
+        assert!(!at(&[c.clone(), other]));
+        assert!(!at(std::slice::from_ref(&c)));
+    }
+
+    #[test]
+    fn wire_trapdoor_encodes_attr_before_target() {
+        let td = WireTrapdoor {
+            attr: 0xAB,
+            target: vec![1, 2],
+            check_key: vec![3],
+        };
+        let bytes = td.to_wire();
+        assert_eq!(bytes[0], 0xAB, "attr is the first byte of a term");
+        assert_eq!(
+            &bytes[1..],
+            &{
+                let mut rest = Vec::new();
+                td.target.encode(&mut rest);
+                td.check_key.encode(&mut rest);
+                rest
+            }[..]
+        );
+        // A term truncated inside its attr byte is a decode error.
+        assert!(WireTrapdoor::from_wire(&[]).is_err());
     }
 }

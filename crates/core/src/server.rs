@@ -24,8 +24,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dbph_swp::matches;
-
 use crate::durable::{
     DurableLog, DurableOptions, RecoveredDedup, RecoveredIndex, RecoveredTable, ReplRead,
     ReplicationOptions, ScrubReport,
@@ -34,7 +32,7 @@ use crate::error::PhError;
 use crate::executor::Executor;
 use crate::protocol::{ClientMessage, ServerResponse, WireTrapdoor, MAX_CHUNK_BYTES};
 use crate::storage::{DedupDecision, ShardedTable, TableStore};
-use crate::swp_ph::EncryptedTable;
+use crate::swp_ph::{matches_at, EncryptedTable};
 use crate::telemetry::{MetricValue, StatsSnapshot, Telemetry, STATS_VERSION};
 use crate::wire::{WireDecode, WireEncode};
 
@@ -54,12 +52,13 @@ pub enum ServerEvent {
         /// Total ciphertext size in bytes.
         bytes: usize,
     },
-    /// A query was executed: the trapdoors Eve received and the doc
-    /// ids that matched — the access pattern of the paper's §2.
+    /// A query was executed: the terms Eve received and the doc ids
+    /// that matched — the access pattern of the paper's §2.
     Query {
         /// Table name.
         name: String,
-        /// The trapdoors, exactly as received.
+        /// The addressed trapdoors, exactly as received — each term's
+        /// `attr` is the attribute it targets.
         terms: Vec<WireTrapdoor>,
         /// Matching document ids (the result set Eve computes herself).
         matched_doc_ids: Vec<u64>,
@@ -131,7 +130,9 @@ pub enum ServerEvent {
         name: String,
         /// The multimap label — derived from the trapdoor bytes alone
         /// ([`dbph_swp::index_label`]), so equal terms collide here
-        /// exactly as they already do on the wire.
+        /// exactly as they already do on the wire. The other half of
+        /// the posting key, the term's `attr`, is in the `Query` event
+        /// this probe precedes (probes follow its term order).
         label: Vec<u8>,
         /// Cached posting length served (`None` on a cold miss).
         cached: Option<usize>,
@@ -220,13 +221,13 @@ impl Default for Server {
     }
 }
 
-/// `ψ` as Eve runs it, in the seed's single-threaded reference form:
-/// keep documents where every trapdoor matches at least one cipher
-/// word. A free function over ciphertext — no key, no scheme type,
-/// just the public parameters and the received trapdoors. The sharded
-/// engine ([`crate::storage::ShardedTable::scan`]) must return exactly
-/// this function's output; the conformance tests and the
-/// `shard_scan` bench hold it to that.
+/// `ψ` as Eve runs it, in single-threaded reference form: keep
+/// documents where every term matches the cipher word at its
+/// attribute's position. A free function over ciphertext — no key, no
+/// scheme type, just the public parameters and the received terms.
+/// The sharded engine ([`crate::storage::ShardedTable::scan`]) must
+/// return exactly this function's output; the conformance tests and
+/// the `shard_scan` bench hold it to that.
 #[must_use]
 pub fn execute_query(table: &EncryptedTable, terms: &[WireTrapdoor]) -> EncryptedTable {
     let docs = table
@@ -235,7 +236,7 @@ pub fn execute_query(table: &EncryptedTable, terms: &[WireTrapdoor]) -> Encrypte
         .filter(|(_, words)| {
             terms
                 .iter()
-                .all(|t| words.iter().any(|cw| matches(&table.params, t, cw)))
+                .all(|t| matches_at(&table.params, t.attr, t, words))
         })
         .cloned()
         .collect();
@@ -561,8 +562,9 @@ impl Server {
     /// Samples the full stats plane into one versioned snapshot: the
     /// registry's counters and histograms, the durable log's sampled
     /// health (sync count, poison flag, replication lag and degrade
-    /// count), and the scan pool's executor stats. Pure read — no
-    /// locks beyond the metric atomics, no `ServerEvent`s.
+    /// count), the scan pool's executor stats, and the store's SWP
+    /// check count (`scan_checks`). Pure read — no locks beyond the
+    /// metric atomics, no `ServerEvent`s.
     #[must_use]
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let mut metrics = self.telemetry.snapshot_metrics();
@@ -607,6 +609,10 @@ impl Server {
             "exec_task_nanos".to_string(),
             MetricValue::Histogram(stats.task_nanos.snapshot()),
         ));
+        metrics.push((
+            "scan_checks".to_string(),
+            MetricValue::Counter(self.store.scan_checks()),
+        ));
         StatsSnapshot {
             version: STATS_VERSION,
             metrics,
@@ -635,7 +641,7 @@ impl Server {
     /// her own memory (see [`crate::storage::TableStore::index_at_rest`]);
     /// the games crate measures its leakage.
     #[must_use]
-    pub fn index_at_rest(&self, name: &str) -> Vec<(dbph_swp::IndexLabel, Vec<u64>)> {
+    pub fn index_at_rest(&self, name: &str) -> Vec<(crate::index::PostingKey, Vec<u64>)> {
         self.store.index_at_rest(name)
     }
 
@@ -791,7 +797,7 @@ impl Server {
                 }
                 self.observer.record(ServerEvent::IndexProbe {
                     name: name.to_string(),
-                    label: probe.label.to_vec(),
+                    label: probe.key.1.to_vec(),
                     cached: probe.cached,
                     delta_from: probe.delta_from,
                     posting: probe.posting,
@@ -1165,6 +1171,7 @@ mod tests {
             ClientMessage::Query {
                 name: "t".into(),
                 terms: vec![WireTrapdoor {
+                    attr: 0,
                     target: vec![0; 13],
                     check_key: vec![0; 32],
                 }],
@@ -1446,6 +1453,7 @@ mod tests {
         // reference `execute_query` returns.
         let t = table(100);
         let terms = vec![WireTrapdoor {
+            attr: 0,
             target: vec![3; 13],
             check_key: vec![0; 32],
         }];

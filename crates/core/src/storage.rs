@@ -29,6 +29,13 @@
 //! function, so candidate sets — and with them responses and
 //! transcripts — are byte-identical to the scalar scan.
 //!
+//! Terms are attribute-addressed ([`WireTrapdoor::attr`]): a term is
+//! checked against one word per document, the word at its attribute's
+//! position, so a scan runs one SWP check per row per term. A document
+//! with no word at that position, or a wrong-length word there, is
+//! rejected without a check. The store counts the checks it runs
+//! ([`TableStore::scan_checks`]).
+//!
 //! Three properties are load-bearing and tested:
 //!
 //! * **Shard-count invariance.** Shards are *contiguous* chunks of the
@@ -59,13 +66,15 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use dbph_swp::{CipherWord, PreparedTrapdoor, ScanKernel, SwpParams, TrapdoorData};
+use dbph_swp::{CipherWord, PreparedTrapdoor, ScanKernel, SwpParams};
 
 use crate::arena::WordArena;
 use crate::error::PhError;
 use crate::executor::Executor;
-use crate::index::{IndexState, Posting, ProbeStats};
+use crate::index::{IndexState, Posting, PostingKey, ProbeStats};
+use crate::protocol::WireTrapdoor;
 use crate::swp_ph::EncryptedTable;
+use crate::telemetry::Counter;
 
 /// One document: `(document id, cipher words in attribute order)` —
 /// the wire shape. At rest, shards hold documents columnarly
@@ -121,96 +130,60 @@ fn intersect_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     out
 }
 
-/// Whether document `i` of `arena` matches `term` — the scalar check,
-/// used when the parameters exceed the kernel's fixed buffers.
-fn doc_matches_scalar(
-    params: &SwpParams,
-    arena: &WordArena,
-    i: usize,
-    term: &PreparedTrapdoor,
-) -> bool {
-    arena
-        .word_range(i)
-        .any(|w| term.matches_bytes(params, arena.word(w)))
+/// The stored word at position `attr` of document `i`, when the
+/// document has that many words and the word has the table's width —
+/// the one slot an addressed term is checked against. Anything else
+/// can never match (the SWP check rejects a length mismatch), so it
+/// is rejected without a check.
+fn addressed_slot(arena: &WordArena, i: usize, attr: u8) -> Option<&[u8]> {
+    let words = arena.word_range(i);
+    let w = words.start + usize::from(attr);
+    if w < words.end {
+        arena.regular_slot(w)
+    } else {
+        None
+    }
 }
 
-/// Feeds every regular word of the documents produced by `doc_indices`
-/// through the 4-lane [`ScanKernel`], collecting the (ascending)
-/// indices of documents with at least one matching word. Decisions are
-/// the scalar check's decisions — the kernel only reorders *when* the
-/// PRF work happens. Irregular words (wrong stored length) are skipped
-/// outright: the scalar check rejects them without a PRF evaluation.
-fn kernel_match_indices(
+/// Indices (ascending) of the documents among `doc_indices` whose word
+/// `attr` matches `term` — the per-term half of `ψ` — plus the number
+/// of SWP checks run: one per document with an addressed slot. The
+/// 4-lane [`ScanKernel`] decides the slots; parameters too wide for
+/// its buffers fall back to the scalar check, with identical
+/// decisions. Passing only the survivors of earlier terms is the
+/// conjunctive short-circuit: a later term never checks a document an
+/// earlier term rejected.
+fn match_indices(
     params: &SwpParams,
     arena: &WordArena,
+    attr: u8,
     term: &PreparedTrapdoor,
     doc_indices: impl Iterator<Item = u32>,
-) -> Vec<u32> {
-    let mut kernel = ScanKernel::new(*params, term);
-    // Documents arrive in ascending order and each word carries its
-    // document index as the lane tag, so consecutive-duplicate
-    // suppression is exact per-document dedup.
-    let mut hits: Vec<u32> = Vec::new();
-    for i in doc_indices {
-        for w in arena.word_range(i as usize) {
-            // Within-doc short-circuit, best-effort under lane lag: if
-            // an earlier word's dispatch already proved this document
-            // matches, its remaining words need no evaluation (the
-            // scalar path's `any()` does the same).
-            if hits.last() == Some(&i) {
-                break;
+) -> (Vec<u32>, u64) {
+    let slots = doc_indices.filter_map(|i| addressed_slot(arena, i as usize, attr).map(|s| (i, s)));
+    let mut hits = Vec::new();
+    let mut checks = 0u64;
+    if ScanKernel::supports(params) {
+        let mut kernel = ScanKernel::new(*params, term);
+        let mut sink = |tag: u32, ok: bool| {
+            if ok {
+                hits.push(tag);
             }
-            if let Some(slot) = arena.regular_slot(w) {
-                kernel.push(i, slot, &mut |tag, ok| {
-                    if ok && hits.last() != Some(&tag) {
-                        hits.push(tag);
-                    }
-                });
+        };
+        for (i, slot) in slots {
+            checks += 1;
+            kernel.push(i, slot, &mut sink);
+        }
+        kernel.flush(&mut sink);
+    } else {
+        for (i, slot) in slots {
+            checks += 1;
+            if term.matches_bytes(params, slot) {
+                hits.push(i);
             }
         }
     }
-    kernel.flush(&mut |tag, ok| {
-        if ok && hits.last() != Some(&tag) {
-            hits.push(tag);
-        }
-    });
-    hits
-}
-
-/// Indices (ascending) of the documents in `arena` matched by `term` —
-/// the per-term half of `ψ`: a document matches a term when any of its
-/// cipher words does.
-fn term_match_indices(params: &SwpParams, arena: &WordArena, term: &PreparedTrapdoor) -> Vec<u32> {
-    if ScanKernel::supports(params) {
-        kernel_match_indices(params, arena, term, 0..arena.len() as u32)
-    } else {
-        (0..arena.len())
-            .filter(|&i| doc_matches_scalar(params, arena, i, term))
-            .map(|i| i as u32)
-            .collect()
-    }
-}
-
-/// Same match, restricted to `candidates` — the conjunctive
-/// short-circuit: a term later in a conjunction only ever evaluates
-/// against documents that survived the earlier terms, exactly like the
-/// seed's `matches_document` skipping terms 2..n for a doc that term 1
-/// rejected.
-fn filter_match_indices(
-    params: &SwpParams,
-    arena: &WordArena,
-    term: &PreparedTrapdoor,
-    candidates: &[u32],
-) -> Vec<u32> {
-    if ScanKernel::supports(params) {
-        kernel_match_indices(params, arena, term, candidates.iter().copied())
-    } else {
-        candidates
-            .iter()
-            .copied()
-            .filter(|&i| doc_matches_scalar(params, arena, i as usize, term))
-            .collect()
-    }
+    (hits, checks)
 }
 
 /// Per-batch trapdoor memo: every *distinct* trapdoor in a
@@ -218,9 +191,11 @@ fn filter_match_indices(
 /// is computed exactly once no matter how many of the batch's queries
 /// carry it.
 ///
-/// Identity is the trapdoor's wire bytes (`target`, `check key`) —
+/// Identity is the term's wire form (`attr`, `target`, `check key`) —
 /// precisely what Eve can already compare for equality on the wire, so
-/// memoizing over it changes scheduling, not leakage. Match sets live
+/// memoizing over it changes scheduling, not leakage. The same
+/// trapdoor bytes addressed to two positions are two terms: they check
+/// different words. Match sets live
 /// in a `(term, shard)` grid of [`OnceLock`]s: the first pool task
 /// that needs a cell computes it, concurrent tasks needing the same
 /// cell block on that one computation instead of repeating it.
@@ -229,12 +204,13 @@ fn filter_match_indices(
 /// than one query of the batch, where computing the set once and
 /// intersecting K times is the win. A term unique to one query is
 /// evaluated with the conjunctive short-circuit instead
-/// ([`filter_match_indices`] over the survivors of earlier terms), so
+/// ([`match_indices`] over the survivors of earlier terms), so
 /// a selective leading term still spares the later terms' HMAC work —
 /// the batch engine never does more evaluations than the seed scan.
 struct TrapdoorMemo {
-    /// Distinct prepared trapdoors, in first-appearance order.
-    prepared: Vec<Arc<PreparedTrapdoor>>,
+    /// Distinct terms as `(attr, prepared trapdoor)`, in
+    /// first-appearance order.
+    prepared: Vec<(u8, PreparedTrapdoor)>,
     /// Per query, indices into `prepared` (deduplicated within the
     /// query — conjunction is idempotent).
     query_terms: Vec<Arc<Vec<usize>>>,
@@ -246,17 +222,16 @@ struct TrapdoorMemo {
 }
 
 impl TrapdoorMemo {
-    fn new<T: TrapdoorData>(queries: &[&[T]], shard_count: usize) -> Self {
-        let mut by_bytes: HashMap<(Vec<u8>, Vec<u8>), usize> = HashMap::new();
+    fn new(queries: &[&[WireTrapdoor]], shard_count: usize) -> Self {
+        let mut by_term: HashMap<&WireTrapdoor, usize> = HashMap::new();
         let mut prepared = Vec::new();
         let mut query_terms = Vec::with_capacity(queries.len());
         let mut uses: Vec<usize> = Vec::new();
         for terms in queries {
             let mut ids: Vec<usize> = Vec::with_capacity(terms.len());
             for term in *terms {
-                let key = (term.target().to_vec(), term.check_key().to_vec());
-                let id = *by_bytes.entry(key).or_insert_with(|| {
-                    prepared.push(Arc::new(PreparedTrapdoor::new(term)));
+                let id = *by_term.entry(term).or_insert_with(|| {
+                    prepared.push((term.attr, PreparedTrapdoor::new(term)));
                     uses.push(0);
                     prepared.len() - 1
                 });
@@ -506,10 +481,11 @@ impl ShardedTable {
     const PARALLEL_THRESHOLD: usize = 512;
 
     /// `ψ` for one query, on the process-wide pool. Exactly
-    /// `scan_batch_on(Executor::global(), &[terms])`.
+    /// `scan_batch_on(Executor::global(), &[terms], _)`, with the
+    /// check count discarded.
     #[must_use]
-    pub fn scan<T: TrapdoorData>(&self, terms: &[T]) -> EncryptedTable {
-        self.scan_batch_on(&Executor::global(), &[terms])
+    pub fn scan(&self, terms: &[WireTrapdoor]) -> EncryptedTable {
+        self.scan_batch_on(&Executor::global(), &[terms], &Counter::default())
             .pop()
             .expect("one query in, one table out")
     }
@@ -525,11 +501,15 @@ impl ShardedTable {
     /// tables under [`Self::PARALLEL_THRESHOLD`] documents (or a
     /// 1-worker pool) the identical task list runs inline on the
     /// caller's thread: same slots, same bytes, no handoff cost.
+    ///
+    /// Each task adds the SWP checks it ran to `checks` once, when the
+    /// batch joins.
     #[must_use]
-    pub fn scan_batch_on<T: TrapdoorData>(
+    pub fn scan_batch_on(
         &self,
         pool: &Executor,
-        queries: &[&[T]],
+        queries: &[&[WireTrapdoor]],
+        checks: &Counter,
     ) -> Vec<EncryptedTable> {
         let shard_count = self.shards.len();
         let memo = Arc::new(TrapdoorMemo::new(queries, shard_count));
@@ -543,17 +523,22 @@ impl ShardedTable {
                 let memo = Arc::clone(&memo);
                 let shard = Arc::clone(shard);
                 let term_ids = Arc::clone(&memo.query_terms[q]);
-                tasks.push(move || -> Vec<Doc> {
+                tasks.push(move || -> (Vec<Doc>, u64) {
+                    let whole = || 0..shard.len() as u32;
+                    let mut checks = 0u64;
                     // Survivors of the terms processed so far; `None`
                     // is the empty conjunction (the whole shard).
                     let mut survivors: Option<Vec<u32>> = None;
                     for &t in term_ids.iter() {
-                        let term = &memo.prepared[t];
+                        let (attr, term) = &memo.prepared[t];
                         survivors = Some(if memo.shared[t] {
                             // Shared term: one full match set, reused
                             // by every query carrying it.
                             let set = memo.cells[t * shard_count + s].get_or_init(|| {
-                                Arc::new(term_match_indices(&params, &shard, term))
+                                let (hits, n) =
+                                    match_indices(&params, &shard, *attr, term, whole());
+                                checks += n;
+                                Arc::new(hits)
                             });
                             match survivors {
                                 None => (**set).clone(),
@@ -563,25 +548,30 @@ impl ShardedTable {
                             // Unique term: evaluate only against the
                             // survivors — the conjunctive
                             // short-circuit of the seed scan.
-                            match survivors {
-                                None => term_match_indices(&params, &shard, term),
-                                Some(acc) => filter_match_indices(&params, &shard, term, &acc),
-                            }
+                            let (hits, n) = match survivors {
+                                None => match_indices(&params, &shard, *attr, term, whole()),
+                                Some(acc) => {
+                                    match_indices(&params, &shard, *attr, term, acc.into_iter())
+                                }
+                            };
+                            checks += n;
+                            hits
                         });
                         if survivors.as_ref().is_some_and(Vec::is_empty) {
                             break;
                         }
                     }
-                    match survivors {
+                    let docs = match survivors {
                         // Empty conjunction matches the whole shard.
                         None => shard.to_docs(),
                         Some(hits) => hits.iter().map(|&i| shard.doc(i as usize)).collect(),
-                    }
+                    };
+                    (docs, checks)
                 });
             }
         }
 
-        let slots: Vec<Vec<Doc>> =
+        let slots: Vec<(Vec<Doc>, u64)> =
             if pool.workers() > 1 && self.doc_count() >= Self::PARALLEL_THRESHOLD {
                 pool.scatter(tasks)
             } else {
@@ -589,7 +579,10 @@ impl ShardedTable {
             };
 
         // Reassemble: per query, shards concatenate in shard order.
-        let mut slots = slots.into_iter();
+        let mut slots = slots.into_iter().map(|(docs, n)| {
+            checks.add(n);
+            docs
+        });
         (0..queries.len())
             .map(|_| {
                 let docs: Vec<Doc> = slots.by_ref().take(shard_count).flatten().collect();
@@ -686,10 +679,16 @@ impl ShardedTable {
     /// increasing in table order, so those documents form a contiguous
     /// suffix: whole shards entirely below `from` skip in O(1), the
     /// anchor shard binary-searches its start, and the match itself is
-    /// the same kernel/scalar decision the full scan makes — identical
-    /// decisions, identical false positives.
+    /// the same addressed decision the full scan makes — identical
+    /// decisions, identical false positives. The checks run are added
+    /// to `checks`.
     #[must_use]
-    pub(crate) fn match_doc_ids_from<T: TrapdoorData>(&self, term: &T, from: u64) -> Vec<u64> {
+    pub(crate) fn match_doc_ids_from(
+        &self,
+        term: &WireTrapdoor,
+        from: u64,
+        checks: &Counter,
+    ) -> Vec<u64> {
         let prepared = PreparedTrapdoor::new(term);
         let mut out = Vec::new();
         for shard in &self.shards {
@@ -710,14 +709,14 @@ impl ShardedTable {
                 }
                 lo
             };
-            let hits = if ScanKernel::supports(&self.params) {
-                kernel_match_indices(&self.params, shard, &prepared, start as u32..len as u32)
-            } else {
-                (start..len)
-                    .filter(|&i| doc_matches_scalar(&self.params, shard, i, &prepared))
-                    .map(|i| i as u32)
-                    .collect()
-            };
+            let (hits, n) = match_indices(
+                &self.params,
+                shard,
+                term.attr,
+                &prepared,
+                start as u32..len as u32,
+            );
+            checks.add(n);
             out.extend(hits.into_iter().map(|i| shard.doc_id(i as usize)));
         }
         out
@@ -999,6 +998,9 @@ pub struct TableStore {
     /// default; while off, no code path touches it and the server is
     /// bit-for-bit the scan-only server.
     index: IndexState,
+    /// SWP checks run by scans and index delta scans — always on, like
+    /// the executor's pool statistics.
+    scan_checks: Counter,
 }
 
 impl TableStore {
@@ -1026,7 +1028,16 @@ impl TableStore {
             tables: RwLock::new(HashMap::new()),
             dedup: DedupWindow::new(),
             index: IndexState::new(),
+            scan_checks: Counter::default(),
         }
+    }
+
+    /// SWP checks run so far by every scan and index delta scan on
+    /// this store: one per addressed slot checked. A one-term scan of
+    /// an `N`-row table adds `N`.
+    #[must_use]
+    pub fn scan_checks(&self) -> u64 {
+        self.scan_checks.get()
     }
 
     /// The store's encrypted-index state. Like the dedup window it
@@ -1095,14 +1106,10 @@ impl TableStore {
     ///
     /// # Errors
     /// Fails for unknown tables.
-    pub fn query<T: TrapdoorData>(
-        &self,
-        name: &str,
-        terms: &[T],
-    ) -> Result<EncryptedTable, PhError> {
+    pub fn query(&self, name: &str, terms: &[WireTrapdoor]) -> Result<EncryptedTable, PhError> {
         let table = self.snapshot(name)?;
         Ok(table
-            .scan_batch_on(&self.pool, &[terms])
+            .scan_batch_on(&self.pool, &[terms], &self.scan_checks)
             .pop()
             .expect("one query in, one table out"))
     }
@@ -1113,14 +1120,14 @@ impl TableStore {
     ///
     /// # Errors
     /// Fails for unknown tables.
-    pub fn query_batch<T: TrapdoorData>(
+    pub fn query_batch(
         &self,
         name: &str,
-        queries: &[Vec<T>],
+        queries: &[Vec<WireTrapdoor>],
     ) -> Result<Vec<EncryptedTable>, PhError> {
         let table = self.snapshot(name)?;
-        let views: Vec<&[T]> = queries.iter().map(Vec::as_slice).collect();
-        Ok(table.scan_batch_on(&self.pool, &views))
+        let views: Vec<&[WireTrapdoor]> = queries.iter().map(Vec::as_slice).collect();
+        Ok(table.scan_batch_on(&self.pool, &views, &self.scan_checks))
     }
 
     /// Executes one query through the encrypted multimap: per term, an
@@ -1138,10 +1145,10 @@ impl TableStore {
     ///
     /// # Errors
     /// Fails for unknown tables.
-    pub fn query_indexed<T: TrapdoorData>(
+    pub fn query_indexed(
         &self,
         name: &str,
-        terms: &[T],
+        terms: &[WireTrapdoor],
     ) -> Result<(EncryptedTable, Vec<ProbeStats>), PhError> {
         let table = self.snapshot(name)?;
         if terms.is_empty() {
@@ -1151,8 +1158,8 @@ impl TableStore {
         let mut stats = Vec::new();
         let mut survivors: Option<Vec<u64>> = None;
         for term in terms {
-            let label = dbph_swp::index_label(term);
-            let cached = self.index.with_table(name, |index| index.lookup(&label));
+            let key = (term.attr, dbph_swp::index_label(term));
+            let cached = self.index.with_table(name, |index| index.lookup(&key));
             let (mut ids, delta_from, cached_len) = match cached {
                 Some(posting) => {
                     let len = posting.doc_ids.len();
@@ -1165,19 +1172,19 @@ impl TableStore {
             // deleted by a racing purge after this snapshot was cut is
             // dropped at reassembly (`docs_by_ids` skips absent ids),
             // so ghosts can linger in the memo but never in a response.
-            ids.extend(table.match_doc_ids_from(term, delta_from));
+            ids.extend(table.match_doc_ids_from(term, delta_from, &self.scan_checks));
             let refreshed = Posting {
                 doc_ids: ids.clone(),
                 bound: table.next_doc_id(),
             };
             stats.push(ProbeStats {
-                label,
+                key,
                 cached: cached_len,
                 delta_from,
                 posting: refreshed.doc_ids.len(),
             });
             self.index
-                .with_table(name, |index| index.install(label, refreshed));
+                .with_table(name, |index| index.install(key, refreshed));
             survivors = Some(match survivors {
                 None => ids,
                 Some(acc) => intersect_sorted(&acc, &ids),
@@ -1199,15 +1206,16 @@ impl TableStore {
     }
 
     /// The at-rest encrypted-multimap image for one table, sorted by
-    /// label: `(label, posting ids)` pairs. This is the adversary's
-    /// view of her own memory — the games crate reads it to measure
-    /// what the index leaks (a scan-only store returns an empty image).
+    /// key: `((attr, label), posting ids)` pairs. This is the
+    /// adversary's view of her own memory — the games crate reads it to
+    /// measure what the index leaks (a scan-only store returns an
+    /// empty image).
     #[must_use]
-    pub fn index_at_rest(&self, name: &str) -> Vec<(dbph_swp::IndexLabel, Vec<u64>)> {
+    pub fn index_at_rest(&self, name: &str) -> Vec<(PostingKey, Vec<u64>)> {
         self.index
             .with_table(name, |index| index.at_rest())
             .into_iter()
-            .map(|(label, posting)| (label, posting.doc_ids))
+            .map(|(key, posting)| (key, posting.doc_ids))
             .collect()
     }
 
@@ -1641,36 +1649,54 @@ mod tests {
         assert_eq!(flat.next_doc_id, 8);
     }
 
-    /// A trapdoor that matches documents whose first word starts with
-    /// the given byte — cheap deterministic fixture for engine tests.
-    #[derive(Clone)]
-    struct ByteTrapdoor(u8);
-
-    impl TrapdoorData for ByteTrapdoor {
-        fn target(&self) -> &[u8] {
-            std::slice::from_ref(&self.0)
-        }
-        fn check_key(&self) -> &[u8] {
-            &[]
+    /// A one-byte (so never-matching) term addressed to `attr` — a
+    /// cheap deterministic fixture for engine tests.
+    fn byte_term(attr: u8, b: u8) -> WireTrapdoor {
+        WireTrapdoor {
+            attr,
+            target: vec![b],
+            check_key: Vec::new(),
         }
     }
 
     #[test]
     fn memo_dedupes_terms_across_and_within_queries() {
-        let queries: Vec<Vec<ByteTrapdoor>> = vec![
-            vec![ByteTrapdoor(1), ByteTrapdoor(2)],
-            vec![ByteTrapdoor(2), ByteTrapdoor(2)], // dup within query
-            vec![ByteTrapdoor(1)],                  // dup across queries
+        let queries: Vec<Vec<WireTrapdoor>> = vec![
+            vec![byte_term(0, 1), byte_term(0, 2)],
+            vec![byte_term(0, 2), byte_term(0, 2)], // dup within query
+            vec![byte_term(0, 1)],                  // dup across queries
             vec![],                                 // empty conjunction
+            vec![byte_term(1, 1)],                  // same bytes, other attr
         ];
-        let views: Vec<&[ByteTrapdoor]> = queries.iter().map(Vec::as_slice).collect();
+        let views: Vec<&[WireTrapdoor]> = queries.iter().map(Vec::as_slice).collect();
         let memo = TrapdoorMemo::new(&views, 3);
-        assert_eq!(memo.prepared.len(), 2, "two distinct trapdoors");
+        assert_eq!(memo.prepared.len(), 3, "three distinct terms");
         assert_eq!(*memo.query_terms[0], vec![0, 1]);
         assert_eq!(*memo.query_terms[1], vec![1], "within-query dup folded");
         assert_eq!(*memo.query_terms[2], vec![0], "cross-query dup shared");
         assert!(memo.query_terms[3].is_empty());
-        assert_eq!(memo.cells.len(), 2 * 3);
+        assert_eq!(
+            *memo.query_terms[4],
+            vec![2],
+            "the attr is part of a term's identity"
+        );
+        assert_eq!(memo.prepared[2].0, 1);
+        assert!(!memo.shared[2]);
+        assert_eq!(memo.cells.len(), 3 * 3);
+    }
+
+    #[test]
+    fn addressed_slot_skips_short_docs_and_irregular_words() {
+        let mut arena = WordArena::new(4);
+        arena.push(0, &[CipherWord(vec![1; 4]), CipherWord(vec![2; 4])]);
+        arena.push(1, &[CipherWord(vec![3; 4]), CipherWord(vec![4; 3])]);
+        arena.push(2, &[]);
+        assert_eq!(addressed_slot(&arena, 0, 1), Some(&[2u8; 4][..]));
+        assert_eq!(addressed_slot(&arena, 0, 2), None, "past the arity");
+        assert_eq!(addressed_slot(&arena, 1, 0), Some(&[3u8; 4][..]));
+        assert_eq!(addressed_slot(&arena, 1, 1), None, "irregular word");
+        assert_eq!(addressed_slot(&arena, 2, 0), None, "empty document");
+        assert_eq!(addressed_slot(&arena, 0, u8::MAX), None);
     }
 
     #[test]
@@ -1688,13 +1714,10 @@ mod tests {
         // check assembly order, arity, and memo reuse.
         let st = ShardedTable::from_table(table(100), 4);
         let pool = Executor::new(3);
-        let dead = crate::protocol::WireTrapdoor {
-            target: vec![7],
-            check_key: Vec::new(),
-        };
-        let queries = [vec![], vec![dead], vec![]];
+        let queries = [vec![], vec![byte_term(0, 7)], vec![]];
         let views: Vec<&[_]> = queries.iter().map(Vec::as_slice).collect();
-        let batched = st.scan_batch_on(&pool, &views);
+        let checks = Counter::default();
+        let batched = st.scan_batch_on(&pool, &views, &checks);
         assert_eq!(batched.len(), 3);
         let flat = st.to_table();
         for (q, result) in views.iter().zip(&batched) {
@@ -1703,13 +1726,15 @@ mod tests {
         }
         assert_eq!(batched[0].doc_ids(), (0..100).collect::<Vec<u64>>());
         assert!(batched[1].docs.is_empty());
+        // One addressed slot per row, for the one non-empty query.
+        assert_eq!(checks.get(), 100);
     }
 
     #[test]
     fn empty_batch_yields_no_tables() {
         let st = ShardedTable::from_table(table(10), 2);
         let pool = Executor::new(2);
-        let out = st.scan_batch_on::<ByteTrapdoor>(&pool, &[]);
+        let out = st.scan_batch_on(&pool, &[], &Counter::default());
         assert!(out.is_empty());
     }
 
@@ -1717,8 +1742,8 @@ mod tests {
     fn store_query_batch_preserves_query_order() {
         let store = TableStore::with_pool(3, Arc::new(Executor::new(4)));
         store.create("t", table(50)).unwrap();
-        let queries: Vec<Vec<ByteTrapdoor>> =
-            vec![vec![], vec![ByteTrapdoor(1)], vec![], vec![ByteTrapdoor(2)]];
+        let queries: Vec<Vec<WireTrapdoor>> =
+            vec![vec![], vec![byte_term(0, 1)], vec![], vec![byte_term(0, 2)]];
         let results = store.query_batch("t", &queries).unwrap();
         assert_eq!(results.len(), 4);
         assert_eq!(results[0].doc_ids().len(), 50);

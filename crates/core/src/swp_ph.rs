@@ -7,11 +7,21 @@
 //!   [`SearchableScheme`]; the collection is the table ciphertext.
 //! * An exact select `σ_{a=v}` becomes the trapdoor for the word that
 //!   `⟨a:v⟩` would encode to — the paper's
-//!   `σ_name:"Montgomery" ↦ φ_"MontgomeryN"`.
-//! * The server's `ψ` scans the collection with the trapdoor and
-//!   returns the sub-collection of matching documents (including the
-//!   occasional false positive, which the client filters after
-//!   decryption).
+//!   `σ_name:"Montgomery" ↦ φ_"MontgomeryN"` — addressed to `a`'s word
+//!   position ([`AddressedTrapdoor`]).
+//! * The server's `ψ` checks the trapdoor against word `a` of every
+//!   document and returns the sub-collection of matching documents
+//!   (including the occasional false positive, which the client
+//!   filters after decryption).
+//!
+//! Addressing costs the scheme nothing it did not already concede.
+//! The encoding suffixes every word with its attribute id, so a
+//! trapdoor for `⟨a:v⟩` can truly match only at position `a`; a match
+//! anywhere else is a false positive the client would discard. What
+//! addressing does reveal is the attribute of *every* query, where
+//! the all-words scan revealed it only for queries that matched
+//! (Eve could see which word matched). `crates/games`'
+//! attribute attack measures that difference.
 //!
 //! `SwpPh` is generic over the searchable scheme, mirroring the
 //! paper's "others can be used instead"; [`FinalSwpPh`] fixes the SWP
@@ -21,7 +31,9 @@ use serde::{Deserialize, Serialize};
 
 use dbph_crypto::SecretKey;
 use dbph_relation::{Query, Relation, Schema};
-use dbph_swp::{matches, CipherWord, FinalScheme, Location, SearchableScheme, SwpParams, Word};
+use dbph_swp::{
+    matches, CipherWord, FinalScheme, Location, SearchableScheme, SwpParams, TrapdoorData, Word,
+};
 
 use crate::encoding::WordCodec;
 use crate::error::PhError;
@@ -72,12 +84,48 @@ impl EncryptedTable {
     }
 }
 
-/// An encrypted query: one trapdoor per conjunction term. The server
-/// intersects per-term document matches.
+/// One conjunction term: a trapdoor and the attribute position it
+/// targets. `ψ` checks the trapdoor against word `attr` of each
+/// document and nothing else.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AddressedTrapdoor<T> {
+    /// The attribute index, which is also the word position.
+    pub attr: u8,
+    /// The scheme trapdoor for the encoded `⟨attr:value⟩` word.
+    pub trapdoor: T,
+}
+
+impl<T: TrapdoorData> TrapdoorData for AddressedTrapdoor<T> {
+    fn target(&self) -> &[u8] {
+        self.trapdoor.target()
+    }
+    fn check_key(&self) -> &[u8] {
+        self.trapdoor.check_key()
+    }
+}
+
+/// The addressed half of `ψ` for one document: whether word `attr` of
+/// `words` exists and passes the keyless check for `trapdoor`. A
+/// document too short for `attr` matches nothing; a wrong-length word
+/// there is rejected by the check itself.
+#[must_use]
+pub fn matches_at<T: TrapdoorData>(
+    params: &SwpParams,
+    attr: u8,
+    trapdoor: &T,
+    words: &[CipherWord],
+) -> bool {
+    words
+        .get(usize::from(attr))
+        .is_some_and(|cw| matches(params, trapdoor, cw))
+}
+
+/// An encrypted query: one addressed trapdoor per conjunction term.
+/// The server intersects per-term document matches.
 #[derive(Clone)]
 pub struct EncryptedQuery<T> {
-    /// Per-term trapdoors, in query-term order.
-    pub terms: Vec<T>,
+    /// Per-term addressed trapdoors, in query-term order.
+    pub terms: Vec<AddressedTrapdoor<T>>,
 }
 
 /// The §3 database PH over a searchable scheme `S`.
@@ -262,14 +310,20 @@ impl<S: SearchableScheme> DatabasePh for SwpPh<S> {
         let words = self.codec.encode_query_terms(query)?;
         let terms = words
             .iter()
-            .map(|w| self.scheme.trapdoor(w).map_err(PhError::from))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|(attr, w)| {
+                Ok(AddressedTrapdoor {
+                    attr: *attr,
+                    trapdoor: self.scheme.trapdoor(w)?,
+                })
+            })
+            .collect::<Result<Vec<_>, PhError>>()?;
         Ok(EncryptedQuery { terms })
     }
 
     fn apply(table: &EncryptedTable, query: &Self::QueryCt) -> EncryptedTable {
-        // ψ: keep the documents where *every* trapdoor matches at
-        // least one word. Keyless — only `matches` is used.
+        // ψ: keep the documents where *every* trapdoor matches the
+        // word at its attribute's position. Keyless — only `matches`
+        // is used.
         let docs = table
             .docs
             .iter()
@@ -277,7 +331,7 @@ impl<S: SearchableScheme> DatabasePh for SwpPh<S> {
                 query
                     .terms
                     .iter()
-                    .all(|trapdoor| words.iter().any(|cw| matches(&table.params, trapdoor, cw)))
+                    .all(|term| matches_at(&table.params, term.attr, &term.trapdoor, words))
             })
             .cloned()
             .collect();

@@ -8,9 +8,11 @@
 //! | [`passive`] | Theorem 2.1's passive clause (result sizes alone) | E3 |
 //! | [`frequency`] | §1 "which tuples have similar values" remark | A1 |
 //! | [`posting`] | at-rest posting-length analysis of the opt-in index | A2 |
+//! | [`attribute`] | query-attribute recovery: addressed vs. all-words scans | A3 |
 //! | [`guessing`] | harness calibration (blind adversary) | all |
 
 pub mod active;
+pub mod attribute;
 pub mod frequency;
 pub mod guessing;
 pub mod hospital;

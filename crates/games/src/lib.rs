@@ -14,7 +14,8 @@
 //!   Theorem 2.1, generic over every [`dbph_core::DatabasePh`]),
 //!   [`attacks::passive`] (the theorem's passive clause),
 //!   [`attacks::frequency`] (the "which tuples have similar values"
-//!   remark), and [`attacks::guessing`] (harness calibration).
+//!   remark), [`attacks::attribute`] (what addressed query terms
+//!   reveal), and [`attacks::guessing`] (harness calibration).
 //! * [`leakage`] — a transcript profiler quantifying the observables
 //!   (result sizes, query repetition, access frequencies,
 //!   co-occurrence) those attacks consume.

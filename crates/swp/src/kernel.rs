@@ -1,8 +1,11 @@
 //! The allocation-free multi-lane scan kernel.
 //!
 //! Every query in the paper's scheme is a full server-side scan: one
-//! SWP check per `(trapdoor, cipher word)` pair, so scan throughput
-//! *is* system throughput. The scalar path ([`crate::search::matches`]
+//! SWP check per `(trapdoor, cipher word)` pair the caller pushes, so
+//! scan throughput *is* system throughput. The kernel knows nothing of
+//! documents or attributes: which words a scan pushes is the caller's
+//! choice (the database PH pushes one word per row, the word at the
+//! term's attribute position). The scalar path ([`crate::search::matches`]
 //! and [`PreparedTrapdoor::matches`]) decides one word at a time; this
 //! kernel stages up to [`LANES`] words, XORs `C ⊕ X` into fixed stack
 //! buffers, and evaluates the four check PRFs through one interleaved
@@ -34,7 +37,7 @@ pub const LANES: usize = sha256x4::LANES;
 /// A batch scan engine for one prepared trapdoor.
 ///
 /// Feed cipher words with [`push`] (each tagged with a caller-chosen
-/// `u32`, e.g. a document index) and finish with [`flush`]; decisions
+/// `u32`, e.g. a row index) and finish with [`flush`]; decisions
 /// are emitted to the sink **in push order**, possibly deferred until a
 /// full dispatch or the flush. [`matches_many`] is the convenience
 /// entry point over a contiguous fixed-width slot buffer — the shape

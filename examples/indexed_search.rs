@@ -74,10 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut postings = indexed_server.index_at_rest(indexed_client.table_name());
     postings.sort_by_key(|(_, ids)| std::cmp::Reverse(ids.len()));
-    println!("\nEve's at-rest index image ({} labels):", postings.len());
-    for (label, ids) in postings.iter().take(5) {
+    println!("\nEve's at-rest index image ({} keys):", postings.len());
+    for ((attr, label), ids) in postings.iter().take(5) {
         println!(
-            "  label {:02x}{:02x}{:02x}… → {} docs",
+            "  attr {attr} label {:02x}{:02x}{:02x}… → {} docs",
             label[0],
             label[1],
             label[2],

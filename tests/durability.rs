@@ -53,6 +53,7 @@ fn table(n: usize) -> dbph::core::EncryptedTable {
 
 fn dead_trapdoor() -> WireTrapdoor {
     WireTrapdoor {
+        attr: 0,
         target: vec![7; 13],
         check_key: vec![0; 32],
     }
@@ -718,7 +719,12 @@ fn matching_word(target: &[u8], key: &[u8], salt: u8) -> CipherWord {
 fn segment_and_manifest_bytes_are_pinned() {
     use dbph::crypto::sha256::Sha256;
 
+    // Addressed to word 1: `hit_doc` appends the matching word at
+    // position 1 or 2 (after `doc`'s one or two words), so only the
+    // position-1 copies match, and documents whose word 1 is an
+    // irregular 5-byte word, or which have no word 1, are rejected.
     let hit = WireTrapdoor {
+        attr: 1,
         target: (0..13).map(|i| 0xA0 ^ i).collect(),
         check_key: vec![0x5C; 32],
     };
@@ -789,7 +795,7 @@ fn segment_and_manifest_bytes_are_pinned() {
     // The probes cache real postings, not just empty ones.
     let hits = ServerResponse::from_wire(&server.handle(&query(vec![hit.clone()]).to_wire()));
     match hits {
-        Ok(ServerResponse::Table(t)) => assert_eq!(t.doc_ids(), vec![0, 4, 6, 9, 10]),
+        Ok(ServerResponse::Table(t)) => assert_eq!(t.doc_ids(), vec![4, 10]),
         other => panic!("{other:?}"),
     }
     server.compact().unwrap();
@@ -826,8 +832,10 @@ fn segment_and_manifest_bytes_are_pinned() {
             "b2be241dc9013eb9ca9b4d0ee643c8415dff1f6974768c71eb10732176a546a7",
         ),
         (
+            // The compaction snapshot: its `TAG_INDEX` image keys each
+            // posting on `(attr, label)`.
             "seg-00000001.log",
-            "937a7efd052a9d1d88012d7c1abf323018ec537141bdd93fc21c13018afde7d4",
+            "b5dbde5787a8ffd900e3b7fe551a73ff123bf13d438be19f78b1d84f898791cf",
         ),
         (
             "seg-00000002.log",

@@ -120,11 +120,11 @@ fn sharded_candidate_sets_stay_in_the_fp_envelope_and_are_plan_invariant() {
         let qct = ph.encrypt_query(&query).unwrap();
         let terms: Vec<WireTrapdoor> = qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
 
-        // Per-tuple FP probability: a tuple is a candidate when *any*
-        // of its words trips the check, so the predicted excess is
-        // bounded below by the single-word rate and above by
-        // words-per-tuple times it. The pinned band covers both ends
-        // with slack for the small-sample widths.
+        // Per-tuple FP probability: a tuple is a candidate when its
+        // addressed word trips the check (the single-word rate; an
+        // all-words scan would reach words-per-tuple times it). The
+        // pinned band covers both ends with slack for the
+        // small-sample widths.
         let non_matches = (relation.len() - truth) as f64;
         let per_word = 2f64.powi(-(bits as i32));
         let words_per_tuple = schema.arity() as f64;

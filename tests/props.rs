@@ -219,10 +219,17 @@ proptest! {
 
 fn arb_trapdoor() -> impl Strategy<Value = dbph::core::protocol::WireTrapdoor> {
     (
+        any::<u8>(),
         proptest::collection::vec(any::<u8>(), 0..24),
         proptest::collection::vec(any::<u8>(), 0..40),
     )
-        .prop_map(|(target, check_key)| dbph::core::protocol::WireTrapdoor { target, check_key })
+        .prop_map(
+            |(attr, target, check_key)| dbph::core::protocol::WireTrapdoor {
+                attr,
+                target,
+                check_key,
+            },
+        )
 }
 
 fn arb_cipher_words() -> impl Strategy<Value = Vec<dbph::swp::CipherWord>> {
@@ -283,6 +290,27 @@ proptest! {
         let mut framed = vec![tag];
         framed.extend_from_slice(&bytes);
         let _ = dbph::core::protocol::ClientMessage::from_wire(&framed);
+    }
+
+    #[test]
+    fn query_decoding_never_panics_and_rejects_every_truncation(
+        name in "[a-zA-Z0-9_]{1,16}",
+        terms in proptest::collection::vec(arb_trapdoor(), 0..4),
+        bytes in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        use dbph::core::protocol::ClientMessage;
+        // Random payloads under the query tag (2).
+        let mut framed = vec![2u8];
+        framed.extend_from_slice(&bytes);
+        let _ = ClientMessage::from_wire(&framed);
+        // Every strict prefix of a valid query fails to decode,
+        // including cuts that end inside a term's attr byte.
+        let msg = ClientMessage::Query { name, terms };
+        let wire = msg.to_wire();
+        for cut in 0..wire.len() {
+            prop_assert!(ClientMessage::from_wire(&wire[..cut]).is_err(), "cut {}", cut);
+        }
+        prop_assert_eq!(ClientMessage::from_wire(&wire).unwrap(), msg);
     }
 }
 

@@ -359,6 +359,62 @@ fn query_plan_and_index_counters_move() {
 }
 
 #[test]
+fn scan_checks_count_one_check_per_row() {
+    const ROWS: usize = 50;
+    let server = Server::with_shards(3);
+    let scheme = ph();
+    let relation = EmployeeGen {
+        rows: ROWS,
+        ..EmployeeGen::default()
+    }
+    .generate(4);
+    let table = scheme.encrypt_table(&relation).unwrap();
+    let _ = server.handle(
+        &ClientMessage::CreateTable {
+            name: "Emp".into(),
+            table,
+        }
+        .to_wire(),
+    );
+    let checks = || server.stats_snapshot().scalar("scan_checks").unwrap();
+    let query = |q: &Query| {
+        server.handle(
+            &ClientMessage::Query {
+                name: "Emp".into(),
+                terms: encrypt(&scheme, q),
+            }
+            .to_wire(),
+        )
+    };
+    assert_eq!(checks(), 0);
+
+    // An unindexed one-term query checks one word per row: N, not 3N.
+    query(&Query::select("salary", 5500i64));
+    assert_eq!(checks(), ROWS as u64);
+    query(&Query::select("name", "no-such-emp"));
+    assert_eq!(checks(), 2 * ROWS as u64);
+
+    // A batch shares a repeated term's match set: one scan for it.
+    let terms = encrypt(&scheme, &Query::select("dept", "dept-01"));
+    let _ = server.handle(
+        &ClientMessage::QueryBatch {
+            name: "Emp".into(),
+            queries: vec![terms.clone(), terms],
+        }
+        .to_wire(),
+    );
+    assert_eq!(checks(), 3 * ROWS as u64);
+
+    // Indexed: the cold probe scans the table once, the warm probe
+    // checks nothing.
+    server.enable_index();
+    query(&Query::select("salary", 5500i64));
+    assert_eq!(checks(), 4 * ROWS as u64);
+    query(&Query::select("salary", 5500i64));
+    assert_eq!(checks(), 4 * ROWS as u64);
+}
+
+#[test]
 fn durable_ingest_moves_fsync_and_commit_metrics() {
     let tmp = TempDir::new("tele-durable").unwrap();
     let server = Server::open_durable(tmp.path(), 2).unwrap();
