@@ -25,7 +25,7 @@
 //! streams; the transport in [`crate::net`] instantiates them with
 //! `std::net::TcpStream`.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use crate::error::PhError;
 
@@ -64,12 +64,39 @@ pub fn write_frame_capped<W: Write>(w: &mut W, payload: &[u8], cap: usize) -> Re
     let len = u32::try_from(payload.len()).map_err(|_| {
         PhError::Transport(format!("frame of {} bytes overflows u32", payload.len()))
     })?;
-    // `Write::write_all` already loops over short writes, retries
-    // `Interrupted`, and reports zero-progress as `WriteZero`.
-    w.write_all(&len.to_le_bytes())
-        .and_then(|()| w.write_all(payload))
+    write_all_parts(w, &len.to_le_bytes(), payload)
         .and_then(|()| w.flush())
         .map_err(|e| PhError::Transport(format!("write failed: {e}")))
+}
+
+/// Writes `head` then `tail` with vectored writes, so a socket sends
+/// a frame as one segment under `TCP_NODELAY` rather than a header
+/// segment and a payload segment. Loops over short writes, retries
+/// `Interrupted`, and reports zero progress as `WriteZero`, as
+/// `Write::write_all` does.
+fn write_all_parts<W: Write>(w: &mut W, head: &[u8], tail: &[u8]) -> std::io::Result<()> {
+    let total = head.len() + tail.len();
+    let mut written = 0;
+    while written < total {
+        let result = match head.get(written..) {
+            Some(rest) if !rest.is_empty() => {
+                w.write_vectored(&[IoSlice::new(rest), IoSlice::new(tail)])
+            }
+            _ => w.write(&tail[written - head.len()..]),
+        };
+        match result {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    ErrorKind::WriteZero,
+                    "failed to write whole buffer",
+                ))
+            }
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one frame. Returns `Ok(None)` on a **clean** end of stream
@@ -318,6 +345,68 @@ mod tests {
         let err = write_frame_capped(&mut sink, &[0u8; 100], 99);
         assert!(matches!(err, Err(PhError::Transport(_))));
         assert!(sink.is_empty(), "nothing may hit the wire");
+    }
+
+    /// Accepts one byte per call and fails every third call with
+    /// `Interrupted`; or, once `budget` bytes are in, accepts nothing.
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+        budget: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            if self.out.len() >= self.budget {
+                return Ok(0);
+            }
+            self.out.extend_from_slice(&buf[..buf.len().min(1)]);
+            Ok(buf.len().min(1))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_produce_the_same_bytes() {
+        for payload in [vec![], vec![7], vec![1, 2, 3, 4, 5], vec![0xAB; 300]] {
+            let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(&payload);
+            let mut whole = Vec::new();
+            write_frame(&mut whole, &payload).unwrap();
+            assert_eq!(whole, expected);
+
+            let mut trickle = Trickle {
+                out: Vec::new(),
+                calls: 0,
+                budget: usize::MAX,
+            };
+            write_frame(&mut trickle, &payload).unwrap();
+            assert_eq!(trickle.out, expected);
+        }
+    }
+
+    #[test]
+    fn zero_progress_is_write_zero() {
+        for budget in [0, 2, 4, 6] {
+            let mut stalled = Trickle {
+                out: Vec::new(),
+                calls: 0,
+                budget,
+            };
+            let err = write_frame(&mut stalled, &[5u8; 8]).unwrap_err();
+            assert!(
+                matches!(&err, PhError::Transport(m) if m.contains("failed to write whole buffer")),
+                "{err:?}"
+            );
+            assert_eq!(stalled.out.len(), budget);
+        }
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //!   wedge the pool: the payload is carried back to the `scatter`
 //!   caller and resumed there, matching what `std::thread::scope`'s
 //!   join did in PR 1.
+//! * **Callers work their own batch.** A `scatter` caller does not
+//!   sleep while its jobs sit in the queue: it takes them back and
+//!   runs them itself, and blocks only for the ones a worker already
+//!   holds. It never runs another batch's job, so a short batch never
+//!   waits behind a long foreign one, and a job may itself call
+//!   `scatter` on the pool it runs on (its caller can always run every
+//!   sub-job alone).
 //!
 //! Scheduling is server-internal and leakage-free by the same argument
 //! as sharding: Eve already holds every ciphertext and trapdoor, so
@@ -29,7 +36,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -41,6 +48,13 @@ use crate::telemetry::{Counter, Gauge, Histogram};
 /// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// A job tagged with the `scatter` call that queued it, so that call
+/// can take back its own jobs and only those.
+struct Queued {
+    batch: u64,
+    job: Job,
+}
+
 /// Always-on pool statistics (the precedent is the durable log's sync
 /// counter): relaxed atomics the server folds into its stats snapshot.
 /// Task timing pays one `Instant` pair per task — noise against a
@@ -48,12 +62,17 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// paths so a 1-worker pool reports comparable numbers.
 #[derive(Debug, Default)]
 pub struct ExecutorStats {
-    /// Tasks executed (inline or on a worker).
+    /// Tasks executed (inline, by a waiting caller, or on a worker).
     pub tasks: Counter,
+    /// Tasks the `scatter` caller ran on its own thread: the inline
+    /// path's, and the queued jobs it took back while waiting.
+    /// `tasks - caller_tasks` is what the workers ran.
+    pub caller_tasks: Counter,
     /// Per-task wall time in nanoseconds.
     pub task_nanos: Histogram,
-    /// Total nanoseconds workers (or the inline path) spent running
-    /// tasks — utilization is `busy_nanos / (wall * workers)`.
+    /// Total nanoseconds spent running tasks, on workers and callers
+    /// alike. Because callers run tasks too, `busy_nanos / (wall *
+    /// workers)` can exceed what the workers alone could reach.
     pub busy_nanos: Counter,
     /// Jobs currently queued (sampled at push/pop).
     pub queue_depth: Gauge,
@@ -76,11 +95,13 @@ impl ExecutorStats {
 
 /// Queue state shared between the pool handle and its workers.
 struct Inner {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<Queued>>,
     /// Signaled when a job is queued or shutdown begins.
     available: Condvar,
     /// Set once by `Drop`; workers drain the queue, then exit.
     shutdown: AtomicBool,
+    /// Source of `scatter` batch tags.
+    next_batch: AtomicU64,
     /// Pool metrics, shared with [`Executor::stats`].
     stats: ExecutorStats,
 }
@@ -106,6 +127,7 @@ impl Executor {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            next_batch: AtomicU64::new(0),
             stats: ExecutorStats::default(),
         });
         let handles = (0..workers)
@@ -159,43 +181,67 @@ impl Executor {
     /// sequential engine, which the invariance tests use as the
     /// reference.
     ///
+    /// Otherwise the jobs are queued, at most `min(n - 1, workers)`
+    /// workers are woken, and the caller runs jobs of this batch until
+    /// none are left in the queue; only then does it block, for the
+    /// results of jobs a worker took. It never runs another batch's
+    /// job. Jobs may call `scatter` on the pool that runs them.
+    ///
     /// # Panics
     /// If a job panics, the first observed payload is resumed on the
     /// caller's thread after all jobs of the batch have finished
-    /// (mirroring a scoped-thread join). Jobs must not call `scatter`
-    /// on the same pool: a worker blocking on its own pool's results
-    /// can deadlock.
+    /// (mirroring a scoped-thread join).
     pub fn scatter<R, F>(&self, jobs: Vec<F>) -> Vec<R>
     where
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
     {
+        let stats = &self.inner.stats;
         if self.workers() <= 1 || jobs.len() <= 1 {
             return jobs
                 .into_iter()
-                .map(|job| self.inner.stats.run_timed(job))
+                .map(|job| {
+                    stats.caller_tasks.inc();
+                    stats.run_timed(job)
+                })
                 .collect();
         }
         let n = jobs.len();
+        let batch = self.inner.next_batch.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         {
             let mut queue = self.inner.queue.lock();
             for (index, job) in jobs.into_iter().enumerate() {
                 let tx = tx.clone();
-                queue.push_back(Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(job));
+                let inner = Arc::clone(&self.inner);
+                let job: Job = Box::new(move || {
+                    // Timed before the send, so the counters are final
+                    // by the time `scatter` returns.
+                    let result = inner
+                        .stats
+                        .run_timed(|| catch_unwind(AssertUnwindSafe(job)));
                     // The receiver only disappears if the caller
                     // panicked out of the collection loop; dropping
                     // the result is then the right thing.
                     let _ = tx.send((index, result));
-                }));
+                });
+                queue.push_back(Queued { batch, job });
             }
             let depth = queue.len() as u64;
-            self.inner.stats.queue_depth.set(depth);
-            self.inner.stats.queue_high_water.set_max(depth);
+            stats.queue_depth.set(depth);
+            stats.queue_high_water.set_max(depth);
         }
-        self.inner.available.notify_all();
         drop(tx);
+        // The caller takes one job itself, so `n - 1` are left over.
+        for _ in 0..(n - 1).min(self.workers()) {
+            self.inner.available.notify_one();
+        }
+        // Queued jobs catch their own panics, so running them here
+        // cannot unwind past the collection below.
+        while let Some(job) = self.inner.pop_batch(batch) {
+            stats.caller_tasks.inc();
+            job();
+        }
 
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let mut panic = None;
@@ -239,12 +285,23 @@ impl Drop for Executor {
     }
 }
 
+impl Inner {
+    /// Removes the oldest queued job of `batch`, if any is left.
+    fn pop_batch(&self, batch: u64) -> Option<Job> {
+        let mut queue = self.queue.lock();
+        let position = queue.iter().position(|queued| queued.batch == batch)?;
+        let queued = queue.remove(position)?;
+        self.stats.queue_depth.set(queue.len() as u64);
+        Some(queued.job)
+    }
+}
+
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
             let mut queue = inner.queue.lock();
             loop {
-                if let Some(job) = queue.pop_front() {
+                if let Some(Queued { job, .. }) = queue.pop_front() {
                     inner.stats.queue_depth.set(queue.len() as u64);
                     break Some(job);
                 }
@@ -255,11 +312,9 @@ fn worker_loop(inner: &Inner) {
             }
         };
         match job {
-            // A panicking job must not take the worker down with it;
-            // `scatter` already captured the payload for the caller.
-            Some(job) => {
-                let _ = catch_unwind(AssertUnwindSafe(|| inner.stats.run_timed(job)));
-            }
+            // Queued jobs catch their own panics (the payload goes to
+            // the `scatter` caller), so the worker survives them.
+            Some(job) => job(),
             None => return,
         }
     }
@@ -371,6 +426,149 @@ mod tests {
         let _ = serial.scatter((0..3usize).map(|i| move || i).collect());
         assert_eq!(serial.stats().tasks.get(), 3);
         assert_eq!(serial.stats().task_nanos.count(), 3);
+        assert_eq!(serial.stats().caller_tasks.get(), 3);
+    }
+
+    /// A gate jobs block on until the test opens it.
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Gate {
+        fn wait(&self) {
+            let mut open = self.open.lock();
+            while !*open {
+                self.opened.wait(&mut open);
+            }
+        }
+
+        fn open(&self) {
+            *self.open.lock() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// returned within `limit` — a deadlock becomes a failure, not a
+    /// hung suite.
+    fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let result = rx
+            .recv_timeout(limit)
+            .expect("scatter did not finish in time (deadlock?)");
+        handle
+            .join()
+            .expect("the timed thread already sent its result");
+        result
+    }
+
+    #[test]
+    fn nested_scatter_on_the_same_pool_finishes_in_order() {
+        let results = within(Duration::from_secs(20), || {
+            let pool = Arc::new(Executor::new(2));
+            let outer: Vec<_> = (0..4usize)
+                .map(|i| {
+                    let pool = Arc::clone(&pool);
+                    move || {
+                        pool.scatter(
+                            (0..4usize)
+                                .map(|j| {
+                                    move || {
+                                        std::thread::sleep(Duration::from_millis(
+                                            ((i + j) % 3) as u64,
+                                        ));
+                                        i * 10 + j
+                                    }
+                                })
+                                .collect(),
+                        )
+                    }
+                })
+                .collect();
+            let results = pool.scatter(outer);
+            assert_eq!(pool.stats().tasks.get(), 4 + 4 * 4);
+            results
+        });
+        let expected: Vec<Vec<usize>> = (0..4)
+            .map(|i| (0..4).map(|j| i * 10 + j).collect())
+            .collect();
+        assert_eq!(results, expected);
+    }
+
+    #[test]
+    fn caller_runs_only_its_own_batch() {
+        let pool = Arc::new(Executor::new(2));
+        let gate = Arc::new(Gate::default());
+        let started = Arc::new(AtomicUsize::new(0));
+        // Batch A: six gated jobs. Its caller and both workers each
+        // block in one, so three stay queued while batch B runs.
+        let foreign = {
+            let (pool, gate, started) =
+                (Arc::clone(&pool), Arc::clone(&gate), Arc::clone(&started));
+            std::thread::spawn(move || {
+                pool.scatter(
+                    (0..6)
+                        .map(|_| {
+                            let (gate, started) = (Arc::clone(&gate), Arc::clone(&started));
+                            move || {
+                                started.fetch_add(1, Ordering::SeqCst);
+                                gate.wait();
+                                std::thread::current().id()
+                            }
+                        })
+                        .collect(),
+                )
+            })
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while started.load(Ordering::SeqCst) < 3 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "A's caller and both workers should each hold a job of A"
+            );
+            std::thread::yield_now();
+        }
+        // The gate opens once batch B is done, or after a timeout if
+        // B's caller waits instead of working: a failure, not a hang.
+        let (b_done, b_finished) = mpsc::channel::<()>();
+        let opener = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                let _ = b_finished.recv_timeout(Duration::from_secs(5));
+                gate.open();
+            })
+        };
+
+        let me = std::thread::current().id();
+        let own = pool.scatter((0..3).map(|_| || std::thread::current().id()).collect());
+        assert_eq!(
+            own,
+            vec![me; 3],
+            "every free thread is blocked, so the caller ran B"
+        );
+        assert_eq!(
+            started.load(Ordering::SeqCst),
+            3,
+            "the caller ran no job of A"
+        );
+        assert_eq!(
+            pool.stats().queue_depth.get(),
+            3,
+            "A's jobs are still queued"
+        );
+
+        drop(b_done);
+        opener.join().unwrap();
+        let ran_a = foreign.join().unwrap();
+        assert!(!ran_a.contains(&me), "a job of A ran on B's caller");
+        assert_eq!(pool.stats().tasks.get(), 9);
+        // B's three, plus at least the one A job A's caller blocked in.
+        assert!(pool.stats().caller_tasks.get() >= 4);
     }
 
     #[test]

@@ -594,6 +594,10 @@ impl Server {
             MetricValue::Counter(stats.tasks.get()),
         ));
         metrics.push((
+            "exec_caller_tasks".to_string(),
+            MetricValue::Counter(stats.caller_tasks.get()),
+        ));
+        metrics.push((
             "exec_busy_nanos".to_string(),
             MetricValue::Counter(stats.busy_nanos.get()),
         ));

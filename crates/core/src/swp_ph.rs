@@ -26,18 +26,46 @@
 //! `SwpPh` is generic over the searchable scheme, mirroring the
 //! paper's "others can be used instead"; [`FinalSwpPh`] fixes the SWP
 //! final scheme, the only variant that can also decrypt.
+//!
+//! On a large result, decryption is Alex's largest cost per query,
+//! and it is row-independent, so results of at least
+//! [`PARALLEL_DECRYPT_ROWS`] rows decrypt in contiguous chunks, one
+//! per core, on a client pool private to this module. Rows, errors
+//! and wire bytes are those of the one-row-at-a-time path.
+
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
 use dbph_crypto::SecretKey;
-use dbph_relation::{Query, Relation, Schema};
+use dbph_relation::{Query, Relation, Schema, Tuple};
 use dbph_swp::{
     matches, CipherWord, FinalScheme, Location, SearchableScheme, SwpParams, TrapdoorData, Word,
 };
 
 use crate::encoding::WordCodec;
 use crate::error::PhError;
+use crate::executor::Executor;
 use crate::ph::{DatabasePh, IncrementalPh};
+
+/// Results with at least this many rows decrypt in parallel. Below it,
+/// waking a worker costs more than the rows it would take. Measured on
+/// a 2-vCPU SHA-NI host, where one `Emp` row decrypts in about 5 µs:
+/// serial time over fan-out time was 0.60–0.70 at 4 rows, 0.84–0.99
+/// at 8–12, 1.02–1.10 at 16 and 1.31–1.37 at 78.
+pub const PARALLEL_DECRYPT_ROWS: usize = 16;
+
+/// Alex's pool for result decryption, built on first use with one
+/// worker per core. It is not [`Executor::global`]: when a client and
+/// a server share a process, the client's work must stay out of the
+/// server's `exec_*` counters.
+fn client_pool() -> &'static Executor {
+    static POOL: OnceLock<Executor> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Executor::new(cores)
+    })
+}
 
 /// An encrypted table: per-tuple documents of cipher words. This is
 /// exactly what Eve stores — no plaintext, no key material, but a
@@ -218,26 +246,61 @@ impl<S: SearchableScheme> SwpPh<S> {
 
     /// Decrypts each document of `table` alongside its document id —
     /// the client-side primitive behind confirmed (two-phase) deletes,
-    /// where Alex must map decrypted tuples back to server-side ids.
+    /// where Alex must map decrypted tuples back to server-side ids,
+    /// and the body of [`DatabasePh::decrypt_table`]. Each tuple is
+    /// validated against the schema.
+    ///
+    /// At [`PARALLEL_DECRYPT_ROWS`] rows or more, contiguous chunks
+    /// (one per core) run on the client pool, the calling thread
+    /// working one of them. The rows come back in their original
+    /// order, and the error, if any, is the first failing row's, as
+    /// when decrypting one row at a time.
     ///
     /// # Errors
     /// Fails on corrupt ciphertexts or non-decryptable schemes.
-    pub fn decrypt_docs(
-        &self,
-        table: &EncryptedTable,
-    ) -> Result<Vec<(u64, dbph_relation::Tuple)>, PhError> {
-        let mut out = Vec::with_capacity(table.docs.len());
-        for (doc_id, cipher_words) in &table.docs {
-            let mut words = Vec::with_capacity(cipher_words.len());
-            for (i, cw) in cipher_words.iter().enumerate() {
-                words.push(
-                    self.scheme
-                        .decrypt_word(Location::new(*doc_id, i as u32), cw)?,
-                );
-            }
-            out.push((*doc_id, self.codec.decode_tuple(&words)?));
+    pub fn decrypt_docs(&self, table: &EncryptedTable) -> Result<Vec<(u64, Tuple)>, PhError> {
+        // Short-circuits, so the pool is built only once a result is
+        // large enough to use it.
+        if table.docs.len() < PARALLEL_DECRYPT_ROWS || client_pool().workers() <= 1 {
+            return self.decrypt_serial(&table.docs);
         }
-        Ok(out)
+        let pool = client_pool();
+        let ph = Arc::new(self.clone());
+        let chunks = table
+            .docs
+            .chunks(table.docs.len().div_ceil(pool.workers()))
+            .map(|chunk| {
+                let ph = Arc::clone(&ph);
+                let chunk = chunk.to_vec();
+                move || ph.decrypt_serial(&chunk)
+            })
+            .collect();
+        let mut rows = Vec::with_capacity(table.docs.len());
+        for chunk in pool.scatter(chunks) {
+            rows.extend(chunk?);
+        }
+        Ok(rows)
+    }
+
+    fn decrypt_serial(
+        &self,
+        docs: &[(u64, Vec<CipherWord>)],
+    ) -> Result<Vec<(u64, Tuple)>, PhError> {
+        docs.iter()
+            .map(|(doc_id, cipher_words)| {
+                let words = cipher_words
+                    .iter()
+                    .enumerate()
+                    .map(|(i, cw)| {
+                        self.scheme
+                            .decrypt_word(Location::new(*doc_id, i as u32), cw)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let tuple = self.codec.decode_tuple(&words)?;
+                tuple.validate(self.codec.schema())?;
+                Ok((*doc_id, tuple))
+            })
+            .collect()
     }
 
     fn check_schema(&self, relation: &Relation) -> Result<(), PhError> {
@@ -291,19 +354,12 @@ impl<S: SearchableScheme> DatabasePh for SwpPh<S> {
     }
 
     fn decrypt_table(&self, ciphertext: &EncryptedTable) -> Result<Relation, PhError> {
-        let mut out = Relation::empty(self.codec.schema().clone());
-        for (doc_id, cipher_words) in &ciphertext.docs {
-            let mut words = Vec::with_capacity(cipher_words.len());
-            for (i, cw) in cipher_words.iter().enumerate() {
-                words.push(
-                    self.scheme
-                        .decrypt_word(Location::new(*doc_id, i as u32), cw)?,
-                );
-            }
-            let tuple = self.codec.decode_tuple(&words)?;
-            out.insert(tuple)?;
-        }
-        Ok(out)
+        let tuples = self
+            .decrypt_docs(ciphertext)?
+            .into_iter()
+            .map(|(_, tuple)| tuple)
+            .collect();
+        Ok(Relation::from_tuples(self.codec.schema().clone(), tuples)?)
     }
 
     fn encrypt_query(&self, query: &Query) -> Result<Self::QueryCt, PhError> {

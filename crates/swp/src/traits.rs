@@ -61,8 +61,9 @@ pub trait TrapdoorData: Clone + Send + Sync {
 ///
 /// Client-side operations take `&self` (they hold the key); the
 /// server-side match lives in [`crate::search::matches`] and takes
-/// only [`SwpParams`] and a trapdoor.
-pub trait SearchableScheme: Clone + Send + Sync {
+/// only [`SwpParams`] and a trapdoor. Schemes are `'static` so a
+/// client can hand a copy to its decryption workers.
+pub trait SearchableScheme: Clone + Send + Sync + 'static {
     /// The scheme's trapdoor type.
     type Trapdoor: TrapdoorData;
 

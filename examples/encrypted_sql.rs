@@ -179,6 +179,7 @@
 //! | `log_syncs` / `log_poisoned` | counter/gauge | fsyncs so far; 1 when the log is poisoned (sampled) |
 //! | `exec_workers` / `exec_queue_depth` / `exec_queue_high_water` | gauge | scan-pool size and queue occupancy (sampled) |
 //! | `exec_tasks` / `exec_busy_nanos` / `exec_task_nanos` | counter/histogram | scan-pool tasks run and their latencies |
+//! | `exec_caller_tasks` | counter | of those, tasks a `scatter` caller ran on its own thread instead of a worker |
 //! | `net_conns_live` / `net_conns_accepted` / `net_conns_reaped` | gauge/counter | sessions now / ever / idle-reaped |
 //! | `net_frames_in` / `net_frames_out` / `net_bytes_in` / `net_bytes_out` | counter | framed traffic both ways (header bytes included) |
 //! | `net_backpressure` | counter | times the event loop stopped reading a connection whose responses outgrew the write budget |
