@@ -1,4 +1,4 @@
-//! Single-thread scan microbench: scalar vs. 4-lane kernel × boxed
+//! Single-thread scan microbench: scalar vs. 16-lane kernel × boxed
 //! vs. columnar-arena storage.
 //!
 //! Every cell runs the addressed scan: one check per row, against the
@@ -12,8 +12,8 @@
 //!   (`dbph_core::WordArena`: one contiguous fixed-width slot buffer
 //!   per shard);
 //! * **check engine** — `scalar` (`PreparedTrapdoor::matches*`) vs.
-//!   `lanes` (`dbph_swp::ScanKernel`: four checks per interleaved
-//!   SHA-256 dispatch, zero per-check allocation).
+//!   `lanes` (`dbph_swp::ScanKernel`: sixteen checks per lane-HMAC
+//!   dispatch, zero per-check allocation).
 //!
 //! `arena/lanes` is the configuration `ShardedTable` ships; the
 //! `shard_scan` bench measures it end to end. All four cells decide
@@ -66,7 +66,7 @@ fn arena_scalar(
         .collect()
 }
 
-/// 4-lane kernel fed from the boxed layout (lanes without the arena).
+/// 16-lane kernel fed from the boxed layout (lanes without the arena).
 fn boxed_lanes(params: &SwpParams, docs: &[Doc], attr: usize, term: &PreparedTrapdoor) -> Vec<u32> {
     let mut kernel = ScanKernel::new(*params, term);
     let mut hits: Vec<u32> = Vec::new();
@@ -86,7 +86,7 @@ fn boxed_lanes(params: &SwpParams, docs: &[Doc], attr: usize, term: &PreparedTra
     hits
 }
 
-/// The shipped hot path: 4-lane kernel streaming one arena slot per
+/// The shipped hot path: 16-lane kernel streaming one arena slot per
 /// row.
 fn arena_lanes(
     params: &SwpParams,

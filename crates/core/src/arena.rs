@@ -3,7 +3,7 @@
 //! The boxed layout — one `Vec<u8>` per cipher word inside a
 //! `Vec<CipherWord>` per document — scatters a shard's ciphertext over
 //! the heap: every SWP check starts with a pointer chase and the scan
-//! kernel's 4-lane pipeline ([`dbph_swp::ScanKernel`]) would stall on
+//! kernel's 16-lane pipeline ([`dbph_swp::ScanKernel`]) would stall on
 //! cache misses instead of filling issue slots. A [`WordArena`] stores
 //! a whole shard's words in **one contiguous fixed-width slot buffer**
 //! (stride = the table's `word_len`) with per-document offsets, so a

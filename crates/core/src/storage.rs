@@ -22,10 +22,10 @@
 //! Within each `(term, shard)` task the inner loop is the PR 4
 //! allocation-free hot path: shards store their ciphertext columnarly
 //! ([`crate::arena::WordArena`] — one contiguous fixed-width slot
-//! buffer plus per-document offsets) and the 4-lane
-//! [`dbph_swp::ScanKernel`] streams those slots through an interleaved
-//! SHA-256 PRF pipeline, deciding four words per dispatch with zero
-//! per-check allocation. The kernel shares the scalar check's decision
+//! buffer plus per-document offsets) and the 16-lane
+//! [`dbph_swp::ScanKernel`] streams those slots through its lane PRF,
+//! deciding sixteen words per dispatch with zero per-check
+//! allocation. The kernel shares the scalar check's decision
 //! function, so candidate sets — and with them responses and
 //! transcripts — are byte-identical to the scalar scan.
 //!
@@ -148,9 +148,9 @@ fn addressed_slot(arena: &WordArena, i: usize, attr: u8) -> Option<&[u8]> {
 /// Indices (ascending) of the documents among `doc_indices` whose word
 /// `attr` matches `term` — the per-term half of `ψ` — plus the number
 /// of SWP checks run: one per document with an addressed slot. The
-/// 4-lane [`ScanKernel`] decides the slots; parameters too wide for
-/// its buffers fall back to the scalar check, with identical
-/// decisions. Passing only the survivors of earlier terms is the
+/// 16-lane [`ScanKernel`] decides the slots (parameters too wide for
+/// its lanes it decides one scalar check at a time, with identical
+/// decisions). Passing only the survivors of earlier terms is the
 /// conjunctive short-circuit: a later term never checks a document an
 /// earlier term rejected.
 fn match_indices(
@@ -163,26 +163,17 @@ fn match_indices(
     let slots = doc_indices.filter_map(|i| addressed_slot(arena, i as usize, attr).map(|s| (i, s)));
     let mut hits = Vec::new();
     let mut checks = 0u64;
-    if ScanKernel::supports(params) {
-        let mut kernel = ScanKernel::new(*params, term);
-        let mut sink = |tag: u32, ok: bool| {
-            if ok {
-                hits.push(tag);
-            }
-        };
-        for (i, slot) in slots {
-            checks += 1;
-            kernel.push(i, slot, &mut sink);
+    let mut kernel = ScanKernel::new(*params, term);
+    let mut sink = |tag: u32, ok: bool| {
+        if ok {
+            hits.push(tag);
         }
-        kernel.flush(&mut sink);
-    } else {
-        for (i, slot) in slots {
-            checks += 1;
-            if term.matches_bytes(params, slot) {
-                hits.push(i);
-            }
-        }
+    };
+    for (i, slot) in slots {
+        checks += 1;
+        kernel.push(i, slot, &mut sink);
     }
+    kernel.flush(&mut sink);
     (hits, checks)
 }
 

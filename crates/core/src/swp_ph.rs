@@ -50,9 +50,11 @@ use crate::ph::{DatabasePh, IncrementalPh};
 
 /// Results with at least this many rows decrypt in parallel. Below it,
 /// waking a worker costs more than the rows it would take. Measured on
-/// a 2-vCPU SHA-NI host, where one `Emp` row decrypts in about 5 µs:
-/// serial time over fan-out time was 0.60–0.70 at 4 rows, 0.84–0.99
-/// at 8–12, 1.02–1.10 at 16 and 1.31–1.37 at 78.
+/// a 2-vCPU SHA-NI host with the one-block HMAC path, where one `Emp`
+/// row decrypts in 5.7–6.1 µs (7.2–7.3 µs with buffered HMAC on the
+/// same host): serial time over fan-out time was 0.59–0.67 at 4 rows,
+/// 0.81–0.96 at 8, 0.93–1.05 at 12, 1.04–1.27 at 16, 1.16–1.31 at 24
+/// and 1.29–1.53 at 78.
 pub const PARALLEL_DECRYPT_ROWS: usize = 16;
 
 /// Alex's pool for result decryption, built on first use with one

@@ -10,6 +10,7 @@
 /// Returns `false` immediately when lengths differ (lengths are public
 /// in every protocol in this workspace).
 #[must_use]
+#[inline]
 pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;

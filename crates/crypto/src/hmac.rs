@@ -5,11 +5,25 @@
 //! `k_i = f_{k'}(L_i)`, drives the [`crate::feistel`] permutation used
 //! for bucket tags, and authenticates sealed ciphertexts.
 
-use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
-use crate::sha256x4::Sha256x4;
+use crate::sha256::{compress_blocks, write_be, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Output length of HMAC-SHA-256 in bytes.
 pub const MAC_LEN: usize = DIGEST_LEN;
+
+/// Longest message whose inner hash is one block after the key block:
+/// the message, 0x80 and the 8-byte length fill at most 64 bytes.
+pub(crate) const SINGLE_BLOCK_MAX: usize = BLOCK_LEN - 9;
+
+/// Pads `block[..len]` as the final block of a hash that absorbed one
+/// key block (`ipad` or `opad`) before it: 0x80, zeros, and the bit
+/// length of the key block plus the message.
+pub(crate) fn pad_keyed_block(block: &mut [u8; BLOCK_LEN], len: usize) {
+    debug_assert!(len <= SINGLE_BLOCK_MAX, "{len} bytes do not fit one block");
+    block[len] = 0x80;
+    block[len + 1..BLOCK_LEN - 8].fill(0);
+    let bits = ((BLOCK_LEN + len) as u64) * 8;
+    block[BLOCK_LEN - 8..].copy_from_slice(&bits.to_be_bytes());
+}
 
 /// Incremental HMAC-SHA-256.
 ///
@@ -73,26 +87,36 @@ impl HmacSha256 {
         *out = outer.finalize();
     }
 
-    /// Four-lane hashers seeded with this MAC's `(inner, outer)` key
-    /// schedules — the entry point for evaluating one key against four
-    /// messages in a single interleaved pipeline
-    /// ([`crate::prf::HmacPrf::eval4_into`]). Only valid on a pristine
-    /// keyed state (no message absorbed yet), which is block-aligned
-    /// after the `ipad`/`opad` blocks.
-    pub(crate) fn keyed_lanes(&self) -> (Sha256x4, Sha256x4) {
-        (
-            Sha256x4::from_sha256(&self.inner),
-            Sha256x4::from_sha256(&self.outer),
-        )
+    /// The bare `(inner, outer)` compression states after the
+    /// `ipad`/`opad` blocks — for the one-block paths
+    /// ([`Self::single_block_tag`] and the scan lanes of
+    /// [`crate::prf::HmacPrf::eval_lanes_into`]), which pad their own
+    /// blocks. Only valid on a pristine keyed state (no message
+    /// absorbed yet).
+    pub(crate) fn key_states(&self) -> ([u32; 8], [u32; 8]) {
+        (self.inner.block_state(), self.outer.block_state())
     }
 
-    /// The bare `(inner, outer)` compression states after the
-    /// `ipad`/`opad` blocks — for the single-block 4-lane fast path,
-    /// which pads its own blocks and runs the raw interleaved
-    /// compression. Same pristine-state requirement as
-    /// [`Self::keyed_lanes`].
-    pub(crate) fn lane_states(&self) -> ([u32; 8], [u32; 8]) {
-        (self.inner.lane_seed().0, self.outer.lane_seed().0)
+    /// The tag of the message `block[..len]` from this pristine keyed
+    /// state, when the message and its padding fit one block
+    /// (`len <= SINGLE_BLOCK_MAX`): one compression from the prepared
+    /// inner state and one from the prepared outer state, instead of
+    /// two buffered hashers. Pads `block` in place.
+    pub(crate) fn single_block_tag(
+        &self,
+        block: &mut [u8; BLOCK_LEN],
+        len: usize,
+    ) -> [u8; MAC_LEN] {
+        let (mut inner, mut outer) = self.key_states();
+        pad_keyed_block(block, len);
+        compress_blocks(&mut inner, std::slice::from_ref(block));
+        let mut outer_block = [0u8; BLOCK_LEN];
+        write_be(&mut outer_block, &inner);
+        pad_keyed_block(&mut outer_block, DIGEST_LEN);
+        compress_blocks(&mut outer, std::slice::from_ref(&outer_block));
+        let mut tag = [0u8; MAC_LEN];
+        write_be(&mut tag, &outer);
+        tag
     }
 
     /// One-shot MAC computation.
@@ -204,6 +228,23 @@ mod tests {
         h.finalize_into(&mut tag2);
         assert_eq!(tag2, HmacSha256::mac(key, b"message and more"));
         assert_eq!(h.finalize(), tag2);
+    }
+
+    #[test]
+    fn single_block_tag_matches_buffered_mac_at_every_length() {
+        for key in [&b"k"[..], &[0x42; 64], &[0xaa; 131]] {
+            let mac = HmacSha256::new(key);
+            for len in 0..=SINGLE_BLOCK_MAX {
+                let msg: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(13) ^ 0x5c).collect();
+                let mut block = [0xEE; BLOCK_LEN];
+                block[..len].copy_from_slice(&msg);
+                assert_eq!(
+                    mac.single_block_tag(&mut block, len),
+                    HmacSha256::mac(key, &msg),
+                    "len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,13 +22,17 @@
 //!
 //! # SHA-256 backends and `unsafe`
 //!
-//! Every SHA-256 compression — scalar hashing, HMAC, the 4-lane scan
-//! kernel — runs on the CPU's SHA extensions when it has them, chosen
-//! by one runtime feature check, and on portable Rust otherwise. The
-//! digests are bit-identical either way. The crate is
-//! `deny(unsafe_code)`; the one module allowed `unsafe` is the x86-64
-//! SHA-NI backend (`sha256_ni`), for its `#[target_feature]` calls and
-//! vector loads, each with a `SAFETY` comment.
+//! Every SHA-256 compression of scalar hashing and HMAC runs on the
+//! CPU's SHA extensions when it has them, chosen by one runtime
+//! feature check, and on portable Rust otherwise. The scan kernel's
+//! 16-lane HMAC ([`prf::HmacPrf::eval_lanes_into`]) runs as one fused
+//! AVX-512F computation when a second runtime check finds AVX-512F,
+//! and as four 4-lane groups on SHA-NI or portable Rust otherwise.
+//! The digests are bit-identical on every backend. The crate is
+//! `deny(unsafe_code)`; the two modules allowed `unsafe` are the
+//! x86-64 backends (`sha256_ni` and `sha256_avx512`), for their
+//! `#[target_feature]` calls and vector loads and stores, each with a
+//! `SAFETY` comment.
 //!
 //! # Security disclaimer
 //!
@@ -53,6 +57,8 @@ pub mod prf;
 pub mod prg;
 pub mod rng;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod sha256_avx512;
 #[cfg(target_arch = "x86_64")]
 mod sha256_ni;
 pub mod sha256x4;

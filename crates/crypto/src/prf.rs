@@ -7,9 +7,88 @@
 //! (e.g. a constant function) to check that the security experiments
 //! actually notice broken primitives.
 
-use crate::hmac::{HmacSha256, MAC_LEN};
-use crate::sha256::BLOCK_LEN;
-use crate::sha256x4::{compress4_states, write_digests, LANES};
+use crate::hmac::{pad_keyed_block, HmacSha256, MAC_LEN, SINGLE_BLOCK_MAX};
+use crate::sha256::{write_be, BLOCK_LEN};
+use crate::sha256x4::{self, compress4_states};
+
+/// Inputs per [`HmacPrf::eval_lanes_into`] dispatch.
+pub const LANES: usize = 16;
+
+/// Longest input [`LaneBlocks`] stages: the input, the 4-byte counter,
+/// 0x80 and the 8-byte length fill at most one block.
+pub const LANE_MSG_MAX: usize = SINGLE_BLOCK_MAX - 4;
+
+/// Sixteen equal-length PRF inputs, each staged in its own padded HMAC
+/// inner block (`input ‖ counter 0 ‖ 0x80 ‖ zeros ‖ bit length`) and
+/// stored lane-major as big-endian words — `words[t][l]` is word `t`
+/// of lane `l`'s block, the layout the 16-lane backend computes in.
+/// The padding words are written once, at construction; callers then
+/// overwrite only the input ([`Self::set_xor`]) between dispatches of
+/// [`HmacPrf::eval_lanes_into`].
+#[derive(Clone)]
+pub struct LaneBlocks {
+    words: [[u32; LANES]; BLOCK_LEN / 4],
+    msg_len: usize,
+}
+
+impl LaneBlocks {
+    /// Sixteen all-zero inputs of `msg_len` bytes.
+    ///
+    /// # Panics
+    /// Panics if `msg_len > LANE_MSG_MAX`.
+    #[must_use]
+    pub fn new(msg_len: usize) -> Self {
+        assert!(
+            msg_len <= LANE_MSG_MAX,
+            "lane inputs hold at most {LANE_MSG_MAX} bytes, not {msg_len}"
+        );
+        let mut block = [0u8; BLOCK_LEN];
+        pad_keyed_block(&mut block, msg_len + 4);
+        let (chunks, _) = block.as_chunks::<4>();
+        LaneBlocks {
+            words: std::array::from_fn(|t| [u32::from_be_bytes(chunks[t]); LANES]),
+            msg_len,
+        }
+    }
+
+    /// Makes lane `lane`'s input the first `msg_len` bytes of `a ⊕ b`.
+    ///
+    /// # Panics
+    /// Panics if `a` or `b` is shorter than that.
+    #[inline]
+    pub fn set_xor(&mut self, lane: usize, a: &[u8], b: &[u8]) {
+        let n = self.msg_len;
+        let (a, b) = (&a[..n], &b[..n]);
+        let word = |i: usize| {
+            u32::from_be_bytes(a[i..i + 4].try_into().expect("four bytes"))
+                ^ u32::from_be_bytes(b[i..i + 4].try_into().expect("four bytes"))
+        };
+        let full = n / 4;
+        for t in 0..full {
+            self.words[t][lane] = word(4 * t);
+        }
+        // The last partial word: its input bytes, then counter bytes (0).
+        let rest = n % 4;
+        if rest > 0 {
+            self.words[full][lane] = if n >= 4 {
+                word(n - 4) << (8 * (4 - rest))
+            } else {
+                (0..rest).fold(0, |w, i| w | u32::from(a[i] ^ b[i]) << (24 - 8 * i))
+            };
+        }
+    }
+
+    /// Lane `lane`'s padded inner block as bytes; the input is its
+    /// first `msg_len` bytes.
+    #[must_use]
+    pub fn block(&self, lane: usize) -> [u8; BLOCK_LEN] {
+        let mut block = [0u8; BLOCK_LEN];
+        for (chunk, row) in block.chunks_exact_mut(4).zip(&self.words) {
+            chunk.copy_from_slice(&row[lane].to_be_bytes());
+        }
+        block
+    }
+}
 
 /// A keyed pseudorandom function producing arbitrary-length output.
 pub trait Prf: Clone + Send + Sync {
@@ -29,9 +108,10 @@ pub trait Prf: Clone + Send + Sync {
 /// For output lengths ≤ 32 bytes a single HMAC call suffices; longer
 /// outputs concatenate `HMAC(k, input ‖ ctr)` blocks. The HMAC key
 /// schedule (two compression calls over the padded key) runs once in
-/// [`HmacPrf::new`] and the keyed state is cloned per block — callers
-/// that evaluate the same key against many inputs (the server-side
-/// trapdoor scan above all) get the hoisted schedule for free.
+/// [`HmacPrf::new`] and every output block starts from the keyed state
+/// — callers that evaluate the same key against many inputs (the
+/// server-side trapdoor scan above all) get the hoisted schedule for
+/// free.
 #[derive(Clone)]
 pub struct HmacPrf {
     /// Keyed HMAC state with no message absorbed yet.
@@ -47,104 +127,101 @@ impl HmacPrf {
         }
     }
 
-    /// Evaluates the PRF on four equal-length inputs at once, writing
-    /// `outs[l].len()` bytes for lane `l` (all four lengths equal).
+    /// Evaluates the PRF on the sixteen inputs of `msgs` at once,
+    /// writing the first `out_len` bytes of lane `l`'s output to
+    /// `outs[l][..out_len]`: bit-identical to sixteen
+    /// [`Prf::eval_into`] calls. This is the dispatch unit of the
+    /// server-side scan kernel. Allocation-free.
     ///
-    /// Bit-identical to four [`Prf::eval_into`] calls, but the eight
-    /// underlying SHA-256 compressions per block (four inner, four
-    /// outer) run through one interleaved 4-lane pipeline
-    /// ([`crate::sha256x4::Sha256x4`]) and the key schedule is shared —
-    /// this is the dispatch unit of the server-side scan kernel.
-    /// Allocation-free.
+    /// With AVX-512F, the sixteen HMACs run as one fused computation
+    /// (`sha256_avx512`: one vector per working variable, the inner
+    /// digest kept in registers as the outer block). Otherwise they run
+    /// as four 4-lane groups through `sha256x4` (SHA-NI or portable).
     ///
     /// # Panics
-    /// Panics if the input lengths or the output lengths differ across
-    /// lanes (the lanes advance in lockstep).
-    pub fn eval4_into(&self, msgs: [&[u8]; LANES], outs: &mut [&mut [u8]; LANES]) {
-        let msg_len = msgs[0].len();
-        let out_len = outs[0].len();
+    /// Panics if `out_len > MAC_LEN`: the lanes compute one counter
+    /// block.
+    pub fn eval_lanes_into(
+        &self,
+        msgs: &LaneBlocks,
+        out_len: usize,
+        outs: &mut [[u8; MAC_LEN]; LANES],
+    ) {
         assert!(
-            msgs.iter().all(|m| m.len() == msg_len) && outs.iter().all(|o| o.len() == out_len),
-            "eval4_into lanes must advance in lockstep (equal lengths)"
+            out_len <= MAC_LEN,
+            "lane outputs are one counter block ({MAC_LEN} bytes), not {out_len}"
         );
-        // Room for message + counter + 0x80 + the 64-bit length?
-        let single_block = msg_len + 4 + 1 + 8 <= BLOCK_LEN;
-        let mut offset = 0usize;
-        let mut counter: u32 = 0;
-        while offset < out_len {
-            let ctr = counter.to_be_bytes();
-            let mut tags = [[0u8; MAC_LEN]; LANES];
-            if single_block {
-                self.block4(msgs, msg_len, &ctr, &mut tags);
-            } else {
-                let (mut inner, mut outer) = self.mac.keyed_lanes();
-                inner.update(msgs);
-                inner.update([&ctr; LANES]);
-                let mut digests = [[0u8; MAC_LEN]; LANES];
-                inner.finalize_into(&mut digests);
-                outer.update([&digests[0], &digests[1], &digests[2], &digests[3]]);
-                outer.finalize_into(&mut tags);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx) = crate::sha256_avx512::Avx512::detect() {
+            let (inner, outer) = self.mac.key_states();
+            let mut tags = [[0u32; LANES]; 8];
+            avx.hmac16(&inner, &outer, &msgs.words, &mut tags);
+            for (l, out) in outs.iter_mut().enumerate() {
+                for (chunk, row) in out[..out_len].chunks_mut(4).zip(&tags) {
+                    chunk.copy_from_slice(&row[l].to_be_bytes()[..chunk.len()]);
+                }
             }
-            let take = (out_len - offset).min(MAC_LEN);
-            for (out, tag) in outs.iter_mut().zip(&tags) {
-                out[offset..offset + take].copy_from_slice(&tag[..take]);
-            }
-            offset += take;
-            counter += 1;
+            return;
         }
+        self.eval_quads_into(msgs, out_len, outs);
     }
 
-    /// One HMAC counter block for four short messages: both hashes are
-    /// exactly one compression each (the common scan shape — the check
-    /// PRF input is `stream_len + 4` bytes, far under a block), so the
-    /// blocks are padded in place and fed straight to the raw
-    /// interleaved compression, skipping all buffering.
-    fn block4(
+    /// [`Self::eval_lanes_into`] without AVX-512F: four groups of four
+    /// lanes, each an interleaved inner and an interleaved outer
+    /// compression.
+    fn eval_quads_into(
         &self,
-        msgs: [&[u8]; LANES],
-        msg_len: usize,
-        ctr: &[u8; 4],
-        tags: &mut [[u8; MAC_LEN]; LANES],
+        msgs: &LaneBlocks,
+        out_len: usize,
+        outs: &mut [[u8; MAC_LEN]; LANES],
     ) {
-        let (inner_state, outer_state) = self.mac.lane_states();
-        // Inner: ipad block ‖ msg ‖ ctr, padded.
-        let n = msg_len + 4;
-        let mut blocks = [[0u8; BLOCK_LEN]; LANES];
-        for (block, msg) in blocks.iter_mut().zip(&msgs) {
-            block[..msg_len].copy_from_slice(msg);
-            block[msg_len..n].copy_from_slice(ctr);
-            block[n] = 0x80;
-            let bits = ((BLOCK_LEN + n) as u64) * 8;
-            block[56..].copy_from_slice(&bits.to_be_bytes());
+        let (inner, outer) = self.mac.key_states();
+        let (outs, _) = outs.as_chunks_mut::<{ sha256x4::LANES }>();
+        for (quad, outs) in outs.iter_mut().enumerate() {
+            let blocks = std::array::from_fn(|l| msgs.block(sha256x4::LANES * quad + l));
+            let mut states = [inner; sha256x4::LANES];
+            compress4_states(&mut states, &blocks);
+            let mut outer_blocks = [[0u8; BLOCK_LEN]; sha256x4::LANES];
+            for (block, state) in outer_blocks.iter_mut().zip(&states) {
+                write_be(block, state);
+                pad_keyed_block(block, MAC_LEN);
+            }
+            let mut states = [outer; sha256x4::LANES];
+            compress4_states(&mut states, &outer_blocks);
+            for (out, state) in outs.iter_mut().zip(&states) {
+                write_be(&mut out[..out_len], state);
+            }
         }
-        let mut states = [inner_state; LANES];
-        compress4_states(&mut states, &blocks);
-        let mut digests = [[0u8; MAC_LEN]; LANES];
-        write_digests(&states, &mut digests);
-        // Outer: opad block ‖ digest, padded (always single-block).
-        let mut blocks = [[0u8; BLOCK_LEN]; LANES];
-        for (block, digest) in blocks.iter_mut().zip(&digests) {
-            block[..MAC_LEN].copy_from_slice(digest);
-            block[MAC_LEN] = 0x80;
-            let bits = ((BLOCK_LEN + MAC_LEN) as u64) * 8;
-            block[56..].copy_from_slice(&bits.to_be_bytes());
-        }
-        let mut states = [outer_state; LANES];
-        compress4_states(&mut states, &blocks);
-        write_digests(&states, tags);
     }
 
     /// XORs the first `target.len()` bytes of `F(prefix ‖ input)` —
     /// exactly what [`Prf::eval_into`] writes for the concatenated
     /// input — over `target`, without building the concatenation or
     /// the output. Allocation-free.
+    ///
+    /// When `prefix ‖ input ‖ counter` fits one block with its padding
+    /// (the check block, `k = f_k'(L)` and every Feistel round of the
+    /// shipped schemas), each counter block is two bare compressions
+    /// from the prepared key states; longer inputs run the buffered
+    /// hashers.
     pub(crate) fn xor_into(&self, prefix: &[u8], input: &[u8], target: &mut [u8]) {
+        let split = prefix.len();
+        let len = split + input.len() + 4;
         for (counter, chunk) in (0u32..).zip(target.chunks_mut(MAC_LEN)) {
-            let mut h = self.mac.clone();
-            h.update(prefix);
-            h.update(input);
-            h.update(&counter.to_be_bytes());
-            for (t, m) in chunk.iter_mut().zip(h.finalize()) {
+            let tag = if len <= SINGLE_BLOCK_MAX {
+                let mut block = [0u8; BLOCK_LEN];
+                block[..split].copy_from_slice(prefix);
+                block[split..len - 4].copy_from_slice(input);
+                block[len - 4..len].copy_from_slice(&counter.to_be_bytes());
+                self.mac.single_block_tag(&mut block, len)
+            } else {
+                let mut h = self.mac.clone();
+                h.update(prefix);
+                h.update(input);
+                h.update(&counter.to_be_bytes());
+                h.finalize()
+            };
+            for (t, m) in chunk.iter_mut().zip(tag) {
                 *t ^= m;
             }
         }
@@ -213,41 +290,110 @@ mod tests {
         assert_eq!(buf.to_vec(), prf.eval(b"msg", 48));
     }
 
+    /// `F` written out from the one-shot HMAC: counter blocks of
+    /// `HMAC(k, input ‖ ctr)`, independent of `xor_into`.
+    fn reference_eval(key: &[u8], input: &[u8], len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for counter in 0u32.. {
+            if out.len() >= len {
+                break;
+            }
+            let mut msg = input.to_vec();
+            msg.extend_from_slice(&counter.to_be_bytes());
+            out.extend_from_slice(&HmacSha256::mac(key, &msg));
+        }
+        out.truncate(len);
+        out
+    }
+
     #[test]
-    fn eval4_into_matches_four_scalar_evals() {
-        // Single-block and counter-mode output lengths, several message
-        // lengths including empty and block-crossing.
+    fn eval_matches_one_shot_hmac_on_both_sides_of_one_block() {
+        // Inputs up to 51 bytes take the one-block path, longer ones the
+        // buffered hashers; outputs cross counter blocks.
+        let key = b"single block key";
+        let prf = HmacPrf::new(key);
+        for input_len in 0..=70usize {
+            let input: Vec<u8> = (0..input_len as u8).map(|i| i.wrapping_mul(29)).collect();
+            for out_len in [0usize, 1, 4, 31, 32, 33, 64, 65] {
+                assert_eq!(
+                    prf.eval(&input, out_len),
+                    reference_eval(key, &input, out_len),
+                    "input {input_len} bytes, output {out_len}"
+                );
+            }
+        }
+    }
+
+    /// Sixteen lane inputs of `msg_len` bytes, a different one per lane,
+    /// each staged as `input ⊕ mask`, and the inputs themselves.
+    fn lane_inputs(msg_len: usize, seed: u8) -> (LaneBlocks, Vec<Vec<u8>>) {
+        let mut msgs = LaneBlocks::new(msg_len);
+        let mask: Vec<u8> = (0..msg_len as u8)
+            .map(|i| i.wrapping_mul(89) ^ seed)
+            .collect();
+        let inputs: Vec<Vec<u8>> = (0..LANES as u8)
+            .map(|l| {
+                (0..msg_len as u8)
+                    .map(|i| seed ^ l.wrapping_mul(31) ^ i.wrapping_mul(7))
+                    .collect()
+            })
+            .collect();
+        for (l, input) in inputs.iter().enumerate() {
+            let masked: Vec<u8> = input.iter().zip(&mask).map(|(x, m)| x ^ m).collect();
+            msgs.set_xor(l, &masked, &mask);
+        }
+        (msgs, inputs)
+    }
+
+    #[test]
+    fn eval_lanes_into_matches_scalar_evals() {
+        // Every input length the lanes take and every output length
+        // they produce, on the dispatched path and the four-group path.
+        let avx512 = {
+            #[cfg(target_arch = "x86_64")]
+            let found = crate::sha256_avx512::Avx512::detect().is_some();
+            #[cfg(not(target_arch = "x86_64"))]
+            let found = false;
+            found
+        };
+        if !avx512 {
+            use std::io::Write as _;
+            let _ = writeln!(
+                std::io::stderr(),
+                "eval_lanes_into_matches_scalar_evals: AVX-512F not available on this CPU; \
+                 fused 16-lane HMAC checks SKIPPED"
+            );
+        }
         let prf = HmacPrf::new(b"lane key");
-        for msg_len in [0usize, 1, 5, 9, 31, 59, 60, 64, 100] {
-            for out_len in [1usize, 3, 4, 32, 33, 64, 100] {
-                let msgs: Vec<Vec<u8>> = (0..4u8).map(|l| vec![l ^ 0x5A; msg_len]).collect();
-                let mut bufs = vec![vec![0u8; out_len]; 4];
-                {
-                    let [b0, b1, b2, b3] = &mut bufs[..] else {
-                        unreachable!()
-                    };
-                    let mut outs = [&mut b0[..], &mut b1[..], &mut b2[..], &mut b3[..]];
-                    prf.eval4_into([&msgs[0], &msgs[1], &msgs[2], &msgs[3]], &mut outs);
-                }
-                for (l, (msg, buf)) in msgs.iter().zip(&bufs).enumerate() {
+        for msg_len in 0..=LANE_MSG_MAX {
+            let (msgs, inputs) = lane_inputs(msg_len, msg_len as u8);
+            for (l, input) in inputs.iter().enumerate() {
+                assert_eq!(&msgs.block(l)[..msg_len], &input[..], "staged lane {l}");
+            }
+            for out_len in 1..=MAC_LEN {
+                let mut dispatched = [[0u8; MAC_LEN]; LANES];
+                prf.eval_lanes_into(&msgs, out_len, &mut dispatched);
+                let mut quads = [[0u8; MAC_LEN]; LANES];
+                prf.eval_quads_into(&msgs, out_len, &mut quads);
+                for l in 0..LANES {
+                    let want = prf.eval(&inputs[l], out_len);
                     assert_eq!(
-                        buf,
-                        &prf.eval(msg, out_len),
+                        dispatched[l][..out_len],
+                        want[..],
                         "lane {l} diverged at msg_len {msg_len}, out_len {out_len}"
                     );
+                    assert_eq!(quads[l][..out_len], want[..], "four-group lane {l}");
+                    // Bytes past `out_len` are left alone.
+                    assert!(dispatched[l][out_len..].iter().all(|&b| b == 0));
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "lockstep")]
-    fn eval4_into_rejects_unequal_lanes() {
-        let prf = HmacPrf::new(b"k");
-        let mut bufs = [[0u8; 4]; 4];
-        let [b0, b1, b2, b3] = &mut bufs;
-        let mut outs = [&mut b0[..], &mut b1[..], &mut b2[..], &mut b3[..]];
-        prf.eval4_into([b"aa", b"aa", b"aa", b"a"], &mut outs);
+    #[should_panic(expected = "at most")]
+    fn lane_blocks_reject_inputs_past_one_block() {
+        let _ = LaneBlocks::new(LANE_MSG_MAX + 1);
     }
 
     #[test]

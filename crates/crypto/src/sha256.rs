@@ -9,9 +9,10 @@
 //! Every block goes through `compress_blocks`, which runs on the
 //! CPU's SHA extensions when it has them (`sha256_ni`, picked
 //! by one runtime feature check) and on the portable
-//! `compress_portable` otherwise. The two backends are bit-identical;
-//! this module owns the round constants and initial state all
-//! backends share.
+//! `compress_portable` otherwise. The lane backends — `sha256x4` and,
+//! on AVX-512F, `sha256_avx512` — serve the server scan kernel. All
+//! backends are bit-identical; this module owns the round constants
+//! and initial state they share.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -123,9 +124,7 @@ impl Sha256 {
         compress_blocks(&mut self.state, &tail[..blocks]);
 
         let mut out = [0u8; DIGEST_LEN];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(&self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
+        write_be(&mut out, &self.state);
         out
     }
 
@@ -137,22 +136,29 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// Snapshot of `(state, bytes absorbed)` for seeding the 4-lane
-    /// hasher ([`crate::sha256x4::Sha256x4::from_state`]). Only valid at
-    /// a block boundary — the lanes have no way to share a partial
-    /// block.
-    pub(crate) fn lane_seed(&self) -> ([u32; 8], u64) {
+    /// The compression state, for callers that pad and compress the
+    /// rest of the message themselves (the one-block HMAC paths). Only
+    /// valid at a block boundary, where no bytes are buffered.
+    pub(crate) fn block_state(&self) -> [u32; 8] {
         debug_assert_eq!(
             self.buf_len, 0,
-            "lane seeding requires a block-aligned state"
+            "the bare state requires a block-aligned hasher"
         );
-        (self.state, self.total_len)
+        self.state
+    }
+}
+
+/// Writes the big-endian bytes of `words` over `out`, as far as `out`
+/// reaches: a digest, or the leading bytes of one.
+pub(crate) fn write_be(out: &mut [u8], words: &[u32]) {
+    for (chunk, word) in out.chunks_mut(4).zip(words) {
+        chunk.copy_from_slice(&word.to_be_bytes()[..chunk.len()]);
     }
 }
 
 /// Compresses `blocks`, in order, into `state` on the fastest backend
-/// this CPU has. Every SHA-256 block in the crate except the 4-lane
-/// kernel's goes through here.
+/// this CPU has. Every SHA-256 block in the crate except the scan
+/// kernel's lane blocks goes through here.
 pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
     #[cfg(target_arch = "x86_64")]
     if let Some(ni) = crate::sha256_ni::ShaNi::detect() {
@@ -318,18 +324,110 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     }
 }
 
-/// Backend equivalence: the hardware compression (when this CPU has
-/// it) and the portable 4-lane kernel against the portable scalar
+/// Backend equivalence: the hardware compressions (when this CPU has
+/// them) and the portable 4-lane kernel against the portable scalar
 /// reference, on random states and blocks, on the standard vectors,
 /// and through `finalize` at every padding length.
 #[cfg(test)]
 mod backend_tests {
     use super::*;
     use crate::rng::{DeterministicRng, EntropySource};
-    use crate::sha256x4::{compress4_portable, Sha256x4, LANES};
+    use crate::sha256x4::{compress4_portable, LANES};
 
     type Compress = fn(&mut [u32; 8], &[[u8; BLOCK_LEN]]);
     type Compress4 = fn(&mut [[u32; 8]; LANES], &[[u8; BLOCK_LEN]; LANES]);
+
+    /// Sixteen lanes, one block each.
+    const WIDE: usize = 16;
+    type Compress16 = fn(&mut [[u32; 8]; WIDE], &[[u8; BLOCK_LEN]; WIDE]);
+
+    /// Sixteen lanes as four calls to a 4-lane compression.
+    fn by_quads(
+        compress4: Compress4,
+        states: &mut [[u32; 8]; WIDE],
+        blocks: &[[u8; BLOCK_LEN]; WIDE],
+    ) {
+        let (states, _) = states.as_chunks_mut::<LANES>();
+        let (blocks, _) = blocks.as_chunks::<LANES>();
+        for (states, blocks) in states.iter_mut().zip(blocks) {
+            compress4(states, blocks);
+        }
+    }
+
+    /// Every way this CPU can compress sixteen lanes: the portable and
+    /// SHA-NI 4-lane kernels four times, and AVX-512F in one call. When
+    /// AVX-512F is missing, says so past the output capture.
+    fn wide_backends(test: &str) -> Vec<(&'static str, Compress16)> {
+        let mut out: Vec<(&'static str, Compress16)> = vec![("portable x4", |states, blocks| {
+            by_quads(compress4_portable, states, blocks)
+        })];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::sha256_ni::ShaNi::detect().is_some() {
+                out.push(("sha-ni x4", |states, blocks| {
+                    by_quads(
+                        |s, b| {
+                            let ni = crate::sha256_ni::ShaNi::detect().expect("detected above");
+                            ni.compress4(s, b);
+                        },
+                        states,
+                        blocks,
+                    );
+                }));
+            }
+            if crate::sha256_avx512::Avx512::detect().is_some() {
+                out.push(("avx-512", |states, blocks| {
+                    let avx = crate::sha256_avx512::Avx512::detect().expect("detected above");
+                    avx.compress16(states, blocks);
+                }));
+            }
+        }
+        if !out.iter().any(|(name, _)| *name == "avx-512") {
+            use std::io::Write as _;
+            let _ = writeln!(
+                std::io::stderr(),
+                "{test}: AVX-512F not available on this CPU; 16-lane backend checks SKIPPED"
+            );
+        }
+        out
+    }
+
+    /// SHA-256 of each of sixteen messages of any lengths, every block
+    /// through `compress16`. A lane whose message has run out rides
+    /// along on a zero block and keeps its state.
+    fn digests16(compress16: Compress16, msgs: &[&[u8]; WIDE]) -> [[u8; DIGEST_LEN]; WIDE] {
+        let padded: Vec<Vec<[u8; BLOCK_LEN]>> = msgs.iter().map(|m| pad(m)).collect();
+        let mut states = [H0; WIDE];
+        for b in 0..padded.iter().map(Vec::len).max().unwrap_or(0) {
+            let blocks =
+                std::array::from_fn(|l| padded[l].get(b).copied().unwrap_or([0; BLOCK_LEN]));
+            let mut next = states;
+            compress16(&mut next, &blocks);
+            for (l, state) in states.iter_mut().enumerate() {
+                if b < padded[l].len() {
+                    *state = next[l];
+                }
+            }
+        }
+        states.map(|state| {
+            let mut out = [0u8; DIGEST_LEN];
+            write_be(&mut out, &state);
+            out
+        })
+    }
+
+    /// `msg` with its FIPS 180-4 padding, as blocks.
+    fn pad(msg: &[u8]) -> Vec<[u8; BLOCK_LEN]> {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&((msg.len() as u64) * 8).to_be_bytes());
+        let (blocks, rest) = padded.as_chunks::<BLOCK_LEN>();
+        assert!(rest.is_empty());
+        blocks.to_vec()
+    }
 
     /// One backend's single-stream and 4-lane compressions.
     struct Backend {
@@ -377,20 +475,10 @@ mod backend_tests {
     /// SHA-256 of `msg` with every block compressed by `compress` —
     /// the FIPS 180-4 padding written out independently of `finalize`.
     fn digest_with(compress: Compress, msg: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut padded = msg.to_vec();
-        padded.push(0x80);
-        while padded.len() % BLOCK_LEN != BLOCK_LEN - 8 {
-            padded.push(0);
-        }
-        padded.extend_from_slice(&((msg.len() as u64) * 8).to_be_bytes());
-        let (blocks, rest) = padded.as_chunks::<BLOCK_LEN>();
-        assert!(rest.is_empty());
         let mut state = H0;
-        compress(&mut state, blocks);
+        compress(&mut state, &pad(msg));
         let mut out = [0u8; DIGEST_LEN];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(&state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
+        write_be(&mut out, &state);
         out
     }
 
@@ -447,6 +535,77 @@ mod backend_tests {
                 let mut chain = states[0];
                 (backend.compress)(&mut chain, &blocks);
                 assert_eq!(chain, chain_expected, "{name}: block chain diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn sha256_sixteen_lane_backends_agree_on_random_states_and_blocks() {
+        let backends =
+            wide_backends("sha256_sixteen_lane_backends_agree_on_random_states_and_blocks");
+        let mut rng = DeterministicRng::from_seed(0x5ba2_5616);
+        for _ in 0..10_000 {
+            let states: [[u32; 8]; WIDE] = std::array::from_fn(|_| random_state(&mut rng));
+            let blocks: [[u8; BLOCK_LEN]; WIDE] = std::array::from_fn(|_| rng.array());
+            let mut expected = states;
+            for (state, block) in expected.iter_mut().zip(&blocks) {
+                compress_portable(state, block);
+            }
+            for (name, compress16) in &backends {
+                let mut lanes = states;
+                compress16(&mut lanes, &blocks);
+                assert_eq!(lanes, expected, "{name}: 16-lane diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn sha256_fips_vectors_in_different_lanes_on_every_sixteen_lane_backend() {
+        // A different message in every lane, so a lane mix-up or a
+        // transposition error cannot cancel out: the five FIPS 180-4
+        // vectors and eleven more, of every block count from 1 to
+        // 15,626.
+        let quad = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+        let million = vec![b'a'; 1_000_000];
+        let fips: [(&[u8], &str); 5] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                quad,
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                &million,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        let extra: Vec<Vec<u8>> = (0..WIDE - fips.len())
+            .map(|i| (0..i * 23 + 1).map(|j| (j * 7 + i) as u8).collect())
+            .collect();
+        let msgs: [&[u8]; WIDE] = std::array::from_fn(|l| match fips.get(l) {
+            Some((msg, _)) => *msg,
+            None => &extra[l - fips.len()][..],
+        });
+        for (name, compress16) in
+            wide_backends("sha256_fips_vectors_in_different_lanes_on_every_sixteen_lane_backend")
+        {
+            let got = digests16(compress16, &msgs);
+            for (l, (_, want)) in fips.iter().enumerate() {
+                assert_eq!(hex(&got[l]), *want, "{name}: FIPS 180-4 vector in lane {l}");
+            }
+            for (l, msg) in msgs.iter().enumerate().skip(fips.len()) {
+                assert_eq!(got[l], Sha256::digest(msg), "{name}: lane {l}");
             }
         }
     }
@@ -540,22 +699,27 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     #[test]
     fn sha256_finalize_every_length_matches_portable_and_lanes() {
         let mut rng = DeterministicRng::from_seed(200);
-        let backends = backends("sha256_finalize_every_length_matches_portable_and_lanes");
+        let test = "sha256_finalize_every_length_matches_portable_and_lanes";
+        let backends = backends(test);
+        let wide = wide_backends(test);
         for len in 0..=200usize {
-            let msgs: [Vec<u8>; LANES] = std::array::from_fn(|_| {
+            let msgs: [Vec<u8>; WIDE] = std::array::from_fn(|_| {
                 let mut m = vec![0u8; len];
                 rng.fill(&mut m);
                 m
             });
-            let mut lanes = Sha256x4::new();
-            lanes.update([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-            let mut lane_digests = [[0u8; DIGEST_LEN]; LANES];
-            lanes.finalize_into(&mut lane_digests);
-            for (msg, lane) in msgs.iter().zip(&lane_digests) {
+            let refs: [&[u8]; WIDE] = std::array::from_fn(|l| &msgs[l][..]);
+            let lanes: Vec<_> = wide
+                .iter()
+                .map(|(name, compress16)| (name, digests16(*compress16, &refs)))
+                .collect();
+            for (l, msg) in msgs.iter().enumerate() {
                 let got = Sha256::digest(msg);
-                assert_eq!(got, *lane, "finalize vs Sha256x4 lane at len {len}");
                 for Backend { name, compress, .. } in &backends {
                     assert_eq!(got, digest_with(*compress, msg), "{name} at len {len}");
+                }
+                for (name, digests) in &lanes {
+                    assert_eq!(got, digests[l], "{name} lane {l} at len {len}");
                 }
             }
         }

@@ -6,9 +6,11 @@
 //! portable path's ~2,000. This module is the compression backend of
 //! both hashing entry points — [`crate::sha256::compress_blocks`]
 //! (scalar hashing, HMAC, checksums) and
-//! [`crate::sha256x4::compress4_states`] (the server scan kernel) —
-//! whenever the CPU has the extensions; each entry point picks it with
-//! one [`ShaNi::detect`] call and otherwise runs the portable code.
+//! [`crate::sha256x4::compress4_states`] (the server scan kernel's
+//! 16-lane HMAC, run as four 4-lane groups on CPUs without AVX-512F)
+//! — whenever the CPU has the extensions; each entry point picks it
+//! with one [`ShaNi::detect`] call and otherwise runs the portable
+//! code.
 //!
 //! Both functions here compute the FIPS 180-4 compression exactly:
 //! every digest is bit-identical to the portable backend's (the
@@ -21,11 +23,11 @@
 //! on the previous one, so four chains in flight keep the SHA unit
 //! busy where one chain leaves it waiting.
 //!
-//! This is the only module in the crate that uses `unsafe`: the calls
-//! into the `#[target_feature]` functions (made only through a
-//! [`ShaNi`] token, which exists only after detection succeeded) and
-//! the unaligned 16-byte vector loads and stores from fixed-size
-//! arrays.
+//! This module and `sha256_avx512` are the crate's only users of
+//! `unsafe`: the calls into the `#[target_feature]` functions (made
+//! only through a [`ShaNi`] token, which exists only after detection
+//! succeeded) and the unaligned 16-byte vector loads and stores from
+//! fixed-size arrays.
 
 #![allow(unsafe_code)]
 

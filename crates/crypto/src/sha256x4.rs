@@ -1,11 +1,5 @@
-//! Four-lane SHA-256: four independent hash computations in lockstep.
-//!
-//! The consumer is the server-side trapdoor scan: one HMAC check-PRF
-//! evaluation per `(trapdoor, cipher word)` pair, millions per query,
-//! all under the *same* key and all over equal-length messages. That
-//! shape is exactly what this type supports — four lanes advancing in
-//! lockstep (equal-length updates), seeded either fresh or from one
-//! shared block-aligned prefix state (the HMAC key schedule, run once).
+//! Four-lane SHA-256: four independent one-block compressions,
+//! interleaved.
 //!
 //! A single SHA-256 compression is a long dependency chain: each round
 //! needs the previous one, so a core spends most of its issue width
@@ -13,193 +7,27 @@
 //! idle slots — the classic multi-buffer technique (as in OpenSSL's SHA
 //! multi-block and Intel's isa-l). `compress4_states` runs the four
 //! blocks on the CPU's SHA extensions when it has them (four
-//! `sha256rnds2` chains interleaved, `sha256_ni`) and
-//! otherwise on the portable `compress4_portable`, where every round
-//! operates on `[u32; 4]` lane arrays that the compiler schedules and
-//! vectorizes.
+//! `sha256rnds2` chains interleaved, `sha256_ni`) and otherwise on the
+//! portable `compress4_portable`, where every round operates on
+//! `[u32; 4]` lane arrays that the compiler schedules and vectorizes.
 //!
-//! This is a pure scheduling transform: each lane computes bit-for-bit
-//! the digest [`Sha256`] computes (the module tests and the backend
-//! tests in [`crate::sha256`] pin that), so callers funnel into
-//! identical accept/reject decisions whichever path ran.
+//! The consumer is the 16-lane HMAC of the server scan kernel
+//! ([`crate::prf::HmacPrf::eval_lanes_into`]) on CPUs without
+//! AVX-512F: it runs its sixteen lanes as four calls here. This is a
+//! pure scheduling transform: each lane computes bit-for-bit the
+//! compression the scalar backend computes (the module tests and the
+//! backend tests in [`crate::sha256`] pin that), so callers funnel
+//! into identical accept/reject decisions whichever path ran.
 
-use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN, H0, K};
+use crate::sha256::{BLOCK_LEN, K};
 
 /// Number of interleaved hash lanes.
 pub const LANES: usize = 4;
 
-/// Four SHA-256 computations advancing in lockstep.
-///
-/// All lanes must absorb the same number of bytes per [`update`]
-/// (enforced), so one shared buffer fill level and total length cover
-/// all four. Finalization pads every lane identically and runs the
-/// last compression 4-wide.
-///
-/// [`update`]: Sha256x4::update
-#[derive(Clone)]
-pub struct Sha256x4 {
-    /// Per-lane hash state.
-    states: [[u32; 8]; LANES],
-    /// Per-lane partial-block buffers (same fill level in every lane).
-    buf: [[u8; BLOCK_LEN]; LANES],
-    /// Valid bytes in each lane's buffer.
-    buf_len: usize,
-    /// Bytes absorbed per lane (equal by construction).
-    total_len: u64,
-}
-
-impl Default for Sha256x4 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha256x4 {
-    /// Four fresh hashers.
-    #[must_use]
-    pub fn new() -> Self {
-        Sha256x4 {
-            states: [H0; LANES],
-            buf: [[0u8; BLOCK_LEN]; LANES],
-            buf_len: 0,
-            total_len: 0,
-        }
-    }
-
-    /// Four hashers that have all absorbed the same block-aligned
-    /// prefix, given that prefix's `(state, length)` — the shape HMAC
-    /// needs: the key schedule (one `ipad`/`opad` block) runs once and
-    /// every lane continues from it.
-    ///
-    /// # Panics
-    /// Debug-asserts that `prefix_len` is a whole number of blocks;
-    /// a partial block cannot be replicated into lockstep lanes.
-    #[must_use]
-    pub fn from_state(state: [u32; 8], prefix_len: u64) -> Self {
-        debug_assert_eq!(
-            prefix_len % BLOCK_LEN as u64,
-            0,
-            "lane prefix must be block-aligned"
-        );
-        Sha256x4 {
-            states: [state; LANES],
-            buf: [[0u8; BLOCK_LEN]; LANES],
-            buf_len: 0,
-            total_len: prefix_len,
-        }
-    }
-
-    /// Four hashers continuing a scalar hasher's block-aligned state
-    /// (see [`Sha256`]); the seed for the HMAC inner/outer lanes.
-    #[must_use]
-    pub fn from_sha256(h: &Sha256) -> Self {
-        let (state, len) = h.lane_seed();
-        Self::from_state(state, len)
-    }
-
-    /// Absorbs `msgs[l]` into lane `l`. All four messages must have the
-    /// same length — the lanes advance in lockstep.
-    ///
-    /// # Panics
-    /// Panics if the message lengths differ.
-    pub fn update(&mut self, msgs: [&[u8]; LANES]) {
-        let len = msgs[0].len();
-        assert!(
-            msgs.iter().all(|m| m.len() == len),
-            "lanes must advance in lockstep (equal-length updates)"
-        );
-        self.total_len = self.total_len.wrapping_add(len as u64);
-        let mut pos = 0usize;
-
-        // Top up the shared partial block.
-        if self.buf_len > 0 {
-            let take = (BLOCK_LEN - self.buf_len).min(len);
-            for (buf, msg) in self.buf.iter_mut().zip(&msgs) {
-                buf[self.buf_len..self.buf_len + take].copy_from_slice(&msg[..take]);
-            }
-            self.buf_len += take;
-            pos = take;
-            if self.buf_len == BLOCK_LEN {
-                let blocks = self.buf;
-                self.compress4(&blocks);
-                self.buf_len = 0;
-            }
-        }
-
-        // Whole blocks, four at a time across the lanes.
-        while len - pos >= BLOCK_LEN {
-            let mut blocks = [[0u8; BLOCK_LEN]; LANES];
-            for (block, msg) in blocks.iter_mut().zip(&msgs) {
-                block.copy_from_slice(&msg[pos..pos + BLOCK_LEN]);
-            }
-            self.compress4(&blocks);
-            pos += BLOCK_LEN;
-        }
-
-        // Stash the remainder.
-        if pos < len {
-            for (buf, msg) in self.buf.iter_mut().zip(&msgs) {
-                buf[..len - pos].copy_from_slice(&msg[pos..]);
-            }
-            self.buf_len = len - pos;
-        }
-    }
-
-    /// Finishes all four computations, writing lane `l`'s digest to
-    /// `out[l]`. Padding is identical across lanes (equal lengths), so
-    /// the final compressions run 4-wide too.
-    pub fn finalize_into(mut self, out: &mut [[u8; DIGEST_LEN]; LANES]) {
-        let bit_len = self.total_len.wrapping_mul(8);
-        let n = self.buf_len;
-        for buf in &mut self.buf {
-            buf[n] = 0x80;
-        }
-        if n + 1 > 56 {
-            // No room for the length: pad this block out and compress.
-            for buf in &mut self.buf {
-                buf[n + 1..].fill(0);
-            }
-            let blocks = self.buf;
-            self.compress4(&blocks);
-            for buf in &mut self.buf {
-                buf[..56].fill(0);
-            }
-        } else {
-            for buf in &mut self.buf {
-                buf[n + 1..56].fill(0);
-            }
-        }
-        for buf in &mut self.buf {
-            buf[56..].copy_from_slice(&bit_len.to_be_bytes());
-        }
-        let blocks = self.buf;
-        self.compress4(&blocks);
-        write_digests(&self.states, out);
-    }
-
-    /// FIPS 180-4 §6.2.2 over four independent blocks, interleaved.
-    fn compress4(&mut self, blocks: &[[u8; BLOCK_LEN]; LANES]) {
-        compress4_states(&mut self.states, blocks);
-    }
-}
-
-/// Serializes four lane states into four big-endian digests.
-pub(crate) fn write_digests(states: &[[u32; 8]; LANES], out: &mut [[u8; DIGEST_LEN]; LANES]) {
-    for (digest, state) in out.iter_mut().zip(states) {
-        for (chunk, word) in digest.chunks_exact_mut(4).zip(state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-    }
-}
-
-/// The interleaved compression over bare states — shared by the
-/// incremental [`Sha256x4`] and the crate-internal single-block HMAC
-/// fast path ([`crate::prf::HmacPrf::eval4_into`]), which pads its
-/// blocks itself and skips the buffering machinery entirely.
-///
-/// Runs on the CPU's SHA extensions when it has them
-/// (`sha256_ni`, four block chains interleaved) and on the
-/// portable `compress4_portable` otherwise; both are bit-identical.
+/// One block into each of four independent states, on the CPU's SHA
+/// extensions when it has them (`sha256_ni`, four block chains
+/// interleaved) and on the portable [`compress4_portable`] otherwise;
+/// both are bit-identical.
 pub(crate) fn compress4_states(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BLOCK_LEN]; LANES]) {
     #[cfg(target_arch = "x86_64")]
     if let Some(ni) = crate::sha256_ni::ShaNi::detect() {
@@ -345,6 +173,7 @@ impl V4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::{Sha256, DIGEST_LEN, H0};
 
     /// Deterministic pseudo-random bytes for equivalence sweeps.
     fn splatter(seed: u64, len: usize) -> Vec<u8> {
@@ -359,12 +188,36 @@ mod tests {
             .collect()
     }
 
-    fn lanes_digest(msgs: [&[u8]; LANES]) -> [[u8; DIGEST_LEN]; LANES] {
-        let mut h = Sha256x4::new();
-        h.update(msgs);
-        let mut out = [[0u8; DIGEST_LEN]; LANES];
-        h.finalize_into(&mut out);
-        out
+    /// `tail` padded as the end of a message that began with
+    /// `prefix_len` already-hashed bytes: 0x80, zeros, bit length.
+    fn padded(prefix_len: usize, tail: &[u8]) -> Vec<[u8; BLOCK_LEN]> {
+        let mut bytes = tail.to_vec();
+        bytes.push(0x80);
+        while bytes.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            bytes.push(0);
+        }
+        let bits = ((prefix_len + tail.len()) as u64) * 8;
+        bytes.extend_from_slice(&bits.to_be_bytes());
+        bytes.as_chunks::<BLOCK_LEN>().0.to_vec()
+    }
+
+    /// Digests of four equal-length tails, every block through the
+    /// 4-lane compression, each lane starting from `start`.
+    fn lanes_digest(
+        start: [u32; 8],
+        prefix_len: usize,
+        tails: [&[u8]; LANES],
+    ) -> [[u8; DIGEST_LEN]; LANES] {
+        let blocks = tails.map(|tail| padded(prefix_len, tail));
+        let mut states = [start; LANES];
+        for b in 0..blocks[0].len() {
+            compress4_states(&mut states, &blocks.each_ref().map(|lane| lane[b]));
+        }
+        states.map(|state| {
+            let mut out = [0u8; DIGEST_LEN];
+            crate::sha256::write_be(&mut out, &state);
+            out
+        })
     }
 
     #[test]
@@ -377,7 +230,7 @@ mod tests {
             let msgs: Vec<Vec<u8>> = (0..LANES as u64)
                 .map(|l| splatter(l * 7 + 1, len))
                 .collect();
-            let out = lanes_digest([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
+            let out = lanes_digest(H0, 0, std::array::from_fn(|l| &msgs[l][..]));
             for (l, msg) in msgs.iter().enumerate() {
                 assert_eq!(
                     out[l],
@@ -389,69 +242,31 @@ mod tests {
     }
 
     #[test]
-    fn incremental_updates_match_oneshot() {
-        let msgs: Vec<Vec<u8>> = (0..LANES as u64).map(|l| splatter(l + 99, 200)).collect();
-        for split in [0usize, 1, 63, 64, 65, 127, 199, 200] {
-            let mut h = Sha256x4::new();
-            h.update([
-                &msgs[0][..split],
-                &msgs[1][..split],
-                &msgs[2][..split],
-                &msgs[3][..split],
-            ]);
-            h.update([
-                &msgs[0][split..],
-                &msgs[1][split..],
-                &msgs[2][split..],
-                &msgs[3][split..],
-            ]);
-            let mut out = [[0u8; DIGEST_LEN]; LANES];
-            h.finalize_into(&mut out);
-            for (l, msg) in msgs.iter().enumerate() {
-                assert_eq!(out[l], Sha256::digest(msg), "lane {l} split {split}");
-            }
-        }
-    }
-
-    #[test]
     fn from_state_continues_a_shared_prefix() {
         // The HMAC shape: one 64-byte prefix absorbed once, then four
         // different continuations.
         let prefix = splatter(5, BLOCK_LEN);
-        let mut scalar_prefix = Sha256::new();
-        scalar_prefix.update(&prefix);
+        let mut shared = H0;
+        crate::sha256::compress_portable(&mut shared, &prefix.as_chunks::<BLOCK_LEN>().0[0]);
 
         let tails: Vec<Vec<u8>> = (0..LANES as u64).map(|l| splatter(l + 40, 77)).collect();
-        let mut lanes = Sha256x4::from_sha256(&scalar_prefix);
-        lanes.update([&tails[0], &tails[1], &tails[2], &tails[3]]);
-        let mut out = [[0u8; DIGEST_LEN]; LANES];
-        lanes.finalize_into(&mut out);
-
+        let out = lanes_digest(shared, BLOCK_LEN, std::array::from_fn(|l| &tails[l][..]));
         for (l, tail) in tails.iter().enumerate() {
-            let mut scalar = scalar_prefix.clone();
+            let mut scalar = Sha256::new();
+            scalar.update(&prefix);
             scalar.update(tail);
             assert_eq!(out[l], scalar.finalize(), "lane {l} diverged after prefix");
         }
     }
 
     #[test]
-    #[should_panic(expected = "lockstep")]
-    fn unequal_lane_lengths_rejected() {
-        let mut h = Sha256x4::new();
-        h.update([b"aa", b"aa", b"aa", b"a"]);
-    }
-
-    #[test]
     fn known_vector_in_every_lane() {
-        let out = lanes_digest([b"abc", b"abc", b"abc", b"abc"]);
-        let expected = Sha256::digest(b"abc");
-        for lane in &out {
-            assert_eq!(lane, &expected);
-        }
+        let out = lanes_digest(H0, 0, [b"abc"; LANES]);
         let hex: String = out[0].iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
+        assert!(out.iter().all(|lane| lane == &out[0]));
     }
 }

@@ -7,32 +7,41 @@
 //! choice (the database PH pushes one word per row, the word at the
 //! term's attribute position). The scalar path ([`crate::search::matches`]
 //! and [`PreparedTrapdoor::matches`]) decides one word at a time; this
-//! kernel stages up to [`LANES`] words, XORs `C ⊕ X` into fixed stack
-//! buffers, and evaluates the four check PRFs through one interleaved
-//! SHA-256 pipeline ([`HmacPrf::eval4_into`]) — per check: zero heap
-//! allocations, zero key-schedule work, and roughly one core's worth of
-//! instruction-level parallelism that the scalar dependency chain
-//! leaves idle.
+//! kernel stages up to [`LANES`] (16) words, XORs the stream part of
+//! `C ⊕ X` straight into the padded HMAC blocks of a fixed
+//! [`LaneBlocks`] (lane-major big-endian words), and evaluates the
+//! sixteen check PRFs in one dispatch ([`HmacPrf::eval_lanes_into`]:
+//! one fused AVX-512F HMAC where the CPU has it, four interleaved
+//! 4-lane groups otherwise) — per check: zero heap allocations, zero
+//! key-schedule work, no buffered hashers.
+//!
+//! The lane path covers checks whose PRF input fits one SHA-256 block
+//! with its counter and padding (`stream_len ≤ LANE_MSG_MAX`, 51
+//! bytes) and whose check block is one HMAC output (`check_len ≤ 32`);
+//! every shipped schema does (`Emp` words are 19 bytes, `Hospital`
+//! words 27). Wider parameters, and a trapdoor of the wrong length,
+//! are decided word by word by the scalar zero-alloc check as they
+//! are pushed.
 //!
 //! **Equivalence is load-bearing.** The kernel funnels into the *same*
 //! accept/reject decision as the scalar check: the lane PRF is proven
 //! bit-identical to [`Prf::eval_into`] (crypto-crate tests), the final
-//! comparison is the shared [`check_eq`], remainder lanes (1–3 trailing
-//! words at a flush) run the scalar [`check_match_bytes`] path, and
-//! length mismatches reject exactly as the scalar check does. Proptests
-//! (`tests/scan_kernel.rs`) and the unit sweep below enforce decision
+//! comparison is the shared [`check_eq`], remainder lanes (1–15
+//! trailing words at a flush) run the scalar PRF, and length
+//! mismatches reject exactly as the scalar check does. Proptests
+//! (`tests/scan_kernel.rs`) and the unit sweeps below enforce decision
 //! equality over random parameters, words, and lane remainders. Lane
 //! batching therefore changes *when* PRF work happens, never what any
 //! observer of decisions, responses, or transcripts sees.
 
-use dbph_crypto::prf::{HmacPrf, Prf};
-use dbph_crypto::sha256x4;
+use dbph_crypto::hmac::MAC_LEN;
+use dbph_crypto::prf::{self, HmacPrf, LaneBlocks, Prf};
 
 use crate::params::{check_eq, SwpParams};
-use crate::search::{xor_halves, PreparedTrapdoor, MAX_INLINE_WORD};
+use crate::search::{check_match_bytes, xor_into, PreparedTrapdoor};
 
-/// Words decided per interleaved PRF dispatch.
-pub const LANES: usize = sha256x4::LANES;
+/// Words decided per PRF dispatch.
+pub const LANES: usize = prf::LANES;
 
 /// A batch scan engine for one prepared trapdoor.
 ///
@@ -50,115 +59,102 @@ pub struct ScanKernel<'a> {
     params: SwpParams,
     target: &'a [u8],
     prf: &'a HmacPrf,
-    /// Trapdoor length mismatch: no word can ever match, and nothing
-    /// is ever staged (decisions emit immediately).
-    dead: bool,
-    /// Staged lanes awaiting a dispatch.
+    /// Lane staging; `None` when every word is decided by the scalar
+    /// check as it is pushed (see [`ScanKernel::supports`]; a trapdoor
+    /// of the wrong length, which matches nothing, goes that way too).
+    lanes: Option<Lanes>,
+}
+
+/// Staged words awaiting a dispatch: about 2 KiB, sized to the
+/// one-block limits so a kernel is cheap to build per probe.
+struct Lanes {
     pending: usize,
     tags: [u32; LANES],
     /// Whether the staged word had the right length; wrong-length lanes
-    /// ride the pipeline zero-filled and decide `false` regardless.
+    /// ride the dispatch with a stale input and decide `false`
+    /// regardless.
     live: [bool; LANES],
-    /// XORed stream parts `C_left ⊕ X_left` (first `stream_len` bytes
-    /// of each lane valid).
-    s: [[u8; MAX_INLINE_WORD]; LANES],
-    /// XORed check parts `C_right ⊕ X_right`.
-    t: [[u8; MAX_INLINE_WORD]; LANES],
+    /// XORed stream parts `C_left ⊕ X_left`, in their HMAC blocks
+    /// (1 KiB).
+    s: LaneBlocks,
+    /// XORed check parts `C_right ⊕ X_right` (first `check_len` bytes).
+    t: [[u8; MAC_LEN]; LANES],
     /// PRF output scratch.
-    expected: [[u8; MAX_INLINE_WORD]; LANES],
+    expected: [[u8; MAC_LEN]; LANES],
 }
 
 impl<'a> ScanKernel<'a> {
-    /// Whether `params` fit the kernel's fixed stack buffers. Callers
-    /// with outsized wire-supplied parameters fall back to the scalar
-    /// check (identical decisions, heap-spill buffers).
+    /// Whether `params` take the lane path: the check PRF's input fits
+    /// one SHA-256 block and its output one HMAC tag. Other parameters
+    /// still scan through the kernel, one scalar check per word, with
+    /// identical decisions.
     #[must_use]
     pub fn supports(params: &SwpParams) -> bool {
-        params.word_len <= MAX_INLINE_WORD
+        params.stream_len() <= prf::LANE_MSG_MAX && params.check_len <= MAC_LEN
     }
 
     /// A kernel scanning for `term`. Keyless, like everything the
     /// server runs.
-    ///
-    /// # Panics
-    /// Panics unless [`Self::supports`] the parameters.
     #[must_use]
     pub fn new(params: SwpParams, term: &'a PreparedTrapdoor) -> Self {
-        assert!(
-            Self::supports(&params),
-            "word_len {} exceeds the kernel's stack buffers ({MAX_INLINE_WORD})",
-            params.word_len
-        );
         let target = term.target();
-        ScanKernel {
-            params,
-            dead: target.len() != params.word_len,
-            target,
-            prf: term.prf(),
+        let lanes = (Self::supports(&params) && target.len() == params.word_len).then(|| Lanes {
             pending: 0,
             tags: [0; LANES],
             live: [false; LANES],
-            s: [[0u8; MAX_INLINE_WORD]; LANES],
-            t: [[0u8; MAX_INLINE_WORD]; LANES],
-            expected: [[0u8; MAX_INLINE_WORD]; LANES],
+            s: LaneBlocks::new(params.stream_len()),
+            t: [[0; MAC_LEN]; LANES],
+            expected: [[0; MAC_LEN]; LANES],
+        });
+        ScanKernel {
+            params,
+            target,
+            prf: term.prf(),
+            lanes,
         }
     }
 
     /// Stages `cipher` (tagged `tag`) for a decision. The sink receives
     /// `(tag, decision)` pairs in push order; a push that fills the
-    /// fourth lane dispatches the interleaved PRF and drains all four.
-    /// Use one sink for a whole push/flush sequence — decisions for
-    /// earlier pushes may be emitted during later ones.
+    /// last lane dispatches the lane PRF and drains every lane. Use
+    /// one sink for a whole push/flush sequence — decisions for earlier
+    /// pushes may be emitted during later ones.
     pub fn push(&mut self, tag: u32, cipher: &[u8], sink: &mut impl FnMut(u32, bool)) {
-        if self.dead {
+        let Some(lanes) = &mut self.lanes else {
             // Nothing is ever staged, so immediate emission is in order.
-            sink(tag, false);
-            return;
-        }
-        let split = self.params.stream_len();
-        let lane = self.pending;
-        self.tags[lane] = tag;
-        if cipher.len() == self.params.word_len {
-            xor_halves(
-                &mut self.s[lane][..split],
-                &mut self.t[lane][..self.params.check_len],
-                cipher,
-                self.target,
-                split,
+            sink(
+                tag,
+                check_match_bytes(&self.params, self.target, self.prf, cipher),
             );
-            self.live[lane] = true;
-        } else {
-            // Wrong stored length: the decision is `false`, exactly as
-            // in the scalar check. Zero the lane so the PRF pipeline
-            // stays in lockstep; its output is ignored.
-            self.s[lane][..split].fill(0);
-            self.live[lane] = false;
+            return;
+        };
+        let lane = lanes.pending;
+        lanes.tags[lane] = tag;
+        // Wrong stored length: the decision is `false`, exactly as in
+        // the scalar check.
+        lanes.live[lane] = cipher.len() == self.params.word_len;
+        if lanes.live[lane] {
+            let split = self.params.stream_len();
+            lanes.s.set_xor(lane, cipher, self.target);
+            xor_into(
+                &mut lanes.t[lane][..self.params.check_len],
+                &cipher[split..],
+                &self.target[split..],
+            );
         }
-        self.pending += 1;
-        if self.pending == LANES {
-            self.dispatch(sink);
+        lanes.pending += 1;
+        if lanes.pending == LANES {
+            lanes.dispatch(&self.params, self.prf, sink);
         }
     }
 
-    /// Decides any staged remainder (1–3 lanes) through the scalar
-    /// zero-alloc path and emits it in order. Call once after the last
+    /// Decides any staged remainder (1–15 lanes) through the scalar
+    /// PRF and emits it in order. Call once after the last
     /// [`Self::push`].
     pub fn flush(&mut self, sink: &mut impl FnMut(u32, bool)) {
-        let split = self.params.stream_len();
-        let check = self.params.check_len;
-        for lane in 0..self.pending {
-            let ok = self.live[lane] && {
-                self.prf
-                    .eval_into(&self.s[lane][..split], &mut self.expected[lane][..check]);
-                check_eq(
-                    &self.params,
-                    &self.expected[lane][..check],
-                    &self.t[lane][..check],
-                )
-            };
-            sink(self.tags[lane], ok);
+        if let Some(lanes) = &mut self.lanes {
+            lanes.flush(&self.params, self.prf, sink);
         }
-        self.pending = 0;
     }
 
     /// Batch entry point: decides every fixed-width slot of `slots`
@@ -173,40 +169,35 @@ impl<'a> ScanKernel<'a> {
         }
         self.flush(sink);
     }
+}
 
-    /// One full 4-lane dispatch: interleaved PRF, then the same
-    /// [`check_eq`] decision as the scalar path, emitted in lane order.
-    fn dispatch(&mut self, sink: &mut impl FnMut(u32, bool)) {
-        let split = self.params.stream_len();
-        let check = self.params.check_len;
-        {
-            let ScanKernel {
-                s, expected, prf, ..
-            } = self;
-            let [e0, e1, e2, e3] = expected;
-            let mut outs = [
-                &mut e0[..check],
-                &mut e1[..check],
-                &mut e2[..check],
-                &mut e3[..check],
-            ];
-            prf.eval4_into(
-                [
-                    &s[0][..split],
-                    &s[1][..split],
-                    &s[2][..split],
-                    &s[3][..split],
-                ],
-                &mut outs,
-            );
-        }
+impl Lanes {
+    /// One full dispatch: the lane PRF, then the same [`check_eq`]
+    /// decision as the scalar path, emitted in lane order.
+    fn dispatch(&mut self, params: &SwpParams, prf: &HmacPrf, sink: &mut impl FnMut(u32, bool)) {
+        let check = params.check_len;
+        prf.eval_lanes_into(&self.s, check, &mut self.expected);
         for lane in 0..LANES {
             let ok = self.live[lane]
                 && check_eq(
-                    &self.params,
+                    params,
                     &self.expected[lane][..check],
                     &self.t[lane][..check],
                 );
+            sink(self.tags[lane], ok);
+        }
+        self.pending = 0;
+    }
+
+    /// The staged remainder, one scalar PRF evaluation per lane.
+    fn flush(&mut self, params: &SwpParams, prf: &HmacPrf, sink: &mut impl FnMut(u32, bool)) {
+        let check = params.check_len;
+        for lane in 0..self.pending {
+            let ok = self.live[lane] && {
+                let expected = &mut self.expected[lane][..check];
+                prf.eval_into(&self.s.block(lane)[..params.stream_len()], expected);
+                check_eq(params, expected, &self.t[lane][..check])
+            };
             sink(self.tags[lane], ok);
         }
         self.pending = 0;
@@ -413,11 +404,78 @@ mod tests {
 
     #[test]
     fn supports_gates_on_word_len() {
+        // The lane path ends where the stream part (word_len −
+        // check_len) plus counter and padding outgrows one block, or
+        // the check part outgrows one HMAC tag.
+        let max = prf::LANE_MSG_MAX;
         assert!(ScanKernel::supports(
-            &SwpParams::new(MAX_INLINE_WORD, 4, 32).unwrap()
+            &SwpParams::new(max + 4, 4, 32).unwrap()
         ));
         assert!(!ScanKernel::supports(
-            &SwpParams::new(MAX_INLINE_WORD + 1, 4, 32).unwrap()
+            &SwpParams::new(max + 5, 4, 32).unwrap()
         ));
+        assert!(ScanKernel::supports(&SwpParams::new(40, 32, 256).unwrap()));
+        assert!(!ScanKernel::supports(&SwpParams::new(40, 33, 264).unwrap()));
+        // Both shipped schemas take it.
+        assert!(ScanKernel::supports(&SwpParams::new(19, 4, 32).unwrap()));
+        assert!(ScanKernel::supports(&SwpParams::new(27, 4, 32).unwrap()));
+    }
+
+    #[test]
+    fn dispatch_boundaries_with_a_wrong_length_word_at_every_position() {
+        // Word counts around one and two full dispatches; for each, a
+        // run with one wrong-length word at every position, over
+        // parameters at both edges of the lane path.
+        for (word_len, check_len, check_bits) in [
+            (19, 4, 32),
+            (27, 4, 13),
+            (55, 4, 32),
+            (56, 4, 32),
+            (40, 33, 264),
+        ] {
+            let params = SwpParams::new(word_len, check_len, check_bits).unwrap();
+            let key = splatter(21, 32);
+            let target = splatter(22, word_len);
+            let prepared = PreparedTrapdoor::new(&RawTrapdoor {
+                target: target.clone(),
+                key: key.clone(),
+            });
+            for count in [15usize, 16, 17, 31, 33] {
+                for bad in 0..count {
+                    let words: Vec<Vec<u8>> = (0..count as u64)
+                        .map(|i| {
+                            if i as usize == bad {
+                                splatter(i, word_len + 1)
+                            } else if i % 3 == 0 {
+                                consistent_word(&params, &target, &key, i)
+                            } else {
+                                splatter(i ^ 0x55, word_len)
+                            }
+                        })
+                        .collect();
+                    let mut kernel = ScanKernel::new(params, &prepared);
+                    let mut got = Vec::new();
+                    {
+                        let mut sink = |tag: u32, ok: bool| got.push((tag, ok));
+                        for (i, w) in words.iter().enumerate() {
+                            kernel.push(i as u32, w, &mut sink);
+                        }
+                        kernel.flush(&mut sink);
+                    }
+                    let want: Vec<(u32, bool)> = words
+                        .iter()
+                        .enumerate()
+                        .map(|(i, w)| (i as u32, scalar_decision(&params, &prepared, w)))
+                        .collect();
+                    assert_eq!(got, want, "{params:?}, {count} words, bad lane {bad}");
+                    assert!(!got[bad].1);
+                    for (i, (_, ok)) in got.iter().enumerate() {
+                        if i % 3 == 0 && i != bad {
+                            assert!(ok, "consistent word {i} rejected");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -76,6 +76,7 @@ impl SwpParams {
 /// `check_len` bytes). Bits beyond `check_bits` are ignored — this is
 /// what makes the false-positive rate exactly `2^-check_bits`.
 #[must_use]
+#[inline]
 pub fn check_eq(params: &SwpParams, a: &[u8], b: &[u8]) -> bool {
     debug_assert_eq!(a.len(), params.check_len);
     debug_assert_eq!(b.len(), params.check_len);

@@ -16,19 +16,19 @@ use dbph_crypto::prf::{HmacPrf, Prf};
 use crate::params::{check_eq, SwpParams};
 use crate::traits::{CipherWord, TrapdoorData};
 
-/// Largest `word_len` the fixed stack buffers of the scalar check and
-/// the [`crate::kernel::ScanKernel`] accommodate. Words longer than
-/// this (possible only with wire-supplied pathological parameters —
-/// every codec-derived schema is far below it) take a heap-spill path
-/// with identical decisions.
+/// Largest `word_len` the fixed stack buffers of the scalar check
+/// accommodate. Words longer than this (possible only with
+/// wire-supplied pathological parameters — every codec-derived schema
+/// is far below it) take a heap-spill path with identical decisions.
 pub(crate) const MAX_INLINE_WORD: usize = 256;
 
 /// The one implementation of the SWP check: `P = C ⊕ X`, accept iff
 /// `F_k(P_left) ≡ P_right (mod 2^check_bits)`. Every entry point
 /// ([`matches`], [`PreparedTrapdoor::matches`], and the remainder path
-/// of [`crate::kernel::ScanKernel`]) funnels here so the paths cannot
-/// diverge; the 4-lane kernel shares the final [`check_eq`] decision
-/// and a PRF proven bit-identical to [`Prf::eval_into`].
+/// and scalar words of [`crate::kernel::ScanKernel`]) funnels here so
+/// the paths cannot diverge; the kernel's lanes share the final
+/// [`check_eq`] decision and a PRF proven bit-identical to
+/// [`Prf::eval_into`].
 ///
 /// Allocation-free for `word_len ≤ MAX_INLINE_WORD`: the XORed halves
 /// and the expected check block live in fixed stack buffers, tiered by
@@ -81,11 +81,15 @@ fn check_on_stack<const N: usize>(
 /// check part `t`.
 #[inline]
 pub(crate) fn xor_halves(s: &mut [u8], t: &mut [u8], cipher: &[u8], target: &[u8], split: usize) {
-    for ((out, c), x) in s.iter_mut().zip(&cipher[..split]).zip(&target[..split]) {
-        *out = c ^ x;
-    }
-    for ((out, c), x) in t.iter_mut().zip(&cipher[split..]).zip(&target[split..]) {
-        *out = c ^ x;
+    xor_into(s, &cipher[..split], &target[..split]);
+    xor_into(t, &cipher[split..], &target[split..]);
+}
+
+/// `out = a ⊕ b` over the first `out.len()` bytes.
+#[inline]
+pub(crate) fn xor_into(out: &mut [u8], a: &[u8], b: &[u8]) {
+    for ((out, x), y) in out.iter_mut().zip(a).zip(b) {
+        *out = x ^ y;
     }
 }
 
@@ -153,7 +157,7 @@ impl PreparedTrapdoor {
     }
 
     /// The keyed check PRF (key schedule hoisted) — shared with the
-    /// 4-lane [`crate::kernel::ScanKernel`].
+    /// 16-lane [`crate::kernel::ScanKernel`].
     pub(crate) fn prf(&self) -> &HmacPrf {
         &self.prf
     }

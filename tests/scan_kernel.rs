@@ -2,10 +2,10 @@
 //!
 //! Two components may never change a single decision:
 //!
-//! 1. **`ScanKernel` ≡ scalar `matches`.** The 4-lane kernel stages
-//!    words into an interleaved SHA-256 PRF pipeline; for every random
-//!    parameter shape (`word_len` / `check_len` / `check_bits`), every
-//!    lane-remainder size (0–3 trailing words at the flush), and every
+//! 1. **`ScanKernel` ≡ scalar `matches`.** The 16-lane kernel stages
+//!    words into its lane PRF dispatch; for every random parameter
+//!    shape (`word_len` / `check_len` / `check_bits`), every
+//!    lane-remainder size (0–15 trailing words at the flush), and every
 //!    word — consistent, random, or length-mismatched — its decision
 //!    must equal the scalar reference, in push order.
 //! 2. **`WordArena` ≡ `Vec<Doc>`.** The columnar shard storage must
