@@ -145,113 +145,6 @@ pub fn read_frame_capped<R: Read>(r: &mut R, cap: usize) -> Result<Option<Vec<u8
     }
 }
 
-/// Incremental frame reassembly for readiness-driven I/O.
-///
-/// The blocking reader ([`read_frame`]) owns the stream and can loop
-/// until a frame completes; an event loop cannot — it receives
-/// whatever bytes the socket had ready, possibly half a header,
-/// possibly three frames and a tail. `FrameAssembler` is the same
-/// framing discipline restated as a push-parser: feed bytes in with
-/// [`Self::extend`], pull complete frames out with
-/// [`Self::next_frame`], and ask [`Self::is_mid_frame`] whether an
-/// EOF right now would be a clean hangup or a truncation — exactly
-/// the boundary/mid-frame distinction the blocking path enforces.
-///
-/// The size cap is checked as soon as the four header bytes arrive,
-/// before any payload buffering, so a hostile length prefix is
-/// rejected without the allocation, matching [`read_frame_capped`].
-#[derive(Debug)]
-pub struct FrameAssembler {
-    cap: usize,
-    buf: Vec<u8>,
-    /// Bytes of `buf` before `pos` belong to already-yielded frames.
-    pos: usize,
-}
-
-impl FrameAssembler {
-    /// An assembler enforcing the production cap ([`MAX_FRAME`]).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_cap(MAX_FRAME)
-    }
-
-    /// An assembler with an explicit cap (tests shrink it).
-    #[must_use]
-    pub fn with_cap(cap: usize) -> Self {
-        Self {
-            cap,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// Feeds freshly-read stream bytes into the assembler.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        // Reclaim consumed prefix before growing: either the buffer is
-        // fully drained (free) or it has built up past a threshold
-        // where the memmove pays for the memory it returns.
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos >= 64 << 10 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pops the next complete frame, `Ok(None)` when more bytes are
-    /// needed. Call in a loop after every [`Self::extend`] — one read
-    /// may complete several pipelined frames.
-    ///
-    /// # Errors
-    /// [`PhError::Transport`] when the buffered header announces a
-    /// frame beyond the cap; the connection is unrecoverable then
-    /// (the parser cannot resynchronize a framing violation).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, PhError> {
-        let avail = self.buf.len() - self.pos;
-        if avail < PREFIX {
-            return Ok(None);
-        }
-        let header: [u8; PREFIX] = self.buf[self.pos..self.pos + PREFIX].try_into().expect("4");
-        let len = u32::from_le_bytes(header) as usize;
-        if len > self.cap {
-            return Err(PhError::Transport(format!(
-                "peer announced {len}-byte frame (cap {})",
-                self.cap
-            )));
-        }
-        if avail < PREFIX + len {
-            return Ok(None);
-        }
-        let start = self.pos + PREFIX;
-        let frame = self.buf[start..start + len].to_vec();
-        self.pos = start + len;
-        Ok(Some(frame))
-    }
-
-    /// Whether buffered bytes are sitting inside an unfinished frame —
-    /// i.e. an EOF now is a truncation, not a clean hangup.
-    #[must_use]
-    pub fn is_mid_frame(&self) -> bool {
-        self.pos < self.buf.len()
-    }
-
-    /// Bytes currently buffered ahead of the consumed prefix — the
-    /// reassembly backlog an operator watches through the
-    /// `net_assembler_high_water` gauge.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
-
-impl Default for FrameAssembler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// How far a best-effort exact read got before the stream ended.
 enum Filled {
     /// The buffer was filled completely.
@@ -415,68 +308,5 @@ mod tests {
         write_frame_capped(&mut pipe, &[9u8; 8], 8).unwrap();
         let mut r = Cursor::new(pipe);
         assert_eq!(read_frame_capped(&mut r, 8).unwrap(), Some(vec![9u8; 8]));
-    }
-
-    #[test]
-    fn assembler_matches_blocking_reader_under_any_chunking() {
-        let payloads: Vec<Vec<u8>> = vec![vec![], vec![7], vec![1, 2, 3], vec![0xAB; 1000]];
-        let mut stream = Vec::new();
-        for p in &payloads {
-            write_frame(&mut stream, p).unwrap();
-        }
-        // Worst-case chunking: one byte at a time; and some mid sizes.
-        for chunk in [1usize, 2, 3, 5, 7, 1024, stream.len()] {
-            let mut asm = FrameAssembler::new();
-            let mut frames = Vec::new();
-            for piece in stream.chunks(chunk) {
-                asm.extend(piece);
-                while let Some(f) = asm.next_frame().unwrap() {
-                    frames.push(f);
-                }
-            }
-            assert_eq!(frames, payloads, "chunk size {chunk}");
-            assert!(!asm.is_mid_frame(), "stream ends on a boundary");
-        }
-    }
-
-    #[test]
-    fn assembler_distinguishes_boundary_from_mid_frame() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, b"hello").unwrap();
-        let mut asm = FrameAssembler::new();
-        // Every strict prefix that is not a boundary is mid-frame.
-        for cut in 1..stream.len() {
-            let mut asm = FrameAssembler::new();
-            asm.extend(&stream[..cut]);
-            assert!(asm.next_frame().unwrap().is_none());
-            assert!(asm.is_mid_frame(), "cut at {cut}");
-        }
-        asm.extend(&stream);
-        assert_eq!(asm.next_frame().unwrap().as_deref(), Some(&b"hello"[..]));
-        assert!(!asm.is_mid_frame());
-    }
-
-    #[test]
-    fn assembler_rejects_oversized_header_before_payload_arrives() {
-        let mut asm = FrameAssembler::with_cap(16);
-        asm.extend(&100u32.to_le_bytes());
-        assert!(matches!(asm.next_frame(), Err(PhError::Transport(_))));
-    }
-
-    #[test]
-    fn assembler_yields_pipelined_frames_from_one_extend() {
-        let mut stream = Vec::new();
-        for p in [b"a".as_slice(), b"bb", b"ccc"] {
-            write_frame(&mut stream, p).unwrap();
-        }
-        let mut asm = FrameAssembler::new();
-        asm.extend(&stream);
-        assert_eq!(asm.next_frame().unwrap().as_deref(), Some(b"a".as_slice()));
-        assert_eq!(asm.next_frame().unwrap().as_deref(), Some(b"bb".as_slice()));
-        assert_eq!(
-            asm.next_frame().unwrap().as_deref(),
-            Some(b"ccc".as_slice())
-        );
-        assert!(asm.next_frame().unwrap().is_none());
     }
 }

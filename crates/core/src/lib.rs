@@ -15,10 +15,10 @@
 //!   [`encoding`] (the §3 attribute encoding), [`swp_ph`] (the §3
 //!   construction over SWP), [`varlen`] (per-attribute word widths).
 //! * Alex and Eve: [`client`], [`server`], [`protocol`] and [`wire`]
-//!   (the byte-level messages), [`codec`] and [`net`] (framed TCP, two
-//!   front-ends, a pooled client with retries), [`sys`] (the raw
-//!   `poll`/`fcntl` the readiness front-end needs), [`fault`] (seeded
-//!   fault injection for the chaos suites).
+//!   (the byte-level messages), [`codec`] and [`net`] (framed TCP, a
+//!   thread-per-connection front-end, a pooled client with retries),
+//!   [`sys`] (the raw `listen` that deepens the accept backlog),
+//!   [`fault`] (seeded fault injection for the chaos suites).
 //! * Eve's engine: [`storage`] (sharded columnar tables, batch scans,
 //!   the dedup window), [`arena`] (columnar word storage), [`executor`]
 //!   (the worker pool), [`index`] (the opt-in encrypted multimap).
@@ -27,13 +27,13 @@
 //!   [`snapshot`] (Alex's integrity-checked offline export).
 //! * The operator plane: [`telemetry`] (transcript-invisible metrics).
 //!
-//! Every server-internal mechanism — shards, pool size, front-end,
+//! Every server-internal mechanism — shards, pool size, transport,
 //! durability, index, telemetry — must leave responses and transcripts
 //! byte-identical; the suites under `tests/` pin that.
 
-// `deny`, not `forbid`: the [`sys`] module (raw `poll`/`fcntl`
-// declarations for the readiness front-end) carries the crate's only
-// scoped `allow(unsafe_code)`; everything else stays unsafe-free.
+// `deny`, not `forbid`: the [`sys`] module (one raw `listen`
+// declaration) carries the crate's only scoped `allow(unsafe_code)`;
+// everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -68,8 +68,7 @@ pub use executor::{Executor, ExecutorStats};
 pub use fault::{ChaosPlan, ChaosProxy, FaultPlan, FaultRng, FaultTransport};
 pub use index::{IndexState, Posting, ProbeStats, TableIndex};
 pub use net::{
-    FrontEnd, NetOptions, NetServer, PoolOptions, PooledClient, RetryPolicy, ServerHandle,
-    Transport, REPL_PULL_EVENT_LOOP_REFUSED,
+    NetOptions, NetServer, PoolOptions, PooledClient, RetryPolicy, ServerHandle, Transport,
 };
 pub use ph::{DatabasePh, IncrementalPh};
 pub use replica::{Replica, ReplicaOptions};

@@ -23,6 +23,9 @@
 //!   *not* run on that scan pool themselves: they block on socket
 //!   reads for the life of a session, and parking a fixed-size scan
 //!   worker on a socket would starve the scans it exists to run.
+//!   Because every session has its own thread, no session waits behind
+//!   another session's scan, and a follower's replication long-poll
+//!   (`ReplPull`) parks only its own thread.
 //! * [`PooledClient`] — a connection pool with bounded capacity,
 //!   blocking checkout/return, transparent reconnect when a pooled
 //!   connection has gone stale (server restart, idle timeout, EOF),
@@ -42,7 +45,6 @@
 //! responses *and* transcripts over loopback TCP must be byte-identical
 //! to the in-process path for the whole workload matrix.
 
-use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -54,7 +56,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::codec;
 use crate::error::PhError;
-use crate::protocol::{tag, ServerResponse};
+use crate::protocol::tag;
 use crate::server::Server;
 use crate::sys;
 use crate::telemetry::Telemetry;
@@ -68,19 +70,6 @@ use crate::wire::WireEncode as _;
 /// redirect to a promoted follower instead of burning the full
 /// exponential-backoff budget against a dead primary.
 pub const CONNECT_REFUSED_PREFIX: &str = "connection refused (peer down)";
-
-/// Text of the [`ServerResponse::Error`] returned when a replication
-/// pull ([`tag::REPL_PULL`]) arrives on an event-loop front-end.
-///
-/// Replication pulls long-poll: with the follower fully caught up, the
-/// serving thread parks inside the durable log until new records
-/// arrive. The event loop services *every* connection on one thread,
-/// so parking it for one follower would stall all other sessions —
-/// followers must pull from a thread-per-connection front-end instead.
-/// Each refusal increments the `net_repl_pull_refused` counter.
-pub const REPL_PULL_EVENT_LOOP_REFUSED: &str =
-    "repl pull refused: long-poll replication is not served on the event-loop front-end; \
-     point the follower at a thread-per-connection front-end";
 
 /// Anything that can answer one serialized protocol message with one
 /// serialized response — the client's entire requirement of the
@@ -157,41 +146,16 @@ impl NetState {
     }
 }
 
-/// Front-end configuration beyond the [`FrontEnd`] choice itself.
+/// Front-end configuration.
 #[derive(Debug, Clone, Default)]
 pub struct NetOptions {
-    /// Which accept/serve machinery to run.
-    pub front_end: FrontEnd,
     /// Close a connection after this long with no traffic in either
-    /// direction. A peer that died without a FIN (yanked cable,
-    /// frozen VM) otherwise holds its fd — and on the
-    /// thread-per-connection front-end a whole parked thread —
-    /// forever. `None` (the default) keeps the previous wait-forever
-    /// behavior.
+    /// direction: no request arriving, or a response the peer will not
+    /// take off the socket. A peer that died without a FIN (yanked
+    /// cable, frozen VM) or stopped reading otherwise holds its fd and
+    /// a whole parked session thread forever. `None` (the default)
+    /// keeps the wait-forever behavior.
     pub idle_timeout: Option<Duration>,
-}
-
-/// Which accept/serve machinery a [`NetServer`] runs.
-///
-/// Both front-ends speak the identical framed protocol and route every
-/// request through [`Server::handle`] in per-connection arrival order,
-/// so responses and Observer transcripts are byte-identical between
-/// them — the equality suites diff the two directly. They differ only
-/// in how Eve spends her own resources: one OS thread per session
-/// versus one readiness loop multiplexing thousands of sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontEnd {
-    /// One OS thread per connection, blocking reads/writes (the PR 3
-    /// deployment). Simple and fine up to hundreds of sessions; each
-    /// parked session costs a thread and its stack.
-    #[default]
-    ThreadPerConnection,
-    /// A single poll-based event loop over nonblocking sockets: one
-    /// thread owns every connection's frame reassembly
-    /// ([`codec::FrameAssembler`]) and write-buffer draining, and
-    /// sessions cost a buffer, not a thread. Scans inside
-    /// [`Server::handle`] still fan out on the executor pool.
-    EventLoop,
 }
 
 /// The framed TCP front-end for a [`Server`].
@@ -200,14 +164,13 @@ pub enum FrontEnd {
 /// entry points: [`NetServer::serve`] (run a front-end on the caller's
 /// thread, forever — the `--listen` deployment) and
 /// [`NetServer::spawn`] (background front-end with a handle for clean
-/// shutdown — what the tests and the loopback demo use), each with a
-/// `_with` variant selecting the [`FrontEnd`].
+/// shutdown — what the tests and the loopback demo use), each with an
+/// `_opts` variant taking [`NetOptions`].
 pub struct NetServer;
 
 impl NetServer {
     /// Serves `server` on an already-bound listener, on the calling
-    /// thread, until the listener fails persistently — with the
-    /// default thread-per-connection front-end.
+    /// thread, until the listener fails persistently.
     ///
     /// # Errors
     /// [`PhError::Transport`] when accepting fails persistently (the
@@ -215,85 +178,38 @@ impl NetServer {
     /// after many consecutive failures — e.g. fd exhaustion that never
     /// clears).
     pub fn serve(listener: TcpListener, server: Server) -> Result<(), PhError> {
-        Self::serve_with(listener, server, FrontEnd::ThreadPerConnection)
+        Self::serve_opts(listener, server, NetOptions::default())
     }
 
-    /// [`NetServer::serve`] with an explicit [`FrontEnd`].
+    /// [`NetServer::serve`] with full [`NetOptions`].
     ///
     /// # Errors
-    /// As [`NetServer::serve`]; the event loop additionally gives up
-    /// if `poll` itself fails persistently.
-    pub fn serve_with(
-        listener: TcpListener,
-        server: Server,
-        front_end: FrontEnd,
-    ) -> Result<(), PhError> {
-        Self::serve_opts(
-            listener,
-            server,
-            NetOptions {
-                front_end,
-                ..NetOptions::default()
-            },
-        )
-    }
-
-    /// [`NetServer::serve`] with full [`NetOptions`] (front-end choice
-    /// plus idle-session timeout).
-    ///
-    /// # Errors
-    /// As [`NetServer::serve_with`].
+    /// As [`NetServer::serve`].
     pub fn serve_opts(
         listener: TcpListener,
         server: Server,
         options: NetOptions,
     ) -> Result<(), PhError> {
         deepen_backlog(&listener);
-        let state = NetState::new();
-        match options.front_end {
-            FrontEnd::ThreadPerConnection => {
-                accept_loop(&listener, &server, &state, options.idle_timeout);
-            }
-            FrontEnd::EventLoop => event_loop(&listener, &server, &state, options.idle_timeout),
-        }
+        accept_loop(&listener, &server, &NetState::new(), options.idle_timeout);
         Err(PhError::Transport(
             "listener failed persistently; front-end gave up".into(),
         ))
     }
 
     /// Binds `addr` (use port 0 for an ephemeral port) and serves
-    /// `server` on a background thread-per-connection front-end. The
-    /// returned handle reports the bound address and shuts the whole
-    /// front-end down — accept machinery, live connections, threads —
-    /// when dropped or explicitly [`ServerHandle::shutdown`].
+    /// `server` on a background front-end. The returned handle reports
+    /// the bound address and shuts the whole front-end down — accept
+    /// loop, live connections, threads — when dropped or explicitly
+    /// [`ServerHandle::shutdown`].
     ///
     /// # Errors
     /// [`PhError::Transport`] when binding fails.
     pub fn spawn(server: Server, addr: impl ToSocketAddrs) -> Result<ServerHandle, PhError> {
-        Self::spawn_with(server, addr, FrontEnd::ThreadPerConnection)
+        Self::spawn_opts(server, addr, NetOptions::default())
     }
 
-    /// [`NetServer::spawn`] with an explicit [`FrontEnd`].
-    ///
-    /// # Errors
-    /// [`PhError::Transport`] when binding fails.
-    pub fn spawn_with(
-        server: Server,
-        addr: impl ToSocketAddrs,
-        front_end: FrontEnd,
-    ) -> Result<ServerHandle, PhError> {
-        Self::spawn_opts(
-            server,
-            addr,
-            NetOptions {
-                front_end,
-                ..NetOptions::default()
-            },
-        )
-    }
-
-    /// [`NetServer::spawn`] with full [`NetOptions`] (front-end choice
-    /// plus idle-session timeout).
+    /// [`NetServer::spawn`] with full [`NetOptions`].
     ///
     /// # Errors
     /// [`PhError::Transport`] when binding fails.
@@ -313,14 +229,7 @@ impl NetServer {
             let state = Arc::clone(&state);
             std::thread::Builder::new()
                 .name("dbph-accept".into())
-                .spawn(move || match options.front_end {
-                    FrontEnd::ThreadPerConnection => {
-                        accept_loop(&listener, &server, &state, options.idle_timeout);
-                    }
-                    FrontEnd::EventLoop => {
-                        event_loop(&listener, &server, &state, options.idle_timeout);
-                    }
-                })
+                .spawn(move || accept_loop(&listener, &server, &state, options.idle_timeout))
                 .map_err(|e| PhError::Transport(format!("spawning front-end: {e}")))?
         };
         Ok(ServerHandle {
@@ -416,7 +325,7 @@ impl Drop for ServerHandle {
 /// genuinely dead listener fd exits instead of busy-spinning a core.
 const MAX_CONSECUTIVE_ACCEPT_FAILURES: usize = 500;
 
-/// Accept-backlog depth requested for every front-end (the kernel
+/// Accept-backlog depth requested for the listener (the kernel
 /// clamps to `net.core.somaxconn`). `TcpListener::bind` hardcodes a
 /// backlog of 128, which a thousand-session connect storm overflows —
 /// and with syncookies an overflowed handshake surfaces as a
@@ -576,11 +485,14 @@ fn connection_loop(
     idle_timeout: Option<Duration>,
     state: &NetState,
 ) {
-    // The idle timeout rides the socket's read timeout: a session
-    // parked waiting for its next request for longer than the budget
-    // gets an error out of `read_frame` and the session ends — the
-    // thread-per-connection analogue of the event loop's reaper.
-    if idle_timeout.is_some() && stream.set_read_timeout(idle_timeout).is_err() {
+    // The idle timeout rides the socket's read and write timeouts: a
+    // session parked waiting for its next request, or blocked writing a
+    // response its peer never takes off the socket, for longer than the
+    // budget gets an error out of the codec and the session ends.
+    if idle_timeout.is_some()
+        && (stream.set_read_timeout(idle_timeout).is_err()
+            || stream.set_write_timeout(idle_timeout).is_err())
+    {
         return;
     }
     let telemetry = Arc::clone(server.telemetry());
@@ -588,6 +500,21 @@ fn connection_loop(
         stream,
         finished,
         telemetry: Arc::clone(&telemetry),
+    };
+    // The codec folds the io error kind into a string, so classify a
+    // reap by elapsed time: an error after (most of) a full idle budget
+    // blocked in one read or write is the timeout firing — genuine I/O
+    // errors surface near-instantly. The 3/4 margin absorbs clock and
+    // socket-timeout rounding.
+    let count_reap = |blocked_since: Instant| {
+        if let Some(limit) = idle_timeout {
+            if blocked_since.elapsed() >= limit * 3 / 4 {
+                state.idle_reaped.fetch_add(1, Ordering::SeqCst);
+                if telemetry.on() {
+                    telemetry.net_conns_reaped.inc();
+                }
+            }
+        }
     };
     loop {
         let parked_since = Instant::now();
@@ -598,7 +525,9 @@ fn connection_loop(
                     telemetry.net_bytes_in.add(request.len() as u64 + 4);
                 }
                 let response = server.handle(&request);
+                let writing_since = Instant::now();
                 if codec::write_frame(&mut session.stream, &response).is_err() {
+                    count_reap(writing_since);
                     break;
                 }
                 if telemetry.on() {
@@ -608,385 +537,11 @@ fn connection_loop(
             }
             Ok(None) => break,
             Err(_) => {
-                // `read_frame` folds the io error kind into a string,
-                // so classify the reap by elapsed time: an error after
-                // (most of) a full idle budget parked on a frame
-                // boundary is the timeout firing — genuine I/O errors
-                // surface near-instantly. The 3/4 margin absorbs clock
-                // and SO_RCVTIMEO rounding.
-                if let Some(limit) = idle_timeout {
-                    if parked_since.elapsed() >= limit * 3 / 4 {
-                        state.idle_reaped.fetch_add(1, Ordering::SeqCst);
-                        if telemetry.on() {
-                            telemetry.net_conns_reaped.inc();
-                        }
-                    }
-                }
+                count_reap(parked_since);
                 break;
             }
         }
     }
-}
-
-// --- readiness front-end ----------------------------------------------------
-
-/// Bytes read per `read(2)` call in the event loop.
-const READ_BUF: usize = 64 << 10;
-/// Per-connection read budget per poll wake-up: one readable session
-/// with a deep pipeline must not starve the others, so after this many
-/// bytes the loop moves on and level-triggered `poll` re-reports the
-/// remainder on the next iteration.
-const READ_BUDGET: usize = 1 << 20;
-/// Read-side backpressure: while a connection's unsent responses
-/// exceed this, the loop stops *reading* it (its kernel receive buffer
-/// fills, TCP pushes back on the peer) instead of buffering responses
-/// without bound for a peer that never drains them.
-const WRITE_BACKPRESSURE: usize = 1 << 20;
-
-/// One session owned by the event loop: the nonblocking socket, its
-/// frame-reassembly state, and its pending response bytes.
-struct EventConn {
-    stream: TcpStream,
-    assembler: codec::FrameAssembler,
-    /// Framed responses not yet accepted by the kernel; `out_pos`
-    /// marks how far the socket has taken them.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// The read side is over (clean peer EOF, framing violation, or an
-    /// unframeable response): drain `out`, then close. Mirrors the
-    /// blocking path, which always finishes writing the responses it
-    /// owes before the session ends.
-    closing: bool,
-    /// The connection is unusable now (I/O error, truncation): close
-    /// without draining.
-    dead: bool,
-    /// Last time the socket showed any readiness; the idle reaper
-    /// closes sessions whose silence outlives the configured budget.
-    last_activity: Instant,
-    finished: Arc<AtomicBool>,
-    telemetry: Arc<Telemetry>,
-}
-
-impl EventConn {
-    /// Unsent response bytes.
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
-    /// The poll interest this connection currently has. Never empty
-    /// while the connection is alive: a closing or backpressured
-    /// session has bytes to write (else it would already be closed),
-    /// and any other session is reading.
-    fn interest(&self) -> i16 {
-        let mut events = 0i16;
-        if !self.closing && self.pending_out() <= WRITE_BACKPRESSURE {
-            events |= sys::POLLIN;
-        }
-        if self.pending_out() > 0 {
-            events |= sys::POLLOUT;
-        }
-        events
-    }
-
-    /// Pushes pending response bytes into the socket until it would
-    /// block (or they run out).
-    fn flush_out(&mut self) {
-        while self.pending_out() > 0 {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-    }
-
-    /// Reads whatever the socket has ready (bounded by [`READ_BUDGET`]
-    /// and backpressure), handles every completed request frame in
-    /// arrival order, and stages the framed responses for writing.
-    fn service_readable(&mut self, server: &Server) {
-        let mut buf = [0u8; READ_BUF];
-        let mut budget = READ_BUDGET;
-        while budget > 0 && !self.dead && !self.closing {
-            if self.pending_out() > WRITE_BACKPRESSURE {
-                if self.telemetry.on() {
-                    self.telemetry.net_backpressure.inc();
-                }
-                break;
-            }
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    // EOF: a frame boundary is a polite hang-up (drain
-                    // and close); mid-frame is truncation (close now) —
-                    // the same distinction `codec::read_frame` draws.
-                    if self.assembler.is_mid_frame() {
-                        self.dead = true;
-                    } else {
-                        self.closing = true;
-                    }
-                    break;
-                }
-                Ok(n) => {
-                    budget = budget.saturating_sub(n);
-                    self.assembler.extend(&buf[..n]);
-                    if self.telemetry.on() {
-                        self.telemetry
-                            .net_assembler_high_water
-                            .set_max(self.assembler.buffered() as u64);
-                    }
-                    loop {
-                        match self.assembler.next_frame() {
-                            Ok(Some(request)) => {
-                                if self.telemetry.on() {
-                                    self.telemetry.net_frames_in.inc();
-                                    self.telemetry.net_bytes_in.add(request.len() as u64 + 4);
-                                }
-                                // Long-poll replication pulls would
-                                // park the single serving thread; see
-                                // [`REPL_PULL_EVENT_LOOP_REFUSED`].
-                                let response = if request.first() == Some(&tag::REPL_PULL) {
-                                    if self.telemetry.on() {
-                                        self.telemetry.net_repl_pull_refused.inc();
-                                    }
-                                    ServerResponse::Error(REPL_PULL_EVENT_LOOP_REFUSED.into())
-                                        .to_wire()
-                                } else {
-                                    server.handle(&request)
-                                };
-                                // Into a Vec this only fails on the
-                                // frame cap — an unframeable response
-                                // ends the session exactly as it does
-                                // on the blocking path.
-                                if codec::write_frame(&mut self.out, &response).is_err() {
-                                    self.closing = true;
-                                    break;
-                                }
-                                if self.telemetry.on() {
-                                    self.telemetry.net_frames_out.inc();
-                                    self.telemetry.net_bytes_out.add(response.len() as u64 + 4);
-                                }
-                            }
-                            Ok(None) => break,
-                            // Framing violation: no response channel
-                            // for a peer that cannot frame, but finish
-                            // writing the responses already owed.
-                            Err(_) => {
-                                self.closing = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Whether the session is over and the socket should be closed.
-    fn should_close(&self) -> bool {
-        self.dead || (self.closing && self.pending_out() == 0)
-    }
-}
-
-impl Drop for EventConn {
-    fn drop(&mut self) {
-        // Same contract as `SessionGuard`: the registry holds a
-        // `try_clone`, so only the shutdown *syscall* makes the peer
-        // see EOF before the registry prunes the clone.
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.finished.store(true, Ordering::SeqCst);
-        if self.telemetry.on() {
-            self.telemetry.net_conns_live.dec();
-        }
-    }
-}
-
-/// The poll-based readiness front-end: one thread multiplexing every
-/// connection over nonblocking sockets ([`sys::poll_fds`]), so ten
-/// thousand parked sessions cost buffers, not threads.
-///
-/// Per-connection request ordering is identical to the blocking
-/// front-end's: frames complete in arrival order, each is handled to
-/// completion (scans fanning onto the executor pool inside
-/// [`Server::handle`]) before the next, and responses are staged in
-/// that same order on the connection's write buffer. Shutdown reuses
-/// the [`ServerHandle`] protocol unchanged — the flag plus a wake-up
-/// dial unblocks `poll` exactly as it unblocks `accept`.
-fn event_loop(
-    listener: &TcpListener,
-    server: &Server,
-    state: &Arc<NetState>,
-    idle_timeout: Option<Duration>,
-) {
-    if sys::set_nonblocking(listener.as_raw_fd(), true).is_err() {
-        return;
-    }
-    // With an idle budget the loop must wake on its own to reap parked
-    // sessions; poll at a fraction of the budget so a reap is late by
-    // at most ~25%, clamped clear of busy-spinning and of sluggishness.
-    let poll_ms: i32 = match idle_timeout {
-        Some(t) => (t.as_millis() / 4).clamp(10, 1000) as i32,
-        None => -1,
-    };
-    let mut conns: Vec<EventConn> = Vec::new();
-    let mut pollfds: Vec<sys::PollFd> = Vec::new();
-    let mut consecutive_failures = 0usize;
-    'outer: loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // pollfds[0] is the listener; pollfds[1 + i] is conns[i].
-        pollfds.clear();
-        pollfds.push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
-        for conn in &conns {
-            pollfds.push(sys::PollFd::new(conn.stream.as_raw_fd(), conn.interest()));
-        }
-        match sys::poll_fds(&mut pollfds, poll_ms) {
-            Ok(_) => {}
-            Err(_) => {
-                consecutive_failures += 1;
-                if consecutive_failures >= MAX_CONSECUTIVE_ACCEPT_FAILURES {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                continue;
-            }
-        }
-        if state.shutdown.load(Ordering::SeqCst) {
-            break; // the shutdown wake-up dial
-        }
-
-        // Service existing connections first (their pollfd indices are
-        // fixed this iteration; accepting appends new ones after).
-        for (conn, fd) in conns.iter_mut().zip(pollfds[1..].iter()) {
-            if fd.has(sys::POLLNVAL) {
-                conn.dead = true;
-                continue;
-            }
-            if fd.revents() != 0 {
-                conn.last_activity = Instant::now();
-            }
-            // Write first: draining frees backpressure so the read
-            // phase below can make progress in the same wake-up.
-            if fd.has(sys::POLLOUT | sys::POLLERR) && conn.pending_out() > 0 {
-                conn.flush_out();
-            }
-            // POLLHUP/POLLERR still deliver any bytes the peer sent
-            // before dying, so they route through the read path and
-            // let `read` report the truth.
-            if fd.has(sys::POLLIN | sys::POLLHUP | sys::POLLERR) && !conn.dead && !conn.closing {
-                conn.service_readable(server);
-                conn.flush_out();
-            }
-        }
-        // Idle reap: a session silent past its budget is closed
-        // outright rather than drained — a parked peer by definition
-        // has nothing outstanding, and a backpressured one shows
-        // POLLOUT readiness which counts as activity above.
-        if let Some(limit) = idle_timeout {
-            for conn in &mut conns {
-                if !conn.dead && conn.last_activity.elapsed() >= limit {
-                    conn.dead = true;
-                    state.idle_reaped.fetch_add(1, Ordering::SeqCst);
-                    if conn.telemetry.on() {
-                        conn.telemetry.net_conns_reaped.inc();
-                    }
-                }
-            }
-        }
-        conns.retain(|conn| !conn.should_close());
-
-        // Accept phase: drain the backlog until it would block.
-        if pollfds[0].has(sys::POLLIN | sys::POLLERR | sys::POLLHUP) {
-            loop {
-                let stream = match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        consecutive_failures = 0;
-                        stream
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::ConnectionAborted
-                                | std::io::ErrorKind::ConnectionReset
-                                | std::io::ErrorKind::Interrupted
-                        ) =>
-                    {
-                        continue;
-                    }
-                    Err(_) => {
-                        consecutive_failures += 1;
-                        if consecutive_failures >= MAX_CONSECUTIVE_ACCEPT_FAILURES {
-                            break 'outer;
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                        break;
-                    }
-                };
-                if state.shutdown.load(Ordering::SeqCst) {
-                    break 'outer;
-                }
-                if sys::set_nonblocking(stream.as_raw_fd(), true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                // Registry discipline identical to the accept loop's:
-                // prune finished sessions, and register under the lock
-                // with a shutdown re-check so every running session is
-                // severable.
-                state
-                    .conns
-                    .lock()
-                    .retain(|(_, done)| !done.load(Ordering::SeqCst));
-                let finished = Arc::new(AtomicBool::new(false));
-                let Ok(clone) = stream.try_clone() else {
-                    continue;
-                };
-                {
-                    let mut registry = state.conns.lock();
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break 'outer;
-                    }
-                    registry.push((clone, Arc::clone(&finished)));
-                }
-                state.accepted.fetch_add(1, Ordering::SeqCst);
-                if server.telemetry().on() {
-                    server.telemetry().net_conns_accepted.inc();
-                    server.telemetry().net_conns_live.inc();
-                }
-                conns.push(EventConn {
-                    stream,
-                    assembler: codec::FrameAssembler::new(),
-                    out: Vec::new(),
-                    out_pos: 0,
-                    closing: false,
-                    dead: false,
-                    last_activity: Instant::now(),
-                    finished,
-                    telemetry: Arc::clone(server.telemetry()),
-                });
-            }
-        }
-    }
-    // Dropping each `EventConn` shuts its socket and marks its
-    // registry entry reclaimable — the event-loop analogue of joining
-    // every connection thread.
-    drop(conns);
 }
 
 // --- client side -----------------------------------------------------------
@@ -1849,196 +1404,6 @@ mod tests {
         // Shutdown joins the accept loop and both connection threads;
         // a leak would hang the test (CI runs this under a timeout).
         handle.shutdown();
-    }
-
-    fn spawn_event_loop_server() -> (Server, ServerHandle) {
-        let server = Server::with_shards(2);
-        let handle =
-            NetServer::spawn_with(server.clone(), "127.0.0.1:0", FrontEnd::EventLoop).unwrap();
-        (server, handle)
-    }
-
-    #[test]
-    fn event_loop_roundtrip_matches_thread_per_connection() {
-        let (_tpc_server, tpc) = spawn_server();
-        let (_evl_server, evl) = spawn_event_loop_server();
-        let tpc_client = PooledClient::connect(tpc.addr(), 1).unwrap();
-        let evl_client = PooledClient::connect(evl.addr(), 1).unwrap();
-        let requests = vec![
-            ClientMessage::CreateTable {
-                name: "t".into(),
-                table: table(5),
-            }
-            .to_wire(),
-            ClientMessage::FetchAll { name: "t".into() }.to_wire(),
-            ClientMessage::Append {
-                name: "t".into(),
-                doc_id: 5,
-                words: vec![CipherWord(vec![9; 13])],
-            }
-            .to_wire(),
-            ClientMessage::FetchAll { name: "t".into() }.to_wire(),
-        ];
-        for request in &requests {
-            assert_eq!(
-                evl_client.call(request).unwrap(),
-                tpc_client.call(request).unwrap(),
-                "front-ends must answer byte-identically"
-            );
-        }
-        evl.shutdown();
-        tpc.shutdown();
-    }
-
-    #[test]
-    fn event_loop_pipelines_in_order() {
-        let (_server, handle) = spawn_event_loop_server();
-        let client = PooledClient::connect(handle.addr(), 1).unwrap();
-        let mut requests = vec![ClientMessage::CreateTable {
-            name: "t".into(),
-            table: table(5),
-        }
-        .to_wire()];
-        requests.push(ClientMessage::FetchAll { name: "t".into() }.to_wire());
-        requests.push(
-            ClientMessage::Append {
-                name: "t".into(),
-                doc_id: 5,
-                words: vec![CipherWord(vec![9; 13])],
-            }
-            .to_wire(),
-        );
-        requests.push(ClientMessage::FetchAll { name: "t".into() }.to_wire());
-        let responses = client.call_many(&requests).unwrap();
-        assert_eq!(responses.len(), 4);
-        match ServerResponse::from_wire(&responses[1]).unwrap() {
-            ServerResponse::Table(t) => assert_eq!(t.len(), 5),
-            other => panic!("unexpected {other:?}"),
-        }
-        match ServerResponse::from_wire(&responses[3]).unwrap() {
-            ServerResponse::Table(t) => assert_eq!(t.len(), 6),
-            other => panic!("unexpected {other:?}"),
-        }
-        handle.shutdown();
-    }
-
-    #[test]
-    fn event_loop_pipelined_large_frames_do_not_deadlock() {
-        // Same adversarial shape as the thread-per-connection test:
-        // multi-megabyte frames in both directions at once. The event
-        // loop must keep draining its write buffer under backpressure
-        // while the client is still sending.
-        let (_server, handle) = spawn_event_loop_server();
-        let client = PooledClient::connect(handle.addr(), 1).unwrap();
-        let big = EncryptedTable {
-            params: SwpParams::new(13, 4, 32).unwrap(),
-            docs: (0..2048u64)
-                .map(|i| (i, vec![CipherWord(vec![i as u8; 4096])]))
-                .collect(),
-            next_doc_id: 2048,
-        };
-        let create_t1 = ClientMessage::CreateTable {
-            name: "t1".into(),
-            table: big.clone(),
-        }
-        .to_wire();
-        assert_eq!(
-            ServerResponse::from_wire(&client.call(&create_t1).unwrap()).unwrap(),
-            ServerResponse::Ok
-        );
-        let fetch_t1 = ClientMessage::FetchAll { name: "t1".into() }.to_wire();
-        let create_t2 = ClientMessage::CreateTable {
-            name: "t2".into(),
-            table: big,
-        }
-        .to_wire();
-        let responses = client
-            .call_many(&[fetch_t1.clone(), create_t2, fetch_t1])
-            .unwrap();
-        assert_eq!(responses.len(), 3);
-        for slot in [0usize, 2] {
-            match ServerResponse::from_wire(&responses[slot]).unwrap() {
-                ServerResponse::Table(t) => assert_eq!(t.len(), 2048),
-                other => panic!("slot {slot}: unexpected {other:?}"),
-            }
-        }
-        handle.shutdown();
-    }
-
-    #[test]
-    fn event_loop_shutdown_is_clean_and_counts_connections() {
-        let (_server, handle) = spawn_event_loop_server();
-        {
-            let c1 = PooledClient::connect(handle.addr(), 1).unwrap();
-            let c2 = PooledClient::connect(handle.addr(), 1).unwrap();
-            let fetch = ClientMessage::FetchAll {
-                name: "none".into(),
-            }
-            .to_wire();
-            let _ = c1.call(&fetch).unwrap();
-            let _ = c2.call(&fetch).unwrap();
-        }
-        assert_eq!(handle.connections_accepted(), 2);
-        handle.shutdown();
-    }
-
-    #[test]
-    fn event_loop_pool_reconnects_after_sever() {
-        let (_server, handle) = spawn_event_loop_server();
-        let client = PooledClient::connect(handle.addr(), 1).unwrap();
-        let fetch = ClientMessage::FetchAll {
-            name: "none".into(),
-        }
-        .to_wire();
-        let first = client.call(&fetch).unwrap();
-        handle.sever_connections();
-        let second = client.call(&fetch).unwrap();
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn event_loop_framing_violation_closes_the_connection() {
-        use std::io::{ErrorKind, Read as _, Write as _};
-        let (_server, handle) = spawn_event_loop_server();
-        let mut raw = TcpStream::connect(handle.addr()).unwrap();
-        raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        raw.write_all(&[0u8; 8]).unwrap();
-        let mut buf = [0u8; 1];
-        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
-            .unwrap();
-        match raw.read(&mut buf) {
-            Ok(0) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => {
-                panic!("event loop stalled on a garbage frame instead of closing")
-            }
-            Err(_) => {}
-            Ok(_) => panic!("event loop answered a garbage frame"),
-        }
-    }
-
-    #[test]
-    fn event_loop_answers_owed_responses_before_closing_on_violation() {
-        use std::io::Write as _;
-        // A valid request then garbage in the same burst: the owed
-        // response must still arrive (the blocking path would have
-        // written it before reading the garbage).
-        let (_server, handle) = spawn_event_loop_server();
-        let mut raw = TcpStream::connect(handle.addr()).unwrap();
-        let fetch = ClientMessage::FetchAll {
-            name: "none".into(),
-        }
-        .to_wire();
-        let mut burst = Vec::new();
-        codec::write_frame(&mut burst, &fetch).unwrap();
-        burst.extend_from_slice(&u32::MAX.to_le_bytes());
-        raw.write_all(&burst).unwrap();
-        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
-            .unwrap();
-        let response = codec::read_frame(&mut raw).unwrap().expect("owed response");
-        let reference = Server::with_shards(2);
-        assert_eq!(response, reference.handle(&fetch));
-        // …and then the connection closes.
-        assert!(matches!(codec::read_frame(&mut raw), Ok(None) | Err(_)));
     }
 
     #[test]

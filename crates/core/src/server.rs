@@ -210,7 +210,7 @@ pub struct Server {
     durable: Option<Arc<DurableLog>>,
     /// The transcript-invisible metrics registry — shared across
     /// clones (one logical server, one registry) and handed to the
-    /// durable log, net front-ends, and replica runtime so every
+    /// durable log, net front-end, and replica runtime so every
     /// layer reports into the same snapshot.
     telemetry: Arc<Telemetry>,
 }
@@ -550,7 +550,7 @@ impl Server {
     }
 
     /// The server's metrics registry — shared by every clone and by
-    /// the layers (log, front-ends, replica) serving this server.
+    /// the layers (log, front-end, replica) serving this server.
     /// Tests and benches flip collection with
     /// [`Telemetry::set_enabled`]; operators pull it with
     /// [`ClientMessage::Stats`].

@@ -1,97 +1,21 @@
-//! Minimal readiness syscalls for the event-loop front-end.
+//! The one syscall the standard library does not expose: `listen(2)`
+//! with a chosen backlog.
 //!
-//! The poll-based [`crate::net`] front-end needs exactly two things
-//! the standard library does not expose: `poll(2)` over an arbitrary
-//! set of descriptors, and `fcntl(2)` to flip `O_NONBLOCK` (std's
-//! `set_nonblocking` covers sockets; `fcntl` is kept for parity and
-//! listeners). Both live in libc, which std already links — so raw
-//! `extern "C"` declarations here cost no registry dependency and
-//! leave the offline shim crates untouched.
+//! `TcpListener::bind` hardcodes a backlog of 128; [`crate::net`]
+//! re-listens with a deeper one. `listen` lives in libc, which std
+//! already links — so a raw `extern "C"` declaration here costs no
+//! registry dependency and leaves the offline shim crates untouched.
 //!
 //! This is the only module in the crate allowed to use `unsafe`
-//! (`lib.rs` holds the rest at `deny(unsafe_code)`); the two blocks
-//! below are thin, argument-checked wrappers over syscalls that take
-//! only borrowed, correctly-sized buffers.
+//! (`lib.rs` holds the rest at `deny(unsafe_code)`); the one block
+//! below passes only plain integers to the kernel.
 #![allow(unsafe_code)]
 
 use std::io;
 use std::os::unix::io::RawFd;
 
-/// There is data to read (`POLLIN`).
-pub const POLLIN: i16 = 0x001;
-/// Writing will not block (`POLLOUT`).
-pub const POLLOUT: i16 = 0x004;
-/// Error condition (`POLLERR`, output only).
-pub const POLLERR: i16 = 0x008;
-/// Peer hung up (`POLLHUP`, output only).
-pub const POLLHUP: i16 = 0x010;
-/// Descriptor not open (`POLLNVAL`, output only).
-pub const POLLNVAL: i16 = 0x020;
-
-const F_GETFL: i32 = 3;
-const F_SETFL: i32 = 4;
-const O_NONBLOCK: i32 = 0o4000;
-
-/// One `struct pollfd` exactly as `poll(2)` expects it.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
-}
-
-impl PollFd {
-    /// A poll entry for `fd` watching the `events` bit set
-    /// ([`POLLIN`] / [`POLLOUT`]); `revents` starts cleared.
-    #[must_use]
-    pub fn new(fd: RawFd, events: i16) -> Self {
-        Self {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-
-    /// The returned-events bits the kernel filled in.
-    #[must_use]
-    pub fn revents(&self) -> i16 {
-        self.revents
-    }
-
-    /// Whether any of `mask`'s bits came back set.
-    #[must_use]
-    pub fn has(&self, mask: i16) -> bool {
-        self.revents & mask != 0
-    }
-}
-
 extern "C" {
-    // `nfds_t` is `unsigned long` on every Linux ABI we target.
-    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
-    fn fcntl(fd: RawFd, cmd: i32, arg: i32) -> i32;
     fn listen(fd: RawFd, backlog: i32) -> i32;
-}
-
-/// Blocks until at least one entry has ready events (or `timeout_ms`
-/// elapses; negative = wait forever). Returns the number of entries
-/// with nonzero `revents`; `Ok(0)` means the timeout fired. `EINTR`
-/// is retried internally — callers never see spurious wakeups as
-/// errors.
-///
-/// # Errors
-/// Any `poll(2)` failure other than `EINTR` (e.g. `ENOMEM`).
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
 }
 
 /// Deepens the accept backlog of an already-listening socket by
@@ -99,7 +23,7 @@ pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 /// updates the queue depth in place (silently clamped to
 /// `net.core.somaxconn`). The standard library offers no way to pick
 /// a backlog (`TcpListener::bind` hardcodes 128), which a
-/// thousand-session connect storm overflows: with syncookies the
+/// connect storm of hundreds of sessions overflows: with syncookies the
 /// overflow surfaces as connection *resets* on clients that already
 /// sent data, not polite queueing.
 ///
@@ -113,67 +37,11 @@ pub fn deepen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
     Ok(())
 }
 
-/// Sets or clears `O_NONBLOCK` on `fd` via `fcntl(2)` — the classic
-/// get-flags / set-flags dance.
-///
-/// # Errors
-/// Any `fcntl(2)` failure (e.g. `EBADF` on a closed descriptor).
-pub fn set_nonblocking(fd: RawFd, nonblocking: bool) -> io::Result<()> {
-    let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-    if flags < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    let wanted = if nonblocking {
-        flags | O_NONBLOCK
-    } else {
-        flags & !O_NONBLOCK
-    };
-    if wanted != flags && unsafe { fcntl(fd, F_SETFL, wanted) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd as _;
-
-    #[test]
-    fn poll_sees_readable_after_write_and_times_out_before() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (rx, _) = listener.accept().unwrap();
-
-        // Nothing written yet: a zero-timeout poll reports no events.
-        let mut fds = [PollFd::new(rx.as_raw_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0);
-        assert!(!fds[0].has(POLLIN));
-
-        tx.write_all(b"ping").unwrap();
-        let mut fds = [PollFd::new(rx.as_raw_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        assert!(fds[0].has(POLLIN));
-
-        // A healthy socket with room in its send buffer is writable.
-        let mut fds = [PollFd::new(rx.as_raw_fd(), POLLOUT)];
-        assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        assert!(fds[0].has(POLLOUT));
-    }
-
-    #[test]
-    fn hangup_is_reported_even_when_only_read_interest_is_registered() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (rx, _) = listener.accept().unwrap();
-        drop(tx);
-        let mut fds = [PollFd::new(rx.as_raw_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        // EOF surfaces as POLLIN (read returns 0) and/or POLLHUP.
-        assert!(fds[0].has(POLLIN | POLLHUP));
-    }
 
     #[test]
     fn deepen_backlog_accepts_a_listening_socket_and_rejects_a_dead_fd() {
@@ -186,17 +54,5 @@ mod tests {
         let fd = listener.as_raw_fd();
         drop(listener);
         assert!(deepen_backlog(fd, 1024).is_err());
-    }
-
-    #[test]
-    fn set_nonblocking_round_trips() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let fd = listener.as_raw_fd();
-        set_nonblocking(fd, true).unwrap();
-        assert!(matches!(
-            listener.accept(),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
-        ));
-        set_nonblocking(fd, false).unwrap();
     }
 }

@@ -397,7 +397,7 @@ pub fn request_kind_name(tag: u8) -> &'static str {
 ///
 /// Every field is a plain struct member — no interior map, no name
 /// lookup on the hot path. A `Server` owns one `Arc<Telemetry>`
-/// shared by its clones, the durable log, the net front-ends, and
+/// shared by its clones, the durable log, the net front-end, and
 /// the replica runtime; `PooledClient` owns a separate instance for
 /// the client-side retry plane.
 #[derive(Debug, Default)]
@@ -435,11 +435,12 @@ pub struct Telemetry {
     /// Records covered per group-commit sync (window occupancy).
     pub commit_window_records: Histogram,
 
-    /// Connections currently being served across net front-ends.
+    /// Connections currently being served.
     pub net_conns_live: Gauge,
     /// Connections accepted since start.
     pub net_conns_accepted: Counter,
-    /// Connections reaped by the idle-timeout sweeps.
+    /// Connections reaped by the idle timeout (a silent peer, or one
+    /// that stopped reading its responses).
     pub net_conns_reaped: Counter,
     /// Request frames decoded.
     pub net_frames_in: Counter,
@@ -449,12 +450,6 @@ pub struct Telemetry {
     pub net_bytes_in: Counter,
     /// Response bytes written (payload + length prefix).
     pub net_bytes_out: Counter,
-    /// Times the event loop paused reads on a slow consumer.
-    pub net_backpressure: Counter,
-    /// High-water mark of bytes buffered in one frame assembler.
-    pub net_assembler_high_water: Gauge,
-    /// `ReplPull` frames refused on the event-loop front-end.
-    pub net_repl_pull_refused: Counter,
 
     /// Replication chunks served to followers (primary side).
     pub repl_chunks_shipped: Counter,
@@ -553,13 +548,6 @@ impl Telemetry {
         c(&mut m, "net_frames_out", &self.net_frames_out);
         c(&mut m, "net_bytes_in", &self.net_bytes_in);
         c(&mut m, "net_bytes_out", &self.net_bytes_out);
-        c(&mut m, "net_backpressure", &self.net_backpressure);
-        g(
-            &mut m,
-            "net_assembler_high_water",
-            &self.net_assembler_high_water,
-        );
-        c(&mut m, "net_repl_pull_refused", &self.net_repl_pull_refused);
         c(&mut m, "repl_chunks_shipped", &self.repl_chunks_shipped);
         c(&mut m, "repl_bytes_shipped", &self.repl_bytes_shipped);
         c(&mut m, "repl_longpoll_parks", &self.repl_longpoll_parks);

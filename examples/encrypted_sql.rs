@@ -51,20 +51,18 @@
 //!
 //! # Quickstart: many clients against one process
 //!
-//! `--event-loop` serves all connections from one poll-based readiness
-//! loop instead of one OS thread per connection, so a thousand-plus
-//! idle-ish sessions cost file descriptors, not stacks
-//! (`tests/session_scale.rs` drives 1100 at once). It changes no
-//! response byte. With `--data-dir`, concurrent sessions' mutations
-//! share group-commit fsync barriers, and each is acked only after a
-//! barrier covering it completes.
+//! Every connection gets its own server thread, so no session waits
+//! behind another session's scan (`tests/session_scale.rs` drives 256
+//! at once). With `--data-dir`, concurrent sessions' mutations share
+//! group-commit fsync barriers, and each is acked only after a barrier
+//! covering it completes.
 //!
 //! ```text
-//! # terminal 1 — one process, ready for thousands of sessions
+//! # terminal 1 — one process, ready for many sessions
 //! $ cargo run --release --example encrypted_sql -- \
-//!       --listen 127.0.0.1:4460 --event-loop --data-dir /tmp/dbph-data
+//!       --listen 127.0.0.1:4460 --data-dir /tmp/dbph-data
 //! -- durable store at /tmp/dbph-data (0 table(s) recovered)
-//! -- serving encrypted tables on 127.0.0.1:4460 (event-loop front-end)
+//! -- serving encrypted tables on 127.0.0.1:4460
 //!
 //! # terminals 2..N — as many concurrent sessions as you like
 //! $ cargo run --release --example encrypted_sql -- --connect 127.0.0.1:4460
@@ -180,11 +178,8 @@
 //! | `exec_workers` / `exec_queue_depth` / `exec_queue_high_water` | gauge | scan-pool size and queue occupancy (sampled) |
 //! | `exec_tasks` / `exec_busy_nanos` / `exec_task_nanos` | counter/histogram | scan-pool tasks run and their latencies |
 //! | `exec_caller_tasks` | counter | of those, tasks a `scatter` caller ran on its own thread instead of a worker |
-//! | `net_conns_live` / `net_conns_accepted` / `net_conns_reaped` | gauge/counter | sessions now / ever / idle-reaped |
+//! | `net_conns_live` / `net_conns_accepted` / `net_conns_reaped` | gauge/counter | sessions now / ever / idle-reaped (silent, or not reading responses) |
 //! | `net_frames_in` / `net_frames_out` / `net_bytes_in` / `net_bytes_out` | counter | framed traffic both ways (header bytes included) |
-//! | `net_backpressure` | counter | times the event loop stopped reading a connection whose responses outgrew the write budget |
-//! | `net_assembler_high_water` | gauge | largest frame-reassembly backlog any connection reached |
-//! | `net_repl_pull_refused` | counter | replication pulls refused on the event-loop front-end |
 //! | `repl_lag_bytes` / `repl_semi_sync_degraded` | gauge/counter | follower lag; semi-sync acks that degraded to async (sampled) |
 //! | `repl_chunks_shipped` / `repl_bytes_shipped` / `repl_longpoll_parks` | counter | primary-side feed traffic and parked pulls |
 //! | `repl_chunks_applied` / `repl_resyncs` | counter | follower-side chunks applied; full re-bootstraps |
@@ -211,8 +206,8 @@ use std::time::Duration;
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
-    ChaosPlan, ChaosProxy, Client, FinalSwpPh, FrontEnd, NetServer, PoolOptions, PooledClient,
-    Replica, ReplicaOptions, RetryPolicy, Server, Transport,
+    ChaosPlan, ChaosProxy, Client, FinalSwpPh, NetServer, PoolOptions, PooledClient, Replica,
+    ReplicaOptions, RetryPolicy, Server, Transport,
 };
 use dbph::crypto::SecretKey;
 use dbph::relation::sql::{self, ExecOutcome, Statement};
@@ -336,16 +331,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .transpose()?;
     let data_dir = data_dir.as_deref();
 
-    // `--event-loop` picks the readiness front-end for socket modes.
-    let front_end = args
-        .iter()
-        .position(|a| a == "--event-loop")
-        .map(|i| {
-            args.remove(i);
-            FrontEnd::EventLoop
-        })
-        .unwrap_or_default();
-
     // `--scrub` re-verifies every log record before doing anything
     // else (needs `--data-dir`: there is nothing to scrub in memory).
     let scrub = args
@@ -443,11 +428,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     match args.first().map(String::as_str) {
         None => {
-            if front_end == FrontEnd::EventLoop {
-                return Err(
-                    "--event-loop is a socket-mode flag; use it with --listen/--net".into(),
-                );
-            }
             if retry.is_some() || chaos_seed.is_some() {
                 return Err(
                     "--retry/--chaos-seed exercise the socket path; use them with \
@@ -467,11 +447,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some("--net") => {
             // Loopback: same script, real frames on a real socket.
             let server = make_server(4, data_dir, scrub)?;
-            let handle = NetServer::spawn_with(server, "127.0.0.1:0", front_end)?;
-            println!(
-                "-- loopback server listening on {} ({front_end:?} front-end)",
-                handle.addr()
-            );
+            let handle = NetServer::spawn(server, "127.0.0.1:0")?;
+            println!("-- loopback server listening on {}", handle.addr());
             let (pool, _chaos) = make_client(&handle.addr().to_string(), retry, chaos_seed)?;
             let result = run_script(pool);
             handle.shutdown();
@@ -485,16 +462,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             let addr = args.get(1).map_or("127.0.0.1:4460", String::as_str);
             let listener = std::net::TcpListener::bind(addr)?;
-            let label = match front_end {
-                FrontEnd::EventLoop => " (event-loop front-end)",
-                FrontEnd::ThreadPerConnection => "",
-            };
-            println!(
-                "-- serving encrypted tables on {}{label}",
-                listener.local_addr()?
-            );
+            println!("-- serving encrypted tables on {}", listener.local_addr()?);
             println!("-- connect with: cargo run --example encrypted_sql -- --connect {addr}");
-            NetServer::serve_with(listener, make_server(4, data_dir, scrub)?, front_end)?;
+            NetServer::serve(listener, make_server(4, data_dir, scrub)?)?;
             Ok(())
         }
         Some("--replicate-from") => {
@@ -521,7 +491,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // compaction re-bootstraps the follower into a fresh
             // generation; restart this process after one to re-serve
             // the new generation.)
-            let handle = NetServer::spawn_with(replica.server(), serve_addr, front_end)?;
+            let handle = NetServer::spawn(replica.server(), serve_addr)?;
             println!("-- serving read-only follower on {}", handle.addr());
             if !promote {
                 loop {
@@ -552,7 +522,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             let promoted = replica.promote();
             handle.shutdown();
-            let handle = NetServer::spawn_with(promoted, serve_addr, front_end)?;
+            let handle = NetServer::spawn(promoted, serve_addr)?;
             println!(
                 "-- promoted: serving as primary on {} (repoint clients here)",
                 handle.addr()
@@ -564,11 +534,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some("--connect") => {
             if data_dir.is_some() {
                 return Err("--data-dir is a server-side flag; use it with --listen/--net".into());
-            }
-            if front_end == FrontEnd::EventLoop {
-                return Err(
-                    "--event-loop is a server-side flag; use it with --listen/--net".into(),
-                );
             }
             let addr = args
                 .get(1)
@@ -592,8 +557,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         Some(other) => Err(format!(
             "unknown mode {other:?}; use --net, --listen [addr], or --connect <addr> \
-             (server-side extras: --data-dir <path> for persistence, --event-loop for \
-             the readiness front-end; client-side: \
+             (server-side extra: --data-dir <path> for persistence; client-side: \
              --retry <n> for exactly-once retries, --chaos-seed <s> for fault injection)"
         )
         .into()),

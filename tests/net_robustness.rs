@@ -1,9 +1,10 @@
 //! Robustness at the socket seam: timeouts, bounded waits, and
 //! fail-closed degradation over the network.
 //!
-//! 1. **Idle-session reaping.** Both front-ends evict sessions that go
-//!    silent past [`NetOptions::idle_timeout`], count them in
-//!    [`ServerHandle::idle_reaped`], and keep serving fresh
+//! 1. **Idle-session reaping.** The front-end evicts sessions that go
+//!    silent past [`NetOptions::idle_timeout`], or that stop reading
+//!    their responses for that long, counts them in
+//!    [`ServerHandle::idle_reaped`], and keeps serving fresh
 //!    connections afterwards. An *active* session is never reaped.
 //! 2. **Bounded checkout.** With every pooled connection checked out
 //!    and [`PoolOptions::checkout_timeout`] set, a second caller gets
@@ -16,14 +17,14 @@
 //! 4. **Poisoned-log degradation over TCP.** After an injected
 //!    `fdatasync` failure, mutations arriving over the network fail
 //!    closed with the distinct durability error while queries and
-//!    chunked fetches keep answering — on both front-ends.
+//!    chunked fetches keep answering.
 //! 5. **Stale duplicates are non-retriable.** A tagged request whose
 //!    id aged below the dedup watermark is rejected with the distinct
 //!    [`dbph::core::protocol::STALE_DUPLICATE_PREFIX`] error, which a
 //!    retry-enabled [`PooledClient`] surfaces immediately — re-sending
 //!    can only get the same answer, so no backoff is ever spent on it.
 //! 6. **Liveness probe.** `Ping` answers `Status` (poisoned-log flag,
-//!    table count, replication lag) on both front-ends — the probe
+//!    table count, replication lag) over TCP — the probe
 //!    failover logic uses to decide a primary is really gone versus
 //!    merely degraded.
 //! 7. **Connect-refused is classified.** A dial that fails with
@@ -33,15 +34,16 @@
 //!    instantly, so waiting cannot help, and failover to a promoted
 //!    follower should happen now, not after the budget.
 
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dbph::core::codec;
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
-    DurableOptions, FrontEnd, NetOptions, NetServer, PoolOptions, PooledClient, RetryPolicy,
-    Server, TempDir, Transport,
+    DurableOptions, NetOptions, NetServer, PoolOptions, PooledClient, RetryPolicy, Server, TempDir,
+    Transport,
 };
 use dbph::swp::{CipherWord, SwpParams};
 
@@ -106,67 +108,110 @@ fn eventually(mut probe: impl FnMut() -> bool) -> bool {
 // --- 1. idle-session reaping ----------------------------------------------
 
 #[test]
-fn idle_sessions_are_reaped_on_both_front_ends() {
-    for front_end in [FrontEnd::ThreadPerConnection, FrontEnd::EventLoop] {
-        let server = Server::with_shards(2);
-        let handle = NetServer::spawn_opts(
-            server,
-            "127.0.0.1:0",
-            NetOptions {
-                front_end,
-                idle_timeout: Some(Duration::from_millis(120)),
-            },
-        )
-        .unwrap();
+fn idle_sessions_are_reaped() {
+    let server = Server::with_shards(2);
+    let handle = NetServer::spawn_opts(
+        server,
+        "127.0.0.1:0",
+        NetOptions {
+            idle_timeout: Some(Duration::from_millis(120)),
+        },
+    )
+    .unwrap();
 
-        // A session that speaks once and then goes silent.
-        let idler = PooledClient::connect(handle.addr(), 1).unwrap();
-        assert!(is_ok(&idler.call(&create_msg("idle")).unwrap()));
+    // A session that speaks once and then goes silent.
+    let idler = PooledClient::connect(handle.addr(), 1).unwrap();
+    assert!(is_ok(&idler.call(&create_msg("idle")).unwrap()));
 
-        assert!(
-            eventually(|| handle.idle_reaped() >= 1),
-            "{front_end:?}: silent session was never reaped"
-        );
+    assert!(
+        eventually(|| handle.idle_reaped() >= 1),
+        "silent session was never reaped"
+    );
 
-        // The listener is still healthy: a fresh connection works.
-        let fresh = PooledClient::connect(handle.addr(), 1).unwrap();
-        assert!(is_ok(&fresh.call(&fetch_msg("idle")).unwrap()));
-        handle.shutdown();
+    // The listener is still healthy: a fresh connection works.
+    let fresh = PooledClient::connect(handle.addr(), 1).unwrap();
+    assert!(is_ok(&fresh.call(&fetch_msg("idle")).unwrap()));
+    handle.shutdown();
+}
+
+#[test]
+fn a_peer_that_stops_reading_is_reaped() {
+    // A peer that pipelines requests and never reads a response: once
+    // the responses fill both socket buffers, the session thread is
+    // blocked writing. "No traffic in either direction" covers it, so
+    // the idle budget must end the session there too.
+    let server = Server::with_shards(2);
+    let handle = NetServer::spawn_opts(
+        server.clone(),
+        "127.0.0.1:0",
+        NetOptions {
+            idle_timeout: Some(Duration::from_millis(200)),
+        },
+    )
+    .unwrap();
+    // 32 rows of 4 KiB: each FetchAll answer is ~128 KiB, so a few
+    // hundred of them are far more than loopback buffers hold.
+    let table = dbph::core::EncryptedTable {
+        params: SwpParams::new(13, 4, 32).unwrap(),
+        docs: (0..32u64)
+            .map(|i| (i, vec![CipherWord(vec![i as u8; 4096])]))
+            .collect(),
+        next_doc_id: 32,
+    };
+    let create = ClientMessage::CreateTable {
+        name: "wide".into(),
+        table,
     }
+    .to_wire();
+    assert!(is_ok(&server.handle(&create)));
+
+    let mut stalled = TcpStream::connect(handle.addr()).unwrap();
+    let fetch = fetch_msg("wide");
+    for _ in 0..300 {
+        codec::write_frame(&mut stalled, &fetch).unwrap();
+    }
+    assert!(
+        eventually(|| handle.idle_reaped() >= 1),
+        "a session blocked writing to a peer that never reads was never reaped"
+    );
+    assert!(
+        eventually(|| server.telemetry().net_conns_live.get() == 0),
+        "the reaped session is still counted live"
+    );
+    assert_eq!(server.telemetry().net_conns_reaped.get(), 1);
+
+    // The listener is still healthy: a fresh connection works.
+    let fresh = PooledClient::connect(handle.addr(), 1).unwrap();
+    assert!(is_ok(&fresh.call(&ClientMessage::Ping.to_wire()).unwrap()));
+    drop(stalled);
+    handle.shutdown();
 }
 
 #[test]
 fn active_sessions_survive_the_idle_reaper() {
-    for front_end in [FrontEnd::ThreadPerConnection, FrontEnd::EventLoop] {
-        let server = Server::with_shards(2);
-        let handle = NetServer::spawn_opts(
-            server,
-            "127.0.0.1:0",
-            NetOptions {
-                front_end,
-                idle_timeout: Some(Duration::from_millis(150)),
-            },
-        )
-        .unwrap();
-        let client = PooledClient::connect(handle.addr(), 1).unwrap();
-        assert!(is_ok(&client.call(&create_msg("busy")).unwrap()));
+    let server = Server::with_shards(2);
+    let handle = NetServer::spawn_opts(
+        server,
+        "127.0.0.1:0",
+        NetOptions {
+            idle_timeout: Some(Duration::from_millis(150)),
+        },
+    )
+    .unwrap();
+    let client = PooledClient::connect(handle.addr(), 1).unwrap();
+    assert!(is_ok(&client.call(&create_msg("busy")).unwrap()));
 
-        // Keep the session warm across several idle budgets.
-        let until = Instant::now() + Duration::from_millis(600);
-        while Instant::now() < until {
-            assert!(
-                is_ok(&client.call(&fetch_msg("busy")).unwrap()),
-                "{front_end:?}: active session was cut mid-conversation"
-            );
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        assert_eq!(
-            handle.idle_reaped(),
-            0,
-            "{front_end:?}: reaper counted an active session"
+    // Keep the session warm across several idle budgets.
+    let until = Instant::now() + Duration::from_millis(600);
+    while Instant::now() < until {
+        assert!(
+            is_ok(&client.call(&fetch_msg("busy")).unwrap()),
+            "active session was cut mid-conversation"
         );
-        handle.shutdown();
+        std::thread::sleep(Duration::from_millis(40));
     }
+    assert_eq!(handle.idle_reaped(), 0, "reaper counted an active session");
+    handle.shutdown();
 }
 
 // --- 2 & 3. bounded checkout and socket timeouts ---------------------------
@@ -291,64 +336,54 @@ fn retry_policy_gives_up_after_its_attempt_budget() {
 
 #[test]
 fn poisoned_log_fails_mutations_closed_over_tcp_but_keeps_answering_queries() {
-    for front_end in [FrontEnd::ThreadPerConnection, FrontEnd::EventLoop] {
-        let tmp = TempDir::new("net-poison").unwrap();
-        let server =
-            Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
-        let handle = NetServer::spawn_opts(
-            server.clone(),
-            "127.0.0.1:0",
-            NetOptions {
-                front_end,
-                idle_timeout: None,
-            },
-        )
-        .unwrap();
-        let client = PooledClient::connect(handle.addr(), 2).unwrap();
+    let tmp = TempDir::new("net-poison").unwrap();
+    let server =
+        Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
+    let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
+    let client = PooledClient::connect(handle.addr(), 2).unwrap();
 
-        assert!(is_ok(&client.call(&create_msg("T")).unwrap()));
-        assert!(is_ok(&client.call(&append_msg("T", 0)).unwrap()));
+    assert!(is_ok(&client.call(&create_msg("T")).unwrap()));
+    assert!(is_ok(&client.call(&append_msg("T", 0)).unwrap()));
 
-        // Break the next barrier; the mutation that trips it poisons
-        // the log.
-        let log = Arc::clone(server.durable_log().unwrap());
-        log.inject_sync_failures(1);
-        match decode(&client.call(&append_msg("T", 1)).unwrap()) {
-            ServerResponse::Error(m) => assert!(
-                m.contains("durability error"),
-                "{front_end:?}: wrong error class for the tripping mutation: {m}"
-            ),
-            other => panic!("{front_end:?}: mutation acked against a failed sync: {other:?}"),
-        }
-        assert!(log.is_poisoned());
-
-        // Fail closed from here on: every mutation refused, with the
-        // distinct durability error...
-        match decode(&client.call(&append_msg("T", 2)).unwrap()) {
-            ServerResponse::Error(m) => assert!(
-                m.contains("durability error"),
-                "{front_end:?}: wrong error class after poisoning: {m}"
-            ),
-            other => panic!("{front_end:?}: mutation accepted on a poisoned log: {other:?}"),
-        }
-        // ...while reads — plain and chunked — still answer over the
-        // same connections. The tripping append was applied in memory
-        // before its barrier failed (it was refused, never acked — the
-        // ack is what durability gates), so the live store holds two
-        // docs; the post-poison append was refused before apply.
-        match decode(&client.call(&fetch_msg("T")).unwrap()) {
-            ServerResponse::Table(t) => assert_eq!(t.len(), 2),
-            other => panic!("{front_end:?}: fetch failed on a poisoned log: {other:?}"),
-        }
-        assert!(
-            matches!(
-                decode(&client.call(&chunk_msg("T")).unwrap()),
-                ServerResponse::TableChunk { .. }
-            ),
-            "{front_end:?}: chunked fetch failed on a poisoned log"
-        );
-        handle.shutdown();
+    // Break the next barrier; the mutation that trips it poisons
+    // the log.
+    let log = Arc::clone(server.durable_log().unwrap());
+    log.inject_sync_failures(1);
+    match decode(&client.call(&append_msg("T", 1)).unwrap()) {
+        ServerResponse::Error(m) => assert!(
+            m.contains("durability error"),
+            "wrong error class for the tripping mutation: {m}"
+        ),
+        other => panic!("mutation acked against a failed sync: {other:?}"),
     }
+    assert!(log.is_poisoned());
+
+    // Fail closed from here on: every mutation refused, with the
+    // distinct durability error...
+    match decode(&client.call(&append_msg("T", 2)).unwrap()) {
+        ServerResponse::Error(m) => assert!(
+            m.contains("durability error"),
+            "wrong error class after poisoning: {m}"
+        ),
+        other => panic!("mutation accepted on a poisoned log: {other:?}"),
+    }
+    // ...while reads — plain and chunked — still answer over the
+    // same connections. The tripping append was applied in memory
+    // before its barrier failed (it was refused, never acked — the
+    // ack is what durability gates), so the live store holds two
+    // docs; the post-poison append was refused before apply.
+    match decode(&client.call(&fetch_msg("T")).unwrap()) {
+        ServerResponse::Table(t) => assert_eq!(t.len(), 2),
+        other => panic!("fetch failed on a poisoned log: {other:?}"),
+    }
+    assert!(
+        matches!(
+            decode(&client.call(&chunk_msg("T")).unwrap()),
+            ServerResponse::TableChunk { .. }
+        ),
+        "chunked fetch failed on a poisoned log"
+    );
+    handle.shutdown();
 }
 
 // --- 5. stale duplicates are non-retriable ---------------------------------
@@ -452,64 +487,54 @@ fn stale_duplicate_surfaces_immediately_through_the_retry_policy() {
 // --- 6. liveness probe ------------------------------------------------------
 
 #[test]
-fn ping_answers_a_status_probe_on_both_front_ends() {
+fn ping_answers_a_status_probe() {
     let ping = ClientMessage::Ping.to_wire();
-    for front_end in [FrontEnd::ThreadPerConnection, FrontEnd::EventLoop] {
-        let tmp = TempDir::new("net-ping").unwrap();
-        let server =
-            Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
-        let handle = NetServer::spawn_opts(
-            server.clone(),
-            "127.0.0.1:0",
-            NetOptions {
-                front_end,
-                idle_timeout: None,
-            },
-        )
-        .unwrap();
-        let client = PooledClient::connect(handle.addr(), 1).unwrap();
+    let tmp = TempDir::new("net-ping").unwrap();
+    let server =
+        Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
+    let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
+    let client = PooledClient::connect(handle.addr(), 1).unwrap();
 
-        // Healthy and empty.
-        match decode(&client.call(&ping).unwrap()) {
-            ServerResponse::Status {
-                poisoned,
-                tables,
-                repl_lag,
-                semi_sync_degraded,
-                resyncs,
-            } => {
-                assert!(!poisoned, "{front_end:?}: fresh log reported poisoned");
-                assert_eq!(tables, 0, "{front_end:?}");
-                assert_eq!(repl_lag, 0, "{front_end:?}");
-                assert_eq!(semi_sync_degraded, 0, "{front_end:?}");
-                assert_eq!(resyncs, 0, "{front_end:?}");
-            }
-            other => panic!("{front_end:?}: ping answered {other:?}"),
+    // Healthy and empty.
+    match decode(&client.call(&ping).unwrap()) {
+        ServerResponse::Status {
+            poisoned,
+            tables,
+            repl_lag,
+            semi_sync_degraded,
+            resyncs,
+        } => {
+            assert!(!poisoned, "fresh log reported poisoned");
+            assert_eq!(tables, 0);
+            assert_eq!(repl_lag, 0);
+            assert_eq!(semi_sync_degraded, 0);
+            assert_eq!(resyncs, 0);
         }
-
-        // The table count tracks the store.
-        assert!(is_ok(&client.call(&create_msg("A")).unwrap()));
-        assert!(is_ok(&client.call(&create_msg("B")).unwrap()));
-        match decode(&client.call(&ping).unwrap()) {
-            ServerResponse::Status { tables, .. } => assert_eq!(tables, 2, "{front_end:?}"),
-            other => panic!("{front_end:?}: ping answered {other:?}"),
-        }
-
-        // The probe sees through a poisoned log — and keeps answering
-        // on it, which is the whole point: failover logic needs the
-        // answer exactly when mutations are failing.
-        let log = Arc::clone(server.durable_log().unwrap());
-        log.inject_sync_failures(1);
-        let _ = client.call(&append_msg("A", 0)).unwrap(); // trips the barrier
-        assert!(log.is_poisoned());
-        match decode(&client.call(&ping).unwrap()) {
-            ServerResponse::Status { poisoned, .. } => {
-                assert!(poisoned, "{front_end:?}: probe missed the poisoned log");
-            }
-            other => panic!("{front_end:?}: ping failed on a poisoned log: {other:?}"),
-        }
-        handle.shutdown();
+        other => panic!("ping answered {other:?}"),
     }
+
+    // The table count tracks the store.
+    assert!(is_ok(&client.call(&create_msg("A")).unwrap()));
+    assert!(is_ok(&client.call(&create_msg("B")).unwrap()));
+    match decode(&client.call(&ping).unwrap()) {
+        ServerResponse::Status { tables, .. } => assert_eq!(tables, 2),
+        other => panic!("ping answered {other:?}"),
+    }
+
+    // The probe sees through a poisoned log — and keeps answering
+    // on it, which is the whole point: failover logic needs the
+    // answer exactly when mutations are failing.
+    let log = Arc::clone(server.durable_log().unwrap());
+    log.inject_sync_failures(1);
+    let _ = client.call(&append_msg("A", 0)).unwrap(); // trips the barrier
+    assert!(log.is_poisoned());
+    match decode(&client.call(&ping).unwrap()) {
+        ServerResponse::Status { poisoned, .. } => {
+            assert!(poisoned, "probe missed the poisoned log");
+        }
+        other => panic!("ping failed on a poisoned log: {other:?}"),
+    }
+    handle.shutdown();
 }
 
 #[test]

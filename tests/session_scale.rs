@@ -1,28 +1,32 @@
-//! Session scale: the readiness front-end must carry a thousand-plus
-//! concurrent sessions without changing a single byte.
+//! Session scale: many concurrent sessions, none stalled by another,
+//! and not a single byte changed.
 //!
-//! The thread-per-connection front-end burns one OS thread per
-//! session; the poll-based event loop multiplexes them all onto one.
-//! Both are Eve spending her own resources — so this suite pins:
+//! The front-end runs one OS thread per session. That is Eve spending
+//! her own resources — so this suite pins:
 //!
-//! 1. **Scale.** ≥1k concurrent loopback connections, each pipelining
-//!    a mixed batch of mutations, queries, and reads, all answered
-//!    correctly and in per-session order, with a clean shutdown and an
-//!    exact accepted-connection count.
-//! 2. **Byte equality.** A fixed sequential session produces
+//! 1. **Scale.** Hundreds of concurrent loopback connections, each
+//!    pipelining a mixed batch of mutations, queries, and reads, all
+//!    answered correctly and in per-session order, with a clean
+//!    shutdown and an exact accepted-connection count.
+//! 2. **No head-of-line blocking.** A session sending cheap requests
+//!    is answered promptly while another session runs back-to-back
+//!    scans that take tens of milliseconds each.
+//! 3. **Byte equality.** A fixed sequential session produces
 //!    byte-identical responses *and* an identical [`Observer`]
-//!    transcript across {event loop, thread-per-connection} ×
-//!    {in-memory, durable} × shard counts × pool sizes, versus the
-//!    in-process baseline. The front-end and the group committer
-//!    change scheduling and timing only — never what Eve records.
+//!    transcript across {in-memory, durable} × shard counts × pool
+//!    sizes, versus the in-process baseline. The socket and the group
+//!    committer change scheduling and timing only — never what Eve
+//!    records.
 
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use dbph::core::codec;
-use dbph::core::protocol::ClientMessage;
+use dbph::core::protocol::{ClientMessage, WireTrapdoor};
 use dbph::core::wire::WireEncode as _;
-use dbph::core::{DurableOptions, FrontEnd, NetServer, PooledClient, Server, TempDir, Transport};
+use dbph::core::{DurableOptions, NetServer, PooledClient, Server, TempDir, Transport};
 use dbph::swp::{CipherWord, SwpParams};
 
 fn params() -> SwpParams {
@@ -78,8 +82,10 @@ fn session_requests(i: usize) -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn a_thousand_concurrent_sessions_pipeline_in_order() {
-    const SESSIONS: usize = 1100;
+fn hundreds_of_concurrent_sessions_pipeline_in_order() {
+    // Each session costs a server thread and a client thread here, so
+    // the count stays well inside a small machine's thread budget.
+    const SESSIONS: usize = 256;
     const SHARDS: usize = 3;
 
     let server = Server::with_pool(SHARDS, 2);
@@ -103,7 +109,7 @@ fn a_thousand_concurrent_sessions_pipeline_in_order() {
             .collect(),
     );
 
-    let handle = NetServer::spawn_with(server.clone(), "127.0.0.1:0", FrontEnd::EventLoop).unwrap();
+    let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let addr = handle.addr();
 
     // Every thread connects first and only then starts its pipelined
@@ -149,6 +155,104 @@ fn a_thousand_concurrent_sessions_pipeline_in_order() {
     handle.shutdown();
 }
 
+/// The median of `samples` (sorts them in place).
+fn median(samples: &mut [Duration]) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// One round trip on a raw framed connection.
+fn round_trip(stream: &mut TcpStream, request: &[u8]) -> Duration {
+    let started = Instant::now();
+    codec::write_frame(stream, request).unwrap();
+    codec::read_frame(stream)
+        .unwrap()
+        .expect("server closed the connection mid-exchange");
+    started.elapsed()
+}
+
+#[test]
+fn a_slow_scan_session_does_not_delay_another_session() {
+    // A one-worker pool runs each scan inline on its session thread,
+    // so the scanning session occupies one core and the pinging
+    // session's requests must not queue behind it.
+    let server = Server::with_pool(2, 1);
+    let _ = server.handle(
+        &ClientMessage::CreateTable {
+            name: "wide".into(),
+            table: table(20_000),
+        }
+        .to_wire(),
+    );
+
+    // Grow a batch of distinct terms (each one a full-table scan)
+    // until one batch takes at least 20 ms in-process.
+    let trapdoor = |k: u32| WireTrapdoor {
+        attr: 0,
+        target: vec![(k % 251) as u8; 13],
+        check_key: k.to_le_bytes().repeat(8),
+    };
+    let batch_of = |terms: u32| {
+        ClientMessage::QueryBatch {
+            name: "wide".into(),
+            queries: (0..terms).map(|k| vec![trapdoor(k)]).collect(),
+        }
+        .to_wire()
+    };
+    let mut terms = 4u32;
+    let scan = loop {
+        let scan = batch_of(terms);
+        let mut times: Vec<Duration> = (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                let _ = server.handle(&scan);
+                started.elapsed()
+            })
+            .collect();
+        if median(&mut times) >= Duration::from_millis(20) {
+            break scan;
+        }
+        assert!(terms < 1 << 16, "a scan batch never reached 20 ms");
+        terms *= 2;
+    };
+
+    let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
+    let addr = handle.addr();
+    let pinging_done = Arc::new(AtomicBool::new(false));
+    let scans_done = Arc::new(AtomicUsize::new(0));
+    let scanner = {
+        let pinging_done = Arc::clone(&pinging_done);
+        let scans_done = Arc::clone(&scans_done);
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut times = Vec::new();
+            while !pinging_done.load(Ordering::SeqCst) {
+                times.push(round_trip(&mut stream, &scan));
+                scans_done.fetch_add(1, Ordering::SeqCst);
+            }
+            times
+        })
+    };
+    // Start pinging once the scanning session is under way.
+    while scans_done.load(Ordering::SeqCst) == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut pinger = TcpStream::connect(addr).unwrap();
+    let ping = ClientMessage::Ping.to_wire();
+    let mut ping_times: Vec<Duration> = (0..200).map(|_| round_trip(&mut pinger, &ping)).collect();
+    pinging_done.store(true, Ordering::SeqCst);
+    let mut scan_times = scanner.join().unwrap();
+
+    let ping_median = median(&mut ping_times);
+    let scan_median = median(&mut scan_times);
+    assert!(
+        ping_median * 4 < scan_median,
+        "pings waited behind another session's scans: median ping {ping_median:?}, \
+         median {terms}-term scan {scan_median:?}"
+    );
+    handle.shutdown();
+}
+
 /// One fixed sequential session, replayed through every deployment
 /// combination; every response byte and every observer event must
 /// match the in-process baseline.
@@ -191,7 +295,7 @@ fn matrix_session() -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn responses_and_transcripts_identical_across_front_ends_and_stores() {
+fn responses_and_transcripts_identical_across_stores() {
     let messages = matrix_session();
     for shards in [1usize, 3] {
         for workers in [1usize, 2] {
@@ -199,44 +303,39 @@ fn responses_and_transcripts_identical_across_front_ends_and_stores() {
             let baseline_responses: Vec<_> = messages.iter().map(|m| baseline.handle(m)).collect();
             let baseline_events = baseline.observer().events();
 
-            for front_end in [FrontEnd::ThreadPerConnection, FrontEnd::EventLoop] {
-                for durable in [false, true] {
-                    let _tmp; // keeps the data dir alive through the run
-                    let server = if durable {
-                        let tmp = TempDir::new("matrix").unwrap();
-                        let server = Server::open_durable_with(
-                            tmp.path(),
-                            shards,
-                            Some(workers),
-                            DurableOptions::default(),
-                        )
-                        .unwrap();
-                        _tmp = tmp;
-                        server
-                    } else {
-                        Server::with_pool(shards, workers)
-                    };
-                    let handle =
-                        NetServer::spawn_with(server.clone(), "127.0.0.1:0", front_end).unwrap();
-                    let pool = PooledClient::connect(handle.addr(), 2).unwrap();
-                    let responses: Vec<_> = messages
-                        .iter()
-                        .map(|m| pool.call(m).expect("transport call"))
-                        .collect();
-                    let label = format!(
-                        "{front_end:?} × durable={durable} × {shards} shard(s) × {workers} worker(s)"
-                    );
-                    assert_eq!(
-                        responses, baseline_responses,
-                        "responses diverged at {label}"
-                    );
-                    assert_eq!(
-                        server.observer().events(),
-                        baseline_events,
-                        "transcript diverged at {label}"
-                    );
-                    handle.shutdown();
-                }
+            for durable in [false, true] {
+                let _tmp; // keeps the data dir alive through the run
+                let server = if durable {
+                    let tmp = TempDir::new("matrix").unwrap();
+                    let server = Server::open_durable_with(
+                        tmp.path(),
+                        shards,
+                        Some(workers),
+                        DurableOptions::default(),
+                    )
+                    .unwrap();
+                    _tmp = tmp;
+                    server
+                } else {
+                    Server::with_pool(shards, workers)
+                };
+                let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
+                let pool = PooledClient::connect(handle.addr(), 2).unwrap();
+                let responses: Vec<_> = messages
+                    .iter()
+                    .map(|m| pool.call(m).expect("transport call"))
+                    .collect();
+                let label = format!("durable={durable} × {shards} shard(s) × {workers} worker(s)");
+                assert_eq!(
+                    responses, baseline_responses,
+                    "responses diverged at {label}"
+                );
+                assert_eq!(
+                    server.observer().events(),
+                    baseline_events,
+                    "transcript diverged at {label}"
+                );
+                handle.shutdown();
             }
         }
     }

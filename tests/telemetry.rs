@@ -7,8 +7,8 @@
 //! implementation to that:
 //!
 //! 1. **On/off byte-identity.** For a mutation-and-query workload
-//!    across {thread-per-connection, event-loop} front-ends ×
-//!    {in-memory, durable group-commit} stores × shard counts, a
+//!    over TCP across {in-memory, durable group-commit} stores ×
+//!    shard counts, a
 //!    session against a telemetry-enabled server produces responses,
 //!    `Observer` transcripts, and durable segment/manifest bytes
 //!    identical to a telemetry-disabled server's.
@@ -16,17 +16,16 @@
 //!    versioned snapshot and records no `ServerEvent`s.
 //! 3. **Counters move for the right reasons.** Faults and code paths
 //!    that must be operator-visible (envelope replays, stale
-//!    envelopes, follower resyncs, client retries/failovers,
-//!    event-loop replication refusals, fsync barriers) each move
-//!    their counter strictly positive.
+//!    envelopes, follower resyncs, client retries/failovers, fsync
+//!    barriers) each move their counter strictly positive.
 
 use std::time::Duration;
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
-    DatabasePh, FinalSwpPh, FrontEnd, NetServer, PoolOptions, PooledClient, Replica,
-    ReplicaOptions, RetryPolicy, Server, TempDir, Transport, REPL_PULL_EVENT_LOOP_REFUSED,
+    DatabasePh, FinalSwpPh, NetServer, PoolOptions, PooledClient, Replica, ReplicaOptions,
+    RetryPolicy, Server, TempDir, Transport,
 };
 use dbph::crypto::SecretKey;
 use dbph::relation::{Query, Relation, Tuple, Value};
@@ -159,12 +158,11 @@ type AdversaryView = (
 );
 
 /// One full TCP session for a matrix cell: build the server (durable
-/// or in-memory), flip telemetry, serve under `front_end`, replay the
+/// or in-memory), flip telemetry, serve it over TCP, replay the
 /// workload through a retrying pool with a pinned envelope identity
 /// (so tagged request bytes are deterministic), and collect everything
 /// the adversary model can see.
 fn run_session(
-    front_end: FrontEnd,
     durable: bool,
     shards: usize,
     telemetry_on: bool,
@@ -172,7 +170,7 @@ fn run_session(
 ) -> AdversaryView {
     let tmp = durable.then(|| {
         TempDir::new(&format!(
-            "tele-{front_end:?}-{shards}-{}",
+            "tele-{shards}-{}",
             if telemetry_on { "on" } else { "off" }
         ))
         .unwrap()
@@ -183,7 +181,7 @@ fn run_session(
     };
     server.telemetry().set_enabled(telemetry_on);
 
-    let handle = NetServer::spawn_with(server.clone(), "127.0.0.1:0", front_end).unwrap();
+    let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect_with(
         handle.addr(),
         PoolOptions {
@@ -216,18 +214,14 @@ fn run_session(
 #[test]
 fn telemetry_on_off_is_byte_identical_across_the_matrix() {
     let messages = workload_messages();
-    for front_end in [FrontEnd::ThreadPerConnection, FrontEnd::EventLoop] {
-        for durable in [false, true] {
-            for shards in [1usize, 3] {
-                let (on_resp, on_events, on_image) =
-                    run_session(front_end, durable, shards, true, &messages);
-                let (off_resp, off_events, off_image) =
-                    run_session(front_end, durable, shards, false, &messages);
-                let cell = format!("{front_end:?} durable={durable} shards={shards}");
-                assert_eq!(on_resp, off_resp, "responses diverged at {cell}");
-                assert_eq!(on_events, off_events, "transcripts diverged at {cell}");
-                assert_eq!(on_image, off_image, "durable bytes diverged at {cell}");
-            }
+    for durable in [false, true] {
+        for shards in [1usize, 3] {
+            let (on_resp, on_events, on_image) = run_session(durable, shards, true, &messages);
+            let (off_resp, off_events, off_image) = run_session(durable, shards, false, &messages);
+            let cell = format!("durable={durable} shards={shards}");
+            assert_eq!(on_resp, off_resp, "responses diverged at {cell}");
+            assert_eq!(on_events, off_events, "transcripts diverged at {cell}");
+            assert_eq!(on_image, off_image, "durable bytes diverged at {cell}");
         }
     }
 }
@@ -560,41 +554,22 @@ fn client_retry_and_failover_counters_move() {
 }
 
 #[test]
-fn event_loop_refuses_repl_pull_but_thread_front_end_serves_it() {
+fn thread_front_end_serves_repl_pull() {
     let pull = ClientMessage::ReplPull {
         follower: 5,
         after_offset: 0,
     }
     .to_wire();
-
-    // Event loop: refusal, documented error text, counter moves.
-    let tmp = TempDir::new("tele-refuse-el").unwrap();
+    // A long-poll parks only its own session thread, so the front-end
+    // serves replication pulls like any other request.
+    let tmp = TempDir::new("tele-repl-pull").unwrap();
     let server = Server::open_durable(tmp.path(), 1).unwrap();
-    let handle = NetServer::spawn_with(server.clone(), "127.0.0.1:0", FrontEnd::EventLoop).unwrap();
-    let pool = PooledClient::connect(handle.addr(), 1).unwrap();
-    match ServerResponse::from_wire(&pool.call(&pull).unwrap()).unwrap() {
-        ServerResponse::Error(e) => assert!(
-            e.contains(REPL_PULL_EVENT_LOOP_REFUSED),
-            "refusal must carry the documented text, got: {e}"
-        ),
-        other => panic!("expected the documented refusal, got {other:?}"),
-    }
-    assert_eq!(server.telemetry().net_repl_pull_refused.get(), 1);
-    handle.shutdown();
-
-    // Thread-per-connection: the same pull is served (a parked thread
-    // is that front-end's design, not a liveness hazard).
-    let tmp = TempDir::new("tele-refuse-tpc").unwrap();
-    let server = Server::open_durable(tmp.path(), 1).unwrap();
-    let handle =
-        NetServer::spawn_with(server.clone(), "127.0.0.1:0", FrontEnd::ThreadPerConnection)
-            .unwrap();
+    let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     if let ServerResponse::Error(e) = ServerResponse::from_wire(&pool.call(&pull).unwrap()).unwrap()
     {
         panic!("thread front-end must serve ReplPull, got: {e}");
     }
-    assert_eq!(server.telemetry().net_repl_pull_refused.get(), 0);
     handle.shutdown();
 }
 
