@@ -161,7 +161,7 @@ impl WordArena {
     /// where the regular/irregular classification happens (shared by
     /// [`Self::push`], [`Self::retain`], and [`Self::append_range`]).
     ///
-    /// `pub(crate)` for the durable log's recovery decoder, which
+    /// `pub(crate)` for the durable log's snapshot-chunk decoder, which
     /// streams word slices straight out of a record buffer and must
     /// pair every run of `push_word` calls with one [`Self::seal_doc`].
     ///

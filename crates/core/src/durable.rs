@@ -13,9 +13,10 @@
 //!   fsync'd before the response leaves the server. The record payload
 //!   is the **raw client message**, verbatim: the log is byte-for-byte
 //!   a prefix of the mutation transcript Eve records anyway, which is
-//!   what makes the leakage argument below airtight and makes replay
-//!   trivially equivalent to the original apply (every mutation is a
-//!   deterministic function of store state).
+//!   what makes the leakage argument below airtight. Replay decodes
+//!   nothing itself: each record goes back through the server's own
+//!   apply, so it does what the original apply did (every mutation is
+//!   a deterministic function of store state).
 //! * **Framing.** Records reuse the [`crate::codec`] discipline — a
 //!   `u32`-LE length prefix and a defensive size cap — with an 8-byte
 //!   truncated SHA-256 trailer over the body, so recovery can tell "a
@@ -33,7 +34,13 @@
 //!   arena-to-arena repartition (no boxed documents on the way in
 //!   either). Compaction then swaps the manifest to
 //!   `[snapshot, fresh active]` and deletes the old segments.
-//! * **Recovery.** [`DurableLog::open`] replays manifest + segments.
+//! * **Recovery.** [`DurableLog::open`] walks manifest + segments in
+//!   log order into a [`TableStore`]: snapshot chunks load columnar,
+//!   the dedup and index images install where they sit in the log,
+//!   and every mutation record goes to a callback — the server's
+//!   `apply_logged`, the same function a follower's tailer applies
+//!   shipped records with — so index clears on drop and create and
+//!   purges on delete happen exactly as they did live.
 //!   A torn tail record in the **active** segment — the expected shape
 //!   of a crash mid-write or mid-fsync — is truncated away, never a
 //!   panic and never a partial apply (a record replays only if its
@@ -66,8 +73,7 @@ use dbph_swp::SwpParams;
 use crate::arena::WordArena;
 use crate::codec;
 use crate::error::PhError;
-use crate::index::{Posting, PostingKey};
-use crate::protocol::tag;
+use crate::index::Posting;
 use crate::storage::{ShardedTable, TableStore};
 use crate::telemetry::Telemetry;
 use crate::wire::{Reader, WireDecode, WireEncode};
@@ -145,56 +151,9 @@ impl Default for DurableOptions {
     }
 }
 
-/// One table rebuilt by recovery, still in columnar form — the server
-/// turns it into a [`ShardedTable`] with an arena-to-arena partition.
-pub struct RecoveredTable {
-    /// Table name.
-    pub(crate) name: String,
-    /// The table's SWP parameters.
-    pub(crate) params: SwpParams,
-    /// All live documents, in document order.
-    pub(crate) arena: WordArena,
-    /// Next fresh document id.
-    pub(crate) next_doc_id: u64,
-}
-
-/// Dedup-window state rebuilt by recovery, in log order. The server
-/// feeds the events into [`crate::storage::DedupWindow`] after
-/// installing the tables: snapshot events restore a compaction-time
-/// window image, applied events re-insert each logged tagged mutation
-/// exactly as live traffic did (same insertions, evictions, and
-/// watermarks — so exactly-once survives restarts).
-#[derive(Debug, Default)]
-pub struct RecoveredDedup {
-    pub(crate) events: Vec<DedupEvent>,
-}
-
-/// Encrypted-index state rebuilt by recovery: the multimap image the
-/// last compaction persisted, if any. Non-empty only when the index
-/// was enabled — installing it re-enables the index on the recovered
-/// server.
-#[derive(Debug, Default)]
-pub struct RecoveredIndex {
-    pub(crate) image: Vec<(String, Vec<(PostingKey, Posting)>)>,
-}
-
 /// Wire shape of a persisted index image: per table, each posting as
 /// `((attr, label bytes), (bound, doc ids))`.
 type IndexImageWire = Vec<(String, Vec<((u8, Vec<u8>), (u64, Vec<u64>))>)>;
-
-/// One dedup-relevant observation during log replay.
-#[derive(Debug)]
-pub(crate) enum DedupEvent {
-    /// A [`TAG_DEDUP`] record: one client's persisted window image.
-    Snapshot {
-        client_id: u64,
-        watermark: u64,
-        seqs: Vec<u64>,
-    },
-    /// A [`TAG_MUTATION`] record carrying the idempotent envelope:
-    /// this `(client_id, seq)` was applied and acked.
-    Applied { client_id: u64, seq: u64 },
-}
 
 /// Mutable write-side state, guarded by [`DurableLog::writer`].
 struct Writer {
@@ -451,16 +410,14 @@ fn wire_to_durability(e: PhError) -> PhError {
 
 /// Decodes a wire `Vec<(u64, Vec<CipherWord>)>` document list straight
 /// into `arena` — word bytes go from the record buffer into the
-/// columnar slots without a boxed document in between. Returns the
-/// last document id, if any.
-fn decode_docs_into(r: &mut Reader<'_>, arena: &mut WordArena) -> Result<Option<u64>, PhError> {
+/// columnar slots without a boxed document in between.
+fn decode_docs_into(r: &mut Reader<'_>, arena: &mut WordArena) -> Result<(), PhError> {
     let count = usize::decode(r)?;
     if count > r.remaining() {
         return Err(PhError::Wire(format!(
             "doc count {count} exceeds remaining input"
         )));
     }
-    let mut last = None;
     for _ in 0..count {
         let doc_id = u64::decode(r)?;
         let words = usize::decode(r)?;
@@ -474,160 +431,113 @@ fn decode_docs_into(r: &mut Reader<'_>, arena: &mut WordArena) -> Result<Option<
             arena.push_word(r.take(len)?);
         }
         arena.seal_doc(doc_id);
-        last = Some(doc_id);
-    }
-    Ok(last)
-}
-
-/// Replays one mutation-record body (a raw client message) onto the
-/// recovery state. Mutations were validated when first applied, so
-/// replay trusts the log — an inconsistent record (append to a table
-/// the log never created) is corruption, not a user error.
-fn replay_mutation(
-    body: &[u8],
-    tables: &mut BTreeMap<String, RecoveredTable>,
-    dedup: &mut RecoveredDedup,
-) -> Result<(), PhError> {
-    let mut r = Reader::new(body);
-    let message_tag = u8::decode(&mut r)?;
-    if message_tag == tag::TAGGED {
-        // An idempotent envelope: note the request id, then replay the
-        // inner message. Only applied mutations were logged, so every
-        // id seen here acked a success — the rebuilt window caches the
-        // same `Ok` the live server returned.
-        let client_id = u64::decode(&mut r)?;
-        let seq = u64::decode(&mut r)?;
-        let inner = r.take(r.remaining())?;
-        if inner.first() == Some(&tag::TAGGED) {
-            return Err(PhError::Durability("nested envelope in log".into()));
-        }
-        replay_mutation(inner, tables, dedup)?;
-        dedup.events.push(DedupEvent::Applied { client_id, seq });
-        return Ok(());
-    }
-    let name = String::decode(&mut r)?;
-    fn known<'t>(
-        tables: &'t mut BTreeMap<String, RecoveredTable>,
-        name: &str,
-    ) -> Result<&'t mut RecoveredTable, PhError> {
-        tables
-            .get_mut(name)
-            .ok_or_else(|| PhError::Durability(format!("log mutates unknown table {name}")))
-    }
-    match message_tag {
-        tag::CREATE => {
-            let params = SwpParams::decode(&mut r)?;
-            let mut arena = WordArena::new(params.word_len);
-            decode_docs_into(&mut r, &mut arena)?;
-            let next_doc_id = u64::decode(&mut r)?;
-            r.expect_end()?;
-            tables.insert(
-                name.clone(),
-                RecoveredTable {
-                    name,
-                    params,
-                    arena,
-                    next_doc_id,
-                },
-            );
-        }
-        tag::APPEND => {
-            let doc_id = u64::decode(&mut r)?;
-            let table = known(tables, &name)?;
-            let words = usize::decode(&mut r)?;
-            for _ in 0..words {
-                let len = usize::decode(&mut r)?;
-                table.arena.push_word(r.take(len)?);
-            }
-            table.arena.seal_doc(doc_id);
-            table.next_doc_id = doc_id + 1;
-            r.expect_end()?;
-        }
-        tag::APPEND_BATCH => {
-            let table = known(tables, &name)?;
-            if let Some(last) = decode_docs_into(&mut r, &mut table.arena)? {
-                table.next_doc_id = last + 1;
-            }
-            r.expect_end()?;
-        }
-        tag::DELETE => {
-            let doc_ids = Vec::<u64>::decode(&mut r)?;
-            r.expect_end()?;
-            let victims: std::collections::BTreeSet<u64> = doc_ids.into_iter().collect();
-            known(tables, &name)?
-                .arena
-                .retain(|id| !victims.contains(&id));
-        }
-        tag::DROP => {
-            r.expect_end()?;
-            tables.remove(&name);
-        }
-        t => {
-            return Err(PhError::Durability(format!(
-                "non-mutation message tag {t} in log"
-            )))
-        }
     }
     Ok(())
 }
 
-/// Replays one snapshot-record body: a bounded chunk of one table's
-/// documents, appended in chunk order.
-fn replay_snapshot(
-    body: &[u8],
-    tables: &mut BTreeMap<String, RecoveredTable>,
-) -> Result<(), PhError> {
-    let mut r = Reader::new(body);
-    let name = String::decode(&mut r)?;
-    let params = SwpParams::decode(&mut r)?;
-    let next_doc_id = u64::decode(&mut r)?;
-    let table = tables
-        .entry(name.clone())
-        .or_insert_with(|| RecoveredTable {
+/// One table's snapshot chunks, gathered in columnar form until a
+/// record that is not one of its chunks arrives.
+struct SnapshotTable {
+    name: String,
+    params: SwpParams,
+    arena: WordArena,
+    next_doc_id: u64,
+}
+
+/// Recovery's walk over the log, in log order: snapshot tables, the
+/// dedup image and the index image install into `store` at their place
+/// in the log, and every mutation record goes to `apply` — the
+/// server's own apply path, so a replayed mutation does exactly what
+/// it did live (index clears on drop and create, purges on delete).
+struct Replay<'s, F> {
+    store: &'s TableStore,
+    apply: F,
+    pending: Option<SnapshotTable>,
+}
+
+impl<F: FnMut(&[u8]) -> Result<(), PhError>> Replay<'_, F> {
+    fn record(&mut self, record_tag: u8, body: &[u8]) -> Result<(), PhError> {
+        if record_tag == TAG_SNAPSHOT {
+            return self.snapshot_chunk(body);
+        }
+        self.install_pending();
+        match record_tag {
+            TAG_MUTATION => (self.apply)(body),
+            TAG_DEDUP => self.install_dedup(body),
+            TAG_INDEX => self.install_index(body),
+            t => Err(PhError::Durability(format!("unknown record tag {t}"))),
+        }
+    }
+
+    /// One snapshot-record body: a bounded chunk of one table's
+    /// documents, appended in chunk order. A table's chunks are
+    /// contiguous in the log, so a chunk naming another table
+    /// installs the one gathered so far.
+    fn snapshot_chunk(&mut self, body: &[u8]) -> Result<(), PhError> {
+        let mut r = Reader::new(body);
+        let name = String::decode(&mut r)?;
+        let params = SwpParams::decode(&mut r)?;
+        let next_doc_id = u64::decode(&mut r)?;
+        if self.pending.as_ref().is_some_and(|t| t.name != name) {
+            self.install_pending();
+        }
+        let table = self.pending.get_or_insert_with(|| SnapshotTable {
             name,
             params,
             arena: WordArena::new(params.word_len),
             next_doc_id,
         });
-    decode_docs_into(&mut r, &mut table.arena)?;
-    table.next_doc_id = next_doc_id;
-    r.expect_end()?;
-    Ok(())
-}
-
-/// Replays one dedup-record body: the window image a compaction cut
-/// persisted, `Vec<(client_id, (watermark, applied seqs))>`.
-fn replay_dedup(body: &[u8], dedup: &mut RecoveredDedup) -> Result<(), PhError> {
-    let mut r = Reader::new(body);
-    let image = Vec::<(u64, (u64, Vec<u64>))>::decode(&mut r)?;
-    r.expect_end()?;
-    for (client_id, (watermark, seqs)) in image {
-        dedup.events.push(DedupEvent::Snapshot {
-            client_id,
-            watermark,
-            seqs,
-        });
+        decode_docs_into(&mut r, &mut table.arena)?;
+        table.next_doc_id = next_doc_id;
+        r.expect_end()
     }
-    Ok(())
-}
 
-/// Replays one index-record body: the multimap image a compaction cut
-/// persisted, `Vec<(table, Vec<((attr, label), (bound, posting ids))>)>`.
-fn replay_index(body: &[u8], index: &mut RecoveredIndex) -> Result<(), PhError> {
-    let mut r = Reader::new(body);
-    let image = IndexImageWire::decode(&mut r)?;
-    r.expect_end()?;
-    for (name, postings) in image {
-        let mut entries = Vec::with_capacity(postings.len());
-        for ((attr, label), (bound, doc_ids)) in postings {
-            let label: dbph_swp::IndexLabel = label
-                .try_into()
-                .map_err(|_| PhError::Durability("index record label is not 32 bytes".into()))?;
-            entries.push(((attr, label), Posting { doc_ids, bound }));
+    /// Installs the gathered snapshot table, repartitioned arena to
+    /// arena into the store's shard count.
+    fn install_pending(&mut self) {
+        if let Some(t) = self.pending.take() {
+            let shards = self.store.shard_count();
+            let table = ShardedTable::from_arena(t.params, &t.arena, t.next_doc_id, shards);
+            self.store.install(t.name, table);
         }
-        index.image.push((name, entries));
     }
-    Ok(())
+
+    /// One dedup-record body: the window image a compaction cut
+    /// persisted, `Vec<(client_id, (watermark, applied seqs))>`.
+    fn install_dedup(&self, body: &[u8]) -> Result<(), PhError> {
+        let mut r = Reader::new(body);
+        let image = Vec::<(u64, (u64, Vec<u64>))>::decode(&mut r)?;
+        r.expect_end()?;
+        for (client_id, (watermark, seqs)) in image {
+            self.store
+                .dedup()
+                .install_snapshot(client_id, watermark, &seqs);
+        }
+        Ok(())
+    }
+
+    /// One index-record body: the multimap image a compaction cut
+    /// persisted, `Vec<(table, Vec<((attr, label), (bound, posting ids))>)>`.
+    /// Installing it re-enables the index: the record exists only
+    /// because the index was on when the snapshot was cut.
+    fn install_index(&self, body: &[u8]) -> Result<(), PhError> {
+        let mut r = Reader::new(body);
+        let image = IndexImageWire::decode(&mut r)?;
+        r.expect_end()?;
+        let mut tables = Vec::with_capacity(image.len());
+        for (name, postings) in image {
+            let mut entries = Vec::with_capacity(postings.len());
+            for ((attr, label), (bound, doc_ids)) in postings {
+                let label: dbph_swp::IndexLabel = label.try_into().map_err(|_| {
+                    PhError::Durability("index record label is not 32 bytes".into())
+                })?;
+                entries.push(((attr, label), Posting { doc_ids, bound }));
+            }
+            tables.push((name, entries));
+        }
+        self.store.index().install_snapshot(tables);
+        Ok(())
+    }
 }
 
 /// Writes one framed record — a `u32`-LE length, then `tag ‖ body ‖
@@ -697,41 +607,28 @@ pub(crate) fn walk_records<'a>(
     Ok((records, clean))
 }
 
-/// Replays every complete record of `bytes` onto the recovery state and
-/// returns the length of the clean prefix (short of `bytes.len()` when
-/// the tail is torn).
-fn replay_segment(
-    bytes: &[u8],
-    tables: &mut BTreeMap<String, RecoveredTable>,
-    dedup: &mut RecoveredDedup,
-    index: &mut RecoveredIndex,
-) -> Result<u64, PhError> {
-    let (_, clean) = walk_records(bytes, |record_tag, record| match record_tag {
-        TAG_MUTATION => replay_mutation(record, tables, dedup),
-        TAG_SNAPSHOT => replay_snapshot(record, tables),
-        TAG_DEDUP => replay_dedup(record, dedup),
-        TAG_INDEX => replay_index(record, index),
-        t => Err(PhError::Durability(format!("unknown record tag {t}"))),
-    })?;
-    Ok(clean)
-}
-
 impl DurableLog {
     /// Opens (or initializes) the log under `dir` and recovers the
-    /// store state it describes: replays the manifest's segments in
-    /// order, truncates a torn tail record in the active segment, and
-    /// returns the rebuilt tables in columnar form. Stray segment
-    /// files a crash-interrupted compaction left outside the manifest
-    /// are removed.
+    /// store state it describes into `store`: walks the manifest's
+    /// segments in log order, installing snapshot tables (columnar,
+    /// through [`ShardedTable::from_arena`]) and the dedup and index
+    /// images where they sit in the log, and handing every mutation
+    /// record's body — the raw client message — to `apply`. A torn
+    /// tail record in the active segment is truncated away. Stray
+    /// segment files a crash-interrupted compaction left outside the
+    /// manifest are removed.
     ///
     /// # Errors
     /// [`PhError::Durability`] on I/O failure, a corrupt manifest, a
     /// corrupt **sealed** segment, or a checksum-valid record that
-    /// does not decode. A torn active-segment tail is *not* an error.
+    /// does not decode; `apply`'s errors pass through. A torn
+    /// active-segment tail is *not* an error.
     pub fn open(
         dir: impl AsRef<Path>,
         options: DurableOptions,
-    ) -> Result<(Self, Vec<RecoveredTable>, RecoveredDedup, RecoveredIndex), PhError> {
+        store: &TableStore,
+        apply: impl FnMut(&[u8]) -> Result<(), PhError>,
+    ) -> Result<Self, PhError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| io_err("create data dir", &e))?;
 
@@ -769,9 +666,11 @@ impl DurableLog {
             vec![0]
         };
 
-        let mut tables = BTreeMap::new();
-        let mut dedup = RecoveredDedup::default();
-        let mut index = RecoveredIndex::default();
+        let mut replay = Replay {
+            store,
+            apply,
+            pending: None,
+        };
         let (&active_id, sealed_ids) = segments
             .split_last()
             .ok_or_else(|| PhError::Durability("empty manifest".into()))?;
@@ -779,7 +678,7 @@ impl DurableLog {
         for &id in sealed_ids {
             let path = segment_path(&dir, id);
             let bytes = fs::read(&path).map_err(|e| io_err("read sealed segment", &e))?;
-            let clean = replay_segment(&bytes, &mut tables, &mut dedup, &mut index)?;
+            let (_, clean) = walk_records(&bytes, |t, body| replay.record(t, body))?;
             if clean != bytes.len() as u64 {
                 return Err(PhError::Durability(format!(
                     "sealed segment {id} corrupt after {clean} bytes"
@@ -789,7 +688,8 @@ impl DurableLog {
         }
         let active_path = segment_path(&dir, active_id);
         let bytes = fs::read(&active_path).map_err(|e| io_err("read active segment", &e))?;
-        let active_bytes = replay_segment(&bytes, &mut tables, &mut dedup, &mut index)?;
+        let (_, active_bytes) = walk_records(&bytes, |t, body| replay.record(t, body))?;
+        replay.install_pending();
         if active_bytes != bytes.len() as u64 {
             // The crash contract: drop the torn tail, keep every fully
             // persisted record. Truncate durably so the next append
@@ -859,7 +759,7 @@ impl DurableLog {
             _dir_lock: dir_lock,
             telemetry: OnceLock::new(),
         };
-        Ok((log, tables.into_values().collect(), dedup, index))
+        Ok(log)
     }
 
     /// The data directory this log persists into.
@@ -1254,9 +1154,8 @@ impl DurableLog {
     /// fsync — so a tailing follower's own append+fsync runs in
     /// parallel with the primary's, which is what keeps semi-sync
     /// ack latency near one fsync instead of two. The parked pull
-    /// occupies its serving thread; point the replication link at the
-    /// default thread-per-connection front-end, not the shared event
-    /// loop.
+    /// occupies its connection's serving thread for up to
+    /// [`REPL_POLL_WAIT`]; other connections are served meanwhile.
     ///
     /// Holds the writer lock across the file reads: appends and
     /// compactions stall for the duration of one bounded chunk read,
@@ -1496,6 +1395,8 @@ impl DurableLog {
         }
         // The dedup window rides along: compaction is about to delete
         // the raw mutation records it would otherwise be rebuilt from.
+        // Its image holds every id whose mutation the tables above
+        // include, in-flight ones too (see `DedupWindow::snapshot`).
         // Skipped when empty (untagged workloads), so segment bytes
         // for envelope-free sessions are unchanged from PR 6.
         let dedup_image: Vec<(u64, (u64, Vec<u64>))> = store

@@ -73,8 +73,8 @@ impl WireDecode for WireTrapdoor {
 }
 
 /// Message tags (first byte of every client message). `pub(crate)` so
-/// the durable log's replay can classify raw mutation records without
-/// materializing boxed documents through the full decode.
+/// the client pool can envelope an already-encoded mutation by its
+/// first byte without decoding it.
 pub(crate) mod tag {
     pub const CREATE: u8 = 1;
     pub const QUERY: u8 = 2;

@@ -3,20 +3,20 @@
 //! A [`Replica`] is a second Eve: it bootstraps from a primary's log
 //! stream and then tails it, pulling runs of verbatim log records
 //! ([`crate::protocol::ClientMessage::ReplPull`]) over any
-//! [`Transport`] and feeding them through the *exact same* paths the
-//! primary's own crash recovery uses. Bootstrap writes the shipped
-//! bytes into a fresh data directory and literally calls
-//! [`crate::durable::DurableLog::open`] on it — bootstrap **is**
-//! recovery — and tailing appends each pulled chunk to the follower's
-//! own log (one `fdatasync` per chunk) before applying the records
-//! in-memory. The follower's store, dedup window, and index are
-//! therefore byte-identical to what the primary would recover from its
-//! own disk, and [`Replica::promote`] simply hands back the inner
-//! [`Server`]: it already is a live durable primary, and because the
-//! raw log carried every idempotent request envelope verbatim, a
-//! client that re-sends an acked mutation after failover gets its
-//! cached response replayed, never re-applied — exactly-once survives
-//! the primary's death.
+//! [`Transport`] and applying every mutation record through the one
+//! function that applies logged mutations everywhere, the server's
+//! `apply_logged`. Bootstrap writes the shipped bytes into a fresh
+//! data directory and opens it with [`Server::open_durable_with`], the
+//! constructor a restarted primary uses — bootstrap **is** recovery —
+//! and tailing appends each pulled chunk to the follower's own log
+//! (one `fdatasync` per chunk) before applying its records in-memory.
+//! The follower's store, dedup window, and index therefore hold what
+//! the primary's live apply produced, and [`Replica::promote`] simply
+//! hands back the inner [`Server`]: it already is a live durable
+//! primary, and because the raw log carried every idempotent request
+//! envelope verbatim, a client that re-sends an acked mutation after
+//! failover gets its cached response replayed, never re-applied —
+//! exactly-once survives the primary's death.
 //!
 //! # Semi-sync acks
 //!
@@ -67,7 +67,7 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::durable::{self, DurableLog, DurableOptions, TAG_MUTATION};
+use crate::durable::{self, DurableOptions, TAG_MUTATION};
 use crate::error::PhError;
 use crate::net::Transport;
 use crate::protocol::ClientMessage;
@@ -283,15 +283,12 @@ fn bootstrap_generation(
     durable::write_manifest(&dir, &[0])?;
     // Bootstrap is recovery: open the directory we just wrote exactly
     // as a restarted primary would open its own.
-    let (log, recovered, dedup, index) = DurableLog::open(&dir, options.durable.clone())?;
-    let server = Server::from_recovery(
-        log,
-        recovered,
-        dedup,
-        index,
+    let server = Server::open_durable_with(
+        &dir,
         options.shards,
         options.workers,
-    );
+        options.durable.clone(),
+    )?;
     Ok((server, cursor))
 }
 
@@ -367,7 +364,7 @@ fn step(inner: &Inner) -> Result<bool, PhError> {
                 "non-mutation record tag {tag} above the snapshot horizon"
             )));
         }
-        server.apply_replicated(body)?;
+        server.apply_logged(body)?;
     }
     if server.telemetry().on() {
         server.telemetry().repl_chunks_applied.inc();

@@ -24,14 +24,11 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::durable::{
-    DurableLog, DurableOptions, RecoveredDedup, RecoveredIndex, RecoveredTable, ReplRead,
-    ReplicationOptions, ScrubReport,
-};
+use crate::durable::{DurableLog, DurableOptions, ReplRead, ReplicationOptions, ScrubReport};
 use crate::error::PhError;
 use crate::executor::Executor;
 use crate::protocol::{ClientMessage, ServerResponse, WireTrapdoor, MAX_CHUNK_BYTES};
-use crate::storage::{DedupDecision, ShardedTable, TableStore};
+use crate::storage::{DedupDecision, TableStore};
 use crate::swp_ph::{matches_at, EncryptedTable};
 use crate::telemetry::{MetricValue, StatsSnapshot, Telemetry, STATS_VERSION};
 use crate::wire::{WireDecode, WireEncode};
@@ -320,6 +317,9 @@ impl Server {
     /// [`Server::open_durable`] with an explicit worker pool size
     /// (`None` = the process-wide pool, as [`Server::with_shards`])
     /// and explicit log options — the form the invariance tests sweep.
+    /// This is the one recovery constructor: [`crate::replica`] calls
+    /// it on a follower's freshly shipped log directory, so bootstrap
+    /// and crash recovery are the same code path.
     ///
     /// # Errors
     /// As [`Server::open_durable`].
@@ -332,70 +332,25 @@ impl Server {
         workers: Option<usize>,
         options: DurableOptions,
     ) -> Result<Self, PhError> {
-        let (log, recovered, dedup, index) = DurableLog::open(dir, options)?;
-        Ok(Self::from_recovery(
-            log, recovered, dedup, index, shards, workers,
-        ))
-    }
-
-    /// Assembles a serving [`Server`] from the output of
-    /// [`DurableLog::open`]. This is *the* recovery constructor —
-    /// [`Server::open_durable_with`] uses it after opening a local
-    /// directory, and [`crate::replica`] uses it after bootstrapping a
-    /// follower's log directory from a primary's shipped stream, which
-    /// is what makes "bootstrap" and "crash recovery" literally the
-    /// same code path.
-    pub(crate) fn from_recovery(
-        log: DurableLog,
-        recovered: Vec<RecoveredTable>,
-        dedup: RecoveredDedup,
-        index: RecoveredIndex,
-        shards: usize,
-        workers: Option<usize>,
-    ) -> Self {
-        let store = match workers {
-            None => TableStore::new(shards),
-            Some(w) => TableStore::with_pool(shards, Arc::new(Executor::new(w))),
+        // Replay applies every logged mutation to a scratch server
+        // through `apply_logged`, exactly as a follower applies its
+        // tail. The serving server takes the scratch store with a fresh
+        // transcript and batch counter: recovery is Eve re-reading her
+        // own disk, not new traffic.
+        let replay = match workers {
+            None => Server::with_shards(shards),
+            Some(w) => Server::with_pool(shards, w),
         };
-        for table in recovered {
-            let sharded =
-                ShardedTable::from_arena(table.params, &table.arena, table.next_doc_id, shards);
-            store.install(table.name, sharded);
-        }
-        // Rebuild the exactly-once window in log order. Only applied
-        // mutations are ever logged, and an applied mutation always
-        // acked `Ok` — so every rebuilt entry caches the same bytes
-        // the live server returned before the restart.
-        let ok = ServerResponse::Ok.to_wire();
-        for event in dedup.events {
-            match event {
-                crate::durable::DedupEvent::Snapshot {
-                    client_id,
-                    watermark,
-                    seqs,
-                } => store
-                    .dedup()
-                    .install_snapshot(client_id, watermark, &seqs, &ok),
-                crate::durable::DedupEvent::Applied { client_id, seq } => {
-                    store.dedup().install_replayed(client_id, seq, ok.clone());
-                }
-            }
-        }
-        // A persisted index image implies the index was enabled when
-        // the snapshot was cut; installing it re-enables the plan so a
-        // recovered server probes the same multimap it persisted.
-        if !index.image.is_empty() {
-            store.index().install_snapshot(index.image);
-        }
-        let telemetry = Arc::new(Telemetry::new());
-        log.install_telemetry(Arc::clone(&telemetry));
-        Server {
-            store: Arc::new(store),
+        let log = DurableLog::open(dir, options, &replay.store, |body| {
+            replay.apply_logged(body)
+        })?;
+        log.install_telemetry(Arc::clone(&replay.telemetry));
+        Ok(Server {
             observer: Observer::new(),
             next_batch: Arc::new(AtomicU64::new(0)),
             durable: Some(Arc::new(log)),
-            telemetry,
-        }
+            ..replay
+        })
     }
 
     /// Names of the stored tables, sorted — public metadata (the
@@ -466,26 +421,26 @@ impl Server {
         }
     }
 
-    /// Applies one replicated mutation record body (the raw client
-    /// message a primary logged) to this server's in-memory state
-    /// *without* logging it — the follower's tailing path, where the
-    /// raw bytes were already appended to the follower's own log
-    /// before this call. Mirrors the recovery replay exactly: a tagged
-    /// envelope rebuilds the dedup window entry, and the mutation
-    /// itself dispatches through the normal path (observer events
-    /// included).
+    /// Applies one logged mutation record body (the raw client message
+    /// a durable server logged) to this server's in-memory state
+    /// *without* logging it. Every logged mutation takes this path:
+    /// crash recovery and follower bootstrap replay their log through
+    /// it, and a follower's tailer applies each shipped record after
+    /// appending it to its own log. A tagged envelope rebuilds the
+    /// dedup window entry, and the mutation itself dispatches through
+    /// the live path (observer events included).
     ///
     /// # Errors
     /// [`PhError::Durability`] when the record does not decode to a
     /// mutation or its application diverges (errors) — either means
-    /// the follower is no longer byte-identical to the primary and
-    /// must re-bootstrap.
-    pub(crate) fn apply_replicated(&self, body: &[u8]) -> Result<(), PhError> {
+    /// this server's state is no longer the one the log describes (a
+    /// follower must re-bootstrap).
+    pub(crate) fn apply_logged(&self, body: &[u8]) -> Result<(), PhError> {
         let msg = ClientMessage::from_wire(body)
-            .map_err(|e| PhError::Durability(format!("replicated record is malformed: {e}")))?;
+            .map_err(|e| PhError::Durability(format!("logged record is malformed: {e}")))?;
         if !Self::is_mutation(&msg) {
             return Err(PhError::Durability(
-                "replicated record is not a mutation".into(),
+                "logged record is not a mutation".into(),
             ));
         }
         let (dedup_entry, inner) = match msg {
@@ -497,17 +452,17 @@ impl Server {
             other => (None, other),
         };
         if let Some((client_id, seq)) = dedup_entry {
-            // A primary logs each envelope at most once, and the
-            // stream replays in log order — a non-fresh decision here
-            // means this follower's window disagrees with the
-            // primary's log, i.e. divergence, not a client retry.
+            // A server logs each envelope at most once, and the log
+            // replays in order — a non-fresh decision here means this
+            // window disagrees with the log, i.e. divergence, not a
+            // client retry.
             if !matches!(
                 self.store.dedup().begin(client_id, seq),
                 DedupDecision::Fresh
             ) {
                 return Err(PhError::Durability(format!(
-                    "replicated envelope ({client_id}, {seq}) is not fresh: \
-                     follower diverged from the primary's log"
+                    "logged envelope ({client_id}, {seq}) is not fresh: \
+                     the dedup window diverged from the log"
                 )));
             }
         }
@@ -526,7 +481,7 @@ impl Server {
                 _ => unreachable!("applied is false only for Error"),
             };
             Err(PhError::Durability(format!(
-                "replicated mutation diverged on apply: {rendered}"
+                "logged mutation diverged on apply: {rendered}"
             )))
         }
     }
@@ -691,7 +646,7 @@ impl Server {
                 seq,
                 inner,
             }) => self.handle_tagged(message_bytes, client_id, seq, *inner),
-            Ok(msg) => self.apply(message_bytes, msg).to_wire(),
+            Ok(msg) => self.apply(message_bytes, msg, None).to_wire(),
             Err(e) => ServerResponse::Error(format!("malformed message: {e}")).to_wire(),
         };
         if let Some(t0) = started {
@@ -706,13 +661,24 @@ impl Server {
     /// Dispatches `msg`, routing mutations through the durable log when
     /// one is attached. `raw` is the frame exactly as received — the
     /// bytes the log records; for a tagged mutation they include the
-    /// envelope, which is how recovery rebuilds the dedup window.
-    fn apply(&self, raw: &[u8], msg: ClientMessage) -> ServerResponse {
+    /// envelope, which is how recovery rebuilds the dedup window, and
+    /// `envelope` is its `(client_id, seq)`, marked logged in the
+    /// window as soon as the mutation applies so a compaction cut
+    /// before its response persists the id.
+    fn apply(
+        &self,
+        raw: &[u8],
+        msg: ClientMessage,
+        envelope: Option<(u64, u64)>,
+    ) -> ServerResponse {
         match &self.durable {
             Some(log) if Self::is_mutation(&msg) => {
                 let logged = log.log_mutation(raw, &self.store, || {
                     let response = self.dispatch(msg);
                     let applied = !matches!(response, ServerResponse::Error(_));
+                    if let (true, Some((client_id, seq))) = (applied, envelope) {
+                        self.store.dedup().mark_logged(client_id, seq);
+                    }
                     (response, applied)
                 });
                 logged.unwrap_or_else(|e| ServerResponse::Error(e.to_string()))
@@ -727,7 +693,7 @@ impl Server {
     /// fresh id reaches [`Server::apply`].
     fn handle_tagged(&self, raw: &[u8], client_id: u64, seq: u64, inner: ClientMessage) -> Vec<u8> {
         if !Self::is_mutation(&inner) {
-            return self.apply(raw, inner).to_wire();
+            return self.apply(raw, inner, None).to_wire();
         }
         let decision = self.store.dedup().begin(client_id, seq);
         if self.telemetry.on() {
@@ -746,7 +712,7 @@ impl Server {
             ))
             .to_wire(),
             DedupDecision::Fresh => {
-                let response = self.apply(raw, inner);
+                let response = self.apply(raw, inner, Some((client_id, seq)));
                 let applied = !matches!(response, ServerResponse::Error(_));
                 let encoded = response.to_wire();
                 self.store

@@ -72,9 +72,10 @@ use crate::arena::WordArena;
 use crate::error::PhError;
 use crate::executor::Executor;
 use crate::index::{IndexState, Posting, PostingKey, ProbeStats};
-use crate::protocol::WireTrapdoor;
+use crate::protocol::{ServerResponse, WireTrapdoor};
 use crate::swp_ph::EncryptedTable;
 use crate::telemetry::Counter;
+use crate::wire::WireEncode;
 
 /// One document: `(document id, cipher words in attribute order)` —
 /// the wire shape. At rest, shards hold documents columnarly
@@ -786,8 +787,12 @@ struct ClientWindow {
 #[derive(Debug)]
 enum DedupEntry {
     /// A thread is applying this id right now; concurrent duplicates
-    /// wait for its outcome instead of double-applying.
-    InFlight,
+    /// wait for its outcome instead of double-applying. `logged` turns
+    /// true once a durable server has applied the mutation and written
+    /// its log record ([`DedupWindow::mark_logged`]): a compaction cut
+    /// from then on holds the mutation's effect, so its image must
+    /// hold the id too.
+    InFlight { logged: bool },
     /// The apply finished; `response` is the original encoded
     /// [`crate::protocol::ServerResponse`], `applied` whether it was a
     /// success (only applied entries are persisted across compaction —
@@ -854,7 +859,7 @@ impl DedupWindow {
                 Some(DedupEntry::Done { response, .. }) => {
                     return DedupDecision::Replay(response.clone());
                 }
-                Some(DedupEntry::InFlight) => {
+                Some(DedupEntry::InFlight { .. }) => {
                     // Re-check on notify or every 50 ms (spurious
                     // wakeups are fine — the predicate is re-derived).
                     self.completed
@@ -862,7 +867,8 @@ impl DedupWindow {
                 }
                 None if seq <= win.watermark => return DedupDecision::Stale,
                 None => {
-                    win.entries.insert(seq, DedupEntry::InFlight);
+                    win.entries
+                        .insert(seq, DedupEntry::InFlight { logged: false });
                     return DedupDecision::Fresh;
                 }
             }
@@ -884,33 +890,27 @@ impl DedupWindow {
         self.completed.notify_all();
     }
 
-    /// Re-inserts an applied mutation observed during log replay, in
-    /// log order — rebuilding the window exactly as live traffic built
-    /// it (same insertions, same evictions, same watermark).
-    pub(crate) fn install_replayed(&self, client_id: u64, seq: u64, response: Vec<u8>) {
+    /// Notes that the in-flight mutation `(client_id, seq)` has been
+    /// applied and logged. Called under the durable log's writer lock,
+    /// so a compaction (which runs under the same lock) sees either
+    /// neither the mutation nor the mark, or both.
+    pub(crate) fn mark_logged(&self, client_id: u64, seq: u64) {
         let mut clients = self.clients.lock();
-        let win = clients.entry(client_id).or_default();
-        win.entries.insert(
-            seq,
-            DedupEntry::Done {
-                response,
-                applied: true,
-            },
-        );
-        win.evict_to_cap();
+        if let Some(entry @ DedupEntry::InFlight { .. }) = clients
+            .get_mut(&client_id)
+            .and_then(|win| win.entries.get_mut(&seq))
+        {
+            *entry = DedupEntry::InFlight { logged: true };
+        }
     }
 
     /// Installs one client's persisted window image (a compaction
     /// record): the watermark and the applied seqs that were cached
-    /// when the snapshot was cut, each mapped to `response` (applied
-    /// mutations all acked the same success payload).
-    pub(crate) fn install_snapshot(
-        &self,
-        client_id: u64,
-        watermark: u64,
-        seqs: &[u64],
-        response: &[u8],
-    ) {
+    /// when the snapshot was cut. Every applied mutation acked the
+    /// same success payload, so each seq caches an encoded
+    /// [`ServerResponse::Ok`].
+    pub(crate) fn install_snapshot(&self, client_id: u64, watermark: u64, seqs: &[u64]) {
+        let ok = ServerResponse::Ok.to_wire();
         let mut clients = self.clients.lock();
         let win = clients.entry(client_id).or_default();
         win.watermark = win.watermark.max(watermark);
@@ -918,7 +918,7 @@ impl DedupWindow {
             win.entries.insert(
                 seq,
                 DedupEntry::Done {
-                    response: response.to_vec(),
+                    response: ok.clone(),
                     applied: true,
                 },
             );
@@ -927,9 +927,13 @@ impl DedupWindow {
     }
 
     /// The persistence image: per client (sorted for determinism),
-    /// `(client_id, watermark, applied seqs ascending)`. Error-response
-    /// entries are deliberately dropped — nothing was applied for
-    /// them, so a post-restart retry may safely re-dispatch.
+    /// `(client_id, watermark, applied seqs ascending)`. Applied seqs
+    /// are the completed successes plus the in-flight ones already
+    /// logged — the mutation that triggered the compaction, and any
+    /// other session's waiting on the commit barrier; their records
+    /// are about to be deleted with the old segments. Error-response
+    /// and not-yet-applied entries are left out: nothing was applied
+    /// for them, so a post-restart retry may safely re-dispatch.
     pub(crate) fn snapshot(&self) -> Vec<(u64, u64, Vec<u64>)> {
         let clients = self.clients.lock();
         let mut all: Vec<(u64, u64, Vec<u64>)> = clients
@@ -939,7 +943,8 @@ impl DedupWindow {
                     .entries
                     .iter()
                     .filter_map(|(&seq, e)| match e {
-                        DedupEntry::Done { applied: true, .. } => Some(seq),
+                        DedupEntry::Done { applied: true, .. }
+                        | DedupEntry::InFlight { logged: true } => Some(seq),
                         _ => None,
                     })
                     .collect();
@@ -1247,13 +1252,12 @@ impl TableStore {
         all
     }
 
-    /// Installs a recovered table under `name`, replacing any previous
-    /// entry — the log-replay path, which has already validated every
-    /// mutation when it was first applied.
+    /// Installs a table loaded from a compaction snapshot under `name`,
+    /// replacing any previous entry.
     pub(crate) fn install(&self, name: String, table: ShardedTable) {
-        // Replay installs the table wholesale; stale memoized postings
-        // (if any) are invalid for it. A persisted index image, when
-        // present, is installed *after* the tables it describes.
+        // The table arrives wholesale; stale memoized postings (if any)
+        // are invalid for it. A persisted index image, when present,
+        // follows the tables it describes in the log.
         self.index.clear_table(&name);
         self.tables.write().insert(name, table);
     }
@@ -1601,6 +1605,22 @@ mod tests {
                 st.shard_count()
             );
         }
+    }
+
+    #[test]
+    fn dedup_image_holds_logged_in_flight_ids_but_not_unapplied_ones() {
+        let window = DedupWindow::new();
+        assert_eq!(window.begin(1, 1), DedupDecision::Fresh);
+        assert_eq!(window.begin(1, 2), DedupDecision::Fresh);
+        // Seq 1 applied and logged, still awaiting its barrier; seq 2
+        // not applied yet. A compaction cut now holds only seq 1.
+        window.mark_logged(1, 1);
+        assert_eq!(window.snapshot(), vec![(1, 0, vec![1])]);
+        // A logged entry still makes a duplicate wait, never re-apply.
+        window.complete(1, 1, b"ok".to_vec(), true);
+        window.complete(1, 2, b"err".to_vec(), false);
+        assert_eq!(window.begin(1, 1), DedupDecision::Replay(b"ok".to_vec()));
+        assert_eq!(window.snapshot(), vec![(1, 0, vec![1])]);
     }
 
     #[test]

@@ -848,3 +848,59 @@ fn segment_and_manifest_bytes_are_pinned() {
         .collect();
     assert_eq!(digests, expected, "on-disk format changed");
 }
+
+/// A tagged mutation that itself trips compaction stays exactly-once
+/// across a restart: the compaction cut holds its effect, so the dedup
+/// image written with it holds its id, and a retry after the restart
+/// replays the original `Ok` instead of re-applying.
+#[test]
+fn a_tagged_mutation_that_triggers_compaction_replays_after_restart() {
+    let tmp = TempDir::new("dedup-compact-trigger").unwrap();
+    let options = DurableOptions {
+        compact_threshold: 1,
+        ..DurableOptions::default()
+    };
+    let open = || Server::open_durable_with(tmp.path(), 2, Some(1), options.clone()).unwrap();
+    let fetch = ClientMessage::FetchAll { name: "t".into() }.to_wire();
+    let retry = ClientMessage::Append {
+        name: "t".into(),
+        doc_id: 10,
+        words: vec![word(10)],
+    }
+    .tagged(7, 1)
+    .to_wire();
+
+    let server = open();
+    let created = server.handle(
+        &ClientMessage::CreateTable {
+            name: "t".into(),
+            table: table(10),
+        }
+        .to_wire(),
+    );
+    assert_eq!(
+        ServerResponse::from_wire(&created).unwrap(),
+        ServerResponse::Ok
+    );
+    let before = server.durable_log().unwrap().segments();
+    let first = server.handle(&retry);
+    assert_eq!(
+        ServerResponse::from_wire(&first).unwrap(),
+        ServerResponse::Ok
+    );
+    assert_ne!(
+        server.durable_log().unwrap().segments(),
+        before,
+        "the tagged append must have triggered a compaction"
+    );
+    let stored = server.handle(&fetch);
+    drop(server);
+
+    let reopened = open();
+    assert_eq!(
+        reopened.handle(&retry),
+        first,
+        "a retry after restart must replay the original response"
+    );
+    assert_eq!(reopened.handle(&fetch), stored, "the retry re-applied");
+}

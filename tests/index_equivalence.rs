@@ -373,6 +373,143 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
     }
 }
 
+/// The sample queries' encrypted wire messages against `Emp`.
+fn query_messages(scheme: &FinalSwpPh) -> Vec<Vec<u8>> {
+    sample_queries()
+        .iter()
+        .map(|query| {
+            ClientMessage::Query {
+                name: "Emp".into(),
+                terms: encrypt(scheme, query),
+            }
+            .to_wire()
+        })
+        .collect()
+}
+
+/// Drops and re-creates a table after a compaction cut an index image:
+/// recovery replays the drop and the create through the live apply
+/// path, which clears the table's postings, so the restarted server
+/// answers from the new table exactly like a scan-only server fed the
+/// same mutations — no stale posting from the dropped incarnation
+/// survives.
+#[test]
+fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
+    let scheme = ph();
+    let first = scheme
+        .encrypt_table(
+            &EmployeeGen {
+                rows: 120,
+                ..EmployeeGen::default()
+            }
+            .generate(9),
+        )
+        .unwrap();
+    let second = scheme
+        .encrypt_table(
+            &EmployeeGen {
+                rows: 90,
+                ..EmployeeGen::default()
+            }
+            .generate(10),
+        )
+        .unwrap();
+    let create = |table: &dbph::core::EncryptedTable| {
+        ClientMessage::CreateTable {
+            name: "Emp".into(),
+            table: table.clone(),
+        }
+        .to_wire()
+    };
+    let drop_emp = ClientMessage::DropTable { name: "Emp".into() }.to_wire();
+    let queries = query_messages(&scheme);
+
+    let tmp = TempDir::new("index-recreate").unwrap();
+    let open =
+        || Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
+    let server = open();
+    server.enable_index();
+    let _ = server.handle(&create(&first));
+    for q in &queries {
+        let _ = server.handle(q);
+    }
+    server.compact().unwrap();
+    let _ = server.handle(&drop_emp);
+    let _ = server.handle(&create(&second));
+    drop(server);
+
+    let reference = Server::with_shards(2);
+    for m in [create(&first), drop_emp, create(&second)] {
+        let _ = reference.handle(&m);
+    }
+    let recovered = open();
+    assert!(recovered.index_enabled());
+    for (i, q) in queries.iter().enumerate() {
+        assert_eq!(
+            recovered.handle(q),
+            reference.handle(q),
+            "query {i} on the re-created table diverged from the scan after restart"
+        );
+    }
+}
+
+/// Deletes logged after a compaction purge the recovered postings
+/// exactly as they purged the live ones: the restarted server's
+/// at-rest image equals the image the live server held, and its
+/// answers equal a scan-only server's.
+#[test]
+fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_one() {
+    let scheme = ph();
+    let relation = EmployeeGen {
+        rows: 120,
+        ..EmployeeGen::default()
+    }
+    .generate(9);
+    let create = ClientMessage::CreateTable {
+        name: "Emp".into(),
+        table: scheme.encrypt_table(&relation).unwrap(),
+    }
+    .to_wire();
+    let delete = ClientMessage::DeleteDocs {
+        name: "Emp".into(),
+        doc_ids: (0..120).step_by(3).collect(),
+    }
+    .to_wire();
+    let queries = query_messages(&scheme);
+
+    let tmp = TempDir::new("index-post-compaction-delete").unwrap();
+    let open =
+        || Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
+    let server = open();
+    server.enable_index();
+    let _ = server.handle(&create);
+    for q in &queries {
+        let _ = server.handle(q);
+    }
+    server.compact().unwrap();
+    let _ = server.handle(&delete);
+    let live = server.index_at_rest("Emp");
+    assert!(!live.is_empty(), "the warmed index must hold postings");
+    drop(server);
+
+    let recovered = open();
+    assert_eq!(
+        recovered.index_at_rest("Emp"),
+        live,
+        "recovered at-rest image kept ids the live purge removed"
+    );
+    let reference = Server::with_shards(2);
+    let _ = reference.handle(&create);
+    let _ = reference.handle(&delete);
+    for (i, q) in queries.iter().enumerate() {
+        assert_eq!(
+            recovered.handle(q),
+            reference.handle(q),
+            "query {i} diverged from the scan after restart"
+        );
+    }
+}
+
 // --- randomized equivalence ------------------------------------------------
 
 fn arb_relation() -> impl Strategy<Value = Relation> {

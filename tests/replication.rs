@@ -154,6 +154,99 @@ fn bootstrap_rebuilds_store_and_dedup_byte_identically() {
     );
 }
 
+/// Bootstrap replays the shipped log through the live apply path, so
+/// index clears and purges logged after a compaction reach the
+/// follower: with `Emp` dropped and re-created and `Old` losing rows
+/// after the cut, the follower holds the primary's at-rest image and
+/// answers every query byte-identically.
+#[test]
+fn bootstrap_after_recreate_and_post_compaction_deletes_matches_the_primary() {
+    use dbph::core::protocol::WireTrapdoor;
+    use dbph::core::{DatabasePh, FinalSwpPh};
+    use dbph::crypto::SecretKey;
+    use dbph::relation::Query;
+    use dbph::workload::EmployeeGen;
+
+    let scheme =
+        FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([77u8; 32])).unwrap();
+    let table = |rows: usize, seed: u64| {
+        scheme
+            .encrypt_table(
+                &EmployeeGen {
+                    rows,
+                    ..EmployeeGen::default()
+                }
+                .generate(seed),
+            )
+            .unwrap()
+    };
+    let create = |name: &str, table: dbph::core::EncryptedTable| {
+        ClientMessage::CreateTable {
+            name: name.into(),
+            table,
+        }
+        .to_wire()
+    };
+    let queries = |name: &str| -> Vec<Vec<u8>> {
+        [
+            Query::select("dept", "dept-00"),
+            Query::select("dept", "dept-03"),
+            Query::select("salary", 5500i64),
+        ]
+        .iter()
+        .map(|q| {
+            let terms = scheme.encrypt_query(q).unwrap().terms;
+            ClientMessage::Query {
+                name: name.into(),
+                terms: terms.iter().map(WireTrapdoor::from_trapdoor).collect(),
+            }
+            .to_wire()
+        })
+        .collect()
+    };
+
+    let primary_dir = TempDir::new("repl-boot-index-primary").unwrap();
+    let follower_dir = TempDir::new("repl-boot-index-follower").unwrap();
+    let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
+    primary.enable_index();
+    for name in ["Emp", "Old"] {
+        assert!(is_ok(&primary.handle(&create(name, table(120, 9)))));
+        for q in queries(name) {
+            assert!(is_ok(&primary.handle(&q)));
+        }
+    }
+    primary.compact().unwrap();
+    assert!(is_ok(&primary.handle(
+        &ClientMessage::DropTable { name: "Emp".into() }.to_wire()
+    )));
+    assert!(is_ok(&primary.handle(&create("Emp", table(90, 10)))));
+    let victims: Vec<u64> = (0..120).step_by(3).collect();
+    assert!(is_ok(
+        &primary.handle(&delete_msg("Old", &victims).to_wire())
+    ));
+
+    let replica =
+        Replica::bootstrap(primary.clone(), follower_dir.path(), replica_options(7)).unwrap();
+    let follower = replica.server();
+    assert!(follower.index_enabled());
+    for name in ["Emp", "Old"] {
+        assert_eq!(
+            follower.index_at_rest(name),
+            primary.index_at_rest(name),
+            "follower's at-rest image of {name} diverged"
+        );
+    }
+    for name in ["Emp", "Old"] {
+        for (i, q) in queries(name).iter().enumerate() {
+            assert_eq!(
+                follower.handle(q),
+                primary.handle(q),
+                "follower diverged from the primary on {name} query {i}"
+            );
+        }
+    }
+}
+
 #[test]
 fn in_memory_primary_refuses_replication() {
     let primary = Server::with_shards(1);
