@@ -113,11 +113,15 @@ impl<T: Transport> Client<T> {
     /// Fails on schema mismatch or server rejection.
     pub fn outsource(&mut self, relation: &Relation) -> Result<(), PhError> {
         let table = self.ph.encrypt_table(relation)?;
-        self.next_doc_id = table.next_doc_id;
+        let next = table.next_doc_id;
         self.expect_ok(&ClientMessage::CreateTable {
             name: self.table_name.clone(),
             table,
-        })
+        })?;
+        // Only now: a rejected upload (the table exists) must not
+        // rewind the ids of the table the server still holds.
+        self.next_doc_id = next;
+        Ok(())
     }
 
     /// Runs an exact-select (or conjunctive) query remotely and
@@ -233,15 +237,11 @@ impl<T: Transport> Client<T> {
     /// # Errors
     /// Fails on validation or server rejection.
     pub fn insert(&mut self, tuple: &Tuple) -> Result<(), PhError> {
-        use crate::ph::IncrementalPh as _;
-        // Build a one-tuple delta through the PH, then ship the words.
-        let mut delta = crate::swp_ph::EncryptedTable {
-            params: *self.ph.params(),
-            docs: Vec::new(),
-            next_doc_id: self.next_doc_id,
-        };
-        self.ph.append_tuple(&mut delta, tuple)?;
-        let (doc_id, words) = delta.docs.pop().expect("append pushed one doc");
+        let (doc_id, words) = self
+            .ph
+            .encrypt_rows(self.next_doc_id, std::slice::from_ref(tuple))?
+            .pop()
+            .expect("one row in, one document out");
         self.expect_ok(&ClientMessage::Append {
             name: self.table_name.clone(),
             doc_id,
@@ -260,24 +260,15 @@ impl<T: Transport> Client<T> {
     /// Fails on validation or server rejection; on rejection no tuple
     /// of the batch was stored.
     pub fn insert_many(&mut self, tuples: &[Tuple]) -> Result<(), PhError> {
-        use crate::ph::IncrementalPh as _;
         if tuples.is_empty() {
             return Ok(());
         }
-        let mut delta = crate::swp_ph::EncryptedTable {
-            params: *self.ph.params(),
-            docs: Vec::new(),
-            next_doc_id: self.next_doc_id,
-        };
-        for tuple in tuples {
-            self.ph.append_tuple(&mut delta, tuple)?;
-        }
-        let next = delta.next_doc_id;
+        let docs = self.ph.encrypt_rows(self.next_doc_id, tuples)?;
         self.expect_ok(&ClientMessage::AppendBatch {
             name: self.table_name.clone(),
-            docs: delta.docs,
+            docs,
         })?;
-        self.next_doc_id = next;
+        self.next_doc_id += tuples.len() as u64;
         Ok(())
     }
 
@@ -598,6 +589,26 @@ mod tests {
         let queries = server.observer().queries();
         assert_eq!(queries.len(), 1);
         assert_eq!(queries[0].1.len(), 2, "two IT tuples matched");
+    }
+
+    #[test]
+    fn a_rejected_outsource_keeps_the_doc_id_counter() {
+        // Re-outsourcing over a live table is refused ("table
+        // exists"); the client must keep numbering after the rows the
+        // server still holds, not restart at the rejected upload's.
+        let (mut client, _server) = setup();
+        client.outsource(&emp()).unwrap();
+        client.insert(&tuple!["Kim", "HR", 3100i64]).unwrap();
+        assert!(client.outsource(&emp()).is_err());
+        client.insert(&tuple!["Lee", "HR", 3200i64]).unwrap();
+        let hr = client.select(&Query::select("dept", "HR")).unwrap();
+        let names: Vec<_> = hr
+            .tuples()
+            .iter()
+            .map(|t| t.get(0).unwrap().clone())
+            .collect();
+        assert_eq!(hr.len(), 3, "{names:?}");
+        assert!(names.contains(&Value::str("Lee")));
     }
 
     #[test]

@@ -1147,11 +1147,13 @@ impl DurableLog {
     /// `after_offset`. Chunks are cut at record boundaries and capped
     /// near [`REPL_CHUNK_BYTES`] (a single larger record ships whole).
     ///
-    /// A pull that finds the follower already caught up *long-polls*:
-    /// it parks (off the writer lock) until an append or compaction
-    /// wakes it, up to [`REPL_POLL_WAIT`], and only then answers
-    /// empty. Appends notify at append time — before their barrier
-    /// fsync — so a tailing follower's own append+fsync runs in
+    /// A pull that finds the follower already caught up answers empty
+    /// at once unless it asked to `wait` (bootstrap does not: it only
+    /// needs to learn that it reached the stream end). A waiting pull
+    /// *long-polls*: it parks (off the writer lock) until an append or
+    /// compaction wakes it, up to [`REPL_POLL_WAIT`], and only then
+    /// answers empty. Appends notify at append time — before their
+    /// barrier fsync — so a tailing follower's own append+fsync runs in
     /// parallel with the primary's, which is what keeps semi-sync
     /// ack latency near one fsync instead of two. The parked pull
     /// occupies its connection's serving thread for up to
@@ -1160,7 +1162,12 @@ impl DurableLog {
     /// Holds the writer lock across the file reads: appends and
     /// compactions stall for the duration of one bounded chunk read,
     /// in exchange for an immutable view of the segment set.
-    pub(crate) fn repl_read(&self, follower: u64, after_offset: u64) -> Result<ReplRead, PhError> {
+    pub(crate) fn repl_read(
+        &self,
+        follower: u64,
+        after_offset: u64,
+        wait: bool,
+    ) -> Result<ReplRead, PhError> {
         let deadline = std::time::Instant::now() + REPL_POLL_WAIT;
         let (w, base, total, stale) = loop {
             let w = self.writer.lock();
@@ -1188,7 +1195,7 @@ impl DurableLog {
             // hear "nothing" promptly and keep probing; promotion may
             // be next).
             let now = std::time::Instant::now();
-            if self.is_poisoned() || now >= deadline {
+            if !wait || self.is_poisoned() || now >= deadline {
                 return Ok(ReplRead::Records {
                     records: Vec::new(),
                     next_offset: after_offset,

@@ -730,7 +730,7 @@ impl Default for PoolOptions {
 /// * **Pipelining.** [`Transport::call_many`] streams every request
 ///   frame back-to-back while a concurrent reader drains the in-order
 ///   responses from the same connection — see
-///   [`PooledClient::pipeline`]'s note on why the concurrency is what
+///   `PooledClient::pipeline`'s note on why the concurrency is what
 ///   makes large pipelined frames deadlock-free.
 ///
 /// Cloning shares the pool (the clone is the same pool, same budget),

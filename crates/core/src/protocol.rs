@@ -260,6 +260,11 @@ pub enum ClientMessage {
         /// Virtual stream offset after which records are requested;
         /// everything below it is durably held by this follower.
         after_offset: u64,
+        /// Whether a pull that finds the follower caught up may park
+        /// for the next record (the tailer's long poll) rather than
+        /// answer empty at once (bootstrap, which only needs to learn
+        /// that it reached the stream end). One byte on the wire.
+        wait: bool,
     },
     /// Operator pull of the server's full metrics registry. The server
     /// answers with [`ServerResponse::StatsSnapshot`] and — like
@@ -343,10 +348,12 @@ impl WireEncode for ClientMessage {
             ClientMessage::ReplPull {
                 follower,
                 after_offset,
+                wait,
             } => {
                 buf.push(tag::REPL_PULL);
                 follower.encode(buf);
                 after_offset.encode(buf);
+                wait.encode(buf);
             }
             ClientMessage::Stats => buf.push(tag::STATS),
         }
@@ -425,6 +432,7 @@ impl ClientMessage {
             tag::REPL_PULL => Ok(ClientMessage::ReplPull {
                 follower: u64::decode(r)?,
                 after_offset: u64::decode(r)?,
+                wait: bool::decode(r)?,
             }),
             tag::STATS => Ok(ClientMessage::Stats),
             t => Err(PhError::Wire(format!("unknown client message tag {t}"))),
@@ -697,6 +705,12 @@ mod tests {
             ClientMessage::ReplPull {
                 follower: 0xF01,
                 after_offset: 123_456,
+                wait: true,
+            },
+            ClientMessage::ReplPull {
+                follower: 0xF01,
+                after_offset: 0,
+                wait: false,
             },
             ClientMessage::Stats,
         ];

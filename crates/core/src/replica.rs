@@ -165,10 +165,12 @@ fn pull(
     transport: &(dyn Transport + Send + Sync),
     follower: u64,
     after_offset: u64,
+    wait: bool,
 ) -> Result<Chunk, PhError> {
     let request = ClientMessage::ReplPull {
         follower,
         after_offset,
+        wait,
     }
     .to_wire();
     let response = transport.call(&request)?;
@@ -240,7 +242,9 @@ fn bootstrap_generation(
         .map_err(|e| PhError::Durability(format!("create bootstrap seg: {e}")))?;
     let mut cursor = 0u64;
     loop {
-        let chunk = pull(transport, options.follower_id, cursor)?;
+        // No long poll: the empty answer at the stream end is all
+        // bootstrap waits for, and an idle primary would hold it back.
+        let chunk = pull(transport, options.follower_id, cursor, false)?;
         let (records, next_offset) = match chunk {
             Chunk::Records {
                 records,
@@ -331,21 +335,25 @@ fn step(inner: &Inner) -> Result<bool, PhError> {
         let s = inner.state.read();
         (s.cursor, s.server.clone())
     };
-    let (records, next_offset) =
-        match pull(inner.transport.as_ref(), inner.options.follower_id, cursor)? {
-            Chunk::Snapshot { .. } => {
-                // Compaction moved the stream base past our cursor: our
-                // whole log describes a superseded history. Re-bootstrap
-                // (which re-pulls these snapshot bytes into a fresh
-                // generation directory).
-                resync(inner)?;
-                return Ok(true);
-            }
-            Chunk::Records {
-                records,
-                next_offset,
-            } => (records, next_offset),
-        };
+    let (records, next_offset) = match pull(
+        inner.transport.as_ref(),
+        inner.options.follower_id,
+        cursor,
+        true,
+    )? {
+        Chunk::Snapshot { .. } => {
+            // Compaction moved the stream base past our cursor: our
+            // whole log describes a superseded history. Re-bootstrap
+            // (which re-pulls these snapshot bytes into a fresh
+            // generation directory).
+            resync(inner)?;
+            return Ok(true);
+        }
+        Chunk::Records {
+            records,
+            next_offset,
+        } => (records, next_offset),
+    };
     if records.is_empty() {
         return Ok(false);
     }

@@ -986,8 +986,9 @@ impl Server {
             ClientMessage::ReplPull {
                 follower,
                 after_offset,
+                wait,
             } => match &self.durable {
-                Some(log) => match log.repl_read(follower, after_offset) {
+                Some(log) => match log.repl_read(follower, after_offset, wait) {
                     Ok(ReplRead::Records {
                         records,
                         next_offset,

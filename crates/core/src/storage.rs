@@ -13,7 +13,7 @@
 //! [`ShardedTable::scan_batch_on`] call turns K queries over S shards
 //! into K×S `(query, shard)` tasks drained concurrently, so cross-query
 //! parallelism stacks on top of cross-shard parallelism. A per-batch
-//! [`TrapdoorMemo`] prepares each *distinct* trapdoor once
+//! `TrapdoorMemo` prepares each *distinct* trapdoor once
 //! ([`dbph_swp::PreparedTrapdoor`] hoists the per-word HMAC key
 //! schedule) and memoizes each term's per-shard match set, so duplicate
 //! terms across the batch — hot values repeat in real workloads — are
@@ -484,13 +484,13 @@ impl ShardedTable {
 
     /// `ψ` over a whole query batch: K queries over S shards become
     /// K×S `(query, shard)` tasks drained by `pool`'s workers, with a
-    /// per-batch [`TrapdoorMemo`] sharing trapdoor preparation *and*
+    /// per-batch `TrapdoorMemo` sharing trapdoor preparation *and*
     /// per-shard match sets between queries that carry the same term.
     ///
     /// Results come back in **query order**, each query's documents in
     /// document order — tasks write into `(query, shard)`-indexed
     /// slots, so out-of-order completion cannot reorder anything. For
-    /// tables under [`Self::PARALLEL_THRESHOLD`] documents (or a
+    /// tables under `PARALLEL_THRESHOLD` documents (or a
     /// 1-worker pool) the identical task list runs inline on the
     /// caller's thread: same slots, same bytes, no handoff cost.
     ///

@@ -17,7 +17,7 @@
 //!
 //! All primitives are relaxed atomics — an increment is one
 //! uncontended `fetch_add(1, Relaxed)`. Timed sections pay exactly
-//! one [`Instant`] pair, and only when the registry is enabled; the
+//! one [`std::time::Instant`] pair, and only when the registry is enabled; the
 //! enabled check itself is a single relaxed load. There is no
 //! registry map, no string hashing, and no allocation on the hot
 //! path: every metric is a named struct field, and strings appear

@@ -21,9 +21,9 @@
 use crate::aes::{self, Aes128};
 use crate::chacha20;
 use crate::error::CryptoError;
-use crate::hmac::HmacSha256;
+use crate::hmac::{HmacSha256, MAC_LEN};
 use crate::keys::SecretKey;
-use crate::prf::HmacPrf;
+use crate::prf::{HmacPrf, LaneBlocks, LANES};
 use crate::rng::EntropySource;
 
 /// A randomized (CPA-secure) symmetric cipher.
@@ -236,6 +236,48 @@ impl WideBlockPrp {
         Ok(out)
     }
 
+    /// Longest input [`Self::permute_lanes`] takes: a round's output
+    /// half is one HMAC tag (and its input, the other half behind an
+    /// 8-byte width, one block).
+    pub const LANE_LEN_MAX: usize = 2 * MAC_LEN;
+
+    /// [`Self::permute`] on sixteen `len`-byte inputs at once, in
+    /// place on `data[l][..len]`, bit-identical per lane. Each of the
+    /// four rounds is one [`HmacPrf::eval_lanes_into`] dispatch; the
+    /// client's encryption lanes run `E''` through it.
+    ///
+    /// # Panics
+    /// Panics unless `2 <= len <= LANE_LEN_MAX`.
+    pub fn permute_lanes(&self, data: &mut [[u8; Self::LANE_LEN_MAX]; LANES], len: usize) {
+        assert!(
+            (2..=Self::LANE_LEN_MAX).contains(&len),
+            "lane inputs are 2..={} bytes, not {len}",
+            Self::LANE_LEN_MAX
+        );
+        let half = len / 2;
+        // Even rounds read B (`half..len`), odd rounds read A (`..half`).
+        let mut msgs = [LaneBlocks::new(8 + len - half), LaneBlocks::new(8 + half)];
+        let mut outs = [[0u8; MAC_LEN]; LANES];
+        for (r, prf) in self.round_prfs.iter().enumerate() {
+            let (source, target) = if r.is_multiple_of(2) {
+                (half..len, 0..half)
+            } else {
+                (0..half, half..len)
+            };
+            let msgs = &mut msgs[r % 2];
+            let width = (source.len() as u64).to_be_bytes();
+            for (lane, d) in data.iter().enumerate() {
+                msgs.set_prefixed(lane, &width, &d[source.clone()]);
+            }
+            prf.eval_lanes_into(msgs, target.len(), &mut outs);
+            for (d, out) in data.iter_mut().zip(&outs) {
+                for (t, m) in d[target.clone()].iter_mut().zip(out) {
+                    *t ^= m;
+                }
+            }
+        }
+    }
+
     /// Feistel round `r` in place on `A ‖ B` (split at `len / 2`):
     /// even rounds XOR `F_r(B)` over `A`, odd rounds `F_r(A)` over `B`.
     /// That is `(L, R) → (R, L ⊕ F_r(R))` with the halves left where
@@ -413,6 +455,38 @@ mod tests {
             assert_ne!(ct, pt, "len {len}: permutation must not be identity");
             assert_eq!(prp.decrypt_det(&ct).unwrap(), pt, "len {len}");
         }
+    }
+
+    #[test]
+    fn wide_prp_lanes_equal_permute_at_every_lane_length() {
+        let prp = WideBlockPrp::new(&key(), b"lanes");
+        let mut rng = DeterministicRng::from_seed(17);
+        for len in 2..=WideBlockPrp::LANE_LEN_MAX {
+            let mut data = [[0u8; WideBlockPrp::LANE_LEN_MAX]; LANES];
+            for lane in &mut data {
+                rng.fill(&mut lane[..len]);
+            }
+            let want: Vec<Vec<u8>> = data
+                .iter()
+                .map(|d| prp.permute(&d[..len]).unwrap())
+                .collect();
+            prp.permute_lanes(&mut data, len);
+            for (lane, (got, want)) in data.iter().zip(&want).enumerate() {
+                assert_eq!(&got[..len], &want[..], "len {len}, lane {lane}");
+                assert!(
+                    got[len..].iter().all(|&b| b == 0),
+                    "bytes past len untouched"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane inputs")]
+    fn wide_prp_lanes_reject_inputs_past_one_tag_per_half() {
+        let prp = WideBlockPrp::new(&key(), b"lanes");
+        let mut data = [[0u8; WideBlockPrp::LANE_LEN_MAX]; LANES];
+        prp.permute_lanes(&mut data, 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! actually notice broken primitives.
 
 use crate::hmac::{pad_keyed_block, HmacSha256, MAC_LEN, SINGLE_BLOCK_MAX};
-use crate::sha256::{write_be, BLOCK_LEN};
+use crate::sha256::{BLOCK_LEN, H0};
 use crate::sha256x4::{self, compress4_states};
 
 /// Inputs per [`HmacPrf::eval_lanes_into`] dispatch.
@@ -18,16 +18,20 @@ pub const LANES: usize = 16;
 /// 0x80 and the 8-byte length fill at most one block.
 pub const LANE_MSG_MAX: usize = SINGLE_BLOCK_MAX - 4;
 
+/// Lane-major words: `rows[t][l]` is word `t` of lane `l`.
+type Rows<const N: usize> = [[u32; LANES]; N];
+
 /// Sixteen equal-length PRF inputs, each staged in its own padded HMAC
 /// inner block (`input ‖ counter 0 ‖ 0x80 ‖ zeros ‖ bit length`) and
 /// stored lane-major as big-endian words — `words[t][l]` is word `t`
 /// of lane `l`'s block, the layout the 16-lane backend computes in.
 /// The padding words are written once, at construction; callers then
-/// overwrite only the input ([`Self::set_xor`]) between dispatches of
-/// [`HmacPrf::eval_lanes_into`].
+/// overwrite only the input ([`Self::set_xor`], [`Self::set_prefixed`])
+/// between dispatches of [`HmacPrf::eval_lanes_into`] or
+/// [`eval_keyed_lanes_into`].
 #[derive(Clone)]
 pub struct LaneBlocks {
-    words: [[u32; LANES]; BLOCK_LEN / 4],
+    words: Rows<{ BLOCK_LEN / 4 }>,
     msg_len: usize,
 }
 
@@ -78,15 +82,150 @@ impl LaneBlocks {
         }
     }
 
+    /// Makes lane `lane`'s input `prefix ‖ input`: a Feistel round's
+    /// `width ‖ half`, or (with an empty prefix) a word's `L` or `S_ℓ`.
+    ///
+    /// # Panics
+    /// Panics unless the two add up to `msg_len` bytes.
+    #[inline]
+    pub fn set_prefixed(&mut self, lane: usize, prefix: &[u8], input: &[u8]) {
+        let n = self.msg_len;
+        assert_eq!(prefix.len() + input.len(), n, "lane inputs are {n} bytes");
+        let mut bytes = [0u8; BLOCK_LEN];
+        bytes[..prefix.len()].copy_from_slice(prefix);
+        bytes[prefix.len()..n].copy_from_slice(input);
+        // The words the input reaches into; their bytes past `n` are
+        // the zero counter's, the padding after it is never touched.
+        let (chunks, _) = bytes.as_chunks::<4>();
+        for (row, chunk) in self.words.iter_mut().zip(chunks).take(n.div_ceil(4)) {
+            row[lane] = u32::from_be_bytes(*chunk);
+        }
+    }
+
     /// Lane `lane`'s padded inner block as bytes; the input is its
     /// first `msg_len` bytes.
     #[must_use]
     pub fn block(&self, lane: usize) -> [u8; BLOCK_LEN] {
-        let mut block = [0u8; BLOCK_LEN];
-        for (chunk, row) in block.chunks_exact_mut(4).zip(&self.words) {
-            chunk.copy_from_slice(&row[lane].to_be_bytes());
+        lane_block(&self.words, lane)
+    }
+}
+
+/// Lane `lane`'s block of lane-major `words`, as bytes.
+fn lane_block(words: &Rows<{ BLOCK_LEN / 4 }>, lane: usize) -> [u8; BLOCK_LEN] {
+    let mut block = [0u8; BLOCK_LEN];
+    for (chunk, row) in block.chunks_exact_mut(4).zip(words) {
+        chunk.copy_from_slice(&row[lane].to_be_bytes());
+    }
+    block
+}
+
+/// `F` under sixteen keys at once: the first `out_len` bytes of lane
+/// `l`'s output, `HmacPrf::new(&keys[l])` on lane `l`'s input, go to
+/// `outs[l][..out_len]` — bit-identical to sixteen [`Prf::eval_into`]
+/// calls. This is the shape of the client's check blocks `F_k(S_ℓ)`,
+/// where every word has its own `k = f_k'(L)`. Allocation-free.
+///
+/// [`HmacPrf::eval_lanes_into`] hoists its one key's schedule; here
+/// every lane pays its own, so a dispatch is four sixteen-lane
+/// compressions (`ipad`, `opad`, message, outer block): four
+/// AVX-512F `compress16` calls where the CPU has it, sixteen 4-lane
+/// groups through `sha256x4` (SHA-NI or portable) otherwise.
+///
+/// # Panics
+/// Panics if `out_len > MAC_LEN`: the lanes compute one counter
+/// block.
+pub fn eval_keyed_lanes_into(
+    keys: &[[u8; MAC_LEN]; LANES],
+    msgs: &LaneBlocks,
+    out_len: usize,
+    outs: &mut [[u8; MAC_LEN]; LANES],
+) {
+    keyed_lanes_into(compress_lanes, keys, msgs, out_len, outs);
+}
+
+/// [`eval_keyed_lanes_into`] over a given sixteen-lane compression.
+fn keyed_lanes_into(
+    compress: impl Fn(&mut Rows<8>, &Rows<{ BLOCK_LEN / 4 }>),
+    keys: &[[u8; MAC_LEN]; LANES],
+    msgs: &LaneBlocks,
+    out_len: usize,
+    outs: &mut [[u8; MAC_LEN]; LANES],
+) {
+    assert!(
+        out_len <= MAC_LEN,
+        "lane outputs are one counter block ({MAC_LEN} bytes), not {out_len}"
+    );
+    // A key of at most one block is zero-padded to one (RFC 2104), so
+    // the pad blocks are the key's eight words, then the bare pad.
+    let key: Rows<8> = std::array::from_fn(|t| {
+        std::array::from_fn(|l| u32::from_be_bytes(keys[l].as_chunks::<4>().0[t]))
+    });
+    let pad_block = |pad: u32| -> Rows<{ BLOCK_LEN / 4 }> {
+        std::array::from_fn(|t| key.get(t).map_or([pad; LANES], |row| row.map(|w| w ^ pad)))
+    };
+    let mut inner = H0.map(|w| [w; LANES]);
+    compress(&mut inner, &pad_block(0x3636_3636));
+    let mut outer = H0.map(|w| [w; LANES]);
+    compress(&mut outer, &pad_block(0x5c5c_5c5c));
+    compress(&mut inner, &msgs.words);
+    compress(&mut outer, &outer_blocks(&inner));
+    write_lanes(&outer, out_len, outs);
+}
+
+/// The outer HMAC blocks of sixteen inner digests: the digest, 0x80,
+/// zeros, and the bit length of the opad block plus the digest.
+fn outer_blocks(digests: &Rows<8>) -> Rows<{ BLOCK_LEN / 4 }> {
+    std::array::from_fn(|t| match t {
+        0..8 => digests[t],
+        8 => [0x8000_0000; LANES],
+        15 => [((BLOCK_LEN + MAC_LEN) * 8) as u32; LANES],
+        _ => [0; LANES],
+    })
+}
+
+/// The first `out_len` bytes of each lane's big-endian words `rows`
+/// into `outs[lane][..out_len]`: whole words, then any partial one.
+fn write_lanes(rows: &[[u32; LANES]], out_len: usize, outs: &mut [[u8; MAC_LEN]; LANES]) {
+    for (l, out) in outs.iter_mut().enumerate() {
+        let (words, rest) = out[..out_len].as_chunks_mut::<4>();
+        for (word, row) in words.iter_mut().zip(rows) {
+            *word = row[l].to_be_bytes();
         }
-        block
+        if !rest.is_empty() {
+            rest.copy_from_slice(&rows[words.len()][l].to_be_bytes()[..rest.len()]);
+        }
+    }
+}
+
+/// One block into each of sixteen lane-major states on the fastest
+/// backend: one AVX-512F `compress16`, or four 4-lane groups.
+fn compress_lanes(states: &mut Rows<8>, words: &Rows<{ BLOCK_LEN / 4 }>) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx) = crate::sha256_avx512::Avx512::detect() {
+        avx.compress16(states, words);
+        return;
+    }
+    by_quads(compress4_states, states, words);
+}
+
+/// Sixteen lane-major compressions as four calls to a 4-lane backend.
+fn by_quads(
+    compress4: impl Fn(&mut [[u32; 8]; sha256x4::LANES], &[[u8; BLOCK_LEN]; sha256x4::LANES]),
+    states: &mut Rows<8>,
+    words: &Rows<{ BLOCK_LEN / 4 }>,
+) {
+    for quad in 0..LANES / sha256x4::LANES {
+        let lane = |i: usize| sha256x4::LANES * quad + i;
+        let mut group = std::array::from_fn(|i| std::array::from_fn(|r| states[r][lane(i)]));
+        compress4(
+            &mut group,
+            &std::array::from_fn(|i| lane_block(words, lane(i))),
+        );
+        for (i, state) in group.iter().enumerate() {
+            for (row, word) in states.iter_mut().zip(state) {
+                row[lane(i)] = *word;
+            }
+        }
     }
 }
 
@@ -156,11 +295,7 @@ impl HmacPrf {
             let (inner, outer) = self.mac.key_states();
             let mut tags = [[0u32; LANES]; 8];
             avx.hmac16(&inner, &outer, &msgs.words, &mut tags);
-            for (l, out) in outs.iter_mut().enumerate() {
-                for (chunk, row) in out[..out_len].chunks_mut(4).zip(&tags) {
-                    chunk.copy_from_slice(&row[l].to_be_bytes()[..chunk.len()]);
-                }
-            }
+            write_lanes(&tags, out_len, outs);
             return;
         }
         self.eval_quads_into(msgs, out_len, outs);
@@ -176,22 +311,11 @@ impl HmacPrf {
         outs: &mut [[u8; MAC_LEN]; LANES],
     ) {
         let (inner, outer) = self.mac.key_states();
-        let (outs, _) = outs.as_chunks_mut::<{ sha256x4::LANES }>();
-        for (quad, outs) in outs.iter_mut().enumerate() {
-            let blocks = std::array::from_fn(|l| msgs.block(sha256x4::LANES * quad + l));
-            let mut states = [inner; sha256x4::LANES];
-            compress4_states(&mut states, &blocks);
-            let mut outer_blocks = [[0u8; BLOCK_LEN]; sha256x4::LANES];
-            for (block, state) in outer_blocks.iter_mut().zip(&states) {
-                write_be(block, state);
-                pad_keyed_block(block, MAC_LEN);
-            }
-            let mut states = [outer; sha256x4::LANES];
-            compress4_states(&mut states, &outer_blocks);
-            for (out, state) in outs.iter_mut().zip(&states) {
-                write_be(&mut out[..out_len], state);
-            }
-        }
+        let mut digests = inner.map(|w| [w; LANES]);
+        by_quads(compress4_states, &mut digests, &msgs.words);
+        let mut tags = outer.map(|w| [w; LANES]);
+        by_quads(compress4_states, &mut tags, &outer_blocks(&digests));
+        write_lanes(&tags, out_len, outs);
     }
 
     /// XORs the first `target.len()` bytes of `F(prefix ‖ input)` —
@@ -386,6 +510,107 @@ mod tests {
                     // Bytes past `out_len` are left alone.
                     assert!(dispatched[l][out_len..].iter().all(|&b| b == 0));
                 }
+            }
+        }
+    }
+
+    /// A sixteen-lane compression over lane-major rows.
+    type Compress16 = fn(&mut Rows<8>, &Rows<16>);
+
+    /// Every sixteen-lane compression this CPU has, lane-major: the
+    /// portable and SHA-NI 4-lane kernels four times, AVX-512F in one
+    /// call. Says so past the output capture when a feature is absent.
+    fn lane_backends(test: &str) -> Vec<(&'static str, Compress16)> {
+        let mut out: Vec<(&'static str, Compress16)> = vec![("portable x4", |states, words| {
+            by_quads(sha256x4::compress4_portable, states, words);
+        })];
+        let mut missing = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::sha256_ni::ShaNi::detect().is_some() {
+                out.push(("sha-ni x4", |states, words| {
+                    let ni = crate::sha256_ni::ShaNi::detect().expect("detected above");
+                    by_quads(|s, b| ni.compress4(s, b), states, words);
+                }));
+            } else {
+                missing.push("SHA-NI");
+            }
+            if crate::sha256_avx512::Avx512::detect().is_some() {
+                out.push(("avx-512", |states, words| {
+                    let avx = crate::sha256_avx512::Avx512::detect().expect("detected above");
+                    avx.compress16(states, words);
+                }));
+            } else {
+                missing.push("AVX-512F");
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        missing.extend(["SHA-NI", "AVX-512F"]);
+        for feature in missing {
+            use std::io::Write as _;
+            let _ = writeln!(
+                std::io::stderr(),
+                "{test}: {feature} not available on this CPU; its keyed-lane checks SKIPPED"
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn eval_keyed_lanes_into_matches_scalar_evals_on_every_backend() {
+        // A different key per lane, every input length the lanes take
+        // and every output length they produce.
+        let keys: [[u8; MAC_LEN]; LANES] = std::array::from_fn(|l| {
+            std::array::from_fn(|i| (l as u8).wrapping_mul(37) ^ (i as u8).wrapping_mul(11))
+        });
+        let backends = lane_backends("eval_keyed_lanes_into_matches_scalar_evals_on_every_backend");
+        for msg_len in 0..=LANE_MSG_MAX {
+            let (msgs, inputs) = lane_inputs(msg_len, 0xA5 ^ msg_len as u8);
+            for out_len in [1, 3, 4, 13, 31, MAC_LEN] {
+                let want: Vec<Vec<u8>> = (0..LANES)
+                    .map(|l| HmacPrf::new(&keys[l]).eval(&inputs[l], out_len))
+                    .collect();
+                let mut dispatched = [[0u8; MAC_LEN]; LANES];
+                eval_keyed_lanes_into(&keys, &msgs, out_len, &mut dispatched);
+                for (name, compress) in &backends {
+                    let mut outs = [[0u8; MAC_LEN]; LANES];
+                    keyed_lanes_into(compress, &keys, &msgs, out_len, &mut outs);
+                    for l in 0..LANES {
+                        assert_eq!(
+                            outs[l][..out_len],
+                            want[l][..],
+                            "{name}: lane {l} at msg_len {msg_len}, out_len {out_len}"
+                        );
+                        assert!(outs[l][out_len..].iter().all(|&b| b == 0));
+                    }
+                }
+                for l in 0..LANES {
+                    assert_eq!(dispatched[l][..out_len], want[l][..], "dispatched lane {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_prefixed_stages_the_concatenation() {
+        let prf = HmacPrf::new(b"feistel round");
+        for msg_len in 0..=LANE_MSG_MAX {
+            let mut msgs = LaneBlocks::new(msg_len);
+            // Stale inputs first, so a word left unwritten would show.
+            let (stale, _) = lane_inputs(msg_len, 0x3C);
+            msgs.words = stale.words;
+            let inputs: Vec<Vec<u8>> = (0..LANES)
+                .map(|l| (0..msg_len).map(|i| (l * 7 + i * 13) as u8).collect())
+                .collect();
+            for (l, input) in inputs.iter().enumerate() {
+                let split = (l * 5) % (msg_len + 1);
+                msgs.set_prefixed(l, &input[..split], &input[split..]);
+            }
+            let mut outs = [[0u8; MAC_LEN]; LANES];
+            prf.eval_lanes_into(&msgs, MAC_LEN, &mut outs);
+            for (l, input) in inputs.iter().enumerate() {
+                assert_eq!(&msgs.block(l)[..msg_len], &input[..]);
+                assert_eq!(outs[l].to_vec(), prf.eval(input, MAC_LEN), "lane {l}");
             }
         }
     }

@@ -378,7 +378,16 @@ mod backend_tests {
             if crate::sha256_avx512::Avx512::detect().is_some() {
                 out.push(("avx-512", |states, blocks| {
                     let avx = crate::sha256_avx512::Avx512::detect().expect("detected above");
-                    avx.compress16(states, blocks);
+                    // The backend is lane-major: transpose in and out.
+                    let mut rows: [[u32; WIDE]; 8] =
+                        std::array::from_fn(|r| std::array::from_fn(|l| states[l][r]));
+                    let words = std::array::from_fn(|t| {
+                        std::array::from_fn(|l| {
+                            u32::from_be_bytes(blocks[l][4 * t..4 * t + 4].try_into().unwrap())
+                        })
+                    });
+                    avx.compress16(&mut rows, &words);
+                    *states = std::array::from_fn(|l| std::array::from_fn(|r| rows[r][l]));
                 }));
             }
         }

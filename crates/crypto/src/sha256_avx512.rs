@@ -11,7 +11,11 @@
 //! shape [`Avx512::hmac16`] takes. Its inputs arrive lane-major (word
 //! `t` of every lane in one row), so each schedule word is one vector
 //! load; the inner digest stays in registers as the outer block's
-//! words 0–7, and words 8–15 of that block are constants.
+//! words 0–7, and words 8–15 of that block are constants. The
+//! client's encryption lanes are the other consumer: their check
+//! blocks are HMACs under sixteen different keys, which
+//! `crate::prf::eval_keyed_lanes_into` computes as four calls to the
+//! bare lane-major compression, [`Avx512::compress16`].
 //!
 //! Every lane computes the FIPS 180-4 compression exactly, bit for
 //! bit what the portable backend computes (the backend-equivalence
@@ -71,15 +75,18 @@ impl Avx512 {
         unsafe { hmac16_avx512(inner, outer, words, tags) }
     }
 
-    /// One block into each of sixteen independent states.
-    #[cfg(test)]
+    /// One block into each of sixteen independent states, all
+    /// lane-major: `states[r][l]` is word `r` of lane `l`'s state and
+    /// `words[t][l]` word `t` of its block. The per-lane-key HMAC of
+    /// the client's encryption lanes is built on it.
+    #[inline]
     pub(crate) fn compress16(
         self,
-        states: &mut [[u32; 8]; LANES],
-        blocks: &[[u8; BLOCK_LEN]; LANES],
+        states: &mut [[u32; LANES]; 8],
+        words: &[[u32; LANES]; BLOCK_LEN / 4],
     ) {
         // SAFETY: as in `hmac16` — the token proves detection.
-        unsafe { compress16_avx512(states, blocks) }
+        unsafe { compress16_avx512(states, words) }
     }
 }
 
@@ -217,23 +224,7 @@ fn hmac16_avx512(
 }
 
 /// Backend of [`Avx512::compress16`].
-#[cfg(test)]
 #[target_feature(enable = "avx512f")]
-fn compress16_avx512(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BLOCK_LEN]; LANES]) {
-    let mut rows = [[0u32; LANES]; 8];
-    let mut words = [[0u32; LANES]; 16];
-    for (l, (state, block)) in states.iter().zip(blocks).enumerate() {
-        for (row, word) in rows.iter_mut().zip(state) {
-            row[l] = *word;
-        }
-        for (row, chunk) in words.iter_mut().zip(block.as_chunks::<4>().0) {
-            row[l] = u32::from_be_bytes(*chunk);
-        }
-    }
-    store(compress(&load(&rows), load(&words)), &mut rows);
-    for (l, state) in states.iter_mut().enumerate() {
-        for (word, row) in state.iter_mut().zip(&rows) {
-            *word = row[l];
-        }
-    }
+fn compress16_avx512(states: &mut [[u32; LANES]; 8], words: &[[u32; LANES]; BLOCK_LEN / 4]) {
+    store(compress(&load(states), load(words)), states);
 }

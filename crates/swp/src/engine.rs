@@ -56,6 +56,16 @@ impl Engine {
         self.prg.stream_at_into(location.doc_id, offset, out);
     }
 
+    /// Fills `out` with the stream values of document `doc_id`'s first
+    /// `out.len() / stream_len` words back to back: word `i`'s `S_ℓ`
+    /// is `out[i * stream_len..][..stream_len]`, the bytes
+    /// [`Self::stream_value_into`] gives it, from one keystream call
+    /// (one ChaCha block covers a three-word `Emp` row).
+    pub(crate) fn row_stream_into(&self, doc_id: u64, out: &mut [u8]) {
+        debug_assert!(out.len().is_multiple_of(self.params.stream_len()));
+        self.prg.stream_at_into(doc_id, 0, out);
+    }
+
     /// Fills `out` (exactly `check_len` bytes) with the check block
     /// `F_k(S)`.
     pub(crate) fn check_block_into(key: &[u8], s: &[u8], out: &mut [u8]) {
@@ -161,6 +171,16 @@ mod tests {
         let c3 = e.encrypt(Location::new(7, 0), x, &key);
         assert_ne!(c1, c2);
         assert_ne!(c1, c3);
+    }
+
+    #[test]
+    fn row_stream_is_the_words_stream_values_back_to_back() {
+        let e = engine();
+        let mut row = vec![0u8; 5 * 7];
+        e.row_stream_into(u64::MAX, &mut row);
+        for (i, s) in row.chunks_exact(7).enumerate() {
+            assert_eq!(s, e.stream_value(Location::new(u64::MAX, i as u32)));
+        }
     }
 
     #[test]

@@ -111,13 +111,14 @@ pub fn matches<T: TrapdoorData>(params: &SwpParams, trapdoor: &T, cipher: &Ciphe
 
 /// A trapdoor preprocessed for scanning many cipher words.
 ///
-/// [`matches`] rebuilds the HMAC key schedule (two SHA-256 compression
-/// calls over the padded key) for every `(trapdoor, word)` pair; a
-/// table scan evaluates the same trapdoor against every stored word,
-/// so a prepared trapdoor runs the key schedule once and reuses the
-/// keyed PRF per word. Exactly the same accept/reject decisions as
-/// [`matches`] (they share one implementation) — this is the batch
-/// entry point the sharded scan engine uses.
+/// [`matches`](fn@matches) rebuilds the HMAC key schedule (two
+/// SHA-256 compression calls over the padded key) for every
+/// `(trapdoor, word)` pair; a table scan evaluates the same trapdoor
+/// against every stored word, so a prepared trapdoor runs the key
+/// schedule once and reuses the keyed PRF per word. Exactly the same
+/// accept/reject decisions as [`matches`](fn@matches) (they share one
+/// implementation) — this is the batch entry point the sharded scan
+/// engine uses.
 #[derive(Clone)]
 pub struct PreparedTrapdoor {
     target: Vec<u8>,
@@ -141,8 +142,8 @@ impl PreparedTrapdoor {
         &self.target
     }
 
-    /// Same decision as [`matches`], skipping the per-word key
-    /// schedule. Keyless, like everything the server runs.
+    /// Same decision as [`matches`](fn@matches), skipping the per-word
+    /// key schedule. Keyless, like everything the server runs.
     #[must_use]
     pub fn matches(&self, params: &SwpParams, cipher: &CipherWord) -> bool {
         check_match(params, &self.target, &self.prf, cipher)

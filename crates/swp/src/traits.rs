@@ -76,6 +76,31 @@ pub trait SearchableScheme: Clone + Send + Sync + 'static {
     /// Fails on word-length mismatches.
     fn encrypt_word(&self, location: Location, word: &Word) -> Result<CipherWord, SwpError>;
 
+    /// Encrypts whole documents: word `i` of `(doc_id, words)` at
+    /// `Location::new(doc_id, i)`, appending each cipher word's
+    /// `word_len` bytes to `out` in document and word order. The
+    /// bytes, and the error (the first failing word's), are exactly
+    /// those of [`Self::encrypt_word`] word by word, which is what this
+    /// default does; a scheme with a batched path (the final scheme's
+    /// encryption lanes) overrides it with byte-identical output. On
+    /// error, `out` holds some prefix of the output.
+    ///
+    /// # Errors
+    /// Fails on word-length mismatches.
+    fn encrypt_documents(
+        &self,
+        docs: &[(u64, Vec<Word>)],
+        out: &mut Vec<u8>,
+    ) -> Result<(), SwpError> {
+        for (doc_id, words) in docs {
+            for (i, word) in words.iter().enumerate() {
+                let cipher = self.encrypt_word(Location::new(*doc_id, i as u32), word)?;
+                out.extend_from_slice(cipher.as_bytes());
+            }
+        }
+        Ok(())
+    }
+
     /// Decrypts the cipher word stored at `location`.
     ///
     /// # Errors

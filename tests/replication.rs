@@ -154,6 +154,33 @@ fn bootstrap_rebuilds_store_and_dedup_byte_identically() {
     );
 }
 
+#[test]
+fn bootstrap_from_an_idle_primary_never_parks_a_pull() {
+    // Bootstrap pulls until an empty answer; on an idle primary that
+    // last pull must come back at once, not after a long-poll wait.
+    let primary_dir = TempDir::new("repl-boot-idle-primary").unwrap();
+    let follower_dir = TempDir::new("repl-boot-idle-follower").unwrap();
+    let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
+    for op in workload("T") {
+        assert!(is_ok(&primary.handle(&op.to_wire())));
+    }
+    let replica =
+        Replica::bootstrap(primary.clone(), follower_dir.path(), replica_options(9)).unwrap();
+    let parks = primary.stats_snapshot().scalar("repl_longpoll_parks");
+    assert_eq!(parks, Some(0), "a bootstrap pull parked");
+    let log = primary.durable_log().unwrap();
+    assert_eq!(
+        log.replication_lag(),
+        0,
+        "bootstrap stopped short of the stream end"
+    );
+    assert!(replica.offset() > 0);
+    assert_eq!(
+        replica.server().handle(&fetch_msg("T")),
+        primary.handle(&fetch_msg("T"))
+    );
+}
+
 /// Bootstrap replays the shipped log through the live apply path, so
 /// index clears and purges logged after a compaction reach the
 /// follower: with `Emp` dropped and re-created and `Old` losing rows

@@ -558,6 +558,7 @@ fn thread_front_end_serves_repl_pull() {
     let pull = ClientMessage::ReplPull {
         follower: 5,
         after_offset: 0,
+        wait: true,
     }
     .to_wire();
     // A long-poll parks only its own session thread, so the front-end
