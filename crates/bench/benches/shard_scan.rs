@@ -3,9 +3,9 @@
 //! The server-side `ψ` is a full trapdoor scan; this bench pins the
 //! throughput of the seed reference (`dbph_core::server::execute_query`,
 //! which re-runs the HMAC key schedule per `(trapdoor, word)` pair)
-//! against the sharded engine (`ShardedTable::scan`, which prepares
-//! each trapdoor once and fans the scan out over shards with scoped
-//! threads). On a single core the win comes from the hoisted key
+//! against the sharded engine (`ShardedTable::scan_batch_on` with a
+//! one-query batch, which prepares each trapdoor once and fans the
+//! scan out over shards on the process-wide worker pool). On a single core the win comes from the hoisted key
 //! schedule; on multicore hardware the shards add near-linear scaling
 //! on top. Results are byte-identical across all configurations — the
 //! sharding tests enforce that; this file only measures.
@@ -15,9 +15,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use dbph_core::executor::Executor;
 use dbph_core::protocol::WireTrapdoor;
 use dbph_core::server::execute_query;
 use dbph_core::storage::ShardedTable;
+use dbph_core::telemetry::Counter;
 use dbph_core::{DatabasePh, FinalSwpPh};
 use dbph_crypto::SecretKey;
 use dbph_relation::query::ExactSelect;
@@ -26,6 +28,14 @@ use dbph_workload::EmployeeGen;
 
 const ROWS: usize = 10_000;
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
+
+/// `ψ` for one query on the process-wide pool.
+fn scan(sharded: &ShardedTable, terms: &[WireTrapdoor]) -> dbph_core::EncryptedTable {
+    sharded
+        .scan_batch_on(&Executor::global(), &[terms], &Counter::default())
+        .pop()
+        .expect("one query, one table")
+}
 
 fn bench_shard_scan(c: &mut Criterion) {
     let relation = EmployeeGen {
@@ -45,7 +55,7 @@ fn bench_shard_scan(c: &mut Criterion) {
     for shards in SHARDS {
         let sharded = ShardedTable::from_table(table.clone(), shards);
         assert_eq!(
-            sharded.scan(&terms),
+            scan(&sharded, &terms),
             reference,
             "sharded scan diverged at {shards}"
         );
@@ -61,7 +71,7 @@ fn bench_shard_scan(c: &mut Criterion) {
     for shards in SHARDS {
         let sharded = ShardedTable::from_table(table.clone(), shards);
         group.bench_function(BenchmarkId::new("sharded", shards), |b| {
-            b.iter(|| sharded.scan(&terms))
+            b.iter(|| scan(&sharded, &terms))
         });
     }
     group.finish();
@@ -83,7 +93,7 @@ fn bench_shard_scan(c: &mut Criterion) {
     for shards in [1usize, 4] {
         let sharded = ShardedTable::from_table(table.clone(), shards);
         group.bench_function(BenchmarkId::new("sharded", shards), |b| {
-            b.iter(|| sharded.scan(&conj_terms))
+            b.iter(|| scan(&sharded, &conj_terms))
         });
     }
     group.finish();

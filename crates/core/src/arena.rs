@@ -198,18 +198,6 @@ impl WordArena {
         self.seal_doc(doc_id);
     }
 
-    /// Appends one document from raw word byte slices — the
-    /// wire-decode and log-recovery path: callers hand over borrowed
-    /// slices straight out of a received buffer, so a table streams
-    /// into columnar storage without ever materializing a boxed
-    /// [`CipherWord`] per word.
-    pub fn push_raw<'a>(&mut self, doc_id: u64, words: impl IntoIterator<Item = &'a [u8]>) {
-        for word in words {
-            self.push_word(word);
-        }
-        self.seal_doc(doc_id);
-    }
-
     /// Appends documents `range` of `src` verbatim — the repartition
     /// repack path: word bytes are copied arena-to-arena without ever
     /// materializing boxed documents.
@@ -326,20 +314,6 @@ mod tests {
             ],
         );
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn push_raw_equals_boxed_push() {
-        // The zero-boxing ingest path must build the identical
-        // canonical arena, irregular lengths included.
-        let docs = vec![doc(0, &[4, 4]), doc(1, &[4, 2, 6]), doc(2, &[])];
-        let boxed = WordArena::from_docs(4, docs.clone());
-        let mut raw = WordArena::new(4);
-        for (id, words) in &docs {
-            raw.push_raw(*id, words.iter().map(|w| w.0.as_slice()));
-        }
-        assert_eq!(raw, boxed);
-        assert_eq!(raw.to_docs(), docs);
     }
 
     #[test]

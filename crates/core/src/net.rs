@@ -164,8 +164,8 @@ pub struct NetOptions {
 /// entry points: [`NetServer::serve`] (run a front-end on the caller's
 /// thread, forever — the `--listen` deployment) and
 /// [`NetServer::spawn`] (background front-end with a handle for clean
-/// shutdown — what the tests and the loopback demo use), each with an
-/// `_opts` variant taking [`NetOptions`].
+/// shutdown — what the tests and the loopback demo use; its
+/// [`NetServer::spawn_opts`] variant takes [`NetOptions`]).
 pub struct NetServer;
 
 impl NetServer {
@@ -178,20 +178,9 @@ impl NetServer {
     /// after many consecutive failures — e.g. fd exhaustion that never
     /// clears).
     pub fn serve(listener: TcpListener, server: Server) -> Result<(), PhError> {
-        Self::serve_opts(listener, server, NetOptions::default())
-    }
-
-    /// [`NetServer::serve`] with full [`NetOptions`].
-    ///
-    /// # Errors
-    /// As [`NetServer::serve`].
-    pub fn serve_opts(
-        listener: TcpListener,
-        server: Server,
-        options: NetOptions,
-    ) -> Result<(), PhError> {
         deepen_backlog(&listener);
-        accept_loop(&listener, &server, &NetState::new(), options.idle_timeout);
+        // Default options: idle connections are never reaped.
+        accept_loop(&listener, &server, &NetState::new(), None);
         Err(PhError::Transport(
             "listener failed persistently; front-end gave up".into(),
         ))
@@ -630,16 +619,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that retries transport failures up to `max_attempts`
-    /// total attempts with the default backoff curve.
-    #[must_use]
-    pub fn with_attempts(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The sleep before retry number `attempt` (1-based): exponential
     /// in `base_backoff` capped at `max_backoff`, with the top half
     /// replaced by deterministic jitter from `jitter_seed` so

@@ -280,19 +280,17 @@ pub enum ClientMessage {
 
 impl WireEncode for ClientMessage {
     fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.tag());
         match self {
             ClientMessage::CreateTable { name, table } => {
-                buf.push(tag::CREATE);
                 name.encode(buf);
                 table.encode(buf);
             }
             ClientMessage::Query { name, terms } => {
-                buf.push(tag::QUERY);
                 name.encode(buf);
                 terms.encode(buf);
             }
-            ClientMessage::FetchAll { name } => {
-                buf.push(tag::FETCH_ALL);
+            ClientMessage::FetchAll { name } | ClientMessage::DropTable { name } => {
                 name.encode(buf);
             }
             ClientMessage::Append {
@@ -300,27 +298,19 @@ impl WireEncode for ClientMessage {
                 doc_id,
                 words,
             } => {
-                buf.push(tag::APPEND);
                 name.encode(buf);
                 doc_id.encode(buf);
                 words.encode(buf);
             }
-            ClientMessage::DropTable { name } => {
-                buf.push(tag::DROP);
-                name.encode(buf);
-            }
             ClientMessage::DeleteDocs { name, doc_ids } => {
-                buf.push(tag::DELETE);
                 name.encode(buf);
                 doc_ids.encode(buf);
             }
             ClientMessage::QueryBatch { name, queries } => {
-                buf.push(tag::QUERY_BATCH);
                 name.encode(buf);
                 queries.encode(buf);
             }
             ClientMessage::AppendBatch { name, docs } => {
-                buf.push(tag::APPEND_BATCH);
                 name.encode(buf);
                 docs.encode(buf);
             }
@@ -329,7 +319,6 @@ impl WireEncode for ClientMessage {
                 token,
                 max_bytes,
             } => {
-                buf.push(tag::FETCH_CHUNK);
                 name.encode(buf);
                 token.encode(buf);
                 max_bytes.encode(buf);
@@ -339,23 +328,20 @@ impl WireEncode for ClientMessage {
                 seq,
                 inner,
             } => {
-                buf.push(tag::TAGGED);
                 client_id.encode(buf);
                 seq.encode(buf);
                 inner.encode(buf);
             }
-            ClientMessage::Ping => buf.push(tag::PING),
+            ClientMessage::Ping | ClientMessage::Stats => {}
             ClientMessage::ReplPull {
                 follower,
                 after_offset,
                 wait,
             } => {
-                buf.push(tag::REPL_PULL);
                 follower.encode(buf);
                 after_offset.encode(buf);
                 wait.encode(buf);
             }
-            ClientMessage::Stats => buf.push(tag::STATS),
         }
     }
 }
@@ -436,6 +422,36 @@ impl ClientMessage {
             }),
             tag::STATS => Ok(ClientMessage::Stats),
             t => Err(PhError::Wire(format!("unknown client message tag {t}"))),
+        }
+    }
+
+    /// The message's tag byte — the first byte of its encoding.
+    fn tag(&self) -> u8 {
+        match self {
+            ClientMessage::CreateTable { .. } => tag::CREATE,
+            ClientMessage::Query { .. } => tag::QUERY,
+            ClientMessage::FetchAll { .. } => tag::FETCH_ALL,
+            ClientMessage::Append { .. } => tag::APPEND,
+            ClientMessage::DropTable { .. } => tag::DROP,
+            ClientMessage::DeleteDocs { .. } => tag::DELETE,
+            ClientMessage::QueryBatch { .. } => tag::QUERY_BATCH,
+            ClientMessage::AppendBatch { .. } => tag::APPEND_BATCH,
+            ClientMessage::FetchChunk { .. } => tag::FETCH_CHUNK,
+            ClientMessage::Tagged { .. } => tag::TAGGED,
+            ClientMessage::Ping => tag::PING,
+            ClientMessage::ReplPull { .. } => tag::REPL_PULL,
+            ClientMessage::Stats => tag::STATS,
+        }
+    }
+
+    /// Whether the message mutates the store (`tag::is_mutation_tag` of
+    /// its tag) — the class whose applied instances the durable log
+    /// records. Sees through the idempotent envelope: a tagged mutation
+    /// is still a mutation.
+    pub(crate) fn is_mutation(&self) -> bool {
+        match self {
+            ClientMessage::Tagged { inner, .. } => inner.is_mutation(),
+            other => tag::is_mutation_tag(other.tag()),
         }
     }
 
@@ -640,9 +656,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_client_messages_roundtrip() {
-        let msgs = vec![
+    /// One sample of every non-envelope message kind (two of
+    /// `ReplPull`, for both `wait` values).
+    fn sample_messages() -> Vec<ClientMessage> {
+        vec![
             ClientMessage::CreateTable {
                 name: "Emp".into(),
                 table: sample_table(),
@@ -713,8 +730,12 @@ mod tests {
                 wait: false,
             },
             ClientMessage::Stats,
-        ];
-        for m in msgs {
+        ]
+    }
+
+    #[test]
+    fn all_client_messages_roundtrip() {
+        for m in sample_messages() {
             let bytes = m.to_wire();
             assert_eq!(ClientMessage::from_wire(&bytes).unwrap(), m, "{m:?}");
         }
@@ -855,6 +876,21 @@ mod tests {
         }
         for t in reads {
             assert!(!tag::is_mutation_tag(t), "{t}");
+        }
+        // The decoded predicate agrees with the tag for every message
+        // kind, and sees through the idempotent envelope.
+        let msgs = sample_messages();
+        let kinds: std::collections::BTreeSet<u8> = msgs.iter().map(|m| m.to_wire()[0]).collect();
+        let all: std::collections::BTreeSet<u8> = (tag::CREATE..=tag::STATS)
+            .filter(|&t| t != tag::TAGGED)
+            .collect();
+        assert_eq!(kinds, all, "one sample per message kind");
+        for m in msgs {
+            let decoded = ClientMessage::from_wire(&m.to_wire()).unwrap();
+            let by_tag = tag::is_mutation_tag(m.to_wire()[0]);
+            assert_eq!(decoded.is_mutation(), by_tag, "{m:?}");
+            let tagged = ClientMessage::from_wire(&m.tagged(1, 2).to_wire()).unwrap();
+            assert_eq!(tagged.is_mutation(), by_tag, "tagged {tagged:?}");
         }
     }
 

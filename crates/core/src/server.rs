@@ -17,6 +17,12 @@
 //! produces exactly the per-query/per-document events its unbatched
 //! equivalent would, tagged with a [`BatchRef`] so transcript analyses
 //! can still see message boundaries.
+//!
+//! `ψ` runs down one path. A [`ClientMessage::Query`] is a batch of one
+//! without a batch id, a [`ClientMessage::QueryBatch`] the same call
+//! with one: the store picks the plan (index probe or scan) once per
+//! message, under one table snapshot, and the server records each
+//! query's `IndexProbe` and `Query` events in query order.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,9 +228,10 @@ impl Default for Server {
 /// documents where every term matches the cipher word at its
 /// attribute's position. A free function over ciphertext — no key, no
 /// scheme type, just the public parameters and the received terms.
-/// The sharded engine ([`crate::storage::ShardedTable::scan`]) must
-/// return exactly this function's output; the conformance tests and
-/// the `shard_scan` bench hold it to that.
+/// The sharded engine ([`crate::storage::ShardedTable::scan_batch_on`])
+/// must return exactly this function's output for every query of a
+/// batch; the conformance tests and the `shard_scan` bench hold it to
+/// that.
 #[must_use]
 pub fn execute_query(table: &EncryptedTable, terms: &[WireTrapdoor]) -> EncryptedTable {
     let docs = table
@@ -438,7 +445,7 @@ impl Server {
     pub(crate) fn apply_logged(&self, body: &[u8]) -> Result<(), PhError> {
         let msg = ClientMessage::from_wire(body)
             .map_err(|e| PhError::Durability(format!("logged record is malformed: {e}")))?;
-        if !Self::is_mutation(&msg) {
+        if !msg.is_mutation() {
             return Err(PhError::Durability(
                 "logged record is not a mutation".into(),
             ));
@@ -604,20 +611,6 @@ impl Server {
         self.store.index_at_rest(name)
     }
 
-    /// Whether a message mutates the store — the class whose applied
-    /// instances the durable log must record. Sees through the
-    /// idempotent envelope: a tagged mutation is still a mutation.
-    fn is_mutation(msg: &ClientMessage) -> bool {
-        matches!(
-            msg,
-            ClientMessage::CreateTable { .. }
-                | ClientMessage::Append { .. }
-                | ClientMessage::AppendBatch { .. }
-                | ClientMessage::DeleteDocs { .. }
-                | ClientMessage::DropTable { .. }
-        ) || matches!(msg, ClientMessage::Tagged { inner, .. } if Self::is_mutation(inner))
-    }
-
     /// Handles one serialized client message, returning the serialized
     /// response. This is the server's entire interface.
     ///
@@ -672,7 +665,7 @@ impl Server {
         envelope: Option<(u64, u64)>,
     ) -> ServerResponse {
         match &self.durable {
-            Some(log) if Self::is_mutation(&msg) => {
+            Some(log) if msg.is_mutation() => {
                 let logged = log.log_mutation(raw, &self.store, || {
                     let response = self.dispatch(msg);
                     let applied = !matches!(response, ServerResponse::Error(_));
@@ -692,7 +685,7 @@ impl Server {
     /// dedup entry); mutations consult the window first and only a
     /// fresh id reaches [`Server::apply`].
     fn handle_tagged(&self, raw: &[u8], client_id: u64, seq: u64, inner: ClientMessage) -> Vec<u8> {
-        if !Self::is_mutation(&inner) {
+        if !inner.is_mutation() {
             return self.apply(raw, inner, None).to_wire();
         }
         let decision = self.store.dedup().begin(client_id, seq);
@@ -723,44 +716,42 @@ impl Server {
         }
     }
 
-    /// Answers one query: through the encrypted multimap when the
-    /// index is enabled, by a full trapdoor scan otherwise. Both paths
-    /// return byte-identical responses.
-    fn run_query(
+    /// `ψ` for a list of queries against table `name` — the one query
+    /// path: a [`ClientMessage::Query`] is a list of one with `batch`
+    /// `None`, a [`ClientMessage::QueryBatch`] carries its batch id.
+    /// The store picks the plan once, under one table snapshot
+    /// ([`TableStore::query_batch`]); both plans return byte-identical
+    /// tables. Events are recorded strictly in query order *after* the
+    /// answers are in — each query's `IndexProbe`s (index plan only),
+    /// then its `Query` — so the transcript is the sequential engine's
+    /// whichever worker finished which task first.
+    fn run_queries(
         &self,
         name: &str,
-        terms: Vec<WireTrapdoor>,
-        batch: Option<BatchRef>,
-    ) -> Result<EncryptedTable, String> {
-        let indexed = self.store.index().is_enabled();
-        if self.telemetry.on() {
-            if indexed {
-                self.telemetry.plan_probe_queries.inc();
-            } else {
-                self.telemetry.plan_scan_queries.inc();
+        queries: Vec<Vec<WireTrapdoor>>,
+        batch: Option<u64>,
+    ) -> Result<Vec<EncryptedTable>, PhError> {
+        let answers = self.store.query_batch(name, &queries)?;
+        let on = self.telemetry.on();
+        let mut results = Vec::with_capacity(answers.len());
+        for (index, (terms, (result, probes))) in queries.into_iter().zip(answers).enumerate() {
+            let batch = batch.map(|id| (id, index));
+            if on {
+                match probes {
+                    Some(_) => self.telemetry.plan_probe_queries.inc(),
+                    None => self.telemetry.plan_scan_queries.inc(),
+                }
             }
-        }
-        let result = if indexed {
-            let (result, probes) = self
-                .store
-                .query_indexed(name, &terms)
-                .map_err(|e| e.to_string())?;
-            for probe in probes {
-                if self.telemetry.on() {
+            for probe in probes.into_iter().flatten() {
+                if on {
+                    // Delta-scan length: posting entries the probe
+                    // verified beyond its cached prefix.
+                    let delta = probe.posting.saturating_sub(probe.cached.unwrap_or(0));
                     match probe.cached {
-                        Some(cached) => {
-                            self.telemetry.index_probe_hits.inc();
-                            // Delta-scan length: posting entries the
-                            // probe verified beyond its cached prefix.
-                            self.telemetry
-                                .index_delta_len
-                                .record(probe.posting.saturating_sub(cached) as u64);
-                        }
-                        None => {
-                            self.telemetry.index_probe_misses.inc();
-                            self.telemetry.index_delta_len.record(probe.posting as u64);
-                        }
+                        Some(_) => self.telemetry.index_probe_hits.inc(),
+                        None => self.telemetry.index_probe_misses.inc(),
                     }
+                    self.telemetry.index_delta_len.record(delta as u64);
                     self.telemetry
                         .index_posting_len
                         .record(probe.posting as u64);
@@ -774,17 +765,15 @@ impl Server {
                     batch,
                 });
             }
-            result
-        } else {
-            self.store.query(name, &terms).map_err(|e| e.to_string())?
-        };
-        self.observer.record(ServerEvent::Query {
-            name: name.to_string(),
-            terms,
-            matched_doc_ids: result.doc_ids(),
-            batch,
-        });
-        Ok(result)
+            self.observer.record(ServerEvent::Query {
+                name: name.to_string(),
+                terms,
+                matched_doc_ids: result.doc_ids(),
+                batch,
+            });
+            results.push(result);
+        }
+        Ok(results)
     }
 
     fn dispatch(&self, msg: ClientMessage) -> ServerResponse {
@@ -803,63 +792,21 @@ impl Server {
                     Err(e) => ServerResponse::Error(e.to_string()),
                 }
             }
-            ClientMessage::Query { name, terms } => match self.run_query(&name, terms, None) {
-                Ok(result) => ServerResponse::Table(result),
-                Err(e) => ServerResponse::Error(e),
-            },
+            ClientMessage::Query { name, terms } => {
+                match self.run_queries(&name, vec![terms], None) {
+                    Ok(mut results) => {
+                        ServerResponse::Table(results.pop().expect("one query, one table"))
+                    }
+                    Err(e) => ServerResponse::Error(e.to_string()),
+                }
+            }
             ClientMessage::QueryBatch { name, queries } => {
                 let batch_id = self.next_batch.fetch_add(1, Ordering::Relaxed);
-                if self.store.index().is_enabled() {
-                    // Indexed: queries execute in batch order, each
-                    // through the index path — term sharing comes from
-                    // the multimap itself (the first query installs a
-                    // posting, repeats probe it), so the batch memo is
-                    // not needed to avoid rescanning duplicates.
-                    // Responses stay byte-identical to the scan batch.
-                    //
-                    // Parity with the batch engine's whole-batch error:
-                    // an unknown table fails even an *empty* batch,
-                    // with the identical error string.
-                    if self.store.stats(&name).is_none() {
-                        let e = PhError::Protocol(format!("unknown table: {name}"));
-                        return ServerResponse::Error(format!("query batch: {e}"));
-                    }
-                    let mut results = Vec::with_capacity(queries.len());
-                    for (index, terms) in queries.into_iter().enumerate() {
-                        match self.run_query(&name, terms, Some((batch_id, index))) {
-                            Ok(result) => results.push(result),
-                            Err(e) => return ServerResponse::Error(format!("query batch: {e}")),
-                        }
-                    }
-                    return ServerResponse::Tables(results);
-                }
-                // The whole batch fans into the worker pool at once
-                // (K queries × S shards tasks, duplicate terms shared
-                // through the per-batch trapdoor memo). Events are
-                // recorded strictly in batch order *after* the join,
-                // so the transcript is byte-for-byte the one the
-                // sequential engine would have produced no matter
-                // which worker finished which task first.
-                match self.store.query_batch(&name, &queries) {
-                    Ok(results) => {
-                        if self.telemetry.on() {
-                            self.telemetry.plan_scan_queries.add(results.len() as u64);
-                        }
-                        for (index, (terms, result)) in
-                            queries.into_iter().zip(&results).enumerate()
-                        {
-                            self.observer.record(ServerEvent::Query {
-                                name: name.clone(),
-                                terms,
-                                matched_doc_ids: result.doc_ids(),
-                                batch: Some((batch_id, index)),
-                            });
-                        }
-                        ServerResponse::Tables(results)
-                    }
-                    // The batch executes as one fan-out, so failures
-                    // (today: unknown table) are batch-wide — no
-                    // per-query index to report.
+                match self.run_queries(&name, queries, Some(batch_id)) {
+                    Ok(results) => ServerResponse::Tables(results),
+                    // Failures (today: unknown table, even for an
+                    // empty batch) are batch-wide — no per-query index
+                    // to report.
                     Err(e) => ServerResponse::Error(format!("query batch: {e}")),
                 }
             }
@@ -1223,6 +1170,62 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn index_plan_records_each_querys_probes_before_its_query() {
+        let s = Server::with_shards(2);
+        s.enable_index();
+        send(
+            &s,
+            ClientMessage::CreateTable {
+                name: "t".into(),
+                table: table(4),
+            },
+        );
+        // A one-byte term never matches, so a conjunction stops
+        // probing after it.
+        let never = |b: u8| WireTrapdoor {
+            attr: 0,
+            target: vec![b],
+            check_key: Vec::new(),
+        };
+        send(
+            &s,
+            ClientMessage::QueryBatch {
+                name: "t".into(),
+                queries: vec![vec![never(1), never(2)], vec![], vec![never(1)]],
+            },
+        );
+        send(
+            &s,
+            ClientMessage::Query {
+                name: "t".into(),
+                terms: vec![never(1)],
+            },
+        );
+        let shape: Vec<(&str, Option<usize>, Option<BatchRef>)> = s
+            .observer()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                ServerEvent::IndexProbe { cached, batch, .. } => Some(("probe", *cached, *batch)),
+                ServerEvent::Query { batch, .. } => Some(("query", None, *batch)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            vec![
+                ("probe", None, Some((0, 0))),
+                ("query", None, Some((0, 0))),
+                ("query", None, Some((0, 1))),
+                ("probe", Some(0), Some((0, 2))),
+                ("query", None, Some((0, 2))),
+                ("probe", Some(0), None),
+                ("query", None, None),
+            ]
+        );
     }
 
     #[test]

@@ -29,6 +29,12 @@
 //! function, so candidate sets — and with them responses and
 //! transcripts — are byte-identical to the scalar scan.
 //!
+//! [`TableStore::query_batch`] is the store's one query entry: it
+//! snapshots the table once and answers the whole list either by that
+//! scan fan-out or, with the opt-in index ([`crate::index`]) enabled,
+//! by per-term multimap probes plus a delta scan — byte-identical
+//! tables either way. A single query is a list of one.
+//!
 //! Terms are attribute-addressed ([`WireTrapdoor::attr`]): a term is
 //! checked against one word per document, the word at its attribute's
 //! position, so a scan runs one SWP check per row per term. A document
@@ -42,11 +48,15 @@
 //!   document vector and results are concatenated in shard order, so a
 //!   scan returns byte-identical results for any shard count —
 //!   including the 1-shard layout, which is exactly the seed's
-//!   single-threaded loop. Appends land in the last shard (with an
-//!   order-preserving contiguous repartition once it outgrows its
-//!   fair share); deletes retain per shard and repartition once a
-//!   shard is hollowed out below half its fair share. Document order
-//!   is therefore preserved verbatim, never re-sorted.
+//!   single-threaded loop. One routine cuts every layout (`cut`: an
+//!   upload, a recovered snapshot, a rebalance). Appends land in the
+//!   last shard (with an order-preserving contiguous repartition once
+//!   it outgrows its fair share); deletes retain per shard and
+//!   repartition once a shard is hollowed out below half its fair
+//!   share. Document order is therefore preserved verbatim, never
+//!   re-sorted, and ids rise strictly along it: uploads and appends
+//!   alike are refused otherwise, because chunked fetch and the
+//!   index's delta scan and reassembly anchor on ids.
 //! * **Pool-size invariance.** Results are assembled into slots indexed
 //!   by `(query, shard)`, so completion order cannot reorder them; a
 //!   1-worker pool runs the identical task list inline and is the
@@ -82,6 +92,11 @@ use crate::wire::WireEncode;
 /// ([`WordArena`]) and reassemble this shape on demand.
 pub type Doc = (u64, Vec<CipherWord>);
 
+/// One query's answer from [`TableStore::query_batch`]: the result
+/// table, and — under the index plan only — one [`ProbeStats`] per
+/// probed term (`None` under the scan plan).
+pub type Answer = (EncryptedTable, Option<Vec<ProbeStats>>);
+
 /// A shard: a contiguous chunk of the document vector, stored
 /// columnarly ([`WordArena`]: one fixed-width slot buffer + per-doc
 /// offsets) so the scan kernel streams cache-line-friendly memory.
@@ -91,26 +106,41 @@ pub type Doc = (u64, Vec<CipherWord>);
 /// keeps its consistent view).
 type Shard = Arc<WordArena>;
 
-/// Splits `docs` into `shard_count` contiguous chunks of near-equal
-/// size (the first `len % shard_count` chunks hold one extra
-/// document), each packed into a [`WordArena`] with slot width
-/// `word_len`. Concatenated in order, the chunks reproduce `docs`
-/// exactly — the invariant every scan and reassembly relies on.
-fn partition(word_len: usize, docs: Vec<Doc>, shard_count: usize) -> Vec<Shard> {
-    let total = docs.len();
-    let base = total / shard_count;
-    let extra = total % shard_count;
-    let mut iter = docs.into_iter();
+/// The one shard cut: deals the `total` documents `docs` yields, in
+/// order, into `shard_count` contiguous chunks of near-equal size (the
+/// first `total % shard_count` chunks hold one extra document), each
+/// packed by `push` into a [`WordArena`] with slot width `word_len`.
+/// Concatenated in order, the chunks reproduce the sequence exactly —
+/// the invariant every scan and reassembly relies on.
+fn cut<D>(
+    word_len: usize,
+    total: usize,
+    mut docs: impl Iterator<Item = D>,
+    shard_count: usize,
+    mut push: impl FnMut(&mut WordArena, D),
+) -> Vec<Shard> {
+    let (base, extra) = (total / shard_count, total % shard_count);
     (0..shard_count)
         .map(|i| {
-            let take = base + usize::from(i < extra);
             let mut arena = WordArena::new(word_len);
-            for (id, words) in iter.by_ref().take(take) {
-                arena.push(id, &words);
+            for doc in docs.by_ref().take(base + usize::from(i < extra)) {
+                push(&mut arena, doc);
             }
             Arc::new(arena)
         })
         .collect()
+}
+
+/// Checks that the ids of `docs` rise strictly from `first` on, and
+/// returns the least id that may follow them (`first` when `docs` is
+/// empty). Ids ascending in table order is what the id-anchored reads
+/// (chunked fetch, the index's delta scan and reassembly) rely on.
+fn fresh_ids(first: u64, docs: &[Doc]) -> Result<u64, PhError> {
+    docs.iter()
+        .try_fold(first, |least, &(id, _)| match id.checked_add(1) {
+            Some(next) if id >= least => Ok(next),
+            _ => Err(PhError::Protocol(format!("stale doc id {id}"))),
+        })
 }
 
 /// Intersects two ascending lists (two-pointer merge).
@@ -271,9 +301,16 @@ impl ShardedTable {
             docs,
             next_doc_id,
         } = table;
+        let shards = cut(
+            params.word_len,
+            docs.len(),
+            docs.into_iter(),
+            shard_count,
+            |arena, (id, words)| arena.push(id, &words),
+        );
         ShardedTable {
             params,
-            shards: partition(params.word_len, docs, shard_count),
+            shards,
             next_doc_id,
         }
     }
@@ -296,19 +333,13 @@ impl ShardedTable {
     ) -> Self {
         assert!(shard_count > 0, "shard_count must be ≥ 1");
         assert_eq!(arena.word_len(), params.word_len, "mixed slot widths");
-        let total = arena.len();
-        let base = total / shard_count;
-        let extra = total % shard_count;
-        let mut start = 0usize;
-        let shards = (0..shard_count)
-            .map(|i| {
-                let take = base + usize::from(i < extra);
-                let mut shard = WordArena::new(params.word_len);
-                shard.append_range(arena, start..start + take);
-                start += take;
-                Arc::new(shard)
-            })
-            .collect();
+        let shards = cut(
+            params.word_len,
+            arena.len(),
+            0..arena.len(),
+            shard_count,
+            |shard, i| shard.append_range(arena, i..i + 1),
+        );
         ShardedTable {
             params,
             shards,
@@ -369,41 +400,24 @@ impl ShardedTable {
         self.next_doc_id
     }
 
-    /// Re-cuts the document sequence into `shard_count` contiguous,
-    /// near-equal chunks — the shared tail of both rebalancing rules.
-    /// Order-preserving by construction, and copied arena-to-arena
-    /// ([`WordArena::append_range`]): no boxed documents are ever
-    /// materialized on this mutation hot path.
+    /// Re-cuts the document sequence into the same number of
+    /// contiguous, near-equal shards — the shared tail of both
+    /// rebalancing rules. Order-preserving by construction, and copied
+    /// arena-to-arena ([`WordArena::append_range`]): no boxed documents
+    /// are ever materialized on this mutation hot path.
     fn repartition(&mut self) {
-        let shard_count = self.shards.len();
-        let total = self.doc_count();
-        let base = total / shard_count;
-        let extra = total % shard_count;
         let old = std::mem::take(&mut self.shards);
-        // Walk the old shards once, feeding each new shard its quota.
-        let mut src = old.iter();
-        let mut cur: Option<&Shard> = src.next();
-        let mut local = 0usize;
-        self.shards = (0..shard_count)
-            .map(|i| {
-                let mut want = base + usize::from(i < extra);
-                let mut arena = WordArena::new(self.params.word_len);
-                while want > 0 {
-                    let shard = cur.expect("doc quota exceeds total");
-                    let available = shard.len() - local;
-                    if available == 0 {
-                        cur = src.next();
-                        local = 0;
-                        continue;
-                    }
-                    let take = want.min(available);
-                    arena.append_range(shard, local..local + take);
-                    local += take;
-                    want -= take;
-                }
-                Arc::new(arena)
-            })
-            .collect();
+        let total = old.iter().map(|shard| shard.len()).sum();
+        let docs = old
+            .iter()
+            .flat_map(|shard| (0..shard.len()).map(move |i| (shard, i)));
+        self.shards = cut(
+            self.params.word_len,
+            total,
+            docs,
+            old.len(),
+            |arena, (shard, i)| arena.append_range(shard, i..i + 1),
+        );
     }
 
     /// Below this many documents in play, repartitioning cannot pay
@@ -471,16 +485,6 @@ impl ShardedTable {
     /// Below this many documents, pool handoff overhead outweighs the
     /// scan itself and the engine runs the task list inline.
     const PARALLEL_THRESHOLD: usize = 512;
-
-    /// `ψ` for one query, on the process-wide pool. Exactly
-    /// `scan_batch_on(Executor::global(), &[terms], _)`, with the
-    /// check count discarded.
-    #[must_use]
-    pub fn scan(&self, terms: &[WireTrapdoor]) -> EncryptedTable {
-        self.scan_batch_on(&Executor::global(), &[terms], &Counter::default())
-            .pop()
-            .expect("one query in, one table out")
-    }
 
     /// `ψ` over a whole query batch: K queries over S shards become
     /// K×S `(query, shard)` tasks drained by `pool`'s workers, with a
@@ -1079,11 +1083,21 @@ impl TableStore {
             .ok_or_else(|| PhError::Protocol(format!("unknown table: {name}")))
     }
 
-    /// Stores a freshly uploaded table under `name`.
+    /// Stores a freshly uploaded table under `name`. Its ids must rise
+    /// strictly and stay below its `next_doc_id` — the rule appends
+    /// keep too, and the order every id-anchored read relies on
+    /// (chunked fetch, the index's delta scan and reassembly). An empty
+    /// table with `next_doc_id` 0 is valid.
     ///
     /// # Errors
-    /// Fails if the name is taken.
+    /// Fails if the name is taken or the ids break that order.
     pub fn create(&self, name: &str, table: EncryptedTable) -> Result<(), PhError> {
+        if fresh_ids(0, &table.docs)? > table.next_doc_id {
+            let next = table.next_doc_id;
+            return Err(PhError::Protocol(format!(
+                "next doc id {next} does not exceed the last doc id"
+            )));
+        }
         let mut tables = self.tables.write();
         if tables.contains_key(name) {
             return Err(PhError::Protocol(format!("table exists: {name}")));
@@ -1098,58 +1112,48 @@ impl TableStore {
         Ok(())
     }
 
-    /// Runs one trapdoor scan on the pool.
+    /// `ψ` for a list of queries against one table snapshot, the plan
+    /// picked once for the whole list: through the encrypted multimap
+    /// when the index is enabled, otherwise as one scan fan-out — K
+    /// queries × S shards tasks drained concurrently, duplicate terms
+    /// shared through the per-batch trapdoor memo. The index plan runs
+    /// the queries in order, and the multimap itself shares repeated
+    /// terms (the first query installs a posting, repeats probe it).
+    ///
+    /// Returns one [`Answer`] per query, in query order. Because the
+    /// SWP match decision is deterministic per (trapdoor, word bytes) —
+    /// false positives included — both plans return byte-identical
+    /// tables; only the work done to produce them differs.
     ///
     /// # Errors
-    /// Fails for unknown tables.
-    pub fn query(&self, name: &str, terms: &[WireTrapdoor]) -> Result<EncryptedTable, PhError> {
-        let table = self.snapshot(name)?;
-        Ok(table
-            .scan_batch_on(&self.pool, &[terms], &self.scan_checks)
-            .pop()
-            .expect("one query in, one table out"))
-    }
-
-    /// Runs a whole query batch through the pool in one fan-out —
-    /// K queries × S shards tasks, drained concurrently — returning
-    /// one result table per query, in query order.
-    ///
-    /// # Errors
-    /// Fails for unknown tables.
+    /// Fails for unknown tables, whatever the list holds.
     pub fn query_batch(
         &self,
         name: &str,
         queries: &[Vec<WireTrapdoor>],
-    ) -> Result<Vec<EncryptedTable>, PhError> {
+    ) -> Result<Vec<Answer>, PhError> {
         let table = self.snapshot(name)?;
+        if self.index.is_enabled() {
+            let answer = |terms: &Vec<WireTrapdoor>| self.query_indexed(name, &table, terms);
+            return Ok(queries.iter().map(answer).collect());
+        }
         let views: Vec<&[WireTrapdoor]> = queries.iter().map(Vec::as_slice).collect();
-        Ok(table.scan_batch_on(&self.pool, &views, &self.scan_checks))
+        Ok(table
+            .scan_batch_on(&self.pool, &views, &self.scan_checks)
+            .into_iter()
+            .map(|result| (result, None))
+            .collect())
     }
 
-    /// Executes one query through the encrypted multimap: per term, an
-    /// index probe (cached posting + delta scan over the documents
-    /// appended since the posting's bound), then an ascending-id
-    /// intersection and a crypto-free reassembly from the same table
-    /// snapshot. The server takes this path whenever the index is
-    /// enabled, and [`Self::query`] otherwise.
-    ///
-    /// Because the SWP match decision is deterministic per (trapdoor,
-    /// word bytes) — false positives included — this returns the
-    /// byte-identical response [`Self::query`] returns; only the work
-    /// done to produce it differs. Returns one [`ProbeStats`] per
-    /// probed term, for the observer.
-    ///
-    /// # Errors
-    /// Fails for unknown tables.
-    pub fn query_indexed(
-        &self,
-        name: &str,
-        terms: &[WireTrapdoor],
-    ) -> Result<(EncryptedTable, Vec<ProbeStats>), PhError> {
-        let table = self.snapshot(name)?;
+    /// The index plan for one query over the snapshot `table`: per
+    /// term, an index probe (cached posting + delta scan over the
+    /// documents appended since the posting's bound), then an
+    /// ascending-id intersection and a crypto-free reassembly, with
+    /// one [`ProbeStats`] per probed term for the observer.
+    fn query_indexed(&self, name: &str, table: &ShardedTable, terms: &[WireTrapdoor]) -> Answer {
         if terms.is_empty() {
             // Empty conjunction matches the whole table (scan parity).
-            return Ok((table.to_table(), Vec::new()));
+            return (table.to_table(), Some(Vec::new()));
         }
         let mut stats = Vec::new();
         let mut survivors: Option<Vec<u64>> = None;
@@ -1191,14 +1195,12 @@ impl TableStore {
         }
         let ids = survivors.unwrap_or_default();
         let docs = table.docs_by_ids(&ids);
-        Ok((
-            EncryptedTable {
-                params: *table.params(),
-                docs,
-                next_doc_id: table.next_doc_id(),
-            },
-            stats,
-        ))
+        let result = EncryptedTable {
+            params: *table.params(),
+            docs,
+            next_doc_id: table.next_doc_id(),
+        };
+        (result, Some(stats))
     }
 
     /// The at-rest encrypted-multimap image for one table, sorted by
@@ -1273,13 +1275,7 @@ impl TableStore {
         let table = tables
             .get_mut(name)
             .ok_or_else(|| PhError::Protocol(format!("unknown table: {name}")))?;
-        let mut expected_min = table.next_doc_id;
-        for (doc_id, _) in &docs {
-            if *doc_id < expected_min {
-                return Err(PhError::Protocol(format!("stale doc id {doc_id}")));
-            }
-            expected_min = doc_id + 1;
-        }
+        fresh_ids(table.next_doc_id, &docs)?;
         for (doc_id, words) in docs {
             table.push(doc_id, words);
         }
@@ -1755,12 +1751,69 @@ mod tests {
         store.create("t", table(50)).unwrap();
         let queries: Vec<Vec<WireTrapdoor>> =
             vec![vec![], vec![byte_term(0, 1)], vec![], vec![byte_term(0, 2)]];
-        let results = store.query_batch("t", &queries).unwrap();
-        assert_eq!(results.len(), 4);
-        assert_eq!(results[0].doc_ids().len(), 50);
-        assert!(results[1].docs.is_empty());
-        assert_eq!(results[2].doc_ids().len(), 50);
-        assert!(results[3].docs.is_empty());
+        let scanned = store.query_batch("t", &queries).unwrap();
+        assert_eq!(scanned.len(), 4);
+        assert_eq!(scanned[0].0.doc_ids().len(), 50);
+        assert!(scanned[1].0.docs.is_empty());
+        assert_eq!(scanned[2].0.doc_ids().len(), 50);
+        assert!(scanned[3].0.docs.is_empty());
+        assert!(scanned.iter().all(|(_, probes)| probes.is_none()));
         assert!(store.query_batch("nope", &queries).is_err());
+        assert!(store.query_batch("nope", &[]).is_err());
+        // The index plan answers the same list with the same tables,
+        // plus one probe per term.
+        store.enable_index();
+        let indexed = store.query_batch("t", &queries).unwrap();
+        for ((scan, _), (index, probes)) in scanned.iter().zip(&indexed) {
+            assert_eq!(scan, index);
+            assert!(probes.is_some());
+        }
+        let probed: Vec<usize> = indexed
+            .iter()
+            .map(|(_, p)| p.as_ref().unwrap().len())
+            .collect();
+        assert_eq!(probed, vec![0, 1, 0, 1]);
+        assert!(store.query_batch("nope", &[]).is_err());
+    }
+
+    #[test]
+    fn upload_ids_must_rise_strictly_below_next_doc_id() {
+        let store = TableStore::new(2);
+        let word = |b: u8| vec![CipherWord(vec![b; 13])];
+        let upload = |docs: Vec<Doc>, next_doc_id: u64| EncryptedTable {
+            params: SwpParams::new(13, 4, 32).unwrap(),
+            docs,
+            next_doc_id,
+        };
+        let mut reversed = table(5);
+        reversed.docs.reverse();
+        let refused = [
+            ("reversed", reversed),
+            (
+                "duplicate id",
+                upload(vec![(0, word(1)), (3, word(2)), (3, word(3))], 4),
+            ),
+            (
+                "next id equals the last id",
+                upload(vec![(0, word(1)), (4, word(2))], 4),
+            ),
+            ("next id below the last id", upload(vec![(7, word(1))], 2)),
+            (
+                "last id has no successor",
+                upload(vec![(u64::MAX, word(1))], u64::MAX),
+            ),
+        ];
+        for (what, bad) in refused {
+            assert!(store.create("t", bad).is_err(), "{what} upload accepted");
+            assert_eq!(store.stats("t"), None, "{what}: nothing stored");
+        }
+        // The `rekey` shape: an empty table with next id 0.
+        store.create("empty", upload(vec![], 0)).unwrap();
+        assert_eq!(store.stats("empty"), Some((0, 0)));
+        // Gaps are fine; only the order matters.
+        store
+            .create("gaps", upload(vec![(2, word(1)), (9, word(2))], 10))
+            .unwrap();
+        assert_eq!(store.fetch_all("gaps").unwrap().doc_ids(), vec![2, 9]);
     }
 }

@@ -26,9 +26,9 @@
 //!    churn schedules through both plans and requires byte-equal
 //!    responses throughout.
 
-use dbph::core::protocol::{ClientMessage, WireTrapdoor};
+use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::server::ServerEvent;
-use dbph::core::wire::WireEncode;
+use dbph::core::wire::{WireDecode, WireEncode};
 use dbph::core::{DatabasePh, DurableOptions, FinalSwpPh, Server, TempDir};
 use dbph::crypto::SecretKey;
 use dbph::relation::{Query, Relation, Tuple, Value};
@@ -224,11 +224,16 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
 #[test]
 fn error_paths_match_with_index_on() {
     // The planner must not change failure shapes: unknown tables (and
-    // even the empty batch against one) render the same error bytes
-    // whichever plan would have run.
+    // even the empty batch against one) and a refused upload render the
+    // same error bytes whichever plan would have run.
     let scheme = ph();
     let q = encrypt(&scheme, &Query::select("dept", "dept-00"));
     let msgs = [
+        ClientMessage::CreateTable {
+            name: "Emp".into(),
+            table: reversed_upload(&scheme, 60),
+        }
+        .to_wire(),
         ClientMessage::Query {
             name: "nope".into(),
             terms: q.clone(),
@@ -250,6 +255,69 @@ fn error_paths_match_with_index_on() {
     on.enable_index();
     for m in &msgs {
         assert_eq!(on.handle(m), off.handle(m), "error bytes diverged");
+    }
+}
+
+/// An `rows`-row `Emp` table with its documents in reverse id order —
+/// an upload the store must refuse, since every id-anchored read
+/// (chunked fetch, the index's delta scan and reassembly) assumes ids
+/// rise in table order.
+fn reversed_upload(scheme: &FinalSwpPh, rows: usize) -> dbph::core::EncryptedTable {
+    let relation = EmployeeGen {
+        rows,
+        ..EmployeeGen::default()
+    }
+    .generate(9);
+    let mut table = scheme.encrypt_table(&relation).unwrap();
+    table.docs.reverse();
+    table
+}
+
+#[test]
+fn reversed_upload_is_refused_so_both_plans_answer_alike() {
+    // Were it accepted, the scan plan would answer `dept=dept-00` with
+    // 6 rows and the index plan with 0 (the delta scan and reassembly
+    // assume ascending ids), and a budgeted chunk stream would end
+    // after 3 of the 60 documents.
+    let scheme = ph();
+    let table = reversed_upload(&scheme, 60);
+    let off = Server::with_shards(2);
+    let on = Server::with_shards(2);
+    on.enable_index();
+    let query = ClientMessage::Query {
+        name: "Emp".into(),
+        terms: encrypt(&scheme, &Query::select("dept", "dept-00")),
+    }
+    .to_wire();
+    let create = |table: dbph::core::EncryptedTable| {
+        ClientMessage::CreateTable {
+            name: "Emp".into(),
+            table,
+        }
+        .to_wire()
+    };
+    for server in [&off, &on] {
+        let refused = ServerResponse::from_wire(&server.handle(&create(table.clone()))).unwrap();
+        assert!(
+            matches!(&refused, ServerResponse::Error(e) if e.contains("stale doc id")),
+            "reversed upload accepted: {refused:?}"
+        );
+        assert!(server.table_names().is_empty(), "nothing may be stored");
+    }
+    assert_eq!(on.handle(&query), off.handle(&query));
+
+    // The same documents in id order are accepted and answered alike.
+    let mut ordered = table;
+    ordered.docs.reverse();
+    for server in [&off, &on] {
+        let created = ServerResponse::from_wire(&server.handle(&create(ordered.clone()))).unwrap();
+        assert_eq!(created, ServerResponse::Ok);
+    }
+    let answer = off.handle(&query);
+    assert_eq!(on.handle(&query), answer);
+    match ServerResponse::from_wire(&answer).unwrap() {
+        ServerResponse::Table(t) => assert!(!t.docs.is_empty(), "dept-00 has rows"),
+        other => panic!("unexpected {other:?}"),
     }
 }
 
