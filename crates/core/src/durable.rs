@@ -99,7 +99,7 @@ const CHECKSUM_LEN: usize = 8;
 pub(crate) const MAX_RECORD: usize = 256 << 20;
 
 /// Budget for one replication pull's record chunk (4 MiB): well under
-/// the transport frame cap so a [`ReplRead`] always frames, while a
+/// the transport frame cap so a pull's reply always frames, while a
 /// catching-up follower still moves whole snapshot chunks per
 /// round-trip.
 pub(crate) const REPL_CHUNK_BYTES: u64 = 4 << 20;
@@ -182,6 +182,20 @@ impl Writer {
             .zip(self.sealed_bytes.iter().copied())
             .chain(std::iter::once((self.active_id, self.active_bytes)))
     }
+
+    /// Virtual offset of the replication stream's first byte: the first
+    /// manifest segment's id `<< 40`. The replication cursor addresses
+    /// the log as one append-only virtual byte stream. Only compaction
+    /// changes the segment set, and it always starts the new set past
+    /// the old active id, so the base rises strictly with each
+    /// compaction, past every offset handed out before it (a
+    /// generation's stream stays far below 1 TiB, and segment ids,
+    /// two per compaction, below 2^24). Derived from the manifest, the
+    /// base survives a restart: a reopened primary addresses the same
+    /// bytes at the same offsets.
+    fn stream_base(&self) -> u64 {
+        self.sealed.first().copied().unwrap_or(self.active_id) << 40
+    }
 }
 
 /// The group-commit barrier, guarded by [`DurableLog::commit`].
@@ -228,13 +242,6 @@ pub struct DurableLog {
     /// Fault injection: the next N syncs fail without reaching the
     /// disk (tests manufacture failing-fdatasync windows with it).
     sync_faults: AtomicU64,
-    /// Virtual stream offset of the first byte of the current segment
-    /// set. The replication cursor addresses the log as one append-only
-    /// virtual byte stream; compaction rewrites history, so it bumps
-    /// this base *past* every previously handed-out offset
-    /// (`old end + 1`) and stale followers re-bootstrap from the
-    /// snapshot. Written only under the writer lock; read lock-free.
-    repl_base: AtomicU64,
     /// Semi-sync fast path: [`ReplicationOptions::min_acks`]. Zero
     /// (the default) keeps the mutation path free of any replication
     /// bookkeeping.
@@ -297,20 +304,6 @@ struct ReplAcks {
     /// Mutations acked after the semi-sync timeout expired (the
     /// guarantee degraded to async for them).
     degraded: u64,
-}
-
-/// One served replication pull: either the next run of verbatim
-/// record bytes, or a restart-from-snapshot when the follower's offset
-/// fell off the primary's compaction horizon.
-pub(crate) enum ReplRead {
-    /// Records at exactly the requested offset.
-    Records { records: Vec<u8>, next_offset: u64 },
-    /// The follower must reset: the stream restarts at `base`.
-    Snapshot {
-        base: u64,
-        records: Vec<u8>,
-        next_offset: u64,
-    },
 }
 
 /// What [`DurableLog::scrub`] verified.
@@ -748,7 +741,6 @@ impl DurableLog {
             poisoned: AtomicBool::new(false),
             syncs: AtomicU64::new(0),
             sync_faults: AtomicU64::new(0),
-            repl_base: AtomicU64::new(0),
             repl_min_acks: AtomicU64::new(0),
             repl: Mutex::new(ReplAcks {
                 acks: BTreeMap::new(),
@@ -1139,13 +1131,14 @@ impl DurableLog {
         }
     }
 
-    /// Serves one follower pull: records from `after_offset` onward
-    /// ([`ReplRead::Records`]), or a restart-from-snapshot
-    /// ([`ReplRead::Snapshot`]) when that offset predates the
-    /// compaction horizon or lies beyond the stream end. The pull
-    /// doubles as the follower's ack for every byte below
-    /// `after_offset`. Chunks are cut at record boundaries and capped
-    /// near [`REPL_CHUNK_BYTES`] (a single larger record ships whole).
+    /// Serves one follower pull: `(records, next_offset)`, the chunk
+    /// from `after_offset` onward — or, when that offset lies before
+    /// the stream base or beyond the stream end, a *restart*: the chunk
+    /// from the base, which then never begins at `after_offset` (see
+    /// `ClientMessage::ReplPull`). The pull doubles as the follower's
+    /// ack for every byte below `after_offset`. Chunks are cut at
+    /// record boundaries and capped near [`REPL_CHUNK_BYTES`] (a single
+    /// larger record ships whole).
     ///
     /// A pull that finds the follower already caught up answers empty
     /// at once unless it asked to `wait` (bootstrap does not: it only
@@ -1167,11 +1160,11 @@ impl DurableLog {
         follower: u64,
         after_offset: u64,
         wait: bool,
-    ) -> Result<ReplRead, PhError> {
+    ) -> Result<(Vec<u8>, u64), PhError> {
         let deadline = std::time::Instant::now() + REPL_POLL_WAIT;
         let (w, base, total, stale) = loop {
             let w = self.writer.lock();
-            let base = self.repl_base.load(Ordering::SeqCst);
+            let base = w.stream_base();
             let end = self.stream_end(&w);
             let total = end - base;
             let stale = after_offset < base || after_offset > end;
@@ -1196,10 +1189,7 @@ impl DurableLog {
             // be next).
             let now = std::time::Instant::now();
             if !wait || self.is_poisoned() || now >= deadline {
-                return Ok(ReplRead::Records {
-                    records: Vec::new(),
-                    next_offset: after_offset,
-                });
+                return Ok((Vec::new(), after_offset));
             }
             // Lock order writer → repl, and take the repl lock *before*
             // releasing the writer lock: appenders notify under the
@@ -1237,25 +1227,14 @@ impl DurableLog {
             t.repl_chunks_shipped.inc();
             t.repl_bytes_shipped.add(keep);
         }
-        if stale {
-            Ok(ReplRead::Snapshot {
-                base,
-                next_offset: base + keep,
-                records,
-            })
-        } else {
-            Ok(ReplRead::Records {
-                next_offset: after_offset + keep,
-                records,
-            })
-        }
+        Ok((records, base + start + keep))
     }
 
     /// Virtual offset one past the last record of the replication
-    /// stream: the current base plus every segment's record prefix.
-    /// Caller holds the writer lock (the only writer of all three).
+    /// stream: the base plus every segment's record prefix. Caller
+    /// holds the writer lock, so the segment set is stable.
     fn stream_end(&self, w: &Writer) -> u64 {
-        self.repl_base.load(Ordering::SeqCst) + w.segment_lens().map(|(_, len)| len).sum::<u64>()
+        w.stream_base() + w.segment_lens().map(|(_, len)| len).sum::<u64>()
     }
 
     /// Reads raw bytes `[start, start + len)` of the physical record
@@ -1456,16 +1435,16 @@ impl DurableLog {
         }
 
         // Compaction rewrote history: every replication offset handed
-        // out so far addresses bytes that no longer exist. Bump the
-        // virtual base strictly past the old stream end so *any* prior
-        // follower offset (even a fully caught-up one) reads as stale
-        // and the follower re-bootstraps from the snapshot segment.
-        let old_end = self.stream_end(w);
+        // out so far addresses bytes that no longer exist. The new
+        // segment set's first id is past the old active id, so the
+        // stream base (`Writer::stream_base`) moves strictly past the
+        // old stream end: *any* prior follower offset (even a fully
+        // caught-up one) reads as stale and the follower re-bootstraps
+        // from the snapshot segment.
         let snapshot_bytes = snapshot_file
             .metadata()
             .map_err(|e| io_err("stat snapshot segment", &e))?
             .len();
-        self.repl_base.store(old_end + 1, Ordering::SeqCst);
 
         w.active = Arc::new(new_active);
         w.active_id = new_active_id;

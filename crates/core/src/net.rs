@@ -47,7 +47,7 @@
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -56,11 +56,10 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::codec;
 use crate::error::PhError;
-use crate::protocol::tag;
+use crate::protocol::{self, tag};
 use crate::server::Server;
 use crate::sys;
 use crate::telemetry::Telemetry;
-use crate::wire::WireEncode as _;
 
 /// Machine-readable prefix of the [`PhError::Transport`] message for a
 /// *connection refused* dial: the OS answered immediately that nothing
@@ -119,9 +118,6 @@ struct NetState {
     /// Flipped once by shutdown; the accept loop exits on its next
     /// wake-up (the handle kicks it awake with a dummy connection).
     shutdown: AtomicBool,
-    /// Connections accepted over the server's lifetime (the dummy
-    /// shutdown connection excluded) — the stress tests read this.
-    accepted: AtomicUsize,
     /// One `try_clone` per live connection (plus that connection's
     /// "done" flag), so shutdown and [`ServerHandle::sever_connections`]
     /// can sever sessions from outside the threads blocked reading
@@ -129,19 +125,13 @@ struct NetState {
     /// accept — a long-running server must not hoard one fd per
     /// connection it ever served.
     conns: Mutex<Vec<(TcpStream, Arc<AtomicBool>)>>,
-    /// Sessions closed by the idle timeout (dead peers holding an fd,
-    /// reaped) — exposed through [`ServerHandle::idle_reaped`] so tests
-    /// can pin the reaper actually fires.
-    idle_reaped: AtomicUsize,
 }
 
 impl NetState {
     fn new() -> Arc<Self> {
         Arc::new(NetState {
             shutdown: AtomicBool::new(false),
-            accepted: AtomicUsize::new(0),
             conns: Mutex::new(Vec::new()),
-            idle_reaped: AtomicUsize::new(0),
         })
     }
 }
@@ -244,19 +234,6 @@ impl ServerHandle {
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Connections accepted so far.
-    #[must_use]
-    pub fn connections_accepted(&self) -> usize {
-        self.state.accepted.load(Ordering::SeqCst)
-    }
-
-    /// Sessions closed by the idle-session timeout so far (always 0
-    /// when [`NetOptions::idle_timeout`] is unset).
-    #[must_use]
-    pub fn idle_reaped(&self) -> usize {
-        self.state.idle_reaped.load(Ordering::SeqCst)
     }
 
     /// Severs every live connection (the server keeps accepting new
@@ -412,18 +389,16 @@ fn accept_loop(
             }
             conns.push((clone, Arc::clone(&finished)));
         }
-        state.accepted.fetch_add(1, Ordering::SeqCst);
         if server.telemetry().on() {
             server.telemetry().net_conns_accepted.inc();
             server.telemetry().net_conns_live.inc();
         }
         let server = server.clone();
         let session_flag = Arc::clone(&finished);
-        let session_state = Arc::clone(state);
         match std::thread::Builder::new()
             .name("dbph-conn".into())
             .spawn(move || {
-                connection_loop(stream, &server, &session_flag, idle_timeout, &session_state);
+                connection_loop(stream, &server, &session_flag, idle_timeout);
             }) {
             Ok(session) => sessions.push(session),
             // Spawn failure drops the stream (closing it); mark the
@@ -472,7 +447,6 @@ fn connection_loop(
     server: &Server,
     finished: &AtomicBool,
     idle_timeout: Option<Duration>,
-    state: &NetState,
 ) {
     // The idle timeout rides the socket's read and write timeouts: a
     // session parked waiting for its next request, or blocked writing a
@@ -496,13 +470,9 @@ fn connection_loop(
     // errors surface near-instantly. The 3/4 margin absorbs clock and
     // socket-timeout rounding.
     let count_reap = |blocked_since: Instant| {
-        if let Some(limit) = idle_timeout {
-            if blocked_since.elapsed() >= limit * 3 / 4 {
-                state.idle_reaped.fetch_add(1, Ordering::SeqCst);
-                if telemetry.on() {
-                    telemetry.net_conns_reaped.inc();
-                }
-            }
+        let timed_out = idle_timeout.is_some_and(|limit| blocked_since.elapsed() >= limit * 3 / 4);
+        if timed_out && telemetry.on() {
+            telemetry.net_conns_reaped.inc();
         }
     };
     loop {
@@ -1069,10 +1039,7 @@ impl PooledClient {
             Some(&t) if tag::is_mutation_tag(t) => {
                 let seq = self.inner.seq.fetch_add(1, Ordering::SeqCst);
                 let mut tagged = Vec::with_capacity(request.len() + 17);
-                tagged.push(tag::TAGGED);
-                self.inner.client_id.encode(&mut tagged);
-                seq.encode(&mut tagged);
-                tagged.extend_from_slice(request);
+                protocol::encode_tagged(self.inner.client_id, seq, request, &mut tagged);
                 tagged
             }
             _ => request.to_vec(),
@@ -1368,7 +1335,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_clean_and_counts_connections() {
-        let (_server, handle) = spawn_server();
+        let (server, handle) = spawn_server();
         {
             let c1 = PooledClient::connect(handle.addr(), 1).unwrap();
             let c2 = PooledClient::connect(handle.addr(), 1).unwrap();
@@ -1379,7 +1346,7 @@ mod tests {
             let _ = c1.call(&fetch).unwrap();
             let _ = c2.call(&fetch).unwrap();
         }
-        assert_eq!(handle.connections_accepted(), 2);
+        assert_eq!(server.telemetry().net_conns_accepted.get(), 2);
         // Shutdown joins the accept loop and both connection threads;
         // a leak would hang the test (CI runs this under a timeout).
         handle.shutdown();

@@ -86,15 +86,50 @@ pub(crate) mod tag {
     pub const APPEND_BATCH: u8 = 8;
     pub const FETCH_CHUNK: u8 = 9;
     pub const TAGGED: u8 = 10;
-    pub const PING: u8 = 11;
+    // 11 was `Ping`, retired: never reuse it.
     pub const REPL_PULL: u8 = 12;
     pub const STATS: u8 = 13;
+
+    /// Every live tag with its metric name (the stats plane's
+    /// `req_<name>_nanos`). A tag retires by deleting its constant and
+    /// its row here; a frame carrying it then fails to decode and is
+    /// timed in the unknown-tag slot.
+    pub const NAMES: [(u8, &str); 12] = [
+        (CREATE, "create"),
+        (QUERY, "query"),
+        (FETCH_ALL, "fetch_all"),
+        (APPEND, "append"),
+        (DROP, "drop"),
+        (DELETE, "delete"),
+        (QUERY_BATCH, "query_batch"),
+        (APPEND_BATCH, "append_batch"),
+        (FETCH_CHUNK, "fetch_chunk"),
+        (TAGGED, "tagged"),
+        (REPL_PULL, "repl_pull"),
+        (STATS, "stats"),
+    ];
+
+    /// The metric name of live tag `t`; `None` for a retired or
+    /// unknown tag.
+    pub fn name(t: u8) -> Option<&'static str> {
+        NAMES.iter().find(|&&(k, _)| k == t).map(|&(_, n)| n)
+    }
 
     /// Whether `t` is the first byte of a mutation message — the set
     /// the durable log records and the idempotent envelope protects.
     pub fn is_mutation_tag(t: u8) -> bool {
         matches!(t, CREATE | APPEND | DROP | DELETE | APPEND_BATCH)
     }
+}
+
+/// Writes the idempotent envelope around an already-encoded request:
+/// `TAGGED ‖ client_id ‖ seq ‖ request` — the bytes of
+/// [`ClientMessage::Tagged`], built without decoding `request`.
+pub(crate) fn encode_tagged(client_id: u64, seq: u64, request: &[u8], buf: &mut Vec<u8>) {
+    buf.push(tag::TAGGED);
+    client_id.encode(buf);
+    seq.encode(buf);
+    buf.extend_from_slice(request);
 }
 
 /// Default chunk budget for streamed table transfers (4 MiB): far
@@ -232,21 +267,23 @@ pub enum ClientMessage {
         /// The wrapped message (never itself `Tagged`).
         inner: Box<ClientMessage>,
     },
-    /// Liveness and health probe. Any server answers with
-    /// [`ServerResponse::Status`]; failover logic uses it to decide
-    /// whether a peer is alive and serving before redirecting clients.
-    ///
-    /// Leakage: none beyond liveness — the reply carries only
-    /// operational counters Eve computes from state she already holds.
-    Ping,
     /// A follower's replication pull: "send me the durable record
-    /// stream after `after_offset`". The primary answers with
-    /// [`ServerResponse::ReplRecords`] (the next run of verbatim log
-    /// records) or, when `after_offset` predates the primary's
-    /// compaction horizon, [`ServerResponse::ReplSnapshot`] (restart
-    /// from the compacted snapshot). A pull at offset `v` doubles as
-    /// the follower's durability acknowledgement for every byte below
-    /// `v` — pull-based semi-sync needs no separate ack message.
+    /// stream after `after_offset`". The primary always answers
+    /// [`ServerResponse::ReplRecords`]: the next run of verbatim log
+    /// records. A pull at offset `v` doubles as the follower's
+    /// durability acknowledgement for every byte below `v` —
+    /// pull-based semi-sync needs no separate ack message.
+    ///
+    /// The reply *restarts* the stream exactly when its chunk does not
+    /// begin at the requested offset, i.e. when
+    /// `next_offset − records.len() ≠ after_offset`. The primary serves
+    /// a restart only when `after_offset` lies before its stream base
+    /// (it compacted past the follower) or beyond its stream end (the
+    /// follower outlived a primary that lost its tail); the chunk then
+    /// begins at the base, which differs from `after_offset` in both
+    /// cases. A restarted chunk is the stream's first bytes (after a
+    /// compaction, the snapshot segment), and the follower must discard
+    /// its state and re-bootstrap from it.
     ///
     /// Leakage: the shipped stream is exactly the records Eve already
     /// received and applied — raw client messages and snapshots of the
@@ -266,10 +303,12 @@ pub enum ClientMessage {
         /// that it reached the stream end). One byte on the wire.
         wait: bool,
     },
-    /// Operator pull of the server's full metrics registry. The server
-    /// answers with [`ServerResponse::StatsSnapshot`] and — like
-    /// [`Self::Ping`] — records **no** `ServerEvent`s: probing the
-    /// stats plane never perturbs the adversary transcript.
+    /// Operator pull of the server's full metrics registry — the one
+    /// health probe: log health, table count, replication lag and
+    /// resyncs are all in the snapshot. The server answers with
+    /// [`ServerResponse::StatsSnapshot`] and records **no**
+    /// `ServerEvent`s: probing the stats plane never perturbs the
+    /// adversary transcript.
     ///
     /// Leakage: none about Alex — every metric is a measurement of
     /// Eve's own machine (her fsync latency, her queue depths, her
@@ -280,6 +319,14 @@ pub enum ClientMessage {
 
 impl WireEncode for ClientMessage {
     fn encode(&self, buf: &mut Vec<u8>) {
+        if let ClientMessage::Tagged {
+            client_id,
+            seq,
+            inner,
+        } = self
+        {
+            return encode_tagged(*client_id, *seq, &inner.to_wire(), buf);
+        }
         buf.push(self.tag());
         match self {
             ClientMessage::CreateTable { name, table } => {
@@ -323,16 +370,8 @@ impl WireEncode for ClientMessage {
                 token.encode(buf);
                 max_bytes.encode(buf);
             }
-            ClientMessage::Tagged {
-                client_id,
-                seq,
-                inner,
-            } => {
-                client_id.encode(buf);
-                seq.encode(buf);
-                inner.encode(buf);
-            }
-            ClientMessage::Ping | ClientMessage::Stats => {}
+            // `Tagged` was written by `encode_tagged` above.
+            ClientMessage::Tagged { .. } | ClientMessage::Stats => {}
             ClientMessage::ReplPull {
                 follower,
                 after_offset,
@@ -414,7 +453,6 @@ impl ClientMessage {
                 token: u64::decode(r)?,
                 max_bytes: u64::decode(r)?,
             }),
-            tag::PING => Ok(ClientMessage::Ping),
             tag::REPL_PULL => Ok(ClientMessage::ReplPull {
                 follower: u64::decode(r)?,
                 after_offset: u64::decode(r)?,
@@ -438,7 +476,6 @@ impl ClientMessage {
             ClientMessage::AppendBatch { .. } => tag::APPEND_BATCH,
             ClientMessage::FetchChunk { .. } => tag::FETCH_CHUNK,
             ClientMessage::Tagged { .. } => tag::TAGGED,
-            ClientMessage::Ping => tag::PING,
             ClientMessage::ReplPull { .. } => tag::REPL_PULL,
             ClientMessage::Stats => tag::STATS,
         }
@@ -490,56 +527,17 @@ pub enum ServerResponse {
         /// Token for the next [`ClientMessage::FetchChunk`], if any.
         next: Option<u64>,
     },
-    /// Answer to [`ClientMessage::Ping`]: the server's health in three
-    /// operational counters, enough for failover logic to pick a live,
-    /// healthy peer to redirect clients to.
-    Status {
-        /// Whether the durable log is poisoned (a group-commit fsync
-        /// failed; mutations are refused fail-closed). Always `false`
-        /// on an in-memory server.
-        poisoned: bool,
-        /// Number of tables currently stored.
-        tables: u64,
-        /// Replication lag in stream bytes: the gap between the end of
-        /// this primary's record stream and the slowest registered
-        /// follower's acknowledged offset (0 with no followers).
-        repl_lag: u64,
-        /// Times semi-sync durability degraded to async: a mutation's
-        /// ack released because followers missed the ack timeout
-        /// (0 on an in-memory server or without semi-sync configured).
-        semi_sync_degraded: u64,
-        /// Times this node, acting as a follower, discarded its state
-        /// and re-bootstrapped because its tail fell behind the
-        /// primary's compaction horizon.
-        resyncs: u64,
-    },
-    /// Answer to [`ClientMessage::ReplPull`] when the follower's
-    /// offset is inside the primary's current stream: the next run of
-    /// verbatim, checksummed log record frames starting exactly at
-    /// `after_offset`. Empty `records` means the follower is caught up.
+    /// Answer to [`ClientMessage::ReplPull`]: the next run of
+    /// verbatim, checksummed log record frames. Empty `records` at the
+    /// requested offset means the follower is caught up; a chunk that
+    /// does not begin at the requested offset restarts the stream (see
+    /// [`ClientMessage::ReplPull`]).
     ReplRecords {
         /// Whole record frames, byte-for-byte as they sit in the
         /// primary's segment files.
         records: Vec<u8>,
-        /// Virtual offset to pull from next (`after_offset` plus the
-        /// bytes shipped here).
-        next_offset: u64,
-    },
-    /// Answer to [`ClientMessage::ReplPull`] when the follower's
-    /// offset predates the primary's compaction horizon (or lies
-    /// beyond its stream end, i.e. the follower outlived a primary
-    /// restart): the follower must discard its state and re-bootstrap.
-    /// `records` restarts the stream from the primary's first retained
-    /// byte — the compacted snapshot segment — and replaying it through
-    /// the recovery path rebuilds store, dedup window, and index.
-    ReplSnapshot {
-        /// Virtual offset of the primary's first retained stream byte;
-        /// `records` begins exactly here.
-        base: u64,
-        /// Whole record frames from the start of the retained stream.
-        records: Vec<u8>,
-        /// Virtual offset to pull from next (`base` plus the bytes
-        /// shipped here).
+        /// Virtual offset to pull from next: the chunk's first byte's
+        /// offset plus the bytes shipped here.
         next_offset: u64,
     },
     /// Answer to [`ClientMessage::Stats`]: a versioned point-in-time
@@ -568,35 +566,11 @@ impl WireEncode for ServerResponse {
                 table.encode(buf);
                 next.encode(buf);
             }
-            ServerResponse::Status {
-                poisoned,
-                tables,
-                repl_lag,
-                semi_sync_degraded,
-                resyncs,
-            } => {
-                buf.push(5);
-                poisoned.encode(buf);
-                tables.encode(buf);
-                repl_lag.encode(buf);
-                semi_sync_degraded.encode(buf);
-                resyncs.encode(buf);
-            }
             ServerResponse::ReplRecords {
                 records,
                 next_offset,
             } => {
                 buf.push(6);
-                records.encode(buf);
-                next_offset.encode(buf);
-            }
-            ServerResponse::ReplSnapshot {
-                base,
-                records,
-                next_offset,
-            } => {
-                buf.push(7);
-                base.encode(buf);
                 records.encode(buf);
                 next_offset.encode(buf);
             }
@@ -619,19 +593,9 @@ impl WireDecode for ServerResponse {
                 table: EncryptedTable::decode(r)?,
                 next: Option::decode(r)?,
             }),
-            5 => Ok(ServerResponse::Status {
-                poisoned: bool::decode(r)?,
-                tables: u64::decode(r)?,
-                repl_lag: u64::decode(r)?,
-                semi_sync_degraded: u64::decode(r)?,
-                resyncs: u64::decode(r)?,
-            }),
+            // 5 (`Status`) and 7 (`ReplSnapshot`) are retired: never
+            // reuse them.
             6 => Ok(ServerResponse::ReplRecords {
-                records: Vec::decode(r)?,
-                next_offset: u64::decode(r)?,
-            }),
-            7 => Ok(ServerResponse::ReplSnapshot {
-                base: u64::decode(r)?,
                 records: Vec::decode(r)?,
                 next_offset: u64::decode(r)?,
             }),
@@ -718,7 +682,6 @@ mod tests {
                 token: 4096,
                 max_bytes: DEFAULT_CHUNK_BYTES,
             },
-            ClientMessage::Ping,
             ClientMessage::ReplPull {
                 follower: 0xF01,
                 after_offset: 123_456,
@@ -757,21 +720,9 @@ mod tests {
                 table: sample_table(),
                 next: None,
             },
-            ServerResponse::Status {
-                poisoned: true,
-                tables: 3,
-                repl_lag: 42,
-                semi_sync_degraded: 2,
-                resyncs: 1,
-            },
             ServerResponse::ReplRecords {
                 records: vec![1, 2, 3],
                 next_offset: 99,
-            },
-            ServerResponse::ReplSnapshot {
-                base: 17,
-                records: vec![4, 5],
-                next_offset: 19,
             },
             ServerResponse::StatsSnapshot(crate::telemetry::StatsSnapshot {
                 version: crate::telemetry::STATS_VERSION,
@@ -803,6 +754,33 @@ mod tests {
     fn unknown_tags_rejected() {
         assert!(ClientMessage::from_wire(&[99]).is_err());
         assert!(ServerResponse::from_wire(&[9]).is_err());
+        // Retired tags are never reused: client tag 11 (`Ping`) and
+        // response tags 5 (`Status`) and 7 (`ReplSnapshot`).
+        let err = ClientMessage::from_wire(&[11]).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown client message tag 11"),
+            "{err}"
+        );
+        assert!(tag::name(11).is_none());
+        for t in [5u8, 7] {
+            let err = ServerResponse::from_wire(&[t, 0, 0, 0, 0]).unwrap_err();
+            assert!(err.to_string().contains("unknown response tag"), "{err}");
+        }
+    }
+
+    #[test]
+    fn envelope_encoder_matches_the_tagged_message_for_every_mutation() {
+        let mutations: Vec<ClientMessage> = sample_messages()
+            .into_iter()
+            .filter(ClientMessage::is_mutation)
+            .collect();
+        assert_eq!(mutations.len(), 5, "one sample per mutation kind");
+        for (i, msg) in mutations.into_iter().enumerate() {
+            let (id, seq) = (0xA11CE + i as u64, 40 + i as u64);
+            let mut bytes = Vec::new();
+            encode_tagged(id, seq, &msg.to_wire(), &mut bytes);
+            assert_eq!(bytes, msg.tagged(id, seq).to_wire());
+        }
     }
 
     #[test]
@@ -867,7 +845,6 @@ mod tests {
             tag::QUERY_BATCH,
             tag::FETCH_CHUNK,
             tag::TAGGED,
-            tag::PING,
             tag::REPL_PULL,
             tag::STATS,
         ];
@@ -881,7 +858,9 @@ mod tests {
         // kind, and sees through the idempotent envelope.
         let msgs = sample_messages();
         let kinds: std::collections::BTreeSet<u8> = msgs.iter().map(|m| m.to_wire()[0]).collect();
-        let all: std::collections::BTreeSet<u8> = (tag::CREATE..=tag::STATS)
+        let all: std::collections::BTreeSet<u8> = tag::NAMES
+            .iter()
+            .map(|&(t, _)| t)
             .filter(|&t| t != tag::TAGGED)
             .collect();
         assert_eq!(kinds, all, "one sample per message kind");

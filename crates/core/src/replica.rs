@@ -41,7 +41,7 @@
 //! the same transcript, now held twice. What replication *does* add is
 //! operational metadata about Eve's own deployment (that a follower
 //! exists, its id, and how far behind it is), none of which is a
-//! function of Alex's data. Accordingly, `ReplPull`/`Ping` record no
+//! function of Alex's data. Accordingly, `ReplPull` and `Stats` record no
 //! [`crate::server::ServerEvent`]s: the transcript model measures what
 //! Eve learns about Alex, and these exchanges teach her nothing new.
 //!
@@ -148,25 +148,19 @@ pub struct Replica {
     tailer: Option<JoinHandle<()>>,
 }
 
-/// One decoded pull response. `Snapshot` means the pulled offset no
-/// longer exists in the primary's stream (it compacted): the stream
-/// restarted, and `records`/`next_offset` are its new origin chunk.
-enum Chunk {
-    Records { records: Vec<u8>, next_offset: u64 },
-    Snapshot { records: Vec<u8>, next_offset: u64 },
-}
-
-/// One `ReplPull` exchange, decoded. A `Snapshot` response during
-/// tailing means the primary compacted past our cursor — the caller
-/// re-bootstraps; during bootstrap it is the expected first response
-/// whenever the primary has ever compacted, and its payload is the
-/// stream's first chunk.
+/// One `ReplPull` exchange, decoded: `(records, next_offset,
+/// restarted)`. `restarted` means the chunk does not begin at
+/// `after_offset` — the primary compacted past it, or the follower
+/// outlived a primary that lost its tail — so the chunk is the
+/// stream's first bytes (see `ClientMessage::ReplPull`). During
+/// tailing the caller re-bootstraps; during bootstrap a restart is
+/// the expected first answer whenever the primary has ever compacted.
 fn pull(
     transport: &(dyn Transport + Send + Sync),
     follower: u64,
     after_offset: u64,
     wait: bool,
-) -> Result<Chunk, PhError> {
+) -> Result<(Vec<u8>, u64, bool), PhError> {
     let request = ClientMessage::ReplPull {
         follower,
         after_offset,
@@ -178,18 +172,10 @@ fn pull(
         Ok(ServerResponse::ReplRecords {
             records,
             next_offset,
-        }) => Ok(Chunk::Records {
-            records,
-            next_offset,
-        }),
-        Ok(ServerResponse::ReplSnapshot {
-            records,
-            next_offset,
-            ..
-        }) => Ok(Chunk::Snapshot {
-            records,
-            next_offset,
-        }),
+        }) => {
+            let restarted = next_offset.checked_sub(records.len() as u64) != Some(after_offset);
+            Ok((records, next_offset, restarted))
+        }
         Ok(ServerResponse::Error(e)) => {
             Err(PhError::Protocol(format!("primary refused pull: {e}")))
         }
@@ -244,33 +230,22 @@ fn bootstrap_generation(
     loop {
         // No long poll: the empty answer at the stream end is all
         // bootstrap waits for, and an idle primary would hold it back.
-        let chunk = pull(transport, options.follower_id, cursor, false)?;
-        let (records, next_offset) = match chunk {
-            Chunk::Records {
-                records,
-                next_offset,
-            } => (records, next_offset),
-            Chunk::Snapshot {
-                records,
-                next_offset,
-            } => {
-                // The stream's origin is past our cursor — on the very
-                // first pull because the primary has compacted before,
-                // or mid-stream because it compacted under us. Either
-                // way this chunk is the stream's new first bytes:
-                // discard what we have and take it as such.
-                file.set_len(0)
-                    .and_then(|()| file.seek(SeekFrom::Start(0)).map(|_| ()))
-                    .map_err(|e| PhError::Durability(format!("rewind bootstrap seg: {e}")))?;
-                (records, next_offset)
-            }
-        };
+        let (records, next_offset, restarted) =
+            pull(transport, options.follower_id, cursor, false)?;
+        if restarted {
+            // The stream's origin is not our cursor — on the very
+            // first pull because the primary has compacted before,
+            // or mid-stream because it compacted under us. Either
+            // way this chunk is the stream's new first bytes:
+            // discard what we have and take it as such.
+            file.set_len(0)
+                .and_then(|()| file.seek(SeekFrom::Start(0)).map(|_| ()))
+                .map_err(|e| PhError::Durability(format!("rewind bootstrap seg: {e}")))?;
+        }
         if records.is_empty() {
-            // Caught up — or, for an all-snapshot response on an empty
-            // post-compaction log, aligned on the stream origin; the
-            // cursor is now in-range, so the next pull (if any) is
-            // plain `Records`.
-            cursor = cursor.max(next_offset);
+            // Caught up — or, for a restart on an empty
+            // post-compaction log, aligned on the stream origin.
+            cursor = next_offset;
             break;
         }
         verified_records(&records)?;
@@ -335,25 +310,19 @@ fn step(inner: &Inner) -> Result<bool, PhError> {
         let s = inner.state.read();
         (s.cursor, s.server.clone())
     };
-    let (records, next_offset) = match pull(
+    let (records, next_offset, restarted) = pull(
         inner.transport.as_ref(),
         inner.options.follower_id,
         cursor,
         true,
-    )? {
-        Chunk::Snapshot { .. } => {
-            // Compaction moved the stream base past our cursor: our
-            // whole log describes a superseded history. Re-bootstrap
-            // (which re-pulls these snapshot bytes into a fresh
-            // generation directory).
-            resync(inner)?;
-            return Ok(true);
-        }
-        Chunk::Records {
-            records,
-            next_offset,
-        } => (records, next_offset),
-    };
+    )?;
+    if restarted {
+        // The stream no longer continues at our cursor: our whole log
+        // describes a superseded history. Re-bootstrap (which re-pulls
+        // the stream's first bytes into a fresh generation directory).
+        resync(inner)?;
+        return Ok(true);
+    }
     if records.is_empty() {
         return Ok(false);
     }

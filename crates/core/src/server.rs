@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::durable::{DurableLog, DurableOptions, ReplRead, ReplicationOptions, ScrubReport};
+use crate::durable::{DurableLog, DurableOptions, ReplicationOptions, ScrubReport};
 use crate::error::PhError;
 use crate::executor::Executor;
 use crate::protocol::{ClientMessage, ServerResponse, WireTrapdoor, MAX_CHUNK_BYTES};
@@ -524,9 +524,9 @@ impl Server {
     /// Samples the full stats plane into one versioned snapshot: the
     /// registry's counters and histograms, the durable log's sampled
     /// health (sync count, poison flag, replication lag and degrade
-    /// count), the scan pool's executor stats, and the store's SWP
-    /// check count (`scan_checks`). Pure read — no locks beyond the
-    /// metric atomics, no `ServerEvent`s.
+    /// count), the table count (`tables`), the scan pool's executor
+    /// stats, and the store's SWP check count (`scan_checks`). It is
+    /// the server's one health probe. Pure read — no `ServerEvent`s.
     #[must_use]
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let mut metrics = self.telemetry.snapshot_metrics();
@@ -545,6 +545,10 @@ impl Server {
                 c("repl_semi_sync_degraded", 0);
             }
         }
+        metrics.push((
+            "tables".to_string(),
+            MetricValue::Gauge(self.store.table_names().len() as u64),
+        ));
         let pool = self.store.pool();
         metrics.push((
             "exec_workers".to_string(),
@@ -896,32 +900,8 @@ impl Server {
                 }
             }
             // Operational plumbing, not a data operation: the answer
-            // is state Eve already holds about her own process (log
-            // health, table count, follower lag), so it records no
-            // transcript event — there is nothing about Alex's data
-            // or queries in it.
-            ClientMessage::Ping => {
-                let (poisoned, repl_lag, semi_sync_degraded) = match &self.durable {
-                    Some(log) => (
-                        log.is_poisoned(),
-                        log.replication_lag(),
-                        log.semi_sync_degraded(),
-                    ),
-                    None => (false, 0, 0),
-                };
-                ServerResponse::Status {
-                    poisoned,
-                    tables: self.store.table_names().len() as u64,
-                    repl_lag,
-                    semi_sync_degraded,
-                    // Counted by the replica runtime into this server's
-                    // registry: nonzero only on (current or former)
-                    // followers that had to re-bootstrap.
-                    resyncs: self.telemetry.repl_resyncs.get(),
-                }
-            }
-            // Same class as `Ping`: operational plumbing answered from
-            // Eve's own counters about her own machine — no transcript
+            // is Eve's own counters about her own machine (log health,
+            // table count, follower lag), so it records no transcript
             // event (see `crate::telemetry` for the leakage argument).
             ClientMessage::Stats => ServerResponse::StatsSnapshot(self.stats_snapshot()),
             // Log shipping: returns bytes Eve already wrote to her own
@@ -936,19 +916,7 @@ impl Server {
                 wait,
             } => match &self.durable {
                 Some(log) => match log.repl_read(follower, after_offset, wait) {
-                    Ok(ReplRead::Records {
-                        records,
-                        next_offset,
-                    }) => ServerResponse::ReplRecords {
-                        records,
-                        next_offset,
-                    },
-                    Ok(ReplRead::Snapshot {
-                        base,
-                        records,
-                        next_offset,
-                    }) => ServerResponse::ReplSnapshot {
-                        base,
+                    Ok((records, next_offset)) => ServerResponse::ReplRecords {
                         records,
                         next_offset,
                     },

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::error::PhError;
+use crate::protocol::tag;
 use crate::wire::{Reader, WireDecode, WireEncode};
 
 /// Version stamp carried by every [`StatsSnapshot`] on the wire.
@@ -41,8 +42,9 @@ pub const STATS_VERSION: u16 = 1;
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Number of request-kind slots in [`Telemetry::requests`]: slot `k`
-/// times requests whose leading wire tag is `k`; slot 0 absorbs
-/// malformed/unknown frames. Sized one past the highest client tag.
+/// times requests whose leading wire tag is the live tag `k`; slot 0
+/// absorbs malformed frames and unknown or retired tags. Sized one
+/// past the highest client tag.
 pub const REQUEST_KINDS: usize = 14;
 
 /// A monotonically increasing counter (relaxed atomics).
@@ -285,8 +287,8 @@ impl WireDecode for MetricValue {
 /// A point-in-time dump of a server's full metrics registry,
 /// carried by `ServerResponse::StatsSnapshot`.
 ///
-/// Like `Status`, fetching one records **no** `ServerEvent`s: the
-/// operator probe never perturbs the adversary transcript.
+/// Fetching one records **no** `ServerEvent`s: the operator's health
+/// probe never perturbs the adversary transcript.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Encoding version, [`STATS_VERSION`].
@@ -372,27 +374,6 @@ impl std::fmt::Display for StatsSnapshot {
     }
 }
 
-/// Human name for a request-kind slot (leading wire tag).
-#[must_use]
-pub fn request_kind_name(tag: u8) -> &'static str {
-    match tag {
-        1 => "create",
-        2 => "query",
-        3 => "fetch_all",
-        4 => "append",
-        5 => "drop",
-        6 => "delete",
-        7 => "query_batch",
-        8 => "append_batch",
-        9 => "fetch_chunk",
-        10 => "tagged",
-        11 => "ping",
-        12 => "repl_pull",
-        13 => "stats",
-        _ => "other",
-    }
-}
-
 /// The per-server metrics registry.
 ///
 /// Every field is a plain struct member — no interior map, no name
@@ -405,7 +386,8 @@ pub struct Telemetry {
     enabled: AtomicBool,
 
     /// Request latency histograms indexed by leading wire tag
-    /// (nanoseconds; slot 0 = malformed/unknown frames).
+    /// (nanoseconds; slot 0 = malformed frames and unknown or retired
+    /// tags).
     pub requests: [Histogram; REQUEST_KINDS],
     /// Tagged mutations admitted as first-sighted.
     pub dedup_fresh: Counter,
@@ -498,12 +480,13 @@ impl Telemetry {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// The request-latency histogram for a leading wire tag.
+    /// The request-latency histogram for a leading wire tag; a tag
+    /// that names no live message kind lands in slot 0.
     #[inline]
     #[must_use]
     pub fn request_latency(&self, tag: u8) -> &Histogram {
-        let slot = usize::from(tag);
-        &self.requests[if slot < REQUEST_KINDS { slot } else { 0 }]
+        let live = tag::name(tag).is_some();
+        &self.requests[if live { usize::from(tag) } else { 0 }]
     }
 
     /// Samples every registry metric into `(name, value)` pairs in
@@ -521,12 +504,12 @@ impl Telemetry {
         let h = |m: &mut Vec<(String, MetricValue)>, name: &str, v: &Histogram| {
             m.push((name.to_string(), MetricValue::Histogram(v.snapshot())));
         };
-        for (i, hist) in self.requests.iter().enumerate() {
-            let tag = u8::try_from(i).expect("small");
+        h(&mut m, "req_other_nanos", &self.requests[0]);
+        for (t, name) in tag::NAMES {
             h(
                 &mut m,
-                &format!("req_{}_nanos", request_kind_name(tag)),
-                hist,
+                &format!("req_{name}_nanos"),
+                &self.requests[usize::from(t)],
             );
         }
         c(&mut m, "dedup_fresh", &self.dedup_fresh);
@@ -669,11 +652,31 @@ mod tests {
 
     #[test]
     fn request_kind_names_cover_all_slots() {
-        for tag in 0..u8::try_from(REQUEST_KINDS).expect("small") {
-            assert!(!request_kind_name(tag).is_empty());
+        // Every live tag has its own slot and a distinct, non-empty
+        // name that is not the unknown-tag slot's.
+        let mut names = std::collections::BTreeSet::new();
+        for (t, name) in tag::NAMES {
+            assert!(usize::from(t) < REQUEST_KINDS && t != 0, "tag {t}");
+            assert!(!name.is_empty() && name != "other", "tag {t}");
+            assert!(names.insert(name), "two tags named {name}");
+            assert_eq!(tag::name(t), Some(name));
         }
-        assert_eq!(request_kind_name(13), "stats");
-        assert_eq!(request_kind_name(99), "other");
+        assert_eq!(tag::name(tag::STATS), Some("stats"));
+        // Retired and unknown tags are timed in slot 0.
+        let t = Telemetry::new();
+        for retired in [0u8, 11, 14, 99] {
+            assert!(tag::name(retired).is_none());
+            assert!(std::ptr::eq(t.request_latency(retired), &t.requests[0]));
+        }
+        // No two metrics of a server's full snapshot share a name.
+        let metrics = crate::server::Server::with_shards(1)
+            .stats_snapshot()
+            .metrics;
+        let unique: std::collections::BTreeSet<&str> =
+            metrics.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(unique.len(), metrics.len(), "duplicate metric names");
+        assert!(unique.contains("req_other_nanos"));
+        assert!(!unique.contains("req_ping_nanos"));
     }
 
     #[test]

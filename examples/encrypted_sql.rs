@@ -161,12 +161,17 @@
 //! plaintext, so the stats plane adds nothing to the adversary's view
 //! that she could not already compute from her own hardware.
 //!
+//! `Stats` is the server's one health probe: log health, table
+//! count, follower lag, semi-sync lapses and resyncs are all metrics
+//! of the same snapshot, so failover logic and an operator read one
+//! answer (the armed-failover demo prints a per-strike line from it).
+//!
 //! Metrics reference (the snapshot is self-describing; this is the
 //! map from name to meaning):
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `req_<kind>_nanos` | histogram | server handle latency per message kind (`create`, `query`, `append`, …) |
+//! | `req_<kind>_nanos` | histogram | server handle latency per message kind (`create`, `query`, `append`, …; `other` for malformed frames and unknown or retired tags) |
 //! | `dedup_fresh` / `dedup_replays` / `dedup_stale` | counter | envelope dedup outcomes: applied / replayed from window / refused as too old |
 //! | `plan_probe_queries` / `plan_scan_queries` | counter | queries answered via the inverted index vs full shard scan |
 //! | `index_probe_hits` / `index_probe_misses` | counter | index probes that found a cached posting vs built one |
@@ -174,7 +179,8 @@
 //! | `fsync_nanos` | histogram | latency of each durable-log fsync |
 //! | `commit_wait_nanos` | histogram | time a mutation waited on its group-commit barrier |
 //! | `commit_window_records` | histogram | records covered by each group-commit barrier |
-//! | `log_syncs` / `log_poisoned` | counter/gauge | fsyncs so far; 1 when the log is poisoned (sampled) |
+//! | `log_syncs` / `log_poisoned` | counter | fsyncs so far; 1 when the log is poisoned (sampled) |
+//! | `tables` | gauge | tables currently stored (sampled) |
 //! | `exec_workers` / `exec_queue_depth` / `exec_queue_high_water` | gauge | scan-pool size and queue occupancy (sampled) |
 //! | `exec_tasks` / `exec_busy_nanos` / `exec_task_nanos` | counter/histogram | scan-pool tasks run and their latencies |
 //! | `exec_caller_tasks` | counter | of those, tasks a `scatter` caller ran on its own thread instead of a worker |
@@ -296,22 +302,18 @@ fn print_stats(pool: &PooledClient) -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-/// One in-process Ping → Status round against the follower's own
-/// server: the per-strike health line an operator watches while
-/// armed failover counts the primary out.
+/// One in-process stats snapshot of the follower's own server: the
+/// per-strike health line an operator watches while armed failover
+/// counts the primary out.
 fn print_follower_health(server: &Server, strikes: u32) {
-    if let Ok(ServerResponse::Status {
-        poisoned,
-        semi_sync_degraded,
-        resyncs,
-        ..
-    }) = ServerResponse::from_wire(&server.handle(&ClientMessage::Ping.to_wire()))
-    {
-        println!(
-            "-- strike {strikes}/4: poisoned={poisoned} \
-             semi_sync_degraded={semi_sync_degraded} resyncs={resyncs}"
-        );
-    }
+    let stats = server.stats_snapshot();
+    let read = |name| stats.scalar(name).unwrap_or(0);
+    println!(
+        "-- strike {strikes}/4: poisoned={} semi_sync_degraded={} resyncs={}",
+        read("log_poisoned") != 0,
+        read("repl_semi_sync_degraded"),
+        read("repl_resyncs"),
+    );
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -3,8 +3,8 @@
 //!
 //! 1. **Idle-session reaping.** The front-end evicts sessions that go
 //!    silent past [`NetOptions::idle_timeout`], or that stop reading
-//!    their responses for that long, counts them in
-//!    [`ServerHandle::idle_reaped`], and keeps serving fresh
+//!    their responses for that long, counts them in the registry's
+//!    `net_conns_reaped`, and keeps serving fresh
 //!    connections afterwards. An *active* session is never reaped.
 //! 2. **Bounded checkout.** With every pooled connection checked out
 //!    and [`PoolOptions::checkout_timeout`] set, a second caller gets
@@ -23,10 +23,11 @@
 //!    [`dbph::core::protocol::STALE_DUPLICATE_PREFIX`] error, which a
 //!    retry-enabled [`PooledClient`] surfaces immediately — re-sending
 //!    can only get the same answer, so no backoff is ever spent on it.
-//! 6. **Liveness probe.** `Ping` answers `Status` (poisoned-log flag,
-//!    table count, replication lag) over TCP — the probe
-//!    failover logic uses to decide a primary is really gone versus
-//!    merely degraded.
+//! 6. **Liveness probe.** `Stats` answers the health questions
+//!    (poisoned-log flag, table count, replication lag, semi-sync
+//!    lapses, resyncs) from one snapshot over TCP — the probe failover
+//!    logic uses to decide a primary is really gone versus merely
+//!    degraded.
 //! 7. **Connect-refused is classified.** A dial that fails with
 //!    `ECONNREFUSED` carries a distinct marker
 //!    ([`dbph::core::PhError::is_connect_refused`]) and the retry loop
@@ -111,7 +112,7 @@ fn eventually(mut probe: impl FnMut() -> bool) -> bool {
 fn idle_sessions_are_reaped() {
     let server = Server::with_shards(2);
     let handle = NetServer::spawn_opts(
-        server,
+        server.clone(),
         "127.0.0.1:0",
         NetOptions {
             idle_timeout: Some(Duration::from_millis(120)),
@@ -124,7 +125,7 @@ fn idle_sessions_are_reaped() {
     assert!(is_ok(&idler.call(&create_msg("idle")).unwrap()));
 
     assert!(
-        eventually(|| handle.idle_reaped() >= 1),
+        eventually(|| server.telemetry().net_conns_reaped.get() >= 1),
         "silent session was never reaped"
     );
 
@@ -171,7 +172,7 @@ fn a_peer_that_stops_reading_is_reaped() {
         codec::write_frame(&mut stalled, &fetch).unwrap();
     }
     assert!(
-        eventually(|| handle.idle_reaped() >= 1),
+        eventually(|| server.telemetry().net_conns_reaped.get() >= 1),
         "a session blocked writing to a peer that never reads was never reaped"
     );
     assert!(
@@ -182,7 +183,7 @@ fn a_peer_that_stops_reading_is_reaped() {
 
     // The listener is still healthy: a fresh connection works.
     let fresh = PooledClient::connect(handle.addr(), 1).unwrap();
-    assert!(is_ok(&fresh.call(&ClientMessage::Ping.to_wire()).unwrap()));
+    assert!(is_ok(&fresh.call(&ClientMessage::Stats.to_wire()).unwrap()));
     drop(stalled);
     handle.shutdown();
 }
@@ -191,7 +192,7 @@ fn a_peer_that_stops_reading_is_reaped() {
 fn active_sessions_survive_the_idle_reaper() {
     let server = Server::with_shards(2);
     let handle = NetServer::spawn_opts(
-        server,
+        server.clone(),
         "127.0.0.1:0",
         NetOptions {
             idle_timeout: Some(Duration::from_millis(150)),
@@ -210,7 +211,11 @@ fn active_sessions_survive_the_idle_reaper() {
         );
         std::thread::sleep(Duration::from_millis(40));
     }
-    assert_eq!(handle.idle_reaped(), 0, "reaper counted an active session");
+    assert_eq!(
+        server.telemetry().net_conns_reaped.get(),
+        0,
+        "reaper counted an active session"
+    );
     handle.shutdown();
 }
 
@@ -486,40 +491,51 @@ fn stale_duplicate_surfaces_immediately_through_the_retry_policy() {
 
 // --- 6. liveness probe ------------------------------------------------------
 
+/// The health answers a `Stats` snapshot carries, in one tuple:
+/// `(log_poisoned, tables, repl_lag_bytes, repl_semi_sync_degraded,
+/// repl_resyncs)`.
+fn health(resp: &[u8]) -> (bool, u64, u64, u64, u64) {
+    let stats = match decode(resp) {
+        ServerResponse::StatsSnapshot(s) => s,
+        other => panic!("stats probe answered {other:?}"),
+    };
+    let read = |name| {
+        stats
+            .scalar(name)
+            .unwrap_or_else(|| panic!("snapshot lacks {name}"))
+    };
+    (
+        read("log_poisoned") != 0,
+        read("tables"),
+        read("repl_lag_bytes"),
+        read("repl_semi_sync_degraded"),
+        read("repl_resyncs"),
+    )
+}
+
 #[test]
-fn ping_answers_a_status_probe() {
-    let ping = ClientMessage::Ping.to_wire();
-    let tmp = TempDir::new("net-ping").unwrap();
+fn stats_answers_a_health_probe() {
+    let probe = ClientMessage::Stats.to_wire();
+    let tmp = TempDir::new("net-stats-probe").unwrap();
     let server =
         Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let client = PooledClient::connect(handle.addr(), 1).unwrap();
 
     // Healthy and empty.
-    match decode(&client.call(&ping).unwrap()) {
-        ServerResponse::Status {
-            poisoned,
-            tables,
-            repl_lag,
-            semi_sync_degraded,
-            resyncs,
-        } => {
-            assert!(!poisoned, "fresh log reported poisoned");
-            assert_eq!(tables, 0);
-            assert_eq!(repl_lag, 0);
-            assert_eq!(semi_sync_degraded, 0);
-            assert_eq!(resyncs, 0);
-        }
-        other => panic!("ping answered {other:?}"),
-    }
+    let (poisoned, tables, repl_lag, semi_sync_degraded, resyncs) =
+        health(&client.call(&probe).unwrap());
+    assert!(!poisoned, "fresh log reported poisoned");
+    assert_eq!(tables, 0);
+    assert_eq!(repl_lag, 0);
+    assert_eq!(semi_sync_degraded, 0);
+    assert_eq!(resyncs, 0);
 
     // The table count tracks the store.
     assert!(is_ok(&client.call(&create_msg("A")).unwrap()));
     assert!(is_ok(&client.call(&create_msg("B")).unwrap()));
-    match decode(&client.call(&ping).unwrap()) {
-        ServerResponse::Status { tables, .. } => assert_eq!(tables, 2),
-        other => panic!("ping answered {other:?}"),
-    }
+    let (_, tables, ..) = health(&client.call(&probe).unwrap());
+    assert_eq!(tables, 2);
 
     // The probe sees through a poisoned log — and keeps answering
     // on it, which is the whole point: failover logic needs the
@@ -528,35 +544,22 @@ fn ping_answers_a_status_probe() {
     log.inject_sync_failures(1);
     let _ = client.call(&append_msg("A", 0)).unwrap(); // trips the barrier
     assert!(log.is_poisoned());
-    match decode(&client.call(&ping).unwrap()) {
-        ServerResponse::Status { poisoned, .. } => {
-            assert!(poisoned, "probe missed the poisoned log");
-        }
-        other => panic!("ping failed on a poisoned log: {other:?}"),
-    }
+    let (poisoned, ..) = health(&client.call(&probe).unwrap());
+    assert!(poisoned, "probe missed the poisoned log");
     handle.shutdown();
 }
 
 #[test]
-fn ping_works_on_an_in_memory_server() {
+fn stats_health_probe_works_on_an_in_memory_server() {
     let server = Server::with_shards(1);
     assert!(is_ok(&server.handle(&create_msg("T"))));
-    match decode(&server.handle(&ClientMessage::Ping.to_wire())) {
-        ServerResponse::Status {
-            poisoned,
-            tables,
-            repl_lag,
-            semi_sync_degraded,
-            resyncs,
-        } => {
-            assert!(!poisoned, "no log, nothing to poison");
-            assert_eq!(tables, 1);
-            assert_eq!(repl_lag, 0);
-            assert_eq!(semi_sync_degraded, 0);
-            assert_eq!(resyncs, 0);
-        }
-        other => panic!("ping answered {other:?}"),
-    }
+    let (poisoned, tables, repl_lag, semi_sync_degraded, resyncs) =
+        health(&server.handle(&ClientMessage::Stats.to_wire()));
+    assert!(!poisoned, "no log, nothing to poison");
+    assert_eq!(tables, 1);
+    assert_eq!(repl_lag, 0);
+    assert_eq!(semi_sync_degraded, 0);
+    assert_eq!(resyncs, 0);
 }
 
 // --- 7. connect-refused fails over immediately ------------------------------

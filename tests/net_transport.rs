@@ -230,7 +230,7 @@ fn pipelined_replay_is_byte_identical_too() {
     assert_eq!(tcp_responses, local_responses);
     assert_eq!(remote.observer().events(), local.observer().events());
     // The whole pipeline crossed exactly one connection.
-    assert_eq!(handle.connections_accepted(), 1);
+    assert_eq!(remote.telemetry().net_conns_accepted.get(), 1);
     handle.shutdown();
 }
 
@@ -374,7 +374,7 @@ fn stress_eight_sessions_over_two_connections() {
     // The pool really was the bottleneck: eight sessions, two sockets,
     // and no call ever failed — so no reconnect ever dialed a third.
     assert_eq!(pool.open_connections(), 2);
-    assert_eq!(handle.connections_accepted(), 2);
+    assert_eq!(server.telemetry().net_conns_accepted.get(), 2);
 
     // Every session's uploads arrived: one Upload event per table.
     let uploads = server

@@ -31,6 +31,7 @@ use dbph::core::{
 use dbph::swp::{CipherWord, SwpParams};
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn params() -> SwpParams {
@@ -362,6 +363,204 @@ fn primary_compaction_forces_a_clean_resync() {
         replica.server().handle(&fetch_msg("T")),
         primary.handle(&fetch_msg("T")),
         "post-compaction follower diverged"
+    );
+}
+
+/// The link to a primary that can be closed and reopened under its
+/// followers, the way a restarted process is reached again at the same
+/// address: pulls while it is down fail as transport errors.
+struct Restartable(std::sync::Mutex<Option<Server>>);
+
+impl Restartable {
+    fn open(dir: &std::path::Path) -> Arc<Self> {
+        Arc::new(Restartable(std::sync::Mutex::new(Some(
+            Server::open_durable(dir, 2).unwrap(),
+        ))))
+    }
+
+    fn primary(&self) -> Server {
+        self.0.lock().unwrap().clone().expect("primary is up")
+    }
+
+    /// Drops the link's handle; the primary closes (and releases its
+    /// data directory) once the caller has dropped its own handles.
+    fn close(&self) {
+        drop(self.0.lock().unwrap().take());
+    }
+
+    fn reopen(&self, dir: &std::path::Path) -> Server {
+        let primary = Server::open_durable(dir, 2).unwrap();
+        *self.0.lock().unwrap() = Some(primary.clone());
+        primary
+    }
+}
+
+impl Transport for Restartable {
+    fn call(&self, request: &[u8]) -> Result<Vec<u8>, PhError> {
+        let primary = self.0.lock().unwrap().clone();
+        primary
+            .map(|p| p.handle(request))
+            .ok_or_else(|| PhError::Transport("primary is down".into()))
+    }
+}
+
+/// Whether a `ReplPull` at `cursor` answered with a stream restart: a
+/// chunk that does not begin at the requested offset.
+fn pull_restarts(primary: &Server, follower: u64, cursor: u64) -> bool {
+    let pull = ClientMessage::ReplPull {
+        follower,
+        after_offset: cursor,
+        wait: false,
+    };
+    match decode(&primary.handle(&pull.to_wire())) {
+        ServerResponse::ReplRecords {
+            records,
+            next_offset,
+        } => next_offset - records.len() as u64 != cursor,
+        other => panic!("pull answered {other:?}"),
+    }
+}
+
+#[test]
+fn stream_offsets_survive_a_primary_restart_and_stale_ones_restart() {
+    let primary_dir = TempDir::new("repl-restart-primary").unwrap();
+    let stale_dir = TempDir::new("repl-restart-stale").unwrap();
+    let current_dir = TempDir::new("repl-restart-current").unwrap();
+    let link = Restartable::open(primary_dir.path());
+    let primary = link.primary();
+    assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
+
+    // Follower 51 stops pulling before the compaction; follower 52
+    // bootstraps after it. Neither tails in the background.
+    let stale =
+        Replica::bootstrap(Arc::clone(&link), stale_dir.path(), replica_options(51)).unwrap();
+    let stale_cursor = stale.offset();
+    for id in 0..6u64 {
+        assert!(is_ok(&primary.handle(&append_msg("T", id).to_wire())));
+    }
+    primary.compact().unwrap();
+    let current =
+        Replica::bootstrap(Arc::clone(&link), current_dir.path(), replica_options(52)).unwrap();
+
+    // Restart the primary, then log past the stale follower's cursor,
+    // so that cursor lies inside the reopened log's byte range.
+    drop(primary);
+    link.close();
+    let primary = link.reopen(primary_dir.path());
+    let log = Arc::clone(primary.durable_log().unwrap());
+    let mut id = 6u64;
+    while log.active_segment_bytes() <= stale_cursor {
+        assert!(is_ok(&primary.handle(&append_msg("T", id).to_wire())));
+        id += 1;
+    }
+
+    // A cursor handed out before the compaction names superseded
+    // bytes, restart or not: the pull restarts the stream.
+    assert!(
+        pull_restarts(&primary, 51, stale_cursor),
+        "a pre-compaction cursor was served as in range after a restart"
+    );
+    stale.sync().unwrap();
+    assert_eq!(stale.resyncs(), 1, "the stale follower must re-bootstrap");
+
+    // A cursor handed out after the compaction names the same bytes
+    // in the reopened log: tailing just continues.
+    current.sync().unwrap();
+    assert_eq!(
+        current.resyncs(),
+        0,
+        "a primary restart must not invalidate current offsets"
+    );
+    for replica in [&stale, &current] {
+        assert_eq!(
+            replica.server().handle(&fetch_msg("T")),
+            primary.handle(&fetch_msg("T")),
+            "follower diverged from the restarted primary"
+        );
+    }
+    assert_eq!(
+        log.replication_lag(),
+        0,
+        "both followers hold the whole stream"
+    );
+}
+
+#[test]
+fn a_follower_ahead_of_a_restarted_primary_re_bootstraps() {
+    let primary_dir = TempDir::new("repl-ahead-primary").unwrap();
+    let follower_dir = TempDir::new("repl-ahead-follower").unwrap();
+    let link = Restartable::open(primary_dir.path());
+    let primary = link.primary();
+    let mut envelopes: Vec<Vec<u8>> = workload("T")
+        .into_iter()
+        .enumerate()
+        .map(|(i, op)| op.tagged(77, i as u64 + 1).to_wire())
+        .collect();
+    for enveloped in &envelopes {
+        assert!(is_ok(&primary.handle(enveloped)));
+    }
+    let replica =
+        Replica::bootstrap(Arc::clone(&link), follower_dir.path(), replica_options(61)).unwrap();
+
+    // One more tagged append reaches the follower...
+    let log = Arc::clone(primary.durable_log().unwrap());
+    let cut = log.active_segment_bytes();
+    let last = append_msg("T", 100)
+        .tagged(77, envelopes.len() as u64 + 1)
+        .to_wire();
+    assert!(is_ok(&primary.handle(&last)));
+    replica.sync().unwrap();
+    assert_eq!(replica.resyncs(), 0);
+
+    // ...and the primary loses it: its active segment is cut back by
+    // that whole record before it reopens, so the follower's cursor
+    // lies beyond the reopened stream's end.
+    let segment = log.active_segment_path();
+    drop((log, primary));
+    link.close();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&segment)
+        .and_then(|f| f.set_len(cut))
+        .unwrap();
+    let primary = link.reopen(primary_dir.path());
+
+    replica.sync().unwrap();
+    assert_eq!(replica.resyncs(), 1, "a follower ahead must re-bootstrap");
+    let follower = replica.server();
+
+    // Store: byte-identical.
+    assert_eq!(
+        follower.handle(&fetch_msg("T")),
+        primary.handle(&fetch_msg("T"))
+    );
+    // Dedup window: every envelope the primary holds replays the same
+    // cached answer on both, and the lost one is fresh on both.
+    envelopes.push(last);
+    for enveloped in &envelopes {
+        assert_eq!(follower.handle(enveloped), primary.handle(enveloped));
+    }
+    // Answers: queries, and the store after the re-applied append.
+    let queries = [
+        ClientMessage::Query {
+            name: "T".into(),
+            terms: vec![],
+        },
+        ClientMessage::Query {
+            name: "T".into(),
+            terms: vec![dbph::core::protocol::WireTrapdoor {
+                attr: 0,
+                target: vec![3; 13],
+                check_key: vec![4; 32],
+            }],
+        },
+    ];
+    for q in &queries {
+        assert_eq!(follower.handle(&q.to_wire()), primary.handle(&q.to_wire()));
+    }
+    assert_eq!(
+        follower.handle(&fetch_msg("T")),
+        primary.handle(&fetch_msg("T"))
     );
 }
 

@@ -146,8 +146,8 @@ fn hundreds_of_concurrent_sessions_pipeline_in_order() {
     }
 
     assert_eq!(
-        handle.connections_accepted(),
-        SESSIONS,
+        server.telemetry().net_conns_accepted.get(),
+        SESSIONS as u64,
         "every session must be accepted exactly once"
     );
     // Every private table was dropped; only the shared one remains.
@@ -174,8 +174,8 @@ fn round_trip(stream: &mut TcpStream, request: &[u8]) -> Duration {
 #[test]
 fn a_slow_scan_session_does_not_delay_another_session() {
     // A one-worker pool runs each scan inline on its session thread,
-    // so the scanning session occupies one core and the pinging
-    // session's requests must not queue behind it.
+    // so the scanning session occupies one core and the probing
+    // session's `Stats` requests must not queue behind it.
     let server = Server::with_pool(2, 1);
     let _ = server.handle(
         &ClientMessage::CreateTable {
@@ -218,37 +218,38 @@ fn a_slow_scan_session_does_not_delay_another_session() {
 
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let addr = handle.addr();
-    let pinging_done = Arc::new(AtomicBool::new(false));
+    let probing_done = Arc::new(AtomicBool::new(false));
     let scans_done = Arc::new(AtomicUsize::new(0));
     let scanner = {
-        let pinging_done = Arc::clone(&pinging_done);
+        let probing_done = Arc::clone(&probing_done);
         let scans_done = Arc::clone(&scans_done);
         std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
             let mut times = Vec::new();
-            while !pinging_done.load(Ordering::SeqCst) {
+            while !probing_done.load(Ordering::SeqCst) {
                 times.push(round_trip(&mut stream, &scan));
                 scans_done.fetch_add(1, Ordering::SeqCst);
             }
             times
         })
     };
-    // Start pinging once the scanning session is under way.
+    // Start probing once the scanning session is under way.
     while scans_done.load(Ordering::SeqCst) == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }
-    let mut pinger = TcpStream::connect(addr).unwrap();
-    let ping = ClientMessage::Ping.to_wire();
-    let mut ping_times: Vec<Duration> = (0..200).map(|_| round_trip(&mut pinger, &ping)).collect();
-    pinging_done.store(true, Ordering::SeqCst);
+    let mut prober = TcpStream::connect(addr).unwrap();
+    let probe = ClientMessage::Stats.to_wire();
+    let mut probe_times: Vec<Duration> =
+        (0..200).map(|_| round_trip(&mut prober, &probe)).collect();
+    probing_done.store(true, Ordering::SeqCst);
     let mut scan_times = scanner.join().unwrap();
 
-    let ping_median = median(&mut ping_times);
+    let probe_median = median(&mut probe_times);
     let scan_median = median(&mut scan_times);
     assert!(
-        ping_median * 4 < scan_median,
-        "pings waited behind another session's scans: median ping {ping_median:?}, \
-         median {terms}-term scan {scan_median:?}"
+        probe_median * 4 < scan_median,
+        "stats probes waited behind another session's scans: median probe \
+         {probe_median:?}, median {terms}-term scan {scan_median:?}"
     );
     handle.shutdown();
 }

@@ -509,12 +509,13 @@ fn follower_resync_and_chunk_counters_move() {
         primary.telemetry().repl_chunks_shipped.get() > 0,
         "the primary must count shipped chunks"
     );
-    // Status carries the counter too — the failover plane's view.
-    match ServerResponse::from_wire(&replica.server().handle(&ClientMessage::Ping.to_wire()))
+    // The wire snapshot carries the counter too — the failover
+    // plane's view.
+    match ServerResponse::from_wire(&replica.server().handle(&ClientMessage::Stats.to_wire()))
         .unwrap()
     {
-        ServerResponse::Status { resyncs, .. } => assert!(resyncs > 0),
-        other => panic!("expected Status, got {other:?}"),
+        ServerResponse::StatsSnapshot(s) => assert!(s.scalar("repl_resyncs").unwrap_or(0) > 0),
+        other => panic!("expected StatsSnapshot, got {other:?}"),
     }
 }
 
@@ -541,7 +542,7 @@ fn client_retry_and_failover_counters_move() {
     // (which skips backoff), so the budget burns fast and each retry
     // is counted.
     let err = pool
-        .call(&ClientMessage::Ping.to_wire())
+        .call(&ClientMessage::Stats.to_wire())
         .expect_err("server is gone");
     let _ = err;
     assert!(
@@ -606,18 +607,18 @@ fn stats_snapshot_travels_the_wire_with_net_counters_sampled() {
 #[test]
 fn disabling_telemetry_freezes_collection() {
     let server = Server::with_shards(1);
-    let _ = server.handle(&ClientMessage::Ping.to_wire());
+    let _ = server.handle(&ClientMessage::Stats.to_wire());
     let t = server.telemetry();
-    let pings_before = t.request_latency(11).count();
-    assert!(pings_before > 0);
+    let probes_before = t.request_latency(13).count();
+    assert!(probes_before > 0);
     t.set_enabled(false);
-    let _ = server.handle(&ClientMessage::Ping.to_wire());
+    let _ = server.handle(&ClientMessage::Stats.to_wire());
     assert_eq!(
-        t.request_latency(11).count(),
-        pings_before,
+        t.request_latency(13).count(),
+        probes_before,
         "a disabled registry must not collect"
     );
     t.set_enabled(true);
-    let _ = server.handle(&ClientMessage::Ping.to_wire());
-    assert_eq!(t.request_latency(11).count(), pings_before + 1);
+    let _ = server.handle(&ClientMessage::Stats.to_wire());
+    assert_eq!(t.request_latency(13).count(), probes_before + 1);
 }
