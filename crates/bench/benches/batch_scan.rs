@@ -88,7 +88,7 @@ fn bench_batch_scan(c: &mut Criterion) {
     .generate(7);
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([21u8; 32])).unwrap();
     let table = ph.encrypt_table(&relation).unwrap();
-    let sharded = ShardedTable::from_table(table, SHARDS);
+    let sharded = ShardedTable::from_arena(&table.into(), SHARDS);
 
     // Headline workload: hot-term skew — 8 queries, 5 distinct terms
     // (dept-00 is hot), the shape session traces actually have.

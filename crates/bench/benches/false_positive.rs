@@ -85,7 +85,7 @@ fn bench_sharded_scan(c: &mut Criterion) {
             let server = Server::with_shards(shards);
             let create = ClientMessage::CreateTable {
                 name: "Emp".into(),
-                table: ct.clone(),
+                table: ct.clone().into(),
             }
             .to_wire();
             let _ = server.handle(&create);

@@ -41,9 +41,9 @@ fn bench_index_scan(c: &mut Criterion) {
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([23u8; 32])).unwrap();
     let table = ph.encrypt_table(&relation).unwrap();
     let scan_store = TableStore::new(SHARDS);
-    scan_store.create("Emp", table.clone()).unwrap();
+    scan_store.create("Emp", table.clone().into()).unwrap();
     let index_store = TableStore::new(SHARDS);
-    index_store.create("Emp", table).unwrap();
+    index_store.create("Emp", table.into()).unwrap();
     index_store.enable_index();
     // One query through the store's one query path; the store's index
     // switch picks the plan.

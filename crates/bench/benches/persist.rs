@@ -48,7 +48,7 @@ fn ingest_messages() -> Vec<Vec<u8>> {
     empty.next_doc_id = 0;
     let mut msgs = vec![ClientMessage::CreateTable {
         name: "Emp".into(),
-        table: empty,
+        table: empty.into(),
     }
     .to_wire()];
     let mut docs = table.docs.into_iter().peekable();
@@ -96,7 +96,7 @@ fn churn_messages() -> (Vec<Vec<u8>>, usize) {
     empty.next_doc_id = 0;
     let mut msgs = vec![ClientMessage::CreateTable {
         name: "Emp".into(),
-        table: empty,
+        table: empty.into(),
     }
     .to_wire()];
     const SMALL: usize = 10;

@@ -40,7 +40,8 @@ fn create_msg(name: &str) -> ClientMessage {
             params: SwpParams::new(13, 4, 32).unwrap(),
             docs: vec![],
             next_doc_id: 0,
-        },
+        }
+        .into(),
     }
 }
 

@@ -20,7 +20,7 @@ use dbph_core::protocol::WireTrapdoor;
 use dbph_core::server::execute_query;
 use dbph_core::storage::ShardedTable;
 use dbph_core::telemetry::Counter;
-use dbph_core::{DatabasePh, FinalSwpPh};
+use dbph_core::{ColumnarTable, DatabasePh, FinalSwpPh};
 use dbph_crypto::SecretKey;
 use dbph_relation::query::ExactSelect;
 use dbph_relation::Query;
@@ -51,9 +51,10 @@ fn bench_shard_scan(c: &mut Criterion) {
     let terms: Vec<WireTrapdoor> = qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
 
     // Sanity: every configuration returns the same result set.
+    let image = ColumnarTable::from(table.clone());
     let reference = execute_query(&table, &terms);
     for shards in SHARDS {
-        let sharded = ShardedTable::from_table(table.clone(), shards);
+        let sharded = ShardedTable::from_arena(&image, shards);
         assert_eq!(
             scan(&sharded, &terms),
             reference,
@@ -69,7 +70,7 @@ fn bench_shard_scan(c: &mut Criterion) {
     });
 
     for shards in SHARDS {
-        let sharded = ShardedTable::from_table(table.clone(), shards);
+        let sharded = ShardedTable::from_arena(&image, shards);
         group.bench_function(BenchmarkId::new("sharded", shards), |b| {
             b.iter(|| scan(&sharded, &terms))
         });
@@ -91,7 +92,7 @@ fn bench_shard_scan(c: &mut Criterion) {
         b.iter(|| execute_query(&table, &conj_terms))
     });
     for shards in [1usize, 4] {
-        let sharded = ShardedTable::from_table(table.clone(), shards);
+        let sharded = ShardedTable::from_arena(&image, shards);
         group.bench_function(BenchmarkId::new("sharded", shards), |b| {
             b.iter(|| scan(&sharded, &conj_terms))
         });

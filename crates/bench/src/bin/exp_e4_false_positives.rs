@@ -156,7 +156,7 @@ fn main() {
             let _ = server.handle(
                 &ClientMessage::CreateTable {
                     name: "Emp".into(),
-                    table: ct.clone(),
+                    table: ct.clone().into(),
                 }
                 .to_wire(),
             );

@@ -14,9 +14,11 @@
 //! words do *not* have the table's word length (they can never match —
 //! the SWP check rejects length mismatches — but `FetchAll` must
 //! return them byte-identically). Such *irregular* words are stored
-//! verbatim in a side list and addressed through the same per-word
-//! reference array as the regular slots, so reassembled documents are
-//! exactly the bytes that arrived, in order, whatever their shape.
+//! verbatim in a side list and addressed through a per-word reference
+//! array that also ranks the regular slots, so reassembled documents
+//! are exactly the bytes that arrived, in order, whatever their shape.
+//! An arena without irregular words — every table Alex encrypts — has
+//! no reference array at all: word `w` is slot `w`.
 //! The representation is canonical — a function of `(word_len, docs)`
 //! alone, independent of the append/delete history — so derived
 //! equality is document equality.
@@ -36,11 +38,14 @@ pub struct WordArena {
     word_len: usize,
     /// Document ids, in document order.
     doc_ids: Vec<u64>,
-    /// Per-document word boundaries: document `i`'s words are
-    /// `refs[offsets[i]..offsets[i + 1]]`. Length `doc_ids.len() + 1`.
+    /// Per-document word boundaries: document `i`'s words are logical
+    /// words `offsets[i]..offsets[i + 1]`. Length `doc_ids.len() + 1`.
     offsets: Vec<u32>,
+    /// Logical words stored so far, sealed or not.
+    words: u32,
     /// Per logical word: a rank into `slots` (stride `word_len`), or
-    /// `IRREGULAR_BIT | rank` into `irregular`.
+    /// `IRREGULAR_BIT | rank` into `irregular`. Empty while `irregular`
+    /// is: every word is then regular and word `w` is slot `w`.
     refs: Vec<u32>,
     /// Regular word bytes, fixed stride, in logical word order.
     slots: Vec<u8>,
@@ -56,6 +61,7 @@ impl WordArena {
             word_len,
             doc_ids: Vec::new(),
             offsets: vec![0],
+            words: 0,
             refs: Vec::new(),
             slots: Vec::new(),
             irregular: Vec::new(),
@@ -70,6 +76,46 @@ impl WordArena {
             arena.push(id, &words);
         }
         arena
+    }
+
+    /// An arena of `doc_ids.len()` documents of `words_per_doc` regular
+    /// words each, whose slots are `slots` as they stand — the shape of
+    /// Alex's encryption-lane output, taken over without a copy.
+    ///
+    /// # Panics
+    /// Panics if `slots` is not exactly that many `word_len`-byte
+    /// words, or holds 2³¹ words or more.
+    #[must_use]
+    pub(crate) fn from_rows(
+        word_len: usize,
+        words_per_doc: usize,
+        doc_ids: Vec<u64>,
+        slots: Vec<u8>,
+    ) -> Self {
+        let words = doc_ids.len() * words_per_doc;
+        assert_eq!(slots.len(), words * word_len, "ragged encrypted rows");
+        assert!(words < IRREGULAR_BIT as usize, "shard exceeds 2^31 words");
+        WordArena {
+            word_len,
+            offsets: (0..=doc_ids.len())
+                .map(|i| (i * words_per_doc) as u32)
+                .collect(),
+            doc_ids,
+            words: words as u32,
+            refs: Vec::new(),
+            slots,
+            irregular: Vec::new(),
+        }
+    }
+
+    /// Reserves room for `docs` more documents whose words span at
+    /// most `frame_bytes` bytes. The decoder sizes an upload's arena
+    /// from the frame this way, once, instead of growing it word by
+    /// word.
+    pub(crate) fn reserve(&mut self, docs: usize, frame_bytes: usize) {
+        self.doc_ids.reserve(docs);
+        self.offsets.reserve(docs);
+        self.slots.reserve(frame_bytes);
     }
 
     /// The slot stride in bytes.
@@ -93,12 +139,11 @@ impl WordArena {
     /// Total number of stored words.
     #[must_use]
     pub fn word_count(&self) -> usize {
-        self.refs.len()
+        self.words as usize
     }
 
     /// Whether any stored word deviates from the slot width. When
-    /// false, every reference is a plain slot rank (in fact the
-    /// identity, by construction) and scans touch only `slots`.
+    /// false, word `w` is slot `w` and scans touch only `slots`.
     #[must_use]
     pub fn has_irregular(&self) -> bool {
         !self.irregular.is_empty()
@@ -120,12 +165,9 @@ impl WordArena {
     /// Exact bytes of logical word `w`, whatever its length.
     #[must_use]
     pub fn word(&self, w: usize) -> &[u8] {
-        let r = self.refs[w];
-        if r & IRREGULAR_BIT == 0 {
-            let start = r as usize * self.word_len;
-            &self.slots[start..start + self.word_len]
-        } else {
-            &self.irregular[(r & !IRREGULAR_BIT) as usize]
+        match self.regular_slot(w) {
+            Some(slot) => slot,
+            None => &self.irregular[(self.refs[w] & !IRREGULAR_BIT) as usize],
         }
     }
 
@@ -133,11 +175,13 @@ impl WordArena {
     /// is irregular (wrong length ⇒ it can never match a scan anyway).
     #[must_use]
     pub fn regular_slot(&self, w: usize) -> Option<&[u8]> {
-        let r = self.refs[w];
-        (r & IRREGULAR_BIT == 0).then(|| {
-            let start = r as usize * self.word_len;
-            &self.slots[start..start + self.word_len]
-        })
+        let rank = match self.has_irregular() {
+            false => w,
+            true if self.refs[w] & IRREGULAR_BIT == 0 => self.refs[w] as usize,
+            true => return None,
+        };
+        let start = rank * self.word_len;
+        Some(&self.slots[start..start + self.word_len])
     }
 
     /// Reassembles document `i` exactly as it was stored.
@@ -161,33 +205,38 @@ impl WordArena {
     /// where the regular/irregular classification happens (shared by
     /// [`Self::push`], [`Self::retain`], and [`Self::append_range`]).
     ///
-    /// `pub(crate)` for the durable log's snapshot-chunk decoder, which
-    /// streams word slices straight out of a record buffer and must
-    /// pair every run of `push_word` calls with one [`Self::seal_doc`].
+    /// `pub(crate)` for the wire document-list decoder
+    /// (`wire::decode_docs_into`), which streams word slices straight
+    /// out of a frame or record buffer and must pair every run of
+    /// `push_word` calls with one [`Self::seal_doc`].
     ///
     /// # Panics
     /// Panics if the shard reaches 2³¹ regular or irregular words —
     /// the `u32` reference encoding's ceiling. At ≥ 2 bytes per word
     /// that is a ≥ 4 GiB shard; split the table first.
     pub(crate) fn push_word(&mut self, bytes: &[u8]) {
-        let rank = if bytes.len() == self.word_len {
-            let rank = self.slots.len() / self.word_len.max(1);
-            assert!(rank < IRREGULAR_BIT as usize, "shard exceeds 2^31 words");
+        assert!(self.words < IRREGULAR_BIT, "shard exceeds 2^31 words");
+        if bytes.len() == self.word_len {
+            if self.has_irregular() {
+                // Every word is a slot or an irregular entry.
+                self.refs.push(self.words - self.irregular.len() as u32);
+            }
             self.slots.extend_from_slice(bytes);
-            rank as u32
         } else {
-            let rank = self.irregular.len();
-            assert!(rank < IRREGULAR_BIT as usize, "shard exceeds 2^31 words");
+            if !self.has_irregular() {
+                // The first irregular word: rank the slots so far.
+                self.refs.extend(0..self.words);
+            }
+            self.refs.push(IRREGULAR_BIT | self.irregular.len() as u32);
             self.irregular.push(bytes.to_vec());
-            IRREGULAR_BIT | rank as u32
-        };
-        self.refs.push(rank);
+        }
+        self.words += 1;
     }
 
     /// Seals the currently buffered words as document `doc_id`.
     pub(crate) fn seal_doc(&mut self, doc_id: u64) {
         self.doc_ids.push(doc_id);
-        self.offsets.push(self.refs.len() as u32);
+        self.offsets.push(self.words);
     }
 
     /// Appends one document (preserving order).
@@ -198,21 +247,48 @@ impl WordArena {
         self.seal_doc(doc_id);
     }
 
-    /// Appends documents `range` of `src` verbatim — the repartition
-    /// repack path: word bytes are copied arena-to-arena without ever
-    /// materializing boxed documents.
+    /// Appends documents `range` of `src` verbatim — the shard-cut
+    /// path: word bytes are copied arena-to-arena without ever
+    /// materializing boxed documents. When `src` holds only regular
+    /// words (every upload Alex encrypts) the range's slots, ids and
+    /// boundaries are copied as three runs, not word by word.
     ///
     /// # Panics
-    /// Panics if the slot widths differ (repartition never mixes
-    /// tables).
+    /// Panics if the slot widths differ (a cut never mixes tables), or
+    /// if the shard reaches 2³¹ words.
     pub fn append_range(&mut self, src: &WordArena, range: std::ops::Range<usize>) {
         assert_eq!(self.word_len, src.word_len, "mixed slot widths");
-        for i in range {
-            for w in src.word_range(i) {
-                self.push_word(src.word(w));
+        if src.has_irregular() {
+            for i in range {
+                for w in src.word_range(i) {
+                    self.push_word(src.word(w));
+                }
+                self.seal_doc(src.doc_ids[i]);
             }
-            self.seal_doc(src.doc_ids[i]);
+            return;
         }
+        // In a regular arena word `w` is slot `w`, so the range's words
+        // are slots `first..last`, and here they take the next ranks.
+        let (first, last) = (src.offsets[range.start], src.offsets[range.end]);
+        let (base, count) = (self.words, last - first);
+        assert!(
+            base as usize + (count as usize) < IRREGULAR_BIT as usize,
+            "shard exceeds 2^31 words"
+        );
+        if self.has_irregular() {
+            let rank = base - self.irregular.len() as u32;
+            self.refs.extend(rank..rank + count);
+        }
+        let w = self.word_len;
+        self.slots
+            .extend_from_slice(&src.slots[first as usize * w..last as usize * w]);
+        self.offsets.extend(
+            src.offsets[range.start + 1..=range.end]
+                .iter()
+                .map(|&o| o - first + base),
+        );
+        self.doc_ids.extend_from_slice(&src.doc_ids[range]);
+        self.words += count;
     }
 
     /// Keeps only the documents whose id satisfies `keep`, preserving
@@ -220,7 +296,6 @@ impl WordArena {
     pub fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
         let mut rebuilt = WordArena::new(self.word_len);
         rebuilt.doc_ids.reserve(self.len());
-        rebuilt.refs.reserve(self.refs.len());
         rebuilt.slots.reserve(self.slots.len());
         for i in 0..self.len() {
             let id = self.doc_ids[i];
@@ -332,6 +407,42 @@ mod tests {
         let mut partial = WordArena::new(4);
         partial.append_range(&src, 2..5);
         assert_eq!(partial.to_docs(), docs[2..5].to_vec());
+    }
+
+    #[test]
+    fn regular_runs_append_after_irregular_words() {
+        // A regular source copies in runs; the ranks it takes must
+        // follow the slots already in the destination, irregular
+        // entries notwithstanding.
+        let src = WordArena::from_docs(4, (0..6).map(|i| doc(i, &[4, 4])));
+        assert!(!src.has_irregular());
+        let mut dst = WordArena::from_docs(4, vec![doc(90, &[4, 1]), doc(91, &[])]);
+        dst.append_range(&src, 1..4);
+        dst.append_range(&src, 4..4);
+        dst.append_range(&src, 4..6);
+        let mut expect = vec![doc(90, &[4, 1]), doc(91, &[])];
+        expect.extend(src.to_docs()[1..6].iter().cloned());
+        assert_eq!(dst, WordArena::from_docs(4, expect));
+    }
+
+    #[test]
+    fn rows_take_the_lane_output_as_slots() {
+        let arena = WordArena::from_rows(3, 2, vec![5, 6], (0u8..12).collect());
+        let expect: Vec<Doc> = vec![
+            (
+                5,
+                vec![CipherWord(vec![0, 1, 2]), CipherWord(vec![3, 4, 5])],
+            ),
+            (
+                6,
+                vec![CipherWord(vec![6, 7, 8]), CipherWord(vec![9, 10, 11])],
+            ),
+        ];
+        assert_eq!(arena, WordArena::from_docs(3, expect));
+        assert_eq!(
+            WordArena::from_rows(3, 2, vec![], vec![]),
+            WordArena::new(3)
+        );
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl<T: Transport> Client<T> {
     /// # Errors
     /// Fails on schema mismatch or server rejection.
     pub fn outsource(&mut self, relation: &Relation) -> Result<(), PhError> {
-        let table = self.ph.encrypt_table(relation)?;
+        let table = self.ph.encrypt_columnar(relation)?;
         let next = table.next_doc_id;
         self.expect_ok(&ClientMessage::CreateTable {
             name: self.table_name.clone(),
@@ -240,6 +240,7 @@ impl<T: Transport> Client<T> {
         let (doc_id, words) = self
             .ph
             .encrypt_rows(self.next_doc_id, std::slice::from_ref(tuple))?
+            .to_docs()
             .pop()
             .expect("one row in, one document out");
         self.expect_ok(&ClientMessage::Append {
@@ -263,7 +264,7 @@ impl<T: Transport> Client<T> {
         if tuples.is_empty() {
             return Ok(());
         }
-        let docs = self.ph.encrypt_rows(self.next_doc_id, tuples)?;
+        let docs = self.ph.encrypt_rows(self.next_doc_id, tuples)?.to_docs();
         self.expect_ok(&ClientMessage::AppendBatch {
             name: self.table_name.clone(),
             docs,

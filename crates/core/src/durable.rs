@@ -29,10 +29,11 @@
 //!   the live store is rewritten as a *sealed snapshot segment*:
 //!   bounded-size snapshot records per table, serialized straight from
 //!   the columnar shard arenas (no boxed documents on the way out) —
-//!   and on recovery loaded straight back into columnar shards via
-//!   [`WordArena`] raw pushes and [`ShardedTable::from_arena`]'s
-//!   arena-to-arena repartition (no boxed documents on the way in
-//!   either). Compaction then swaps the manifest to
+//!   and on recovery loaded straight back into columnar shards by the
+//!   wire codec's document-list decoder and [`ShardedTable::from_arena`]'s
+//!   arena-to-arena cut (no boxed documents on the way in either).
+//!   Logged `CreateTable` records take the same two steps, through
+//!   the server's own apply. Compaction then swaps the manifest to
 //!   `[snapshot, fresh active]` and deletes the old segments.
 //! * **Recovery.** [`DurableLog::open`] walks manifest + segments in
 //!   log order into a [`TableStore`]: snapshot chunks load columnar,
@@ -75,8 +76,9 @@ use crate::codec;
 use crate::error::PhError;
 use crate::index::Posting;
 use crate::storage::{ShardedTable, TableStore};
+use crate::swp_ph::ColumnarTable;
 use crate::telemetry::Telemetry;
-use crate::wire::{Reader, WireDecode, WireEncode};
+use crate::wire::{decode_docs_into, encode_arena_doc, Reader, WireDecode, WireEncode};
 
 /// Manifest file name inside the data directory.
 const MANIFEST: &str = "MANIFEST";
@@ -401,40 +403,11 @@ fn wire_to_durability(e: PhError) -> PhError {
     PhError::Durability(format!("corrupt record: {e}"))
 }
 
-/// Decodes a wire `Vec<(u64, Vec<CipherWord>)>` document list straight
-/// into `arena` — word bytes go from the record buffer into the
-/// columnar slots without a boxed document in between.
-fn decode_docs_into(r: &mut Reader<'_>, arena: &mut WordArena) -> Result<(), PhError> {
-    let count = usize::decode(r)?;
-    if count > r.remaining() {
-        return Err(PhError::Wire(format!(
-            "doc count {count} exceeds remaining input"
-        )));
-    }
-    for _ in 0..count {
-        let doc_id = u64::decode(r)?;
-        let words = usize::decode(r)?;
-        if words > r.remaining() {
-            return Err(PhError::Wire(format!(
-                "word count {words} exceeds remaining input"
-            )));
-        }
-        for _ in 0..words {
-            let len = usize::decode(r)?;
-            arena.push_word(r.take(len)?);
-        }
-        arena.seal_doc(doc_id);
-    }
-    Ok(())
-}
-
 /// One table's snapshot chunks, gathered in columnar form until a
 /// record that is not one of its chunks arrives.
 struct SnapshotTable {
     name: String,
-    params: SwpParams,
-    arena: WordArena,
-    next_doc_id: u64,
+    table: ColumnarTable,
 }
 
 /// Recovery's walk over the log, in log order: snapshot tables, the
@@ -474,24 +447,25 @@ impl<F: FnMut(&[u8]) -> Result<(), PhError>> Replay<'_, F> {
         if self.pending.as_ref().is_some_and(|t| t.name != name) {
             self.install_pending();
         }
-        let table = self.pending.get_or_insert_with(|| SnapshotTable {
+        let pending = self.pending.get_or_insert_with(|| SnapshotTable {
             name,
-            params,
-            arena: WordArena::new(params.word_len),
-            next_doc_id,
+            table: ColumnarTable {
+                params,
+                docs: WordArena::new(params.word_len),
+                next_doc_id,
+            },
         });
-        decode_docs_into(&mut r, &mut table.arena)?;
-        table.next_doc_id = next_doc_id;
+        decode_docs_into(&mut r, &mut pending.table.docs)?;
+        pending.table.next_doc_id = next_doc_id;
         r.expect_end()
     }
 
     /// Installs the gathered snapshot table, repartitioned arena to
     /// arena into the store's shard count.
     fn install_pending(&mut self) {
-        if let Some(t) = self.pending.take() {
-            let shards = self.store.shard_count();
-            let table = ShardedTable::from_arena(t.params, &t.arena, t.next_doc_id, shards);
-            self.store.install(t.name, table);
+        if let Some(SnapshotTable { name, table }) = self.pending.take() {
+            let table = ShardedTable::from_arena(&table, self.store.shard_count());
+            self.store.install(name, table);
         }
     }
 
@@ -1474,12 +1448,12 @@ impl DurableLog {
     }
 
     /// Serializes one table as chunked snapshot records, reading word
-    /// bytes directly out of the shard arenas — the mutation-free
-    /// sibling of the wire document encoding, with no boxed documents
-    /// in between. Records carry their own framing + checksum but no
-    /// per-record fsync: the whole segment is fsync'd once before the
-    /// manifest commits to it. Every table writes at least one record,
-    /// so empty tables survive compaction too.
+    /// bytes directly out of the shard arenas through the wire codec's
+    /// one arena encoder (`CreateTable` uses it too), with no boxed
+    /// documents in between. Records carry their own framing +
+    /// checksum but no per-record fsync: the whole segment is fsync'd
+    /// once before the manifest commits to it. Every table writes at
+    /// least one record, so empty tables survive compaction too.
     fn write_table_snapshot(
         &self,
         file: &mut File,
@@ -1503,14 +1477,7 @@ impl DurableLog {
         let mut records = 0usize;
         for shard in table.shards() {
             for i in 0..shard.len() {
-                shard.doc_id(i).encode(&mut docs_buf);
-                let range = shard.word_range(i);
-                range.len().encode(&mut docs_buf);
-                for wi in range {
-                    let word = shard.word(wi);
-                    word.len().encode(&mut docs_buf);
-                    docs_buf.extend_from_slice(word);
-                }
+                encode_arena_doc(shard, i, &mut docs_buf);
                 count += 1;
                 if docs_buf.len() >= chunk_budget {
                     write_chunk(file, count, &docs_buf)?;
@@ -1600,7 +1567,7 @@ mod tests {
     fn create_msg(name: &str, n: usize) -> Vec<u8> {
         ClientMessage::CreateTable {
             name: name.into(),
-            table: table(n),
+            table: table(n).into(),
         }
         .to_wire()
     }

@@ -74,6 +74,6 @@ pub use ph::{DatabasePh, IncrementalPh};
 pub use replica::{Replica, ReplicaOptions};
 pub use server::{Observer, Server};
 pub use storage::{ShardedTable, TableStore};
-pub use swp_ph::{EncryptedQuery, EncryptedTable, FinalSwpPh, SwpPh};
+pub use swp_ph::{ColumnarTable, EncryptedQuery, EncryptedTable, FinalSwpPh, SwpPh};
 pub use telemetry::{HistogramSnapshot, MetricValue, StatsSnapshot, Telemetry};
 pub use varlen::VarlenPh;

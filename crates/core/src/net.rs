@@ -1145,7 +1145,7 @@ mod tests {
 
         let create = ClientMessage::CreateTable {
             name: "t".into(),
-            table: table(3),
+            table: table(3).into(),
         }
         .to_wire();
         let fetch = ClientMessage::FetchAll { name: "t".into() }.to_wire();
@@ -1168,7 +1168,7 @@ mod tests {
         let client = PooledClient::connect(handle.addr(), 1).unwrap();
         let mut requests = vec![ClientMessage::CreateTable {
             name: "t".into(),
-            table: table(5),
+            table: table(5).into(),
         }
         .to_wire()];
         // Interleave fetches and appends; responses must track exactly.
@@ -1217,7 +1217,7 @@ mod tests {
         };
         let create_t1 = ClientMessage::CreateTable {
             name: "t1".into(),
-            table: big.clone(),
+            table: big.clone().into(),
         }
         .to_wire();
         assert_eq!(
@@ -1227,7 +1227,7 @@ mod tests {
         let fetch_t1 = ClientMessage::FetchAll { name: "t1".into() }.to_wire();
         let create_t2 = ClientMessage::CreateTable {
             name: "t2".into(),
-            table: big,
+            table: big.into(),
         }
         .to_wire();
         let responses = client
@@ -1276,7 +1276,7 @@ mod tests {
         let client = PooledClient::connect(handle.addr(), 1).unwrap();
         let create = ClientMessage::CreateTable {
             name: "t".into(),
-            table: table(1),
+            table: table(1).into(),
         }
         .to_wire();
         assert_eq!(

@@ -16,7 +16,7 @@
 use dbph_swp::{CipherWord, TrapdoorData};
 
 use crate::error::PhError;
-use crate::swp_ph::{AddressedTrapdoor, EncryptedTable};
+use crate::swp_ph::{AddressedTrapdoor, ColumnarTable, EncryptedTable};
 use crate::wire::{Reader, WireDecode, WireEncode};
 
 /// A query term in transit: the attribute position it targets and
@@ -158,12 +158,15 @@ pub const STALE_DUPLICATE_PREFIX: &str = "stale duplicate (non-retriable)";
 /// A message from Alex to Eve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientMessage {
-    /// Outsource a freshly encrypted table under `name`.
+    /// Outsource a freshly encrypted table under `name`. The table
+    /// travels columnar both ways: it encodes from its arena and
+    /// decodes straight into one, with the bytes of the equal
+    /// [`EncryptedTable`].
     CreateTable {
         /// Table name (public metadata).
         name: String,
         /// The table ciphertext.
-        table: EncryptedTable,
+        table: ColumnarTable,
     },
     /// Run `ψ` with the given conjunction of addressed trapdoors.
     Query {
@@ -419,7 +422,7 @@ impl ClientMessage {
         match t {
             tag::CREATE => Ok(ClientMessage::CreateTable {
                 name: String::decode(r)?,
-                table: EncryptedTable::decode(r)?,
+                table: ColumnarTable::decode(r)?,
             }),
             tag::QUERY => Ok(ClientMessage::Query {
                 name: String::decode(r)?,
@@ -626,7 +629,7 @@ mod tests {
         vec![
             ClientMessage::CreateTable {
                 name: "Emp".into(),
-                table: sample_table(),
+                table: sample_table().into(),
             },
             ClientMessage::Query {
                 name: "Emp".into(),

@@ -783,7 +783,7 @@ impl Server {
     fn dispatch(&self, msg: ClientMessage) -> ServerResponse {
         match msg {
             ClientMessage::CreateTable { name, table } => {
-                let (tuples, bytes) = (table.len(), table.ciphertext_bytes());
+                let (tuples, bytes) = (table.docs.len(), table.docs.ciphertext_bytes());
                 match self.store.create(&name, table) {
                     Ok(()) => {
                         self.observer.record(ServerEvent::Upload {
@@ -960,7 +960,7 @@ mod tests {
                 &s,
                 ClientMessage::CreateTable {
                     name: "t".into(),
-                    table: table(3)
+                    table: table(3).into()
                 }
             ),
             ServerResponse::Ok
@@ -986,7 +986,7 @@ mod tests {
             &s,
             ClientMessage::CreateTable {
                 name: "t".into(),
-                table: table(1),
+                table: table(1).into(),
             },
         );
         assert!(matches!(
@@ -994,7 +994,7 @@ mod tests {
                 &s,
                 ClientMessage::CreateTable {
                     name: "t".into(),
-                    table: table(1)
+                    table: table(1).into()
                 }
             ),
             ServerResponse::Error(_)
@@ -1008,7 +1008,7 @@ mod tests {
             &s,
             ClientMessage::CreateTable {
                 name: "t".into(),
-                table: table(2),
+                table: table(2).into(),
             },
         );
         assert_eq!(
@@ -1049,7 +1049,7 @@ mod tests {
             &s,
             ClientMessage::CreateTable {
                 name: "t".into(),
-                table: table(2),
+                table: table(2).into(),
             },
         );
         send(
@@ -1094,7 +1094,7 @@ mod tests {
             &s,
             ClientMessage::CreateTable {
                 name: "t".into(),
-                table: table(4),
+                table: table(4).into(),
             },
         );
         let all = || vec![]; // empty conjunction: matches every doc
@@ -1148,7 +1148,7 @@ mod tests {
             &s,
             ClientMessage::CreateTable {
                 name: "t".into(),
-                table: table(4),
+                table: table(4).into(),
             },
         );
         // A one-byte term never matches, so a conjunction stops
@@ -1218,7 +1218,7 @@ mod tests {
             &s,
             ClientMessage::CreateTable {
                 name: "t".into(),
-                table: table(2),
+                table: table(2).into(),
             },
         );
         let word = || vec![CipherWord(vec![9; 13])];
@@ -1272,7 +1272,7 @@ mod tests {
             &s,
             ClientMessage::CreateTable {
                 name: "t".into(),
-                table: table(4),
+                table: table(4).into(),
             },
         );
         assert_eq!(
@@ -1302,7 +1302,7 @@ mod tests {
             &s,
             ClientMessage::CreateTable {
                 name: "t".into(),
-                table: table(10),
+                table: table(10).into(),
             },
         );
         // Page with a budget that forces several chunks; the union
@@ -1406,7 +1406,7 @@ mod tests {
                 &s,
                 ClientMessage::CreateTable {
                     name: "t".into(),
-                    table: t.clone(),
+                    table: t.clone().into(),
                 },
             );
             match send(

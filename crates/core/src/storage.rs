@@ -83,7 +83,7 @@ use crate::error::PhError;
 use crate::executor::Executor;
 use crate::index::{IndexState, Posting, PostingKey, ProbeStats};
 use crate::protocol::{ServerResponse, WireTrapdoor};
-use crate::swp_ph::EncryptedTable;
+use crate::swp_ph::{ColumnarTable, EncryptedTable};
 use crate::telemetry::Counter;
 use crate::wire::WireEncode;
 
@@ -106,38 +106,43 @@ pub type Answer = (EncryptedTable, Option<Vec<ProbeStats>>);
 /// keeps its consistent view).
 type Shard = Arc<WordArena>;
 
-/// The one shard cut: deals the `total` documents `docs` yields, in
-/// order, into `shard_count` contiguous chunks of near-equal size (the
-/// first `total % shard_count` chunks hold one extra document), each
-/// packed by `push` into a [`WordArena`] with slot width `word_len`.
-/// Concatenated in order, the chunks reproduce the sequence exactly —
-/// the invariant every scan and reassembly relies on.
-fn cut<D>(
-    word_len: usize,
-    total: usize,
-    mut docs: impl Iterator<Item = D>,
-    shard_count: usize,
-    mut push: impl FnMut(&mut WordArena, D),
-) -> Vec<Shard> {
+/// The one shard cut: deals the documents of `sources`, concatenated
+/// in order, into `shard_count` contiguous chunks of near-equal size
+/// (the first `total % shard_count` chunks hold one extra document),
+/// each packed into a [`WordArena`] with slot width `word_len` by
+/// whole runs ([`WordArena::append_range`]). Concatenated in order,
+/// the chunks reproduce the sequence exactly — the invariant every
+/// scan and reassembly relies on.
+fn cut(word_len: usize, sources: &[&WordArena], shard_count: usize) -> Vec<Shard> {
+    let total: usize = sources.iter().map(|src| src.len()).sum();
     let (base, extra) = (total / shard_count, total % shard_count);
+    let mut runs = sources.iter().map(|&src| (src, 0));
+    let mut current = runs.next();
     (0..shard_count)
         .map(|i| {
             let mut arena = WordArena::new(word_len);
-            for doc in docs.by_ref().take(base + usize::from(i < extra)) {
-                push(&mut arena, doc);
+            let mut need = base + usize::from(i < extra);
+            while need > 0 {
+                let (src, at) = current.as_mut().expect("sources hold `total` documents");
+                let take = need.min(src.len() - *at);
+                arena.append_range(src, *at..*at + take);
+                (*at, need) = (*at + take, need - take);
+                if *at == src.len() {
+                    current = runs.next();
+                }
             }
             Arc::new(arena)
         })
         .collect()
 }
 
-/// Checks that the ids of `docs` rise strictly from `first` on, and
-/// returns the least id that may follow them (`first` when `docs` is
-/// empty). Ids ascending in table order is what the id-anchored reads
-/// (chunked fetch, the index's delta scan and reassembly) rely on.
-fn fresh_ids(first: u64, docs: &[Doc]) -> Result<u64, PhError> {
-    docs.iter()
-        .try_fold(first, |least, &(id, _)| match id.checked_add(1) {
+/// Checks that `ids` rise strictly from `first` on, and returns the
+/// least id that may follow them (`first` when there are none). Ids
+/// ascending in table order is what the id-anchored reads (chunked
+/// fetch, the index's delta scan and reassembly) rely on.
+fn fresh_ids(first: u64, ids: impl IntoIterator<Item = u64>) -> Result<u64, PhError> {
+    ids.into_iter()
+        .try_fold(first, |least, id| match id.checked_add(1) {
             Some(next) if id >= least => Ok(next),
             _ => Err(PhError::Protocol(format!("stale doc id {id}"))),
         })
@@ -287,63 +292,25 @@ pub struct ShardedTable {
 }
 
 impl ShardedTable {
-    /// Partitions `table` into `shard_count` contiguous chunks of
-    /// near-equal size (the first `len % shard_count` shards hold one
-    /// extra document).
-    ///
-    /// # Panics
-    /// Panics if `shard_count == 0`.
-    #[must_use]
-    pub fn from_table(table: EncryptedTable, shard_count: usize) -> Self {
-        assert!(shard_count > 0, "shard_count must be ≥ 1");
-        let EncryptedTable {
-            params,
-            docs,
-            next_doc_id,
-        } = table;
-        let shards = cut(
-            params.word_len,
-            docs.len(),
-            docs.into_iter(),
-            shard_count,
-            |arena, (id, words)| arena.push(id, &words),
-        );
-        ShardedTable {
-            params,
-            shards,
-            next_doc_id,
-        }
-    }
-
-    /// Partitions an already-columnar document sequence into
-    /// `shard_count` contiguous near-equal shards, copying
-    /// arena-to-arena ([`WordArena::append_range`]) — the log-recovery
-    /// path: a store rebuilt from disk loads straight into columnar
-    /// shards without ever materializing boxed documents.
+    /// Partitions a columnar table image into `shard_count` contiguous
+    /// shards of near-equal size (the first `len % shard_count` shards
+    /// hold one extra document), copying arena-to-arena
+    /// ([`WordArena::append_range`]). Every table is built here: an
+    /// upload, a recovered snapshot, a bootstrapped follower's copy.
     ///
     /// # Panics
     /// Panics if `shard_count == 0` or the arena's slot width differs
-    /// from `params.word_len`.
+    /// from `table.params.word_len`.
     #[must_use]
-    pub fn from_arena(
-        params: SwpParams,
-        arena: &WordArena,
-        next_doc_id: u64,
-        shard_count: usize,
-    ) -> Self {
+    pub fn from_arena(table: &ColumnarTable, shard_count: usize) -> Self {
         assert!(shard_count > 0, "shard_count must be ≥ 1");
+        let (params, arena) = (table.params, &table.docs);
         assert_eq!(arena.word_len(), params.word_len, "mixed slot widths");
-        let shards = cut(
-            params.word_len,
-            arena.len(),
-            0..arena.len(),
-            shard_count,
-            |shard, i| shard.append_range(arena, i..i + 1),
-        );
+        let shards = cut(params.word_len, &[arena], shard_count);
         ShardedTable {
             params,
             shards,
-            next_doc_id,
+            next_doc_id: table.next_doc_id,
         }
     }
 
@@ -407,17 +374,8 @@ impl ShardedTable {
     /// are ever materialized on this mutation hot path.
     fn repartition(&mut self) {
         let old = std::mem::take(&mut self.shards);
-        let total = old.iter().map(|shard| shard.len()).sum();
-        let docs = old
-            .iter()
-            .flat_map(|shard| (0..shard.len()).map(move |i| (shard, i)));
-        self.shards = cut(
-            self.params.word_len,
-            total,
-            docs,
-            old.len(),
-            |arena, (shard, i)| arena.append_range(shard, i..i + 1),
-        );
+        let sources: Vec<&WordArena> = old.iter().map(|shard| &**shard).collect();
+        self.shards = cut(self.params.word_len, &sources, old.len());
     }
 
     /// Below this many documents in play, repartitioning cannot pay
@@ -1089,23 +1047,30 @@ impl TableStore {
     /// (chunked fetch, the index's delta scan and reassembly). An empty
     /// table with `next_doc_id` 0 is valid.
     ///
+    /// The shards are cut before the store lock is taken, so a large
+    /// upload never stalls queries on other tables; the lock covers
+    /// only the name check and the insert.
+    ///
     /// # Errors
     /// Fails if the name is taken or the ids break that order.
-    pub fn create(&self, name: &str, table: EncryptedTable) -> Result<(), PhError> {
-        if fresh_ids(0, &table.docs)? > table.next_doc_id {
+    ///
+    /// # Panics
+    /// Panics if the image's slot width differs from its
+    /// `params.word_len` (a decoded image never does).
+    pub fn create(&self, name: &str, table: ColumnarTable) -> Result<(), PhError> {
+        let ids = (0..table.docs.len()).map(|i| table.docs.doc_id(i));
+        if fresh_ids(0, ids)? > table.next_doc_id {
             let next = table.next_doc_id;
             return Err(PhError::Protocol(format!(
                 "next doc id {next} does not exceed the last doc id"
             )));
         }
+        let sharded = ShardedTable::from_arena(&table, self.shard_count);
         let mut tables = self.tables.write();
         if tables.contains_key(name) {
             return Err(PhError::Protocol(format!("table exists: {name}")));
         }
-        tables.insert(
-            name.to_string(),
-            ShardedTable::from_table(table, self.shard_count),
-        );
+        tables.insert(name.to_string(), sharded);
         // A name can be reused after a drop; any memoized postings for
         // the old incarnation are invalid for the new one.
         self.index.clear_table(name);
@@ -1275,7 +1240,7 @@ impl TableStore {
         let table = tables
             .get_mut(name)
             .ok_or_else(|| PhError::Protocol(format!("unknown table: {name}")))?;
-        fresh_ids(table.next_doc_id, &docs)?;
+        fresh_ids(table.next_doc_id, docs.iter().map(|&(id, _)| id))?;
         for (doc_id, words) in docs {
             table.push(doc_id, words);
         }
@@ -1355,37 +1320,44 @@ mod tests {
 
     #[test]
     fn partition_is_contiguous_and_balanced() {
-        let st = ShardedTable::from_table(table(10), 4);
+        let st = ShardedTable::from_arena(&table(10).into(), 4);
         assert_eq!(st.shard_sizes(), vec![3, 3, 2, 2]);
         assert_eq!(st.to_table(), table(10));
         // Degenerate cases: more shards than docs, and empty tables.
-        let st = ShardedTable::from_table(table(2), 5);
+        let st = ShardedTable::from_arena(&table(2).into(), 5);
         assert_eq!(st.shard_sizes(), vec![1, 1, 0, 0, 0]);
         assert_eq!(st.to_table(), table(2));
-        let st = ShardedTable::from_table(table(0), 3);
+        let st = ShardedTable::from_arena(&table(0).into(), 3);
         assert_eq!(st.doc_count(), 0);
         assert_eq!(st.to_table(), table(0));
     }
 
     #[test]
-    fn from_arena_partitions_like_from_table() {
-        // The recovery path (columnar in, columnar out) must produce
-        // exactly the partition the boxed constructor produces.
+    fn from_arena_cuts_contiguous_near_equal_shards() {
+        // Every layout comes from this one cut: shard `i` holds the
+        // next `n / shards` documents, plus one while `i < n % shards`.
         for n in [0usize, 1, 2, 10, 100] {
             let flat = table(n);
-            let arena = WordArena::from_docs(flat.params.word_len, flat.docs.clone());
             for shards in [1usize, 3, 7] {
-                let via_arena =
-                    ShardedTable::from_arena(flat.params, &arena, flat.next_doc_id, shards);
-                let via_docs = ShardedTable::from_table(flat.clone(), shards);
-                assert_eq!(via_arena, via_docs, "{n} docs × {shards} shards");
+                let st = ShardedTable::from_arena(&flat.clone().into(), shards);
+                let mut rest = flat.docs.as_slice();
+                for (i, shard) in st.shards().iter().enumerate() {
+                    let (head, tail) = rest.split_at(n / shards + usize::from(i < n % shards));
+                    assert_eq!(
+                        shard.to_docs(),
+                        head,
+                        "{n} docs × {shards} shards, shard {i}"
+                    );
+                    rest = tail;
+                }
+                assert!(rest.is_empty());
             }
         }
     }
 
     #[test]
     fn fetch_chunk_streams_the_exact_table() {
-        let st = ShardedTable::from_table(table(25), 4);
+        let st = ShardedTable::from_arena(&table(25).into(), 4);
         let whole = st.to_table();
         for max_bytes in [1u64, 64, 200, 1 << 20] {
             let mut docs = Vec::new();
@@ -1422,7 +1394,7 @@ mod tests {
         // Past-the-end and empty-table tokens terminate cleanly.
         let (tail, next) = st.fetch_chunk(9999, 1024);
         assert!(tail.docs.is_empty() && next.is_none());
-        let empty = ShardedTable::from_table(table(0), 2);
+        let empty = ShardedTable::from_arena(&table(0).into(), 2);
         let (chunk, next) = empty.fetch_chunk(0, 1024);
         assert!(chunk.docs.is_empty() && next.is_none());
         assert_eq!(chunk.next_doc_id, 0);
@@ -1433,7 +1405,7 @@ mod tests {
         // Sparse ids (gaps from deletes): the token is a doc-id lower
         // bound, so chunks resume at the right document even though
         // positions and ids no longer coincide.
-        let mut st = ShardedTable::from_table(table(10), 3);
+        let mut st = ShardedTable::from_arena(&table(10).into(), 3);
         st.delete(&BTreeSet::from([0, 1, 2, 5])); // survivors: 3, 4, 6, 7, 8, 9
         let (chunk, next) = st.fetch_chunk(0, 1); // one doc per chunk
         assert_eq!(chunk.docs[0].0, 3);
@@ -1463,7 +1435,7 @@ mod tests {
     #[test]
     fn store_fetch_chunk_matches_fetch_all() {
         let store = TableStore::new(3);
-        store.create("t", table(40)).unwrap();
+        store.create("t", table(40).into()).unwrap();
         let whole = store.fetch_all("t").unwrap();
         let mut docs = Vec::new();
         let mut token = 0u64;
@@ -1481,7 +1453,7 @@ mod tests {
 
     #[test]
     fn append_lands_in_last_shard_and_preserves_order() {
-        let mut st = ShardedTable::from_table(table(4), 2);
+        let mut st = ShardedTable::from_arena(&table(4).into(), 2);
         st.push(4, vec![CipherWord(vec![9; 13])]);
         assert_eq!(st.shard_sizes(), vec![2, 3]);
         let flat = st.to_table();
@@ -1494,7 +1466,7 @@ mod tests {
         // Start empty (the encrypted_sql example's flow) and append
         // many docs: without rebalancing they would all pile into the
         // last shard and the parallel scan would degenerate.
-        let mut st = ShardedTable::from_table(table(0), 4);
+        let mut st = ShardedTable::from_arena(&table(0).into(), 4);
         for i in 0..1000u64 {
             st.push(i, vec![CipherWord(vec![i as u8; 13])]);
         }
@@ -1517,7 +1489,7 @@ mod tests {
 
     #[test]
     fn delete_returns_each_id_once_in_doc_order() {
-        let mut st = ShardedTable::from_table(table(6), 3);
+        let mut st = ShardedTable::from_arena(&table(6).into(), 3);
         let removed = st.delete(&[4, 1, 1, 99].iter().copied().collect());
         assert_eq!(removed, vec![1, 4]);
         assert_eq!(st.to_table().doc_ids(), vec![0, 2, 3, 5]);
@@ -1528,7 +1500,7 @@ mod tests {
         // Delete (almost) the whole first shard of a 4×100 layout: the
         // hollowed shard must trigger a repartition so no worker goes
         // idle on subsequent scans.
-        let mut st = ShardedTable::from_table(table(400), 4);
+        let mut st = ShardedTable::from_arena(&table(400).into(), 4);
         assert_eq!(st.shard_sizes(), vec![100, 100, 100, 100]);
         let victims: BTreeSet<u64> = (0..95u64).collect();
         let removed = st.delete(&victims);
@@ -1548,7 +1520,7 @@ mod tests {
     #[test]
     fn delete_below_rebalance_floor_leaves_partition_alone() {
         // Tiny tables must not thrash: no repartition under the floor.
-        let mut st = ShardedTable::from_table(table(12), 3);
+        let mut st = ShardedTable::from_arena(&table(12).into(), 3);
         st.delete(&(0..4u64).collect());
         assert_eq!(st.shard_sizes(), vec![0, 4, 4]);
         assert_eq!(st.to_table().doc_ids(), (4..12).collect::<Vec<u64>>());
@@ -1561,10 +1533,10 @@ mod tests {
         // flat reference; the sharded layouts must agree with it and
         // stay balanced.
         let word = |i: u64| vec![CipherWord(vec![(i % 251) as u8; 13])];
-        let mut flat = ShardedTable::from_table(table(0), 1);
+        let mut flat = ShardedTable::from_arena(&table(0).into(), 1);
         let mut sharded: Vec<ShardedTable> = [2, 4, 7]
             .iter()
-            .map(|&s| ShardedTable::from_table(table(0), s))
+            .map(|&s| ShardedTable::from_arena(&table(0).into(), s))
             .collect();
         let mut next = 0u64;
         for round in 0..30u64 {
@@ -1622,8 +1594,8 @@ mod tests {
     #[test]
     fn store_rejects_duplicates_stale_ids_and_unknown_names() {
         let store = TableStore::new(2);
-        store.create("t", table(3)).unwrap();
-        assert!(store.create("t", table(3)).is_err());
+        store.create("t", table(3).into()).unwrap();
+        assert!(store.create("t", table(3).into()).is_err());
         assert!(store.fetch_all("nope").is_err());
         assert!(store.drop_table("nope").is_err());
         // Stale id anywhere in a batch rejects the whole batch.
@@ -1638,7 +1610,7 @@ mod tests {
     #[test]
     fn batch_append_is_atomic() {
         let store = TableStore::new(2);
-        store.create("t", table(2)).unwrap();
+        store.create("t", table(2).into()).unwrap();
         let bad = vec![
             (2, vec![CipherWord(vec![1; 13])]),
             (1, vec![CipherWord(vec![2; 13])]), // stale
@@ -1719,7 +1691,7 @@ mod tests {
         // plumbing: length-mismatched trapdoors never match and the
         // empty conjunction matches everything, which is enough to
         // check assembly order, arity, and memo reuse.
-        let st = ShardedTable::from_table(table(100), 4);
+        let st = ShardedTable::from_arena(&table(100).into(), 4);
         let pool = Executor::new(3);
         let queries = [vec![], vec![byte_term(0, 7)], vec![]];
         let views: Vec<&[_]> = queries.iter().map(Vec::as_slice).collect();
@@ -1739,7 +1711,7 @@ mod tests {
 
     #[test]
     fn empty_batch_yields_no_tables() {
-        let st = ShardedTable::from_table(table(10), 2);
+        let st = ShardedTable::from_arena(&table(10).into(), 2);
         let pool = Executor::new(2);
         let out = st.scan_batch_on(&pool, &[], &Counter::default());
         assert!(out.is_empty());
@@ -1748,7 +1720,7 @@ mod tests {
     #[test]
     fn store_query_batch_preserves_query_order() {
         let store = TableStore::with_pool(3, Arc::new(Executor::new(4)));
-        store.create("t", table(50)).unwrap();
+        store.create("t", table(50).into()).unwrap();
         let queries: Vec<Vec<WireTrapdoor>> =
             vec![vec![], vec![byte_term(0, 1)], vec![], vec![byte_term(0, 2)]];
         let scanned = store.query_batch("t", &queries).unwrap();
@@ -1777,18 +1749,54 @@ mod tests {
     }
 
     #[test]
+    fn racing_creates_of_one_name_store_exactly_the_winner() {
+        // Shards are cut before the store lock, so two uploads of one
+        // name race to the name check: one is stored, whole, and the
+        // other is refused.
+        for _ in 0..20 {
+            let store = Arc::new(TableStore::new(2));
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let uploads = [table(300), table(7)];
+            let racers: Vec<_> = uploads
+                .iter()
+                .map(|upload| {
+                    let (store, start, upload) =
+                        (Arc::clone(&store), Arc::clone(&start), upload.clone());
+                    std::thread::spawn(move || {
+                        start.wait();
+                        store.create("t", upload.into())
+                    })
+                })
+                .collect();
+            let results: Vec<_> = racers.into_iter().map(|r| r.join().unwrap()).collect();
+            let winner = results
+                .iter()
+                .position(Result::is_ok)
+                .expect("one create wins");
+            let loser = &results[1 - winner];
+            assert_eq!(
+                loser.as_ref().unwrap_err().to_string(),
+                "protocol error: table exists: t"
+            );
+            assert_eq!(store.fetch_all("t").unwrap(), uploads[winner]);
+        }
+    }
+
+    #[test]
     fn upload_ids_must_rise_strictly_below_next_doc_id() {
         let store = TableStore::new(2);
         let word = |b: u8| vec![CipherWord(vec![b; 13])];
-        let upload = |docs: Vec<Doc>, next_doc_id: u64| EncryptedTable {
-            params: SwpParams::new(13, 4, 32).unwrap(),
-            docs,
-            next_doc_id,
+        let upload = |docs: Vec<Doc>, next_doc_id: u64| {
+            ColumnarTable::from(EncryptedTable {
+                params: SwpParams::new(13, 4, 32).unwrap(),
+                docs,
+                next_doc_id,
+            })
         };
         let mut reversed = table(5);
         reversed.docs.reverse();
         let refused = [
-            ("reversed", reversed),
+            ("reversed", reversed.into()),
             (
                 "duplicate id",
                 upload(vec![(0, word(1)), (3, word(2)), (3, word(3))], 4),

@@ -54,6 +54,7 @@ use dbph_swp::{
     matches, CipherWord, FinalScheme, Location, SearchableScheme, SwpParams, TrapdoorData,
 };
 
+use crate::arena::WordArena;
 use crate::encoding::WordCodec;
 use crate::error::PhError;
 use crate::executor::Executor;
@@ -136,6 +137,45 @@ impl EncryptedTable {
             .iter()
             .map(|(_, words)| words.iter().map(|w| w.0.len()).sum::<usize>())
             .sum()
+    }
+}
+
+/// An encrypted table in the shape Eve stores it: the documents of an
+/// [`EncryptedTable`] held in one [`WordArena`] (a contiguous slot
+/// buffer, per-document offsets and ids, and a verbatim side list for
+/// irregular words) instead of one boxed [`CipherWord`] per word.
+/// Uploads travel in this shape: Alex's encryption lanes write it
+/// ([`SwpPh::encrypt_columnar`]), [`crate::protocol::ClientMessage::CreateTable`]
+/// carries it, and Eve cuts her shards from it. Its wire bytes are
+/// exactly those of the equal [`EncryptedTable`], and `From` converts
+/// either way.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnarTable {
+    /// SWP parameters; `docs` has their `word_len` as slot width.
+    pub params: SwpParams,
+    /// The documents, in table order.
+    pub docs: WordArena,
+    /// Next fresh document id.
+    pub next_doc_id: u64,
+}
+
+impl From<EncryptedTable> for ColumnarTable {
+    fn from(table: EncryptedTable) -> Self {
+        ColumnarTable {
+            params: table.params,
+            docs: WordArena::from_docs(table.params.word_len, table.docs),
+            next_doc_id: table.next_doc_id,
+        }
+    }
+}
+
+impl From<ColumnarTable> for EncryptedTable {
+    fn from(table: ColumnarTable) -> Self {
+        EncryptedTable {
+            params: table.params,
+            docs: table.docs.to_docs(),
+            next_doc_id: table.next_doc_id,
+        }
     }
 }
 
@@ -334,39 +374,49 @@ impl<S: SearchableScheme> SwpPh<S> {
         Ok(out)
     }
 
+    /// Encrypts `relation` as a fresh table image, documents `0..n` —
+    /// the upload [`crate::Client::outsource`] sends as it stands.
+    ///
+    /// # Errors
+    /// Fails on schema mismatch or encoding errors.
+    pub fn encrypt_columnar(&self, relation: &Relation) -> Result<ColumnarTable, PhError> {
+        self.check_schema(relation)?;
+        Ok(ColumnarTable {
+            params: *self.scheme.params(),
+            docs: self.encrypt_rows(0, relation.tuples())?,
+            next_doc_id: relation.len() as u64,
+        })
+    }
+
     /// Encrypts `tuples` as documents `first_doc_id`,
     /// `first_doc_id + 1`, …: each is validated against the schema,
     /// encoded, and encrypted through
     /// [`SearchableScheme::encrypt_documents`]. This is the one
-    /// row-encryption path: `encrypt_table`, `append_tuple`,
-    /// `Client::insert` and `Client::insert_many` (so `rekey`) all
-    /// take it. At [`PARALLEL_ENCRYPT_ROWS`] rows or more
+    /// row-encryption path: `encrypt_columnar` (so `encrypt_table`),
+    /// `append_tuple`, `Client::insert` and `Client::insert_many` (so
+    /// `rekey`) all take it. At [`PARALLEL_ENCRYPT_ROWS`] rows or more
     /// the rows are split over the client pool. The error, if any, is
     /// the first failing row's.
     ///
+    /// The lanes' flat output, gathered on the calling thread (so its
+    /// pages live in that thread's malloc arena, not a worker's),
+    /// becomes the arena's slot buffer as it stands: no cipher word is
+    /// allocated on its own. Callers that need boxed documents convert
+    /// with [`WordArena::to_docs`].
+    ///
     /// # Errors
     /// Fails on schema or encoding errors.
-    pub fn encrypt_rows(
-        &self,
-        first_doc_id: u64,
-        tuples: &[Tuple],
-    ) -> Result<Vec<(u64, Vec<CipherWord>)>, PhError> {
+    pub fn encrypt_rows(&self, first_doc_id: u64, tuples: &[Tuple]) -> Result<WordArena, PhError> {
         let flat = self.fan_out(tuples, PARALLEL_ENCRYPT_ROWS, move |ph, offset, rows| {
             ph.encrypt_serial(first_doc_id + offset as u64, rows)
         })?;
-        // The cipher words are allocated here, on the calling thread:
-        // allocated by a worker, they would live in its malloc arena,
-        // which keeps their pages after they are freed.
-        let width = self.scheme.params().word_len;
-        let row = width * self.codec.schema().arity();
-        Ok(flat
-            .chunks_exact(row)
-            .zip(first_doc_id..)
-            .map(|(words, doc_id)| {
-                let words = words.chunks_exact(width).map(|w| CipherWord(w.to_vec()));
-                (doc_id, words.collect())
-            })
-            .collect())
+        let doc_ids = (first_doc_id..).take(tuples.len()).collect();
+        Ok(WordArena::from_rows(
+            self.scheme.params().word_len,
+            self.codec.schema().arity(),
+            doc_ids,
+            flat,
+        ))
     }
 
     /// [`Self::encrypt_rows`] on the calling thread, as flat cipher
@@ -435,12 +485,7 @@ impl<S: SearchableScheme> DatabasePh for SwpPh<S> {
     }
 
     fn encrypt_table(&self, relation: &Relation) -> Result<EncryptedTable, PhError> {
-        self.check_schema(relation)?;
-        Ok(EncryptedTable {
-            params: *self.scheme.params(),
-            docs: self.encrypt_rows(0, relation.tuples())?,
-            next_doc_id: relation.len() as u64,
-        })
+        self.encrypt_columnar(relation).map(EncryptedTable::from)
     }
 
     fn decrypt_table(&self, ciphertext: &EncryptedTable) -> Result<Relation, PhError> {
@@ -504,7 +549,7 @@ impl<S: SearchableScheme> IncrementalPh for SwpPh<S> {
         tuple: &dbph_relation::Tuple,
     ) -> Result<(), PhError> {
         let doc = self.encrypt_rows(table.next_doc_id, std::slice::from_ref(tuple))?;
-        table.docs.extend(doc);
+        table.docs.extend(doc.to_docs());
         table.next_doc_id += 1;
         Ok(())
     }

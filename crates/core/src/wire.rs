@@ -13,7 +13,9 @@
 //! sizes independent of the values they carry, which matters when the
 //! bytes are adversary-visible.
 
+use crate::arena::WordArena;
 use crate::error::PhError;
+use crate::swp_ph::ColumnarTable;
 
 /// Serializes a value into a byte buffer.
 pub trait WireEncode {
@@ -192,13 +194,7 @@ impl<T: WireEncode> WireEncode for Vec<T> {
 
 impl<T: WireDecode> WireDecode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, PhError> {
-        let len = usize::decode(r)?;
-        // Guard against length bombs: each element needs ≥ 1 byte.
-        if len > r.remaining() {
-            return Err(PhError::Wire(format!(
-                "length {len} exceeds remaining input"
-            )));
-        }
+        let len = bounded_len(r)?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode(r)?);
@@ -259,6 +255,55 @@ pub fn encoded_doc_len(word_lens: impl Iterator<Item = usize>) -> u64 {
     16 + word_lens.map(|len| 8 + len as u64).sum::<u64>()
 }
 
+/// Appends document `i` of `arena` as one element of a wire document
+/// list: the bytes the boxed `(u64, Vec<CipherWord>)` encoder writes
+/// for the same document. With [`decode_docs_into`] it is the one
+/// codec between arenas and document lists; `CreateTable` and the
+/// durable log's snapshot chunks both use it.
+pub(crate) fn encode_arena_doc(arena: &WordArena, i: usize, buf: &mut Vec<u8>) {
+    arena.doc_id(i).encode(buf);
+    let range = arena.word_range(i);
+    range.len().encode(buf);
+    for w in range {
+        let word = arena.word(w);
+        word.len().encode(buf);
+        buf.extend_from_slice(word);
+    }
+}
+
+/// Decodes a wire document list (`Vec<(u64, Vec<CipherWord>)>`)
+/// straight into `arena`: word bytes go from the frame into the
+/// columnar slots without a boxed document in between. It refuses
+/// what the boxed decoder refuses, with the same messages.
+pub(crate) fn decode_docs_into(r: &mut Reader<'_>, arena: &mut WordArena) -> Result<(), PhError> {
+    let count = bounded_len(r)?;
+    // A document takes at least 16 bytes (id and word count), so a
+    // hostile count reserves no more than the frame could fill.
+    arena.reserve(count.min(r.remaining() / 16), r.remaining());
+    for _ in 0..count {
+        let doc_id = u64::decode(r)?;
+        for _ in 0..bounded_len(r)? {
+            let len = bounded_len(r)?;
+            arena.push_word(r.take(len)?);
+        }
+        arena.seal_doc(doc_id);
+    }
+    Ok(())
+}
+
+/// A `Vec` length prefix, refused when it exceeds the bytes that
+/// remain: a guard against length bombs, since each element needs at
+/// least one byte.
+fn bounded_len(r: &mut Reader<'_>) -> Result<usize, PhError> {
+    let len = usize::decode(r)?;
+    if len > r.remaining() {
+        return Err(PhError::Wire(format!(
+            "length {len} exceeds remaining input"
+        )));
+    }
+    Ok(len)
+}
+
 // --- domain impls ----------------------------------------------------------
 
 impl WireEncode for dbph_swp::SwpParams {
@@ -303,6 +348,32 @@ impl WireDecode for crate::swp_ph::EncryptedTable {
         Ok(crate::swp_ph::EncryptedTable {
             params: dbph_swp::SwpParams::decode(r)?,
             docs: Vec::decode(r)?,
+            next_doc_id: u64::decode(r)?,
+        })
+    }
+}
+
+impl WireEncode for ColumnarTable {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let docs = &self.docs;
+        buf.reserve(40 + 16 * docs.len() + 8 * docs.word_count() + docs.ciphertext_bytes());
+        self.params.encode(buf);
+        docs.len().encode(buf);
+        for i in 0..docs.len() {
+            encode_arena_doc(docs, i, buf);
+        }
+        self.next_doc_id.encode(buf);
+    }
+}
+
+impl WireDecode for ColumnarTable {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PhError> {
+        let params = dbph_swp::SwpParams::decode(r)?;
+        let mut docs = WordArena::new(params.word_len);
+        decode_docs_into(r, &mut docs)?;
+        Ok(ColumnarTable {
+            params,
+            docs,
             next_doc_id: u64::decode(r)?,
         })
     }

@@ -123,7 +123,7 @@ pub fn run_mix(rows: usize, queries: usize, seed: u64) -> AttributeReport {
     };
     send(ClientMessage::CreateTable {
         name: "Emp".into(),
-        table: table.clone(),
+        table: table.clone().into(),
     });
 
     let mut rng = DeterministicRng::from_seed(seed).child("attribute-mix");
@@ -218,7 +218,7 @@ mod tests {
             let _ = server.handle(
                 &ClientMessage::CreateTable {
                     name: "Emp".into(),
-                    table: table.clone(),
+                    table: table.clone().into(),
                 }
                 .to_wire(),
             );

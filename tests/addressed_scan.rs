@@ -53,7 +53,7 @@ fn upload(server: &Server, name: &str, table: &EncryptedTable) {
         server,
         &ClientMessage::CreateTable {
             name: name.into(),
-            table: table.clone(),
+            table: table.clone().into(),
         },
     );
     assert_eq!(resp, ServerResponse::Ok);

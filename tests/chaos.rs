@@ -56,7 +56,7 @@ fn empty_table() -> dbph::core::EncryptedTable {
 fn create_msg(name: &str) -> ClientMessage {
     ClientMessage::CreateTable {
         name: name.into(),
-        table: empty_table(),
+        table: empty_table().into(),
     }
 }
 

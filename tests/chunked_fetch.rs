@@ -90,7 +90,7 @@ fn chunk_stream_fits_capped_frames_where_fetch_all_cannot() {
     let server = Server::with_shards(3);
     let create = ClientMessage::CreateTable {
         name: "big".into(),
-        table: big_table(),
+        table: big_table().into(),
     }
     .to_wire();
     assert_eq!(
@@ -130,7 +130,7 @@ fn chunk_stream_fits_capped_frames_where_fetch_all_cannot() {
 fn chunk_stream_is_transport_invariant() {
     let create = ClientMessage::CreateTable {
         name: "big".into(),
-        table: big_table(),
+        table: big_table().into(),
     }
     .to_wire();
 
@@ -162,7 +162,7 @@ fn doc_id_tokens_are_cut_consistent_under_churn() {
     let server = Server::with_shards(3);
     let create = ClientMessage::CreateTable {
         name: "churn".into(),
-        table: big_table(),
+        table: big_table().into(),
     }
     .to_wire();
     assert_eq!(
@@ -252,7 +252,7 @@ proptest! {
         let table = EncryptedTable { params, docs, next_doc_id: n };
 
         let server = Server::with_shards(3);
-        let create = ClientMessage::CreateTable { name: "t".into(), table: table.clone() }.to_wire();
+        let create = ClientMessage::CreateTable { name: "t".into(), table: table.clone().into() }.to_wire();
         prop_assert_eq!(
             ServerResponse::from_wire(&server.handle(&create)).unwrap(),
             ServerResponse::Ok
@@ -322,7 +322,7 @@ proptest! {
         let table = EncryptedTable { params, docs, next_doc_id: n };
         let server = Server::with_shards(2);
         let create =
-            ClientMessage::CreateTable { name: "c".into(), table: table.clone() }.to_wire();
+            ClientMessage::CreateTable { name: "c".into(), table: table.clone().into() }.to_wire();
         prop_assert_eq!(
             ServerResponse::from_wire(&server.handle(&create)).unwrap(),
             ServerResponse::Ok

@@ -67,12 +67,12 @@ fn session_messages() -> Vec<Vec<u8>> {
     vec![
         ClientMessage::CreateTable {
             name: "t1".into(),
-            table: table(8),
+            table: table(8).into(),
         }
         .to_wire(),
         ClientMessage::CreateTable {
             name: "t2".into(),
-            table: table(0),
+            table: table(0).into(),
         }
         .to_wire(),
         ClientMessage::Append {
@@ -342,7 +342,7 @@ fn lower_mutations(ops: &[MutOp]) -> Vec<Vec<u8>> {
                     msgs.push(
                         ClientMessage::CreateTable {
                             name: names[t].into(),
-                            table: table(n),
+                            table: table(n).into(),
                         }
                         .to_wire(),
                     );
@@ -596,7 +596,7 @@ proptest! {
         let resp = recovered.handle(
             &ClientMessage::CreateTable {
                 name: "c".into(),
-                table: table(2),
+                table: table(2).into(),
             }
             .to_wire(),
         );
@@ -654,7 +654,7 @@ fn compacted_store_survives_restart_identically() {
     let phase1 = [
         ClientMessage::CreateTable {
             name: "t1".into(),
-            table: table(20),
+            table: table(20).into(),
         }
         .to_wire(),
         ClientMessage::DeleteDocs {
@@ -676,7 +676,7 @@ fn compacted_store_survives_restart_identically() {
         .to_wire(),
         ClientMessage::CreateTable {
             name: "t2".into(),
-            table: table(3),
+            table: table(3).into(),
         }
         .to_wire(),
     ];
@@ -761,11 +761,11 @@ fn segment_and_manifest_bytes_are_pinned() {
     let phase1 = vec![
         ClientMessage::CreateTable {
             name: "emp".into(),
-            table: emp,
+            table: emp.into(),
         },
         ClientMessage::CreateTable {
             name: "aux".into(),
-            table: table(2),
+            table: table(2).into(),
         },
         append(6),
         tagged(1, append(7)),
@@ -874,7 +874,7 @@ fn a_tagged_mutation_that_triggers_compaction_replays_after_restart() {
     let created = server.handle(
         &ClientMessage::CreateTable {
             name: "t".into(),
-            table: table(10),
+            table: table(10).into(),
         }
         .to_wire(),
     );

@@ -100,7 +100,7 @@ fn batch_responses_stay_in_wire_order_under_pooled_execution() {
             server.handle(
                 &ClientMessage::CreateTable {
                     name: "Emp".into(),
-                    table: table.clone(),
+                    table: table.clone().into(),
                 }
                 .to_wire(),
             ),

@@ -79,7 +79,7 @@ fn candidates(
     let _ = server.handle(
         &ClientMessage::CreateTable {
             name: "Emp".into(),
-            table: table.clone(),
+            table: table.clone().into(),
         }
         .to_wire(),
     );

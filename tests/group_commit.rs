@@ -44,7 +44,7 @@ fn empty_table() -> dbph::core::EncryptedTable {
 fn create_msg(name: &str) -> Vec<u8> {
     ClientMessage::CreateTable {
         name: name.into(),
-        table: empty_table(),
+        table: empty_table().into(),
     }
     .to_wire()
 }

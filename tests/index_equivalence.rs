@@ -76,7 +76,7 @@ fn drive_churn_session(server: &Server, relation: &Relation, queries: &[Query]) 
 
     send(ClientMessage::CreateTable {
         name: "Emp".into(),
-        table,
+        table: table.into(),
     });
     // Round 1: warms one posting per distinct term when the index is on.
     for query in queries {
@@ -231,7 +231,7 @@ fn error_paths_match_with_index_on() {
     let msgs = [
         ClientMessage::CreateTable {
             name: "Emp".into(),
-            table: reversed_upload(&scheme, 60),
+            table: reversed_upload(&scheme, 60).into(),
         }
         .to_wire(),
         ClientMessage::Query {
@@ -292,7 +292,7 @@ fn reversed_upload_is_refused_so_both_plans_answer_alike() {
     let create = |table: dbph::core::EncryptedTable| {
         ClientMessage::CreateTable {
             name: "Emp".into(),
-            table,
+            table: table.into(),
         }
         .to_wire()
     };
@@ -358,7 +358,7 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
         let _ = server.handle(
             &ClientMessage::CreateTable {
                 name: "Emp".into(),
-                table,
+                table: table.into(),
             }
             .to_wire(),
         );
@@ -423,7 +423,7 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
     let _ = reference.handle(
         &ClientMessage::CreateTable {
             name: "Emp".into(),
-            table,
+            table: table.into(),
         }
         .to_wire(),
     );
@@ -485,7 +485,7 @@ fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
     let create = |table: &dbph::core::EncryptedTable| {
         ClientMessage::CreateTable {
             name: "Emp".into(),
-            table: table.clone(),
+            table: table.clone().into(),
         }
         .to_wire()
     };
@@ -535,7 +535,7 @@ fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_o
     .generate(9);
     let create = ClientMessage::CreateTable {
         name: "Emp".into(),
-        table: scheme.encrypt_table(&relation).unwrap(),
+        table: scheme.encrypt_table(&relation).unwrap().into(),
     }
     .to_wire();
     let delete = ClientMessage::DeleteDocs {
@@ -629,7 +629,7 @@ proptest! {
             let mut responses = Vec::new();
             let mut send =
                 |msg: ClientMessage| responses.push(server.handle(&msg.to_wire()));
-            send(ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone() });
+            send(ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone().into() });
             for &p in &picks {
                 send(ClientMessage::Query {
                     name: "Rnd".into(),

@@ -59,7 +59,7 @@ fn empty_table() -> dbph::core::EncryptedTable {
 fn create_msg(name: &str) -> Vec<u8> {
     ClientMessage::CreateTable {
         name: name.into(),
-        table: empty_table(),
+        table: empty_table().into(),
     }
     .to_wire()
 }
@@ -161,7 +161,7 @@ fn a_peer_that_stops_reading_is_reaped() {
     };
     let create = ClientMessage::CreateTable {
         name: "wide".into(),
-        table,
+        table: table.into(),
     }
     .to_wire();
     assert!(is_ok(&server.handle(&create)));

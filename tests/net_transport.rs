@@ -84,7 +84,7 @@ fn workload_messages(relation: &Relation) -> Vec<Vec<u8>> {
     msgs.push(
         ClientMessage::CreateTable {
             name: "Emp".into(),
-            table,
+            table: table.into(),
         }
         .to_wire(),
     );
@@ -311,7 +311,7 @@ fn stress_eight_sessions_over_two_connections() {
                 let docs = i + 1;
                 let create = ClientMessage::CreateTable {
                     name: format!("t{i}"),
-                    table: tiny_table(docs),
+                    table: tiny_table(docs).into(),
                 }
                 .to_wire();
                 let resp = pool.call(&create).unwrap();
@@ -455,7 +455,7 @@ fn lower_ops(relation: &Relation, ops: &[SessionOp]) -> Vec<Vec<u8>> {
 
     let mut msgs = vec![ClientMessage::CreateTable {
         name: "Emp".into(),
-        table,
+        table: table.into(),
     }
     .to_wire()];
     for op in ops {

@@ -468,7 +468,7 @@ proptest! {
         };
         let server = Server::new();
         let _ = server.handle(
-            &ClientMessage::CreateTable { name: "t".into(), table: table.clone() }.to_wire(),
+            &ClientMessage::CreateTable { name: "t".into(), table: table.clone().into() }.to_wire(),
         );
 
         // Monolithic: refused by the capped frame writer outright.

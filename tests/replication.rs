@@ -53,7 +53,7 @@ fn empty_table() -> dbph::core::EncryptedTable {
 fn create_msg(name: &str) -> ClientMessage {
     ClientMessage::CreateTable {
         name: name.into(),
-        table: empty_table(),
+        table: empty_table().into(),
     }
 }
 
@@ -211,7 +211,7 @@ fn bootstrap_after_recreate_and_post_compaction_deletes_matches_the_primary() {
     let create = |name: &str, table: dbph::core::EncryptedTable| {
         ClientMessage::CreateTable {
             name: name.into(),
-            table,
+            table: table.into(),
         }
         .to_wire()
     };

@@ -58,7 +58,7 @@ fn session_requests(i: usize) -> Vec<Vec<u8>> {
     vec![
         ClientMessage::CreateTable {
             name: name.clone(),
-            table: table(2),
+            table: table(2).into(),
         }
         .to_wire(),
         ClientMessage::Append {
@@ -91,7 +91,7 @@ fn hundreds_of_concurrent_sessions_pipeline_in_order() {
     let server = Server::with_pool(SHARDS, 2);
     let shared = ClientMessage::CreateTable {
         name: "shared".into(),
-        table: table(5),
+        table: table(5).into(),
     }
     .to_wire();
     let _ = server.handle(&shared);
@@ -180,7 +180,7 @@ fn a_slow_scan_session_does_not_delay_another_session() {
     let _ = server.handle(
         &ClientMessage::CreateTable {
             name: "wide".into(),
-            table: table(20_000),
+            table: table(20_000).into(),
         }
         .to_wire(),
     );
@@ -261,7 +261,7 @@ fn matrix_session() -> Vec<Vec<u8>> {
     vec![
         ClientMessage::CreateTable {
             name: "m".into(),
-            table: table(6),
+            table: table(6).into(),
         }
         .to_wire(),
         ClientMessage::AppendBatch {

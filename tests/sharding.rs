@@ -63,7 +63,7 @@ fn drive_session(server: &Server, relation: &Relation, queries: &[Query]) -> Vec
     };
     send(ClientMessage::CreateTable {
         name: "Emp".into(),
-        table,
+        table: table.into(),
     });
     for query in queries {
         let qct = scheme.encrypt_query(query).unwrap();
@@ -147,7 +147,7 @@ fn sharded_scan_equals_reference_execute_query() {
             let server = Server::with_shards(shards);
             let create = ClientMessage::CreateTable {
                 name: "Emp".into(),
-                table: table.clone(),
+                table: table.clone().into(),
             };
             let _ = server.handle(&create.to_wire());
             let resp = server.handle(
@@ -233,7 +233,7 @@ fn drive_batch_session(server: &Server, relation: &Relation) -> Vec<Vec<u8>> {
     let mut send = |msg: ClientMessage| responses.push(server.handle(&msg.to_wire()));
     send(ClientMessage::CreateTable {
         name: "Emp".into(),
-        table,
+        table: table.into(),
     });
     // Batch 1: duplicate terms across (and within) queries, plus an
     // always-empty result and an empty conjunction.
@@ -340,7 +340,7 @@ fn batch_results_match_reference_execute_query_per_query() {
         let _ = server.handle(
             &ClientMessage::CreateTable {
                 name: "Emp".into(),
-                table: table.clone(),
+                table: table.clone().into(),
             }
             .to_wire(),
         );
@@ -422,7 +422,7 @@ proptest! {
             let server = Server::with_pool(3, workers);
             let responses = vec![
                 server.handle(
-                    &ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone() }
+                    &ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone().into() }
                         .to_wire(),
                 ),
                 server.handle(
@@ -483,7 +483,7 @@ proptest! {
             for shards in [1usize, 3, 8] {
                 let server = Server::with_shards(shards);
                 let _ = server.handle(
-                    &ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone() }
+                    &ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone().into() }
                         .to_wire(),
                 );
                 let resp = server.handle(

@@ -76,7 +76,7 @@ fn workload_messages() -> Vec<Vec<u8>> {
     msgs.push(
         ClientMessage::CreateTable {
             name: "Emp".into(),
-            table,
+            table: table.into(),
         }
         .to_wire(),
     );
@@ -272,7 +272,7 @@ fn dedup_counters_classify_fresh_replayed_and_stale_envelopes() {
         .unwrap();
     let create = ClientMessage::CreateTable {
         name: "Emp".into(),
-        table,
+        table: table.into(),
     };
     let enveloped = create.clone().tagged(9, 1).to_wire();
     let first = server.handle(&enveloped);
@@ -307,7 +307,7 @@ fn query_plan_and_index_counters_move() {
             &server.handle(
                 &ClientMessage::CreateTable {
                     name: "Emp".into(),
-                    table
+                    table: table.into()
                 }
                 .to_wire()
             )
@@ -366,7 +366,7 @@ fn scan_checks_count_one_check_per_row() {
     let _ = server.handle(
         &ClientMessage::CreateTable {
             name: "Emp".into(),
-            table,
+            table: table.into(),
         }
         .to_wire(),
     );
@@ -425,7 +425,7 @@ fn durable_ingest_moves_fsync_and_commit_metrics() {
     let _ = server.handle(
         &ClientMessage::CreateTable {
             name: "Emp".into(),
-            table,
+            table: table.into(),
         }
         .to_wire(),
     );
@@ -465,7 +465,7 @@ fn follower_resync_and_chunk_counters_move() {
         .unwrap();
     let create = ClientMessage::CreateTable {
         name: "Emp".into(),
-        table,
+        table: table.into(),
     }
     .to_wire();
     assert!(!matches!(
