@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dbph_core::protocol::ClientMessage;
 use dbph_core::wire::WireEncode;
-use dbph_core::{DatabasePh, FinalSwpPh, Server, WordCodec};
+use dbph_core::{DatabasePh, FinalSwpPh, Server, ServerConfig, WordCodec};
 use dbph_crypto::SecretKey;
 use dbph_relation::Query;
 use dbph_swp::SwpParams;
@@ -82,7 +82,14 @@ fn bench_sharded_scan(c: &mut Criterion) {
         .to_wire();
 
         for shards in [1usize, 4, 8] {
-            let server = Server::with_shards(shards);
+            let server = Server::open(
+                &ServerConfig {
+                    shards,
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             let create = ClientMessage::CreateTable {
                 name: "Emp".into(),
                 table: ct.clone().into(),

@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use dbph_core::protocol::WireTrapdoor;
-use dbph_core::{DatabasePh, FinalSwpPh, TableStore};
+use dbph_core::{DatabasePh, Executor, FinalSwpPh, TableStore};
 use dbph_crypto::SecretKey;
 use dbph_relation::Query;
 use dbph_workload::EmployeeGen;
@@ -40,9 +40,9 @@ fn bench_index_scan(c: &mut Criterion) {
     .generate(11);
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([23u8; 32])).unwrap();
     let table = ph.encrypt_table(&relation).unwrap();
-    let scan_store = TableStore::new(SHARDS);
+    let scan_store = TableStore::new(SHARDS, Executor::global());
     scan_store.create("Emp", table.clone().into()).unwrap();
-    let index_store = TableStore::new(SHARDS);
+    let index_store = TableStore::new(SHARDS, Executor::global());
     index_store.create("Emp", table.into()).unwrap();
     index_store.enable_index();
     // One query through the store's one query path; the store's index

@@ -24,7 +24,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use dbph_core::protocol::{ClientMessage, ServerResponse};
 use dbph_core::wire::{WireDecode as _, WireEncode as _};
-use dbph_core::{DatabasePh, FinalSwpPh, Server, TempDir};
+use dbph_core::{DatabasePh, FinalSwpPh, Server, ServerConfig, TempDir};
 use dbph_crypto::SecretKey;
 use dbph_workload::EmployeeGen;
 
@@ -139,7 +139,7 @@ fn bench_persist(c: &mut Criterion) {
     group.throughput(Throughput::Elements(ROWS as u64));
     group.bench_function("in_memory", |b| {
         b.iter(|| {
-            let server = Server::new();
+            let server = Server::open(&ServerConfig::default(), None).unwrap();
             drive(&server, &messages);
             server
         });
@@ -147,7 +147,7 @@ fn bench_persist(c: &mut Criterion) {
     group.bench_function("durable", |b| {
         b.iter(|| {
             let tmp = TempDir::new("bench-ingest").unwrap();
-            let server = Server::open_durable(tmp.path(), 1).unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             drive(&server, &messages);
             (server, tmp)
         });
@@ -160,12 +160,12 @@ fn bench_persist(c: &mut Criterion) {
     let (churn, live_rows) = churn_messages();
     let log_dir = TempDir::new("bench-recover-log").unwrap();
     {
-        let server = Server::open_durable(log_dir.path(), 1).unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(log_dir.path())).unwrap();
         drive(&server, &churn);
     }
     let snap_dir = TempDir::new("bench-recover-snap").unwrap();
     {
-        let server = Server::open_durable(snap_dir.path(), 1).unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(snap_dir.path())).unwrap();
         drive(&server, &churn);
         server.compact().unwrap();
     }
@@ -174,14 +174,14 @@ fn bench_persist(c: &mut Criterion) {
     group.throughput(Throughput::Elements(live_rows as u64));
     group.bench_function("from_log", |b| {
         b.iter(|| {
-            let server = Server::open_durable(log_dir.path(), 1).unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(log_dir.path())).unwrap();
             expect_rows(&server, live_rows);
             server
         });
     });
     group.bench_function("from_snapshot", |b| {
         b.iter(|| {
-            let server = Server::open_durable(snap_dir.path(), 1).unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(snap_dir.path())).unwrap();
             expect_rows(&server, live_rows);
             server
         });

@@ -27,7 +27,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use dbph_core::protocol::{ClientMessage, ServerResponse};
 use dbph_core::wire::{WireDecode as _, WireEncode as _};
-use dbph_core::{DurableOptions, Replica, ReplicaOptions, ReplicationOptions, Server, TempDir};
+use dbph_core::{Replica, ReplicaOptions, ReplicationOptions, Server, ServerConfig, TempDir};
 use dbph_swp::{CipherWord, SwpParams};
 
 const WRITERS: usize = 8;
@@ -96,8 +96,15 @@ fn bench_repl(c: &mut Criterion) {
     // loop — the bar is the steady-state ingest toll, not open() and
     // teardown cost.
     let base_tmp = TempDir::new("bench-repl-base").unwrap();
-    let base_server =
-        Server::open_durable_with(base_tmp.path(), 2, Some(2), DurableOptions::default()).unwrap();
+    let base_server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(2),
+            ..ServerConfig::default()
+        },
+        Some(base_tmp.path()),
+    )
+    .unwrap();
     let mut round = 0u64;
     group.bench_function("group_commit_only_ingest", |b| {
         b.iter(|| {
@@ -117,8 +124,15 @@ fn bench_repl(c: &mut Criterion) {
     // `tests/replication.rs`).
     let tmp = TempDir::new("bench-repl-primary").unwrap();
     let follower_dir = TempDir::new("bench-repl-follower").unwrap();
-    let server =
-        Server::open_durable_with(tmp.path(), 2, Some(2), DurableOptions::default()).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(2),
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let mut replica = Replica::bootstrap(
         server.clone(),
         follower_dir.path(),

@@ -15,7 +15,9 @@
 use dbph_bench::Table;
 use dbph_core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph_core::wire::{WireDecode, WireEncode};
-use dbph_core::{ph::check_homomorphism_law, DatabasePh, FinalSwpPh, Server, WordCodec};
+use dbph_core::{
+    ph::check_homomorphism_law, DatabasePh, FinalSwpPh, Server, ServerConfig, WordCodec,
+};
 use dbph_crypto::{DeterministicRng, EntropySource, SecretKey};
 use dbph_relation::{Query, Relation};
 use dbph_swp::{matches, FinalScheme, Location, SearchableScheme, SwpParams, Word};
@@ -152,7 +154,14 @@ fn main() {
         let terms: Vec<WireTrapdoor> = qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
         let mut baseline: Option<usize> = None;
         for shards in [1usize, 4, 8] {
-            let server = Server::with_shards(shards);
+            let server = Server::open(
+                &ServerConfig {
+                    shards,
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .expect("shards ≥ 1");
             let _ = server.handle(
                 &ClientMessage::CreateTable {
                     name: "Emp".into(),

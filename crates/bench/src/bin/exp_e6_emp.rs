@@ -10,7 +10,7 @@
 //! Usage: `exp_e6_emp` (no parameters — the example is fixed).
 
 use dbph_core::encoding::paper_style;
-use dbph_core::{Client, FinalSwpPh, Server};
+use dbph_core::{Client, FinalSwpPh, Server, ServerConfig};
 use dbph_crypto::SecretKey;
 use dbph_relation::schema::emp_schema;
 use dbph_relation::{tuple, Query, Relation};
@@ -40,7 +40,7 @@ fn main() {
     )
     .expect("static table");
 
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).expect("the default config opens");
     let ph =
         FinalSwpPh::new(emp_schema(), &SecretKey::from_bytes([6u8; 32])).expect("static schema");
     let mut client = Client::new(ph, server.clone());

@@ -447,12 +447,13 @@ impl<T: Transport> Client<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerConfig;
     use dbph_crypto::SecretKey;
     use dbph_relation::schema::emp_schema;
     use dbph_relation::{tuple, Value};
 
     fn setup() -> (Client, Server) {
-        let server = Server::new();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let ph = FinalSwpPh::new(emp_schema(), &SecretKey::from_bytes([11u8; 32])).unwrap();
         (Client::new(ph, server.clone()), server)
     }
@@ -492,7 +493,14 @@ mod tests {
     #[test]
     fn select_many_matches_individual_selects() {
         for shards in [1, 4] {
-            let server = Server::with_shards(shards);
+            let server = Server::open(
+                &ServerConfig {
+                    shards,
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             let ph = FinalSwpPh::new(emp_schema(), &SecretKey::from_bytes([11u8; 32])).unwrap();
             let mut client = Client::new(ph, server.clone());
             client.outsource(&emp()).unwrap();
@@ -638,7 +646,7 @@ mod tests {
 
     #[test]
     fn two_clients_different_keys_cannot_read_each_other() {
-        let server = Server::new();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let ph1 = FinalSwpPh::new(emp_schema(), &SecretKey::from_bytes([1u8; 32])).unwrap();
         let mut c1 = Client::new(ph1, server.clone());
         c1.outsource(&emp()).unwrap();
@@ -696,7 +704,7 @@ mod tests {
         use dbph_swp::SwpParams;
         // 2-bit checks: the server's candidate set is a large superset;
         // the confirmed delete must still remove only true matches.
-        let server = Server::new();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let codec_len = crate::encoding::WordCodec::new(emp_schema()).word_len();
         let params = SwpParams::new(codec_len, 4, 2).unwrap();
         let ph = FinalSwpPh::with_params(emp_schema(), &SecretKey::from_bytes([44u8; 32]), params)
@@ -716,7 +724,14 @@ mod tests {
 
     #[test]
     fn chunked_fetch_equals_monolithic_fetch() {
-        let server = Server::with_shards(3);
+        let server = Server::open(
+            &ServerConfig {
+                shards: 3,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         let ph = FinalSwpPh::new(emp_schema(), &SecretKey::from_bytes([11u8; 32])).unwrap();
         let mut client = Client::new(ph, server);
         client.outsource(&emp()).unwrap();

@@ -1541,7 +1541,7 @@ mod tests {
     use std::sync::Arc;
 
     use crate::protocol::ClientMessage;
-    use crate::server::Server;
+    use crate::server::{Server, ServerConfig};
     use crate::swp_ph::EncryptedTable;
     use dbph_swp::{CipherWord, SwpParams};
 
@@ -1596,7 +1596,14 @@ mod tests {
     #[test]
     fn fresh_dir_survives_restart() {
         let tmp = TempDir::new("durable-fresh").unwrap();
-        let server = Server::open_durable(tmp.path(), 2).unwrap();
+        let server = Server::open(
+            &ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
         assert!(server.durable_log().is_some());
         assert!(tmp.path().join(MANIFEST).exists());
         let _ = server.handle(&create_msg("t", 7));
@@ -1605,7 +1612,14 @@ mod tests {
         let before = server.handle(&fetch_msg("t"));
         drop(server);
 
-        let reopened = Server::open_durable(tmp.path(), 2).unwrap();
+        let reopened = Server::open(
+            &ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
         assert_eq!(reopened.handle(&fetch_msg("t")), before);
         // The store keeps working after recovery: ids continue.
         let resp = reopened.handle(&append_msg("t", 8));
@@ -1619,7 +1633,7 @@ mod tests {
     #[test]
     fn failed_mutations_write_no_records() {
         let tmp = TempDir::new("durable-reject").unwrap();
-        let server = Server::open_durable(tmp.path(), 1).unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         let _ = server.handle(&create_msg("t", 2));
         let log = Arc::clone(server.durable_log().unwrap());
         let after_create = log.active_segment_bytes();
@@ -1650,7 +1664,14 @@ mod tests {
         // First pass: learn the record end offsets.
         let boundaries: Vec<u64> = {
             let tmp = TempDir::new("durable-offsets").unwrap();
-            let server = Server::open_durable(tmp.path(), 2).unwrap();
+            let server = Server::open(
+                &ServerConfig {
+                    shards: 2,
+                    ..ServerConfig::default()
+                },
+                Some(tmp.path()),
+            )
+            .unwrap();
             messages
                 .iter()
                 .map(|m| {
@@ -1675,7 +1696,14 @@ mod tests {
         for cut in cuts {
             let cut = cut.min(*boundaries.last().unwrap());
             let tmp = TempDir::new("durable-cut").unwrap();
-            let server = Server::open_durable(tmp.path(), 2).unwrap();
+            let server = Server::open(
+                &ServerConfig {
+                    shards: 2,
+                    ..ServerConfig::default()
+                },
+                Some(tmp.path()),
+            )
+            .unwrap();
             for m in &messages {
                 let _ = server.handle(m);
             }
@@ -1688,12 +1716,26 @@ mod tests {
             // The reference replays only the mutations whose record
             // fully landed below the cut.
             let survivors = boundaries.iter().filter(|&&b| b <= cut).count();
-            let reference = Server::with_shards(2);
+            let reference = Server::open(
+                &ServerConfig {
+                    shards: 2,
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             for m in &messages[..survivors] {
                 let _ = reference.handle(m);
             }
 
-            let recovered = Server::open_durable(tmp.path(), 2).unwrap();
+            let recovered = Server::open(
+                &ServerConfig {
+                    shards: 2,
+                    ..ServerConfig::default()
+                },
+                Some(tmp.path()),
+            )
+            .unwrap();
             if survivors == 0 {
                 // Nothing persisted: the table must not exist.
                 let resp = recovered.handle(&fetch_msg("t"));
@@ -1719,7 +1761,14 @@ mod tests {
     #[test]
     fn compaction_rewrites_into_a_sealed_snapshot_and_prunes() {
         let tmp = TempDir::new("durable-compact").unwrap();
-        let server = Server::open_durable(tmp.path(), 3).unwrap();
+        let server = Server::open(
+            &ServerConfig {
+                shards: 3,
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
         let _ = server.handle(&create_msg("a", 9));
         let _ = server.handle(&create_msg("empty", 0));
         let _ = server.handle(&append_msg("a", 9));
@@ -1750,7 +1799,14 @@ mod tests {
         drop(log);
         drop(server);
         // …and recovery = snapshot + tail log.
-        let reopened = Server::open_durable(tmp.path(), 3).unwrap();
+        let reopened = Server::open(
+            &ServerConfig {
+                shards: 3,
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
         assert_eq!(reopened.handle(&fetch_msg("a")), after_append);
         assert_eq!(reopened.handle(&fetch_msg("empty")), before_empty);
         assert_ne!(before, after_append);
@@ -1763,7 +1819,16 @@ mod tests {
             compact_threshold: 512,
             snapshot_chunk_bytes: 256,
         };
-        let server = Server::open_durable_with(tmp.path(), 2, Some(1), options.clone()).unwrap();
+        let server = Server::open(
+            &ServerConfig {
+                shards: 2,
+                workers: Some(1),
+                durable: options.clone(),
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
         let _ = server.handle(&create_msg("t", 4));
         let first_active = server.durable_log().unwrap().segments();
         for i in 4..40u64 {
@@ -1776,7 +1841,16 @@ mod tests {
         );
         let before = server.handle(&fetch_msg("t"));
         drop(server);
-        let reopened = Server::open_durable_with(tmp.path(), 2, Some(1), options).unwrap();
+        let reopened = Server::open(
+            &ServerConfig {
+                shards: 2,
+                workers: Some(1),
+                durable: options,
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
         assert_eq!(reopened.handle(&fetch_msg("t")), before);
     }
 
@@ -1784,7 +1858,7 @@ mod tests {
     fn manifest_corruption_is_detected() {
         let tmp = TempDir::new("durable-manifest").unwrap();
         {
-            let server = Server::open_durable(tmp.path(), 1).unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             let _ = server.handle(&create_msg("t", 2));
         }
         let path = tmp.path().join(MANIFEST);
@@ -1793,7 +1867,7 @@ mod tests {
         bytes[last] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            Server::open_durable(tmp.path(), 1),
+            Server::open(&ServerConfig::default(), Some(tmp.path())),
             Err(PhError::Durability(_))
         ));
     }
@@ -1802,7 +1876,7 @@ mod tests {
     fn sealed_segment_corruption_is_an_error_not_a_truncation() {
         let tmp = TempDir::new("durable-sealed").unwrap();
         let sealed = {
-            let server = Server::open_durable(tmp.path(), 1).unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             let _ = server.handle(&create_msg("t", 30));
             server.compact().unwrap();
             server.durable_log().unwrap().segments()[0]
@@ -1813,7 +1887,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            Server::open_durable(tmp.path(), 1),
+            Server::open(&ServerConfig::default(), Some(tmp.path())),
             Err(PhError::Durability(_))
         ));
     }
@@ -1822,13 +1896,13 @@ mod tests {
     fn unreferenced_segment_debris_is_swept() {
         let tmp = TempDir::new("durable-debris").unwrap();
         {
-            let server = Server::open_durable(tmp.path(), 1).unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             let _ = server.handle(&create_msg("t", 3));
         }
         // Simulate a compaction that died before its manifest swap.
         let stray = segment_path(tmp.path(), 77);
         fs::write(&stray, b"half-written snapshot").unwrap();
-        let server = Server::open_durable(tmp.path(), 1).unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         assert!(!stray.exists(), "debris survived open");
         // And the store is intact.
         let resp = server.handle(&fetch_msg("t"));
@@ -1838,24 +1912,31 @@ mod tests {
     #[test]
     fn second_live_owner_is_refused_until_the_first_dies() {
         let tmp = TempDir::new("durable-lock").unwrap();
-        let first = Server::open_durable(tmp.path(), 1).unwrap();
+        let first = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         // A second owner of the same directory would interleave
         // appends into the active segment; it must be turned away at
         // open, before touching any state.
         assert!(matches!(
-            Server::open_durable(tmp.path(), 1),
+            Server::open(&ServerConfig::default(), Some(tmp.path())),
             Err(PhError::Durability(_))
         ));
         // The lock dies with its owner (kill -9 included — it's an fd
         // property, not a file that lingers), so a restart succeeds.
         drop(first);
-        assert!(Server::open_durable(tmp.path(), 1).is_ok());
+        assert!(Server::open(&ServerConfig::default(), Some(tmp.path())).is_ok());
     }
 
     #[test]
     fn scrub_passes_a_clean_log_and_counts_everything() {
         let tmp = TempDir::new("durable-scrub-clean").unwrap();
-        let server = Server::open_durable(tmp.path(), 2).unwrap();
+        let server = Server::open(
+            &ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
         let _ = server.handle(&create_msg("t", 8));
         let _ = server.handle(&append_msg("t", 8));
         server.compact().unwrap();
@@ -1887,7 +1968,7 @@ mod tests {
         // torn bytes are gone, not latent.
         let tmp = TempDir::new("durable-scrub-torn").unwrap();
         let active = {
-            let server = Server::open_durable(tmp.path(), 1).unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             let _ = server.handle(&create_msg("t", 4));
             let _ = server.handle(&append_msg("t", 4));
             server.durable_log().unwrap().active_segment_path()
@@ -1897,7 +1978,7 @@ mod tests {
         file.set_len(len - 3).unwrap();
         drop(file);
 
-        let recovered = Server::open_durable(tmp.path(), 1).unwrap();
+        let recovered = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         let report = recovered.scrub().unwrap();
         assert_eq!(report.segments, 1);
         assert!(report.records >= 1);
@@ -1908,7 +1989,7 @@ mod tests {
         // Bit rot in a *sealed* segment is exactly what scrub exists
         // to surface before the next restart trips over it.
         let tmp = TempDir::new("durable-scrub-rot").unwrap();
-        let server = Server::open_durable(tmp.path(), 1).unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         let _ = server.handle(&create_msg("t", 30));
         server.compact().unwrap();
         let sealed = server.durable_log().unwrap().segments()[0];

@@ -72,7 +72,7 @@ pub use net::{
 };
 pub use ph::{DatabasePh, IncrementalPh};
 pub use replica::{Replica, ReplicaOptions};
-pub use server::{Observer, Server};
+pub use server::{Observer, Server, ServerConfig};
 pub use storage::{ShardedTable, TableStore};
 pub use swp_ph::{ColumnarTable, EncryptedQuery, EncryptedTable, FinalSwpPh, SwpPh};
 pub use telemetry::{HistogramSnapshot, MetricValue, StatsSnapshot, Telemetry};

@@ -1118,6 +1118,7 @@ impl Transport for PooledClient {
 mod tests {
     use super::*;
     use crate::protocol::{ClientMessage, ServerResponse};
+    use crate::server::ServerConfig;
     use crate::swp_ph::EncryptedTable;
     use crate::wire::{WireDecode, WireEncode};
     use dbph_swp::{CipherWord, SwpParams};
@@ -1133,7 +1134,14 @@ mod tests {
     }
 
     fn spawn_server() -> (Server, ServerHandle) {
-        let server = Server::with_shards(2);
+        let server = Server::open(
+            &ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
         (server, handle)
     }
@@ -1155,7 +1163,14 @@ mod tests {
 
         // The same messages against a fresh in-process server produce
         // the same bytes.
-        let reference = Server::with_shards(2);
+        let reference = Server::open(
+            &ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         assert_eq!(tcp_create, reference.handle(&create));
         assert_eq!(tcp_fetch, reference.handle(&fetch));
         drop(server);

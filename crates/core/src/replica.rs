@@ -6,8 +6,9 @@
 //! [`Transport`] and applying every mutation record through the one
 //! function that applies logged mutations everywhere, the server's
 //! `apply_logged`. Bootstrap writes the shipped bytes into a fresh
-//! data directory and opens it with [`Server::open_durable_with`], the
-//! constructor a restarted primary uses — bootstrap **is** recovery —
+//! data directory and opens it with [`Server::open`] and the follower's
+//! [`ReplicaOptions::server`] config, exactly as a restarted primary
+//! opens its own directory — bootstrap **is** recovery —
 //! and tailing appends each pulled chunk to the follower's own log
 //! (one `fdatasync` per chunk) before applying its records in-memory.
 //! The follower's store, dedup window, and index therefore hold what
@@ -67,12 +68,12 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::durable::{self, DurableOptions, TAG_MUTATION};
+use crate::durable::{self, TAG_MUTATION};
 use crate::error::PhError;
 use crate::net::Transport;
 use crate::protocol::ClientMessage;
 use crate::protocol::ServerResponse;
-use crate::server::Server;
+use crate::server::{Server, ServerConfig};
 use crate::wire::{WireDecode, WireEncode};
 
 pub use crate::durable::ReplicationOptions;
@@ -85,14 +86,12 @@ pub struct ReplicaOptions {
     /// followers must use distinct ids (a restarted follower reusing
     /// its id simply resets its slot).
     pub follower_id: u64,
-    /// Shard count for the rebuilt store (follower-local scheduling;
-    /// responses are shard-invariant).
-    pub shards: usize,
-    /// Worker-pool size for the rebuilt store (`None` = process-wide
-    /// pool).
-    pub workers: Option<usize>,
-    /// Log options for the follower's own segment log.
-    pub durable: DurableOptions,
+    /// How every generation of the follower's server is opened. The
+    /// default differs from [`ServerConfig::default`] only in its 2
+    /// shards (follower-local scheduling; responses are
+    /// shard-invariant). Each generation opens its own `gen-NNNN`
+    /// directory under the replica's root.
+    pub server: ServerConfig,
     /// How long the background tailer sleeps when caught up or when
     /// the primary is unreachable, before pulling again.
     pub poll_interval: Duration,
@@ -102,9 +101,10 @@ impl Default for ReplicaOptions {
     fn default() -> Self {
         ReplicaOptions {
             follower_id: 1,
-            shards: 2,
-            workers: None,
-            durable: DurableOptions::default(),
+            server: ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
             poll_interval: Duration::from_millis(1),
         }
     }
@@ -262,12 +262,7 @@ fn bootstrap_generation(
     durable::write_manifest(&dir, &[0])?;
     // Bootstrap is recovery: open the directory we just wrote exactly
     // as a restarted primary would open its own.
-    let server = Server::open_durable_with(
-        &dir,
-        options.shards,
-        options.workers,
-        options.durable.clone(),
-    )?;
+    let server = Server::open(&options.server, Some(&dir))?;
     Ok((server, cursor))
 }
 
@@ -385,13 +380,15 @@ impl Replica {
     /// # Errors
     /// [`PhError::Transport`] when the primary is unreachable,
     /// [`PhError::Protocol`] when it refuses replication (e.g. an
-    /// in-memory server), [`PhError::Durability`] on local I/O
-    /// failure.
+    /// in-memory server) or when [`Server::open`] would refuse
+    /// `options.server` (checked before anything is pulled or
+    /// written), [`PhError::Durability`] on local I/O failure.
     pub fn bootstrap(
         transport: impl Transport + Send + Sync + 'static,
         dir: impl AsRef<Path>,
         options: ReplicaOptions,
     ) -> Result<Self, PhError> {
+        options.server.check()?;
         let root = dir.as_ref().to_path_buf();
         fs::create_dir_all(&root)
             .map_err(|e| PhError::Durability(format!("create replica root: {e}")))?;

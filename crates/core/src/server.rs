@@ -23,6 +23,12 @@
 //! with one: the store picks the plan (index probe or scan) once per
 //! message, under one table snapshot, and the server records each
 //! query's `IndexProbe` and `Query` events in query order.
+//!
+//! Eve's setup is one [`ServerConfig`] — shards, worker pool, log
+//! options, index — read by one constructor, [`Server::open`], which
+//! opens in memory or over a data directory. The only switch left for
+//! runtime is [`Server::set_replication`]: a primary must already be
+//! serving before its first follower can bootstrap from it.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -218,12 +224,6 @@ pub struct Server {
     telemetry: Arc<Telemetry>,
 }
 
-impl Default for Server {
-    fn default() -> Self {
-        Server::new()
-    }
-}
-
 /// `ψ` as Eve runs it, in single-threaded reference form: keep
 /// documents where every term matches the cipher word at its
 /// attribute's position. A free function over ciphertext — no key, no
@@ -251,113 +251,138 @@ pub fn execute_query(table: &EncryptedTable, terms: &[WireTrapdoor]) -> Encrypte
     }
 }
 
+/// How Eve sets herself up, read by [`Server::open`]. Every field is
+/// server-internal: no choice changes a response, an [`Observer`]
+/// transcript, or a segment byte.
+#[derive(Debug, Clone)]
+pub struct ServerConfig {
+    /// Shards per table; must be at least 1. The default, 1, is the
+    /// paper-faithful unsharded store.
+    pub shards: usize,
+    /// Worker threads in a dedicated scan pool (1 runs every task
+    /// inline in submission order, the sequential reference engine),
+    /// or `None` for the process-wide pool ([`Executor::global`]).
+    pub workers: Option<usize>,
+    /// Segment-log options; read only when the server opens a data
+    /// directory.
+    pub durable: DurableOptions,
+    /// Plan queries as encrypted-multimap probes ([`crate::index`])
+    /// instead of scans. A recovered index image turns the plan on
+    /// whatever this says.
+    pub index: bool,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            shards: 1,
+            workers: None,
+            durable: DurableOptions::default(),
+            index: false,
+        }
+    }
+}
+
+impl ServerConfig {
+    /// Refuses a config [`Server::open`] cannot build, before anything
+    /// is allocated, pulled or written.
+    pub(crate) fn check(&self) -> Result<(), PhError> {
+        match self.shards {
+            0 => Err(PhError::Protocol(
+                "a server needs at least one shard".into(),
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl Server {
-    /// Creates an empty server with unsharded (single-shard) storage —
-    /// the paper-faithful configuration.
-    #[must_use]
-    pub fn new() -> Self {
-        Server::with_shards(1)
+    /// Builds a server from `config`: in memory and empty when
+    /// `data_dir` is `None`, otherwise **durable** on that directory.
+    /// A durable server first recovers whatever a previous process
+    /// persisted there (a torn tail record from an unclean kill is
+    /// truncated, never a panic; an empty or absent directory starts
+    /// empty), then acknowledges each applied mutation only once a
+    /// group-commit `fdatasync` barrier covers its log record. A
+    /// follower opens each shipped log directory here too
+    /// ([`crate::replica`]): bootstrap is recovery.
+    ///
+    /// # Errors
+    /// [`PhError::Protocol`] when `config.shards` is 0;
+    /// [`PhError::Durability`] when the directory cannot be opened or
+    /// its contents are corrupt beyond the torn-tail contract.
+    pub fn open(config: &ServerConfig, data_dir: Option<&Path>) -> Result<Self, PhError> {
+        config.check()?;
+        let pool = config
+            .workers
+            .map_or_else(Executor::global, |w| Arc::new(Executor::new(w)));
+        let server = Server {
+            store: Arc::new(TableStore::new(config.shards, pool)),
+            observer: Observer::new(),
+            next_batch: Arc::new(AtomicU64::new(0)),
+            durable: None,
+            telemetry: Arc::new(Telemetry::new()),
+        };
+        let server = match data_dir {
+            None => server,
+            Some(dir) => {
+                // Replay applies every logged mutation through
+                // `apply_logged`, exactly as a follower applies its
+                // tail. The serving server keeps the replayed store
+                // with a fresh transcript and batch counter: recovery
+                // is Eve re-reading her own disk, not new traffic.
+                let log = DurableLog::open(dir, config.durable.clone(), &server.store, |body| {
+                    server.apply_logged(body)
+                })?;
+                log.install_telemetry(Arc::clone(&server.telemetry));
+                Server {
+                    observer: Observer::new(),
+                    next_batch: Arc::new(AtomicU64::new(0)),
+                    durable: Some(Arc::new(log)),
+                    ..server
+                }
+            }
+        };
+        // After replay, as the index switch always ran: replay
+        // rebuilds exactly the index state the log describes.
+        if config.index {
+            server.store.enable_index();
+        }
+        Ok(server)
     }
 
-    /// Creates an empty server that partitions each table into
-    /// `shards` shards and scans them on the process-wide worker pool.
-    /// Results and transcripts are identical for every shard count;
-    /// only throughput changes.
+    /// [`Server::open`] in memory with `shards` shards. Kept only for
+    /// the frozen `e2ebench/` until it moves onto `open` (ROADMAP
+    /// item 1).
     ///
     /// # Panics
     /// Panics if `shards == 0`.
     #[must_use]
     pub fn with_shards(shards: usize) -> Self {
-        Server {
-            store: Arc::new(TableStore::new(shards)),
-            observer: Observer::new(),
-            next_batch: Arc::new(AtomicU64::new(0)),
-            durable: None,
-            telemetry: Arc::new(Telemetry::new()),
-        }
-    }
-
-    /// Creates an empty server with a **dedicated** worker pool of
-    /// `workers` threads instead of the shared process-wide pool. A
-    /// 1-worker pool executes every task inline in submission order —
-    /// the sequential reference engine — so the invariance tests sweep
-    /// `workers` to prove results and transcripts are pool-size
-    /// independent.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    #[must_use]
-    pub fn with_pool(shards: usize, workers: usize) -> Self {
-        Server {
-            store: Arc::new(TableStore::with_pool(
+        Server::open(
+            &ServerConfig {
                 shards,
-                Arc::new(Executor::new(workers)),
-            )),
-            observer: Observer::new(),
-            next_batch: Arc::new(AtomicU64::new(0)),
-            durable: None,
-            telemetry: Arc::new(Telemetry::new()),
-        }
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .expect("shards must be ≥ 1")
     }
 
-    /// Opens a **durable** server on `dir` with default
-    /// [`DurableOptions`]: recovers whatever a previous process
-    /// persisted there (tolerating an unclean kill — a torn tail
-    /// record is truncated, never a panic), then appends every further
-    /// applied mutation to the segment log and acknowledges it only
-    /// once a group-commit `fdatasync` barrier covers its record
-    /// (concurrent sessions share one barrier). An empty or absent
-    /// directory starts an empty durable store.
-    ///
-    /// Responses and [`Observer`] transcripts are byte-identical to an
-    /// in-memory server driven by the same session — durability is
-    /// server-internal bookkeeping (`tests/durability.rs` pins this
-    /// across shard counts, pool sizes, and transports).
+    /// [`Server::open`] on `dir` with `shards` shards. Kept only for
+    /// the frozen `e2ebench/` until it moves onto `open` (ROADMAP
+    /// item 1).
     ///
     /// # Errors
-    /// [`PhError::Durability`] when the directory cannot be opened or
-    /// its contents are corrupt beyond the torn-tail contract.
+    /// As [`Server::open`].
     pub fn open_durable(dir: impl AsRef<Path>, shards: usize) -> Result<Self, PhError> {
-        Self::open_durable_with(dir, shards, None, DurableOptions::default())
-    }
-
-    /// [`Server::open_durable`] with an explicit worker pool size
-    /// (`None` = the process-wide pool, as [`Server::with_shards`])
-    /// and explicit log options — the form the invariance tests sweep.
-    /// This is the one recovery constructor: [`crate::replica`] calls
-    /// it on a follower's freshly shipped log directory, so bootstrap
-    /// and crash recovery are the same code path.
-    ///
-    /// # Errors
-    /// As [`Server::open_durable`].
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn open_durable_with(
-        dir: impl AsRef<Path>,
-        shards: usize,
-        workers: Option<usize>,
-        options: DurableOptions,
-    ) -> Result<Self, PhError> {
-        // Replay applies every logged mutation to a scratch server
-        // through `apply_logged`, exactly as a follower applies its
-        // tail. The serving server takes the scratch store with a fresh
-        // transcript and batch counter: recovery is Eve re-reading her
-        // own disk, not new traffic.
-        let replay = match workers {
-            None => Server::with_shards(shards),
-            Some(w) => Server::with_pool(shards, w),
-        };
-        let log = DurableLog::open(dir, options, &replay.store, |body| {
-            replay.apply_logged(body)
-        })?;
-        log.install_telemetry(Arc::clone(&replay.telemetry));
-        Ok(Server {
-            observer: Observer::new(),
-            next_batch: Arc::new(AtomicU64::new(0)),
-            durable: Some(Arc::new(log)),
-            ..replay
-        })
+        Server::open(
+            &ServerConfig {
+                shards,
+                ..ServerConfig::default()
+            },
+            Some(dir.as_ref()),
+        )
     }
 
     /// Names of the stored tables, sorted — public metadata (the
@@ -589,14 +614,9 @@ impl Server {
         }
     }
 
-    /// Opts this server into the encrypted inverted index
-    /// ([`crate::index`]): subsequent queries plan multimap probes
-    /// instead of full scans. Off by default — without this call the
-    /// server's responses, transcripts, and durable segments are
-    /// byte-identical to the scan-only deployment. On a durable
-    /// server, re-enable after each `open_durable*` unless recovery
-    /// already restored a persisted index image (which implies the
-    /// index was on and re-enables it).
+    /// Turns the encrypted index on, as [`ServerConfig::index`] does.
+    /// Kept only for the frozen `e2ebench/` until it moves onto
+    /// [`Server::open`] (ROADMAP item 1).
     pub fn enable_index(&self) {
         self.store.enable_index();
     }
@@ -954,7 +974,7 @@ mod tests {
 
     #[test]
     fn create_fetch_drop() {
-        let s = Server::new();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         assert_eq!(
             send(
                 &s,
@@ -980,8 +1000,27 @@ mod tests {
     }
 
     #[test]
+    fn open_refuses_zero_shards_before_touching_the_disk() {
+        let zero = ServerConfig {
+            shards: 0,
+            ..ServerConfig::default()
+        };
+        assert!(matches!(
+            Server::open(&zero, None),
+            Err(PhError::Protocol(_))
+        ));
+        let tmp = crate::durable::TempDir::new("server-zero-shards").unwrap();
+        let dir = tmp.path().join("data");
+        assert!(matches!(
+            Server::open(&zero, Some(&dir)),
+            Err(PhError::Protocol(_))
+        ));
+        assert!(!dir.exists(), "a refused config must create no data dir");
+    }
+
+    #[test]
     fn duplicate_create_rejected() {
-        let s = Server::new();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1003,7 +1042,7 @@ mod tests {
 
     #[test]
     fn append_enforces_fresh_ids() {
-        let s = Server::new();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1037,14 +1076,14 @@ mod tests {
 
     #[test]
     fn malformed_bytes_produce_error_response() {
-        let s = Server::new();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         let resp = ServerResponse::from_wire(&s.handle(&[0xFF, 0x00])).unwrap();
         assert!(matches!(resp, ServerResponse::Error(_)));
     }
 
     #[test]
     fn observer_records_uploads_and_queries() {
-        let s = Server::new();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1074,7 +1113,7 @@ mod tests {
 
     #[test]
     fn query_on_unknown_table_errors() {
-        let s = Server::new();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         assert!(matches!(
             send(
                 &s,
@@ -1089,7 +1128,14 @@ mod tests {
 
     #[test]
     fn query_batch_returns_one_table_per_query_and_tags_events() {
-        let s = Server::with_shards(3);
+        let s = Server::open(
+            &ServerConfig {
+                shards: 3,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1142,8 +1188,15 @@ mod tests {
 
     #[test]
     fn index_plan_records_each_querys_probes_before_its_query() {
-        let s = Server::with_shards(2);
-        s.enable_index();
+        let s = Server::open(
+            &ServerConfig {
+                shards: 2,
+                index: true,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1198,7 +1251,7 @@ mod tests {
 
     #[test]
     fn query_batch_on_unknown_table_errors() {
-        let s = Server::new();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         assert!(matches!(
             send(
                 &s,
@@ -1213,7 +1266,14 @@ mod tests {
 
     #[test]
     fn append_batch_is_atomic_and_emits_one_event_per_doc() {
-        let s = Server::with_shards(2);
+        let s = Server::open(
+            &ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1267,7 +1327,7 @@ mod tests {
 
     #[test]
     fn delete_docs_records_each_removed_id_once() {
-        let s = Server::new();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1297,7 +1357,14 @@ mod tests {
 
     #[test]
     fn fetch_chunk_pages_the_table_and_records_events() {
-        let s = Server::with_shards(3);
+        let s = Server::open(
+            &ServerConfig {
+                shards: 3,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1401,7 +1468,14 @@ mod tests {
         }];
         let reference = execute_query(&t, &terms);
         for shards in [1, 2, 4, 7] {
-            let s = Server::with_shards(shards);
+            let s = Server::open(
+                &ServerConfig {
+                    shards,
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             send(
                 &s,
                 ClientMessage::CreateTable {

@@ -962,23 +962,15 @@ pub struct TableStore {
 }
 
 impl TableStore {
-    /// A store partitioning each table into `shard_count` shards,
-    /// scanning on the process-wide pool ([`Executor::global`]).
+    /// A store partitioning each table into `shard_count` shards and
+    /// scanning on `pool`: [`Executor::global`] for the process-wide
+    /// pool, or a dedicated one (tests pin pool sizes to prove
+    /// pool-size invariance).
     ///
     /// # Panics
     /// Panics if `shard_count == 0`.
     #[must_use]
-    pub fn new(shard_count: usize) -> Self {
-        TableStore::with_pool(shard_count, Executor::global())
-    }
-
-    /// A store with a dedicated worker pool (tests pin pool sizes to
-    /// prove pool-size invariance).
-    ///
-    /// # Panics
-    /// Panics if `shard_count == 0`.
-    #[must_use]
-    pub fn with_pool(shard_count: usize, pool: Arc<Executor>) -> Self {
+    pub fn new(shard_count: usize, pool: Arc<Executor>) -> Self {
         assert!(shard_count > 0, "shard_count must be ≥ 1");
         TableStore {
             shard_count,
@@ -1434,7 +1426,7 @@ mod tests {
 
     #[test]
     fn store_fetch_chunk_matches_fetch_all() {
-        let store = TableStore::new(3);
+        let store = TableStore::new(3, Executor::global());
         store.create("t", table(40).into()).unwrap();
         let whole = store.fetch_all("t").unwrap();
         let mut docs = Vec::new();
@@ -1593,7 +1585,7 @@ mod tests {
 
     #[test]
     fn store_rejects_duplicates_stale_ids_and_unknown_names() {
-        let store = TableStore::new(2);
+        let store = TableStore::new(2, Executor::global());
         store.create("t", table(3).into()).unwrap();
         assert!(store.create("t", table(3).into()).is_err());
         assert!(store.fetch_all("nope").is_err());
@@ -1609,7 +1601,7 @@ mod tests {
 
     #[test]
     fn batch_append_is_atomic() {
-        let store = TableStore::new(2);
+        let store = TableStore::new(2, Executor::global());
         store.create("t", table(2).into()).unwrap();
         let bad = vec![
             (2, vec![CipherWord(vec![1; 13])]),
@@ -1719,7 +1711,7 @@ mod tests {
 
     #[test]
     fn store_query_batch_preserves_query_order() {
-        let store = TableStore::with_pool(3, Arc::new(Executor::new(4)));
+        let store = TableStore::new(3, Arc::new(Executor::new(4)));
         store.create("t", table(50).into()).unwrap();
         let queries: Vec<Vec<WireTrapdoor>> =
             vec![vec![], vec![byte_term(0, 1)], vec![], vec![byte_term(0, 2)]];
@@ -1754,7 +1746,7 @@ mod tests {
         // name race to the name check: one is stored, whole, and the
         // other is refused.
         for _ in 0..20 {
-            let store = Arc::new(TableStore::new(2));
+            let store = Arc::new(TableStore::new(2, Executor::global()));
             let start = Arc::new(std::sync::Barrier::new(2));
             let uploads = [table(300), table(7)];
             let racers: Vec<_> = uploads
@@ -1784,7 +1776,7 @@ mod tests {
 
     #[test]
     fn upload_ids_must_rise_strictly_below_next_doc_id() {
-        let store = TableStore::new(2);
+        let store = TableStore::new(2, Executor::global());
         let word = |b: u8| vec![CipherWord(vec![b; 13])];
         let upload = |docs: Vec<Doc>, next_doc_id: u64| {
             ColumnarTable::from(EncryptedTable {

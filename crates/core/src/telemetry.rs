@@ -669,7 +669,8 @@ mod tests {
             assert!(std::ptr::eq(t.request_latency(retired), &t.requests[0]));
         }
         // No two metrics of a server's full snapshot share a name.
-        let metrics = crate::server::Server::with_shards(1)
+        let metrics = crate::server::Server::open(&crate::server::ServerConfig::default(), None)
+            .unwrap()
             .stats_snapshot()
             .metrics;
         let unique: std::collections::BTreeSet<&str> =

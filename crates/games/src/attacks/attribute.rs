@@ -31,7 +31,7 @@
 
 use dbph_core::protocol::{ClientMessage, WireTrapdoor};
 use dbph_core::wire::WireEncode as _;
-use dbph_core::{DatabasePh, EncryptedTable, FinalSwpPh, Server};
+use dbph_core::{DatabasePh, EncryptedTable, FinalSwpPh, Server, ServerConfig};
 use dbph_crypto::{DeterministicRng, EntropySource as _, SecretKey};
 use dbph_relation::{Query, Value};
 use dbph_swp::matches;
@@ -117,7 +117,7 @@ pub fn run_mix(rows: usize, queries: usize, seed: u64) -> AttributeReport {
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([61u8; 32]))
         .expect("Emp fits the default parameters");
     let table = ph.encrypt_table(&relation).expect("generated rows encrypt");
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).expect("the default config opens");
     let send = |msg: ClientMessage| {
         let _ = server.handle(&msg.to_wire());
     };
@@ -214,7 +214,7 @@ mod tests {
         let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([9u8; 32])).unwrap();
         let table = ph.encrypt_table(&relation).unwrap();
         let transcript = |query: Query| {
-            let server = Server::new();
+            let server = Server::open(&ServerConfig::default(), None).unwrap();
             let _ = server.handle(
                 &ClientMessage::CreateTable {
                     name: "Emp".into(),

@@ -75,7 +75,7 @@ impl PostingLengthAttack {
 mod tests {
     use super::*;
     use crate::leakage::profile;
-    use dbph_core::{Client, FinalSwpPh, Server};
+    use dbph_core::{Client, FinalSwpPh, Server, ServerConfig};
     use dbph_crypto::SecretKey;
     use dbph_relation::schema::emp_schema;
     use dbph_relation::{tuple, Query};
@@ -123,8 +123,14 @@ mod tests {
 
     #[test]
     fn index_at_rest_state_yields_frequency_recovery() {
-        let server = Server::new();
-        server.enable_index();
+        let server = Server::open(
+            &ServerConfig {
+                index: true,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         let (rate, probes) = run_workload(&server);
         assert!(
             rate > 0.9,
@@ -135,7 +141,7 @@ mod tests {
 
     #[test]
     fn scan_only_server_keeps_nothing_to_attack() {
-        let server = Server::new();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let (rate, probes) = run_workload(&server);
         assert_eq!(rate, 0.0, "no at-rest multimap, no recovery");
         assert_eq!(probes, 0, "scan plan records no index probes");

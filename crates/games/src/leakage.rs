@@ -138,13 +138,13 @@ pub fn profile(events: &[ServerEvent]) -> LeakageProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbph_core::{Client, FinalSwpPh, Server};
+    use dbph_core::{Client, FinalSwpPh, Server, ServerConfig};
     use dbph_crypto::SecretKey;
     use dbph_relation::schema::emp_schema;
     use dbph_relation::{tuple, Query, Relation};
 
     fn session() -> (Client, Server) {
-        let server = Server::new();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let ph = FinalSwpPh::new(emp_schema(), &SecretKey::from_bytes([71u8; 32])).unwrap();
         (Client::new(ph, server.clone()), server)
     }

@@ -207,13 +207,14 @@
 //! -- scrub: 1 segment(s), 12 record(s), 1482 byte(s) verified
 //! ```
 
+use std::path::Path;
 use std::time::Duration;
 
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
     ChaosPlan, ChaosProxy, Client, FinalSwpPh, NetServer, PoolOptions, PooledClient, Replica,
-    ReplicaOptions, RetryPolicy, Server, Transport,
+    ReplicaOptions, RetryPolicy, Server, ServerConfig, Transport,
 };
 use dbph::crypto::SecretKey;
 use dbph::relation::sql::{self, ExecOutcome, Statement};
@@ -226,10 +227,14 @@ fn make_server(
     data_dir: Option<&str>,
     scrub: bool,
 ) -> Result<Server, Box<dyn std::error::Error>> {
+    let config = ServerConfig {
+        shards,
+        ..ServerConfig::default()
+    };
+    let server = Server::open(&config, data_dir.map(Path::new))?;
     match data_dir {
-        None => Ok(Server::with_shards(shards)),
+        None => Ok(server),
         Some(dir) => {
-            let server = Server::open_durable(dir, shards)?;
             println!(
                 "-- durable store at {dir} ({} table(s) recovered)",
                 server.table_names().len()

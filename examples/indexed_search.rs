@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use dbph::core::{Client, FinalSwpPh, Server};
+use dbph::core::{Client, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::SecretKey;
 use dbph::relation::Query;
 use dbph::workload::EmployeeGen;
@@ -30,11 +30,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two servers, same session: the reference scan and the indexed
     // plan. The index is server-side and opt-in; the client code is
     // identical.
-    let scan_server = Server::with_shards(4);
+    let scan_server = Server::open(
+        &ServerConfig {
+            shards: 4,
+            ..ServerConfig::default()
+        },
+        None,
+    )?;
     let mut scan_client = Client::new(FinalSwpPh::new(EmployeeGen::schema(), &key)?, scan_server);
 
-    let indexed_server = Server::with_shards(4);
-    indexed_server.enable_index();
+    let indexed_server = Server::open(
+        &ServerConfig {
+            shards: 4,
+            index: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )?;
     let mut indexed_client = Client::new(
         FinalSwpPh::new(EmployeeGen::schema(), &key)?,
         indexed_server.clone(),

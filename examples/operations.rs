@@ -9,14 +9,14 @@
 //!
 //! Run with: `cargo run --example operations`
 
-use dbph::core::{snapshot, Client, DatabasePh, FinalSwpPh, Server};
+use dbph::core::{snapshot, Client, DatabasePh, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::SecretKey;
 use dbph::games::leakage;
 use dbph::relation::{tuple, Query};
 use dbph::workload::EmployeeGen;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None)?;
     let old_key = SecretKey::from_bytes([10u8; 32]);
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &old_key)?;
     let mut client = Client::new(ph, server.clone());

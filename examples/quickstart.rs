@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dbph::core::{Client, FinalSwpPh, Server};
+use dbph::core::{Client, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::{OsEntropy, SecretKey};
 use dbph::relation::schema::emp_schema;
 use dbph::relation::{tuple, Projection, Query, Relation};
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Eve's server: stores ciphertext, executes keyless trapdoor scans,
     // records everything it sees.
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None)?;
     let ph = FinalSwpPh::new(emp_schema(), &master)?;
     let mut alex = Client::new(ph, server.clone());
 

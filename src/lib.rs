@@ -19,7 +19,7 @@
 //! query it without revealing the query or the data:
 //!
 //! ```
-//! use dbph::core::{Client, FinalSwpPh, Server};
+//! use dbph::core::{Client, FinalSwpPh, Server, ServerConfig};
 //! use dbph::crypto::SecretKey;
 //! use dbph::relation::schema::emp_schema;
 //! use dbph::relation::{tuple, Query, Relation};
@@ -27,7 +27,9 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let master = SecretKey::from_bytes([7u8; 32]); // use OsEntropy in production
 //! let ph = FinalSwpPh::new(emp_schema(), &master)?;
-//! let mut alex = Client::new(ph, Server::new());
+//! // Eve's setup (shards, pool, disk, index) never changes what Alex sees.
+//! let eve = Server::open(&ServerConfig::default(), None)?;
+//! let mut alex = Client::new(ph, eve);
 //!
 //! let emp = Relation::from_tuples(
 //!     emp_schema(),

@@ -21,7 +21,7 @@
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::server::{execute_query, ServerEvent};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
-use dbph::core::{Client, DatabasePh, EncryptedTable, FinalSwpPh, Server, WordCodec};
+use dbph::core::{Client, DatabasePh, EncryptedTable, FinalSwpPh, Server, ServerConfig, WordCodec};
 use dbph::crypto::{HmacPrf, Prf, SecretKey};
 use dbph::relation::{ExactSelect, Query, Relation};
 use dbph::swp::{matches, CipherWord, SwpParams};
@@ -105,11 +105,10 @@ proptest! {
         let table = ph.encrypt_table(&relation).unwrap();
         let qct = ph.encrypt_query(&query).unwrap();
         let terms: Vec<WireTrapdoor> = qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
-        let scan = Server::with_shards(shards);
+        let scan = Server::open(&ServerConfig { shards, ..ServerConfig::default() }, None).unwrap();
         upload(&scan, "Emp", &table);
         let served = candidate_ids(&scan, &terms);
-        let indexed = Server::with_shards(shards);
-        indexed.enable_index();
+        let indexed = Server::open(&ServerConfig { shards, index: true, ..ServerConfig::default() }, None).unwrap();
         upload(&indexed, "Emp", &table);
         prop_assert_eq!(&candidate_ids(&indexed, &terms), &served);
         prop_assert_eq!(&execute_query(&table, &terms).doc_ids(), &served);
@@ -136,7 +135,7 @@ proptest! {
             prop_assert!(!truth.contains(id), "dropped row {} was a true match", id);
         }
 
-        let mut client = Client::new(ph.clone(), Server::with_shards(shards));
+        let mut client = Client::new(ph.clone(), Server::open(&ServerConfig { shards, ..ServerConfig::default() }, None).unwrap());
         client.outsource(&relation).unwrap();
         let answer = client.select(&query).unwrap();
         let expected = dbph::relation::exec::select(&relation, &query).unwrap();
@@ -238,10 +237,16 @@ fn run_plan(
     shards: usize,
     indexed: bool,
 ) -> (Vec<ServerResponse>, Vec<ServerEvent>) {
-    let server = Server::with_pool(shards, 2);
-    if indexed {
-        server.enable_index();
-    }
+    let server = Server::open(
+        &ServerConfig {
+            shards,
+            workers: Some(2),
+            index: indexed,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     upload(&server, "Emp", table);
     let responses = msgs.iter().map(|m| call(&server, m)).collect();
     let events = server
@@ -386,8 +391,14 @@ fn batch_mixing_attrs_for_the_same_trapdoor_bytes_keeps_terms_apart() {
 
     // The index keeps one posting per (attr, label): three keys, one
     // label.
-    let server = Server::new();
-    server.enable_index();
+    let server = Server::open(
+        &ServerConfig {
+            index: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     upload(&server, "Emp", &table);
     let _ = call(&server, &batch);
     let at_rest = server.index_at_rest("Emp");
@@ -405,7 +416,7 @@ fn batch_mixing_attrs_for_the_same_trapdoor_bytes_keeps_terms_apart() {
 
 #[test]
 fn query_events_record_the_attribute() {
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     upload(&server, "Emp", &deviant_table());
     let _ = call(&server, &query(vec![term(2)]));
     let _ = call(&server, &query(vec![term(200)]));

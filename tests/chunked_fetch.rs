@@ -19,7 +19,7 @@
 use dbph::core::codec;
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
-use dbph::core::{EncryptedTable, NetServer, PooledClient, Server, Transport};
+use dbph::core::{EncryptedTable, NetServer, PooledClient, Server, ServerConfig, Transport};
 use dbph::swp::{CipherWord, SwpParams};
 
 use proptest::prelude::*;
@@ -87,7 +87,14 @@ fn chunk_stream_fits_capped_frames_where_fetch_all_cannot() {
     const CAP: usize = 16 << 10; // a deliberately small test-side cap
     const CHUNK: u64 = 4 << 10;
 
-    let server = Server::with_shards(3);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 3,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let create = ClientMessage::CreateTable {
         name: "big".into(),
         table: big_table().into(),
@@ -134,10 +141,24 @@ fn chunk_stream_is_transport_invariant() {
     }
     .to_wire();
 
-    let local = Server::with_shards(2);
+    let local = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let _ = local.handle(&create);
 
-    let remote = Server::with_shards(2);
+    let remote = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     let _ = pool.call(&create).unwrap();
@@ -159,7 +180,14 @@ fn doc_id_tokens_are_cut_consistent_under_churn() {
     // position, but the stream still delivers each surviving document
     // exactly once — no duplicates (a positional token would re-send
     // shifted docs), no skips.
-    let server = Server::with_shards(3);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 3,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let create = ClientMessage::CreateTable {
         name: "churn".into(),
         table: big_table().into(),
@@ -251,7 +279,7 @@ proptest! {
         let n = docs.len() as u64;
         let table = EncryptedTable { params, docs, next_doc_id: n };
 
-        let server = Server::with_shards(3);
+        let server = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, None).unwrap();
         let create = ClientMessage::CreateTable { name: "t".into(), table: table.clone().into() }.to_wire();
         prop_assert_eq!(
             ServerResponse::from_wire(&server.handle(&create)).unwrap(),
@@ -320,7 +348,7 @@ proptest! {
         // stays within the budget unless a single oversized document
         // forces progress.
         let table = EncryptedTable { params, docs, next_doc_id: n };
-        let server = Server::with_shards(2);
+        let server = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap();
         let create =
             ClientMessage::CreateTable { name: "c".into(), table: table.clone().into() }.to_wire();
         prop_assert_eq!(

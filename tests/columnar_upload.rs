@@ -24,7 +24,7 @@ use dbph::core::swp_ph::PARALLEL_ENCRYPT_ROWS;
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
     ColumnarTable, DatabasePh, DurableOptions, EncryptedTable, FinalSwpPh, IncrementalPh, Replica,
-    ReplicaOptions, Server, TempDir,
+    ReplicaOptions, Server, ServerConfig, TempDir,
 };
 use dbph::crypto::SecretKey;
 use dbph::swp::{CipherWord, SwpParams};
@@ -179,7 +179,7 @@ proptest! {
         );
 
         let dir = TempDir::new("columnar-upload").unwrap();
-        let server = Server::open_durable(dir.path(), 2).unwrap();
+        let server = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, Some(dir.path())).unwrap();
 
         // (c) Every cut of the frame is refused, and none is logged.
         for cut in 0..frame.len() {
@@ -217,18 +217,21 @@ proptest! {
         prop_assert_eq!(logged_bytes(&server), logged);
 
         let follower_dir = TempDir::new("columnar-upload-follower").unwrap();
-        let options = ReplicaOptions { shards: 3, ..ReplicaOptions::default() };
+        let options = ReplicaOptions {
+            server: ServerConfig { shards: 3, ..ServerConfig::default() },
+            ..ReplicaOptions::default()
+        };
         let replica = Replica::bootstrap(server.clone(), follower_dir.path(), options).unwrap();
         prop_assert_eq!(&fetch(&replica.server(), "t"), &original);
         drop(replica);
 
         drop(server);
-        let reopened = Server::open_durable(dir.path(), 3).unwrap();
+        let reopened = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, Some(dir.path())).unwrap();
         prop_assert_eq!(&fetch(&reopened, "t"), &original);
         reopened.compact().unwrap();
         drop(reopened);
         let chunked = DurableOptions { snapshot_chunk_bytes: 64, ..DurableOptions::default() };
-        let compacted = Server::open_durable_with(dir.path(), 2, None, chunked).unwrap();
+        let compacted = Server::open(&ServerConfig { shards: 2, durable: chunked, ..ServerConfig::default() }, Some(dir.path())).unwrap();
         prop_assert_eq!(&fetch(&compacted, "t"), &original);
     }
 }

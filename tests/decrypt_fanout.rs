@@ -13,7 +13,7 @@
 //!   `select`.
 
 use dbph::core::swp_ph::PARALLEL_DECRYPT_ROWS;
-use dbph::core::{Client, DatabasePh, EncryptedTable, FinalSwpPh, PhError, Server};
+use dbph::core::{Client, DatabasePh, EncryptedTable, FinalSwpPh, PhError, Server, ServerConfig};
 use dbph::crypto::SecretKey;
 use dbph::relation::{exec, Query, Relation, Tuple};
 use dbph::workload::EmployeeGen;
@@ -87,7 +87,7 @@ proptest! {
             prop_assert_eq!(&ph.decrypt_result(&bad, &query).unwrap_err(), &expected);
         }
 
-        let mut client = Client::new(ph.clone(), Server::with_shards(2));
+        let mut client = Client::new(ph.clone(), Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap());
         client.outsource(&relation).unwrap();
         prop_assert_eq!(
             client.select(&query).unwrap(),

@@ -20,7 +20,9 @@
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
-use dbph::core::{DurableOptions, NetServer, PooledClient, Server, TempDir, Transport};
+use dbph::core::{
+    DurableOptions, NetServer, PooledClient, Server, ServerConfig, TempDir, Transport,
+};
 use dbph::swp::{CipherWord, SwpParams};
 
 use proptest::prelude::*;
@@ -175,15 +177,25 @@ fn durable_equals_in_memory_across_shards_and_workers() {
     let probes = probe_messages();
     for shards in [1usize, 2, 5] {
         for workers in [1usize, 4] {
-            let mem = Server::with_pool(shards, workers);
+            let mem = Server::open(
+                &ServerConfig {
+                    shards,
+                    workers: Some(workers),
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             let mem_responses = replay(&mem, &messages);
 
             let tmp = TempDir::new("equiv").unwrap();
-            let durable = Server::open_durable_with(
-                tmp.path(),
-                shards,
-                Some(workers),
-                DurableOptions::default(),
+            let durable = Server::open(
+                &ServerConfig {
+                    shards,
+                    workers: Some(workers),
+                    ..ServerConfig::default()
+                },
+                Some(tmp.path()),
             )
             .unwrap();
             let durable_responses = replay(&durable, &messages);
@@ -201,11 +213,13 @@ fn durable_equals_in_memory_across_shards_and_workers() {
             // Unclean kill: every record was fsync'd per message, so
             // dropping the server with no goodbye loses nothing.
             drop(durable);
-            let recovered = Server::open_durable_with(
-                tmp.path(),
-                shards,
-                Some(workers),
-                DurableOptions::default(),
+            let recovered = Server::open(
+                &ServerConfig {
+                    shards,
+                    workers: Some(workers),
+                    ..ServerConfig::default()
+                },
+                Some(tmp.path()),
             )
             .unwrap();
             let mem_events_before = mem.observer().events().len();
@@ -231,12 +245,26 @@ fn durable_equals_in_memory_over_tcp_and_survives_restart() {
     let probes = probe_messages();
 
     // Reference: the uninterrupted in-memory server, in-process.
-    let mem = Server::with_shards(3);
+    let mem = Server::open(
+        &ServerConfig {
+            shards: 3,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let mem_responses = replay(&mem, &messages);
 
     // A durable server behind a real socket.
     let tmp = TempDir::new("tcp-equiv").unwrap();
-    let durable = Server::open_durable(tmp.path(), 3).unwrap();
+    let durable = Server::open(
+        &ServerConfig {
+            shards: 3,
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let handle = NetServer::spawn(durable.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
     let tcp_responses = replay(&pool, &messages);
@@ -247,7 +275,14 @@ fn durable_equals_in_memory_over_tcp_and_survives_restart() {
     // both from the data directory.
     handle.shutdown();
     drop(durable);
-    let recovered = Server::open_durable(tmp.path(), 3).unwrap();
+    let recovered = Server::open(
+        &ServerConfig {
+            shards: 3,
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let handle = NetServer::spawn(recovered.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
     let mem_events_before = mem.observer().events().len();
@@ -283,13 +318,27 @@ fn crypto_client_session_survives_restart() {
 
     let tmp = TempDir::new("crypto").unwrap();
     {
-        let server = Server::open_durable(tmp.path(), 2).unwrap();
+        let server = Server::open(
+            &ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
         let mut client = Client::new(scheme(), server);
         client.outsource(&emp).unwrap();
         client.insert(&tuple!["Kim", "HR", 9000i64]).unwrap();
         // kill -9: just drop everything.
     }
-    let server = Server::open_durable(tmp.path(), 2).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let client = Client::new(scheme(), server);
     let all = client.fetch_all().unwrap();
     assert_eq!(all.len(), 4, "the insert must have survived the kill");
@@ -423,7 +472,7 @@ proptest! {
         // length after each (fsync'd) message — the record boundaries.
         let tmp = TempDir::new("crash").unwrap();
         let server =
-            Server::open_durable_with(tmp.path(), 3, None, options.clone()).unwrap();
+            Server::open(&ServerConfig { shards: 3, durable: options.clone(), ..ServerConfig::default() }, Some(tmp.path())).unwrap();
         let mut boundaries = Vec::with_capacity(messages.len());
         let active = {
             for m in &messages {
@@ -452,14 +501,14 @@ proptest! {
 
         // Reference: replay only the fully-persisted message prefix.
         let survivors = boundaries.iter().filter(|&&b| b <= cut).count();
-        let reference = Server::with_shards(3);
+        let reference = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, None).unwrap();
         for m in &messages[..survivors] {
             let _ = reference.handle(m);
         }
 
         // Recovery must neither panic nor partially apply the torn
         // record: every probe answers byte-identically.
-        let recovered = Server::open_durable_with(tmp.path(), 3, None, options).unwrap();
+        let recovered = Server::open(&ServerConfig { shards: 3, durable: options, ..ServerConfig::default() }, Some(tmp.path())).unwrap();
         for probe in probe_messages_for(&["a", "b"]) {
             prop_assert_eq!(
                 recovered.handle(&probe),
@@ -511,8 +560,7 @@ proptest! {
         // state a mid-compaction kill can leave behind.
         let tmp = TempDir::new("compact-crash").unwrap();
         let server =
-            Server::open_durable_with(tmp.path(), 3, None, options.clone()).unwrap();
-        server.enable_index();
+            Server::open(&ServerConfig { shards: 3, durable: options.clone(), index: true, ..ServerConfig::default() }, Some(tmp.path())).unwrap();
         for m in &messages {
             let resp = server.handle(m);
             prop_assert!(
@@ -565,14 +613,13 @@ proptest! {
 
         // Compaction is an identity on the logical store: the acked
         // prefix is every message.
-        let reference = Server::with_shards(3);
-        reference.enable_index();
+        let reference = Server::open(&ServerConfig { shards: 3, index: true, ..ServerConfig::default() }, None).unwrap();
         for m in &messages {
             let _ = reference.handle(m);
         }
 
         let recovered =
-            Server::open_durable_with(scratch.path(), 3, None, options.clone()).unwrap();
+            Server::open(&ServerConfig { shards: 3, durable: options.clone(), ..ServerConfig::default() }, Some(scratch.path())).unwrap();
         for probe in probe_messages_for(&["a", "b"]) {
             prop_assert_eq!(
                 recovered.handle(&probe),
@@ -605,7 +652,7 @@ proptest! {
         );
         let expect = recovered.handle(&ClientMessage::FetchAll { name: "c".into() }.to_wire());
         drop(recovered);
-        let reopened = Server::open_durable_with(scratch.path(), 3, None, options).unwrap();
+        let reopened = Server::open(&ServerConfig { shards: 3, durable: options, ..ServerConfig::default() }, Some(scratch.path())).unwrap();
         prop_assert_eq!(
             reopened.handle(&ClientMessage::FetchAll { name: "c".into() }.to_wire()),
             expect,
@@ -648,8 +695,22 @@ fn compacted_store_survives_restart_identically() {
     // Mutate, compact (snapshot segment), mutate more (tail log),
     // kill, recover: snapshot + tail must reproduce the exact store.
     let tmp = TempDir::new("compact-restart").unwrap();
-    let reference = Server::with_shards(2);
-    let durable = Server::open_durable(tmp.path(), 2).unwrap();
+    let reference = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
+    let durable = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
 
     let phase1 = [
         ClientMessage::CreateTable {
@@ -686,7 +747,14 @@ fn compacted_store_survives_restart_identically() {
     }
     drop(durable);
 
-    let recovered = Server::open_durable(tmp.path(), 2).unwrap();
+    let recovered = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     for probe in probe_messages_for(&["t1", "t2"]) {
         assert_eq!(recovered.handle(&probe), reference.handle(&probe));
     }
@@ -749,9 +817,16 @@ fn segment_and_manifest_bytes_are_pinned() {
     };
 
     let tmp = TempDir::new("format-pin").unwrap();
-    let server =
-        Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
-    server.enable_index();
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(1),
+            index: true,
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let mut emp = table(6);
     for (id, words) in &mut emp.docs {
         if id.is_multiple_of(2) {
@@ -860,7 +935,18 @@ fn a_tagged_mutation_that_triggers_compaction_replays_after_restart() {
         compact_threshold: 1,
         ..DurableOptions::default()
     };
-    let open = || Server::open_durable_with(tmp.path(), 2, Some(1), options.clone()).unwrap();
+    let open = || {
+        Server::open(
+            &ServerConfig {
+                shards: 2,
+                workers: Some(1),
+                durable: options.clone(),
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap()
+    };
     let fetch = ClientMessage::FetchAll { name: "t".into() }.to_wire();
     let retry = ClientMessage::Append {
         name: "t".into(),

@@ -17,7 +17,9 @@
 //!   finds.
 
 use dbph::core::swp_ph::{FAN_OUT_WAVE_ROWS, PARALLEL_ENCRYPT_ROWS};
-use dbph::core::{Client, DatabasePh, EncryptedTable, FinalSwpPh, IncrementalPh, PhError, Server};
+use dbph::core::{
+    Client, DatabasePh, EncryptedTable, FinalSwpPh, IncrementalPh, PhError, Server, ServerConfig,
+};
 use dbph::crypto::SecretKey;
 use dbph::relation::{exec, Query, Relation, Tuple, Value};
 use dbph::workload::EmployeeGen;
@@ -102,7 +104,17 @@ fn a_fanned_out_insert_many_is_found_by_select() {
     }
     .generate(11);
     let (head, tail) = relation.tuples().split_at(40);
-    let mut client = Client::new(ph, Server::with_shards(2));
+    let mut client = Client::new(
+        ph,
+        Server::open(
+            &ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap(),
+    );
     client
         .outsource(&Relation::from_tuples(EmployeeGen::schema(), head.to_vec()).unwrap())
         .unwrap();

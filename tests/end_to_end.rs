@@ -4,14 +4,14 @@
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::wire::{WireDecode, WireEncode};
-use dbph::core::{Client, DatabasePh, FinalSwpPh, Server};
+use dbph::core::{Client, DatabasePh, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::SecretKey;
 use dbph::relation::schema::emp_schema;
 use dbph::relation::{tuple, Query, Relation};
 use dbph::workload::EmployeeGen;
 
 fn setup(seed: u8) -> (Client, Server) {
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([seed; 32])).unwrap();
     (Client::new(ph, server.clone()), server)
 }
@@ -51,7 +51,7 @@ fn large_table_full_lifecycle() {
 
 #[test]
 fn multiple_tables_coexist_on_one_server() {
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let emp_ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([3u8; 32])).unwrap();
     let hosp_ph = FinalSwpPh::new(
         dbph::relation::schema::hospital_schema(),
@@ -88,7 +88,7 @@ fn multiple_tables_coexist_on_one_server() {
 
 #[test]
 fn server_rejects_garbage_bytes_gracefully() {
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     for garbage in [&[][..], &[0xFF][..], &[1, 2, 3][..], &[0u8; 1000][..]] {
         let resp = ServerResponse::from_wire(&server.handle(garbage)).unwrap();
         assert!(matches!(resp, ServerResponse::Error(_)), "{garbage:?}");
@@ -194,7 +194,7 @@ fn stale_append_rejected_fresh_append_accepted() {
 fn concurrent_clients_share_one_server_safely() {
     // The server's interior locking must hold up under parallel
     // clients on disjoint tables.
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     std::thread::scope(|scope| {
         for worker in 0..4u8 {
             let server = server.clone();

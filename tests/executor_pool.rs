@@ -11,7 +11,7 @@ use std::time::Duration;
 use dbph::core::executor::Executor;
 use dbph::core::protocol::{ClientMessage, WireTrapdoor};
 use dbph::core::wire::WireEncode;
-use dbph::core::{DatabasePh, FinalSwpPh, Server};
+use dbph::core::{DatabasePh, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::SecretKey;
 use dbph::relation::Query;
 use dbph::workload::EmployeeGen;
@@ -115,10 +115,26 @@ fn batch_responses_stay_in_wire_order_under_pooled_execution() {
     };
 
     // 1-worker pool = sequential reference engine.
-    let reference = Server::with_pool(4, 1);
+    let reference = Server::open(
+        &ServerConfig {
+            shards: 4,
+            workers: Some(1),
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let reference_responses = drive(&reference);
     for workers in [2, 4, 8] {
-        let pooled = Server::with_pool(4, workers);
+        let pooled = Server::open(
+            &ServerConfig {
+                shards: 4,
+                workers: Some(workers),
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         assert_eq!(pooled.pool_workers(), workers);
         let responses = drive(&pooled);
         assert_eq!(

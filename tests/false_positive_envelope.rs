@@ -21,7 +21,7 @@
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::wire::{WireDecode, WireEncode};
-use dbph::core::{DatabasePh, FinalSwpPh, Server, WordCodec};
+use dbph::core::{DatabasePh, FinalSwpPh, Server, ServerConfig, WordCodec};
 use dbph::crypto::{DeterministicRng, EntropySource, SecretKey};
 use dbph::relation::Query;
 use dbph::swp::{matches, FinalScheme, Location, SearchableScheme, SwpParams, Word};
@@ -75,7 +75,15 @@ fn candidates(
     shards: usize,
     workers: usize,
 ) -> usize {
-    let server = Server::with_pool(shards, workers);
+    let server = Server::open(
+        &ServerConfig {
+            shards,
+            workers: Some(workers),
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let _ = server.handle(
         &ClientMessage::CreateTable {
             name: "Emp".into(),

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
-use dbph::core::{DurableOptions, Server, TempDir};
+use dbph::core::{Server, ServerConfig, TempDir};
 use dbph::swp::{CipherWord, SwpParams};
 
 fn params() -> SwpParams {
@@ -77,8 +77,15 @@ fn concurrent_writers_share_fsyncs_and_all_recover() {
     const APPENDS: u64 = 25;
 
     let tmp = TempDir::new("group-share").unwrap();
-    let server =
-        Server::open_durable_with(tmp.path(), 3, Some(2), DurableOptions::default()).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            shards: 3,
+            workers: Some(2),
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
 
     // Tables are created serially so the concurrent phase is pure
     // appends — each thread owns one table, so per-table order is
@@ -121,9 +128,23 @@ fn concurrent_writers_share_fsyncs_and_all_recover() {
     // completed barrier, so recovery must replay all of them.
     drop(log);
     drop(server);
-    let recovered =
-        Server::open_durable_with(tmp.path(), 3, Some(2), DurableOptions::default()).unwrap();
-    let reference = Server::with_shards(3);
+    let recovered = Server::open(
+        &ServerConfig {
+            shards: 3,
+            workers: Some(2),
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
+    let reference = Server::open(
+        &ServerConfig {
+            shards: 3,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     for w in 0..WRITERS {
         let name = format!("w{w}");
         let _ = reference.handle(&create_msg(&name));
@@ -146,8 +167,15 @@ fn failing_fdatasync_fails_every_waiter_in_the_window_closed() {
     const WAITERS: usize = 4;
 
     let tmp = TempDir::new("group-poison").unwrap();
-    let server =
-        Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(1),
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     for w in 0..WAITERS {
         assert!(is_ok(&server.handle(&create_msg(&format!("p{w}")))));
     }

@@ -29,7 +29,7 @@
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::server::ServerEvent;
 use dbph::core::wire::{WireDecode, WireEncode};
-use dbph::core::{DatabasePh, DurableOptions, FinalSwpPh, Server, TempDir};
+use dbph::core::{DatabasePh, FinalSwpPh, Server, ServerConfig, TempDir};
 use dbph::crypto::SecretKey;
 use dbph::relation::{Query, Relation, Tuple, Value};
 use dbph::workload::EmployeeGen;
@@ -173,7 +173,15 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
     .generate(9);
     let queries = sample_queries();
 
-    let baseline = Server::with_pool(1, 1);
+    let baseline = Server::open(
+        &ServerConfig {
+            shards: 1,
+            workers: Some(1),
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let baseline_responses = drive_churn_session(&baseline, &relation, &queries);
     let baseline_events = baseline.observer().events();
     assert_eq!(
@@ -185,7 +193,15 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
     for shards in SHARD_COUNTS {
         for workers in POOL_SIZES {
             // Off: the whole observable surface matches the baseline.
-            let off = Server::with_pool(shards, workers);
+            let off = Server::open(
+                &ServerConfig {
+                    shards,
+                    workers: Some(workers),
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             let off_responses = drive_churn_session(&off, &relation, &queries);
             assert_eq!(
                 off_responses, baseline_responses,
@@ -199,8 +215,16 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
 
             // On: responses still byte-identical; the transcript gains
             // probe events and nothing else.
-            let on = Server::with_pool(shards, workers);
-            on.enable_index();
+            let on = Server::open(
+                &ServerConfig {
+                    shards,
+                    workers: Some(workers),
+                    index: true,
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             assert!(on.index_enabled());
             let on_responses = drive_churn_session(&on, &relation, &queries);
             assert_eq!(
@@ -250,9 +274,15 @@ fn error_paths_match_with_index_on() {
         }
         .to_wire(),
     ];
-    let off = Server::new();
-    let on = Server::new();
-    on.enable_index();
+    let off = Server::open(&ServerConfig::default(), None).unwrap();
+    let on = Server::open(
+        &ServerConfig {
+            index: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     for m in &msgs {
         assert_eq!(on.handle(m), off.handle(m), "error bytes diverged");
     }
@@ -281,9 +311,23 @@ fn reversed_upload_is_refused_so_both_plans_answer_alike() {
     // after 3 of the 60 documents.
     let scheme = ph();
     let table = reversed_upload(&scheme, 60);
-    let off = Server::with_shards(2);
-    let on = Server::with_shards(2);
-    on.enable_index();
+    let off = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
+    let on = Server::open(
+        &ServerConfig {
+            shards: 2,
+            index: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let query = ClientMessage::Query {
         name: "Emp".into(),
         terms: encrypt(&scheme, &Query::select("dept", "dept-00")),
@@ -348,11 +392,16 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
 
     let run = |enable: bool, probe: bool| {
         let tmp = TempDir::new("index-skip").unwrap();
-        let server =
-            Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
-        if enable {
-            server.enable_index();
-        }
+        let server = Server::open(
+            &ServerConfig {
+                shards: 2,
+                workers: Some(1),
+                index: enable,
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
         let scheme = ph();
         let table = scheme.encrypt_table(&relation).unwrap();
         let _ = server.handle(
@@ -406,8 +455,15 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
     // ...and recovery restores both the enablement and the image, so
     // post-restart answers still match a scan server fed the same
     // session.
-    let recovered =
-        Server::open_durable_with(on_dir.path(), 2, Some(1), DurableOptions::default()).unwrap();
+    let recovered = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(1),
+            ..ServerConfig::default()
+        },
+        Some(on_dir.path()),
+    )
+    .unwrap();
     assert!(
         recovered.index_enabled(),
         "a persisted index implies the plan was on"
@@ -417,7 +473,14 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
         on_at_rest,
         "recovered at-rest image diverged"
     );
-    let reference = Server::with_shards(2);
+    let reference = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let scheme = ph();
     let table = scheme.encrypt_table(&relation).unwrap();
     let _ = reference.handle(
@@ -437,6 +500,67 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
             recovered.handle(&msg),
             reference.handle(&msg),
             "post-restart indexed answer diverged from the scan for {query}"
+        );
+    }
+    drop(recovered);
+
+    // Opening with `index: true` equals recovering and then switching
+    // the index on, on a log with an index image and on logs without
+    // one: same flag, at-rest image, answers and transcript.
+    let config = |index: bool| ServerConfig {
+        shards: 2,
+        workers: Some(1),
+        index,
+        ..ServerConfig::default()
+    };
+    let messages: Vec<Vec<u8>> = queries
+        .iter()
+        .map(|query| {
+            ClientMessage::Query {
+                name: "Emp".into(),
+                terms: encrypt(&scheme, query),
+            }
+            .to_wire()
+        })
+        .collect();
+    let session = |server: Server| {
+        let before = server.index_at_rest("Emp");
+        let answers: Vec<Vec<u8>> = messages.iter().map(|m| server.handle(m)).collect();
+        (
+            server.index_enabled(),
+            before,
+            answers,
+            server.observer().events(),
+            server.index_at_rest("Emp"),
+        )
+    };
+    // With an image, recovery already turns the plan on, so the switch
+    // afterwards changes nothing: the reference is the plain open.
+    let with_image =
+        |index: bool| session(Server::open(&config(index), Some(on_dir.path())).unwrap());
+    assert_eq!(
+        with_image(true),
+        with_image(false),
+        "index: true diverged from recovery of a persisted image"
+    );
+    // Without one, recovery leaves the multimap cold, as it is on an
+    // index-on server that has just taken the upload.
+    let cold = Server::open(&config(true), None).unwrap();
+    let _ = cold.handle(
+        &ClientMessage::CreateTable {
+            name: "Emp".into(),
+            table: scheme.encrypt_table(&relation).unwrap().into(),
+        }
+        .to_wire(),
+    );
+    cold.observer().clear();
+    let cold = session(cold);
+    assert!(cold.0 && cold.1.is_empty() && !cold.4.is_empty());
+    for dir in [off_dir.path(), unprobed_dir.path()] {
+        assert_eq!(
+            session(Server::open(&config(true), Some(dir)).unwrap()),
+            cold,
+            "index: true on a log without an image diverged from switching the index on"
         );
     }
 }
@@ -493,10 +617,27 @@ fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
     let queries = query_messages(&scheme);
 
     let tmp = TempDir::new("index-recreate").unwrap();
-    let open =
-        || Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
-    let server = open();
-    server.enable_index();
+    let open = || {
+        Server::open(
+            &ServerConfig {
+                shards: 2,
+                workers: Some(1),
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap()
+    };
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(1),
+            index: true,
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let _ = server.handle(&create(&first));
     for q in &queries {
         let _ = server.handle(q);
@@ -506,7 +647,14 @@ fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
     let _ = server.handle(&create(&second));
     drop(server);
 
-    let reference = Server::with_shards(2);
+    let reference = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     for m in [create(&first), drop_emp, create(&second)] {
         let _ = reference.handle(&m);
     }
@@ -546,10 +694,27 @@ fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_o
     let queries = query_messages(&scheme);
 
     let tmp = TempDir::new("index-post-compaction-delete").unwrap();
-    let open =
-        || Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
-    let server = open();
-    server.enable_index();
+    let open = || {
+        Server::open(
+            &ServerConfig {
+                shards: 2,
+                workers: Some(1),
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap()
+    };
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(1),
+            index: true,
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let _ = server.handle(&create);
     for q in &queries {
         let _ = server.handle(q);
@@ -566,7 +731,14 @@ fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_o
         live,
         "recovered at-rest image kept ids the live purge removed"
     );
-    let reference = Server::with_shards(2);
+    let reference = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let _ = reference.handle(&create);
     let _ = reference.handle(&delete);
     for (i, q) in queries.iter().enumerate() {
@@ -671,11 +843,10 @@ proptest! {
             responses
         };
 
-        let scan = Server::with_pool(3, 2);
+        let scan = Server::open(&ServerConfig { shards: 3, workers: Some(2), ..ServerConfig::default() }, None).unwrap();
         let scan_responses = drive(&scan);
 
-        let indexed = Server::with_pool(3, 2);
-        indexed.enable_index();
+        let indexed = Server::open(&ServerConfig { shards: 3, workers: Some(2), index: true, ..ServerConfig::default() }, None).unwrap();
         let indexed_responses = drive(&indexed);
 
         prop_assert_eq!(indexed_responses, scan_responses,

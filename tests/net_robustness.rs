@@ -43,7 +43,7 @@ use dbph::core::codec;
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
-    DurableOptions, NetOptions, NetServer, PoolOptions, PooledClient, RetryPolicy, Server, TempDir,
+    NetOptions, NetServer, PoolOptions, PooledClient, RetryPolicy, Server, ServerConfig, TempDir,
     Transport,
 };
 use dbph::swp::{CipherWord, SwpParams};
@@ -110,7 +110,14 @@ fn eventually(mut probe: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn idle_sessions_are_reaped() {
-    let server = Server::with_shards(2);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn_opts(
         server.clone(),
         "127.0.0.1:0",
@@ -141,7 +148,14 @@ fn a_peer_that_stops_reading_is_reaped() {
     // the responses fill both socket buffers, the session thread is
     // blocked writing. "No traffic in either direction" covers it, so
     // the idle budget must end the session there too.
-    let server = Server::with_shards(2);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn_opts(
         server.clone(),
         "127.0.0.1:0",
@@ -190,7 +204,14 @@ fn a_peer_that_stops_reading_is_reaped() {
 
 #[test]
 fn active_sessions_survive_the_idle_reaper() {
-    let server = Server::with_shards(2);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn_opts(
         server.clone(),
         "127.0.0.1:0",
@@ -342,8 +363,15 @@ fn retry_policy_gives_up_after_its_attempt_budget() {
 #[test]
 fn poisoned_log_fails_mutations_closed_over_tcp_but_keeps_answering_queries() {
     let tmp = TempDir::new("net-poison").unwrap();
-    let server =
-        Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(1),
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let client = PooledClient::connect(handle.addr(), 2).unwrap();
 
@@ -398,7 +426,7 @@ fn stale_duplicate_surfaces_immediately_through_the_retry_policy() {
     use dbph::core::protocol::STALE_DUPLICATE_PREFIX;
     use dbph::core::PhError;
 
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn(server, "127.0.0.1:0").unwrap();
     // A retry policy with a backoff so wide that any accidental retry
     // of the stale rejection would blow the timing assertion below.
@@ -517,8 +545,15 @@ fn health(resp: &[u8]) -> (bool, u64, u64, u64, u64) {
 fn stats_answers_a_health_probe() {
     let probe = ClientMessage::Stats.to_wire();
     let tmp = TempDir::new("net-stats-probe").unwrap();
-    let server =
-        Server::open_durable_with(tmp.path(), 2, Some(1), DurableOptions::default()).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(1),
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let client = PooledClient::connect(handle.addr(), 1).unwrap();
 
@@ -551,7 +586,7 @@ fn stats_answers_a_health_probe() {
 
 #[test]
 fn stats_health_probe_works_on_an_in_memory_server() {
-    let server = Server::with_shards(1);
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     assert!(is_ok(&server.handle(&create_msg("T"))));
     let (poisoned, tables, repl_lag, semi_sync_degraded, resyncs) =
         health(&server.handle(&ClientMessage::Stats.to_wire()));

@@ -29,7 +29,9 @@
 //!    sessions and replays each against both transports.
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
-use dbph::core::{DatabasePh, FinalSwpPh, NetServer, PooledClient, Server, Transport};
+use dbph::core::{
+    DatabasePh, FinalSwpPh, NetServer, PooledClient, Server, ServerConfig, Transport,
+};
 use dbph::crypto::SecretKey;
 use dbph::relation::{Query, Relation, Tuple, Value};
 use dbph::swp::{CipherWord, SwpParams};
@@ -184,11 +186,27 @@ fn tcp_responses_and_transcripts_equal_in_process_across_matrix() {
 
     for shards in [1usize, 2, 4, 8] {
         for workers in [1usize, 4] {
-            let local = Server::with_pool(shards, workers);
+            let local = Server::open(
+                &ServerConfig {
+                    shards,
+                    workers: Some(workers),
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             let local_responses = replay(&local, &messages);
             let local_events = local.observer().events();
 
-            let remote = Server::with_pool(shards, workers);
+            let remote = Server::open(
+                &ServerConfig {
+                    shards,
+                    workers: Some(workers),
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
             let pool = PooledClient::connect(handle.addr(), 2).unwrap();
             let tcp_responses = replay(&pool, &messages);
@@ -219,10 +237,24 @@ fn pipelined_replay_is_byte_identical_too() {
     .generate(3);
     let messages = workload_messages(&relation);
 
-    let local = Server::with_shards(4);
+    let local = Server::open(
+        &ServerConfig {
+            shards: 4,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let local_responses = replay(&local, &messages);
 
-    let remote = Server::with_shards(4);
+    let remote = Server::open(
+        &ServerConfig {
+            shards: 4,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     let tcp_responses = pool.call_many(&messages).unwrap();
@@ -249,12 +281,26 @@ fn crypto_client_sessions_agree_across_transports() {
         Query::select("name", "no-such-emp"),
     ];
 
-    let local_server = Server::with_shards(4);
+    let local_server = Server::open(
+        &ServerConfig {
+            shards: 4,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let mut local = dbph::core::Client::new(ph(), local_server);
     local.outsource(&relation).unwrap();
     let local_results = local.select_many(&queries).unwrap();
 
-    let remote_server = Server::with_shards(4);
+    let remote_server = Server::open(
+        &ServerConfig {
+            shards: 4,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn(remote_server, "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
     let mut remote = dbph::core::Client::new(ph(), pool);
@@ -297,7 +343,14 @@ fn stress_eight_sessions_over_two_connections() {
     const SESSIONS: usize = 8;
     const ROUNDS: usize = 20;
 
-    let server = Server::with_shards(4);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 4,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
 
@@ -506,10 +559,10 @@ proptest! {
         let relation = EmployeeGen { rows, ..EmployeeGen::default() }.generate(rows as u64);
         let messages = lower_ops(&relation, &ops);
 
-        let local = Server::with_shards(3);
+        let local = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, None).unwrap();
         let local_responses = replay(&local, &messages);
 
-        let remote = Server::with_shards(3);
+        let remote = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, None).unwrap();
         let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
         let pool = PooledClient::connect(handle.addr(), pool_size).unwrap();
         let tcp_responses = replay(&pool, &messages);

@@ -456,7 +456,7 @@ proptest! {
         // budget, and carries the identical documents.
         use dbph::core::codec;
         use dbph::core::protocol::{ClientMessage, ServerResponse};
-        use dbph::core::Server;
+        use dbph::core::{Server, ServerConfig};
 
         const CAP: usize = 16 << 10;
         let table = dbph::core::EncryptedTable {
@@ -466,7 +466,7 @@ proptest! {
                 .collect(),
             next_doc_id: 40,
         };
-        let server = Server::new();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let _ = server.handle(
             &ClientMessage::CreateTable { name: "t".into(), table: table.clone().into() }.to_wire(),
         );

@@ -26,7 +26,7 @@ use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
     ChaosPlan, ChaosProxy, NetServer, PhError, PoolOptions, PooledClient, Replica, ReplicaOptions,
-    ReplicationOptions, RetryPolicy, Server, TempDir, Transport,
+    ReplicationOptions, RetryPolicy, Server, ServerConfig, TempDir, Transport,
 };
 use dbph::swp::{CipherWord, SwpParams};
 
@@ -89,7 +89,6 @@ fn is_ok(resp: &[u8]) -> bool {
 fn replica_options(follower_id: u64) -> ReplicaOptions {
     ReplicaOptions {
         follower_id,
-        shards: 2,
         poll_interval: Duration::from_millis(1),
         ..ReplicaOptions::default()
     }
@@ -111,7 +110,14 @@ fn workload(name: &str) -> Vec<ClientMessage> {
 fn bootstrap_rebuilds_store_and_dedup_byte_identically() {
     let primary_dir = TempDir::new("repl-boot-primary").unwrap();
     let follower_dir = TempDir::new("repl-boot-follower").unwrap();
-    let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
+    let primary = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
 
     // Tagged workload with a compaction in the middle, so the shipped
     // stream crosses a snapshot + dedup-image + tail-records boundary.
@@ -161,7 +167,14 @@ fn bootstrap_from_an_idle_primary_never_parks_a_pull() {
     // last pull must come back at once, not after a long-poll wait.
     let primary_dir = TempDir::new("repl-boot-idle-primary").unwrap();
     let follower_dir = TempDir::new("repl-boot-idle-follower").unwrap();
-    let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
+    let primary = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
     for op in workload("T") {
         assert!(is_ok(&primary.handle(&op.to_wire())));
     }
@@ -235,8 +248,15 @@ fn bootstrap_after_recreate_and_post_compaction_deletes_matches_the_primary() {
 
     let primary_dir = TempDir::new("repl-boot-index-primary").unwrap();
     let follower_dir = TempDir::new("repl-boot-index-follower").unwrap();
-    let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
-    primary.enable_index();
+    let primary = Server::open(
+        &ServerConfig {
+            shards: 2,
+            index: true,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
     for name in ["Emp", "Old"] {
         assert!(is_ok(&primary.handle(&create(name, table(120, 9)))));
         for q in queries(name) {
@@ -275,9 +295,161 @@ fn bootstrap_after_recreate_and_post_compaction_deletes_matches_the_primary() {
     }
 }
 
+/// A follower opened with `index: true` plans probes from its first
+/// generation on, and every later generation — a resync after the
+/// primary compacts, and the promoted server — opens the same way. The
+/// primary's index is on but never probed, so its log carries no index
+/// image: only the follower's own config can turn the plan on.
+#[test]
+fn a_follower_opened_with_the_index_keeps_it_across_resync_and_promotion() {
+    use dbph::core::protocol::WireTrapdoor;
+    use dbph::core::server::ServerEvent;
+    use dbph::core::{DatabasePh, FinalSwpPh};
+    use dbph::crypto::SecretKey;
+    use dbph::relation::Query;
+    use dbph::workload::EmployeeGen;
+
+    let scheme =
+        FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([78u8; 32])).unwrap();
+    let table = scheme
+        .encrypt_table(
+            &EmployeeGen {
+                rows: 60,
+                ..EmployeeGen::default()
+            }
+            .generate(11),
+        )
+        .unwrap();
+    let queries: Vec<Vec<u8>> = [
+        Query::select("dept", "dept-01"),
+        Query::select("salary", 5500i64),
+    ]
+    .iter()
+    .map(|q| {
+        let terms = scheme.encrypt_query(q).unwrap().terms;
+        ClientMessage::Query {
+            name: "Emp".into(),
+            terms: terms.iter().map(WireTrapdoor::from_trapdoor).collect(),
+        }
+        .to_wire()
+    })
+    .collect();
+
+    let primary_dir = TempDir::new("repl-index-config-primary").unwrap();
+    let follower_dir = TempDir::new("repl-index-config-follower").unwrap();
+    let primary = Server::open(
+        &ServerConfig {
+            shards: 2,
+            index: true,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
+    assert!(is_ok(
+        &primary.handle(
+            &ClientMessage::CreateTable {
+                name: "Emp".into(),
+                table: table.into(),
+            }
+            .to_wire()
+        )
+    ));
+
+    // Each generation answers with the index plan: the flag is on and
+    // its queries record probes. Answers are collected here and held to
+    // the primary's at the end, so the primary's multimap stays empty
+    // (and out of its compaction image) until then.
+    let answers = |server: &Server, generation: &str| -> Vec<Vec<u8>> {
+        assert!(server.index_enabled(), "{generation}: index plan lost");
+        server.observer().clear();
+        let answers: Vec<Vec<u8>> = queries.iter().map(|q| server.handle(q)).collect();
+        assert!(
+            server
+                .observer()
+                .events()
+                .iter()
+                .any(|e| matches!(e, ServerEvent::IndexProbe { .. })),
+            "{generation}: queries recorded no index probes"
+        );
+        answers
+    };
+
+    let replica = Replica::bootstrap(
+        primary.clone(),
+        follower_dir.path(),
+        ReplicaOptions {
+            server: ServerConfig {
+                shards: 2,
+                index: true,
+                ..ServerConfig::default()
+            },
+            ..replica_options(8)
+        },
+    )
+    .unwrap();
+    let bootstrapped = answers(&replica.server(), "bootstrap");
+
+    primary.compact().unwrap();
+    assert!(primary.index_at_rest("Emp").is_empty());
+    replica.sync().unwrap();
+    assert_eq!(replica.resyncs(), 1, "compaction must trigger one resync");
+    let resynced = answers(&replica.server(), "resync");
+
+    let promoted = answers(&replica.promote(), "promotion");
+
+    let expected: Vec<Vec<u8>> = queries.iter().map(|q| primary.handle(q)).collect();
+    assert_eq!(bootstrapped, expected, "bootstrapped follower diverged");
+    assert_eq!(resynced, expected, "resynced follower diverged");
+    assert_eq!(promoted, expected, "promoted follower diverged");
+}
+
+/// A follower config [`Server::open`] would refuse fails its bootstrap
+/// with an error before anything is pulled or written, and the primary
+/// serves on.
+#[test]
+fn a_zero_shard_follower_is_refused_and_the_primary_keeps_serving() {
+    let primary_dir = TempDir::new("repl-zero-shard-primary").unwrap();
+    let follower_dir = TempDir::new("repl-zero-shard-follower").unwrap();
+    let primary = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
+    assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
+
+    let zero = ReplicaOptions {
+        server: ServerConfig {
+            shards: 0,
+            ..ServerConfig::default()
+        },
+        ..replica_options(9)
+    };
+    let err = match Replica::bootstrap(primary.clone(), follower_dir.path(), zero) {
+        Ok(_) => panic!("a zero-shard follower must be refused"),
+        Err(e) => e,
+    };
+    assert!(matches!(err, PhError::Protocol(_)), "got {err:?}");
+    assert!(
+        !follower_dir.path().join("gen-0000").exists(),
+        "a refused bootstrap must write no generation"
+    );
+
+    assert!(is_ok(&primary.handle(&append_msg("T", 0).to_wire())));
+    let replica =
+        Replica::bootstrap(primary.clone(), follower_dir.path(), replica_options(9)).unwrap();
+    assert_eq!(
+        replica.server().handle(&fetch_msg("T")),
+        primary.handle(&fetch_msg("T"))
+    );
+}
+
 #[test]
 fn in_memory_primary_refuses_replication() {
-    let primary = Server::with_shards(1);
+    let primary = Server::open(&ServerConfig::default(), None).unwrap();
     let follower_dir = TempDir::new("repl-refused").unwrap();
     let err = match Replica::bootstrap(primary.clone(), follower_dir.path(), replica_options(1)) {
         Ok(_) => panic!("an in-memory server has no log to ship"),
@@ -296,7 +468,14 @@ fn in_memory_primary_refuses_replication() {
 fn tailing_keeps_the_follower_byte_identical() {
     let primary_dir = TempDir::new("repl-tail-primary").unwrap();
     let follower_dir = TempDir::new("repl-tail-follower").unwrap();
-    let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
+    let primary = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
     assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
 
     let replica =
@@ -327,7 +506,14 @@ fn tailing_keeps_the_follower_byte_identical() {
     let promoted = replica.promote();
     let primary_fetch = primary.handle(&fetch_msg("T"));
     drop(primary);
-    let reference = Server::open_durable(primary_dir.path(), 2).unwrap();
+    let reference = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
     assert_eq!(promoted.handle(&fetch_msg("T")), primary_fetch);
     assert_eq!(
         promoted.handle(&fetch_msg("T")),
@@ -340,7 +526,14 @@ fn tailing_keeps_the_follower_byte_identical() {
 fn primary_compaction_forces_a_clean_resync() {
     let primary_dir = TempDir::new("repl-compact-primary").unwrap();
     let follower_dir = TempDir::new("repl-compact-follower").unwrap();
-    let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
+    let primary = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
     assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
 
     let replica =
@@ -374,7 +567,14 @@ struct Restartable(std::sync::Mutex<Option<Server>>);
 impl Restartable {
     fn open(dir: &std::path::Path) -> Arc<Self> {
         Arc::new(Restartable(std::sync::Mutex::new(Some(
-            Server::open_durable(dir, 2).unwrap(),
+            Server::open(
+                &ServerConfig {
+                    shards: 2,
+                    ..ServerConfig::default()
+                },
+                Some(dir),
+            )
+            .unwrap(),
         ))))
     }
 
@@ -389,7 +589,14 @@ impl Restartable {
     }
 
     fn reopen(&self, dir: &std::path::Path) -> Server {
-        let primary = Server::open_durable(dir, 2).unwrap();
+        let primary = Server::open(
+            &ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            Some(dir),
+        )
+        .unwrap();
         *self.0.lock().unwrap() = Some(primary.clone());
         primary
     }
@@ -570,7 +777,14 @@ fn a_follower_ahead_of_a_restarted_primary_re_bootstraps() {
 fn semi_sync_ack_implies_the_follower_has_the_mutation() {
     let primary_dir = TempDir::new("repl-sync-primary").unwrap();
     let follower_dir = TempDir::new("repl-sync-follower").unwrap();
-    let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
+    let primary = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
     assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
 
     // Real TCP follower: pulls ride the same framed transport clients
@@ -613,7 +827,7 @@ fn semi_sync_ack_implies_the_follower_has_the_mutation() {
 #[test]
 fn semi_sync_degrades_to_async_when_no_follower_answers() {
     let primary_dir = TempDir::new("repl-degrade").unwrap();
-    let primary = Server::open_durable(primary_dir.path(), 1).unwrap();
+    let primary = Server::open(&ServerConfig::default(), Some(primary_dir.path())).unwrap();
     assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
 
     primary
@@ -701,7 +915,7 @@ proptest! {
             .collect();
         let split = ops.len() / 2;
 
-        let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
+        let primary = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, Some(primary_dir.path())).unwrap();
         let handle = NetServer::spawn(primary.clone(), "127.0.0.1:0").unwrap();
         // The replication link runs through seeded chaos: resets, torn
         // frames, swallowed responses, delays.
@@ -773,7 +987,7 @@ proptest! {
             prop_assert!(is_ok(&resp), "seed {}: post-failover re-send refused", seed);
         }
 
-        let reference = Server::with_shards(2);
+        let reference = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap();
         for op in workload("T") {
             prop_assert!(is_ok(&reference.handle(&op.to_wire())));
         }

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use dbph::core::codec;
 use dbph::core::protocol::{ClientMessage, WireTrapdoor};
 use dbph::core::wire::WireEncode as _;
-use dbph::core::{DurableOptions, NetServer, PooledClient, Server, TempDir, Transport};
+use dbph::core::{NetServer, PooledClient, Server, ServerConfig, TempDir, Transport};
 use dbph::swp::{CipherWord, SwpParams};
 
 fn params() -> SwpParams {
@@ -88,7 +88,15 @@ fn hundreds_of_concurrent_sessions_pipeline_in_order() {
     const SESSIONS: usize = 256;
     const SHARDS: usize = 3;
 
-    let server = Server::with_pool(SHARDS, 2);
+    let server = Server::open(
+        &ServerConfig {
+            shards: SHARDS,
+            workers: Some(2),
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let shared = ClientMessage::CreateTable {
         name: "shared".into(),
         table: table(5).into(),
@@ -100,7 +108,14 @@ fn hundreds_of_concurrent_sessions_pipeline_in_order() {
     // reference with the same shard count (responses are pinned
     // byte-identical across transports by earlier suites; session
     // tables are disjoint, so sessions are independent).
-    let reference = Server::with_shards(SHARDS);
+    let reference = Server::open(
+        &ServerConfig {
+            shards: SHARDS,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let _ = reference.handle(&shared);
     let expected: Arc<Vec<Vec<u8>>> = Arc::new(
         session_requests(0)
@@ -176,7 +191,15 @@ fn a_slow_scan_session_does_not_delay_another_session() {
     // A one-worker pool runs each scan inline on its session thread,
     // so the scanning session occupies one core and the probing
     // session's `Stats` requests must not queue behind it.
-    let server = Server::with_pool(2, 1);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            workers: Some(1),
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let _ = server.handle(
         &ClientMessage::CreateTable {
             name: "wide".into(),
@@ -300,7 +323,15 @@ fn responses_and_transcripts_identical_across_stores() {
     let messages = matrix_session();
     for shards in [1usize, 3] {
         for workers in [1usize, 2] {
-            let baseline = Server::with_pool(shards, workers);
+            let baseline = Server::open(
+                &ServerConfig {
+                    shards,
+                    workers: Some(workers),
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             let baseline_responses: Vec<_> = messages.iter().map(|m| baseline.handle(m)).collect();
             let baseline_events = baseline.observer().events();
 
@@ -308,17 +339,27 @@ fn responses_and_transcripts_identical_across_stores() {
                 let _tmp; // keeps the data dir alive through the run
                 let server = if durable {
                     let tmp = TempDir::new("matrix").unwrap();
-                    let server = Server::open_durable_with(
-                        tmp.path(),
-                        shards,
-                        Some(workers),
-                        DurableOptions::default(),
+                    let server = Server::open(
+                        &ServerConfig {
+                            shards,
+                            workers: Some(workers),
+                            ..ServerConfig::default()
+                        },
+                        Some(tmp.path()),
                     )
                     .unwrap();
                     _tmp = tmp;
                     server
                 } else {
-                    Server::with_pool(shards, workers)
+                    Server::open(
+                        &ServerConfig {
+                            shards,
+                            workers: Some(workers),
+                            ..ServerConfig::default()
+                        },
+                        None,
+                    )
+                    .unwrap()
                 };
                 let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
                 let pool = PooledClient::connect(handle.addr(), 2).unwrap();

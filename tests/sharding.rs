@@ -24,7 +24,7 @@
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::server::{execute_query, ServerEvent};
 use dbph::core::wire::{WireDecode, WireEncode};
-use dbph::core::{Client, DatabasePh, FinalSwpPh, Server};
+use dbph::core::{Client, DatabasePh, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::SecretKey;
 use dbph::relation::{Query, Relation, Tuple, Value};
 use dbph::workload::EmployeeGen;
@@ -109,13 +109,20 @@ fn results_and_transcripts_identical_across_shard_counts() {
     .generate(9);
     let queries = sample_queries();
 
-    let baseline_server = Server::new();
+    let baseline_server = Server::open(&ServerConfig::default(), None).unwrap();
     assert_eq!(baseline_server.shards(), 1);
     let baseline_responses = drive_session(&baseline_server, &relation, &queries);
     let baseline_events = baseline_server.observer().events();
 
     for shards in SHARD_COUNTS {
-        let server = Server::with_shards(shards);
+        let server = Server::open(
+            &ServerConfig {
+                shards,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         let responses = drive_session(&server, &relation, &queries);
         assert_eq!(
             responses, baseline_responses,
@@ -144,7 +151,14 @@ fn sharded_scan_equals_reference_execute_query() {
         let terms: Vec<WireTrapdoor> = qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
         let reference = execute_query(&table, &terms);
         for shards in SHARD_COUNTS {
-            let server = Server::with_shards(shards);
+            let server = Server::open(
+                &ServerConfig {
+                    shards,
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             let create = ClientMessage::CreateTable {
                 name: "Emp".into(),
                 table: table.clone().into(),
@@ -178,13 +192,20 @@ fn batched_queries_leak_exactly_like_single_queries() {
     let queries = sample_queries();
 
     // One at a time…
-    let singles = Server::new();
+    let singles = Server::open(&ServerConfig::default(), None).unwrap();
     let mut client = Client::new(ph(), singles.clone());
     client.outsource(&relation).unwrap();
     let single_results: Vec<Relation> = queries.iter().map(|q| client.select(q).unwrap()).collect();
 
     // …versus one batch on a sharded server.
-    let batched = Server::with_shards(4);
+    let batched = Server::open(
+        &ServerConfig {
+            shards: 4,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let mut batch_client = Client::new(ph(), batched.clone());
     batch_client.outsource(&relation).unwrap();
     let batch_results = batch_client.select_many(&queries).unwrap();
@@ -273,13 +294,29 @@ fn pooled_batches_match_sequential_engine_bytes_and_transcript() {
 
     // The 1-worker pool runs the identical task list inline, in
     // submission order: that *is* the sequential execution path.
-    let sequential = Server::with_pool(4, 1);
+    let sequential = Server::open(
+        &ServerConfig {
+            shards: 4,
+            workers: Some(1),
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let sequential_responses = drive_batch_session(&sequential, &relation);
     let sequential_events = sequential.observer().events();
 
     for workers in POOL_SIZES {
         for shards in [1, 4, 8] {
-            let pooled = Server::with_pool(shards, workers);
+            let pooled = Server::open(
+                &ServerConfig {
+                    shards,
+                    workers: Some(workers),
+                    ..ServerConfig::default()
+                },
+                None,
+            )
+            .unwrap();
             let responses = drive_batch_session(&pooled, &relation);
             assert_eq!(
                 responses, sequential_responses,
@@ -336,7 +373,15 @@ fn batch_results_match_reference_execute_query_per_query() {
         .collect();
 
     for workers in POOL_SIZES {
-        let server = Server::with_pool(4, workers);
+        let server = Server::open(
+            &ServerConfig {
+                shards: 4,
+                workers: Some(workers),
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         let _ = server.handle(
             &ClientMessage::CreateTable {
                 name: "Emp".into(),
@@ -419,7 +464,7 @@ proptest! {
 
         let mut reference: Option<(Vec<Vec<u8>>, Vec<ServerEvent>)> = None;
         for workers in [1usize, 3, 8] {
-            let server = Server::with_pool(3, workers);
+            let server = Server::open(&ServerConfig { shards: 3, workers: Some(workers), ..ServerConfig::default() }, None).unwrap();
             let responses = vec![
                 server.handle(
                     &ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone().into() }
@@ -481,7 +526,7 @@ proptest! {
                 qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
             let reference = execute_query(&table, &terms);
             for shards in [1usize, 3, 8] {
-                let server = Server::with_shards(shards);
+                let server = Server::open(&ServerConfig { shards, ..ServerConfig::default() }, None).unwrap();
                 let _ = server.handle(
                     &ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone().into() }
                         .to_wire(),

@@ -2,7 +2,7 @@
 //! reference engine must return identical rows for every statement of
 //! a generated workload.
 
-use dbph::core::{Client, FinalSwpPh, Server};
+use dbph::core::{Client, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::{DeterministicRng, EntropySource, SecretKey};
 use dbph::relation::sql::{self, ExecOutcome, Statement};
 use dbph::relation::{Catalog, Tuple};
@@ -73,7 +73,7 @@ fn run_both(
 #[test]
 fn scripted_session_agrees() {
     let mut reference = Catalog::new();
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let master = SecretKey::from_bytes([81u8; 32]);
     let mut client = None;
 
@@ -102,7 +102,7 @@ fn scripted_session_agrees() {
 fn randomized_workload_agrees() {
     let mut rng = DeterministicRng::from_seed(4242);
     let mut reference = Catalog::new();
-    let server = Server::new();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let master = SecretKey::from_bytes([82u8; 32]);
     let mut client = None;
 

@@ -25,7 +25,7 @@ use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
     DatabasePh, FinalSwpPh, NetServer, PoolOptions, PooledClient, Replica, ReplicaOptions,
-    RetryPolicy, Server, TempDir, Transport,
+    RetryPolicy, Server, ServerConfig, TempDir, Transport,
 };
 use dbph::crypto::SecretKey;
 use dbph::relation::{Query, Relation, Tuple, Value};
@@ -176,8 +176,22 @@ fn run_session(
         .unwrap()
     });
     let server = match &tmp {
-        Some(tmp) => Server::open_durable(tmp.path(), shards).unwrap(),
-        None => Server::with_shards(shards),
+        Some(tmp) => Server::open(
+            &ServerConfig {
+                shards,
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap(),
+        None => Server::open(
+            &ServerConfig {
+                shards,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap(),
     };
     server.telemetry().set_enabled(telemetry_on);
 
@@ -228,7 +242,14 @@ fn telemetry_on_off_is_byte_identical_across_the_matrix() {
 
 #[test]
 fn stats_request_returns_a_snapshot_and_records_no_events() {
-    let server = Server::with_shards(2);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     // Put something in the transcript first so "no new events" is a
     // real claim, not an empty-vs-empty accident.
     let _ = server.handle(&ClientMessage::FetchAll { name: "t".into() }.to_wire());
@@ -259,7 +280,7 @@ fn stats_request_returns_a_snapshot_and_records_no_events() {
 
 #[test]
 fn dedup_counters_classify_fresh_replayed_and_stale_envelopes() {
-    let server = Server::with_shards(1);
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let scheme = ph();
     let table = scheme
         .encrypt_table(
@@ -294,7 +315,23 @@ fn dedup_counters_classify_fresh_replayed_and_stale_envelopes() {
 
 #[test]
 fn query_plan_and_index_counters_move() {
-    let server = Server::with_shards(2);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
+    let indexed = Server::open(
+        &ServerConfig {
+            shards: 2,
+            index: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let scheme = ph();
     let relation = EmployeeGen {
         rows: 40,
@@ -302,19 +339,21 @@ fn query_plan_and_index_counters_move() {
     }
     .generate(2);
     let table = scheme.encrypt_table(&relation).unwrap();
-    assert!(!matches!(
-        ServerResponse::from_wire(
-            &server.handle(
-                &ClientMessage::CreateTable {
-                    name: "Emp".into(),
-                    table: table.into()
-                }
-                .to_wire()
+    for s in [&server, &indexed] {
+        assert!(!matches!(
+            ServerResponse::from_wire(
+                &s.handle(
+                    &ClientMessage::CreateTable {
+                        name: "Emp".into(),
+                        table: table.clone().into()
+                    }
+                    .to_wire()
+                )
             )
-        )
-        .unwrap(),
-        ServerResponse::Error(_)
-    ));
+            .unwrap(),
+            ServerResponse::Error(_)
+        ));
+    }
     let terms = encrypt(&scheme, &Query::select("dept", "dept-00"));
     let query = ClientMessage::Query {
         name: "Emp".into(),
@@ -334,15 +373,16 @@ fn query_plan_and_index_counters_move() {
     assert_eq!(t.plan_scan_queries.get(), 4, "1 single + 3 batched scans");
     assert_eq!(t.plan_probe_queries.get(), 0);
 
-    // Index on: every query probes, batched or not.
-    server.enable_index();
-    let b = server.handle(&query);
-    let c = server.handle(&query); // second probe rides the cached posting
-    let batched_probe = server.handle(&batch);
+    // Index on (a second server, same upload): every query probes,
+    // batched or not.
+    let t = indexed.telemetry();
+    let b = indexed.handle(&query);
+    let c = indexed.handle(&query); // second probe rides the cached posting
+    let batched_probe = indexed.handle(&batch);
     assert_eq!(a, b);
     assert_eq!(b, c);
     assert_eq!(batched_scan, batched_probe);
-    assert_eq!(t.plan_scan_queries.get(), 4, "no scans once indexed");
+    assert_eq!(t.plan_scan_queries.get(), 0, "no scans once indexed");
     assert_eq!(t.plan_probe_queries.get(), 5, "2 single + 3 batched probes");
 
     let per_query = terms.len() as u64;
@@ -355,7 +395,23 @@ fn query_plan_and_index_counters_move() {
 #[test]
 fn scan_checks_count_one_check_per_row() {
     const ROWS: usize = 50;
-    let server = Server::with_shards(3);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 3,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
+    let indexed = Server::open(
+        &ServerConfig {
+            shards: 3,
+            index: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let scheme = ph();
     let relation = EmployeeGen {
         rows: ROWS,
@@ -363,16 +419,18 @@ fn scan_checks_count_one_check_per_row() {
     }
     .generate(4);
     let table = scheme.encrypt_table(&relation).unwrap();
-    let _ = server.handle(
-        &ClientMessage::CreateTable {
-            name: "Emp".into(),
-            table: table.into(),
-        }
-        .to_wire(),
-    );
+    for s in [&server, &indexed] {
+        let _ = s.handle(
+            &ClientMessage::CreateTable {
+                name: "Emp".into(),
+                table: table.clone().into(),
+            }
+            .to_wire(),
+        );
+    }
     let checks = || server.stats_snapshot().scalar("scan_checks").unwrap();
-    let query = |q: &Query| {
-        server.handle(
+    let query = |s: &Server, q: &Query| {
+        s.handle(
             &ClientMessage::Query {
                 name: "Emp".into(),
                 terms: encrypt(&scheme, q),
@@ -383,9 +441,9 @@ fn scan_checks_count_one_check_per_row() {
     assert_eq!(checks(), 0);
 
     // An unindexed one-term query checks one word per row: N, not 3N.
-    query(&Query::select("salary", 5500i64));
+    query(&server, &Query::select("salary", 5500i64));
     assert_eq!(checks(), ROWS as u64);
-    query(&Query::select("name", "no-such-emp"));
+    query(&server, &Query::select("name", "no-such-emp"));
     assert_eq!(checks(), 2 * ROWS as u64);
 
     // A batch shares a repeated term's match set: one scan for it.
@@ -399,19 +457,26 @@ fn scan_checks_count_one_check_per_row() {
     );
     assert_eq!(checks(), 3 * ROWS as u64);
 
-    // Indexed: the cold probe scans the table once, the warm probe
-    // checks nothing.
-    server.enable_index();
-    query(&Query::select("salary", 5500i64));
-    assert_eq!(checks(), 4 * ROWS as u64);
-    query(&Query::select("salary", 5500i64));
-    assert_eq!(checks(), 4 * ROWS as u64);
+    // Indexed (a second server, same upload): the cold probe scans the
+    // table once, the warm probe checks nothing.
+    let indexed_checks = || indexed.stats_snapshot().scalar("scan_checks").unwrap();
+    query(&indexed, &Query::select("salary", 5500i64));
+    assert_eq!(indexed_checks(), ROWS as u64);
+    query(&indexed, &Query::select("salary", 5500i64));
+    assert_eq!(indexed_checks(), ROWS as u64);
 }
 
 #[test]
 fn durable_ingest_moves_fsync_and_commit_metrics() {
     let tmp = TempDir::new("tele-durable").unwrap();
-    let server = Server::open_durable(tmp.path(), 2).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(tmp.path()),
+    )
+    .unwrap();
     let scheme = ph();
     let table = scheme
         .encrypt_table(
@@ -452,7 +517,14 @@ fn durable_ingest_moves_fsync_and_commit_metrics() {
 fn follower_resync_and_chunk_counters_move() {
     let primary_dir = TempDir::new("tele-repl-primary").unwrap();
     let follower_dir = TempDir::new("tele-repl-follower").unwrap();
-    let primary = Server::open_durable(primary_dir.path(), 2).unwrap();
+    let primary = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Some(primary_dir.path()),
+    )
+    .unwrap();
     let scheme = ph();
     let table = scheme
         .encrypt_table(
@@ -478,7 +550,6 @@ fn follower_resync_and_chunk_counters_move() {
         follower_dir.path(),
         ReplicaOptions {
             follower_id: 21,
-            shards: 2,
             poll_interval: Duration::from_millis(1),
             ..ReplicaOptions::default()
         },
@@ -521,7 +592,7 @@ fn follower_resync_and_chunk_counters_move() {
 
 #[test]
 fn client_retry_and_failover_counters_move() {
-    let server = Server::with_shards(1);
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn(server, "127.0.0.1:0").unwrap();
     let addr = handle.addr();
     let pool = PooledClient::connect_with(
@@ -565,7 +636,7 @@ fn thread_front_end_serves_repl_pull() {
     // A long-poll parks only its own session thread, so the front-end
     // serves replication pulls like any other request.
     let tmp = TempDir::new("tele-repl-pull").unwrap();
-    let server = Server::open_durable(tmp.path(), 1).unwrap();
+    let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     if let ServerResponse::Error(e) = ServerResponse::from_wire(&pool.call(&pull).unwrap()).unwrap()
@@ -577,7 +648,14 @@ fn thread_front_end_serves_repl_pull() {
 
 #[test]
 fn stats_snapshot_travels_the_wire_with_net_counters_sampled() {
-    let server = Server::with_shards(2);
+    let server = Server::open(
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     let _ = pool
@@ -606,7 +684,7 @@ fn stats_snapshot_travels_the_wire_with_net_counters_sampled() {
 
 #[test]
 fn disabling_telemetry_freezes_collection() {
-    let server = Server::with_shards(1);
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let _ = server.handle(&ClientMessage::Stats.to_wire());
     let t = server.telemetry();
     let probes_before = t.request_latency(13).count();
