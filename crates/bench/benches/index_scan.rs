@@ -13,6 +13,11 @@
 //! below). Both paths return byte-identical tables; the sanity check
 //! asserts it before any timing.
 //!
+//! `index_scan_point/cold` times a term's *first* probe, posting
+//! absent: a delta scan over the whole table, one task per shard on
+//! the process-wide pool. Each iteration encrypts a name never probed
+//! before (a few microseconds of client work, next to the scan).
+//!
 //! Regenerate the checked-in artifact with:
 //! `CRITERION_JSON=BENCH_index_scan.json cargo bench -p dbph-bench --bench index_scan`
 
@@ -79,6 +84,16 @@ fn bench_index_scan(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("index", SHARDS), |b| {
             b.iter(|| answer(&index_store, query_terms))
         });
+        if label == "point" {
+            let mut fresh = 0u64;
+            group.bench_function(BenchmarkId::new("cold", SHARDS), |b| {
+                b.iter(|| {
+                    fresh += 1;
+                    let cold = terms(&ph, &Query::select("name", format!("cold-{fresh}")));
+                    answer(&index_store, &cold)
+                })
+            });
+        }
         group.finish();
     }
 }

@@ -155,6 +155,12 @@ impl WordArena {
         self.doc_ids[i]
     }
 
+    /// Every document id, in document order.
+    #[must_use]
+    pub(crate) fn doc_ids(&self) -> &[u64] {
+        &self.doc_ids
+    }
+
     /// The logical word indices belonging to document `i` (for use
     /// with [`Self::word`] / [`Self::regular_slot`]).
     #[must_use]

@@ -25,7 +25,12 @@
 //!   contiguous *suffix* of the table — so a probe serves the cached
 //!   ids and delta-scans only that suffix. Appends therefore need no
 //!   index maintenance at all; the index is a memo, lazily caught up
-//!   at the next probe of each term.
+//!   at the next probe of each term. The delta scan (the whole table
+//!   on a term's first probe) runs one task per shard holding part of
+//!   the suffix, on the scan pool once it checks at least as many
+//!   documents as a pooled scan would, inline below that; an empty
+//!   suffix costs neither a task nor a trapdoor preparation.
+//!   [`ProbeStats::checked`] counts its SWP checks.
 //! * **Deletes: eager purge, no tombstones.** [`TableIndex::purge`]
 //!   removes deleted ids from every posting of the table immediately.
 //!   The documented leakage consequence: Eve (who *is* the server)
@@ -234,6 +239,10 @@ pub struct ProbeStats {
     /// Posting length after the refresh — the length the at-rest
     /// multimap now reveals for this label.
     pub posting: usize,
+    /// SWP checks the delta scan ran: one per document at or past
+    /// `delta_from` with an addressed slot. Operator telemetry only —
+    /// the `IndexProbe` event does not carry it.
+    pub checked: u64,
 }
 
 #[cfg(test)]

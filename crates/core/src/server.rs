@@ -768,14 +768,11 @@ impl Server {
             }
             for probe in probes.into_iter().flatten() {
                 if on {
-                    // Delta-scan length: posting entries the probe
-                    // verified beyond its cached prefix.
-                    let delta = probe.posting.saturating_sub(probe.cached.unwrap_or(0));
                     match probe.cached {
                         Some(_) => self.telemetry.index_probe_hits.inc(),
                         None => self.telemetry.index_probe_misses.inc(),
                     }
-                    self.telemetry.index_delta_len.record(delta as u64);
+                    self.telemetry.index_delta_len.record(probe.checked);
                     self.telemetry
                         .index_posting_len
                         .record(probe.posting as u64);
@@ -1247,6 +1244,78 @@ mod tests {
                 ("query", None, None),
             ]
         );
+    }
+
+    #[test]
+    fn index_delta_len_records_the_documents_each_probe_checked() {
+        let s = Server::open(
+            &ServerConfig {
+                shards: 2,
+                workers: Some(2),
+                index: true,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
+        send(
+            &s,
+            ClientMessage::CreateTable {
+                name: "t".into(),
+                table: table(600).into(),
+            },
+        );
+        // A one-byte term matches nothing, so its posting stays empty
+        // while every probe still checks its whole delta.
+        let probe = || {
+            send(
+                &s,
+                ClientMessage::Query {
+                    name: "t".into(),
+                    terms: vec![WireTrapdoor {
+                        attr: 0,
+                        target: vec![1],
+                        check_key: Vec::new(),
+                    }],
+                },
+            )
+        };
+        let delta_len = || s.telemetry().index_delta_len.snapshot();
+        let exec = || {
+            let stats = s.stats_snapshot();
+            let tasks = stats.scalar("exec_tasks").unwrap();
+            (tasks, stats.scalar("exec_caller_tasks").unwrap())
+        };
+
+        // Cold: the whole table, one pool task per shard, both counted
+        // in the stats plane.
+        probe();
+        let cold = delta_len();
+        assert_eq!((cold.count, cold.sum), (1, 600));
+        let (tasks, caller_tasks) = exec();
+        assert_eq!(tasks, 2, "one task per shard suffix");
+        assert!(caller_tasks <= tasks);
+
+        // 40 appended rows: the re-probe checks exactly those, inline.
+        let docs = (600..640)
+            .map(|id| (id, vec![CipherWord(vec![id as u8; 13])]))
+            .collect();
+        send(
+            &s,
+            ClientMessage::AppendBatch {
+                name: "t".into(),
+                docs,
+            },
+        );
+        probe();
+        let warm = delta_len();
+        assert_eq!((warm.count, warm.sum - cold.sum), (2, 40));
+        assert_eq!(exec().0, tasks, "a short delta never reaches the pool");
+
+        // Nothing appended: the probe checks nothing.
+        probe();
+        assert_eq!((delta_len().count, delta_len().sum), (3, 640));
+        assert_eq!(s.store.scan_checks(), 640);
     }
 
     #[test]

@@ -33,7 +33,12 @@
 //! snapshots the table once and answers the whole list either by that
 //! scan fan-out or, with the opt-in index ([`crate::index`]) enabled,
 //! by per-term multimap probes plus a delta scan — byte-identical
-//! tables either way. A single query is a list of one.
+//! tables either way. A single query is a list of one. Probes run one
+//! term at a time, in query order, but each delta scan fans out too:
+//! one task per shard holding part of the suffix it checks. Both plans
+//! hand their tasks to one pool-or-inline rule (`fan_out`): the pool
+//! when it has more than one worker and the call checks at least
+//! `PARALLEL_THRESHOLD` documents, the caller's thread otherwise.
 //!
 //! Terms are attribute-addressed ([`WireTrapdoor::attr`]): a term is
 //! checked against one word per document, the word at its attribute's
@@ -58,9 +63,10 @@
 //!   alike are refused otherwise, because chunked fetch and the
 //!   index's delta scan and reassembly anchor on ids.
 //! * **Pool-size invariance.** Results are assembled into slots indexed
-//!   by `(query, shard)`, so completion order cannot reorder them; a
-//!   1-worker pool runs the identical task list inline and is the
-//!   sequential reference the tests compare against.
+//!   by `(query, shard)` — for a delta scan, by shard — so completion
+//!   order cannot reorder them; a 1-worker pool runs the identical
+//!   task list inline and is the sequential reference the tests
+//!   compare against.
 //! * **Unchanged leakage.** Sharding, pooling, and the trapdoor memo
 //!   are server-internal. Eve already sees every ciphertext, every
 //!   trapdoor, and every matched document id; how she spreads her own
@@ -213,6 +219,42 @@ fn match_indices(
     (hits, checks)
 }
 
+/// Below this many documents checked by one call, pool handoff
+/// overhead outweighs the scan itself and the call runs inline.
+const PARALLEL_THRESHOLD: usize = 512;
+
+/// The one pool-or-inline rule, shared by the scan plan and the
+/// index's delta scan: `task` runs once per item — on `pool` when it
+/// has more than one worker and the call checks at least
+/// `PARALLEL_THRESHOLD` documents (`docs`), otherwise inline on the
+/// caller's thread, in order, with no handoff and no shared copy of
+/// `task`. Results come back in item order either way
+/// ([`Executor::scatter`] returns them in submission order), so the
+/// choice changes timing and nothing else.
+fn fan_out<T, R>(
+    pool: &Executor,
+    docs: usize,
+    items: impl Iterator<Item = T>,
+    task: impl Fn(T) -> R + Send + Sync + 'static,
+) -> Vec<R>
+where
+    T: Send + 'static,
+    R: Send + 'static,
+{
+    if pool.workers() > 1 && docs >= PARALLEL_THRESHOLD {
+        let task = Arc::new(task);
+        let jobs: Vec<_> = items
+            .map(|item| {
+                let task = Arc::clone(&task);
+                move || task(item)
+            })
+            .collect();
+        pool.scatter(jobs)
+    } else {
+        items.map(task).collect()
+    }
+}
+
 /// Per-batch trapdoor memo: every *distinct* trapdoor in a
 /// `QueryBatch` is prepared exactly once, and its per-shard match set
 /// is computed exactly once no matter how many of the batch's queries
@@ -240,7 +282,7 @@ struct TrapdoorMemo {
     prepared: Vec<(u8, PreparedTrapdoor)>,
     /// Per query, indices into `prepared` (deduplicated within the
     /// query — conjunction is idempotent).
-    query_terms: Vec<Arc<Vec<usize>>>,
+    query_terms: Vec<Vec<usize>>,
     /// Whether a term occurs in more than one query of the batch.
     shared: Vec<bool>,
     /// `term × shard` match-set cells, indexed `term * shards + shard`
@@ -267,7 +309,7 @@ impl TrapdoorMemo {
                     uses[id] += 1;
                 }
             }
-            query_terms.push(Arc::new(ids));
+            query_terms.push(ids);
         }
         let cells = (0..prepared.len() * shard_count)
             .map(|_| OnceLock::new())
@@ -440,10 +482,6 @@ impl ShardedTable {
         removed
     }
 
-    /// Below this many documents, pool handoff overhead outweighs the
-    /// scan itself and the engine runs the task list inline.
-    const PARALLEL_THRESHOLD: usize = 512;
-
     /// `ψ` over a whole query batch: K queries over S shards become
     /// K×S `(query, shard)` tasks drained by `pool`'s workers, with a
     /// per-batch `TrapdoorMemo` sharing trapdoor preparation *and*
@@ -466,71 +504,54 @@ impl ShardedTable {
         checks: &Counter,
     ) -> Vec<EncryptedTable> {
         let shard_count = self.shards.len();
-        let memo = Arc::new(TrapdoorMemo::new(queries, shard_count));
-        let params = self.params;
+        let memo = TrapdoorMemo::new(queries, shard_count);
+        let (params, shards) = (self.params, self.shards.clone());
 
         // One task per (query, shard), submitted query-major so slot
         // `q * shard_count + s` is task (q, s).
-        let mut tasks: Vec<_> = Vec::with_capacity(queries.len() * shard_count);
-        for q in 0..queries.len() {
-            for (s, shard) in self.shards.iter().enumerate() {
-                let memo = Arc::clone(&memo);
-                let shard = Arc::clone(shard);
-                let term_ids = Arc::clone(&memo.query_terms[q]);
-                tasks.push(move || -> (Vec<Doc>, u64) {
-                    let whole = || 0..shard.len() as u32;
-                    let mut checks = 0u64;
-                    // Survivors of the terms processed so far; `None`
-                    // is the empty conjunction (the whole shard).
-                    let mut survivors: Option<Vec<u32>> = None;
-                    for &t in term_ids.iter() {
-                        let (attr, term) = &memo.prepared[t];
-                        survivors = Some(if memo.shared[t] {
-                            // Shared term: one full match set, reused
-                            // by every query carrying it.
-                            let set = memo.cells[t * shard_count + s].get_or_init(|| {
-                                let (hits, n) =
-                                    match_indices(&params, &shard, *attr, term, whole());
-                                checks += n;
-                                Arc::new(hits)
-                            });
-                            match survivors {
-                                None => (**set).clone(),
-                                Some(acc) => intersect_sorted(&acc, set),
-                            }
-                        } else {
-                            // Unique term: evaluate only against the
-                            // survivors — the conjunctive
-                            // short-circuit of the seed scan.
-                            let (hits, n) = match survivors {
-                                None => match_indices(&params, &shard, *attr, term, whole()),
-                                Some(acc) => {
-                                    match_indices(&params, &shard, *attr, term, acc.into_iter())
-                                }
-                            };
-                            checks += n;
-                            hits
-                        });
-                        if survivors.as_ref().is_some_and(Vec::is_empty) {
-                            break;
-                        }
+        let tasks = (0..queries.len()).flat_map(|q| (0..shard_count).map(move |s| (q, s)));
+        let slots = fan_out(pool, self.doc_count(), tasks, move |(q, s)| {
+            let shard = &shards[s];
+            let whole = || 0..shard.len() as u32;
+            let mut checks = 0u64;
+            // Survivors of the terms processed so far; `None` is the
+            // empty conjunction (the whole shard).
+            let mut survivors: Option<Vec<u32>> = None;
+            for &t in &memo.query_terms[q] {
+                let (attr, term) = &memo.prepared[t];
+                survivors = Some(if memo.shared[t] {
+                    // Shared term: one full match set, reused by every
+                    // query carrying it.
+                    let set = memo.cells[t * shard_count + s].get_or_init(|| {
+                        let (hits, n) = match_indices(&params, shard, *attr, term, whole());
+                        checks += n;
+                        Arc::new(hits)
+                    });
+                    match survivors {
+                        None => (**set).clone(),
+                        Some(acc) => intersect_sorted(&acc, set),
                     }
-                    let docs = match survivors {
-                        // Empty conjunction matches the whole shard.
-                        None => shard.to_docs(),
-                        Some(hits) => hits.iter().map(|&i| shard.doc(i as usize)).collect(),
+                } else {
+                    // Unique term: evaluate only against the survivors
+                    // — the conjunctive short-circuit of the seed scan.
+                    let (hits, n) = match survivors {
+                        None => match_indices(&params, shard, *attr, term, whole()),
+                        Some(acc) => match_indices(&params, shard, *attr, term, acc.into_iter()),
                     };
-                    (docs, checks)
+                    checks += n;
+                    hits
                 });
+                if survivors.as_ref().is_some_and(Vec::is_empty) {
+                    break;
+                }
             }
-        }
-
-        let slots: Vec<(Vec<Doc>, u64)> =
-            if pool.workers() > 1 && self.doc_count() >= Self::PARALLEL_THRESHOLD {
-                pool.scatter(tasks)
-            } else {
-                tasks.into_iter().map(|task| task()).collect()
+            let docs: Vec<Doc> = match survivors {
+                // Empty conjunction matches the whole shard.
+                None => shard.to_docs(),
+                Some(hits) => hits.iter().map(|&i| shard.doc(i as usize)).collect(),
             };
+            (docs, checks)
+        });
 
         // Reassemble: per query, shards concatenate in shard order.
         let mut slots = slots.into_iter().map(|(docs, n)| {
@@ -629,51 +650,52 @@ impl ShardedTable {
     }
 
     /// Document ids (ascending) matched by `term` among documents with
-    /// `id >= from` — the index's delta scan. Ids are strictly
-    /// increasing in table order, so those documents form a contiguous
-    /// suffix: whole shards entirely below `from` skip in O(1), the
-    /// anchor shard binary-searches its start, and the match itself is
-    /// the same addressed decision the full scan makes — identical
-    /// decisions, identical false positives. The checks run are added
-    /// to `checks`.
+    /// `id >= from` — the index's delta scan — plus the number of SWP
+    /// checks run. Ids are strictly increasing in table order, so
+    /// those documents form a contiguous suffix: each shard
+    /// binary-searches where its part starts (a shard entirely below
+    /// `from` has none), and the match itself is the same addressed
+    /// decision the full scan makes — identical decisions, identical
+    /// false positives.
+    ///
+    /// Each shard's part of the suffix is one task, run under the scan
+    /// plan's pool-or-inline rule with the suffix length as the
+    /// document count, and the parts concatenate in shard order. An
+    /// empty suffix returns at once, without preparing the trapdoor.
     #[must_use]
     pub(crate) fn match_doc_ids_from(
         &self,
+        pool: &Executor,
         term: &WireTrapdoor,
         from: u64,
-        checks: &Counter,
-    ) -> Vec<u64> {
-        let prepared = PreparedTrapdoor::new(term);
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let len = shard.len();
-            if len == 0 || shard.doc_id(len - 1) < from {
-                continue;
-            }
-            // First index with `doc_id >= from` (ids ascend in-shard).
-            let start = {
-                let (mut lo, mut hi) = (0usize, len);
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if shard.doc_id(mid) < from {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
-            };
-            let (hits, n) = match_indices(
-                &self.params,
-                shard,
-                term.attr,
-                &prepared,
-                start as u32..len as u32,
-            );
-            checks.add(n);
-            out.extend(hits.into_iter().map(|i| shard.doc_id(i as usize)));
+    ) -> (Vec<u64>, u64) {
+        // First index with `doc_id >= from` (ids ascend in-shard), or
+        // `None` when the whole shard precedes `from`.
+        let suffix_start = |shard: &Shard| {
+            let start = shard.doc_ids().partition_point(|&id| id < from);
+            (start < shard.len()).then_some(start)
+        };
+        let docs: usize = self
+            .shards
+            .iter()
+            .filter_map(|shard| Some(shard.len() - suffix_start(shard)?))
+            .sum();
+        if docs == 0 {
+            return (Vec::new(), 0);
         }
-        out
+        let (params, attr, prepared) = (self.params, term.attr, PreparedTrapdoor::new(term));
+        let suffixes = self
+            .shards
+            .iter()
+            .filter_map(|shard| Some((Arc::clone(shard), suffix_start(shard)?)));
+        let parts = fan_out(pool, docs, suffixes, move |(shard, start)| {
+            let range = start as u32..shard.len() as u32;
+            let (hits, n) = match_indices(&params, &shard, attr, &prepared, range);
+            let ids: Vec<u64> = hits.into_iter().map(|i| shard.doc_id(i as usize)).collect();
+            (ids, n)
+        });
+        let (ids, checks): (Vec<Vec<u64>>, Vec<u64>) = parts.into_iter().unzip();
+        (ids.concat(), checks.iter().sum())
     }
 
     /// Reassembles the documents with the given ids (ascending), in
@@ -697,17 +719,8 @@ impl ShardedTable {
                 shard = shard_iter.next();
             }
             let Some(s) = shard else { break };
-            let (mut lo, mut hi) = (0usize, s.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if s.doc_id(mid) < id {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            if lo < s.len() && s.doc_id(lo) == id {
-                docs.push(s.doc(lo));
+            if let Ok(i) = s.doc_ids().binary_search(&id) {
+                docs.push(s.doc(i));
             }
         }
         docs
@@ -1129,7 +1142,9 @@ impl TableStore {
             // deleted by a racing purge after this snapshot was cut is
             // dropped at reassembly (`docs_by_ids` skips absent ids),
             // so ghosts can linger in the memo but never in a response.
-            ids.extend(table.match_doc_ids_from(term, delta_from, &self.scan_checks));
+            let (delta, checked) = table.match_doc_ids_from(&self.pool, term, delta_from);
+            self.scan_checks.add(checked);
+            ids.extend(delta);
             let refreshed = Posting {
                 doc_ids: ids.clone(),
                 bound: table.next_doc_id(),
@@ -1139,6 +1154,7 @@ impl TableStore {
                 cached: cached_len,
                 delta_from,
                 posting: refreshed.doc_ids.len(),
+                checked,
             });
             self.index
                 .with_table(name, |index| index.install(key, refreshed));
@@ -1642,12 +1658,12 @@ mod tests {
         let views: Vec<&[WireTrapdoor]> = queries.iter().map(Vec::as_slice).collect();
         let memo = TrapdoorMemo::new(&views, 3);
         assert_eq!(memo.prepared.len(), 3, "three distinct terms");
-        assert_eq!(*memo.query_terms[0], vec![0, 1]);
-        assert_eq!(*memo.query_terms[1], vec![1], "within-query dup folded");
-        assert_eq!(*memo.query_terms[2], vec![0], "cross-query dup shared");
+        assert_eq!(memo.query_terms[0], vec![0, 1]);
+        assert_eq!(memo.query_terms[1], vec![1], "within-query dup folded");
+        assert_eq!(memo.query_terms[2], vec![0], "cross-query dup shared");
         assert!(memo.query_terms[3].is_empty());
         assert_eq!(
-            *memo.query_terms[4],
+            memo.query_terms[4],
             vec![2],
             "the attr is part of a term's identity"
         );
@@ -1738,6 +1754,58 @@ mod tests {
             .collect();
         assert_eq!(probed, vec![0, 1, 0, 1]);
         assert!(store.query_batch("nope", &[]).is_err());
+    }
+
+    #[test]
+    fn delta_scans_reach_the_pool_only_past_the_threshold() {
+        let pool = Arc::new(Executor::new(2));
+        let store = TableStore::new(3, Arc::clone(&pool));
+        store.create("t", table(600).into()).unwrap();
+        store.enable_index();
+        let terms = vec![vec![byte_term(0, 1)]];
+        let tasks = || pool.stats().tasks.get();
+        let probe = || {
+            let (_, probes) = store.query_batch("t", &terms).unwrap().pop().unwrap();
+            probes.unwrap()[0].checked
+        };
+        let append = |ids: std::ops::Range<u64>| {
+            let docs = ids.map(|i| (i, vec![CipherWord(vec![i as u8; 13])]));
+            store.append_batch("t", docs.collect()).unwrap();
+        };
+
+        // Cold: 600 documents, one pool task per shard suffix.
+        assert_eq!(probe(), 600);
+        assert_eq!(tasks(), 3);
+        assert_eq!(store.scan_checks(), 600);
+
+        // A 10-document delta runs inline: the pool sees nothing.
+        append(600..610);
+        assert_eq!(probe(), 10);
+        assert_eq!(tasks(), 3);
+        assert_eq!(store.scan_checks(), 610);
+
+        // A 600-document delta fans out again, one task per shard
+        // holding an id at or past 610 (the append rebalanced them).
+        append(610..1210);
+        let mut end = 0;
+        let suffixes = store
+            .shard_sizes("t")
+            .unwrap()
+            .into_iter()
+            .filter(|&len| {
+                end += len;
+                end > 610
+            })
+            .count();
+        assert!(suffixes > 1, "the delta spans more than one shard");
+        assert_eq!(probe(), 600);
+        assert_eq!(tasks(), 3 + suffixes as u64);
+        assert_eq!(store.scan_checks(), 1210);
+
+        // Nothing appended: nothing checked, nothing dispatched.
+        assert_eq!(probe(), 0);
+        assert_eq!(tasks(), 3 + suffixes as u64);
+        assert_eq!(store.scan_checks(), 1210);
     }
 
     #[test]

@@ -406,8 +406,9 @@ pub struct Telemetry {
     pub index_probe_misses: Counter,
     /// Posting-list lengths returned by index probes.
     pub index_posting_len: Histogram,
-    /// Docs each probe verified beyond its cached prefix
-    /// (delta-scan length).
+    /// Delta-scan length: the SWP checks each probe ran over the
+    /// documents past its cached prefix (the whole table on a cold
+    /// probe), not the new matches it found.
     pub index_delta_len: Histogram,
 
     /// Nanoseconds per durable-log `fsync`.

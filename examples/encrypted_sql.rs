@@ -175,7 +175,7 @@
 //! | `dedup_fresh` / `dedup_replays` / `dedup_stale` | counter | envelope dedup outcomes: applied / replayed from window / refused as too old |
 //! | `plan_probe_queries` / `plan_scan_queries` | counter | queries answered via the inverted index vs full shard scan |
 //! | `index_probe_hits` / `index_probe_misses` | counter | index probes that found a cached posting vs built one |
-//! | `index_posting_len` / `index_delta_len` | histogram | posting sizes returned / delta-scan lengths beyond the cached prefix |
+//! | `index_posting_len` / `index_delta_len` | histogram | posting sizes returned / SWP checks each delta scan ran past the cached prefix (the whole table when cold) |
 //! | `fsync_nanos` | histogram | latency of each durable-log fsync |
 //! | `commit_wait_nanos` | histogram | time a mutation waited on its group-commit barrier |
 //! | `commit_window_records` | histogram | records covered by each group-commit barrier |

@@ -245,6 +245,105 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
     }
 }
 
+/// Responses, transcript and SWP check count of a session whose
+/// probes check at least 512 documents — the threshold past which
+/// both plans hand their shard tasks to the pool: 600-row cold probes,
+/// a 600-row append, and delta scans over it.
+fn drive_pooled_session(server: &Server) -> (Vec<Vec<u8>>, Vec<ServerEvent>, Option<u64>) {
+    let scheme = ph();
+    let rows = |rows, seed| {
+        let relation = EmployeeGen {
+            rows,
+            ..EmployeeGen::default()
+        }
+        .generate(seed);
+        scheme.encrypt_table(&relation).unwrap()
+    };
+    let mut queries: Vec<Vec<WireTrapdoor>> = sample_queries()
+        .iter()
+        .map(|q| encrypt(&scheme, q))
+        .collect();
+    // A conjunction: its second term is probed only while the first
+    // leaves survivors.
+    queries.push(
+        [
+            encrypt(&scheme, &Query::select("dept", "dept-03")),
+            encrypt(&scheme, &Query::select("salary", 5500i64)),
+        ]
+        .concat(),
+    );
+    let mut responses = Vec::new();
+    let mut send = |msg: ClientMessage| responses.push(server.handle(&msg.to_wire()));
+    send(ClientMessage::CreateTable {
+        name: "Emp".into(),
+        table: rows(600, 9).into(),
+    });
+    for round in 0..2 {
+        if round == 1 {
+            send(ClientMessage::AppendBatch {
+                name: "Emp".into(),
+                docs: rows(600, 21)
+                    .docs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (_, words))| (600 + i as u64, words))
+                    .collect(),
+            });
+        }
+        // One by one, then as a batch whose repeats reuse the postings
+        // its earlier queries installed.
+        for terms in &queries {
+            send(ClientMessage::Query {
+                name: "Emp".into(),
+                terms: terms.clone(),
+            });
+        }
+        send(ClientMessage::QueryBatch {
+            name: "Emp".into(),
+            queries: [queries.clone(), queries.clone()].concat(),
+        });
+    }
+    let checks = server.stats_snapshot().scalar("scan_checks");
+    (responses, server.observer().events(), checks)
+}
+
+#[test]
+fn pooled_probes_and_delta_scans_match_the_inline_plan_and_the_scan() {
+    let open = |shards, workers, index| {
+        let config = ServerConfig {
+            shards,
+            workers: Some(workers),
+            index,
+            ..ServerConfig::default()
+        };
+        Server::open(&config, None).unwrap()
+    };
+    let (scan_responses, scan_events, _) = drive_pooled_session(&open(1, 1, false));
+    let reference = open(1, 1, true);
+    let (responses, events, checks) = drive_pooled_session(&reference);
+    assert_eq!(
+        responses, scan_responses,
+        "index plan diverged from the scan"
+    );
+    assert_eq!(without_probes(events.clone()), scan_events);
+    assert!(probe_count(&events) > 0);
+    for shards in [1, 2, 3] {
+        for workers in [1, 2, 4] {
+            let server = open(shards, workers, true);
+            let run = drive_pooled_session(&server);
+            assert_eq!(
+                run,
+                (responses.clone(), events.clone(), checks),
+                "pooled index plan diverged at {shards} shard(s) × {workers} worker(s)"
+            );
+            // Past the threshold a multi-worker pool takes the probes'
+            // tasks; a one-worker pool runs them inline.
+            let tasks = server.stats_snapshot().scalar("exec_tasks").unwrap();
+            assert_eq!(tasks > 0, workers > 1, "{shards}×{workers}: {tasks} tasks");
+        }
+    }
+}
+
 #[test]
 fn error_paths_match_with_index_on() {
     // The planner must not change failure shapes: unknown tables (and
