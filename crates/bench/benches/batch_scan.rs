@@ -4,8 +4,9 @@
 //! This bench pins two ways of running an 8-query batch over a
 //! 10k-tuple table against each other:
 //!
-//! * `per_query_pool/P` — K separate 1-query fan-outs, so shard
-//!   parallelism without cross-query parallelism or trapdoor sharing.
+//! * `per_query_pool/P` — K separate 1-query fan-outs over a `P`-worker
+//!   pool, so shard parallelism without cross-query parallelism or
+//!   trapdoor sharing.
 //!   `per_query_pool/1` is the baseline: one thread, each query
 //!   prepared and scanned in turn.
 //! * `batched_pool/P` — the batch engine: one K×S task fan-out with
@@ -35,7 +36,6 @@ use dbph_relation::Query;
 use dbph_workload::EmployeeGen;
 
 const ROWS: usize = 10_000;
-const SHARDS: usize = 4;
 const POOLS: [usize; 4] = [1, 2, 4, 8];
 
 fn encrypt_batch(ph: &FinalSwpPh, depts: &[&str]) -> Vec<Vec<WireTrapdoor>> {
@@ -88,7 +88,7 @@ fn bench_batch_scan(c: &mut Criterion) {
     .generate(7);
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([21u8; 32])).unwrap();
     let table = ph.encrypt_table(&relation).unwrap();
-    let sharded = ShardedTable::from_arena(&table.into(), SHARDS);
+    let sharded = ShardedTable::from_arena(&table.into());
 
     // Headline workload: hot-term skew — 8 queries, 5 distinct terms
     // (dept-00 is hot), the shape session traces actually have.

@@ -5,11 +5,11 @@
 //! positives for the client to decrypt and discard; this bench
 //! measures the full decrypt+filter path across check widths,
 //! substantiating the paper's "does not affect the efficiency" claim
-//! for sane widths. The second group sweeps the *sharded* server scan
-//! across `check_bits × shards`: the FP budget (check width) and the
-//! throughput knob (shard count) are independent axes, and the bench
-//! surfaces the cost of each point so the trade-off can be dialed
-//! empirically. Regenerate with
+//! for sane widths. The second group sweeps the *pooled* server scan
+//! across `check_bits × workers`: the FP budget (check width) and the
+//! throughput knob (scan pool size) are independent axes, and the
+//! bench surfaces the cost of each point so the trade-off can be
+//! dialed empirically. Regenerate with
 //! `cargo bench -p dbph-bench --bench false_positive`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -81,10 +81,10 @@ fn bench_sharded_scan(c: &mut Criterion) {
         }
         .to_wire();
 
-        for shards in [1usize, 4, 8] {
+        for workers in [1usize, 2, 4] {
             let server = Server::open(
                 &ServerConfig {
-                    shards,
+                    workers: Some(workers),
                     ..ServerConfig::default()
                 },
                 None,
@@ -97,7 +97,7 @@ fn bench_sharded_scan(c: &mut Criterion) {
             .to_wire();
             let _ = server.handle(&create);
             group.bench_function(
-                BenchmarkId::new(format!("bits={check_bits}"), format!("shards={shards}")),
+                BenchmarkId::new(format!("bits={check_bits}"), format!("workers={workers}")),
                 |b| b.iter(|| server.handle(&query_msg)),
             );
         }

@@ -30,7 +30,6 @@ use dbph_relation::Query;
 use dbph_workload::EmployeeGen;
 
 const ROWS: usize = 100_000;
-const SHARDS: usize = 4;
 
 fn terms(ph: &FinalSwpPh, query: &Query) -> Vec<WireTrapdoor> {
     let qct = ph.encrypt_query(query).unwrap();
@@ -45,9 +44,9 @@ fn bench_index_scan(c: &mut Criterion) {
     .generate(11);
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([23u8; 32])).unwrap();
     let table = ph.encrypt_table(&relation).unwrap();
-    let scan_store = TableStore::new(SHARDS, Executor::global());
+    let scan_store = TableStore::new(Executor::global());
     scan_store.create("Emp", table.clone().into()).unwrap();
-    let index_store = TableStore::new(SHARDS, Executor::global());
+    let index_store = TableStore::new(Executor::global());
     index_store.create("Emp", table.into()).unwrap();
     index_store.enable_index();
     // One query through the store's one query path; the store's index
@@ -78,15 +77,15 @@ fn bench_index_scan(c: &mut Criterion) {
 
         let mut group = c.benchmark_group(format!("index_scan_{label}"));
         group.throughput(Throughput::Elements(ROWS as u64));
-        group.bench_function(BenchmarkId::new("scan", SHARDS), |b| {
+        group.bench_function(BenchmarkId::new("scan", "pool"), |b| {
             b.iter(|| answer(&scan_store, query_terms))
         });
-        group.bench_function(BenchmarkId::new("index", SHARDS), |b| {
+        group.bench_function(BenchmarkId::new("index", "pool"), |b| {
             b.iter(|| answer(&index_store, query_terms))
         });
         if label == "point" {
             let mut fresh = 0u64;
-            group.bench_function(BenchmarkId::new("cold", SHARDS), |b| {
+            group.bench_function(BenchmarkId::new("cold", "pool"), |b| {
                 b.iter(|| {
                     fresh += 1;
                     let cold = terms(&ph, &Query::select("name", format!("cold-{fresh}")));

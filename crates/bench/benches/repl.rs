@@ -98,7 +98,6 @@ fn bench_repl(c: &mut Criterion) {
     let base_tmp = TempDir::new("bench-repl-base").unwrap();
     let base_server = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(2),
             ..ServerConfig::default()
         },
@@ -126,7 +125,6 @@ fn bench_repl(c: &mut Criterion) {
     let follower_dir = TempDir::new("bench-repl-follower").unwrap();
     let server = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(2),
             ..ServerConfig::default()
         },

@@ -5,10 +5,13 @@
 //! which re-runs the HMAC key schedule per `(trapdoor, word)` pair)
 //! against the sharded engine (`ShardedTable::scan_batch_on` with a
 //! one-query batch, which prepares each trapdoor once and fans the
-//! scan out over shards on the process-wide worker pool). On a single core the win comes from the hoisted key
-//! schedule; on multicore hardware the shards add near-linear scaling
-//! on top. Results are byte-identical across all configurations — the
-//! sharding tests enforce that; this file only measures.
+//! table's fixed-capacity shards out over a worker pool), across pool
+//! sizes (`pooled/W` runs on a dedicated `W`-worker pool; `pooled/1`
+//! runs every shard inline on the caller's thread). On a single core
+//! the win comes from the hoisted key schedule; on multicore hardware
+//! the workers add scaling on top. Results are byte-identical across
+//! all configurations — the sharding tests enforce that; this file
+//! only measures.
 //!
 //! Regenerate the checked-in artifact with:
 //! `CRITERION_JSON=BENCH_shard_scan.json cargo bench -p dbph-bench --bench shard_scan`
@@ -27,12 +30,16 @@ use dbph_relation::Query;
 use dbph_workload::EmployeeGen;
 
 const ROWS: usize = 10_000;
-const SHARDS: [usize; 4] = [1, 2, 4, 8];
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-/// `ψ` for one query on the process-wide pool.
-fn scan(sharded: &ShardedTable, terms: &[WireTrapdoor]) -> dbph_core::EncryptedTable {
+/// `ψ` for one query on `pool`.
+fn scan(
+    pool: &Executor,
+    sharded: &ShardedTable,
+    terms: &[WireTrapdoor],
+) -> dbph_core::EncryptedTable {
     sharded
-        .scan_batch_on(&Executor::global(), &[terms], &Counter::default())
+        .scan_batch_on(pool, &[terms], &Counter::default())
         .pop()
         .expect("one query, one table")
 }
@@ -51,14 +58,15 @@ fn bench_shard_scan(c: &mut Criterion) {
     let terms: Vec<WireTrapdoor> = qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
 
     // Sanity: every configuration returns the same result set.
-    let image = ColumnarTable::from(table.clone());
+    let sharded = ShardedTable::from_arena(&ColumnarTable::from(table.clone()));
+    let pools = WORKERS.map(Executor::new);
     let reference = execute_query(&table, &terms);
-    for shards in SHARDS {
-        let sharded = ShardedTable::from_arena(&image, shards);
+    for pool in &pools {
         assert_eq!(
-            scan(&sharded, &terms),
+            scan(pool, &sharded, &terms),
             reference,
-            "sharded scan diverged at {shards}"
+            "sharded scan diverged at {} worker(s)",
+            pool.workers()
         );
     }
 
@@ -69,10 +77,9 @@ fn bench_shard_scan(c: &mut Criterion) {
         b.iter(|| execute_query(&table, &terms))
     });
 
-    for shards in SHARDS {
-        let sharded = ShardedTable::from_arena(&image, shards);
-        group.bench_function(BenchmarkId::new("sharded", shards), |b| {
-            b.iter(|| scan(&sharded, &terms))
+    for pool in &pools {
+        group.bench_function(BenchmarkId::new("pooled", pool.workers()), |b| {
+            b.iter(|| scan(pool, &sharded, &terms))
         });
     }
     group.finish();
@@ -91,10 +98,9 @@ fn bench_shard_scan(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("seed", "execute_query"), |b| {
         b.iter(|| execute_query(&table, &conj_terms))
     });
-    for shards in [1usize, 4] {
-        let sharded = ShardedTable::from_arena(&image, shards);
-        group.bench_function(BenchmarkId::new("sharded", shards), |b| {
-            b.iter(|| scan(&sharded, &conj_terms))
+    for pool in [&pools[0], &pools[2]] {
+        group.bench_function(BenchmarkId::new("pooled", pool.workers()), |b| {
+            b.iter(|| scan(pool, &sharded, &conj_terms))
         });
     }
     group.finish();

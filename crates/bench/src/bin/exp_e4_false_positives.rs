@@ -129,14 +129,13 @@ fn main() {
     println!("# homomorphism law (client-filtered correctness) holds at every width.");
     println!();
 
-    // Sharded execution path: the FP trade-off must be a pure function
-    // of check_bits — partitioning the scan across shards (and fanning
-    // it over the worker pool) may change nothing about the candidate
-    // set the server returns.
-    println!("# E4c — check_bits × shard count on the full server path (Emp 1000 rows)");
+    // Pooled execution path: the FP trade-off must be a pure function
+    // of check_bits — fanning the scan's shards over the worker pool
+    // may change nothing about the candidate set the server returns.
+    println!("# E4c — check_bits × pool size on the full server path (Emp 1000 rows)");
     let mut sharded = Table::new(&[
         "check_bits",
-        "shards",
+        "workers",
         "true matches",
         "server candidates",
         "superset factor",
@@ -153,15 +152,15 @@ fn main() {
         let qct = ph.encrypt_query(&query).expect("encrypt query");
         let terms: Vec<WireTrapdoor> = qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
         let mut baseline: Option<usize> = None;
-        for shards in [1usize, 4, 8] {
+        for workers in [1usize, 2, 4] {
             let server = Server::open(
                 &ServerConfig {
-                    shards,
+                    workers: Some(workers),
                     ..ServerConfig::default()
                 },
                 None,
             )
-            .expect("shards ≥ 1");
+            .expect("an in-memory open cannot fail");
             let _ = server.handle(
                 &ClientMessage::CreateTable {
                     name: "Emp".into(),
@@ -183,7 +182,7 @@ fn main() {
             let invariant = *baseline.get_or_insert(candidates) == candidates;
             sharded.row(&[
                 bits.to_string(),
-                shards.to_string(),
+                workers.to_string(),
                 truth.len().to_string(),
                 candidates.to_string(),
                 format!("{:.3}", candidates as f64 / truth.len().max(1) as f64),
@@ -194,6 +193,6 @@ fn main() {
     sharded.print();
     println!();
     println!("# Expected: candidate counts depend on check_bits only — identical down");
-    println!("# each shard column (invariant = true); pick check_bits for the FP");
-    println!("# budget, shards for throughput, independently.");
+    println!("# each workers column (invariant = true); pick check_bits for the FP");
+    println!("# budget, workers for throughput, independently.");
 }

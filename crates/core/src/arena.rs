@@ -297,9 +297,10 @@ impl WordArena {
         self.words += count;
     }
 
-    /// Keeps only the documents whose id satisfies `keep`, preserving
-    /// order; the arena is rebuilt into canonical form.
-    pub fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
+    /// The documents whose id satisfies `keep`, in order, as a new
+    /// arena in canonical form (a shard rebuilt by a delete).
+    #[must_use]
+    pub fn retained(&self, mut keep: impl FnMut(u64) -> bool) -> WordArena {
         let mut rebuilt = WordArena::new(self.word_len);
         rebuilt.doc_ids.reserve(self.len());
         rebuilt.slots.reserve(self.slots.len());
@@ -313,7 +314,17 @@ impl WordArena {
             }
             rebuilt.seal_doc(id);
         }
-        *self = rebuilt;
+        rebuilt
+    }
+
+    /// Bytes held by the arena's buffers: what a clone copies.
+    #[must_use]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let size = std::mem::size_of::<Vec<u8>>();
+        self.slots.len()
+            + 8 * self.doc_ids.len()
+            + 4 * (self.offsets.len() + self.refs.len())
+            + self.irregular.iter().map(|w| size + w.len()).sum::<usize>()
     }
 
     /// Total ciphertext bytes (words only, like
@@ -373,8 +384,8 @@ mod tests {
         let docs: Vec<Doc> = (0..10)
             .map(|i| doc(i, &[4, if i % 3 == 0 { 2 } else { 4 }]))
             .collect();
-        let mut arena = WordArena::from_docs(4, docs.clone());
-        arena.retain(|id| id % 2 == 0);
+        let arena = WordArena::from_docs(4, docs.clone());
+        let arena = arena.retained(|id| id % 2 == 0);
         let expect: Vec<Doc> = docs.iter().filter(|(id, _)| id % 2 == 0).cloned().collect();
         assert_eq!(arena.to_docs(), expect);
         // Canonical form: equal to an arena built directly.
@@ -383,8 +394,8 @@ mod tests {
 
     #[test]
     fn push_after_retain_keeps_canonical_equality() {
-        let mut a = WordArena::from_docs(3, vec![doc(0, &[3]), doc(1, &[3, 1]), doc(2, &[3])]);
-        a.retain(|id| id != 1);
+        let a = WordArena::from_docs(3, vec![doc(0, &[3]), doc(1, &[3, 1]), doc(2, &[3])]);
+        let mut a = a.retained(|id| id != 1);
         a.push(5, &[CipherWord(vec![9; 3]), CipherWord(vec![8; 2])]);
         let b = WordArena::from_docs(
             3,
@@ -399,7 +410,7 @@ mod tests {
 
     #[test]
     fn append_range_repacks_verbatim() {
-        // The repartition path: arbitrary sub-ranges (with irregular
+        // The shard-cut and merge path: arbitrary sub-ranges (with irregular
         // words) copied arena-to-arena must equal a direct build.
         let docs: Vec<Doc> = (0..9)
             .map(|i| doc(i, &[4, if i % 2 == 0 { 4 } else { 6 }]))

@@ -492,10 +492,10 @@ mod tests {
 
     #[test]
     fn select_many_matches_individual_selects() {
-        for shards in [1, 4] {
+        for workers in [1, 4] {
             let server = Server::open(
                 &ServerConfig {
-                    shards,
+                    workers: Some(workers),
                     ..ServerConfig::default()
                 },
                 None,
@@ -515,7 +515,7 @@ mod tests {
                 let single = client.select(query).unwrap();
                 assert!(
                     batch_result.same_multiset(&single),
-                    "batched result diverged for {query} at {shards} shard(s)"
+                    "batched result diverged for {query} at {workers} worker(s)"
                 );
             }
             // One transcript event per batched query, plus the three
@@ -726,7 +726,6 @@ mod tests {
     fn chunked_fetch_equals_monolithic_fetch() {
         let server = Server::open(
             &ServerConfig {
-                shards: 3,
                 ..ServerConfig::default()
             },
             None,

@@ -56,7 +56,7 @@
 //! adversary-visible transcript is recorded below this layer — the
 //! byte-equality suites in `tests/durability.rs` pin responses *and*
 //! [`crate::server::Observer`] transcripts identical with durability
-//! on and off, across shard counts, pool sizes, and transports.
+//! on and off, across table sizes, pool sizes, and transports.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -460,11 +460,11 @@ impl<F: FnMut(&[u8]) -> Result<(), PhError>> Replay<'_, F> {
         r.expect_end()
     }
 
-    /// Installs the gathered snapshot table, repartitioned arena to
-    /// arena into the store's shard count.
+    /// Installs the gathered snapshot table, cut arena to arena into
+    /// fixed-capacity shards.
     fn install_pending(&mut self) {
         if let Some(SnapshotTable { name, table }) = self.pending.take() {
-            let table = ShardedTable::from_arena(&table, self.store.shard_count());
+            let table = ShardedTable::from_arena(&table);
             self.store.install(name, table);
         }
     }
@@ -1596,14 +1596,7 @@ mod tests {
     #[test]
     fn fresh_dir_survives_restart() {
         let tmp = TempDir::new("durable-fresh").unwrap();
-        let server = Server::open(
-            &ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            Some(tmp.path()),
-        )
-        .unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         assert!(server.durable_log().is_some());
         assert!(tmp.path().join(MANIFEST).exists());
         let _ = server.handle(&create_msg("t", 7));
@@ -1612,14 +1605,7 @@ mod tests {
         let before = server.handle(&fetch_msg("t"));
         drop(server);
 
-        let reopened = Server::open(
-            &ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            Some(tmp.path()),
-        )
-        .unwrap();
+        let reopened = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         assert_eq!(reopened.handle(&fetch_msg("t")), before);
         // The store keeps working after recovery: ids continue.
         let resp = reopened.handle(&append_msg("t", 8));
@@ -1664,14 +1650,7 @@ mod tests {
         // First pass: learn the record end offsets.
         let boundaries: Vec<u64> = {
             let tmp = TempDir::new("durable-offsets").unwrap();
-            let server = Server::open(
-                &ServerConfig {
-                    shards: 2,
-                    ..ServerConfig::default()
-                },
-                Some(tmp.path()),
-            )
-            .unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             messages
                 .iter()
                 .map(|m| {
@@ -1696,14 +1675,7 @@ mod tests {
         for cut in cuts {
             let cut = cut.min(*boundaries.last().unwrap());
             let tmp = TempDir::new("durable-cut").unwrap();
-            let server = Server::open(
-                &ServerConfig {
-                    shards: 2,
-                    ..ServerConfig::default()
-                },
-                Some(tmp.path()),
-            )
-            .unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             for m in &messages {
                 let _ = server.handle(m);
             }
@@ -1716,26 +1688,12 @@ mod tests {
             // The reference replays only the mutations whose record
             // fully landed below the cut.
             let survivors = boundaries.iter().filter(|&&b| b <= cut).count();
-            let reference = Server::open(
-                &ServerConfig {
-                    shards: 2,
-                    ..ServerConfig::default()
-                },
-                None,
-            )
-            .unwrap();
+            let reference = Server::open(&ServerConfig::default(), None).unwrap();
             for m in &messages[..survivors] {
                 let _ = reference.handle(m);
             }
 
-            let recovered = Server::open(
-                &ServerConfig {
-                    shards: 2,
-                    ..ServerConfig::default()
-                },
-                Some(tmp.path()),
-            )
-            .unwrap();
+            let recovered = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             if survivors == 0 {
                 // Nothing persisted: the table must not exist.
                 let resp = recovered.handle(&fetch_msg("t"));
@@ -1761,14 +1719,7 @@ mod tests {
     #[test]
     fn compaction_rewrites_into_a_sealed_snapshot_and_prunes() {
         let tmp = TempDir::new("durable-compact").unwrap();
-        let server = Server::open(
-            &ServerConfig {
-                shards: 3,
-                ..ServerConfig::default()
-            },
-            Some(tmp.path()),
-        )
-        .unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         let _ = server.handle(&create_msg("a", 9));
         let _ = server.handle(&create_msg("empty", 0));
         let _ = server.handle(&append_msg("a", 9));
@@ -1799,14 +1750,7 @@ mod tests {
         drop(log);
         drop(server);
         // …and recovery = snapshot + tail log.
-        let reopened = Server::open(
-            &ServerConfig {
-                shards: 3,
-                ..ServerConfig::default()
-            },
-            Some(tmp.path()),
-        )
-        .unwrap();
+        let reopened = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         assert_eq!(reopened.handle(&fetch_msg("a")), after_append);
         assert_eq!(reopened.handle(&fetch_msg("empty")), before_empty);
         assert_ne!(before, after_append);
@@ -1821,7 +1765,6 @@ mod tests {
         };
         let server = Server::open(
             &ServerConfig {
-                shards: 2,
                 workers: Some(1),
                 durable: options.clone(),
                 ..ServerConfig::default()
@@ -1843,7 +1786,6 @@ mod tests {
         drop(server);
         let reopened = Server::open(
             &ServerConfig {
-                shards: 2,
                 workers: Some(1),
                 durable: options,
                 ..ServerConfig::default()
@@ -1929,14 +1871,7 @@ mod tests {
     #[test]
     fn scrub_passes_a_clean_log_and_counts_everything() {
         let tmp = TempDir::new("durable-scrub-clean").unwrap();
-        let server = Server::open(
-            &ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            Some(tmp.path()),
-        )
-        .unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         let _ = server.handle(&create_msg("t", 8));
         let _ = server.handle(&append_msg("t", 8));
         server.compact().unwrap();

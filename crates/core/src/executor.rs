@@ -7,7 +7,9 @@
 //! another. This module replaces that with a fixed set of long-lived
 //! workers fed by a work queue: a batch of K queries over S shards
 //! becomes K×S independent tasks drained concurrently by however many
-//! cores the machine has.
+//! cores the machine has. Shards hold a fixed number of documents
+//! ([`crate::storage::SHARD_DOCS`]), so a large table is many small
+//! tasks, and the pool size alone sets how many cores a scan uses.
 //!
 //! Two properties matter for the rest of the system:
 //!

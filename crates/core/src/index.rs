@@ -40,10 +40,9 @@
 //!   the cost of serving ghosts. Since Eve already observes every
 //!   `DeleteDocs` id *and* every query's matched-id access pattern,
 //!   the purge reveals a join of two patterns she has, not a new one.
-//! * **Rebalance is free.** Postings are keyed by document *id*, not
-//!   position, and shard repartitioning never renames ids — so shard
-//!   churn requires no index work (the rebuild-on-rebalance question
-//!   dissolves).
+//! * **Layout changes are free.** Postings are keyed by document
+//!   *id*, not position, and neither a new shard nor a merge of two
+//!   shards renames an id — so shard churn requires no index work.
 //!
 //! Correctness (pinned by `tests/index_equivalence.rs`): the SWP match
 //! decision is **deterministic** per (attr, trapdoor bytes, stored word

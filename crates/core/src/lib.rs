@@ -19,7 +19,7 @@
 //!   thread-per-connection front-end, a pooled client with retries),
 //!   [`sys`] (the raw `listen` that deepens the accept backlog),
 //!   [`fault`] (seeded fault injection for the chaos suites).
-//! * Eve's engine: [`storage`] (sharded columnar tables, batch scans,
+//! * Eve's engine: [`storage`] (fixed-capacity columnar shards, batch scans,
 //!   the dedup window), [`arena`] (columnar word storage), [`executor`]
 //!   (the worker pool), [`index`] (the opt-in encrypted multimap).
 //! * Eve's disk: [`durable`] (the segment log, group commit,
@@ -27,7 +27,7 @@
 //!   [`snapshot`] (Alex's integrity-checked offline export).
 //! * The operator plane: [`telemetry`] (transcript-invisible metrics).
 //!
-//! Every server-internal mechanism — shards, pool size, transport,
+//! Every server-internal mechanism — table layout, pool size, transport,
 //! durability, index, telemetry — must leave responses and transcripts
 //! byte-identical; the suites under `tests/` pin that.
 

@@ -1136,7 +1136,6 @@ mod tests {
     fn spawn_server() -> (Server, ServerHandle) {
         let server = Server::open(
             &ServerConfig {
-                shards: 2,
                 ..ServerConfig::default()
             },
             None,
@@ -1165,7 +1164,6 @@ mod tests {
         // the same bytes.
         let reference = Server::open(
             &ServerConfig {
-                shards: 2,
                 ..ServerConfig::default()
             },
             None,

@@ -86,11 +86,10 @@ pub struct ReplicaOptions {
     /// followers must use distinct ids (a restarted follower reusing
     /// its id simply resets its slot).
     pub follower_id: u64,
-    /// How every generation of the follower's server is opened. The
-    /// default differs from [`ServerConfig::default`] only in its 2
-    /// shards (follower-local scheduling; responses are
-    /// shard-invariant). Each generation opens its own `gen-NNNN`
-    /// directory under the replica's root.
+    /// How every generation of the follower's server is opened
+    /// (default: [`ServerConfig::default`]). Each generation opens its
+    /// own `gen-NNNN` directory under the replica's root, and cuts its
+    /// tables into the same fixed-capacity shards the primary does.
     pub server: ServerConfig,
     /// How long the background tailer sleeps when caught up or when
     /// the primary is unreachable, before pulling again.
@@ -101,10 +100,7 @@ impl Default for ReplicaOptions {
     fn default() -> Self {
         ReplicaOptions {
             follower_id: 1,
-            server: ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
+            server: ServerConfig::default(),
             poll_interval: Duration::from_millis(1),
         }
     }
@@ -380,15 +376,13 @@ impl Replica {
     /// # Errors
     /// [`PhError::Transport`] when the primary is unreachable,
     /// [`PhError::Protocol`] when it refuses replication (e.g. an
-    /// in-memory server) or when [`Server::open`] would refuse
-    /// `options.server` (checked before anything is pulled or
-    /// written), [`PhError::Durability`] on local I/O failure.
+    /// in-memory server), [`PhError::Durability`] on local I/O
+    /// failure.
     pub fn bootstrap(
         transport: impl Transport + Send + Sync + 'static,
         dir: impl AsRef<Path>,
         options: ReplicaOptions,
     ) -> Result<Self, PhError> {
-        options.server.check()?;
         let root = dir.as_ref().to_path_buf();
         fs::create_dir_all(&root)
             .map_err(|e| PhError::Durability(format!("create replica root: {e}")))?;

@@ -1,8 +1,8 @@
 //! Eve — the untrusted database service provider.
 //!
 //! The server executes `ψ` (the keyless trapdoor scan) over tables
-//! held in a [`crate::storage::TableStore`] — partitioned into shards
-//! and scanned in parallel — and, crucially for the security analysis,
+//! held in a [`crate::storage::TableStore`] — cut into fixed-capacity
+//! shards and scanned in parallel — and, crucially for the security analysis,
 //! records *everything it observes* in an [`Observer`]. The games and
 //! examples read that transcript to play the adversary: the paper's
 //! point is that an honest-but-curious Eve's transcript already
@@ -13,7 +13,7 @@
 //! prepared batch form), and its whole interface is
 //! `handle(bytes) -> bytes`. Sharding and batching change *when* work
 //! happens, never *what* Eve learns: the observer transcript for any
-//! workload is identical across shard counts, and a batched message
+//! workload is identical across table layouts and pool sizes, and a batched message
 //! produces exactly the per-query/per-document events its unbatched
 //! equivalent would, tagged with a [`BatchRef`] so transcript analyses
 //! can still see message boundaries.
@@ -24,8 +24,8 @@
 //! message, under one table snapshot, and the server records each
 //! query's `IndexProbe` and `Query` events in query order.
 //!
-//! Eve's setup is one [`ServerConfig`] — shards, worker pool, log
-//! options, index — read by one constructor, [`Server::open`], which
+//! Eve's setup is one [`ServerConfig`] — worker pool, log options,
+//! index — read by one constructor, [`Server::open`], which
 //! opens in memory or over a data directory. The only switch left for
 //! runtime is [`Server::set_replication`]: a primary must already be
 //! serving before its first follower can bootstrap from it.
@@ -253,12 +253,12 @@ pub fn execute_query(table: &EncryptedTable, terms: &[WireTrapdoor]) -> Encrypte
 
 /// How Eve sets herself up, read by [`Server::open`]. Every field is
 /// server-internal: no choice changes a response, an [`Observer`]
-/// transcript, or a segment byte.
-#[derive(Debug, Clone)]
+/// transcript, or a segment byte. The table layout is not a choice:
+/// every table is a run of shards of at most
+/// [`crate::storage::SHARD_DOCS`] documents, and a scan uses as many
+/// cores as the pool has.
+#[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Shards per table; must be at least 1. The default, 1, is the
-    /// paper-faithful unsharded store.
-    pub shards: usize,
     /// Worker threads in a dedicated scan pool (1 runs every task
     /// inline in submission order, the sequential reference engine),
     /// or `None` for the process-wide pool ([`Executor::global`]).
@@ -270,30 +270,6 @@ pub struct ServerConfig {
     /// instead of scans. A recovered index image turns the plan on
     /// whatever this says.
     pub index: bool,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            shards: 1,
-            workers: None,
-            durable: DurableOptions::default(),
-            index: false,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Refuses a config [`Server::open`] cannot build, before anything
-    /// is allocated, pulled or written.
-    pub(crate) fn check(&self) -> Result<(), PhError> {
-        match self.shards {
-            0 => Err(PhError::Protocol(
-                "a server needs at least one shard".into(),
-            )),
-            _ => Ok(()),
-        }
-    }
 }
 
 impl Server {
@@ -308,16 +284,14 @@ impl Server {
     /// ([`crate::replica`]): bootstrap is recovery.
     ///
     /// # Errors
-    /// [`PhError::Protocol`] when `config.shards` is 0;
     /// [`PhError::Durability`] when the directory cannot be opened or
     /// its contents are corrupt beyond the torn-tail contract.
     pub fn open(config: &ServerConfig, data_dir: Option<&Path>) -> Result<Self, PhError> {
-        config.check()?;
         let pool = config
             .workers
             .map_or_else(Executor::global, |w| Arc::new(Executor::new(w)));
         let server = Server {
-            store: Arc::new(TableStore::new(config.shards, pool)),
+            store: Arc::new(TableStore::new(pool)),
             observer: Observer::new(),
             next_batch: Arc::new(AtomicU64::new(0)),
             durable: None,
@@ -351,38 +325,24 @@ impl Server {
         Ok(server)
     }
 
-    /// [`Server::open`] in memory with `shards` shards. Kept only for
-    /// the frozen `e2ebench/` until it moves onto `open` (ROADMAP
-    /// item 1).
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
+    /// [`Server::open`] in memory with the default config. The shard
+    /// count is ignored: tables are cut into fixed-capacity shards
+    /// whatever it says. Kept only for the frozen `e2ebench/` until it
+    /// moves onto `open` (ROADMAP item 1).
     #[must_use]
-    pub fn with_shards(shards: usize) -> Self {
-        Server::open(
-            &ServerConfig {
-                shards,
-                ..ServerConfig::default()
-            },
-            None,
-        )
-        .expect("shards must be ≥ 1")
+    pub fn with_shards(_shards: usize) -> Self {
+        Server::open(&ServerConfig::default(), None).expect("an in-memory open cannot fail")
     }
 
-    /// [`Server::open`] on `dir` with `shards` shards. Kept only for
+    /// [`Server::open`] on `dir` with the default config. The shard
+    /// count is ignored, as for the in-memory delegation. Kept only for
     /// the frozen `e2ebench/` until it moves onto `open` (ROADMAP
     /// item 1).
     ///
     /// # Errors
     /// As [`Server::open`].
-    pub fn open_durable(dir: impl AsRef<Path>, shards: usize) -> Result<Self, PhError> {
-        Server::open(
-            &ServerConfig {
-                shards,
-                ..ServerConfig::default()
-            },
-            Some(dir.as_ref()),
-        )
+    pub fn open_durable(dir: impl AsRef<Path>, _shards: usize) -> Result<Self, PhError> {
+        Server::open(&ServerConfig::default(), Some(dir.as_ref()))
     }
 
     /// Names of the stored tables, sorted — public metadata (the
@@ -518,12 +478,6 @@ impl Server {
         }
     }
 
-    /// The configured shard count.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.store.shard_count()
-    }
-
     /// Worker threads in this server's scan pool.
     #[must_use]
     pub fn pool_workers(&self) -> usize {
@@ -550,7 +504,8 @@ impl Server {
     /// registry's counters and histograms, the durable log's sampled
     /// health (sync count, poison flag, replication lag and degrade
     /// count), the table count (`tables`), the scan pool's executor
-    /// stats, and the store's SWP check count (`scan_checks`). It is
+    /// stats, the store's SWP check count (`scan_checks`) and its
+    /// copy-on-write byte count (`store_cow_bytes`). It is
     /// the server's one health probe. Pure read — no `ServerEvent`s.
     #[must_use]
     pub fn stats_snapshot(&self) -> StatsSnapshot {
@@ -607,6 +562,10 @@ impl Server {
         metrics.push((
             "scan_checks".to_string(),
             MetricValue::Counter(self.store.scan_checks()),
+        ));
+        metrics.push((
+            "store_cow_bytes".to_string(),
+            MetricValue::Counter(self.store.cow_bytes()),
         ));
         StatsSnapshot {
             version: STATS_VERSION,
@@ -997,25 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn open_refuses_zero_shards_before_touching_the_disk() {
-        let zero = ServerConfig {
-            shards: 0,
-            ..ServerConfig::default()
-        };
-        assert!(matches!(
-            Server::open(&zero, None),
-            Err(PhError::Protocol(_))
-        ));
-        let tmp = crate::durable::TempDir::new("server-zero-shards").unwrap();
-        let dir = tmp.path().join("data");
-        assert!(matches!(
-            Server::open(&zero, Some(&dir)),
-            Err(PhError::Protocol(_))
-        ));
-        assert!(!dir.exists(), "a refused config must create no data dir");
-    }
-
-    #[test]
     fn duplicate_create_rejected() {
         let s = Server::open(&ServerConfig::default(), None).unwrap();
         send(
@@ -1125,14 +1065,7 @@ mod tests {
 
     #[test]
     fn query_batch_returns_one_table_per_query_and_tags_events() {
-        let s = Server::open(
-            &ServerConfig {
-                shards: 3,
-                ..ServerConfig::default()
-            },
-            None,
-        )
-        .unwrap();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1187,7 +1120,6 @@ mod tests {
     fn index_plan_records_each_querys_probes_before_its_query() {
         let s = Server::open(
             &ServerConfig {
-                shards: 2,
                 index: true,
                 ..ServerConfig::default()
             },
@@ -1250,7 +1182,6 @@ mod tests {
     fn index_delta_len_records_the_documents_each_probe_checked() {
         let s = Server::open(
             &ServerConfig {
-                shards: 2,
                 workers: Some(2),
                 index: true,
                 ..ServerConfig::default()
@@ -1293,7 +1224,11 @@ mod tests {
         let cold = delta_len();
         assert_eq!((cold.count, cold.sum), (1, 600));
         let (tasks, caller_tasks) = exec();
-        assert_eq!(tasks, 2, "one task per shard suffix");
+        assert_eq!(
+            tasks,
+            600u64.div_ceil(crate::storage::SHARD_DOCS as u64),
+            "one task per shard suffix"
+        );
         assert!(caller_tasks <= tasks);
 
         // 40 appended rows: the re-probe checks exactly those, inline.
@@ -1335,14 +1270,7 @@ mod tests {
 
     #[test]
     fn append_batch_is_atomic_and_emits_one_event_per_doc() {
-        let s = Server::open(
-            &ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            None,
-        )
-        .unwrap();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1426,14 +1354,7 @@ mod tests {
 
     #[test]
     fn fetch_chunk_pages_the_table_and_records_events() {
-        let s = Server::open(
-            &ServerConfig {
-                shards: 3,
-                ..ServerConfig::default()
-            },
-            None,
-        )
-        .unwrap();
+        let s = Server::open(&ServerConfig::default(), None).unwrap();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1528,18 +1449,20 @@ mod tests {
     #[test]
     fn sharded_server_matches_seed_scan() {
         // The sharded execution path must return exactly what the seed
-        // reference `execute_query` returns.
-        let t = table(100);
+        // reference `execute_query` returns, on either side of every
+        // shard edge.
+        let c = crate::storage::SHARD_DOCS;
         let terms = vec![WireTrapdoor {
             attr: 0,
             target: vec![3; 13],
             check_key: vec![0; 32],
         }];
-        let reference = execute_query(&t, &terms);
-        for shards in [1, 2, 4, 7] {
+        for (rows, workers) in [(100, 1), (c, 2), (c + 1, 2), (2 * c + 7, 2)] {
+            let t = table(rows);
+            let reference = execute_query(&t, &terms);
             let s = Server::open(
                 &ServerConfig {
-                    shards,
+                    workers: Some(workers),
                     ..ServerConfig::default()
                 },
                 None,
@@ -1560,7 +1483,7 @@ mod tests {
                 },
             ) {
                 ServerResponse::Table(result) => {
-                    assert_eq!(result, reference, "{shards} shards diverged from seed scan");
+                    assert_eq!(result, reference, "{rows} rows diverged from seed scan");
                 }
                 other => panic!("unexpected {other:?}"),
             }

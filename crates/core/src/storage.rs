@@ -5,19 +5,22 @@
 //! scaling lever that keeps the leakage profile intact is running the
 //! same scan on more cores. This module extracts table storage out of
 //! [`crate::server::Server`] into a [`TableStore`] whose tables are
-//! partitioned into contiguous shards of documents ([`ShardedTable`]).
+//! runs of fixed-capacity shards ([`ShardedTable`]): each shard holds
+//! at most [`SHARD_DOCS`] contiguous documents, so a table of `n`
+//! documents is about `n / SHARD_DOCS` pieces of scan work, whatever
+//! mix of uploads, appends and deletes built it (morsel-driven
+//! storage, Leis et al., SIGMOD 2014).
 //!
-//! PR 1 scanned one query at a time, each fanned over shards with
-//! scoped threads re-spawned per query. This revision feeds a
-//! persistent worker pool ([`crate::executor::Executor`]) instead: a
+//! Parallelism comes from the persistent worker pool
+//! ([`crate::executor::Executor`]) alone: a
 //! [`ShardedTable::scan_batch_on`] call turns K queries over S shards
-//! into K×S `(query, shard)` tasks drained concurrently, so cross-query
-//! parallelism stacks on top of cross-shard parallelism. A per-batch
-//! `TrapdoorMemo` prepares each *distinct* trapdoor once
-//! ([`dbph_swp::PreparedTrapdoor`] hoists the per-word HMAC key
-//! schedule) and memoizes each term's per-shard match set, so duplicate
-//! terms across the batch — hot values repeat in real workloads — are
-//! matched against the table once, not once per query.
+//! into K×S `(query, shard)` tasks that the calling thread and the
+//! woken workers drain until none is left, so a worker that wakes late
+//! simply takes fewer. A per-batch `TrapdoorMemo` prepares each
+//! *distinct* trapdoor once ([`dbph_swp::PreparedTrapdoor`] hoists the
+//! per-word HMAC key schedule) and memoizes each term's per-shard match
+//! set, so duplicate terms across the batch — hot values repeat in real
+//! workloads — are matched against the table once, not once per query.
 //!
 //! Within each `(term, shard)` task the inner loop is the PR 4
 //! allocation-free hot path: shards store their ciphertext columnarly
@@ -49,32 +52,33 @@
 //!
 //! Three properties are load-bearing and tested:
 //!
-//! * **Shard-count invariance.** Shards are *contiguous* chunks of the
-//!   document vector and results are concatenated in shard order, so a
-//!   scan returns byte-identical results for any shard count —
-//!   including the 1-shard layout, which is exactly the seed's
-//!   single-threaded loop. One routine cuts every layout (`cut`: an
-//!   upload, a recovered snapshot, a rebalance). Appends land in the
-//!   last shard (with an order-preserving contiguous repartition once
-//!   it outgrows its fair share); deletes retain per shard and
-//!   repartition once a shard is hollowed out below half its fair
-//!   share. Document order is therefore preserved verbatim, never
-//!   re-sorted, and ids rise strictly along it: uploads and appends
-//!   alike are refused otherwise, because chunked fetch and the
-//!   index's delta scan and reassembly anchor on ids.
+//! * **Layout invariance.** Shards are *contiguous* runs of the
+//!   document sequence and results are concatenated in shard order, so
+//!   a scan returns byte-identical results for any layout — including
+//!   a one-shard table, which is exactly the seed's single-threaded
+//!   loop. An upload is cut into full shards plus one partial last
+//!   shard; appends fill the last shard, then start a new one; deletes
+//!   retain within each shard, and a shard then merges into its
+//!   predecessor when the two together fit in one shard, so every two
+//!   neighbours hold more than [`SHARD_DOCS`] documents and a table of
+//!   `n` documents has at most `2·⌈n / SHARD_DOCS⌉ + 1` shards.
+//!   Document order is therefore preserved verbatim, never re-sorted,
+//!   and ids rise strictly along it: uploads and appends alike are
+//!   refused otherwise, because chunked fetch and the index's delta
+//!   scan and reassembly anchor on ids.
 //! * **Pool-size invariance.** Results are assembled into slots indexed
 //!   by `(query, shard)` — for a delta scan, by shard — so completion
 //!   order cannot reorder them; a 1-worker pool runs the identical
 //!   task list inline and is the sequential reference the tests
 //!   compare against.
-//! * **Unchanged leakage.** Sharding, pooling, and the trapdoor memo
+//! * **Unchanged leakage.** Shards, pooling, and the trapdoor memo
 //!   are server-internal. Eve already sees every ciphertext, every
 //!   trapdoor, and every matched document id; how she spreads her own
 //!   work over her own cores — or notices that two queries carry the
 //!   same trapdoor bytes, which are equal on the wire anyway — reveals
 //!   nothing new to her and nothing new *about* her inputs. The
 //!   [`crate::server::Observer`] transcript for any operation is
-//!   identical for every shard and pool count.
+//!   identical for every layout and pool size.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -103,43 +107,35 @@ pub type Doc = (u64, Vec<CipherWord>);
 /// probed term (`None` under the scan plan).
 pub type Answer = (EncryptedTable, Option<Vec<ProbeStats>>);
 
-/// A shard: a contiguous chunk of the document vector, stored
-/// columnarly ([`WordArena`]: one fixed-width slot buffer + per-doc
-/// offsets) so the scan kernel streams cache-line-friendly memory.
-/// `Arc`-backed so scan tasks on the persistent pool can borrow it
-/// `'static`-ly and snapshots are O(shard count); mutation goes
-/// through [`Arc::make_mut`] (copy-on-write, so an in-flight scan
-/// keeps its consistent view).
+/// Most documents one shard holds. Small enough that a few-thousand-row
+/// table is several pieces of scan work for the pool to share, large
+/// enough that a piece amortizes a task handoff; chosen by measuring
+/// the two-worker scan of a 5,000-row table.
+pub const SHARD_DOCS: usize = 512;
+
+/// A shard: a contiguous run of at most [`SHARD_DOCS`] documents,
+/// stored columnarly ([`WordArena`]: one fixed-width slot buffer +
+/// per-doc offsets) so the scan kernel streams cache-line-friendly
+/// memory. `Arc`-backed so scan tasks on the persistent pool can
+/// borrow it `'static`-ly and snapshots share it; an append
+/// changes the last shard in place through [`make_mut`] (copy-on-write,
+/// so an in-flight scan keeps its consistent view).
 type Shard = Arc<WordArena>;
 
-/// The one shard cut: deals the documents of `sources`, concatenated
-/// in order, into `shard_count` contiguous chunks of near-equal size
-/// (the first `total % shard_count` chunks hold one extra document),
-/// each packed into a [`WordArena`] with slot width `word_len` by
-/// whole runs ([`WordArena::append_range`]). Concatenated in order,
-/// the chunks reproduce the sequence exactly — the invariant every
-/// scan and reassembly relies on.
-fn cut(word_len: usize, sources: &[&WordArena], shard_count: usize) -> Vec<Shard> {
-    let total: usize = sources.iter().map(|src| src.len()).sum();
-    let (base, extra) = (total / shard_count, total % shard_count);
-    let mut runs = sources.iter().map(|&src| (src, 0));
-    let mut current = runs.next();
-    (0..shard_count)
-        .map(|i| {
-            let mut arena = WordArena::new(word_len);
-            let mut need = base + usize::from(i < extra);
-            while need > 0 {
-                let (src, at) = current.as_mut().expect("sources hold `total` documents");
-                let take = need.min(src.len() - *at);
-                arena.append_range(src, *at..*at + take);
-                (*at, need) = (*at + take, need - take);
-                if *at == src.len() {
-                    current = runs.next();
-                }
-            }
-            Arc::new(arena)
-        })
-        .collect()
+/// The id of a shard's last document (shards are never empty).
+fn last_id(shard: &WordArena) -> u64 {
+    shard.doc_id(shard.len() - 1)
+}
+
+/// [`Arc::make_mut`] for a shard, adding to `cow` the bytes it copies
+/// when a live snapshot shares the shard. The copy is one shard: at
+/// most [`SHARD_DOCS`] documents.
+fn make_mut<'a>(shard: &'a mut Shard, cow: &Counter) -> &'a mut WordArena {
+    if Arc::get_mut(shard).is_none() {
+        cow.add(shard.heap_bytes() as u64);
+        *shard = Arc::new(WordArena::clone(shard));
+    }
+    Arc::get_mut(shard).expect("unique after the copy")
 }
 
 /// Checks that `ids` rise strictly from `first` on, and returns the
@@ -323,35 +319,45 @@ impl TrapdoorMemo {
     }
 }
 
-/// An [`EncryptedTable`] partitioned into contiguous document shards.
+/// An [`EncryptedTable`] stored as a run of contiguous shards of at
+/// most [`SHARD_DOCS`] documents each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedTable {
     params: SwpParams,
-    /// Contiguous chunks of the original document vector; concatenated
-    /// in order they reproduce it exactly.
-    shards: Vec<Shard>,
+    /// Contiguous runs of the document sequence; concatenated in order
+    /// they reproduce it exactly. None is empty, none holds more than
+    /// [`SHARD_DOCS`] documents, and every two neighbours hold more
+    /// than [`SHARD_DOCS`] together. The list is shared too, so a
+    /// snapshot costs one reference count, whatever the table's size.
+    shards: Arc<Vec<Shard>>,
     next_doc_id: u64,
 }
 
 impl ShardedTable {
-    /// Partitions a columnar table image into `shard_count` contiguous
-    /// shards of near-equal size (the first `len % shard_count` shards
-    /// hold one extra document), copying arena-to-arena
-    /// ([`WordArena::append_range`]). Every table is built here: an
-    /// upload, a recovered snapshot, a bootstrapped follower's copy.
+    /// Cuts a columnar table image into full shards of [`SHARD_DOCS`]
+    /// documents plus one partial last shard, copying arena-to-arena
+    /// by whole runs ([`WordArena::append_range`]). Every table is
+    /// built here: an upload, a recovered snapshot, a bootstrapped
+    /// follower's copy.
     ///
     /// # Panics
-    /// Panics if `shard_count == 0` or the arena's slot width differs
-    /// from `table.params.word_len`.
+    /// Panics if the arena's slot width differs from
+    /// `table.params.word_len`.
     #[must_use]
-    pub fn from_arena(table: &ColumnarTable, shard_count: usize) -> Self {
-        assert!(shard_count > 0, "shard_count must be ≥ 1");
+    pub fn from_arena(table: &ColumnarTable) -> Self {
         let (params, arena) = (table.params, &table.docs);
         assert_eq!(arena.word_len(), params.word_len, "mixed slot widths");
-        let shards = cut(params.word_len, &[arena], shard_count);
+        let shards = (0..arena.len())
+            .step_by(SHARD_DOCS)
+            .map(|at| {
+                let mut shard = WordArena::new(params.word_len);
+                shard.append_range(arena, at..arena.len().min(at + SHARD_DOCS));
+                Arc::new(shard)
+            })
+            .collect();
         ShardedTable {
             params,
-            shards,
+            shards: Arc::new(shards),
             next_doc_id: table.next_doc_id,
         }
     }
@@ -385,18 +391,6 @@ impl ShardedTable {
         }
     }
 
-    /// Number of shards (fixed at construction).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Documents per shard, in shard order.
-    #[must_use]
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|shard| shard.len()).collect()
-    }
-
     /// Total number of documents.
     #[must_use]
     pub fn doc_count(&self) -> usize {
@@ -409,76 +403,57 @@ impl ShardedTable {
         self.next_doc_id
     }
 
-    /// Re-cuts the document sequence into the same number of
-    /// contiguous, near-equal shards — the shared tail of both
-    /// rebalancing rules. Order-preserving by construction, and copied
-    /// arena-to-arena ([`WordArena::append_range`]): no boxed documents
-    /// are ever materialized on this mutation hot path.
-    fn repartition(&mut self) {
-        let old = std::mem::take(&mut self.shards);
-        let sources: Vec<&WordArena> = old.iter().map(|shard| &**shard).collect();
-        self.shards = cut(self.params.word_len, &sources, old.len());
-    }
-
-    /// Below this many documents in play, repartitioning cannot pay
-    /// for itself (and tiny tables would thrash).
-    const REBALANCE_MIN_DOCS: usize = 64;
-
-    /// Appends one document to the last shard (preserving global
-    /// document order). The caller has already validated freshness.
-    ///
-    /// When the last shard grows past twice its fair share the table
-    /// is repartitioned — still contiguous, still order-preserving —
-    /// so insert-heavy workloads keep all shards scan-worthy instead
-    /// of collapsing onto one hot shard. The O(n) repartition is paid
-    /// at geometrically spaced appends, so the amortized cost per
-    /// append stays O(shard count).
-    fn push(&mut self, doc_id: u64, words: Vec<CipherWord>) {
-        Arc::make_mut(self.shards.last_mut().expect("≥ 1 shard by construction"))
-            .push(doc_id, &words);
-        self.next_doc_id = doc_id + 1;
-        let shard_count = self.shards.len();
-        if shard_count > 1 {
-            let last = self.shards[shard_count - 1].len();
-            let fair = self.doc_count() / shard_count;
-            if last >= Self::REBALANCE_MIN_DOCS && last > 2 * fair {
-                self.repartition();
+    /// Appends one document after the last (preserving document
+    /// order): into the last shard while it has room, else into a new
+    /// one. The caller has already validated freshness. A live
+    /// snapshot sharing the last shard costs one shard copy, counted
+    /// in `cow`.
+    fn push(&mut self, doc_id: u64, words: &[CipherWord], cow: &Counter) {
+        let shards = Arc::make_mut(&mut self.shards);
+        match shards.last_mut() {
+            Some(last) if last.len() < SHARD_DOCS => make_mut(last, cow).push(doc_id, words),
+            _ => {
+                let mut shard = WordArena::new(self.params.word_len);
+                shard.push(doc_id, words);
+                shards.push(Arc::new(shard));
             }
         }
+        self.next_doc_id = doc_id + 1;
     }
 
     /// Removes the given ids wherever they live; returns the removed
     /// ids in document order.
     ///
-    /// Mirror of the append-side rule: once delete churn hollows any
-    /// shard below *half* its fair share (appends rebalance at *twice*
-    /// fair share), the table is repartitioned so every shard stays
-    /// scan-worthy. Without this, deleting a contiguous id range —
-    /// retiring a cohort, dropping one tenant's rows — would empty one
-    /// shard and leave its worker idle on every subsequent scan.
-    fn delete(&mut self, victims: &BTreeSet<u64>) -> Vec<u64> {
+    /// Each shard holding a victim is rebuilt without it; then, in
+    /// order, a shard merges into its predecessor when the two
+    /// together fit in one shard, and an emptied shard disappears. So
+    /// delete churn never leaves a run of hollow shards behind: every
+    /// two neighbours still hold more than [`SHARD_DOCS`] documents.
+    /// Only a merge changes a surviving shard in place, and a live
+    /// snapshot sharing it costs that shard's copy, counted in `cow`.
+    fn delete(&mut self, victims: &BTreeSet<u64>, cow: &Counter) -> Vec<u64> {
         let mut removed = Vec::new();
-        for shard in &mut self.shards {
-            if (0..shard.len()).any(|i| victims.contains(&shard.doc_id(i))) {
-                Arc::make_mut(shard).retain(|id| {
-                    if victims.contains(&id) {
+        let mut kept: Vec<Shard> = Vec::with_capacity(self.shards.len());
+        for mut shard in Arc::unwrap_or_clone(std::mem::take(&mut self.shards)) {
+            let mut held = victims.range(shard.doc_id(0)..=last_id(&shard));
+            if held.any(|id| shard.doc_ids().binary_search(id).is_ok()) {
+                shard = Arc::new(shard.retained(|id| {
+                    let keep = !victims.contains(&id);
+                    if !keep {
                         removed.push(id);
-                        false
-                    } else {
-                        true
                     }
-                });
+                    keep
+                }));
+            }
+            match kept.last_mut() {
+                _ if shard.is_empty() => {}
+                Some(prev) if prev.len() + shard.len() <= SHARD_DOCS => {
+                    make_mut(prev, cow).append_range(&shard, 0..shard.len());
+                }
+                _ => kept.push(shard),
             }
         }
-        let shard_count = self.shards.len();
-        let total = self.doc_count();
-        if !removed.is_empty() && shard_count > 1 && total >= Self::REBALANCE_MIN_DOCS {
-            let fair = total / shard_count;
-            let starved = self.shards.iter().any(|shard| 2 * shard.len() < fair);
-            if starved {
-                self.repartition();
-            }
-        }
+        self.shards = Arc::new(kept);
         removed
     }
 
@@ -604,30 +579,19 @@ impl ShardedTable {
         let mut docs = Vec::new();
         let mut bytes = 0u64;
         let mut next = None;
-        let mut anchored = false;
-        'shards: for shard in &self.shards {
-            let len = shard.len();
-            // Ids ascend in table order, so whole shards strictly
-            // before the anchor skip in O(1) — a stream of C chunks
-            // over T documents walks O(T + C·S), not O(T·C).
-            if !anchored && (len == 0 || shard.doc_id(len - 1) < token) {
-                continue;
+        // The anchor is found by binary search, so a stream of C
+        // chunks over T documents walks O(T + C·log T), not O(T·C).
+        let positions = self
+            .suffix(token)
+            .flat_map(|(shard, start)| (start..shard.len()).map(move |i| (shard, i)));
+        for (shard, i) in positions {
+            let cost = encoded_bytes(shard, i);
+            if !docs.is_empty() && bytes + cost > max_bytes {
+                next = Some(shard.doc_id(i));
+                break;
             }
-            for i in 0..len {
-                if !anchored {
-                    if shard.doc_id(i) < token {
-                        continue;
-                    }
-                    anchored = true;
-                }
-                let cost = encoded_bytes(shard, i);
-                if !docs.is_empty() && bytes + cost > max_bytes {
-                    next = Some(shard.doc_id(i));
-                    break 'shards;
-                }
-                docs.push(shard.doc(i));
-                bytes += cost;
-            }
+            docs.push(shard.doc(i));
+            bytes += cost;
         }
         (
             EncryptedTable {
@@ -649,14 +613,29 @@ impl ShardedTable {
             .sum()
     }
 
+    /// The documents with `id >= from`, as `(shard, first index)` for
+    /// each shard holding some, in table order. Ids rise strictly along
+    /// the table and no shard is empty, so the first shard and the
+    /// first index in it are binary searches, and every later shard
+    /// holds such documents only.
+    fn suffix(&self, from: u64) -> impl Iterator<Item = (&Shard, usize)> {
+        let first = self.shards.partition_point(|shard| last_id(shard) < from);
+        let start = self
+            .shards
+            .get(first)
+            .map_or(0, |shard| shard.doc_ids().partition_point(|&id| id < from));
+        self.shards[first..]
+            .iter()
+            .zip(std::iter::once(start).chain(std::iter::repeat(0)))
+    }
+
     /// Document ids (ascending) matched by `term` among documents with
     /// `id >= from` — the index's delta scan — plus the number of SWP
     /// checks run. Ids are strictly increasing in table order, so
-    /// those documents form a contiguous suffix: each shard
-    /// binary-searches where its part starts (a shard entirely below
-    /// `from` has none), and the match itself is the same addressed
-    /// decision the full scan makes — identical decisions, identical
-    /// false positives.
+    /// those documents form a contiguous suffix, found by binary
+    /// search, and the match itself is the same addressed decision the
+    /// full scan makes — identical decisions, identical false
+    /// positives.
     ///
     /// Each shard's part of the suffix is one task, run under the scan
     /// plan's pool-or-inline rule with the suffix length as the
@@ -669,26 +648,19 @@ impl ShardedTable {
         term: &WireTrapdoor,
         from: u64,
     ) -> (Vec<u64>, u64) {
-        // First index with `doc_id >= from` (ids ascend in-shard), or
-        // `None` when the whole shard precedes `from`.
-        let suffix_start = |shard: &Shard| {
-            let start = shard.doc_ids().partition_point(|&id| id < from);
-            (start < shard.len()).then_some(start)
-        };
-        let docs: usize = self
-            .shards
-            .iter()
-            .filter_map(|shard| Some(shard.len() - suffix_start(shard)?))
-            .sum();
-        if docs == 0 {
+        let suffixes: Vec<(Shard, usize)> = self
+            .suffix(from)
+            .map(|(shard, start)| (Arc::clone(shard), start))
+            .collect();
+        if suffixes.is_empty() {
             return (Vec::new(), 0);
         }
-        let (params, attr, prepared) = (self.params, term.attr, PreparedTrapdoor::new(term));
-        let suffixes = self
-            .shards
+        let docs = suffixes
             .iter()
-            .filter_map(|shard| Some((Arc::clone(shard), suffix_start(shard)?)));
-        let parts = fan_out(pool, docs, suffixes, move |(shard, start)| {
+            .map(|(shard, start)| shard.len() - start)
+            .sum();
+        let (params, attr, prepared) = (self.params, term.attr, PreparedTrapdoor::new(term));
+        let parts = fan_out(pool, docs, suffixes.into_iter(), move |(shard, start)| {
             let range = start as u32..shard.len() as u32;
             let (hits, n) = match_indices(&params, &shard, attr, &prepared, range);
             let ids: Vec<u64> = hits.into_iter().map(|i| shard.doc_id(i as usize)).collect();
@@ -700,27 +672,20 @@ impl ShardedTable {
 
     /// Reassembles the documents with the given ids (ascending), in
     /// table order, silently skipping ids no longer present — the
-    /// index plan's response assembly. Crypto-free: a merge walk over
-    /// the shards with an in-shard binary search per id, O(k log n)
-    /// for k requested ids, which is what makes the indexed plan
-    /// sublinear end-to-end.
+    /// index plan's response assembly. Crypto-free: a binary search
+    /// for each id's shard, then for the id in it, O(k log n) for k
+    /// requested ids, which is what makes the indexed plan sublinear
+    /// end-to-end.
     #[must_use]
     pub(crate) fn docs_by_ids(&self, ids: &[u64]) -> Vec<Doc> {
         let mut docs = Vec::with_capacity(ids.len());
-        let mut shard_iter = self.shards.iter();
-        let mut shard = shard_iter.next();
+        let mut rest: &[Shard] = &self.shards;
         for &id in ids {
-            // Ids ascend across shards too, so the walk never backs up.
-            while let Some(s) = shard {
-                let len = s.len();
-                if len > 0 && s.doc_id(len - 1) >= id {
-                    break;
-                }
-                shard = shard_iter.next();
-            }
-            let Some(s) = shard else { break };
-            if let Ok(i) = s.doc_ids().binary_search(&id) {
-                docs.push(s.doc(i));
+            // Ids ascend across shards too, so the search never backs up.
+            rest = &rest[rest.partition_point(|shard| last_id(shard) < id)..];
+            let Some(shard) = rest.first() else { break };
+            if let Ok(i) = shard.doc_ids().binary_search(&id) {
+                docs.push(shard.doc(i));
             }
         }
         docs
@@ -949,19 +914,19 @@ impl DedupWindow {
     }
 }
 
-/// Thread-safe named-table storage with a fixed shard count per table
-/// and a persistent worker pool executing every scan.
+/// Thread-safe named-table storage: each table a run of
+/// fixed-capacity shards, every scan executed on one persistent worker
+/// pool.
 ///
 /// This is the state the server owns; every method is the storage half
 /// of one protocol operation. Methods return [`PhError::Protocol`] for
 /// conditions the server reports to the client as errors.
 ///
 /// Queries run on a *snapshot*: the table's shard list is `Arc`-cloned
-/// under the read lock (O(shard count)) and the lock released before
+/// under the read lock (O(1)) and the lock released before
 /// any scanning happens, so a long scan never blocks appends or
 /// deletes — copy-on-write mutation gives the scan a consistent view.
 pub struct TableStore {
-    shard_count: usize,
     pool: Arc<Executor>,
     tables: RwLock<HashMap<String, ShardedTable>>,
     dedup: DedupWindow,
@@ -972,26 +937,24 @@ pub struct TableStore {
     /// SWP checks run by scans and index delta scans — always on, like
     /// the executor's pool statistics.
     scan_checks: Counter,
+    /// Bytes copied because a mutation changed a shard a live snapshot
+    /// shared — always on, like `scan_checks`.
+    cow_bytes: Counter,
 }
 
 impl TableStore {
-    /// A store partitioning each table into `shard_count` shards and
-    /// scanning on `pool`: [`Executor::global`] for the process-wide
-    /// pool, or a dedicated one (tests pin pool sizes to prove
-    /// pool-size invariance).
-    ///
-    /// # Panics
-    /// Panics if `shard_count == 0`.
+    /// An empty store scanning on `pool`: [`Executor::global`] for
+    /// the process-wide pool, or a dedicated one (tests pin pool sizes
+    /// to prove pool-size invariance).
     #[must_use]
-    pub fn new(shard_count: usize, pool: Arc<Executor>) -> Self {
-        assert!(shard_count > 0, "shard_count must be ≥ 1");
+    pub fn new(pool: Arc<Executor>) -> Self {
         TableStore {
-            shard_count,
             pool,
             tables: RwLock::new(HashMap::new()),
             dedup: DedupWindow::new(),
             index: IndexState::new(),
             scan_checks: Counter::default(),
+            cow_bytes: Counter::default(),
         }
     }
 
@@ -1001,6 +964,15 @@ impl TableStore {
     #[must_use]
     pub fn scan_checks(&self) -> u64 {
         self.scan_checks.get()
+    }
+
+    /// Bytes copied so far because an append or a delete changed a
+    /// shard that a live snapshot (a query or fetch in flight, a
+    /// compaction cut) still shared. An append under a snapshot copies
+    /// at most the one shard it fills.
+    #[must_use]
+    pub fn cow_bytes(&self) -> u64 {
+        self.cow_bytes.get()
     }
 
     /// The store's encrypted-index state. Like the dedup window it
@@ -1023,12 +995,6 @@ impl TableStore {
     #[must_use]
     pub fn dedup(&self) -> &DedupWindow {
         &self.dedup
-    }
-
-    /// The configured shard count.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
     }
 
     /// The worker pool scans run on.
@@ -1070,7 +1036,7 @@ impl TableStore {
                 "next doc id {next} does not exceed the last doc id"
             )));
         }
-        let sharded = ShardedTable::from_arena(&table, self.shard_count);
+        let sharded = ShardedTable::from_arena(&table);
         let mut tables = self.tables.write();
         if tables.contains_key(name) {
             return Err(PhError::Protocol(format!("table exists: {name}")));
@@ -1250,7 +1216,7 @@ impl TableStore {
             .ok_or_else(|| PhError::Protocol(format!("unknown table: {name}")))?;
         fresh_ids(table.next_doc_id, docs.iter().map(|&(id, _)| id))?;
         for (doc_id, words) in docs {
-            table.push(doc_id, words);
+            table.push(doc_id, &words, &self.cow_bytes);
         }
         Ok(())
     }
@@ -1267,7 +1233,7 @@ impl TableStore {
             .get_mut(name)
             .ok_or_else(|| PhError::Protocol(format!("unknown table: {name}")))?;
         let victims: BTreeSet<u64> = doc_ids.iter().copied().collect();
-        let removed = table.delete(&victims);
+        let removed = table.delete(&victims, &self.cow_bytes);
         // Eager purge (no tombstones): deleted ids leave every posting
         // immediately. See [`crate::index`] for the leakage argument.
         self.index.purge(name, &removed);
@@ -1303,13 +1269,6 @@ impl TableStore {
         let table = tables.get(name)?;
         Some((table.doc_count(), table.ciphertext_bytes()))
     }
-
-    /// Shard sizes of a stored table, if present (diagnostics; the
-    /// partition is Eve's own choice, so this is her data already).
-    #[must_use]
-    pub fn shard_sizes(&self, name: &str) -> Option<Vec<usize>> {
-        self.tables.read().get(name).map(ShardedTable::shard_sizes)
-    }
 }
 
 #[cfg(test)]
@@ -1326,46 +1285,84 @@ mod tests {
         }
     }
 
+    /// The document count of each shard, in order.
+    fn sizes(st: &ShardedTable) -> Vec<usize> {
+        st.shards().iter().map(|shard| shard.len()).collect()
+    }
+
+    /// The layout invariant every mutation keeps: no shard is empty or
+    /// over capacity, every two neighbours hold more than one shard's
+    /// worth, so a table of `n` documents has at most `2⌈n/C⌉ + 1`
+    /// shards.
+    fn assert_layout(st: &ShardedTable, what: &str) {
+        let sizes = sizes(st);
+        assert!(
+            sizes.iter().all(|&s| (1..=SHARD_DOCS).contains(&s)),
+            "{what}: a shard is empty or over capacity: {sizes:?}"
+        );
+        assert!(
+            sizes.windows(2).all(|w| w[0] + w[1] > SHARD_DOCS),
+            "{what}: two neighbours fit in one shard: {sizes:?}"
+        );
+        let n = st.doc_count();
+        assert!(
+            sizes.len() <= 2 * n.div_ceil(SHARD_DOCS) + 1,
+            "{what}: {} shards for {n} documents",
+            sizes.len()
+        );
+    }
+
+    /// One document, fixture-shaped, for appends.
+    fn word(i: u64) -> Vec<CipherWord> {
+        vec![CipherWord(vec![(i % 251) as u8; 13])]
+    }
+
+    /// Table sizes on either side of every shard edge.
+    const EDGES: [usize; 6] = [
+        0,
+        1,
+        SHARD_DOCS - 1,
+        SHARD_DOCS,
+        SHARD_DOCS + 1,
+        3 * SHARD_DOCS + 5,
+    ];
+
     #[test]
     fn partition_is_contiguous_and_balanced() {
-        let st = ShardedTable::from_arena(&table(10).into(), 4);
-        assert_eq!(st.shard_sizes(), vec![3, 3, 2, 2]);
-        assert_eq!(st.to_table(), table(10));
-        // Degenerate cases: more shards than docs, and empty tables.
-        let st = ShardedTable::from_arena(&table(2).into(), 5);
-        assert_eq!(st.shard_sizes(), vec![1, 1, 0, 0, 0]);
-        assert_eq!(st.to_table(), table(2));
-        let st = ShardedTable::from_arena(&table(0).into(), 3);
-        assert_eq!(st.doc_count(), 0);
-        assert_eq!(st.to_table(), table(0));
+        // Full shards, then one partial last shard; an empty table has
+        // no shards at all.
+        for n in EDGES {
+            let st = ShardedTable::from_arena(&table(n).into());
+            let mut expect = vec![SHARD_DOCS; n / SHARD_DOCS];
+            if n % SHARD_DOCS > 0 {
+                expect.push(n % SHARD_DOCS);
+            }
+            assert_eq!(sizes(&st), expect, "{n} docs");
+            assert_eq!(st.to_table(), table(n));
+            assert_layout(&st, "upload");
+        }
     }
 
     #[test]
-    fn from_arena_cuts_contiguous_near_equal_shards() {
-        // Every layout comes from this one cut: shard `i` holds the
-        // next `n / shards` documents, plus one while `i < n % shards`.
-        for n in [0usize, 1, 2, 10, 100] {
+    fn from_arena_cuts_full_shards_and_one_partial_last() {
+        // Shard `i` holds documents `i·C ..` of the upload, in order.
+        for n in EDGES {
             let flat = table(n);
-            for shards in [1usize, 3, 7] {
-                let st = ShardedTable::from_arena(&flat.clone().into(), shards);
-                let mut rest = flat.docs.as_slice();
-                for (i, shard) in st.shards().iter().enumerate() {
-                    let (head, tail) = rest.split_at(n / shards + usize::from(i < n % shards));
-                    assert_eq!(
-                        shard.to_docs(),
-                        head,
-                        "{n} docs × {shards} shards, shard {i}"
-                    );
-                    rest = tail;
-                }
-                assert!(rest.is_empty());
+            let st = ShardedTable::from_arena(&flat.clone().into());
+            let mut rest = flat.docs.as_slice();
+            for (i, shard) in st.shards().iter().enumerate() {
+                let (head, tail) = rest.split_at(rest.len().min(SHARD_DOCS));
+                assert_eq!(shard.to_docs(), head, "{n} docs, shard {i}");
+                rest = tail;
             }
+            assert!(rest.is_empty());
         }
     }
 
     #[test]
     fn fetch_chunk_streams_the_exact_table() {
-        let st = ShardedTable::from_arena(&table(25).into(), 4);
+        let n = 2 * SHARD_DOCS + 25;
+        let st = ShardedTable::from_arena(&table(n).into());
         let whole = st.to_table();
         for max_bytes in [1u64, 64, 200, 1 << 20] {
             let mut docs = Vec::new();
@@ -1382,13 +1379,13 @@ mod tests {
                 docs.extend(chunk.docs);
                 chunks += 1;
                 match next {
-                    Some(n) => {
-                        // Dense ids 0..25: the id-anchored token
-                        // coincides with the old positional value, so
-                        // the wire stream is unchanged for the tables
+                    Some(next) => {
+                        // Dense ids: the id-anchored token coincides
+                        // with the old positional value, so the wire
+                        // stream is unchanged for the tables
                         // snapshot/rekey fetch.
-                        assert_eq!(n, docs.len() as u64, "dense ids: token == next id");
-                        token = n;
+                        assert_eq!(next, docs.len() as u64, "dense ids: token == next id");
+                        token = next;
                     }
                     None => break,
                 }
@@ -1396,13 +1393,13 @@ mod tests {
             assert_eq!(docs, whole.docs, "chunked stream diverged at {max_bytes} B");
             if max_bytes == 1 {
                 // Tiny budget: one doc per chunk, still completes.
-                assert_eq!(chunks, 25);
+                assert_eq!(chunks, n);
             }
         }
         // Past-the-end and empty-table tokens terminate cleanly.
-        let (tail, next) = st.fetch_chunk(9999, 1024);
+        let (tail, next) = st.fetch_chunk(u64::MAX, 1024);
         assert!(tail.docs.is_empty() && next.is_none());
-        let empty = ShardedTable::from_arena(&table(0).into(), 2);
+        let empty = ShardedTable::from_arena(&table(0).into());
         let (chunk, next) = empty.fetch_chunk(0, 1024);
         assert!(chunk.docs.is_empty() && next.is_none());
         assert_eq!(chunk.next_doc_id, 0);
@@ -1413,8 +1410,9 @@ mod tests {
         // Sparse ids (gaps from deletes): the token is a doc-id lower
         // bound, so chunks resume at the right document even though
         // positions and ids no longer coincide.
-        let mut st = ShardedTable::from_arena(&table(10).into(), 3);
-        st.delete(&BTreeSet::from([0, 1, 2, 5])); // survivors: 3, 4, 6, 7, 8, 9
+        let cow = Counter::default();
+        let mut st = ShardedTable::from_arena(&table(10).into());
+        st.delete(&BTreeSet::from([0, 1, 2, 5]), &cow); // survivors: 3, 4, 6, 7, 8, 9
         let (chunk, next) = st.fetch_chunk(0, 1); // one doc per chunk
         assert_eq!(chunk.docs[0].0, 3);
         assert_eq!(next, Some(4), "token must be the next undelivered id");
@@ -1425,7 +1423,7 @@ mod tests {
         // positions but not the anchor: nothing re-sent, none skipped.
         let mut delivered: Vec<u64> = chunk.docs.iter().map(|d| d.0).collect();
         let mut token = next.unwrap();
-        st.delete(&BTreeSet::from([3, 4, 6]));
+        st.delete(&BTreeSet::from([3, 4, 6]), &cow);
         loop {
             let (chunk, next) = st.fetch_chunk(token, 1);
             delivered.extend(chunk.docs.iter().map(|d| d.0));
@@ -1442,13 +1440,13 @@ mod tests {
 
     #[test]
     fn store_fetch_chunk_matches_fetch_all() {
-        let store = TableStore::new(3, Executor::global());
-        store.create("t", table(40).into()).unwrap();
+        let store = TableStore::new(Executor::global());
+        store.create("t", table(SHARD_DOCS + 40).into()).unwrap();
         let whole = store.fetch_all("t").unwrap();
         let mut docs = Vec::new();
         let mut token = 0u64;
         loop {
-            let (chunk, next) = store.fetch_chunk("t", token, 128).unwrap();
+            let (chunk, next) = store.fetch_chunk("t", token, 4096).unwrap();
             docs.extend(chunk.docs);
             match next {
                 Some(n) => token = n,
@@ -1461,126 +1459,229 @@ mod tests {
 
     #[test]
     fn append_lands_in_last_shard_and_preserves_order() {
-        let mut st = ShardedTable::from_arena(&table(4).into(), 2);
-        st.push(4, vec![CipherWord(vec![9; 13])]);
-        assert_eq!(st.shard_sizes(), vec![2, 3]);
+        let cow = Counter::default();
+        let mut st = ShardedTable::from_arena(&table(4).into());
+        st.push(4, &word(4), &cow);
+        assert_eq!(sizes(&st), vec![5]);
         let flat = st.to_table();
         assert_eq!(flat.doc_ids(), vec![0, 1, 2, 3, 4]);
         assert_eq!(flat.next_doc_id, 5);
+        // A full last shard is never grown: the append starts a new one.
+        let n = SHARD_DOCS as u64;
+        let mut st = ShardedTable::from_arena(&table(SHARD_DOCS).into());
+        st.push(n, &word(n), &cow);
+        assert_eq!(sizes(&st), vec![SHARD_DOCS, 1]);
+        assert_eq!(st.to_table().doc_ids(), (0..=n).collect::<Vec<u64>>());
+        assert_eq!(cow.get(), 0, "no snapshot, no copy");
     }
 
     #[test]
     fn heavy_appends_rebalance_across_shards() {
         // Start empty (the encrypted_sql example's flow) and append
-        // many docs: without rebalancing they would all pile into the
-        // last shard and the parallel scan would degenerate.
-        let mut st = ShardedTable::from_arena(&table(0).into(), 4);
-        for i in 0..1000u64 {
-            st.push(i, vec![CipherWord(vec![i as u8; 13])]);
+        // many docs: they fill one shard after another, so the scan
+        // has as many pieces of work as the table has full shards.
+        let cow = Counter::default();
+        let mut st = ShardedTable::from_arena(&table(0).into());
+        let n = 3 * SHARD_DOCS as u64 + 5;
+        for i in 0..n {
+            st.push(i, &word(i), &cow);
         }
-        let sizes = st.shard_sizes();
-        assert!(
-            sizes.iter().all(|&s| s > 0),
-            "appends must spread over shards, got {sizes:?}"
-        );
-        let max = *sizes.iter().max().unwrap();
-        let total: usize = sizes.iter().sum();
-        assert_eq!(total, 1000);
-        assert!(
-            max <= 2 * (total / sizes.len()) + 64,
-            "no shard may dominate after rebalancing, got {sizes:?}"
-        );
+        assert_eq!(sizes(&st), vec![SHARD_DOCS, SHARD_DOCS, SHARD_DOCS, 5]);
+        assert_layout(&st, "appends");
         // Order is still exactly insertion order.
-        assert_eq!(st.to_table().doc_ids(), (0..1000).collect::<Vec<u64>>());
-        assert_eq!(st.next_doc_id(), 1000);
+        assert_eq!(st.to_table().doc_ids(), (0..n).collect::<Vec<u64>>());
+        assert_eq!(st.next_doc_id(), n);
     }
 
     #[test]
     fn delete_returns_each_id_once_in_doc_order() {
-        let mut st = ShardedTable::from_arena(&table(6).into(), 3);
-        let removed = st.delete(&[4, 1, 1, 99].iter().copied().collect());
+        let mut st = ShardedTable::from_arena(&table(6).into());
+        let removed = st.delete(
+            &[4, 1, 1, 99].iter().copied().collect(),
+            &Counter::default(),
+        );
         assert_eq!(removed, vec![1, 4]);
         assert_eq!(st.to_table().doc_ids(), vec![0, 2, 3, 5]);
     }
 
     #[test]
     fn delete_churn_rebalances_hollowed_shards() {
-        // Delete (almost) the whole first shard of a 4×100 layout: the
-        // hollowed shard must trigger a repartition so no worker goes
-        // idle on subsequent scans.
-        let mut st = ShardedTable::from_arena(&table(400).into(), 4);
-        assert_eq!(st.shard_sizes(), vec![100, 100, 100, 100]);
-        let victims: BTreeSet<u64> = (0..95u64).collect();
-        let removed = st.delete(&victims);
-        assert_eq!(removed.len(), 95);
-        let sizes = st.shard_sizes();
-        let total: usize = sizes.iter().sum();
-        assert_eq!(total, 305);
-        let fair = total / sizes.len();
-        assert!(
-            sizes.iter().all(|&s| 2 * s >= fair),
-            "delete churn left a starved shard: {sizes:?}"
-        );
+        // Hollow out the second and third shards of a 4-shard table:
+        // the third then fits into the second and merges with it, and
+        // a shard deleted whole disappears.
+        let c = SHARD_DOCS as u64;
+        let mut st = ShardedTable::from_arena(&table(5 * SHARD_DOCS).into());
+        let victims: BTreeSet<u64> = (c..2 * c - 5)
+            .chain(2 * c + 10..3 * c)
+            .chain(4 * c..5 * c)
+            .collect();
+        let removed = st.delete(&victims, &Counter::default());
+        assert_eq!(removed, victims.iter().copied().collect::<Vec<u64>>());
+        assert_eq!(sizes(&st), vec![SHARD_DOCS, 15, SHARD_DOCS]);
+        assert_layout(&st, "hollowed");
         // Order preserved verbatim.
-        assert_eq!(st.to_table().doc_ids(), (95..400).collect::<Vec<u64>>());
+        let kept: Vec<u64> = (0..4 * c).filter(|id| !victims.contains(id)).collect();
+        assert_eq!(st.to_table().doc_ids(), kept);
     }
 
     #[test]
-    fn delete_below_rebalance_floor_leaves_partition_alone() {
-        // Tiny tables must not thrash: no repartition under the floor.
-        let mut st = ShardedTable::from_arena(&table(12).into(), 3);
-        st.delete(&(0..4u64).collect());
-        assert_eq!(st.shard_sizes(), vec![0, 4, 4]);
-        assert_eq!(st.to_table().doc_ids(), (4..12).collect::<Vec<u64>>());
+    fn delete_that_fits_no_neighbour_leaves_the_layout_alone() {
+        // Two shards that together still exceed one shard's capacity
+        // stay apart, and a shard without victims is not even rebuilt.
+        let mut st = ShardedTable::from_arena(&table(2 * SHARD_DOCS).into());
+        let untouched = Arc::clone(&st.shards()[1]);
+        st.delete(&(0..4u64).collect(), &Counter::default());
+        assert_eq!(sizes(&st), vec![SHARD_DOCS - 4, SHARD_DOCS]);
+        assert!(Arc::ptr_eq(&st.shards()[1], &untouched));
+        assert_eq!(
+            st.to_table().doc_ids(),
+            (4..2 * SHARD_DOCS as u64).collect::<Vec<u64>>()
+        );
     }
 
     #[test]
     fn interleaved_append_delete_churn_keeps_shards_scan_worthy() {
-        // Shard-count invariance under churn: a 1-shard table driven
-        // through the same interleaved append/delete history is the
-        // flat reference; the sharded layouts must agree with it and
-        // stay balanced.
-        let word = |i: u64| vec![CipherWord(vec![(i % 251) as u8; 13])];
-        let mut flat = ShardedTable::from_arena(&table(0).into(), 1);
-        let mut sharded: Vec<ShardedTable> = [2, 4, 7]
-            .iter()
-            .map(|&s| ShardedTable::from_arena(&table(0).into(), s))
-            .collect();
+        // A plain document list driven through the same interleaved
+        // append/delete history is the reference; the sharded table
+        // must agree with it and keep its layout invariant throughout.
+        let cow = Counter::default();
+        let mut st = ShardedTable::from_arena(&table(0).into());
+        let mut model: Vec<Doc> = Vec::new();
         let mut next = 0u64;
-        for round in 0..30u64 {
+        let step = SHARD_DOCS as u64 / 4;
+        for round in 0..24u64 {
             // Append a run…
-            for _ in 0..40 {
-                flat.push(next, word(next));
-                for st in &mut sharded {
-                    st.push(next, word(next));
-                }
+            for _ in 0..step {
+                st.push(next, &word(next), &cow);
+                model.push((next, word(next)));
                 next += 1;
             }
-            // …then carve out a contiguous cohort (delete-heavy churn).
-            let lo = round * 25;
-            let victims: BTreeSet<u64> = (lo..lo + 20).collect();
-            let removed = flat.delete(&victims);
-            for st in &mut sharded {
-                assert_eq!(st.delete(&victims), removed, "delete diverged");
-            }
+            // …then carve out a contiguous cohort and every third id
+            // of an older range (delete-heavy churn).
+            let lo = round * step / 2;
+            let victims: BTreeSet<u64> =
+                (lo..lo + step / 2).chain((lo / 2..lo).step_by(3)).collect();
+            let expect: Vec<u64> = model
+                .iter()
+                .map(|&(id, _)| id)
+                .filter(|id| victims.contains(id))
+                .collect();
+            model.retain(|(id, _)| !victims.contains(id));
+            assert_eq!(st.delete(&victims, &cow), expect, "delete diverged");
+            assert_layout(&st, &format!("round {round}"));
         }
-        let reference = flat.to_table();
-        for st in &sharded {
-            assert_eq!(
-                st.to_table(),
-                reference,
-                "churned table diverged at {} shards",
-                st.shard_count()
-            );
-            let sizes = st.shard_sizes();
-            let total: usize = sizes.iter().sum();
-            let fair = total / sizes.len();
-            assert!(
-                sizes.iter().all(|&s| 2 * s >= fair),
-                "{} shards starved after churn: {sizes:?}",
-                st.shard_count()
-            );
+        assert_eq!(st.to_table().docs, model, "churned table diverged");
+        assert_eq!(cow.get(), 0, "no snapshot, no copy");
+    }
+
+    #[test]
+    fn appends_after_an_upload_fill_fixed_capacity_shards() {
+        // A 1,000-row upload grown by 20,000 one-row appends: every
+        // shard stays within capacity, so a scan on a two-worker pool
+        // runs one task per `SHARD_DOCS` documents instead of holding
+        // nearly the whole table in one task.
+        let pool = Arc::new(Executor::new(2));
+        let store = TableStore::new(Arc::clone(&pool));
+        store.create("t", table(1_000).into()).unwrap();
+        for i in 1_000..21_000u64 {
+            store.append_batch("t", vec![(i, word(i))]).unwrap();
         }
+        let st = store.snapshot("t").unwrap();
+        assert_layout(&st, "grown by appends");
+        assert!(sizes(&st).iter().all(|&s| s <= SHARD_DOCS));
+        let before = pool.stats().tasks.get();
+        let answers = store.query_batch("t", &[vec![byte_term(0, 1)]]).unwrap();
+        assert!(answers[0].0.docs.is_empty());
+        assert_eq!(
+            pool.stats().tasks.get() - before,
+            21_000u64.div_ceil(SHARD_DOCS as u64),
+            "one scan task per shard"
+        );
+        assert_eq!(store.scan_checks(), 21_000);
+    }
+
+    #[test]
+    fn delete_churn_merges_keep_the_shard_bound_order_and_answers() {
+        // The same append/delete history on a two-worker and a
+        // one-worker store: merges keep the shard-count bound and the
+        // document order, and both pools answer every scan alike.
+        let stores = [2, 1].map(|w| TableStore::new(Arc::new(Executor::new(w))));
+        let n = 4 * SHARD_DOCS as u64;
+        let queries = vec![vec![], vec![byte_term(0, 1)], vec![byte_term(1, 3)]];
+        for store in &stores {
+            store.create("t", table(n as usize).into()).unwrap();
+        }
+        let mut live: Vec<u64> = (0..n).collect();
+        let mut next = n;
+        for round in 0..12u64 {
+            // Delete two ids in three, then every other survivor of a
+            // second window, then append a short run.
+            let lo = round * SHARD_DOCS as u64 / 3;
+            let victims: Vec<u64> = (lo..lo + SHARD_DOCS as u64)
+                .filter(|id| id % 3 != 0)
+                .chain((lo + n / 2..lo + n / 2 + 64).step_by(2))
+                .collect();
+            live.retain(|id| !victims.contains(id));
+            let appended: Vec<Doc> = (next..next + 40).map(|i| (i, word(i))).collect();
+            live.extend(next..next + 40);
+            next += 40;
+            let answers: Vec<_> = stores
+                .iter()
+                .map(|store| {
+                    store.delete_docs("t", &victims).unwrap();
+                    store.append_batch("t", appended.clone()).unwrap();
+                    let st = store.snapshot("t").unwrap();
+                    assert_layout(&st, &format!("round {round}"));
+                    assert_eq!(st.to_table().doc_ids(), live, "order changed");
+                    store.query_batch("t", &queries).unwrap()
+                })
+                .collect();
+            assert_eq!(answers[0], answers[1], "pools diverged at round {round}");
+        }
+        // The churn did merge: fewer shards than an append-only table
+        // of the same history would hold.
+        let st = stores[0].snapshot("t").unwrap();
+        assert!(st.shards().len() < (next as usize).div_ceil(SHARD_DOCS));
+    }
+
+    #[test]
+    fn an_append_under_a_live_snapshot_copies_at_most_one_shard() {
+        let store = TableStore::new(Executor::global());
+        store.create("t", table(3 * SHARD_DOCS + 5).into()).unwrap();
+        let n = 3 * SHARD_DOCS as u64 + 5;
+
+        // No snapshot alive: the append writes in place.
+        store.append_batch("t", vec![(n, word(n))]).unwrap();
+        assert_eq!(store.cow_bytes(), 0);
+
+        // A query's snapshot shares every shard: the append copies the
+        // one shard it fills, no more, and the snapshot keeps its view.
+        let snapshot = store.snapshot("t").unwrap();
+        let last = snapshot.shards().last().unwrap().heap_bytes() as u64;
+        store
+            .append_batch("t", vec![(n + 1, word(n + 1)), (n + 2, word(n + 2))])
+            .unwrap();
+        let after_append = store.cow_bytes();
+        assert_eq!(after_append, last, "one copy of the last shard");
+        let largest = snapshot
+            .shards()
+            .iter()
+            .map(|s| s.heap_bytes())
+            .max()
+            .unwrap();
+        assert!(after_append <= largest as u64);
+
+        // A delete rebuilds the shards it touches anyway, so under the
+        // same snapshot it copies nothing while no merge is due.
+        store.delete_docs("t", &[7, SHARD_DOCS as u64 + 3]).unwrap();
+        assert_eq!(store.cow_bytes(), after_append);
+
+        assert_eq!(
+            snapshot.doc_count(),
+            3 * SHARD_DOCS + 6,
+            "the snapshot kept its view"
+        );
+        assert_eq!(store.stats("t").unwrap().0, 3 * SHARD_DOCS + 6);
     }
 
     #[test]
@@ -1601,7 +1702,7 @@ mod tests {
 
     #[test]
     fn store_rejects_duplicates_stale_ids_and_unknown_names() {
-        let store = TableStore::new(2, Executor::global());
+        let store = TableStore::new(Executor::global());
         store.create("t", table(3).into()).unwrap();
         assert!(store.create("t", table(3).into()).is_err());
         assert!(store.fetch_all("nope").is_err());
@@ -1617,7 +1718,7 @@ mod tests {
 
     #[test]
     fn batch_append_is_atomic() {
-        let store = TableStore::new(2, Executor::global());
+        let store = TableStore::new(Executor::global());
         store.create("t", table(2).into()).unwrap();
         let bad = vec![
             (2, vec![CipherWord(vec![1; 13])]),
@@ -1699,7 +1800,7 @@ mod tests {
         // plumbing: length-mismatched trapdoors never match and the
         // empty conjunction matches everything, which is enough to
         // check assembly order, arity, and memo reuse.
-        let st = ShardedTable::from_arena(&table(100).into(), 4);
+        let st = ShardedTable::from_arena(&table(2 * SHARD_DOCS + 100).into());
         let pool = Executor::new(3);
         let queries = [vec![], vec![byte_term(0, 7)], vec![]];
         let views: Vec<&[_]> = queries.iter().map(Vec::as_slice).collect();
@@ -1711,15 +1812,16 @@ mod tests {
             let reference = crate::server::execute_query(&flat, q);
             assert_eq!(result, &reference, "batch diverged");
         }
-        assert_eq!(batched[0].doc_ids(), (0..100).collect::<Vec<u64>>());
+        let n = 2 * SHARD_DOCS as u64 + 100;
+        assert_eq!(batched[0].doc_ids(), (0..n).collect::<Vec<u64>>());
         assert!(batched[1].docs.is_empty());
         // One addressed slot per row, for the one non-empty query.
-        assert_eq!(checks.get(), 100);
+        assert_eq!(checks.get(), n);
     }
 
     #[test]
     fn empty_batch_yields_no_tables() {
-        let st = ShardedTable::from_arena(&table(10).into(), 2);
+        let st = ShardedTable::from_arena(&table(10).into());
         let pool = Executor::new(2);
         let out = st.scan_batch_on(&pool, &[], &Counter::default());
         assert!(out.is_empty());
@@ -1727,7 +1829,7 @@ mod tests {
 
     #[test]
     fn store_query_batch_preserves_query_order() {
-        let store = TableStore::new(3, Arc::new(Executor::new(4)));
+        let store = TableStore::new(Arc::new(Executor::new(4)));
         store.create("t", table(50).into()).unwrap();
         let queries: Vec<Vec<WireTrapdoor>> =
             vec![vec![], vec![byte_term(0, 1)], vec![], vec![byte_term(0, 2)]];
@@ -1759,7 +1861,7 @@ mod tests {
     #[test]
     fn delta_scans_reach_the_pool_only_past_the_threshold() {
         let pool = Arc::new(Executor::new(2));
-        let store = TableStore::new(3, Arc::clone(&pool));
+        let store = TableStore::new(Arc::clone(&pool));
         store.create("t", table(600).into()).unwrap();
         store.enable_index();
         let terms = vec![vec![byte_term(0, 1)]];
@@ -1773,38 +1875,35 @@ mod tests {
             store.append_batch("t", docs.collect()).unwrap();
         };
 
-        // Cold: 600 documents, one pool task per shard suffix.
+        // Cold: 600 documents, one pool task per shard.
+        let c = SHARD_DOCS as u64;
+        let cold = 600u64.div_ceil(c);
         assert_eq!(probe(), 600);
-        assert_eq!(tasks(), 3);
+        assert_eq!(tasks(), cold);
         assert_eq!(store.scan_checks(), 600);
 
         // A 10-document delta runs inline: the pool sees nothing.
         append(600..610);
         assert_eq!(probe(), 10);
-        assert_eq!(tasks(), 3);
+        assert_eq!(tasks(), cold);
         assert_eq!(store.scan_checks(), 610);
 
         // A 600-document delta fans out again, one task per shard
-        // holding an id at or past 610 (the append rebalanced them).
+        // holding an id at or past 610: ids are dense, so shard `i`
+        // holds ids `i·C .. (i + 1)·C`.
         append(610..1210);
-        let mut end = 0;
-        let suffixes = store
-            .shard_sizes("t")
-            .unwrap()
-            .into_iter()
-            .filter(|&len| {
-                end += len;
-                end > 610
-            })
-            .count();
-        assert!(suffixes > 1, "the delta spans more than one shard");
+        let suffixes = 1210u64.div_ceil(c) - 610 / c;
+        assert_eq!(
+            store.snapshot("t").unwrap().shards().len() as u64,
+            1210u64.div_ceil(c)
+        );
         assert_eq!(probe(), 600);
-        assert_eq!(tasks(), 3 + suffixes as u64);
+        assert_eq!(tasks(), cold + suffixes);
         assert_eq!(store.scan_checks(), 1210);
 
         // Nothing appended: nothing checked, nothing dispatched.
         assert_eq!(probe(), 0);
-        assert_eq!(tasks(), 3 + suffixes as u64);
+        assert_eq!(tasks(), cold + suffixes);
         assert_eq!(store.scan_checks(), 1210);
     }
 
@@ -1814,7 +1913,7 @@ mod tests {
         // name race to the name check: one is stored, whole, and the
         // other is refused.
         for _ in 0..20 {
-            let store = Arc::new(TableStore::new(2, Executor::global()));
+            let store = Arc::new(TableStore::new(Executor::global()));
             let start = Arc::new(std::sync::Barrier::new(2));
             let uploads = [table(300), table(7)];
             let racers: Vec<_> = uploads
@@ -1844,7 +1943,7 @@ mod tests {
 
     #[test]
     fn upload_ids_must_rise_strictly_below_next_doc_id() {
-        let store = TableStore::new(2, Executor::global());
+        let store = TableStore::new(Executor::global());
         let word = |b: u8| vec![CipherWord(vec![b; 13])];
         let upload = |docs: Vec<Doc>, next_doc_id: u64| {
             ColumnarTable::from(EncryptedTable {

@@ -10,7 +10,10 @@
 //! Set `CRITERION_JSON=<path>` to also write all results of a bench
 //! run as a JSON array (used to check benchmark artifacts into the
 //! repo), and `CRITERION_SAMPLE_MS` to change the per-sample time
-//! budget (default 150 ms).
+//! budget (default 150 ms). Every JSON row carries its provenance and
+//! its spread: the commit (read from `.git`, or `unknown`), the core
+//! count, the sample budget and count, and the min, quartiles and max
+//! of the samples beside the median.
 
 #![forbid(unsafe_code)]
 
@@ -104,7 +107,6 @@ impl Bencher {
         let target_iters =
             ((budget.as_secs_f64() / per_iter_estimate.max(1e-9)) as u64).clamp(1, 1 << 24);
 
-        const SAMPLES: usize = 5;
         self.samples_ns.clear();
         for _ in 0..SAMPLES {
             let start = Instant::now();
@@ -117,12 +119,48 @@ impl Bencher {
     }
 }
 
+/// Timed samples per benchmark.
+const SAMPLES: usize = 5;
+
 fn sample_budget() -> Duration {
     let ms = std::env::var("CRITERION_SAMPLE_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(150);
     Duration::from_millis(ms.max(1))
+}
+
+/// The commit the bench was built from: `HEAD` of the nearest `.git`
+/// directory at or above the working directory, followed through the
+/// ref it names (loose or packed), or `unknown`.
+fn commit() -> String {
+    let resolve = || -> Option<String> {
+        let cwd = std::env::current_dir().ok()?;
+        let git = cwd
+            .ancestors()
+            .map(|d| d.join(".git"))
+            .find(|g| g.is_dir())?;
+        let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+        let Some(name) = head.trim().strip_prefix("ref: ") else {
+            return Some(head.trim().to_string());
+        };
+        if let Ok(sha) = std::fs::read_to_string(git.join(name)) {
+            return Some(sha.trim().to_string());
+        }
+        let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+        packed.lines().find_map(|line| {
+            let (sha, r) = line.split_once(' ')?;
+            (r == name).then(|| sha.to_string())
+        })
+    };
+    resolve()
+        .filter(|sha| !sha.is_empty() && sha.bytes().all(|b| b.is_ascii_hexdigit()))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The sample at quantile `q` of ascending `sorted` (nearest rank).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 /// One finished measurement.
@@ -134,6 +172,8 @@ pub struct BenchResult {
     pub median_ns: f64,
     /// Fastest sample, nanoseconds per iteration.
     pub min_ns: f64,
+    /// Every sample, nanoseconds per iteration, ascending.
+    pub samples_ns: Vec<f64>,
     /// Declared throughput, if any.
     pub throughput: Option<Throughput>,
 }
@@ -194,6 +234,7 @@ impl Criterion {
             id,
             median_ns: ns[ns.len() / 2],
             min_ns: ns[0],
+            samples_ns: ns,
             throughput,
         };
         let rate = result
@@ -213,6 +254,9 @@ impl Criterion {
         let Ok(path) = std::env::var("CRITERION_JSON") else {
             return;
         };
+        let commit = commit();
+        let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+        let sample_ms = sample_budget().as_millis();
         let mut out = String::from("[\n");
         for (i, r) in self.results.iter().enumerate() {
             let (tp_kind, tp_units) = match r.throughput {
@@ -220,12 +264,20 @@ impl Criterion {
                 Some(Throughput::Elements(n)) => ("\"elements\"", n),
                 None => ("null", 0),
             };
+            let ns = &r.samples_ns;
             out.push_str(&format!(
                 "  {{\"id\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \
+                 \"p25_ns\": {:.1}, \"p75_ns\": {:.1}, \"max_ns\": {:.1}, \
+                 \"samples\": {}, \"sample_ms\": {sample_ms}, \"nproc\": {nproc}, \
+                 \"commit\": \"{commit}\", \
                  \"throughput_kind\": {}, \"throughput_units\": {}}}{}\n",
                 r.id.replace('"', "'"),
                 r.median_ns,
                 r.min_ns,
+                quantile(ns, 0.25),
+                quantile(ns, 0.75),
+                ns[ns.len() - 1],
+                ns.len(),
                 tp_kind,
                 tp_units,
                 if i + 1 == self.results.len() { "" } else { "," }
@@ -308,6 +360,42 @@ mod tests {
         c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
         assert_eq!(c.results().len(), 1);
         assert!(c.results()[0].median_ns >= 0.0);
+    }
+
+    #[test]
+    fn json_rows_carry_provenance_and_spread() {
+        std::env::set_var("CRITERION_SAMPLE_MS", "1");
+        let mut c = Criterion::default();
+        c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
+        let path = std::env::temp_dir().join(format!("criterion-shim-{}.json", std::process::id()));
+        std::env::set_var("CRITERION_JSON", &path);
+        c.write_json_if_requested();
+        std::env::remove_var("CRITERION_JSON");
+        let json = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        for field in [
+            "\"p25_ns\"",
+            "\"p75_ns\"",
+            "\"max_ns\"",
+            "\"samples\": 5",
+            "\"sample_ms\": 1",
+            "\"nproc\": ",
+            "\"commit\": \"",
+        ] {
+            assert!(json.contains(field), "{field} missing from {json}");
+        }
+        let r = &c.results()[0];
+        assert_eq!(r.samples_ns.len(), SAMPLES);
+        assert!(r.samples_ns.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn quantiles_take_the_nearest_rank() {
+        let ns = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(quantile(&ns, 0.25), 2.0);
+        assert_eq!(quantile(&ns, 0.5), 3.0);
+        assert_eq!(quantile(&ns, 0.75), 4.0);
+        assert_eq!(quantile(&[7.0], 0.75), 7.0);
     }
 
     #[test]

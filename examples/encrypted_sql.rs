@@ -222,16 +222,8 @@ use dbph::relation::{Catalog, Tuple};
 
 /// Builds the server for a server-side mode: durable when the user
 /// passed `--data-dir`, in-memory otherwise.
-fn make_server(
-    shards: usize,
-    data_dir: Option<&str>,
-    scrub: bool,
-) -> Result<Server, Box<dyn std::error::Error>> {
-    let config = ServerConfig {
-        shards,
-        ..ServerConfig::default()
-    };
-    let server = Server::open(&config, data_dir.map(Path::new))?;
+fn make_server(data_dir: Option<&str>, scrub: bool) -> Result<Server, Box<dyn std::error::Error>> {
+    let server = Server::open(&ServerConfig::default(), data_dir.map(Path::new))?;
     match data_dir {
         None => Ok(server),
         Some(dir) => {
@@ -445,15 +437,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if scrub {
                 // Offline integrity check: open (recover), verify
                 // every record, report, exit.
-                make_server(1, data_dir, true)?;
+                make_server(data_dir, true)?;
                 return Ok(());
             }
             // In-process: the transport is the server itself.
-            run_script(make_server(1, data_dir, false)?)
+            run_script(make_server(data_dir, false)?)
         }
         Some("--net") => {
             // Loopback: same script, real frames on a real socket.
-            let server = make_server(4, data_dir, scrub)?;
+            let server = make_server(data_dir, scrub)?;
             let handle = NetServer::spawn(server, "127.0.0.1:0")?;
             println!("-- loopback server listening on {}", handle.addr());
             let (pool, _chaos) = make_client(&handle.addr().to_string(), retry, chaos_seed)?;
@@ -471,7 +463,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let listener = std::net::TcpListener::bind(addr)?;
             println!("-- serving encrypted tables on {}", listener.local_addr()?);
             println!("-- connect with: cargo run --example encrypted_sql -- --connect {addr}");
-            NetServer::serve(listener, make_server(4, data_dir, scrub)?)?;
+            NetServer::serve(listener, make_server(data_dir, scrub)?)?;
             Ok(())
         }
         Some("--replicate-from") => {

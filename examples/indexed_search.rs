@@ -30,18 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two servers, same session: the reference scan and the indexed
     // plan. The index is server-side and opt-in; the client code is
     // identical.
-    let scan_server = Server::open(
-        &ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        },
-        None,
-    )?;
+    let scan_server = Server::open(&ServerConfig::default(), None)?;
     let mut scan_client = Client::new(FinalSwpPh::new(EmployeeGen::schema(), &key)?, scan_server);
 
     let indexed_server = Server::open(
         &ServerConfig {
-            shards: 4,
             index: true,
             ..ServerConfig::default()
         },

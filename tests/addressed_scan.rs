@@ -12,8 +12,8 @@
 //!   `attr` at or beyond a document's word count, a document with a
 //!   deviant word count, and an irregular (wrong-length) word at the
 //!   addressed position all reject the row. Each case gets the same
-//!   response from the scan plan and the index plan, on every shard
-//!   count.
+//!   response from the scan plan and the index plan, on every pool
+//!   size.
 //! * **Same bytes, different attributes, different terms.** A
 //!   `QueryBatch` carrying one trapdoor's bytes addressed to two
 //!   positions keeps their match sets and postings apart.
@@ -91,7 +91,7 @@ proptest! {
         bits in 2u32..=4,
         pick in any::<u64>(),
         shape in 0usize..5,
-        shards in 1usize..4,
+        workers in 1usize..4,
     ) {
         let relation = EmployeeGen { rows: 96, departments: 4, ..EmployeeGen::default() }
             .generate(seed);
@@ -105,10 +105,10 @@ proptest! {
         let table = ph.encrypt_table(&relation).unwrap();
         let qct = ph.encrypt_query(&query).unwrap();
         let terms: Vec<WireTrapdoor> = qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
-        let scan = Server::open(&ServerConfig { shards, ..ServerConfig::default() }, None).unwrap();
+        let scan = Server::open(&ServerConfig { workers: Some(workers), ..ServerConfig::default() }, None).unwrap();
         upload(&scan, "Emp", &table);
         let served = candidate_ids(&scan, &terms);
-        let indexed = Server::open(&ServerConfig { shards, index: true, ..ServerConfig::default() }, None).unwrap();
+        let indexed = Server::open(&ServerConfig { workers: Some(workers), index: true, ..ServerConfig::default() }, None).unwrap();
         upload(&indexed, "Emp", &table);
         prop_assert_eq!(&candidate_ids(&indexed, &terms), &served);
         prop_assert_eq!(&execute_query(&table, &terms).doc_ids(), &served);
@@ -135,7 +135,7 @@ proptest! {
             prop_assert!(!truth.contains(id), "dropped row {} was a true match", id);
         }
 
-        let mut client = Client::new(ph.clone(), Server::open(&ServerConfig { shards, ..ServerConfig::default() }, None).unwrap());
+        let mut client = Client::new(ph.clone(), Server::open(&ServerConfig { workers: Some(workers), ..ServerConfig::default() }, None).unwrap());
         client.outsource(&relation).unwrap();
         let answer = client.select(&query).unwrap();
         let expected = dbph::relation::exec::select(&relation, &query).unwrap();
@@ -234,13 +234,12 @@ fn deviant_table() -> EncryptedTable {
 fn run_plan(
     table: &EncryptedTable,
     msgs: &[ClientMessage],
-    shards: usize,
+    workers: usize,
     indexed: bool,
 ) -> (Vec<ServerResponse>, Vec<ServerEvent>) {
     let server = Server::open(
         &ServerConfig {
-            shards,
-            workers: Some(2),
+            workers: Some(workers),
             index: indexed,
             ..ServerConfig::default()
         },
@@ -260,15 +259,15 @@ fn run_plan(
 
 fn assert_plans_agree(table: &EncryptedTable, msgs: &[ClientMessage]) -> Vec<ServerResponse> {
     let reference = run_plan(table, msgs, 1, false);
-    for shards in [1usize, 2, 4] {
+    for workers in [1usize, 2, 4] {
         for indexed in [false, true] {
-            let got = run_plan(table, msgs, shards, indexed);
-            assert_eq!(got, reference, "{shards} shard(s), indexed {indexed}");
+            let got = run_plan(table, msgs, workers, indexed);
+            assert_eq!(got, reference, "{workers} worker(s), indexed {indexed}");
             // Twice through the index: the second pass is served from
             // cached postings.
             if indexed {
                 let twice: Vec<ClientMessage> = msgs.iter().chain(msgs).cloned().collect();
-                let (responses, _) = run_plan(table, &twice, shards, true);
+                let (responses, _) = run_plan(table, &twice, workers, true);
                 assert_eq!(&responses[..msgs.len()], &responses[msgs.len()..]);
             }
         }

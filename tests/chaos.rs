@@ -118,22 +118,8 @@ fn retry_until_acked<T: Transport>(faulty: &FaultTransport<T>, bytes: &[u8]) -> 
 
 #[test]
 fn fault_free_tagged_session_is_byte_identical_to_untagged() {
-    let untagged = Server::open(
-        &ServerConfig {
-            shards: 3,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    let tagged = Server::open(
-        &ServerConfig {
-            shards: 3,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let untagged = Server::open(&ServerConfig::default(), None).unwrap();
+    let tagged = Server::open(&ServerConfig::default(), None).unwrap();
 
     let mut seq = 0u64;
     for msg in workload("T") {
@@ -160,14 +146,7 @@ fn fault_free_tagged_session_is_byte_identical_to_untagged() {
 
 #[test]
 fn duplicate_envelope_replays_without_reapplying() {
-    let server = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     assert!(is_ok(
         &server.handle(&create_msg("T").tagged(7, 1).to_wire())
     ));
@@ -192,9 +171,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
     fn every_acked_mutation_applies_exactly_once_under_faults(seed in any::<u64>()) {
-        let server = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let faulty = FaultTransport::new(server.clone(), seed, FaultPlan::default());
-        let reference = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap();
+        let reference = Server::open(&ServerConfig::default(), None).unwrap();
 
         for (i, op) in workload("T").into_iter().enumerate() {
             let plain = op.to_wire();
@@ -221,9 +200,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
     fn pipelined_batches_cut_mid_way_still_apply_exactly_once(seed in any::<u64>()) {
-        let server = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let faulty = FaultTransport::new(server.clone(), seed, FaultPlan::default());
-        let reference = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap();
+        let reference = Server::open(&ServerConfig::default(), None).unwrap();
 
         prop_assert!(is_ok(&retry_until_acked(&faulty, &create_msg("T").tagged(3, 1).to_wire())));
         prop_assert!(is_ok(&reference.handle(&create_msg("T").to_wire())));
@@ -280,14 +259,14 @@ proptest! {
     #[test]
     fn retries_straddling_a_server_restart_stay_exactly_once(seed in any::<u64>()) {
         let tmp = TempDir::new("chaos-restart").unwrap();
-        let reference = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap();
+        let reference = Server::open(&ServerConfig::default(), None).unwrap();
         let ops = workload("T");
         let split = ops.len() / 2;
 
         // Phase 1: chaos up to the split, then kill the server.
         let mut acked_before: Vec<Vec<u8>> = Vec::new();
         {
-            let server = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, Some(tmp.path())).unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             let faulty = FaultTransport::new(server, seed, FaultPlan::default());
             for (i, op) in ops[..split].iter().enumerate() {
                 let enveloped = op.clone().tagged(11, i as u64 + 1).to_wire();
@@ -301,7 +280,7 @@ proptest! {
         // Phase 2: recover, then retry *already-acked* envelopes as a
         // client whose acks were lost in the crash would, and finish
         // the workload under fresh chaos.
-        let recovered = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, Some(tmp.path())).unwrap();
+        let recovered = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         for enveloped in &acked_before {
             prop_assert!(
                 is_ok(&recovered.handle(enveloped)),
@@ -331,23 +310,9 @@ proptest! {
 fn pooled_client_retries_through_chaos_proxy_exactly_once() {
     for seed in [1u64, 0xfeed_f00d, 0x5eed_0007] {
         let tmp = TempDir::new("chaos-tcp").unwrap();
-        let reference = Server::open(
-            &ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            None,
-        )
-        .unwrap();
+        let reference = Server::open(&ServerConfig::default(), None).unwrap();
         {
-            let server = Server::open(
-                &ServerConfig {
-                    shards: 2,
-                    ..ServerConfig::default()
-                },
-                Some(tmp.path()),
-            )
-            .unwrap();
+            let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
             let handle = NetServer::spawn(server, "127.0.0.1:0").unwrap();
             let proxy = ChaosProxy::spawn(handle.addr(), seed, ChaosPlan::default()).unwrap();
             let client = PooledClient::connect_with(
@@ -393,14 +358,7 @@ fn pooled_client_retries_through_chaos_proxy_exactly_once() {
         for op in workload("T") {
             assert!(is_ok(&reference.handle(&op.to_wire())));
         }
-        let recovered = Server::open(
-            &ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            Some(tmp.path()),
-        )
-        .unwrap();
+        let recovered = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         assert_eq!(
             recovered.handle(&fetch_msg("T")),
             reference.handle(&fetch_msg("T")),

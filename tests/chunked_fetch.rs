@@ -87,14 +87,7 @@ fn chunk_stream_fits_capped_frames_where_fetch_all_cannot() {
     const CAP: usize = 16 << 10; // a deliberately small test-side cap
     const CHUNK: u64 = 4 << 10;
 
-    let server = Server::open(
-        &ServerConfig {
-            shards: 3,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let create = ClientMessage::CreateTable {
         name: "big".into(),
         table: big_table().into(),
@@ -141,24 +134,10 @@ fn chunk_stream_is_transport_invariant() {
     }
     .to_wire();
 
-    let local = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let local = Server::open(&ServerConfig::default(), None).unwrap();
     let _ = local.handle(&create);
 
-    let remote = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let remote = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     let _ = pool.call(&create).unwrap();
@@ -180,14 +159,7 @@ fn doc_id_tokens_are_cut_consistent_under_churn() {
     // position, but the stream still delivers each surviving document
     // exactly once — no duplicates (a positional token would re-send
     // shifted docs), no skips.
-    let server = Server::open(
-        &ServerConfig {
-            shards: 3,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let create = ClientMessage::CreateTable {
         name: "churn".into(),
         table: big_table().into(),
@@ -279,7 +251,7 @@ proptest! {
         let n = docs.len() as u64;
         let table = EncryptedTable { params, docs, next_doc_id: n };
 
-        let server = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, None).unwrap();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let create = ClientMessage::CreateTable { name: "t".into(), table: table.clone().into() }.to_wire();
         prop_assert_eq!(
             ServerResponse::from_wire(&server.handle(&create)).unwrap(),
@@ -348,7 +320,7 @@ proptest! {
         // stays within the budget unless a single oversized document
         // forces progress.
         let table = EncryptedTable { params, docs, next_doc_id: n };
-        let server = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap();
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
         let create =
             ClientMessage::CreateTable { name: "c".into(), table: table.clone().into() }.to_wire();
         prop_assert_eq!(

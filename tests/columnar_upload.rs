@@ -179,7 +179,7 @@ proptest! {
         );
 
         let dir = TempDir::new("columnar-upload").unwrap();
-        let server = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, Some(dir.path())).unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(dir.path())).unwrap();
 
         // (c) Every cut of the frame is refused, and none is logged.
         for cut in 0..frame.len() {
@@ -218,7 +218,7 @@ proptest! {
 
         let follower_dir = TempDir::new("columnar-upload-follower").unwrap();
         let options = ReplicaOptions {
-            server: ServerConfig { shards: 3, ..ServerConfig::default() },
+            server: ServerConfig::default(),
             ..ReplicaOptions::default()
         };
         let replica = Replica::bootstrap(server.clone(), follower_dir.path(), options).unwrap();
@@ -226,12 +226,12 @@ proptest! {
         drop(replica);
 
         drop(server);
-        let reopened = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, Some(dir.path())).unwrap();
+        let reopened = Server::open(&ServerConfig::default(), Some(dir.path())).unwrap();
         prop_assert_eq!(&fetch(&reopened, "t"), &original);
         reopened.compact().unwrap();
         drop(reopened);
         let chunked = DurableOptions { snapshot_chunk_bytes: 64, ..DurableOptions::default() };
-        let compacted = Server::open(&ServerConfig { shards: 2, durable: chunked, ..ServerConfig::default() }, Some(dir.path())).unwrap();
+        let compacted = Server::open(&ServerConfig { durable: chunked, ..ServerConfig::default() }, Some(dir.path())).unwrap();
         prop_assert_eq!(&fetch(&compacted, "t"), &original);
     }
 }

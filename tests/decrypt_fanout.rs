@@ -87,7 +87,7 @@ proptest! {
             prop_assert_eq!(&ph.decrypt_result(&bad, &query).unwrap_err(), &expected);
         }
 
-        let mut client = Client::new(ph.clone(), Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap());
+        let mut client = Client::new(ph.clone(), Server::open(&ServerConfig::default(), None).unwrap());
         client.outsource(&relation).unwrap();
         prop_assert_eq!(
             client.select(&query).unwrap(),

@@ -6,7 +6,7 @@
 //! 1. **Byte-identical behavior.** A durable server driven by any
 //!    session produces the same response bytes *and* the same
 //!    [`Observer`] transcript as an in-memory server driven by the
-//!    same session — across shard counts, pool sizes, and both
+//!    same session — across pool sizes, and both
 //!    transports. The disk image is made of exactly the mutation
 //!    messages and ciphertext Eve already observes, so persistence
 //!    must change nothing she can record.
@@ -175,67 +175,62 @@ fn replay<T: Transport>(transport: &T, messages: &[Vec<u8>]) -> Vec<Vec<u8>> {
 fn durable_equals_in_memory_across_shards_and_workers() {
     let messages = session_messages();
     let probes = probe_messages();
-    for shards in [1usize, 2, 5] {
-        for workers in [1usize, 4] {
-            let mem = Server::open(
-                &ServerConfig {
-                    shards,
-                    workers: Some(workers),
-                    ..ServerConfig::default()
-                },
-                None,
-            )
-            .unwrap();
-            let mem_responses = replay(&mem, &messages);
+    for workers in [1usize, 4] {
+        let mem = Server::open(
+            &ServerConfig {
+                workers: Some(workers),
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
+        let mem_responses = replay(&mem, &messages);
 
-            let tmp = TempDir::new("equiv").unwrap();
-            let durable = Server::open(
-                &ServerConfig {
-                    shards,
-                    workers: Some(workers),
-                    ..ServerConfig::default()
-                },
-                Some(tmp.path()),
-            )
-            .unwrap();
-            let durable_responses = replay(&durable, &messages);
+        let tmp = TempDir::new("equiv").unwrap();
+        let durable = Server::open(
+            &ServerConfig {
+                workers: Some(workers),
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
+        let durable_responses = replay(&durable, &messages);
 
-            assert_eq!(
-                durable_responses, mem_responses,
-                "durable responses diverged at {shards} shard(s) × {workers} worker(s)"
-            );
-            assert_eq!(
-                durable.observer().events(),
-                mem.observer().events(),
-                "durable transcript diverged at {shards} shard(s) × {workers} worker(s)"
-            );
+        assert_eq!(
+            durable_responses, mem_responses,
+            "durable responses diverged at {workers} worker(s)"
+        );
+        assert_eq!(
+            durable.observer().events(),
+            mem.observer().events(),
+            "durable transcript diverged at {workers} worker(s)"
+        );
 
-            // Unclean kill: every record was fsync'd per message, so
-            // dropping the server with no goodbye loses nothing.
-            drop(durable);
-            let recovered = Server::open(
-                &ServerConfig {
-                    shards,
-                    workers: Some(workers),
-                    ..ServerConfig::default()
-                },
-                Some(tmp.path()),
-            )
-            .unwrap();
-            let mem_events_before = mem.observer().events().len();
-            assert_eq!(
-                replay(&recovered, &probes),
-                replay(&mem, &probes),
-                "post-restart probes diverged at {shards} shard(s) × {workers} worker(s)"
-            );
-            // The recovered server's (fresh) transcript must equal the
-            // probe segment of the uninterrupted server's transcript.
-            assert_eq!(
-                recovered.observer().events(),
-                mem.observer().events()[mem_events_before..],
-                "post-restart transcript diverged"
-            );
-        }
+        // Unclean kill: every record was fsync'd per message, so
+        // dropping the server with no goodbye loses nothing.
+        drop(durable);
+        let recovered = Server::open(
+            &ServerConfig {
+                workers: Some(workers),
+                ..ServerConfig::default()
+            },
+            Some(tmp.path()),
+        )
+        .unwrap();
+        let mem_events_before = mem.observer().events().len();
+        assert_eq!(
+            replay(&recovered, &probes),
+            replay(&mem, &probes),
+            "post-restart probes diverged at {workers} worker(s)"
+        );
+        // The recovered server's (fresh) transcript must equal the
+        // probe segment of the uninterrupted server's transcript.
+        assert_eq!(
+            recovered.observer().events(),
+            mem.observer().events()[mem_events_before..],
+            "post-restart transcript diverged"
+        );
     }
 }
 
@@ -245,26 +240,12 @@ fn durable_equals_in_memory_over_tcp_and_survives_restart() {
     let probes = probe_messages();
 
     // Reference: the uninterrupted in-memory server, in-process.
-    let mem = Server::open(
-        &ServerConfig {
-            shards: 3,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let mem = Server::open(&ServerConfig::default(), None).unwrap();
     let mem_responses = replay(&mem, &messages);
 
     // A durable server behind a real socket.
     let tmp = TempDir::new("tcp-equiv").unwrap();
-    let durable = Server::open(
-        &ServerConfig {
-            shards: 3,
-            ..ServerConfig::default()
-        },
-        Some(tmp.path()),
-    )
-    .unwrap();
+    let durable = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
     let handle = NetServer::spawn(durable.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
     let tcp_responses = replay(&pool, &messages);
@@ -275,14 +256,7 @@ fn durable_equals_in_memory_over_tcp_and_survives_restart() {
     // both from the data directory.
     handle.shutdown();
     drop(durable);
-    let recovered = Server::open(
-        &ServerConfig {
-            shards: 3,
-            ..ServerConfig::default()
-        },
-        Some(tmp.path()),
-    )
-    .unwrap();
+    let recovered = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
     let handle = NetServer::spawn(recovered.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
     let mem_events_before = mem.observer().events().len();
@@ -318,27 +292,13 @@ fn crypto_client_session_survives_restart() {
 
     let tmp = TempDir::new("crypto").unwrap();
     {
-        let server = Server::open(
-            &ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            Some(tmp.path()),
-        )
-        .unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
         let mut client = Client::new(scheme(), server);
         client.outsource(&emp).unwrap();
         client.insert(&tuple!["Kim", "HR", 9000i64]).unwrap();
         // kill -9: just drop everything.
     }
-    let server = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(tmp.path()),
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
     let client = Client::new(scheme(), server);
     let all = client.fetch_all().unwrap();
     assert_eq!(all.len(), 4, "the insert must have survived the kill");
@@ -472,7 +432,7 @@ proptest! {
         // length after each (fsync'd) message — the record boundaries.
         let tmp = TempDir::new("crash").unwrap();
         let server =
-            Server::open(&ServerConfig { shards: 3, durable: options.clone(), ..ServerConfig::default() }, Some(tmp.path())).unwrap();
+            Server::open(&ServerConfig { durable: options.clone(), ..ServerConfig::default() }, Some(tmp.path())).unwrap();
         let mut boundaries = Vec::with_capacity(messages.len());
         let active = {
             for m in &messages {
@@ -501,14 +461,14 @@ proptest! {
 
         // Reference: replay only the fully-persisted message prefix.
         let survivors = boundaries.iter().filter(|&&b| b <= cut).count();
-        let reference = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, None).unwrap();
+        let reference = Server::open(&ServerConfig::default(), None).unwrap();
         for m in &messages[..survivors] {
             let _ = reference.handle(m);
         }
 
         // Recovery must neither panic nor partially apply the torn
         // record: every probe answers byte-identically.
-        let recovered = Server::open(&ServerConfig { shards: 3, durable: options, ..ServerConfig::default() }, Some(tmp.path())).unwrap();
+        let recovered = Server::open(&ServerConfig { durable: options, ..ServerConfig::default() }, Some(tmp.path())).unwrap();
         for probe in probe_messages_for(&["a", "b"]) {
             prop_assert_eq!(
                 recovered.handle(&probe),
@@ -560,7 +520,7 @@ proptest! {
         // state a mid-compaction kill can leave behind.
         let tmp = TempDir::new("compact-crash").unwrap();
         let server =
-            Server::open(&ServerConfig { shards: 3, durable: options.clone(), index: true, ..ServerConfig::default() }, Some(tmp.path())).unwrap();
+            Server::open(&ServerConfig { durable: options.clone(), index: true, ..ServerConfig::default() }, Some(tmp.path())).unwrap();
         for m in &messages {
             let resp = server.handle(m);
             prop_assert!(
@@ -613,13 +573,13 @@ proptest! {
 
         // Compaction is an identity on the logical store: the acked
         // prefix is every message.
-        let reference = Server::open(&ServerConfig { shards: 3, index: true, ..ServerConfig::default() }, None).unwrap();
+        let reference = Server::open(&ServerConfig { index: true, ..ServerConfig::default() }, None).unwrap();
         for m in &messages {
             let _ = reference.handle(m);
         }
 
         let recovered =
-            Server::open(&ServerConfig { shards: 3, durable: options.clone(), ..ServerConfig::default() }, Some(scratch.path())).unwrap();
+            Server::open(&ServerConfig { durable: options.clone(), ..ServerConfig::default() }, Some(scratch.path())).unwrap();
         for probe in probe_messages_for(&["a", "b"]) {
             prop_assert_eq!(
                 recovered.handle(&probe),
@@ -652,7 +612,7 @@ proptest! {
         );
         let expect = recovered.handle(&ClientMessage::FetchAll { name: "c".into() }.to_wire());
         drop(recovered);
-        let reopened = Server::open(&ServerConfig { shards: 3, durable: options, ..ServerConfig::default() }, Some(scratch.path())).unwrap();
+        let reopened = Server::open(&ServerConfig { durable: options, ..ServerConfig::default() }, Some(scratch.path())).unwrap();
         prop_assert_eq!(
             reopened.handle(&ClientMessage::FetchAll { name: "c".into() }.to_wire()),
             expect,
@@ -695,22 +655,8 @@ fn compacted_store_survives_restart_identically() {
     // Mutate, compact (snapshot segment), mutate more (tail log),
     // kill, recover: snapshot + tail must reproduce the exact store.
     let tmp = TempDir::new("compact-restart").unwrap();
-    let reference = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    let durable = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(tmp.path()),
-    )
-    .unwrap();
+    let reference = Server::open(&ServerConfig::default(), None).unwrap();
+    let durable = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
 
     let phase1 = [
         ClientMessage::CreateTable {
@@ -747,14 +693,7 @@ fn compacted_store_survives_restart_identically() {
     }
     drop(durable);
 
-    let recovered = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(tmp.path()),
-    )
-    .unwrap();
+    let recovered = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
     for probe in probe_messages_for(&["t1", "t2"]) {
         assert_eq!(recovered.handle(&probe), reference.handle(&probe));
     }
@@ -819,7 +758,6 @@ fn segment_and_manifest_bytes_are_pinned() {
     let tmp = TempDir::new("format-pin").unwrap();
     let server = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(1),
             index: true,
             ..ServerConfig::default()
@@ -938,7 +876,6 @@ fn a_tagged_mutation_that_triggers_compaction_replays_after_restart() {
     let open = || {
         Server::open(
             &ServerConfig {
-                shards: 2,
                 workers: Some(1),
                 durable: options.clone(),
                 ..ServerConfig::default()

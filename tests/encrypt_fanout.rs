@@ -104,17 +104,7 @@ fn a_fanned_out_insert_many_is_found_by_select() {
     }
     .generate(11);
     let (head, tail) = relation.tuples().split_at(40);
-    let mut client = Client::new(
-        ph,
-        Server::open(
-            &ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            None,
-        )
-        .unwrap(),
-    );
+    let mut client = Client::new(ph, Server::open(&ServerConfig::default(), None).unwrap());
     client
         .outsource(&Relation::from_tuples(EmployeeGen::schema(), head.to_vec()).unwrap())
         .unwrap();

@@ -1,7 +1,8 @@
 //! Wire-order regression tests for the persistent worker pool.
 //!
 //! The pool completes `(query, shard)` tasks in whatever order its
-//! workers get to them; the engine must still hand results back in
+//! workers get to them, and a table of any size is some number of
+//! fixed-capacity shards; the engine must still hand results back in
 //! submission order, and a `QueryBatch` response must list result
 //! tables in wire (query) order. These tests force out-of-order and
 //! randomized completion on purpose and check nothing reorders.
@@ -9,7 +10,9 @@
 use std::time::Duration;
 
 use dbph::core::executor::Executor;
-use dbph::core::protocol::{ClientMessage, WireTrapdoor};
+use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
+use dbph::core::server::execute_query;
+use dbph::core::storage::SHARD_DOCS;
 use dbph::core::wire::WireEncode;
 use dbph::core::{DatabasePh, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::SecretKey;
@@ -67,18 +70,13 @@ fn reverse_completion_preserves_submission_order() {
 
 #[test]
 fn batch_responses_stay_in_wire_order_under_pooled_execution() {
-    // 600 rows clears the engine's inline threshold, so a multi-worker
-    // server genuinely schedules K×S tasks on the pool. Queries have
-    // wildly different costs/selectivities (match-everything vs.
-    // match-nothing), so completion order differs from wire order; the
-    // raw response bytes must not.
-    let relation = EmployeeGen {
-        rows: 600,
-        ..EmployeeGen::default()
-    }
-    .generate(11);
+    // Table sizes on either side of every shard edge; past the
+    // engine's inline threshold a multi-worker server genuinely
+    // schedules K×S tasks on the pool. Queries have wildly different
+    // costs/selectivities (match-everything vs. match-nothing), so
+    // completion order differs from wire order; the raw response bytes
+    // must not.
     let scheme = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([9u8; 32])).unwrap();
-    let table = scheme.encrypt_table(&relation).unwrap();
     let queries = [
         Query::select("dept", "dept-00"),
         Query::select("name", "no-such-emp"),
@@ -94,57 +92,76 @@ fn batch_responses_stay_in_wire_order_under_pooled_execution() {
             qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect()
         })
         .collect();
-
-    let drive = |server: &Server| -> Vec<Vec<u8>> {
-        vec![
-            server.handle(
-                &ClientMessage::CreateTable {
-                    name: "Emp".into(),
-                    table: table.clone().into(),
-                }
-                .to_wire(),
-            ),
-            server.handle(
-                &ClientMessage::QueryBatch {
-                    name: "Emp".into(),
-                    queries: encrypted.clone(),
-                }
-                .to_wire(),
-            ),
-        ]
-    };
-
-    // 1-worker pool = sequential reference engine.
-    let reference = Server::open(
-        &ServerConfig {
-            shards: 4,
-            workers: Some(1),
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    let reference_responses = drive(&reference);
-    for workers in [2, 4, 8] {
-        let pooled = Server::open(
+    let open = |workers| {
+        Server::open(
             &ServerConfig {
-                shards: 4,
                 workers: Some(workers),
                 ..ServerConfig::default()
             },
             None,
         )
-        .unwrap();
-        assert_eq!(pooled.pool_workers(), workers);
-        let responses = drive(&pooled);
+        .unwrap()
+    };
+
+    for rows in [
+        0,
+        1,
+        SHARD_DOCS - 1,
+        SHARD_DOCS,
+        SHARD_DOCS + 1,
+        3 * SHARD_DOCS + 5,
+    ] {
+        let relation = EmployeeGen {
+            rows,
+            ..EmployeeGen::default()
+        }
+        .generate(11);
+        let table = scheme.encrypt_table(&relation).unwrap();
+        let drive = |server: &Server| -> Vec<Vec<u8>> {
+            vec![
+                server.handle(
+                    &ClientMessage::CreateTable {
+                        name: "Emp".into(),
+                        table: table.clone().into(),
+                    }
+                    .to_wire(),
+                ),
+                server.handle(
+                    &ClientMessage::QueryBatch {
+                        name: "Emp".into(),
+                        queries: encrypted.clone(),
+                    }
+                    .to_wire(),
+                ),
+            ]
+        };
+
+        // 1-worker pool = sequential reference engine, itself held to
+        // the seed scan query by query.
+        let reference = open(1);
+        let reference_responses = drive(&reference);
+        let seed: Vec<_> = encrypted
+            .iter()
+            .map(|terms| execute_query(&table, terms))
+            .collect();
         assert_eq!(
-            responses, reference_responses,
-            "wire responses diverged with {workers} pool workers"
+            reference_responses[1],
+            ServerResponse::Tables(seed).to_wire(),
+            "sequential engine diverged from execute_query at {rows} rows"
         );
-        assert_eq!(
-            pooled.observer().events(),
-            reference.observer().events(),
-            "observer transcript diverged with {workers} pool workers"
-        );
+        for workers in [2, 4, 8] {
+            let pooled = open(workers);
+            assert_eq!(pooled.pool_workers(), workers);
+            let responses = drive(&pooled);
+            assert_eq!(
+                responses, reference_responses,
+                "wire responses diverged at {rows} rows × {workers} pool workers"
+            );
+            assert_eq!(
+                pooled.observer().events(),
+                reference.observer().events(),
+                "observer transcript diverged at {rows} rows × {workers} pool workers"
+            );
+        }
     }
 }

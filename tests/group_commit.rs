@@ -79,7 +79,6 @@ fn concurrent_writers_share_fsyncs_and_all_recover() {
     let tmp = TempDir::new("group-share").unwrap();
     let server = Server::open(
         &ServerConfig {
-            shards: 3,
             workers: Some(2),
             ..ServerConfig::default()
         },
@@ -130,21 +129,13 @@ fn concurrent_writers_share_fsyncs_and_all_recover() {
     drop(server);
     let recovered = Server::open(
         &ServerConfig {
-            shards: 3,
             workers: Some(2),
             ..ServerConfig::default()
         },
         Some(tmp.path()),
     )
     .unwrap();
-    let reference = Server::open(
-        &ServerConfig {
-            shards: 3,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let reference = Server::open(&ServerConfig::default(), None).unwrap();
     for w in 0..WRITERS {
         let name = format!("w{w}");
         let _ = reference.handle(&create_msg(&name));
@@ -169,7 +160,6 @@ fn failing_fdatasync_fails_every_waiter_in_the_window_closed() {
     let tmp = TempDir::new("group-poison").unwrap();
     let server = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(1),
             ..ServerConfig::default()
         },

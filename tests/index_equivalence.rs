@@ -5,9 +5,9 @@
 //! Four obligations, matching `dbph::core::index`'s contract:
 //!
 //! 1. **Byte-identical responses.** For any session (uploads, queries,
-//!    append/delete churn through shard rebalances, query batches,
-//!    fetches), an index-enabled server's raw wire responses equal the
-//!    scan-only server's, across shard counts × pool sizes. The SWP
+//!    append/delete churn through new and merged shards, query
+//!    batches, fetches), an index-enabled server's raw wire responses
+//!    equal the scan-only server's, across table sizes × pool sizes. The SWP
 //!    match decision is deterministic per (trapdoor, word) — false
 //!    positives included — so this is exact equality, not set
 //!    equality.
@@ -28,6 +28,7 @@
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::server::ServerEvent;
+use dbph::core::storage::SHARD_DOCS;
 use dbph::core::wire::{WireDecode, WireEncode};
 use dbph::core::{DatabasePh, FinalSwpPh, Server, ServerConfig, TempDir};
 use dbph::crypto::SecretKey;
@@ -36,7 +37,6 @@ use dbph::workload::EmployeeGen;
 
 use proptest::prelude::*;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const POOL_SIZES: [usize; 2] = [1, 4];
 
 fn master() -> SecretKey {
@@ -63,9 +63,8 @@ fn encrypt(scheme: &FinalSwpPh, q: &Query) -> Vec<WireTrapdoor> {
 }
 
 /// A churn-heavy session: warm queries, a large append batch (enough
-/// to trip the append-side shard rebalance), re-queries (delta
-/// catch-up), a wide delete (posting purge + hollowed-shard
-/// rebalance), re-queries, duplicate-heavy query batches, and a final
+/// to start new shards), re-queries (delta catch-up), a wide delete
+/// (posting purge + hollowed-shard merges), re-queries, duplicate-heavy query batches, and a final
 /// fetch. Returns every raw response.
 fn drive_churn_session(server: &Server, relation: &Relation, queries: &[Query]) -> Vec<Vec<u8>> {
     let scheme = ph();
@@ -114,7 +113,7 @@ fn drive_churn_session(server: &Server, relation: &Relation, queries: &[Query]) 
         });
     }
     // Delete a third of the original docs (plus repeats and a miss):
-    // purges postings and hollows early shards into a rebalance.
+    // purges postings and hollows early shards into merges.
     let mut victims: Vec<u64> = (0..base).step_by(3).collect();
     victims.push(0);
     victims.push(999_999);
@@ -166,36 +165,36 @@ fn probe_count(events: &[ServerEvent]) -> usize {
 
 #[test]
 fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
-    let relation = EmployeeGen {
-        rows: 260,
-        ..EmployeeGen::default()
-    }
-    .generate(9);
-    let queries = sample_queries();
+    // One size inside the first shard, one spanning four: the churn
+    // session's deletes then hollow shards into merges.
+    for rows in [SHARD_DOCS - 1, 3 * SHARD_DOCS + 5] {
+        let relation = EmployeeGen {
+            rows,
+            ..EmployeeGen::default()
+        }
+        .generate(9);
+        let queries = sample_queries();
 
-    let baseline = Server::open(
-        &ServerConfig {
-            shards: 1,
-            workers: Some(1),
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    let baseline_responses = drive_churn_session(&baseline, &relation, &queries);
-    let baseline_events = baseline.observer().events();
-    assert_eq!(
-        probe_count(&baseline_events),
-        0,
-        "the default server must never probe"
-    );
+        let baseline = Server::open(
+            &ServerConfig {
+                workers: Some(1),
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
+        let baseline_responses = drive_churn_session(&baseline, &relation, &queries);
+        let baseline_events = baseline.observer().events();
+        assert_eq!(
+            probe_count(&baseline_events),
+            0,
+            "the default server must never probe"
+        );
 
-    for shards in SHARD_COUNTS {
         for workers in POOL_SIZES {
             // Off: the whole observable surface matches the baseline.
             let off = Server::open(
                 &ServerConfig {
-                    shards,
                     workers: Some(workers),
                     ..ServerConfig::default()
                 },
@@ -205,19 +204,18 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
             let off_responses = drive_churn_session(&off, &relation, &queries);
             assert_eq!(
                 off_responses, baseline_responses,
-                "index-off responses diverged at {shards} shard(s) × {workers} worker(s)"
+                "index-off responses diverged at {rows} rows × {workers} worker(s)"
             );
             assert_eq!(
                 off.observer().events(),
                 baseline_events,
-                "index-off transcript diverged at {shards} shard(s) × {workers} worker(s)"
+                "index-off transcript diverged at {rows} rows × {workers} worker(s)"
             );
 
             // On: responses still byte-identical; the transcript gains
             // probe events and nothing else.
             let on = Server::open(
                 &ServerConfig {
-                    shards,
                     workers: Some(workers),
                     index: true,
                     ..ServerConfig::default()
@@ -229,7 +227,7 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
             let on_responses = drive_churn_session(&on, &relation, &queries);
             assert_eq!(
                 on_responses, baseline_responses,
-                "indexed responses diverged at {shards} shard(s) × {workers} worker(s)"
+                "indexed responses diverged at {rows} rows × {workers} worker(s)"
             );
             let on_events = on.observer().events();
             assert!(
@@ -239,7 +237,7 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
             assert_eq!(
                 without_probes(on_events),
                 baseline_events,
-                "indexed transcript (probes aside) diverged at {shards}×{workers}"
+                "indexed transcript (probes aside) diverged at {rows}×{workers}"
             );
         }
     }
@@ -309,17 +307,16 @@ fn drive_pooled_session(server: &Server) -> (Vec<Vec<u8>>, Vec<ServerEvent>, Opt
 
 #[test]
 fn pooled_probes_and_delta_scans_match_the_inline_plan_and_the_scan() {
-    let open = |shards, workers, index| {
+    let open = |workers, index| {
         let config = ServerConfig {
-            shards,
             workers: Some(workers),
             index,
             ..ServerConfig::default()
         };
         Server::open(&config, None).unwrap()
     };
-    let (scan_responses, scan_events, _) = drive_pooled_session(&open(1, 1, false));
-    let reference = open(1, 1, true);
+    let (scan_responses, scan_events, _) = drive_pooled_session(&open(1, false));
+    let reference = open(1, true);
     let (responses, events, checks) = drive_pooled_session(&reference);
     assert_eq!(
         responses, scan_responses,
@@ -327,20 +324,18 @@ fn pooled_probes_and_delta_scans_match_the_inline_plan_and_the_scan() {
     );
     assert_eq!(without_probes(events.clone()), scan_events);
     assert!(probe_count(&events) > 0);
-    for shards in [1, 2, 3] {
-        for workers in [1, 2, 4] {
-            let server = open(shards, workers, true);
-            let run = drive_pooled_session(&server);
-            assert_eq!(
-                run,
-                (responses.clone(), events.clone(), checks),
-                "pooled index plan diverged at {shards} shard(s) × {workers} worker(s)"
-            );
-            // Past the threshold a multi-worker pool takes the probes'
-            // tasks; a one-worker pool runs them inline.
-            let tasks = server.stats_snapshot().scalar("exec_tasks").unwrap();
-            assert_eq!(tasks > 0, workers > 1, "{shards}×{workers}: {tasks} tasks");
-        }
+    for workers in [1, 2, 4] {
+        let server = open(workers, true);
+        let run = drive_pooled_session(&server);
+        assert_eq!(
+            run,
+            (responses.clone(), events.clone(), checks),
+            "pooled index plan diverged at {workers} worker(s)"
+        );
+        // Past the threshold a multi-worker pool takes the probes'
+        // tasks; a one-worker pool runs them inline.
+        let tasks = server.stats_snapshot().scalar("exec_tasks").unwrap();
+        assert_eq!(tasks > 0, workers > 1, "{workers} worker(s): {tasks} tasks");
     }
 }
 
@@ -410,17 +405,9 @@ fn reversed_upload_is_refused_so_both_plans_answer_alike() {
     // after 3 of the 60 documents.
     let scheme = ph();
     let table = reversed_upload(&scheme, 60);
-    let off = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let off = Server::open(&ServerConfig::default(), None).unwrap();
     let on = Server::open(
         &ServerConfig {
-            shards: 2,
             index: true,
             ..ServerConfig::default()
         },
@@ -493,7 +480,6 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
         let tmp = TempDir::new("index-skip").unwrap();
         let server = Server::open(
             &ServerConfig {
-                shards: 2,
                 workers: Some(1),
                 index: enable,
                 ..ServerConfig::default()
@@ -556,7 +542,6 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
     // session.
     let recovered = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(1),
             ..ServerConfig::default()
         },
@@ -572,14 +557,7 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
         on_at_rest,
         "recovered at-rest image diverged"
     );
-    let reference = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let reference = Server::open(&ServerConfig::default(), None).unwrap();
     let scheme = ph();
     let table = scheme.encrypt_table(&relation).unwrap();
     let _ = reference.handle(
@@ -607,7 +585,6 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
     // the index on, on a log with an index image and on logs without
     // one: same flag, at-rest image, answers and transcript.
     let config = |index: bool| ServerConfig {
-        shards: 2,
         workers: Some(1),
         index,
         ..ServerConfig::default()
@@ -719,7 +696,6 @@ fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
     let open = || {
         Server::open(
             &ServerConfig {
-                shards: 2,
                 workers: Some(1),
                 ..ServerConfig::default()
             },
@@ -729,7 +705,6 @@ fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
     };
     let server = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(1),
             index: true,
             ..ServerConfig::default()
@@ -746,14 +721,7 @@ fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
     let _ = server.handle(&create(&second));
     drop(server);
 
-    let reference = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let reference = Server::open(&ServerConfig::default(), None).unwrap();
     for m in [create(&first), drop_emp, create(&second)] {
         let _ = reference.handle(&m);
     }
@@ -796,7 +764,6 @@ fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_o
     let open = || {
         Server::open(
             &ServerConfig {
-                shards: 2,
                 workers: Some(1),
                 ..ServerConfig::default()
             },
@@ -806,7 +773,6 @@ fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_o
     };
     let server = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(1),
             index: true,
             ..ServerConfig::default()
@@ -830,14 +796,7 @@ fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_o
         live,
         "recovered at-rest image kept ids the live purge removed"
     );
-    let reference = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let reference = Server::open(&ServerConfig::default(), None).unwrap();
     let _ = reference.handle(&create);
     let _ = reference.handle(&delete);
     for (i, q) in queries.iter().enumerate() {
@@ -942,10 +901,10 @@ proptest! {
             responses
         };
 
-        let scan = Server::open(&ServerConfig { shards: 3, workers: Some(2), ..ServerConfig::default() }, None).unwrap();
+        let scan = Server::open(&ServerConfig { workers: Some(2), ..ServerConfig::default() }, None).unwrap();
         let scan_responses = drive(&scan);
 
-        let indexed = Server::open(&ServerConfig { shards: 3, workers: Some(2), index: true, ..ServerConfig::default() }, None).unwrap();
+        let indexed = Server::open(&ServerConfig { workers: Some(2), index: true, ..ServerConfig::default() }, None).unwrap();
         let indexed_responses = drive(&indexed);
 
         prop_assert_eq!(indexed_responses, scan_responses,

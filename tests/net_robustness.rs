@@ -110,14 +110,7 @@ fn eventually(mut probe: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn idle_sessions_are_reaped() {
-    let server = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn_opts(
         server.clone(),
         "127.0.0.1:0",
@@ -148,14 +141,7 @@ fn a_peer_that_stops_reading_is_reaped() {
     // the responses fill both socket buffers, the session thread is
     // blocked writing. "No traffic in either direction" covers it, so
     // the idle budget must end the session there too.
-    let server = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn_opts(
         server.clone(),
         "127.0.0.1:0",
@@ -204,14 +190,7 @@ fn a_peer_that_stops_reading_is_reaped() {
 
 #[test]
 fn active_sessions_survive_the_idle_reaper() {
-    let server = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn_opts(
         server.clone(),
         "127.0.0.1:0",
@@ -365,7 +344,6 @@ fn poisoned_log_fails_mutations_closed_over_tcp_but_keeps_answering_queries() {
     let tmp = TempDir::new("net-poison").unwrap();
     let server = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(1),
             ..ServerConfig::default()
         },
@@ -547,7 +525,6 @@ fn stats_answers_a_health_probe() {
     let tmp = TempDir::new("net-stats-probe").unwrap();
     let server = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(1),
             ..ServerConfig::default()
         },

@@ -12,8 +12,8 @@
 //!    terms, appends, batched appends, deletes, fetches, malformed
 //!    messages, unknown tables), every response received over loopback
 //!    TCP equals, byte for byte, the response the same message gets
-//!    from `Server::handle` in-process — across shard counts *and*
-//!    worker-pool sizes.
+//!    from `Server::handle` in-process — across table sizes on either
+//!    side of every shard edge *and* worker-pool sizes.
 //! 2. **Byte-identical transcripts.** The `Observer` event list after
 //!    a TCP session equals the in-process one exactly. The transport
 //!    sits above `handle`, so it cannot add, drop, reorder, or tag
@@ -29,8 +29,11 @@
 //!    sessions and replays each against both transports.
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
+use dbph::core::server::execute_query;
+use dbph::core::storage::SHARD_DOCS;
 use dbph::core::{
-    DatabasePh, FinalSwpPh, NetServer, PooledClient, Server, ServerConfig, Transport,
+    DatabasePh, EncryptedTable, FinalSwpPh, NetServer, PooledClient, Server, ServerConfig,
+    Transport,
 };
 use dbph::crypto::SecretKey;
 use dbph::relation::{Query, Relation, Tuple, Value};
@@ -175,50 +178,86 @@ fn replay<T: Transport>(transport: &T, messages: &[Vec<u8>]) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// The seed scan's response to each single query of
+/// `workload_messages` (messages 1 to 5, all sent before the first
+/// mutation), as `(message index, response bytes)`.
+fn seed_answers(messages: &[Vec<u8>]) -> Vec<(usize, Vec<u8>)> {
+    use dbph::core::wire::{WireDecode as _, WireEncode as _};
+    let table: EncryptedTable = match ClientMessage::from_wire(&messages[0]).unwrap() {
+        ClientMessage::CreateTable { table, .. } => table.into(),
+        other => panic!("message 0 is the upload, not {other:?}"),
+    };
+    (1..=5)
+        .map(|i| match ClientMessage::from_wire(&messages[i]).unwrap() {
+            ClientMessage::Query { terms, .. } => {
+                let answer = ServerResponse::Table(execute_query(&table, &terms));
+                (i, answer.to_wire())
+            }
+            other => panic!("message {i} is a query, not {other:?}"),
+        })
+        .collect()
+}
+
 #[test]
 fn tcp_responses_and_transcripts_equal_in_process_across_matrix() {
-    let relation = EmployeeGen {
-        rows: 300,
-        ..EmployeeGen::default()
-    }
-    .generate(9);
-    let messages = workload_messages(&relation);
+    let open = |workers| {
+        Server::open(
+            &ServerConfig {
+                workers: Some(workers),
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap()
+    };
+    for rows in [
+        0,
+        1,
+        SHARD_DOCS - 1,
+        SHARD_DOCS,
+        SHARD_DOCS + 1,
+        3 * SHARD_DOCS + 5,
+    ] {
+        let relation = EmployeeGen {
+            rows,
+            ..EmployeeGen::default()
+        }
+        .generate(9);
+        let messages = workload_messages(&relation);
+        // The 1-worker in-process server runs every task inline: the
+        // sequential reference, itself held to the seed scan.
+        let reference = open(1);
+        let reference_responses = replay(&reference, &messages);
+        let reference_events = reference.observer().events();
+        for (i, seed) in seed_answers(&messages) {
+            assert_eq!(
+                reference_responses[i], seed,
+                "message {i} diverged from execute_query at {rows} rows"
+            );
+        }
 
-    for shards in [1usize, 2, 4, 8] {
         for workers in [1usize, 4] {
-            let local = Server::open(
-                &ServerConfig {
-                    shards,
-                    workers: Some(workers),
-                    ..ServerConfig::default()
-                },
-                None,
-            )
-            .unwrap();
+            let local = open(workers);
             let local_responses = replay(&local, &messages);
-            let local_events = local.observer().events();
+            assert_eq!(
+                local_responses, reference_responses,
+                "in-process responses diverged at {rows} rows × {workers} worker(s)"
+            );
+            assert_eq!(local.observer().events(), reference_events);
 
-            let remote = Server::open(
-                &ServerConfig {
-                    shards,
-                    workers: Some(workers),
-                    ..ServerConfig::default()
-                },
-                None,
-            )
-            .unwrap();
+            let remote = open(workers);
             let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
             let pool = PooledClient::connect(handle.addr(), 2).unwrap();
             let tcp_responses = replay(&pool, &messages);
 
             assert_eq!(
-                tcp_responses, local_responses,
-                "TCP responses diverged from in-process at {shards} shard(s) × {workers} worker(s)"
+                tcp_responses, reference_responses,
+                "TCP responses diverged from in-process at {rows} rows × {workers} worker(s)"
             );
             assert_eq!(
                 remote.observer().events(),
-                local_events,
-                "TCP transcript diverged from in-process at {shards} shard(s) × {workers} worker(s)"
+                reference_events,
+                "TCP transcript diverged from in-process at {rows} rows × {workers} worker(s)"
             );
             handle.shutdown();
         }
@@ -237,24 +276,10 @@ fn pipelined_replay_is_byte_identical_too() {
     .generate(3);
     let messages = workload_messages(&relation);
 
-    let local = Server::open(
-        &ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let local = Server::open(&ServerConfig::default(), None).unwrap();
     let local_responses = replay(&local, &messages);
 
-    let remote = Server::open(
-        &ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let remote = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     let tcp_responses = pool.call_many(&messages).unwrap();
@@ -281,26 +306,12 @@ fn crypto_client_sessions_agree_across_transports() {
         Query::select("name", "no-such-emp"),
     ];
 
-    let local_server = Server::open(
-        &ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let local_server = Server::open(&ServerConfig::default(), None).unwrap();
     let mut local = dbph::core::Client::new(ph(), local_server);
     local.outsource(&relation).unwrap();
     let local_results = local.select_many(&queries).unwrap();
 
-    let remote_server = Server::open(
-        &ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let remote_server = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn(remote_server, "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
     let mut remote = dbph::core::Client::new(ph(), pool);
@@ -343,14 +354,7 @@ fn stress_eight_sessions_over_two_connections() {
     const SESSIONS: usize = 8;
     const ROUNDS: usize = 20;
 
-    let server = Server::open(
-        &ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
 
@@ -559,10 +563,10 @@ proptest! {
         let relation = EmployeeGen { rows, ..EmployeeGen::default() }.generate(rows as u64);
         let messages = lower_ops(&relation, &ops);
 
-        let local = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, None).unwrap();
+        let local = Server::open(&ServerConfig::default(), None).unwrap();
         let local_responses = replay(&local, &messages);
 
-        let remote = Server::open(&ServerConfig { shards: 3, ..ServerConfig::default() }, None).unwrap();
+        let remote = Server::open(&ServerConfig::default(), None).unwrap();
         let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
         let pool = PooledClient::connect(handle.addr(), pool_size).unwrap();
         let tcp_responses = replay(&pool, &messages);

@@ -110,14 +110,7 @@ fn workload(name: &str) -> Vec<ClientMessage> {
 fn bootstrap_rebuilds_store_and_dedup_byte_identically() {
     let primary_dir = TempDir::new("repl-boot-primary").unwrap();
     let follower_dir = TempDir::new("repl-boot-follower").unwrap();
-    let primary = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(primary_dir.path()),
-    )
-    .unwrap();
+    let primary = Server::open(&ServerConfig::default(), Some(primary_dir.path())).unwrap();
 
     // Tagged workload with a compaction in the middle, so the shipped
     // stream crosses a snapshot + dedup-image + tail-records boundary.
@@ -167,14 +160,7 @@ fn bootstrap_from_an_idle_primary_never_parks_a_pull() {
     // last pull must come back at once, not after a long-poll wait.
     let primary_dir = TempDir::new("repl-boot-idle-primary").unwrap();
     let follower_dir = TempDir::new("repl-boot-idle-follower").unwrap();
-    let primary = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(primary_dir.path()),
-    )
-    .unwrap();
+    let primary = Server::open(&ServerConfig::default(), Some(primary_dir.path())).unwrap();
     for op in workload("T") {
         assert!(is_ok(&primary.handle(&op.to_wire())));
     }
@@ -250,7 +236,6 @@ fn bootstrap_after_recreate_and_post_compaction_deletes_matches_the_primary() {
     let follower_dir = TempDir::new("repl-boot-index-follower").unwrap();
     let primary = Server::open(
         &ServerConfig {
-            shards: 2,
             index: true,
             ..ServerConfig::default()
         },
@@ -339,7 +324,6 @@ fn a_follower_opened_with_the_index_keeps_it_across_resync_and_promotion() {
     let follower_dir = TempDir::new("repl-index-config-follower").unwrap();
     let primary = Server::open(
         &ServerConfig {
-            shards: 2,
             index: true,
             ..ServerConfig::default()
         },
@@ -380,7 +364,6 @@ fn a_follower_opened_with_the_index_keeps_it_across_resync_and_promotion() {
         follower_dir.path(),
         ReplicaOptions {
             server: ServerConfig {
-                shards: 2,
                 index: true,
                 ..ServerConfig::default()
             },
@@ -404,49 +387,6 @@ fn a_follower_opened_with_the_index_keeps_it_across_resync_and_promotion() {
     assert_eq!(promoted, expected, "promoted follower diverged");
 }
 
-/// A follower config [`Server::open`] would refuse fails its bootstrap
-/// with an error before anything is pulled or written, and the primary
-/// serves on.
-#[test]
-fn a_zero_shard_follower_is_refused_and_the_primary_keeps_serving() {
-    let primary_dir = TempDir::new("repl-zero-shard-primary").unwrap();
-    let follower_dir = TempDir::new("repl-zero-shard-follower").unwrap();
-    let primary = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(primary_dir.path()),
-    )
-    .unwrap();
-    assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
-
-    let zero = ReplicaOptions {
-        server: ServerConfig {
-            shards: 0,
-            ..ServerConfig::default()
-        },
-        ..replica_options(9)
-    };
-    let err = match Replica::bootstrap(primary.clone(), follower_dir.path(), zero) {
-        Ok(_) => panic!("a zero-shard follower must be refused"),
-        Err(e) => e,
-    };
-    assert!(matches!(err, PhError::Protocol(_)), "got {err:?}");
-    assert!(
-        !follower_dir.path().join("gen-0000").exists(),
-        "a refused bootstrap must write no generation"
-    );
-
-    assert!(is_ok(&primary.handle(&append_msg("T", 0).to_wire())));
-    let replica =
-        Replica::bootstrap(primary.clone(), follower_dir.path(), replica_options(9)).unwrap();
-    assert_eq!(
-        replica.server().handle(&fetch_msg("T")),
-        primary.handle(&fetch_msg("T"))
-    );
-}
-
 #[test]
 fn in_memory_primary_refuses_replication() {
     let primary = Server::open(&ServerConfig::default(), None).unwrap();
@@ -468,14 +408,7 @@ fn in_memory_primary_refuses_replication() {
 fn tailing_keeps_the_follower_byte_identical() {
     let primary_dir = TempDir::new("repl-tail-primary").unwrap();
     let follower_dir = TempDir::new("repl-tail-follower").unwrap();
-    let primary = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(primary_dir.path()),
-    )
-    .unwrap();
+    let primary = Server::open(&ServerConfig::default(), Some(primary_dir.path())).unwrap();
     assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
 
     let replica =
@@ -506,14 +439,7 @@ fn tailing_keeps_the_follower_byte_identical() {
     let promoted = replica.promote();
     let primary_fetch = primary.handle(&fetch_msg("T"));
     drop(primary);
-    let reference = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(primary_dir.path()),
-    )
-    .unwrap();
+    let reference = Server::open(&ServerConfig::default(), Some(primary_dir.path())).unwrap();
     assert_eq!(promoted.handle(&fetch_msg("T")), primary_fetch);
     assert_eq!(
         promoted.handle(&fetch_msg("T")),
@@ -526,14 +452,7 @@ fn tailing_keeps_the_follower_byte_identical() {
 fn primary_compaction_forces_a_clean_resync() {
     let primary_dir = TempDir::new("repl-compact-primary").unwrap();
     let follower_dir = TempDir::new("repl-compact-follower").unwrap();
-    let primary = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(primary_dir.path()),
-    )
-    .unwrap();
+    let primary = Server::open(&ServerConfig::default(), Some(primary_dir.path())).unwrap();
     assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
 
     let replica =
@@ -567,14 +486,7 @@ struct Restartable(std::sync::Mutex<Option<Server>>);
 impl Restartable {
     fn open(dir: &std::path::Path) -> Arc<Self> {
         Arc::new(Restartable(std::sync::Mutex::new(Some(
-            Server::open(
-                &ServerConfig {
-                    shards: 2,
-                    ..ServerConfig::default()
-                },
-                Some(dir),
-            )
-            .unwrap(),
+            Server::open(&ServerConfig::default(), Some(dir)).unwrap(),
         ))))
     }
 
@@ -589,14 +501,7 @@ impl Restartable {
     }
 
     fn reopen(&self, dir: &std::path::Path) -> Server {
-        let primary = Server::open(
-            &ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            Some(dir),
-        )
-        .unwrap();
+        let primary = Server::open(&ServerConfig::default(), Some(dir)).unwrap();
         *self.0.lock().unwrap() = Some(primary.clone());
         primary
     }
@@ -777,14 +682,7 @@ fn a_follower_ahead_of_a_restarted_primary_re_bootstraps() {
 fn semi_sync_ack_implies_the_follower_has_the_mutation() {
     let primary_dir = TempDir::new("repl-sync-primary").unwrap();
     let follower_dir = TempDir::new("repl-sync-follower").unwrap();
-    let primary = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(primary_dir.path()),
-    )
-    .unwrap();
+    let primary = Server::open(&ServerConfig::default(), Some(primary_dir.path())).unwrap();
     assert!(is_ok(&primary.handle(&create_msg("T").to_wire())));
 
     // Real TCP follower: pulls ride the same framed transport clients
@@ -915,7 +813,7 @@ proptest! {
             .collect();
         let split = ops.len() / 2;
 
-        let primary = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, Some(primary_dir.path())).unwrap();
+        let primary = Server::open(&ServerConfig::default(), Some(primary_dir.path())).unwrap();
         let handle = NetServer::spawn(primary.clone(), "127.0.0.1:0").unwrap();
         // The replication link runs through seeded chaos: resets, torn
         // frames, swallowed responses, delays.
@@ -987,7 +885,7 @@ proptest! {
             prop_assert!(is_ok(&resp), "seed {}: post-failover re-send refused", seed);
         }
 
-        let reference = Server::open(&ServerConfig { shards: 2, ..ServerConfig::default() }, None).unwrap();
+        let reference = Server::open(&ServerConfig::default(), None).unwrap();
         for op in workload("T") {
             prop_assert!(is_ok(&reference.handle(&op.to_wire())));
         }

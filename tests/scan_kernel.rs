@@ -10,12 +10,12 @@
 //!    must equal the scalar reference, in push order.
 //! 2. **`WordArena` ≡ `Vec<Doc>`.** The columnar shard storage must
 //!    reassemble documents byte-identically to the boxed layout under
-//!    arbitrary append/delete/repartition churn, including words whose
+//!    arbitrary append/delete churn, including words whose
 //!    length deviates from the table's word length (wire-legal; they
 //!    never match but must round-trip verbatim).
 //!
 //! Together with `tests/sharding.rs` (responses and transcripts across
-//! shard counts × pool sizes) these pin the tentpole claim: the kernel
+//! table sizes × pool sizes) these pin the tentpole claim: the kernel
 //! and the arena change *when* scan work happens, never what Eve sees.
 
 use dbph::core::storage::Doc;
@@ -191,7 +191,7 @@ proptest! {
             } else {
                 // Delete a pseudo-random subset by id.
                 let victim = reference[usize::from(pick) % reference.len()].0;
-                arena.retain(|id| id != victim);
+                arena = arena.retained(|id| id != victim);
                 reference.retain(|(id, _)| *id != victim);
             }
             prop_assert_eq!(arena.len(), reference.len());
@@ -207,9 +207,8 @@ proptest! {
 }
 
 /// Deterministic edge pin (outside proptest so it always runs the
-/// same): an arena rebuilt through interleaved churn and a sharded
-/// table repartition agree with the boxed reference down to each word
-/// view.
+/// same): an arena built from documents with irregular words agrees
+/// with the boxed reference down to each word view.
 #[test]
 fn arena_word_views_are_exact() {
     let word_len = 6usize;

@@ -86,11 +86,9 @@ fn hundreds_of_concurrent_sessions_pipeline_in_order() {
     // Each session costs a server thread and a client thread here, so
     // the count stays well inside a small machine's thread budget.
     const SESSIONS: usize = 256;
-    const SHARDS: usize = 3;
 
     let server = Server::open(
         &ServerConfig {
-            shards: SHARDS,
             workers: Some(2),
             ..ServerConfig::default()
         },
@@ -108,14 +106,7 @@ fn hundreds_of_concurrent_sessions_pipeline_in_order() {
     // reference with the same shard count (responses are pinned
     // byte-identical across transports by earlier suites; session
     // tables are disjoint, so sessions are independent).
-    let reference = Server::open(
-        &ServerConfig {
-            shards: SHARDS,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let reference = Server::open(&ServerConfig::default(), None).unwrap();
     let _ = reference.handle(&shared);
     let expected: Arc<Vec<Vec<u8>>> = Arc::new(
         session_requests(0)
@@ -193,7 +184,6 @@ fn a_slow_scan_session_does_not_delay_another_session() {
     // session's `Stats` requests must not queue behind it.
     let server = Server::open(
         &ServerConfig {
-            shards: 2,
             workers: Some(1),
             ..ServerConfig::default()
         },
@@ -321,64 +311,59 @@ fn matrix_session() -> Vec<Vec<u8>> {
 #[test]
 fn responses_and_transcripts_identical_across_stores() {
     let messages = matrix_session();
-    for shards in [1usize, 3] {
-        for workers in [1usize, 2] {
-            let baseline = Server::open(
-                &ServerConfig {
-                    shards,
-                    workers: Some(workers),
-                    ..ServerConfig::default()
-                },
-                None,
-            )
-            .unwrap();
-            let baseline_responses: Vec<_> = messages.iter().map(|m| baseline.handle(m)).collect();
-            let baseline_events = baseline.observer().events();
+    for workers in [1usize, 2] {
+        let baseline = Server::open(
+            &ServerConfig {
+                workers: Some(workers),
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
+        let baseline_responses: Vec<_> = messages.iter().map(|m| baseline.handle(m)).collect();
+        let baseline_events = baseline.observer().events();
 
-            for durable in [false, true] {
-                let _tmp; // keeps the data dir alive through the run
-                let server = if durable {
-                    let tmp = TempDir::new("matrix").unwrap();
-                    let server = Server::open(
-                        &ServerConfig {
-                            shards,
-                            workers: Some(workers),
-                            ..ServerConfig::default()
-                        },
-                        Some(tmp.path()),
-                    )
-                    .unwrap();
-                    _tmp = tmp;
-                    server
-                } else {
-                    Server::open(
-                        &ServerConfig {
-                            shards,
-                            workers: Some(workers),
-                            ..ServerConfig::default()
-                        },
-                        None,
-                    )
-                    .unwrap()
-                };
-                let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
-                let pool = PooledClient::connect(handle.addr(), 2).unwrap();
-                let responses: Vec<_> = messages
-                    .iter()
-                    .map(|m| pool.call(m).expect("transport call"))
-                    .collect();
-                let label = format!("durable={durable} × {shards} shard(s) × {workers} worker(s)");
-                assert_eq!(
-                    responses, baseline_responses,
-                    "responses diverged at {label}"
-                );
-                assert_eq!(
-                    server.observer().events(),
-                    baseline_events,
-                    "transcript diverged at {label}"
-                );
-                handle.shutdown();
-            }
+        for durable in [false, true] {
+            let _tmp; // keeps the data dir alive through the run
+            let server = if durable {
+                let tmp = TempDir::new("matrix").unwrap();
+                let server = Server::open(
+                    &ServerConfig {
+                        workers: Some(workers),
+                        ..ServerConfig::default()
+                    },
+                    Some(tmp.path()),
+                )
+                .unwrap();
+                _tmp = tmp;
+                server
+            } else {
+                Server::open(
+                    &ServerConfig {
+                        workers: Some(workers),
+                        ..ServerConfig::default()
+                    },
+                    None,
+                )
+                .unwrap()
+            };
+            let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
+            let pool = PooledClient::connect(handle.addr(), 2).unwrap();
+            let responses: Vec<_> = messages
+                .iter()
+                .map(|m| pool.call(m).expect("transport call"))
+                .collect();
+            let label = format!("durable={durable} × {workers} worker(s)");
+            assert_eq!(
+                responses, baseline_responses,
+                "responses diverged at {label}"
+            );
+            assert_eq!(
+                server.observer().events(),
+                baseline_events,
+                "transcript diverged at {label}"
+            );
+            handle.shutdown();
         }
     }
 }

@@ -1,15 +1,18 @@
-//! Shard-count and pool-size invariance: the sharded, worker-pooled
-//! scan engine must be observationally identical to the seed's
+//! Layout and pool-size invariance: the sharded, worker-pooled scan
+//! engine must be observationally identical to the seed's
 //! single-threaded scan.
 //!
-//! Four obligations, matching `dbph::core::storage`'s contract:
+//! Tables are cut into shards of at most `SHARD_DOCS` documents, so
+//! the matrices sweep table sizes on either side of every shard edge
+//! (`SIZES`) against pool sizes. Four obligations, matching
+//! `dbph::core::storage`'s contract:
 //!
-//! 1. **Byte-identical results.** For any workload and query, an
-//!    N-shard server's serialized query response equals the 1-shard
+//! 1. **Byte-identical results.** For any workload and query, a
+//!    pooled server's serialized query response equals the 1-worker
 //!    server's, which in turn equals the reference `execute_query`
-//!    free function (the seed scan).
+//!    free function (the seed scan), at every table size.
 //! 2. **Equivalent transcripts.** The `Observer` event list for a
-//!    whole session is equal across shard counts.
+//!    whole session is equal across pool sizes.
 //! 3. **Batching leaks per-query, not per-batch.** A `QueryBatch`
 //!    produces the same `Query` events (terms + matched ids) as the
 //!    same queries sent one at a time; only the `batch` tag differs.
@@ -23,6 +26,7 @@
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
 use dbph::core::server::{execute_query, ServerEvent};
+use dbph::core::storage::SHARD_DOCS;
 use dbph::core::wire::{WireDecode, WireEncode};
 use dbph::core::{Client, DatabasePh, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::SecretKey;
@@ -31,7 +35,38 @@ use dbph::workload::EmployeeGen;
 
 use proptest::prelude::*;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Table sizes on either side of every shard edge: empty, one row,
+/// one shard short of full, full, one past, and three shards and a
+/// bit.
+const SIZES: [usize; 6] = [
+    0,
+    1,
+    SHARD_DOCS - 1,
+    SHARD_DOCS,
+    SHARD_DOCS + 1,
+    3 * SHARD_DOCS + 5,
+];
+
+/// An `Emp` relation of `rows` rows.
+fn employees(rows: usize, seed: u64) -> Relation {
+    EmployeeGen {
+        rows,
+        ..EmployeeGen::default()
+    }
+    .generate(seed)
+}
+
+/// An in-memory server scanning on a dedicated `workers`-worker pool.
+fn open(workers: usize) -> Server {
+    Server::open(
+        &ServerConfig {
+            workers: Some(workers),
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap()
+}
 
 fn master() -> SecretKey {
     SecretKey::from_bytes([77u8; 32])
@@ -102,63 +137,44 @@ fn drive_session(server: &Server, relation: &Relation, queries: &[Query]) -> Vec
 
 #[test]
 fn results_and_transcripts_identical_across_shard_counts() {
-    let relation = EmployeeGen {
-        rows: 300,
-        ..EmployeeGen::default()
-    }
-    .generate(9);
+    // Every size puts a different number of shards (and a different
+    // partial last shard) under the same session; the 1-worker
+    // server runs every task inline and is the reference.
     let queries = sample_queries();
-
-    let baseline_server = Server::open(&ServerConfig::default(), None).unwrap();
-    assert_eq!(baseline_server.shards(), 1);
-    let baseline_responses = drive_session(&baseline_server, &relation, &queries);
-    let baseline_events = baseline_server.observer().events();
-
-    for shards in SHARD_COUNTS {
-        let server = Server::open(
-            &ServerConfig {
-                shards,
-                ..ServerConfig::default()
-            },
-            None,
-        )
-        .unwrap();
-        let responses = drive_session(&server, &relation, &queries);
-        assert_eq!(
-            responses, baseline_responses,
-            "raw wire responses diverged at {shards} shard(s)"
-        );
-        assert_eq!(
-            server.observer().events(),
-            baseline_events,
-            "observer transcript diverged at {shards} shard(s)"
-        );
+    for rows in SIZES {
+        let relation = employees(rows, 9);
+        let baseline_server = open(1);
+        let baseline_responses = drive_session(&baseline_server, &relation, &queries);
+        let baseline_events = baseline_server.observer().events();
+        for workers in [2, 4] {
+            let server = open(workers);
+            let responses = drive_session(&server, &relation, &queries);
+            assert_eq!(
+                responses, baseline_responses,
+                "raw wire responses diverged at {rows} rows × {workers} worker(s)"
+            );
+            assert_eq!(
+                server.observer().events(),
+                baseline_events,
+                "observer transcript diverged at {rows} rows × {workers} worker(s)"
+            );
+        }
     }
 }
 
 #[test]
 fn sharded_scan_equals_reference_execute_query() {
-    let relation = EmployeeGen {
-        rows: 200,
-        ..EmployeeGen::default()
-    }
-    .generate(4);
     let scheme = ph();
-    let table = scheme.encrypt_table(&relation).unwrap();
-
-    for query in sample_queries() {
+    for (rows, query) in SIZES
+        .into_iter()
+        .flat_map(|rows| sample_queries().into_iter().map(move |query| (rows, query)))
+    {
+        let table = scheme.encrypt_table(&employees(rows, 4)).unwrap();
         let qct = scheme.encrypt_query(&query).unwrap();
         let terms: Vec<WireTrapdoor> = qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
         let reference = execute_query(&table, &terms);
-        for shards in SHARD_COUNTS {
-            let server = Server::open(
-                &ServerConfig {
-                    shards,
-                    ..ServerConfig::default()
-                },
-                None,
-            )
-            .unwrap();
+        for workers in [1, 2] {
+            let server = open(workers);
             let create = ClientMessage::CreateTable {
                 name: "Emp".into(),
                 table: table.clone().into(),
@@ -174,7 +190,7 @@ fn sharded_scan_equals_reference_execute_query() {
             match ServerResponse::from_wire(&resp).unwrap() {
                 ServerResponse::Table(result) => assert_eq!(
                     result, reference,
-                    "{shards}-shard scan diverged from execute_query for {query}"
+                    "{rows} rows × {workers} worker(s) diverged from execute_query for {query}"
                 ),
                 other => panic!("unexpected response {other:?}"),
             }
@@ -198,14 +214,7 @@ fn batched_queries_leak_exactly_like_single_queries() {
     let single_results: Vec<Relation> = queries.iter().map(|q| client.select(q).unwrap()).collect();
 
     // …versus one batch on a sharded server.
-    let batched = Server::open(
-        &ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let batched = Server::open(&ServerConfig::default(), None).unwrap();
     let mut batch_client = Client::new(ph(), batched.clone());
     batch_client.outsource(&relation).unwrap();
     let batch_results = batch_client.select_many(&queries).unwrap();
@@ -284,48 +293,27 @@ fn drive_batch_session(server: &Server, relation: &Relation) -> Vec<Vec<u8>> {
 
 #[test]
 fn pooled_batches_match_sequential_engine_bytes_and_transcript() {
-    // 600 rows clears the engine's inline threshold so multi-worker
-    // pools genuinely run K×S tasks concurrently.
-    let relation = EmployeeGen {
-        rows: 600,
-        ..EmployeeGen::default()
-    }
-    .generate(13);
+    // Sizes past the engine's inline threshold make multi-worker pools
+    // genuinely run K×S tasks concurrently.
+    for rows in SIZES {
+        let relation = employees(rows, 13);
+        // The 1-worker pool runs the identical task list inline, in
+        // submission order: that *is* the sequential execution path.
+        let sequential = open(1);
+        let sequential_responses = drive_batch_session(&sequential, &relation);
+        let sequential_events = sequential.observer().events();
 
-    // The 1-worker pool runs the identical task list inline, in
-    // submission order: that *is* the sequential execution path.
-    let sequential = Server::open(
-        &ServerConfig {
-            shards: 4,
-            workers: Some(1),
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    let sequential_responses = drive_batch_session(&sequential, &relation);
-    let sequential_events = sequential.observer().events();
-
-    for workers in POOL_SIZES {
-        for shards in [1, 4, 8] {
-            let pooled = Server::open(
-                &ServerConfig {
-                    shards,
-                    workers: Some(workers),
-                    ..ServerConfig::default()
-                },
-                None,
-            )
-            .unwrap();
+        for workers in POOL_SIZES {
+            let pooled = open(workers);
             let responses = drive_batch_session(&pooled, &relation);
             assert_eq!(
                 responses, sequential_responses,
-                "wire responses diverged at {shards} shard(s) × {workers} worker(s)"
+                "wire responses diverged at {rows} rows × {workers} worker(s)"
             );
             assert_eq!(
                 pooled.observer().events(),
                 sequential_events,
-                "transcript diverged at {shards} shard(s) × {workers} worker(s)"
+                "transcript diverged at {rows} rows × {workers} worker(s)"
             );
         }
     }
@@ -375,7 +363,6 @@ fn batch_results_match_reference_execute_query_per_query() {
     for workers in POOL_SIZES {
         let server = Server::open(
             &ServerConfig {
-                shards: 4,
                 workers: Some(workers),
                 ..ServerConfig::default()
             },
@@ -415,7 +402,11 @@ fn batch_results_match_reference_execute_query_per_query() {
 // --- randomized invariance -------------------------------------------------
 
 fn arb_relation() -> impl Strategy<Value = Relation> {
-    proptest::collection::vec(("[a-z]{0,12}", 0i64..50, any::<bool>()), 0..40).prop_map(|rows| {
+    arb_relation_of(0..40)
+}
+
+fn arb_relation_of(rows: std::ops::Range<usize>) -> impl Strategy<Value = Relation> {
+    proptest::collection::vec(("[a-z]{0,12}", 0i64..50, any::<bool>()), rows).prop_map(|rows| {
         let schema = dbph::relation::Schema::new(
             "Rnd",
             vec![
@@ -464,7 +455,7 @@ proptest! {
 
         let mut reference: Option<(Vec<Vec<u8>>, Vec<ServerEvent>)> = None;
         for workers in [1usize, 3, 8] {
-            let server = Server::open(&ServerConfig { shards: 3, workers: Some(workers), ..ServerConfig::default() }, None).unwrap();
+            let server = Server::open(&ServerConfig { workers: Some(workers), ..ServerConfig::default() }, None).unwrap();
             let responses = vec![
                 server.handle(
                     &ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone().into() }
@@ -508,7 +499,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
     fn random_relations_and_queries_are_shard_invariant(
-        relation in arb_relation(),
+        // Sizes around the first shard edge: one shard or two.
+        relation in arb_relation_of(SHARD_DOCS - 8..SHARD_DOCS + 8),
         probe_s in "[a-z]{0,12}",
         probe_i in 0i64..50,
         key in any::<[u8; 32]>(),
@@ -525,8 +517,8 @@ proptest! {
             let terms: Vec<WireTrapdoor> =
                 qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect();
             let reference = execute_query(&table, &terms);
-            for shards in [1usize, 3, 8] {
-                let server = Server::open(&ServerConfig { shards, ..ServerConfig::default() }, None).unwrap();
+            for workers in [1usize, 2, 3] {
+                let server = open(workers);
                 let _ = server.handle(
                     &ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone().into() }
                         .to_wire(),
@@ -537,7 +529,7 @@ proptest! {
                 match ServerResponse::from_wire(&resp).unwrap() {
                     ServerResponse::Table(result) => {
                         prop_assert_eq!(&result, &reference,
-                            "{} shards diverged for {}", shards, &query);
+                            "{} rows × {} worker(s) diverged for {}", relation.len(), workers, &query);
                     }
                     other => return Err(TestCaseError::fail(format!("unexpected {other:?}"))),
                 }

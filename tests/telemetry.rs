@@ -8,7 +8,7 @@
 //!
 //! 1. **On/off byte-identity.** For a mutation-and-query workload
 //!    over TCP across {in-memory, durable group-commit} stores ×
-//!    shard counts, a
+//!    pool sizes, a
 //!    session against a telemetry-enabled server produces responses,
 //!    `Observer` transcripts, and durable segment/manifest bytes
 //!    identical to a telemetry-disabled server's.
@@ -164,13 +164,13 @@ type AdversaryView = (
 /// the adversary model can see.
 fn run_session(
     durable: bool,
-    shards: usize,
+    workers: usize,
     telemetry_on: bool,
     messages: &[Vec<u8>],
 ) -> AdversaryView {
     let tmp = durable.then(|| {
         TempDir::new(&format!(
-            "tele-{shards}-{}",
+            "tele-{workers}-{}",
             if telemetry_on { "on" } else { "off" }
         ))
         .unwrap()
@@ -178,7 +178,7 @@ fn run_session(
     let server = match &tmp {
         Some(tmp) => Server::open(
             &ServerConfig {
-                shards,
+                workers: Some(workers),
                 ..ServerConfig::default()
             },
             Some(tmp.path()),
@@ -186,7 +186,7 @@ fn run_session(
         .unwrap(),
         None => Server::open(
             &ServerConfig {
-                shards,
+                workers: Some(workers),
                 ..ServerConfig::default()
             },
             None,
@@ -229,10 +229,10 @@ fn run_session(
 fn telemetry_on_off_is_byte_identical_across_the_matrix() {
     let messages = workload_messages();
     for durable in [false, true] {
-        for shards in [1usize, 3] {
-            let (on_resp, on_events, on_image) = run_session(durable, shards, true, &messages);
-            let (off_resp, off_events, off_image) = run_session(durable, shards, false, &messages);
-            let cell = format!("durable={durable} shards={shards}");
+        for workers in [1usize, 2] {
+            let (on_resp, on_events, on_image) = run_session(durable, workers, true, &messages);
+            let (off_resp, off_events, off_image) = run_session(durable, workers, false, &messages);
+            let cell = format!("durable={durable} workers={workers}");
             assert_eq!(on_resp, off_resp, "responses diverged at {cell}");
             assert_eq!(on_events, off_events, "transcripts diverged at {cell}");
             assert_eq!(on_image, off_image, "durable bytes diverged at {cell}");
@@ -242,14 +242,7 @@ fn telemetry_on_off_is_byte_identical_across_the_matrix() {
 
 #[test]
 fn stats_request_returns_a_snapshot_and_records_no_events() {
-    let server = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     // Put something in the transcript first so "no new events" is a
     // real claim, not an empty-vs-empty accident.
     let _ = server.handle(&ClientMessage::FetchAll { name: "t".into() }.to_wire());
@@ -268,6 +261,11 @@ fn stats_request_returns_a_snapshot_and_records_no_events() {
     assert!(
         snapshot.scalar("exec_workers").unwrap_or(0) > 0,
         "snapshot must sample the executor plane"
+    );
+    assert_eq!(
+        snapshot.scalar("store_cow_bytes"),
+        Some(0),
+        "snapshot must sample the store's copy-on-write bytes"
     );
     assert_eq!(
         server.observer().events(),
@@ -315,17 +313,9 @@ fn dedup_counters_classify_fresh_replayed_and_stale_envelopes() {
 
 #[test]
 fn query_plan_and_index_counters_move() {
-    let server = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let indexed = Server::open(
         &ServerConfig {
-            shards: 2,
             index: true,
             ..ServerConfig::default()
         },
@@ -395,17 +385,9 @@ fn query_plan_and_index_counters_move() {
 #[test]
 fn scan_checks_count_one_check_per_row() {
     const ROWS: usize = 50;
-    let server = Server::open(
-        &ServerConfig {
-            shards: 3,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let indexed = Server::open(
         &ServerConfig {
-            shards: 3,
             index: true,
             ..ServerConfig::default()
         },
@@ -469,14 +451,7 @@ fn scan_checks_count_one_check_per_row() {
 #[test]
 fn durable_ingest_moves_fsync_and_commit_metrics() {
     let tmp = TempDir::new("tele-durable").unwrap();
-    let server = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(tmp.path()),
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
     let scheme = ph();
     let table = scheme
         .encrypt_table(
@@ -517,14 +492,7 @@ fn durable_ingest_moves_fsync_and_commit_metrics() {
 fn follower_resync_and_chunk_counters_move() {
     let primary_dir = TempDir::new("tele-repl-primary").unwrap();
     let follower_dir = TempDir::new("tele-repl-follower").unwrap();
-    let primary = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        Some(primary_dir.path()),
-    )
-    .unwrap();
+    let primary = Server::open(&ServerConfig::default(), Some(primary_dir.path())).unwrap();
     let scheme = ph();
     let table = scheme
         .encrypt_table(
@@ -648,14 +616,7 @@ fn thread_front_end_serves_repl_pull() {
 
 #[test]
 fn stats_snapshot_travels_the_wire_with_net_counters_sampled() {
-    let server = Server::open(
-        &ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
+    let server = Server::open(&ServerConfig::default(), None).unwrap();
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     let _ = pool
