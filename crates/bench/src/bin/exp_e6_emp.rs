@@ -40,7 +40,11 @@ fn main() {
     )
     .expect("static table");
 
-    let server = Server::open(&ServerConfig::default(), None).expect("the default config opens");
+    let config = ServerConfig {
+        transcript: true,
+        ..ServerConfig::default()
+    };
+    let server = Server::open(&config, None).expect("a transcript config opens");
     let ph =
         FinalSwpPh::new(emp_schema(), &SecretKey::from_bytes([6u8; 32])).expect("static schema");
     let mut client = Client::new(ph, server.clone());

@@ -453,7 +453,14 @@ mod tests {
     use dbph_relation::{tuple, Value};
 
     fn setup() -> (Client, Server) {
-        let server = Server::open(&ServerConfig::default(), None).unwrap();
+        let server = Server::open(
+            &ServerConfig {
+                transcript: true,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         let ph = FinalSwpPh::new(emp_schema(), &SecretKey::from_bytes([11u8; 32])).unwrap();
         (Client::new(ph, server.clone()), server)
     }
@@ -496,6 +503,7 @@ mod tests {
             let server = Server::open(
                 &ServerConfig {
                     workers: Some(workers),
+                    transcript: true,
                     ..ServerConfig::default()
                 },
                 None,

@@ -192,6 +192,20 @@ impl IndexState {
         }
     }
 
+    /// `(postings, ids)`: how many posting keys all tables cache, and
+    /// how many document ids those postings hold.
+    #[must_use]
+    pub fn sizes(&self) -> (usize, usize) {
+        let tables = self.tables.lock();
+        let postings = tables.values().map(TableIndex::len).sum();
+        let ids = tables
+            .values()
+            .flat_map(|index| index.postings.values())
+            .map(|posting| posting.doc_ids.len())
+            .sum();
+        (postings, ids)
+    }
+
     /// The whole at-rest image, sorted by table name then key — the
     /// compaction snapshot input and the adversary's view.
     #[must_use]

@@ -6,8 +6,10 @@
 //! where `E` encrypts tables, `Eq` encrypts queries, `D` decrypts, and
 //! plaintext relational operations commute with ciphertext operations:
 //! `E_k(σ_i(R)) = ψ_i(E_k(R))`. Alex holds the key; Eve (the server)
-//! stores ciphertext and evaluates `ψ`, and everything she sees is
-//! recorded by [`server::Observer`] as the adversary's transcript.
+//! stores ciphertext and evaluates `ψ`. Everything she sees can be
+//! recorded by [`server::Observer`] as the adversary's transcript: the
+//! games and the transcript suites ask for it with
+//! [`ServerConfig::transcript`]; a deployed server records nothing.
 //!
 //! Module map (design history and open items live in `ROADMAP.md`):
 //!

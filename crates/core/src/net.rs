@@ -1136,6 +1136,7 @@ mod tests {
     fn spawn_server() -> (Server, ServerHandle) {
         let server = Server::open(
             &ServerConfig {
+                transcript: true,
                 ..ServerConfig::default()
             },
             None,
@@ -1162,13 +1163,7 @@ mod tests {
 
         // The same messages against a fresh in-process server produce
         // the same bytes.
-        let reference = Server::open(
-            &ServerConfig {
-                ..ServerConfig::default()
-            },
-            None,
-        )
-        .unwrap();
+        let reference = Server::open(&ServerConfig::default(), None).unwrap();
         assert_eq!(tcp_create, reference.handle(&create));
         assert_eq!(tcp_fetch, reference.handle(&fetch));
         drop(server);

@@ -88,8 +88,9 @@ pub struct ReplicaOptions {
     pub follower_id: u64,
     /// How every generation of the follower's server is opened
     /// (default: [`ServerConfig::default`]). Each generation opens its
-    /// own `gen-NNNN` directory under the replica's root, and cuts its
-    /// tables into the same fixed-capacity shards the primary does.
+    /// own `gen-NNNN` directory under the replica's root, cuts its
+    /// tables into the same fixed-capacity shards the primary does, and
+    /// records a transcript only when this config asks for one.
     pub server: ServerConfig,
     /// How long the background tailer sleeps when caught up or when
     /// the primary is unreachable, before pulling again.

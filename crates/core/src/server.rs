@@ -3,10 +3,13 @@
 //! The server executes `ψ` (the keyless trapdoor scan) over tables
 //! held in a [`crate::storage::TableStore`] — cut into fixed-capacity
 //! shards and scanned in parallel — and, crucially for the security analysis,
-//! records *everything it observes* in an [`Observer`]. The games and
+//! can record *everything it observes* in an [`Observer`]. The games and
 //! examples read that transcript to play the adversary: the paper's
 //! point is that an honest-but-curious Eve's transcript already
 //! determines what any future adversary buying her archive learns.
+//! Recording is asked for with [`ServerConfig::transcript`]; a deployed
+//! server leaves it off and keeps no per-request history, and the
+//! bytes Eve receives, stores and answers are the same either way.
 //!
 //! The server never sees key material. Its only computational
 //! capability over ciphertexts is [`dbph_swp::matches`] (via the
@@ -25,7 +28,7 @@
 //! query's `IndexProbe` and `Query` events in query order.
 //!
 //! Eve's setup is one [`ServerConfig`] — worker pool, log options,
-//! index — read by one constructor, [`Server::open`], which
+//! index, transcript — read by one constructor, [`Server::open`], which
 //! opens in memory or over a data directory. The only switch left for
 //! runtime is [`Server::set_replication`]: a primary must already be
 //! serving before its first follower can bootstrap from it.
@@ -42,7 +45,7 @@ use crate::executor::Executor;
 use crate::protocol::{ClientMessage, ServerResponse, WireTrapdoor, MAX_CHUNK_BYTES};
 use crate::storage::{DedupDecision, TableStore};
 use crate::swp_ph::{matches_at, EncryptedTable};
-use crate::telemetry::{MetricValue, StatsSnapshot, Telemetry, STATS_VERSION};
+use crate::telemetry::{MetricValue, StatsSnapshot, Telemetry, SIZE_GAUGES, STATS_VERSION};
 use crate::wire::{WireDecode, WireEncode};
 
 /// Which batched message an event belongs to: `(batch id, index within
@@ -156,34 +159,67 @@ pub enum ServerEvent {
     },
 }
 
-/// Records the server's complete view. Clone-cheap (shared interior).
+/// Records the server's complete view — when asked to. A server opened
+/// with [`ServerConfig::transcript`] on holds a recording observer; off
+/// (the default), `record` is one branch, its event is never built,
+/// and every read answers empty. Clone-cheap (shared interior).
 #[derive(Clone, Default)]
 pub struct Observer {
-    events: Arc<RwLock<Vec<ServerEvent>>>,
+    events: Option<Arc<RwLock<Vec<ServerEvent>>>>,
 }
 
 impl Observer {
-    /// Creates an empty observer.
+    /// An empty observer that records every event when `recording`,
+    /// and none otherwise.
     #[must_use]
-    pub fn new() -> Self {
-        Observer::default()
+    pub fn new(recording: bool) -> Self {
+        Observer {
+            events: recording.then(Arc::default),
+        }
     }
 
-    fn record(&self, e: ServerEvent) {
-        self.events.write().push(e);
+    /// Appends the event `event` builds, calling it only when
+    /// recording.
+    fn record(&self, event: impl FnOnce() -> ServerEvent) {
+        if let Some(events) = &self.events {
+            events.write().push(event());
+        }
+    }
+
+    /// Whether this observer records events.
+    #[must_use]
+    pub fn is_recording(&self) -> bool {
+        self.events.is_some()
+    }
+
+    /// Number of recorded events (0 when not recording).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.events.as_ref().map_or(0, |events| events.read().len())
+    }
+
+    /// Whether no event is recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// A snapshot of all recorded events.
     #[must_use]
     pub fn events(&self) -> Vec<ServerEvent> {
-        self.events.read().clone()
+        self.events
+            .as_ref()
+            .map_or_else(Vec::new, |events| events.read().clone())
     }
 
     /// Only the query events — the transcript the §2 attacks consume.
     /// Batched and unbatched queries appear identically here.
     #[must_use]
     pub fn queries(&self) -> Vec<(Vec<WireTrapdoor>, Vec<u64>)> {
-        self.events
+        let Some(events) = &self.events else {
+            return Vec::new();
+        };
+        events
             .read()
             .iter()
             .filter_map(|e| match e {
@@ -199,7 +235,9 @@ impl Observer {
 
     /// Clears the transcript (between game trials).
     pub fn clear(&self) {
-        self.events.write().clear();
+        if let Some(events) = &self.events {
+            events.write().clear();
+        }
     }
 }
 
@@ -251,12 +289,12 @@ pub fn execute_query(table: &EncryptedTable, terms: &[WireTrapdoor]) -> Encrypte
     }
 }
 
-/// How Eve sets herself up, read by [`Server::open`]. Every field is
-/// server-internal: no choice changes a response, an [`Observer`]
-/// transcript, or a segment byte. The table layout is not a choice:
-/// every table is a run of shards of at most
-/// [`crate::storage::SHARD_DOCS`] documents, and a scan uses as many
-/// cores as the pool has.
+/// How Eve sets herself up, read by [`Server::open`]. No field changes
+/// a response or a segment byte. `transcript` decides whether the
+/// [`Observer`] records at all, and `index` adds its probe events to
+/// what it records. The table layout is not a choice: every
+/// table is a run of shards of at most [`crate::storage::SHARD_DOCS`]
+/// documents, and a scan uses as many cores as the pool has.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
     /// Worker threads in a dedicated scan pool (1 runs every task
@@ -270,6 +308,13 @@ pub struct ServerConfig {
     /// instead of scans. A recovered index image turns the plan on
     /// whatever this says.
     pub index: bool,
+    /// Record Eve's view in the [`Observer`]: the games, the
+    /// experiment binaries and the transcript suites read it. Off (the
+    /// default), a deployed server keeps no per-request history, so
+    /// its memory stays flat under sustained traffic. Eve receives,
+    /// stores and answers the same bytes either way: the observer
+    /// models her view below the transport and changes none of them.
+    pub transcript: bool,
 }
 
 impl Server {
@@ -290,32 +335,34 @@ impl Server {
         let pool = config
             .workers
             .map_or_else(Executor::global, |w| Arc::new(Executor::new(w)));
-        let server = Server {
+        // Replay applies every logged mutation through `apply_logged`,
+        // exactly as a follower applies its tail, into this scratch
+        // server, which records nothing: recovery is Eve re-reading
+        // her own disk, not new traffic.
+        let scratch = Server {
             store: Arc::new(TableStore::new(pool)),
-            observer: Observer::new(),
+            observer: Observer::default(),
             next_batch: Arc::new(AtomicU64::new(0)),
             durable: None,
             telemetry: Arc::new(Telemetry::new()),
         };
-        let server = match data_dir {
-            None => server,
+        let durable = match data_dir {
+            None => None,
             Some(dir) => {
-                // Replay applies every logged mutation through
-                // `apply_logged`, exactly as a follower applies its
-                // tail. The serving server keeps the replayed store
-                // with a fresh transcript and batch counter: recovery
-                // is Eve re-reading her own disk, not new traffic.
-                let log = DurableLog::open(dir, config.durable.clone(), &server.store, |body| {
-                    server.apply_logged(body)
+                let log = DurableLog::open(dir, config.durable.clone(), &scratch.store, |body| {
+                    scratch.apply_logged(body)
                 })?;
-                log.install_telemetry(Arc::clone(&server.telemetry));
-                Server {
-                    observer: Observer::new(),
-                    next_batch: Arc::new(AtomicU64::new(0)),
-                    durable: Some(Arc::new(log)),
-                    ..server
-                }
+                log.install_telemetry(Arc::clone(&scratch.telemetry));
+                Some(Arc::new(log))
             }
+        };
+        // The serving server keeps the replayed store with a fresh
+        // transcript and batch counter.
+        let server = Server {
+            observer: Observer::new(config.transcript),
+            next_batch: Arc::new(AtomicU64::new(0)),
+            durable,
+            ..scratch
         };
         // After replay, as the index switch always ran: replay
         // rebuilds exactly the index state the log describes.
@@ -504,9 +551,10 @@ impl Server {
     /// registry's counters and histograms, the durable log's sampled
     /// health (sync count, poison flag, replication lag and degrade
     /// count), the table count (`tables`), the scan pool's executor
-    /// stats, the store's SWP check count (`scan_checks`) and its
-    /// copy-on-write byte count (`store_cow_bytes`). It is
-    /// the server's one health probe. Pure read — no `ServerEvent`s.
+    /// stats, the store's SWP check count (`scan_checks`), its
+    /// copy-on-write byte count (`store_cow_bytes`) and the
+    /// [`SIZE_GAUGES`] of its growable state. It is the server's one
+    /// health probe. Pure read — no `ServerEvent`s.
     #[must_use]
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let mut metrics = self.telemetry.snapshot_metrics();
@@ -567,6 +615,18 @@ impl Server {
             "store_cow_bytes".to_string(),
             MetricValue::Counter(self.store.cow_bytes()),
         ));
+        let (dedup_clients, dedup_entries) = self.store.dedup().sizes();
+        let (index_postings, index_posting_ids) = self.store.index().sizes();
+        let sizes = [
+            self.observer.len(),
+            dedup_clients,
+            dedup_entries,
+            index_postings,
+            index_posting_ids,
+        ];
+        for (name, size) in SIZE_GAUGES.into_iter().zip(sizes) {
+            metrics.push((name.to_string(), MetricValue::Gauge(size as u64)));
+        }
         StatsSnapshot {
             version: STATS_VERSION,
             metrics,
@@ -736,7 +796,7 @@ impl Server {
                         .index_posting_len
                         .record(probe.posting as u64);
                 }
-                self.observer.record(ServerEvent::IndexProbe {
+                self.observer.record(|| ServerEvent::IndexProbe {
                     name: name.to_string(),
                     label: probe.key.1.to_vec(),
                     cached: probe.cached,
@@ -745,7 +805,7 @@ impl Server {
                     batch,
                 });
             }
-            self.observer.record(ServerEvent::Query {
+            self.observer.record(|| ServerEvent::Query {
                 name: name.to_string(),
                 terms,
                 matched_doc_ids: result.doc_ids(),
@@ -762,7 +822,7 @@ impl Server {
                 let (tuples, bytes) = (table.docs.len(), table.docs.ciphertext_bytes());
                 match self.store.create(&name, table) {
                     Ok(()) => {
-                        self.observer.record(ServerEvent::Upload {
+                        self.observer.record(|| ServerEvent::Upload {
                             name,
                             tuples,
                             bytes,
@@ -792,7 +852,7 @@ impl Server {
             }
             ClientMessage::FetchAll { name } => match self.store.fetch_all(&name) {
                 Ok(table) => {
-                    self.observer.record(ServerEvent::FetchAll { name });
+                    self.observer.record(|| ServerEvent::FetchAll { name });
                     ServerResponse::Table(table)
                 }
                 Err(e) => ServerResponse::Error(e.to_string()),
@@ -809,7 +869,7 @@ impl Server {
                 let budget = max_bytes.clamp(1, MAX_CHUNK_BYTES);
                 match self.store.fetch_chunk(&name, token, budget) {
                     Ok((table, next)) => {
-                        self.observer.record(ServerEvent::FetchChunk {
+                        self.observer.record(|| ServerEvent::FetchChunk {
                             name,
                             token,
                             max_bytes,
@@ -827,7 +887,7 @@ impl Server {
                 words,
             } => match self.store.append_batch(&name, vec![(doc_id, words)]) {
                 Ok(()) => {
-                    self.observer.record(ServerEvent::Append {
+                    self.observer.record(|| ServerEvent::Append {
                         name,
                         doc_id,
                         batch: None,
@@ -838,13 +898,17 @@ impl Server {
             },
             ClientMessage::AppendBatch { name, docs } => {
                 let batch_id = self.next_batch.fetch_add(1, Ordering::Relaxed);
-                let doc_ids: Vec<u64> = docs.iter().map(|(id, _)| *id).collect();
+                let doc_ids: Vec<u64> = if self.observer.is_recording() {
+                    docs.iter().map(|(id, _)| *id).collect()
+                } else {
+                    Vec::new()
+                };
                 match self.store.append_batch(&name, docs) {
                     Ok(()) => {
                         // The batch is atomic, so exactly these docs
                         // were stored: one Append event each.
                         for (index, doc_id) in doc_ids.into_iter().enumerate() {
-                            self.observer.record(ServerEvent::Append {
+                            self.observer.record(|| ServerEvent::Append {
                                 name: name.clone(),
                                 doc_id,
                                 batch: Some((batch_id, index)),
@@ -857,7 +921,7 @@ impl Server {
             }
             ClientMessage::DropTable { name } => match self.store.drop_table(&name) {
                 Ok(()) => {
-                    self.observer.record(ServerEvent::Drop { name });
+                    self.observer.record(|| ServerEvent::Drop { name });
                     ServerResponse::Ok
                 }
                 Err(e) => ServerResponse::Error(e.to_string()),
@@ -865,7 +929,7 @@ impl Server {
             ClientMessage::DeleteDocs { name, doc_ids } => {
                 match self.store.delete_docs(&name, &doc_ids) {
                     Ok(removed) => {
-                        self.observer.record(ServerEvent::DeleteDocs {
+                        self.observer.record(|| ServerEvent::DeleteDocs {
                             name,
                             doc_ids,
                             removed,
@@ -922,6 +986,18 @@ mod tests {
                 .collect(),
             next_doc_id: n as u64,
         }
+    }
+
+    /// An in-memory server that records its transcript.
+    fn recording() -> Server {
+        Server::open(
+            &ServerConfig {
+                transcript: true,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap()
     }
 
     fn send(server: &Server, msg: ClientMessage) -> ServerResponse {
@@ -1020,7 +1096,7 @@ mod tests {
 
     #[test]
     fn observer_records_uploads_and_queries() {
-        let s = Server::open(&ServerConfig::default(), None).unwrap();
+        let s = recording();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1049,6 +1125,54 @@ mod tests {
     }
 
     #[test]
+    fn a_server_not_recording_builds_no_event_and_answers_alike() {
+        // The observer calls its event closure only when recording.
+        let built = std::cell::Cell::new(0);
+        let event = || {
+            built.set(built.get() + 1);
+            ServerEvent::Drop { name: "t".into() }
+        };
+        let off = Observer::default();
+        off.record(event);
+        assert_eq!(built.get(), 0, "a non-recording observer built an event");
+        assert!(off.is_empty() && off.events().is_empty() && off.queries().is_empty());
+        let on = Observer::new(true);
+        on.record(event);
+        assert_eq!((built.get(), on.len()), (1, 1));
+
+        // Same session, recording on and off: identical responses, and
+        // only the recording server's transcript and gauge move.
+        let quiet = Server::open(&ServerConfig::default(), None).unwrap();
+        let loud = recording();
+        let session = [
+            ClientMessage::CreateTable {
+                name: "t".into(),
+                table: table(3).into(),
+            },
+            ClientMessage::AppendBatch {
+                name: "t".into(),
+                docs: vec![(3, vec![CipherWord(vec![9; 13])])],
+            },
+            ClientMessage::Query {
+                name: "t".into(),
+                terms: vec![],
+            },
+            ClientMessage::DeleteDocs {
+                name: "t".into(),
+                doc_ids: vec![0],
+            },
+        ];
+        for msg in session {
+            let bytes = msg.to_wire();
+            assert_eq!(quiet.handle(&bytes), loud.handle(&bytes));
+        }
+        assert!(!quiet.observer().is_recording() && quiet.observer().events().is_empty());
+        assert_eq!(loud.observer().len(), 4);
+        let gauge = |s: &Server| s.stats_snapshot().scalar("transcript_events");
+        assert_eq!((gauge(&quiet), gauge(&loud)), (Some(0), Some(4)));
+    }
+
+    #[test]
     fn query_on_unknown_table_errors() {
         let s = Server::open(&ServerConfig::default(), None).unwrap();
         assert!(matches!(
@@ -1065,7 +1189,7 @@ mod tests {
 
     #[test]
     fn query_batch_returns_one_table_per_query_and_tags_events() {
-        let s = Server::open(&ServerConfig::default(), None).unwrap();
+        let s = recording();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1121,6 +1245,7 @@ mod tests {
         let s = Server::open(
             &ServerConfig {
                 index: true,
+                transcript: true,
                 ..ServerConfig::default()
             },
             None,
@@ -1270,7 +1395,7 @@ mod tests {
 
     #[test]
     fn append_batch_is_atomic_and_emits_one_event_per_doc() {
-        let s = Server::open(&ServerConfig::default(), None).unwrap();
+        let s = recording();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1324,7 +1449,7 @@ mod tests {
 
     #[test]
     fn delete_docs_records_each_removed_id_once() {
-        let s = Server::open(&ServerConfig::default(), None).unwrap();
+        let s = recording();
         send(
             &s,
             ClientMessage::CreateTable {
@@ -1354,7 +1479,7 @@ mod tests {
 
     #[test]
     fn fetch_chunk_pages_the_table_and_records_events() {
-        let s = Server::open(&ServerConfig::default(), None).unwrap();
+        let s = recording();
         send(
             &s,
             ClientMessage::CreateTable {

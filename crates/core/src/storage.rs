@@ -895,6 +895,16 @@ impl DedupWindow {
         all
     }
 
+    /// `(clients, entries)`: how many clients hold a window, and how
+    /// many entries all their windows cache — each client's at most
+    /// [`DEDUP_WINDOW`] plus its in-flight ones.
+    #[must_use]
+    pub fn sizes(&self) -> (usize, usize) {
+        let clients = self.clients.lock();
+        let entries = clients.values().map(|win| win.entries.len()).sum();
+        (clients.len(), entries)
+    }
+
     /// Number of cached entries for `client_id` (tests).
     #[must_use]
     pub fn cached(&self, client_id: u64) -> usize {

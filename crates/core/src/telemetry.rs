@@ -36,6 +36,22 @@ use crate::wire::{Reader, WireDecode, WireEncode};
 /// versions they do not understand rather than misparse.
 pub const STATS_VERSION: u16 = 1;
 
+/// The size gauges a server samples at snapshot time from the state
+/// that could grow with traffic, in snapshot order: the [`Observer`]
+/// transcript's events (0 when it is not recording), the dedup
+/// window's clients and cached entries, and the index's posting keys
+/// and the document ids they hold. Sampling them costs the request
+/// path nothing; a soak run reads them to show memory stays bounded.
+///
+/// [`Observer`]: crate::server::Observer
+pub const SIZE_GAUGES: [&str; 5] = [
+    "transcript_events",
+    "dedup_clients",
+    "dedup_entries",
+    "index_postings",
+    "index_posting_ids",
+];
+
 /// Histogram bucket count: bucket `b` holds samples whose bit length
 /// is `b` (i.e. values in `[2^(b-1), 2^b)`), bucket 0 holds zeros.
 /// 65 buckets cover the full `u64` range.

@@ -117,7 +117,11 @@ pub fn run_mix(rows: usize, queries: usize, seed: u64) -> AttributeReport {
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([61u8; 32]))
         .expect("Emp fits the default parameters");
     let table = ph.encrypt_table(&relation).expect("generated rows encrypt");
-    let server = Server::open(&ServerConfig::default(), None).expect("the default config opens");
+    let config = ServerConfig {
+        transcript: true,
+        ..ServerConfig::default()
+    };
+    let server = Server::open(&config, None).expect("a transcript config opens");
     let send = |msg: ClientMessage| {
         let _ = server.handle(&msg.to_wire());
     };
@@ -214,7 +218,11 @@ mod tests {
         let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([9u8; 32])).unwrap();
         let table = ph.encrypt_table(&relation).unwrap();
         let transcript = |query: Query| {
-            let server = Server::open(&ServerConfig::default(), None).unwrap();
+            let config = ServerConfig {
+                transcript: true,
+                ..ServerConfig::default()
+            };
+            let server = Server::open(&config, None).unwrap();
             let _ = server.handle(
                 &ClientMessage::CreateTable {
                     name: "Emp".into(),

@@ -126,6 +126,7 @@ mod tests {
         let server = Server::open(
             &ServerConfig {
                 index: true,
+                transcript: true,
                 ..ServerConfig::default()
             },
             None,
@@ -141,7 +142,14 @@ mod tests {
 
     #[test]
     fn scan_only_server_keeps_nothing_to_attack() {
-        let server = Server::open(&ServerConfig::default(), None).unwrap();
+        let server = Server::open(
+            &ServerConfig {
+                transcript: true,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         let (rate, probes) = run_workload(&server);
         assert_eq!(rate, 0.0, "no at-rest multimap, no recovery");
         assert_eq!(probes, 0, "scan plan records no index probes");

@@ -144,7 +144,14 @@ mod tests {
     use dbph_relation::{tuple, Query, Relation};
 
     fn session() -> (Client, Server) {
-        let server = Server::open(&ServerConfig::default(), None).unwrap();
+        let server = Server::open(
+            &ServerConfig {
+                transcript: true,
+                ..ServerConfig::default()
+            },
+            None,
+        )
+        .unwrap();
         let ph = FinalSwpPh::new(emp_schema(), &SecretKey::from_bytes([71u8; 32])).unwrap();
         (Client::new(ph, server.clone()), server)
     }

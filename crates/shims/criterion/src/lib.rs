@@ -11,7 +11,8 @@
 //! run as a JSON array (used to check benchmark artifacts into the
 //! repo), and `CRITERION_SAMPLE_MS` to change the per-sample time
 //! budget (default 150 ms). Every JSON row carries its provenance and
-//! its spread: the commit (read from `.git`, or `unknown`), the core
+//! its spread: the commit (read from `.git`, marked `-dirty` when the
+//! tree has uncommitted changes, or `unknown`), the core
 //! count, the sample budget and count, and the min, quartiles and max
 //! of the samples beside the median.
 
@@ -19,6 +20,7 @@
 
 use std::fmt::Display;
 use std::io::Write as _;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Opaque-to-the-optimizer value laundering.
@@ -131,12 +133,14 @@ fn sample_budget() -> Duration {
 }
 
 /// The commit the bench was built from: `HEAD` of the nearest `.git`
-/// directory at or above the working directory, followed through the
-/// ref it names (loose or packed), or `unknown`.
-fn commit() -> String {
+/// directory at or above `dir`, followed through the ref it names
+/// (loose or packed), or `unknown`. It ends in `-dirty` when the
+/// working tree has uncommitted changes to tracked files, so an
+/// artifact made before its change was committed does not pass for
+/// the parent's; where `git` cannot run, the sha goes unmarked.
+fn commit_in(dir: &Path) -> String {
     let resolve = || -> Option<String> {
-        let cwd = std::env::current_dir().ok()?;
-        let git = cwd
+        let git = dir
             .ancestors()
             .map(|d| d.join(".git"))
             .find(|g| g.is_dir())?;
@@ -153,9 +157,22 @@ fn commit() -> String {
             (r == name).then(|| sha.to_string())
         })
     };
-    resolve()
-        .filter(|sha| !sha.is_empty() && sha.bytes().all(|b| b.is_ascii_hexdigit()))
-        .unwrap_or_else(|| "unknown".to_string())
+    let Some(sha) =
+        resolve().filter(|sha| !sha.is_empty() && sha.bytes().all(|b| b.is_ascii_hexdigit()))
+    else {
+        return "unknown".to_string();
+    };
+    let dirty = std::process::Command::new("git")
+        .arg("-C")
+        .arg(dir)
+        .args(["status", "--porcelain", "--untracked-files=no"])
+        .output()
+        .is_ok_and(|out| out.status.success() && !out.stdout.is_empty());
+    if dirty {
+        format!("{sha}-dirty")
+    } else {
+        sha
+    }
 }
 
 /// The sample at quantile `q` of ascending `sorted` (nearest rank).
@@ -254,7 +271,8 @@ impl Criterion {
         let Ok(path) = std::env::var("CRITERION_JSON") else {
             return;
         };
-        let commit = commit();
+        let commit =
+            std::env::current_dir().map_or_else(|_| "unknown".to_string(), |cwd| commit_in(&cwd));
         let nproc = std::thread::available_parallelism().map_or(1, usize::from);
         let sample_ms = sample_budget().as_millis();
         let mut out = String::from("[\n");
@@ -387,6 +405,49 @@ mod tests {
         let r = &c.results()[0];
         assert_eq!(r.samples_ns.len(), SAMPLES);
         assert!(r.samples_ns.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn commit_marks_a_dirty_tree() {
+        let dir = std::env::temp_dir().join(format!("criterion-shim-git-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args(args)
+                .output()
+                .ok()
+                .filter(|out| out.status.success())
+                .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        };
+        if git(&["init", "-q"]).is_none() {
+            eprintln!("SKIPPED: git cannot run here");
+            return;
+        }
+        assert_eq!(commit_in(&dir), "unknown", "no commit yet");
+        std::fs::write(dir.join("f"), "one").unwrap();
+        git(&["add", "f"]).unwrap();
+        git(&[
+            "-c",
+            "user.name=bench",
+            "-c",
+            "user.email=bench@localhost",
+            "commit",
+            "-q",
+            "-m",
+            "one",
+        ])
+        .unwrap();
+        let sha = git(&["rev-parse", "HEAD"]).unwrap();
+        assert_eq!(commit_in(&dir), sha);
+        // Untracked files leave the tree clean; an edit does not.
+        std::fs::write(dir.join("untracked"), "x").unwrap();
+        assert_eq!(commit_in(&dir), sha);
+        std::fs::write(dir.join("f"), "two").unwrap();
+        assert_eq!(commit_in(&dir), format!("{sha}-dirty"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

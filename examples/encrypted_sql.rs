@@ -181,6 +181,9 @@
 //! | `commit_window_records` | histogram | records covered by each group-commit barrier |
 //! | `log_syncs` / `log_poisoned` | counter | fsyncs so far; 1 when the log is poisoned (sampled) |
 //! | `tables` | gauge | tables currently stored (sampled) |
+//! | `transcript_events` | gauge | events in the `Observer` transcript; 0 unless the server was opened with `ServerConfig::transcript` (sampled) |
+//! | `dedup_clients` / `dedup_entries` | gauge | clients holding a dedup window; responses cached across all windows, at most 128 per client plus in-flight (sampled) |
+//! | `index_postings` / `index_posting_ids` | gauge | posting keys the encrypted index caches; document ids those postings hold (sampled) |
 //! | `exec_workers` / `exec_queue_depth` / `exec_queue_high_water` | gauge | scan-pool size and queue occupancy (sampled) |
 //! | `exec_tasks` / `exec_busy_nanos` / `exec_task_nanos` | counter/histogram | scan-pool tasks run and their latencies |
 //! | `exec_caller_tasks` | counter | of those, tasks a `scatter` caller ran on its own thread instead of a worker |

@@ -16,7 +16,12 @@ use dbph::relation::{tuple, Query};
 use dbph::workload::EmployeeGen;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let server = Server::open(&ServerConfig::default(), None)?;
+    // Record Eve's transcript: the leakage profile below reads it.
+    let config = ServerConfig {
+        transcript: true,
+        ..ServerConfig::default()
+    };
+    let server = Server::open(&config, None)?;
     let old_key = SecretKey::from_bytes([10u8; 32]);
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &old_key)?;
     let mut client = Client::new(ph, server.clone());

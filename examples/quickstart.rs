@@ -32,7 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Eve's server: stores ciphertext, executes keyless trapdoor scans,
     // records everything it sees.
-    let server = Server::open(&ServerConfig::default(), None)?;
+    // Record Eve's transcript: this demo prints what she saw.
+    let config = ServerConfig {
+        transcript: true,
+        ..ServerConfig::default()
+    };
+    let server = Server::open(&config, None)?;
     let ph = FinalSwpPh::new(emp_schema(), &master)?;
     let mut alex = Client::new(ph, server.clone());
 

@@ -241,6 +241,7 @@ fn run_plan(
         &ServerConfig {
             workers: Some(workers),
             index: indexed,
+            transcript: true,
             ..ServerConfig::default()
         },
         None,
@@ -259,6 +260,7 @@ fn run_plan(
 
 fn assert_plans_agree(table: &EncryptedTable, msgs: &[ClientMessage]) -> Vec<ServerResponse> {
     let reference = run_plan(table, msgs, 1, false);
+    assert!(!reference.1.is_empty(), "the reference recorded no events");
     for workers in [1usize, 2, 4] {
         for indexed in [false, true] {
             let got = run_plan(table, msgs, workers, indexed);
@@ -415,7 +417,14 @@ fn batch_mixing_attrs_for_the_same_trapdoor_bytes_keeps_terms_apart() {
 
 #[test]
 fn query_events_record_the_attribute() {
-    let server = Server::open(&ServerConfig::default(), None).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     upload(&server, "Emp", &deviant_table());
     let _ = call(&server, &query(vec![term(2)]));
     let _ = call(&server, &query(vec![term(200)]));

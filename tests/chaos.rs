@@ -118,8 +118,12 @@ fn retry_until_acked<T: Transport>(faulty: &FaultTransport<T>, bytes: &[u8]) -> 
 
 #[test]
 fn fault_free_tagged_session_is_byte_identical_to_untagged() {
-    let untagged = Server::open(&ServerConfig::default(), None).unwrap();
-    let tagged = Server::open(&ServerConfig::default(), None).unwrap();
+    let config = ServerConfig {
+        transcript: true,
+        ..ServerConfig::default()
+    };
+    let untagged = Server::open(&config, None).unwrap();
+    let tagged = Server::open(&config, None).unwrap();
 
     let mut seq = 0u64;
     for msg in workload("T") {
@@ -137,8 +141,13 @@ fn fault_free_tagged_session_is_byte_identical_to_untagged() {
         untagged.handle(&fetch_msg("T")),
         tagged.handle(&fetch_msg("T"))
     );
+    let events = untagged.observer().events();
+    assert!(
+        !events.is_empty(),
+        "the untagged session recorded no events"
+    );
     assert_eq!(
-        untagged.observer().events(),
+        events,
         tagged.observer().events(),
         "the envelope leaked into the transcript"
     );

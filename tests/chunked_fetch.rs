@@ -134,10 +134,14 @@ fn chunk_stream_is_transport_invariant() {
     }
     .to_wire();
 
-    let local = Server::open(&ServerConfig::default(), None).unwrap();
+    let config = ServerConfig {
+        transcript: true,
+        ..ServerConfig::default()
+    };
+    let local = Server::open(&config, None).unwrap();
     let _ = local.handle(&create);
 
-    let remote = Server::open(&ServerConfig::default(), None).unwrap();
+    let remote = Server::open(&config, None).unwrap();
     let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     let _ = pool.call(&create).unwrap();
@@ -148,7 +152,9 @@ fn chunk_stream_is_transport_invariant() {
     let (tcp_frames, tcp_table) = stream_chunks(&pool, "big", 4096);
     assert_eq!(tcp_frames, local_frames, "TCP chunk stream diverged");
     assert_eq!(tcp_table, local_table);
-    assert_eq!(remote.observer().events(), local.observer().events());
+    let events = local.observer().events();
+    assert!(!events.is_empty(), "the local session recorded no events");
+    assert_eq!(remote.observer().events(), events);
     handle.shutdown();
 }
 

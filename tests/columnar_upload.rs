@@ -179,7 +179,8 @@ proptest! {
         );
 
         let dir = TempDir::new("columnar-upload").unwrap();
-        let server = Server::open(&ServerConfig::default(), Some(dir.path())).unwrap();
+        let recording = ServerConfig { transcript: true, ..ServerConfig::default() };
+        let server = Server::open(&recording, Some(dir.path())).unwrap();
 
         // (c) Every cut of the frame is refused, and none is logged.
         for cut in 0..frame.len() {

@@ -179,6 +179,7 @@ fn durable_equals_in_memory_across_shards_and_workers() {
         let mem = Server::open(
             &ServerConfig {
                 workers: Some(workers),
+                transcript: true,
                 ..ServerConfig::default()
             },
             None,
@@ -190,6 +191,7 @@ fn durable_equals_in_memory_across_shards_and_workers() {
         let durable = Server::open(
             &ServerConfig {
                 workers: Some(workers),
+                transcript: true,
                 ..ServerConfig::default()
             },
             Some(tmp.path()),
@@ -201,9 +203,11 @@ fn durable_equals_in_memory_across_shards_and_workers() {
             durable_responses, mem_responses,
             "durable responses diverged at {workers} worker(s)"
         );
+        let mem_events = mem.observer().events();
+        assert!(!mem_events.is_empty(), "the session recorded no events");
         assert_eq!(
             durable.observer().events(),
-            mem.observer().events(),
+            mem_events,
             "durable transcript diverged at {workers} worker(s)"
         );
 
@@ -213,6 +217,7 @@ fn durable_equals_in_memory_across_shards_and_workers() {
         let recovered = Server::open(
             &ServerConfig {
                 workers: Some(workers),
+                transcript: true,
                 ..ServerConfig::default()
             },
             Some(tmp.path()),
@@ -226,8 +231,10 @@ fn durable_equals_in_memory_across_shards_and_workers() {
         );
         // The recovered server's (fresh) transcript must equal the
         // probe segment of the uninterrupted server's transcript.
+        let probe_events = recovered.observer().events();
+        assert!(!probe_events.is_empty(), "the probes recorded no events");
         assert_eq!(
-            recovered.observer().events(),
+            probe_events,
             mem.observer().events()[mem_events_before..],
             "post-restart transcript diverged"
         );
@@ -240,23 +247,29 @@ fn durable_equals_in_memory_over_tcp_and_survives_restart() {
     let probes = probe_messages();
 
     // Reference: the uninterrupted in-memory server, in-process.
-    let mem = Server::open(&ServerConfig::default(), None).unwrap();
+    let config = ServerConfig {
+        transcript: true,
+        ..ServerConfig::default()
+    };
+    let mem = Server::open(&config, None).unwrap();
     let mem_responses = replay(&mem, &messages);
 
     // A durable server behind a real socket.
     let tmp = TempDir::new("tcp-equiv").unwrap();
-    let durable = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
+    let durable = Server::open(&config, Some(tmp.path())).unwrap();
     let handle = NetServer::spawn(durable.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
     let tcp_responses = replay(&pool, &messages);
     assert_eq!(tcp_responses, mem_responses, "TCP × durable diverged");
-    assert_eq!(durable.observer().events(), mem.observer().events());
+    let mem_events = mem.observer().events();
+    assert!(!mem_events.is_empty(), "the session recorded no events");
+    assert_eq!(durable.observer().events(), mem_events);
 
     // Kill the whole deployment — front-end and store — and restart
     // both from the data directory.
     handle.shutdown();
     drop(durable);
-    let recovered = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
+    let recovered = Server::open(&config, Some(tmp.path())).unwrap();
     let handle = NetServer::spawn(recovered.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
     let mem_events_before = mem.observer().events().len();
@@ -265,10 +278,9 @@ fn durable_equals_in_memory_over_tcp_and_survives_restart() {
         replay(&mem, &probes),
         "post-restart TCP probes diverged"
     );
-    assert_eq!(
-        recovered.observer().events(),
-        mem.observer().events()[mem_events_before..]
-    );
+    let probe_events = recovered.observer().events();
+    assert!(!probe_events.is_empty(), "the probes recorded no events");
+    assert_eq!(probe_events, mem.observer().events()[mem_events_before..]);
     handle.shutdown();
 }
 

@@ -10,8 +10,20 @@ use dbph::relation::schema::emp_schema;
 use dbph::relation::{tuple, Query, Relation};
 use dbph::workload::EmployeeGen;
 
+/// An in-memory server that records its transcript.
+fn recording() -> Server {
+    Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap()
+}
+
 fn setup(seed: u8) -> (Client, Server) {
-    let server = Server::open(&ServerConfig::default(), None).unwrap();
+    let server = recording();
     let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([seed; 32])).unwrap();
     (Client::new(ph, server.clone()), server)
 }
@@ -51,7 +63,7 @@ fn large_table_full_lifecycle() {
 
 #[test]
 fn multiple_tables_coexist_on_one_server() {
-    let server = Server::open(&ServerConfig::default(), None).unwrap();
+    let server = recording();
     let emp_ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([3u8; 32])).unwrap();
     let hosp_ph = FinalSwpPh::new(
         dbph::relation::schema::hospital_schema(),
@@ -194,7 +206,7 @@ fn stale_append_rejected_fresh_append_accepted() {
 fn concurrent_clients_share_one_server_safely() {
     // The server's interior locking must hold up under parallel
     // clients on disjoint tables.
-    let server = Server::open(&ServerConfig::default(), None).unwrap();
+    let server = recording();
     std::thread::scope(|scope| {
         for worker in 0..4u8 {
             let server = server.clone();
@@ -245,7 +257,9 @@ fn observer_transcript_contains_no_plaintext_for_any_workload() {
     ] {
         client.select(&q).unwrap();
     }
-    let transcript = format!("{:?}", server.observer().events());
+    let events = server.observer().events();
+    assert!(!events.is_empty(), "the session recorded no events");
+    let transcript = format!("{events:?}");
     for needle in ["dept-01", "emp-0000050", "1000"] {
         assert!(!transcript.contains(needle), "leaked {needle}");
     }

@@ -96,6 +96,7 @@ fn batch_responses_stay_in_wire_order_under_pooled_execution() {
         Server::open(
             &ServerConfig {
                 workers: Some(workers),
+                transcript: true,
                 ..ServerConfig::default()
             },
             None,
@@ -157,9 +158,11 @@ fn batch_responses_stay_in_wire_order_under_pooled_execution() {
                 responses, reference_responses,
                 "wire responses diverged at {rows} rows × {workers} pool workers"
             );
+            let events = reference.observer().events();
+            assert!(!events.is_empty(), "the reference recorded no events");
             assert_eq!(
                 pooled.observer().events(),
-                reference.observer().events(),
+                events,
                 "observer transcript diverged at {rows} rows × {workers} pool workers"
             );
         }

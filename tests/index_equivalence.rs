@@ -178,6 +178,7 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
         let baseline = Server::open(
             &ServerConfig {
                 workers: Some(1),
+                transcript: true,
                 ..ServerConfig::default()
             },
             None,
@@ -185,6 +186,10 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
         .unwrap();
         let baseline_responses = drive_churn_session(&baseline, &relation, &queries);
         let baseline_events = baseline.observer().events();
+        assert!(
+            !baseline_events.is_empty(),
+            "the baseline recorded no events"
+        );
         assert_eq!(
             probe_count(&baseline_events),
             0,
@@ -196,6 +201,7 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
             let off = Server::open(
                 &ServerConfig {
                     workers: Some(workers),
+                    transcript: true,
                     ..ServerConfig::default()
                 },
                 None,
@@ -218,6 +224,7 @@ fn indexed_responses_byte_identical_to_scan_across_shards_and_pools() {
                 &ServerConfig {
                     workers: Some(workers),
                     index: true,
+                    transcript: true,
                     ..ServerConfig::default()
                 },
                 None,
@@ -311,6 +318,7 @@ fn pooled_probes_and_delta_scans_match_the_inline_plan_and_the_scan() {
         let config = ServerConfig {
             workers: Some(workers),
             index,
+            transcript: true,
             ..ServerConfig::default()
         };
         Server::open(&config, None).unwrap()
@@ -322,6 +330,7 @@ fn pooled_probes_and_delta_scans_match_the_inline_plan_and_the_scan() {
         responses, scan_responses,
         "index plan diverged from the scan"
     );
+    assert!(!scan_events.is_empty(), "the scan recorded no events");
     assert_eq!(without_probes(events.clone()), scan_events);
     assert!(probe_count(&events) > 0);
     for workers in [1, 2, 4] {
@@ -368,10 +377,18 @@ fn error_paths_match_with_index_on() {
         }
         .to_wire(),
     ];
-    let off = Server::open(&ServerConfig::default(), None).unwrap();
+    let off = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let on = Server::open(
         &ServerConfig {
             index: true,
+            transcript: true,
             ..ServerConfig::default()
         },
         None,
@@ -405,10 +422,18 @@ fn reversed_upload_is_refused_so_both_plans_answer_alike() {
     // after 3 of the 60 documents.
     let scheme = ph();
     let table = reversed_upload(&scheme, 60);
-    let off = Server::open(&ServerConfig::default(), None).unwrap();
+    let off = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let on = Server::open(
         &ServerConfig {
             index: true,
+            transcript: true,
             ..ServerConfig::default()
         },
         None,
@@ -482,6 +507,7 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
             &ServerConfig {
                 workers: Some(1),
                 index: enable,
+                transcript: true,
                 ..ServerConfig::default()
             },
             Some(tmp.path()),
@@ -543,6 +569,7 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
     let recovered = Server::open(
         &ServerConfig {
             workers: Some(1),
+            transcript: true,
             ..ServerConfig::default()
         },
         Some(on_dir.path()),
@@ -557,7 +584,14 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
         on_at_rest,
         "recovered at-rest image diverged"
     );
-    let reference = Server::open(&ServerConfig::default(), None).unwrap();
+    let reference = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let scheme = ph();
     let table = scheme.encrypt_table(&relation).unwrap();
     let _ = reference.handle(
@@ -587,6 +621,7 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
     let config = |index: bool| ServerConfig {
         workers: Some(1),
         index,
+        transcript: true,
         ..ServerConfig::default()
     };
     let messages: Vec<Vec<u8>> = queries
@@ -631,7 +666,7 @@ fn index_snapshot_record_is_skipped_when_off_and_survives_restart_when_on() {
     );
     cold.observer().clear();
     let cold = session(cold);
-    assert!(cold.0 && cold.1.is_empty() && !cold.4.is_empty());
+    assert!(cold.0 && cold.1.is_empty() && !cold.3.is_empty() && !cold.4.is_empty());
     for dir in [off_dir.path(), unprobed_dir.path()] {
         assert_eq!(
             session(Server::open(&config(true), Some(dir)).unwrap()),
@@ -697,6 +732,7 @@ fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
         Server::open(
             &ServerConfig {
                 workers: Some(1),
+                transcript: true,
                 ..ServerConfig::default()
             },
             Some(tmp.path()),
@@ -707,6 +743,7 @@ fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
         &ServerConfig {
             workers: Some(1),
             index: true,
+            transcript: true,
             ..ServerConfig::default()
         },
         Some(tmp.path()),
@@ -721,7 +758,14 @@ fn recreated_table_after_compaction_answers_like_a_scan_server_after_restart() {
     let _ = server.handle(&create(&second));
     drop(server);
 
-    let reference = Server::open(&ServerConfig::default(), None).unwrap();
+    let reference = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     for m in [create(&first), drop_emp, create(&second)] {
         let _ = reference.handle(&m);
     }
@@ -765,6 +809,7 @@ fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_o
         Server::open(
             &ServerConfig {
                 workers: Some(1),
+                transcript: true,
                 ..ServerConfig::default()
             },
             Some(tmp.path()),
@@ -775,6 +820,7 @@ fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_o
         &ServerConfig {
             workers: Some(1),
             index: true,
+            transcript: true,
             ..ServerConfig::default()
         },
         Some(tmp.path()),
@@ -796,7 +842,14 @@ fn post_compaction_deletes_leave_the_recovered_at_rest_image_equal_to_the_live_o
         live,
         "recovered at-rest image kept ids the live purge removed"
     );
-    let reference = Server::open(&ServerConfig::default(), None).unwrap();
+    let reference = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let _ = reference.handle(&create);
     let _ = reference.handle(&delete);
     for (i, q) in queries.iter().enumerate() {
@@ -901,17 +954,19 @@ proptest! {
             responses
         };
 
-        let scan = Server::open(&ServerConfig { workers: Some(2), ..ServerConfig::default() }, None).unwrap();
+        let scan = Server::open(&ServerConfig { workers: Some(2), transcript: true, ..ServerConfig::default() }, None).unwrap();
         let scan_responses = drive(&scan);
 
-        let indexed = Server::open(&ServerConfig { workers: Some(2), index: true, ..ServerConfig::default() }, None).unwrap();
+        let indexed = Server::open(&ServerConfig { workers: Some(2), index: true, transcript: true, ..ServerConfig::default() }, None).unwrap();
         let indexed_responses = drive(&indexed);
 
         prop_assert_eq!(indexed_responses, scan_responses,
             "indexed plan diverged from the scan under random churn");
+        let scan_events = scan.observer().events();
+        prop_assert!(!scan_events.is_empty(), "the scan recorded no events");
         prop_assert_eq!(
             without_probes(indexed.observer().events()),
-            scan.observer().events(),
+            scan_events,
             "indexed transcript (probes aside) diverged under random churn");
     }
 }

@@ -204,6 +204,7 @@ fn tcp_responses_and_transcripts_equal_in_process_across_matrix() {
         Server::open(
             &ServerConfig {
                 workers: Some(workers),
+                transcript: true,
                 ..ServerConfig::default()
             },
             None,
@@ -229,6 +230,10 @@ fn tcp_responses_and_transcripts_equal_in_process_across_matrix() {
         let reference = open(1);
         let reference_responses = replay(&reference, &messages);
         let reference_events = reference.observer().events();
+        assert!(
+            !reference_events.is_empty(),
+            "the reference recorded no events"
+        );
         for (i, seed) in seed_answers(&messages) {
             assert_eq!(
                 reference_responses[i], seed,
@@ -276,16 +281,32 @@ fn pipelined_replay_is_byte_identical_too() {
     .generate(3);
     let messages = workload_messages(&relation);
 
-    let local = Server::open(&ServerConfig::default(), None).unwrap();
+    let local = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let local_responses = replay(&local, &messages);
 
-    let remote = Server::open(&ServerConfig::default(), None).unwrap();
+    let remote = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 1).unwrap();
     let tcp_responses = pool.call_many(&messages).unwrap();
 
     assert_eq!(tcp_responses, local_responses);
-    assert_eq!(remote.observer().events(), local.observer().events());
+    let events = local.observer().events();
+    assert!(!events.is_empty(), "the local session recorded no events");
+    assert_eq!(remote.observer().events(), events);
     // The whole pipeline crossed exactly one connection.
     assert_eq!(remote.telemetry().net_conns_accepted.get(), 1);
     handle.shutdown();
@@ -306,12 +327,26 @@ fn crypto_client_sessions_agree_across_transports() {
         Query::select("name", "no-such-emp"),
     ];
 
-    let local_server = Server::open(&ServerConfig::default(), None).unwrap();
+    let local_server = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let mut local = dbph::core::Client::new(ph(), local_server);
     local.outsource(&relation).unwrap();
     let local_results = local.select_many(&queries).unwrap();
 
-    let remote_server = Server::open(&ServerConfig::default(), None).unwrap();
+    let remote_server = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn(remote_server, "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
     let mut remote = dbph::core::Client::new(ph(), pool);
@@ -354,7 +389,14 @@ fn stress_eight_sessions_over_two_connections() {
     const SESSIONS: usize = 8;
     const ROUNDS: usize = 20;
 
-    let server = Server::open(&ServerConfig::default(), None).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
     let pool = PooledClient::connect(handle.addr(), 2).unwrap();
 
@@ -563,17 +605,19 @@ proptest! {
         let relation = EmployeeGen { rows, ..EmployeeGen::default() }.generate(rows as u64);
         let messages = lower_ops(&relation, &ops);
 
-        let local = Server::open(&ServerConfig::default(), None).unwrap();
+        let local = Server::open(&ServerConfig { transcript: true, ..ServerConfig::default() }, None).unwrap();
         let local_responses = replay(&local, &messages);
 
-        let remote = Server::open(&ServerConfig::default(), None).unwrap();
+        let remote = Server::open(&ServerConfig { transcript: true, ..ServerConfig::default() }, None).unwrap();
         let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
         let pool = PooledClient::connect(handle.addr(), pool_size).unwrap();
         let tcp_responses = replay(&pool, &messages);
 
         prop_assert_eq!(tcp_responses, local_responses,
             "TCP responses diverged for ops {:?}", &ops);
-        prop_assert_eq!(remote.observer().events(), local.observer().events(),
+        let events = local.observer().events();
+        prop_assert!(!events.is_empty(), "the local session recorded no events");
+        prop_assert_eq!(remote.observer().events(), events,
             "TCP transcript diverged for ops {:?}", &ops);
         handle.shutdown();
     }

@@ -365,6 +365,7 @@ fn a_follower_opened_with_the_index_keeps_it_across_resync_and_promotion() {
         ReplicaOptions {
             server: ServerConfig {
                 index: true,
+                transcript: true,
                 ..ServerConfig::default()
             },
             ..replica_options(8)

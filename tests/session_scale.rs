@@ -315,6 +315,7 @@ fn responses_and_transcripts_identical_across_stores() {
         let baseline = Server::open(
             &ServerConfig {
                 workers: Some(workers),
+                transcript: true,
                 ..ServerConfig::default()
             },
             None,
@@ -322,6 +323,10 @@ fn responses_and_transcripts_identical_across_stores() {
         .unwrap();
         let baseline_responses: Vec<_> = messages.iter().map(|m| baseline.handle(m)).collect();
         let baseline_events = baseline.observer().events();
+        assert!(
+            !baseline_events.is_empty(),
+            "the baseline recorded no events"
+        );
 
         for durable in [false, true] {
             let _tmp; // keeps the data dir alive through the run
@@ -330,6 +335,7 @@ fn responses_and_transcripts_identical_across_stores() {
                 let server = Server::open(
                     &ServerConfig {
                         workers: Some(workers),
+                        transcript: true,
                         ..ServerConfig::default()
                     },
                     Some(tmp.path()),
@@ -341,6 +347,7 @@ fn responses_and_transcripts_identical_across_stores() {
                 Server::open(
                     &ServerConfig {
                         workers: Some(workers),
+                        transcript: true,
                         ..ServerConfig::default()
                     },
                     None,

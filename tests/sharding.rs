@@ -61,6 +61,7 @@ fn open(workers: usize) -> Server {
     Server::open(
         &ServerConfig {
             workers: Some(workers),
+            transcript: true,
             ..ServerConfig::default()
         },
         None,
@@ -146,6 +147,10 @@ fn results_and_transcripts_identical_across_shard_counts() {
         let baseline_server = open(1);
         let baseline_responses = drive_session(&baseline_server, &relation, &queries);
         let baseline_events = baseline_server.observer().events();
+        assert!(
+            !baseline_events.is_empty(),
+            "the baseline recorded no events"
+        );
         for workers in [2, 4] {
             let server = open(workers);
             let responses = drive_session(&server, &relation, &queries);
@@ -208,13 +213,27 @@ fn batched_queries_leak_exactly_like_single_queries() {
     let queries = sample_queries();
 
     // One at a time…
-    let singles = Server::open(&ServerConfig::default(), None).unwrap();
+    let singles = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let mut client = Client::new(ph(), singles.clone());
     client.outsource(&relation).unwrap();
     let single_results: Vec<Relation> = queries.iter().map(|q| client.select(q).unwrap()).collect();
 
     // …versus one batch on a sharded server.
-    let batched = Server::open(&ServerConfig::default(), None).unwrap();
+    let batched = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     let mut batch_client = Client::new(ph(), batched.clone());
     batch_client.outsource(&relation).unwrap();
     let batch_results = batch_client.select_many(&queries).unwrap();
@@ -228,7 +247,9 @@ fn batched_queries_leak_exactly_like_single_queries() {
 
     // Per-query leakage (terms + matched ids) is identical; only the
     // batch tag differs.
-    assert_eq!(singles.observer().queries(), batched.observer().queries());
+    let single_queries = singles.observer().queries();
+    assert_eq!(single_queries.len(), queries.len());
+    assert_eq!(single_queries, batched.observer().queries());
     let tags: Vec<Option<(u64, usize)>> = batched
         .observer()
         .events()
@@ -302,6 +323,10 @@ fn pooled_batches_match_sequential_engine_bytes_and_transcript() {
         let sequential = open(1);
         let sequential_responses = drive_batch_session(&sequential, &relation);
         let sequential_events = sequential.observer().events();
+        assert!(
+            !sequential_events.is_empty(),
+            "the sequential run recorded no events"
+        );
 
         for workers in POOL_SIZES {
             let pooled = open(workers);
@@ -364,6 +389,7 @@ fn batch_results_match_reference_execute_query_per_query() {
         let server = Server::open(
             &ServerConfig {
                 workers: Some(workers),
+                transcript: true,
                 ..ServerConfig::default()
             },
             None,
@@ -455,7 +481,7 @@ proptest! {
 
         let mut reference: Option<(Vec<Vec<u8>>, Vec<ServerEvent>)> = None;
         for workers in [1usize, 3, 8] {
-            let server = Server::open(&ServerConfig { workers: Some(workers), ..ServerConfig::default() }, None).unwrap();
+            let server = Server::open(&ServerConfig { workers: Some(workers), transcript: true, ..ServerConfig::default() }, None).unwrap();
             let responses = vec![
                 server.handle(
                     &ClientMessage::CreateTable { name: "Rnd".into(), table: table.clone().into() }
@@ -482,6 +508,7 @@ proptest! {
                 other => return Err(TestCaseError::fail(format!("unexpected {other:?}"))),
             }
             let events = server.observer().events();
+            prop_assert!(!events.is_empty(), "the session recorded no events");
             match &reference {
                 None => reference = Some((responses, events)),
                 Some((ref_responses, ref_events)) => {

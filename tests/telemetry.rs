@@ -11,7 +11,10 @@
 //!    pool sizes, a
 //!    session against a telemetry-enabled server produces responses,
 //!    `Observer` transcripts, and durable segment/manifest bytes
-//!    identical to a telemetry-disabled server's.
+//!    identical to a telemetry-disabled server's. Recording the
+//!    transcript or not is a second on/off axis: responses, segment
+//!    bytes and every metric but `transcript_events` and the timings
+//!    stay identical.
 //! 2. **Stats is invisible too.** A `Stats` request answers with a
 //!    versioned snapshot and records no `ServerEvent`s.
 //! 3. **Counters move for the right reasons.** Faults and code paths
@@ -22,6 +25,7 @@
 use std::time::Duration;
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
+use dbph::core::telemetry::MetricValue;
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
     DatabasePh, FinalSwpPh, NetServer, PoolOptions, PooledClient, Replica, ReplicaOptions,
@@ -149,50 +153,43 @@ fn dir_image(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// Everything the adversary model can see from one session: response
-/// bytes, the `Observer` transcript, and the durable directory image.
-type AdversaryView = (
-    Vec<Vec<u8>>,
-    Vec<dbph::core::server::ServerEvent>,
-    Vec<(String, Vec<u8>)>,
-);
+/// Everything the adversary model can see from one session — response
+/// bytes, the `Observer` transcript, and the durable directory image —
+/// plus the session's final stats metrics that do not depend on timing.
+struct SessionView {
+    responses: Vec<Vec<u8>>,
+    events: Vec<dbph::core::server::ServerEvent>,
+    image: Vec<(String, Vec<u8>)>,
+    metrics: Vec<(String, MetricValue)>,
+}
+
+/// Whether a metric's value depends on timing or thread scheduling:
+/// latencies, and which thread of the pool ran a task or how deep the
+/// queue got while it waited.
+fn timing_dependent(name: &str) -> bool {
+    name.ends_with("_nanos") || ["exec_caller_tasks", "exec_queue_high_water"].contains(&name)
+}
 
 /// One full TCP session for a matrix cell: build the server (durable
-/// or in-memory), flip telemetry, serve it over TCP, replay the
-/// workload through a retrying pool with a pinned envelope identity
-/// (so tagged request bytes are deterministic), and collect everything
-/// the adversary model can see.
+/// or in-memory, recording its transcript or not), flip telemetry,
+/// serve it over TCP, replay the workload through a retrying pool with
+/// a pinned envelope identity (so tagged request bytes are
+/// deterministic), and collect everything the adversary model can see.
 fn run_session(
     durable: bool,
     workers: usize,
     telemetry_on: bool,
+    transcript: bool,
     messages: &[Vec<u8>],
-) -> AdversaryView {
-    let tmp = durable.then(|| {
-        TempDir::new(&format!(
-            "tele-{workers}-{}",
-            if telemetry_on { "on" } else { "off" }
-        ))
-        .unwrap()
-    });
-    let server = match &tmp {
-        Some(tmp) => Server::open(
-            &ServerConfig {
-                workers: Some(workers),
-                ..ServerConfig::default()
-            },
-            Some(tmp.path()),
-        )
-        .unwrap(),
-        None => Server::open(
-            &ServerConfig {
-                workers: Some(workers),
-                ..ServerConfig::default()
-            },
-            None,
-        )
-        .unwrap(),
+) -> SessionView {
+    let tmp = durable
+        .then(|| TempDir::new(&format!("tele-{workers}-{telemetry_on}-{transcript}")).unwrap());
+    let config = ServerConfig {
+        workers: Some(workers),
+        transcript,
+        ..ServerConfig::default()
     };
+    let server = Server::open(&config, tmp.as_ref().map(TempDir::path)).unwrap();
     server.telemetry().set_enabled(telemetry_on);
 
     let handle = NetServer::spawn(server.clone(), "127.0.0.1:0").unwrap();
@@ -216,13 +213,24 @@ fn run_session(
         .collect();
     let events = server.observer().events();
     handle.shutdown();
+    let metrics = server
+        .stats_snapshot()
+        .metrics
+        .into_iter()
+        .filter(|(name, _)| !timing_dependent(name))
+        .collect();
     drop(pool);
     drop(server); // release the durable log before reading the dir
     let image = tmp
         .as_ref()
         .map(|t| dir_image(t.path()))
         .unwrap_or_default();
-    (responses, events, image)
+    SessionView {
+        responses,
+        events,
+        image,
+        metrics,
+    }
 }
 
 #[test]
@@ -230,23 +238,89 @@ fn telemetry_on_off_is_byte_identical_across_the_matrix() {
     let messages = workload_messages();
     for durable in [false, true] {
         for workers in [1usize, 2] {
-            let (on_resp, on_events, on_image) = run_session(durable, workers, true, &messages);
-            let (off_resp, off_events, off_image) = run_session(durable, workers, false, &messages);
+            let on = run_session(durable, workers, true, true, &messages);
+            let off = run_session(durable, workers, false, true, &messages);
             let cell = format!("durable={durable} workers={workers}");
-            assert_eq!(on_resp, off_resp, "responses diverged at {cell}");
-            assert_eq!(on_events, off_events, "transcripts diverged at {cell}");
-            assert_eq!(on_image, off_image, "durable bytes diverged at {cell}");
+            assert!(!on.events.is_empty(), "no transcript recorded at {cell}");
+            assert_eq!(on.responses, off.responses, "responses diverged at {cell}");
+            assert_eq!(on.events, off.events, "transcripts diverged at {cell}");
+            assert_eq!(on.image, off.image, "durable bytes diverged at {cell}");
+
+            // The transcript axis, at both telemetry settings.
+            for (recorded, telemetry_on) in [(on, true), (off, false)] {
+                let quiet = run_session(durable, workers, telemetry_on, false, &messages);
+                let cell = format!("{cell} telemetry={telemetry_on}");
+                assert!(
+                    quiet.events.is_empty(),
+                    "recorded with transcript off at {cell}"
+                );
+                assert_eq!(
+                    recorded.responses, quiet.responses,
+                    "responses diverged with the transcript off at {cell}"
+                );
+                assert_eq!(
+                    recorded.image, quiet.image,
+                    "durable bytes diverged with the transcript off at {cell}"
+                );
+                let split = |metrics: Vec<(String, MetricValue)>| {
+                    metrics
+                        .into_iter()
+                        .partition::<Vec<_>, _>(|(name, _)| name == "transcript_events")
+                };
+                let (recorded_gauge, recorded_rest) = split(recorded.metrics);
+                let (quiet_gauge, quiet_rest) = split(quiet.metrics);
+                let gauge = |n: usize| {
+                    vec![(
+                        "transcript_events".to_string(),
+                        MetricValue::Gauge(n as u64),
+                    )]
+                };
+                assert_eq!(recorded_gauge, gauge(recorded.events.len()));
+                assert_eq!(quiet_gauge, gauge(0));
+                assert_eq!(
+                    recorded_rest, quiet_rest,
+                    "metrics diverged with the transcript off at {cell}"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn stats_request_returns_a_snapshot_and_records_no_events() {
-    let server = Server::open(&ServerConfig::default(), None).unwrap();
+    let server = Server::open(
+        &ServerConfig {
+            transcript: true,
+            ..ServerConfig::default()
+        },
+        None,
+    )
+    .unwrap();
     // Put something in the transcript first so "no new events" is a
     // real claim, not an empty-vs-empty accident.
+    let table = ph()
+        .encrypt_table(
+            &EmployeeGen {
+                rows: 2,
+                ..EmployeeGen::default()
+            }
+            .generate(1),
+        )
+        .unwrap();
+    let _ = server.handle(
+        &ClientMessage::CreateTable {
+            name: "t".into(),
+            table: table.into(),
+        }
+        .to_wire(),
+    );
     let _ = server.handle(&ClientMessage::FetchAll { name: "t".into() }.to_wire());
     let before = server.observer().events();
+    assert_eq!(
+        before.len(),
+        2,
+        "the upload and the fetch must record one event each"
+    );
 
     let response = server.handle(&ClientMessage::Stats.to_wire());
     let snapshot = match ServerResponse::from_wire(&response).unwrap() {
