@@ -1,7 +1,7 @@
 //! Sharded scan engine vs. the seed single-threaded scan.
 //!
 //! The server-side `ψ` is a full trapdoor scan; this bench pins the
-//! throughput of the seed reference (`dbph_core::server::execute_query`,
+//! throughput of the seed reference (`dbph_core::swp_ph::execute_query`,
 //! which re-runs the HMAC key schedule per `(trapdoor, word)` pair)
 //! against the sharded engine (`ShardedTable::scan_batch_on` with a
 //! one-query batch, which prepares each trapdoor once and fans the
@@ -20,8 +20,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use dbph_core::executor::Executor;
 use dbph_core::protocol::WireTrapdoor;
-use dbph_core::server::execute_query;
 use dbph_core::storage::ShardedTable;
+use dbph_core::swp_ph::execute_query;
 use dbph_core::telemetry::Counter;
 use dbph_core::{ColumnarTable, DatabasePh, FinalSwpPh};
 use dbph_crypto::SecretKey;

@@ -174,8 +174,11 @@ impl<T: Transport> Client<T> {
     /// Runs a disjunctive (DNF) query: one encrypted exact-select per
     /// disjunct — all disjuncts shipped in a single `QueryBatch`
     /// round-trip and fanned over the server's worker pool — results
-    /// unioned by document identity client-side, with per-disjunct
-    /// false-positive filtering. Each disjunct leaks its own access
+    /// unioned by document identity client-side, keeping a candidate
+    /// only when the whole DNF holds on its plaintext. That is the set
+    /// per-disjunct filtering would keep: `ψ` has no false negatives,
+    /// so a tuple matching disjunct `j` is among `j`'s candidates.
+    /// Each disjunct leaks its own access
     /// pattern to the server — no more, no less than running it
     /// standalone; batching changes framing (one message, one batch
     /// tag), never per-disjunct leakage.
@@ -197,16 +200,9 @@ impl<T: Transport> Client<T> {
             dnf.disjuncts().len(),
         )?;
         let mut seen: std::collections::BTreeMap<u64, Tuple> = std::collections::BTreeMap::new();
-        for ((query, indices), candidates) in
-            dnf.disjuncts().iter().zip(&bound).zip(&candidate_tables)
-        {
+        for candidates in &candidate_tables {
             for (doc_id, tuple) in self.ph.decrypt_docs(candidates)? {
-                let exact = query
-                    .terms()
-                    .iter()
-                    .zip(indices.iter())
-                    .all(|(term, &i)| term.matches_at(&tuple, i));
-                if exact {
+                if dnf.matches(&tuple, &bound) {
                     seen.insert(doc_id, tuple);
                 }
             }
@@ -296,13 +292,7 @@ impl<T: Transport> Client<T> {
             .ph
             .decrypt_docs(&candidates)?
             .into_iter()
-            .filter(|(_, tuple)| {
-                query
-                    .terms()
-                    .iter()
-                    .zip(indices.iter())
-                    .all(|(term, &i)| term.matches_at(tuple, i))
-            })
+            .filter(|(_, tuple)| query.matches(tuple, &indices))
             .map(|(id, _)| id)
             .collect();
         let removed = confirmed.len();
@@ -728,6 +718,67 @@ mod tests {
         let removed = client.delete(&Query::select("dept", "HR")).unwrap();
         assert_eq!(removed, 1);
         assert_eq!(client.fetch_all().unwrap().len(), 200);
+    }
+
+    #[test]
+    fn select_dnf_filters_false_positives() {
+        use dbph_crypto::{DeterministicRng, EntropySource};
+        use dbph_relation::dnf::select_dnf;
+        use dbph_relation::ExactSelect;
+        use dbph_swp::SwpParams;
+        // 3-bit checks: each disjunct's candidate set is a large
+        // superset of its matches, and the disjuncts overlap, so one
+        // tuple can arrive as a true match of one disjunct and a false
+        // positive of another.
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
+        let codec_len = crate::encoding::WordCodec::new(emp_schema()).word_len();
+        let params = SwpParams::new(codec_len, 4, 3).unwrap();
+        let ph = FinalSwpPh::with_params(emp_schema(), &SecretKey::from_bytes([45u8; 32]), params)
+            .unwrap();
+        let mut client = Client::new(ph, server);
+        let mut rng = DeterministicRng::from_seed(35);
+        let depts = ["HR", "IT", "Ops", "Eng"];
+        let mut plain = Relation::empty(emp_schema());
+        for i in 0..300i64 {
+            let dept = depts[rng.below(4) as usize];
+            let salary = rng.below(6) as i64;
+            plain
+                .insert(tuple![format!("e{i:03}"), dept, salary])
+                .unwrap();
+        }
+        client.outsource(&plain).unwrap();
+
+        let dnf = Dnf::new(vec![
+            Query::select("dept", "IT"),
+            Query::select("salary", 3i64),
+            Query::conjunction(vec![
+                ExactSelect::new("dept", "IT"),
+                ExactSelect::new("salary", 3i64),
+            ])
+            .unwrap(),
+        ])
+        .unwrap();
+        let got = client.select_dnf(&dnf).unwrap();
+        let want = select_dnf(&plain, &dnf).unwrap();
+        assert!(got.same_multiset(&want));
+
+        let mut false_positives = 0;
+        for query in dnf.disjuncts() {
+            let qct = client.ph.encrypt_query(query).unwrap();
+            let candidates = client
+                .expect_table(&ClientMessage::Query {
+                    name: client.table_name().to_string(),
+                    terms: qct.terms.iter().map(WireTrapdoor::from_trapdoor).collect(),
+                })
+                .unwrap();
+            let exact = exec::select(&plain, query).unwrap().len();
+            assert!(candidates.len() >= exact, "ψ has no false negatives");
+            false_positives += candidates.len() - exact;
+        }
+        assert!(
+            false_positives >= 50,
+            "only {false_positives} false positives at 3 check bits"
+        );
     }
 
     #[test]

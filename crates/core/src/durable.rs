@@ -63,7 +63,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -261,10 +261,9 @@ pub struct DurableLog {
     /// the same directory must fail fast instead. Released by the OS
     /// when the file closes — a crashed owner never wedges the dir.
     _dir_lock: File,
-    /// The owning server's metrics registry, installed once when the
-    /// log is wrapped into a [`crate::server::Server`]. Empty (bare
-    /// `DurableLog` tests) or disabled, every hook is a no-op.
-    telemetry: OnceLock<Arc<Telemetry>>,
+    /// The owning server's metrics registry, handed over at open.
+    /// Disabled, every hook is a no-op.
+    telemetry: Arc<Telemetry>,
 }
 
 /// How many followers must confirm a mutation before the primary acks
@@ -583,7 +582,8 @@ impl DurableLog {
     /// record's body — the raw client message — to `apply`. A torn
     /// tail record in the active segment is truncated away. Stray
     /// segment files a crash-interrupted compaction left outside the
-    /// manifest are removed.
+    /// manifest are removed. The log reports into `telemetry`, the
+    /// owning server's registry.
     ///
     /// # Errors
     /// [`PhError::Durability`] on I/O failure, a corrupt manifest, a
@@ -593,6 +593,7 @@ impl DurableLog {
     pub fn open(
         dir: impl AsRef<Path>,
         options: DurableOptions,
+        telemetry: Arc<Telemetry>,
         store: &TableStore,
         apply: impl FnMut(&[u8]) -> Result<(), PhError>,
     ) -> Result<Self, PhError> {
@@ -723,7 +724,7 @@ impl DurableLog {
             }),
             repl_cv: Condvar::new(),
             _dir_lock: dir_lock,
-            telemetry: OnceLock::new(),
+            telemetry,
         };
         Ok(log)
     }
@@ -764,17 +765,11 @@ impl DurableLog {
         self.poisoned.load(Ordering::SeqCst)
     }
 
-    /// Installs the owning server's metrics registry (once; later
-    /// calls are ignored — a log has exactly one owning server).
-    pub(crate) fn install_telemetry(&self, telemetry: Arc<Telemetry>) {
-        let _ = self.telemetry.set(telemetry);
-    }
-
-    /// The registry, when installed *and* collecting — the single
-    /// check every log-side hook performs.
+    /// The registry, when collecting — the single check every
+    /// log-side hook performs.
     #[inline]
     fn tele(&self) -> Option<&Telemetry> {
-        self.telemetry.get().map(Arc::as_ref).filter(|t| t.on())
+        self.telemetry.on().then_some(&*self.telemetry)
     }
 
     /// Total `fdatasync` calls this log has issued. With group commit

@@ -15,7 +15,9 @@
 //!
 //! * The scheme: [`ph`] (the Definition 1.1 trait; `ψ` runs keyless),
 //!   [`encoding`] (the §3 attribute encoding), [`swp_ph`] (the §3
-//!   construction over SWP), [`varlen`] (per-attribute word widths).
+//!   construction over SWP and the one reference `ψ`,
+//!   [`swp_ph::execute_query`]), [`varlen`] (per-attribute word
+//!   widths).
 //! * Alex and Eve: [`client`], [`server`], [`protocol`] and [`wire`]
 //!   (the byte-level messages), [`codec`] and [`net`] (framed TCP, a
 //!   thread-per-connection front-end, a pooled client with retries),

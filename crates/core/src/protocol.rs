@@ -313,6 +313,14 @@ pub enum ClientMessage {
     /// `ServerEvent`s: probing the stats plane never perturbs the
     /// adversary transcript.
     ///
+    /// On a follower ([`crate::replica::Replica`]) the registry's
+    /// counters and histograms run on across re-bootstraps. The values
+    /// sampled from one generation's own state restart with each
+    /// generation: its log's (`log_syncs`), its store's (`scan_checks`,
+    /// `store_cow_bytes`), and its pool's `exec_*` figures when
+    /// [`crate::server::ServerConfig::workers`] gives it a pool of its
+    /// own.
+    ///
     /// Leakage: none about Alex — every metric is a measurement of
     /// Eve's own machine (her fsync latency, her queue depths, her
     /// socket counters), derived from work she already performs and
@@ -897,12 +905,19 @@ mod tests {
         assert_eq!(restored.attr, 1);
         assert!(matches(&params, &restored, &c));
         // Addressed: only word `attr` of a document is checked.
-        use crate::swp_ph::matches_at;
+        use crate::swp_ph::{execute_query, EncryptedTable};
         let other = CipherWord(vec![0; 13]);
-        let at = |words: &[CipherWord]| matches_at(&params, restored.attr, &restored, words);
-        assert!(at(&[other.clone(), c.clone()]));
-        assert!(!at(&[c.clone(), other]));
-        assert!(!at(std::slice::from_ref(&c)));
+        let table = EncryptedTable {
+            params,
+            docs: vec![
+                (0, vec![other.clone(), c.clone()]),
+                (1, vec![c.clone(), other]),
+                (2, vec![c]),
+            ],
+            next_doc_id: 3,
+        };
+        let matched = execute_query(&table, std::slice::from_ref(&restored));
+        assert_eq!(matched.doc_ids(), vec![0]);
     }
 
     #[test]

@@ -74,6 +74,7 @@ use crate::net::Transport;
 use crate::protocol::ClientMessage;
 use crate::protocol::ServerResponse;
 use crate::server::{Server, ServerConfig};
+use crate::telemetry::Telemetry;
 use crate::wire::{WireDecode, WireEncode};
 
 pub use crate::durable::ReplicationOptions;
@@ -115,6 +116,10 @@ struct Inner {
     /// advisory log lock can never block the new one.
     root: PathBuf,
     options: ReplicaOptions,
+    /// The follower's one metrics registry: every generation's server
+    /// reports into it, so counters and histograms carry across
+    /// re-bootstraps.
+    telemetry: Arc<Telemetry>,
     /// Serializes whole pull→append→apply steps: the background tailer
     /// and a direct [`Replica::sync`] caller must never interleave a
     /// chunk.
@@ -210,6 +215,7 @@ fn bootstrap_generation(
     transport: &(dyn Transport + Send + Sync),
     root: &Path,
     options: &ReplicaOptions,
+    telemetry: &Arc<Telemetry>,
     generation: u64,
 ) -> Result<(Server, u64), PhError> {
     let dir = root.join(format!("gen-{generation:04}"));
@@ -259,7 +265,7 @@ fn bootstrap_generation(
     durable::write_manifest(&dir, &[0])?;
     // Bootstrap is recovery: open the directory we just wrote exactly
     // as a restarted primary would open its own.
-    let server = Server::open(&options.server, Some(&dir))?;
+    let server = Server::open_with_telemetry(&options.server, Some(&dir), Arc::clone(telemetry))?;
     Ok((server, cursor))
 }
 
@@ -270,6 +276,7 @@ fn resync(inner: &Inner) -> Result<(), PhError> {
         inner.transport.as_ref(),
         &inner.root,
         &inner.options,
+        &inner.telemetry,
         generation,
     )?;
     let old = {
@@ -279,15 +286,11 @@ fn resync(inner: &Inner) -> Result<(), PhError> {
         s.cursor = cursor;
         s.generation = generation;
         s.resyncs += 1;
-        // The generation swap installed a fresh metrics registry;
-        // restore the cumulative count so the operator's
-        // `repl_resyncs` survives re-bootstraps.
-        let telemetry = s.server.telemetry();
-        if telemetry.on() {
-            telemetry.repl_resyncs.add(s.resyncs);
-        }
         old
     };
+    if inner.telemetry.on() {
+        inner.telemetry.repl_resyncs.inc();
+    }
     // Best-effort: the superseded generation's directory is dead
     // weight (its server, and with it the advisory lock, is dropped
     // once outstanding clones go away).
@@ -387,12 +390,14 @@ impl Replica {
         let root = dir.as_ref().to_path_buf();
         fs::create_dir_all(&root)
             .map_err(|e| PhError::Durability(format!("create replica root: {e}")))?;
-        let (server, cursor) = bootstrap_generation(&transport, &root, &options, 0)?;
+        let telemetry = Arc::new(Telemetry::new());
+        let (server, cursor) = bootstrap_generation(&transport, &root, &options, &telemetry, 0)?;
         Ok(Replica {
             inner: Arc::new(Inner {
                 transport: Box::new(transport),
                 root,
                 options,
+                telemetry,
                 step: Mutex::new(()),
                 state: RwLock::new(State {
                     server,

@@ -44,7 +44,7 @@ use crate::error::PhError;
 use crate::executor::Executor;
 use crate::protocol::{ClientMessage, ServerResponse, WireTrapdoor, MAX_CHUNK_BYTES};
 use crate::storage::{DedupDecision, TableStore};
-use crate::swp_ph::{matches_at, EncryptedTable};
+use crate::swp_ph::EncryptedTable;
 use crate::telemetry::{MetricValue, StatsSnapshot, Telemetry, SIZE_GAUGES, STATS_VERSION};
 use crate::wire::{WireDecode, WireEncode};
 
@@ -262,33 +262,6 @@ pub struct Server {
     telemetry: Arc<Telemetry>,
 }
 
-/// `ψ` as Eve runs it, in single-threaded reference form: keep
-/// documents where every term matches the cipher word at its
-/// attribute's position. A free function over ciphertext — no key, no
-/// scheme type, just the public parameters and the received terms.
-/// The sharded engine ([`crate::storage::ShardedTable::scan_batch_on`])
-/// must return exactly this function's output for every query of a
-/// batch; the conformance tests and the `shard_scan` bench hold it to
-/// that.
-#[must_use]
-pub fn execute_query(table: &EncryptedTable, terms: &[WireTrapdoor]) -> EncryptedTable {
-    let docs = table
-        .docs
-        .iter()
-        .filter(|(_, words)| {
-            terms
-                .iter()
-                .all(|t| matches_at(&table.params, t.attr, t, words))
-        })
-        .cloned()
-        .collect();
-    EncryptedTable {
-        params: table.params,
-        docs,
-        next_doc_id: table.next_doc_id,
-    }
-}
-
 /// How Eve sets herself up, read by [`Server::open`]. No field changes
 /// a response or a segment byte. `transcript` decides whether the
 /// [`Observer`] records at all, and `index` adds its probe events to
@@ -332,6 +305,18 @@ impl Server {
     /// [`PhError::Durability`] when the directory cannot be opened or
     /// its contents are corrupt beyond the torn-tail contract.
     pub fn open(config: &ServerConfig, data_dir: Option<&Path>) -> Result<Self, PhError> {
+        Server::open_with_telemetry(config, data_dir, Arc::new(Telemetry::new()))
+    }
+
+    /// [`Server::open`], reporting into `telemetry` instead of a fresh
+    /// registry. A follower opens every generation with the one
+    /// registry its [`crate::replica::Replica`] owns, so its counters
+    /// and histograms carry across re-bootstraps.
+    pub(crate) fn open_with_telemetry(
+        config: &ServerConfig,
+        data_dir: Option<&Path>,
+        telemetry: Arc<Telemetry>,
+    ) -> Result<Self, PhError> {
         let pool = config
             .workers
             .map_or_else(Executor::global, |w| Arc::new(Executor::new(w)));
@@ -344,15 +329,18 @@ impl Server {
             observer: Observer::default(),
             next_batch: Arc::new(AtomicU64::new(0)),
             durable: None,
-            telemetry: Arc::new(Telemetry::new()),
+            telemetry,
         };
         let durable = match data_dir {
             None => None,
             Some(dir) => {
-                let log = DurableLog::open(dir, config.durable.clone(), &scratch.store, |body| {
-                    scratch.apply_logged(body)
-                })?;
-                log.install_telemetry(Arc::clone(&scratch.telemetry));
+                let log = DurableLog::open(
+                    dir,
+                    config.durable.clone(),
+                    Arc::clone(&scratch.telemetry),
+                    &scratch.store,
+                    |body| scratch.apply_logged(body),
+                )?;
                 Some(Arc::new(log))
             }
         };
@@ -976,6 +964,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::swp_ph::execute_query;
     use dbph_swp::{CipherWord, SwpParams};
 
     fn table(n: usize) -> EncryptedTable {

@@ -1819,7 +1819,7 @@ mod tests {
         assert_eq!(batched.len(), 3);
         let flat = st.to_table();
         for (q, result) in views.iter().zip(&batched) {
-            let reference = crate::server::execute_query(&flat, q);
+            let reference = crate::swp_ph::execute_query(&flat, q);
             assert_eq!(result, &reference, "batch diverged");
         }
         let n = 2 * SHARD_DOCS as u64 + 100;

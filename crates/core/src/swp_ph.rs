@@ -12,7 +12,8 @@
 //! * The server's `ψ` checks the trapdoor against word `a` of every
 //!   document and returns the sub-collection of matching documents
 //!   (including the occasional false positive, which the client
-//!   filters after decryption).
+//!   filters after decryption). [`execute_query`] is its one reference
+//!   form.
 //!
 //! Addressing costs the scheme nothing it did not already concede.
 //! The encoding suffixes every word with its attribute id, so a
@@ -59,6 +60,7 @@ use crate::encoding::WordCodec;
 use crate::error::PhError;
 use crate::executor::Executor;
 use crate::ph::{DatabasePh, IncrementalPh};
+use crate::protocol::WireTrapdoor;
 
 /// Results with at least this many rows decrypt in parallel. Below it,
 /// waking a worker costs more than the rows it would take. Measured on
@@ -199,20 +201,37 @@ impl<T: TrapdoorData> TrapdoorData for AddressedTrapdoor<T> {
     }
 }
 
-/// The addressed half of `ψ` for one document: whether word `attr` of
-/// `words` exists and passes the keyless check for `trapdoor`. A
-/// document too short for `attr` matches nothing; a wrong-length word
-/// there is rejected by the check itself.
+/// `ψ` in single-threaded reference form: keep the documents where
+/// every term passes the keyless check against the cipher word at its
+/// attribute's position. A document too short for a term's `attr`
+/// fails that term; a wrong-length word there is rejected by the check
+/// itself. A free function over ciphertext: no key, no scheme type,
+/// just the public parameters and the received terms.
+///
+/// This is the one reference `ψ`. [`SwpPh`]'s [`DatabasePh::apply`]
+/// runs it, and Eve's engine
+/// ([`crate::storage::ShardedTable::scan_batch_on`] and the index
+/// probes) must return exactly its output for every query of a batch;
+/// the conformance suites and the `shard_scan` bench hold it to that.
 #[must_use]
-pub fn matches_at<T: TrapdoorData>(
-    params: &SwpParams,
-    attr: u8,
-    trapdoor: &T,
-    words: &[CipherWord],
-) -> bool {
-    words
-        .get(usize::from(attr))
-        .is_some_and(|cw| matches(params, trapdoor, cw))
+pub fn execute_query(table: &EncryptedTable, terms: &[WireTrapdoor]) -> EncryptedTable {
+    let docs = table
+        .docs
+        .iter()
+        .filter(|(_, words)| {
+            terms.iter().all(|t| {
+                words
+                    .get(usize::from(t.attr))
+                    .is_some_and(|cw| matches(&table.params, t, cw))
+            })
+        })
+        .cloned()
+        .collect();
+    EncryptedTable {
+        params: table.params,
+        docs,
+        next_doc_id: table.next_doc_id,
+    }
 }
 
 /// An encrypted query: one addressed trapdoor per conjunction term.
@@ -512,25 +531,12 @@ impl<S: SearchableScheme> DatabasePh for SwpPh<S> {
     }
 
     fn apply(table: &EncryptedTable, query: &Self::QueryCt) -> EncryptedTable {
-        // ψ: keep the documents where *every* trapdoor matches the
-        // word at its attribute's position. Keyless — only `matches`
-        // is used.
-        let docs = table
-            .docs
+        let terms: Vec<WireTrapdoor> = query
+            .terms
             .iter()
-            .filter(|(_, words)| {
-                query
-                    .terms
-                    .iter()
-                    .all(|term| matches_at(&table.params, term.attr, &term.trapdoor, words))
-            })
-            .cloned()
+            .map(WireTrapdoor::from_trapdoor)
             .collect();
-        EncryptedTable {
-            params: table.params,
-            docs,
-            next_doc_id: table.next_doc_id,
-        }
+        execute_query(table, &terms)
     }
 
     fn ciphertext_len(table: &EncryptedTable) -> usize {
@@ -631,6 +637,31 @@ mod tests {
         for id in &ids {
             assert!(ct.doc_ids().contains(id));
         }
+    }
+
+    #[test]
+    fn execute_query_is_conjunctive() {
+        let ph = ph();
+        let mut ct = ph.encrypt_table(&emp()).unwrap();
+        let term = |attr: &str, value: Value| {
+            let q = ph.encrypt_query(&Query::select(attr, value)).unwrap();
+            WireTrapdoor::from_trapdoor(&q.terms[0])
+        };
+        let it = term("dept", Value::from("IT"));
+        let paid = term("salary", Value::from(4900i64));
+        assert_eq!(
+            execute_query(&ct, &[it.clone(), paid.clone()]).doc_ids(),
+            vec![1, 3]
+        );
+        assert_eq!(
+            execute_query(&ct, &[]).doc_ids(),
+            ct.doc_ids(),
+            "the empty conjunction matches everything"
+        );
+        // Cutting Ng's document short of the salary word breaks the
+        // conjunction for Ng alone.
+        ct.docs[3].1.truncate(2);
+        assert_eq!(execute_query(&ct, &[it, paid]).doc_ids(), vec![1]);
     }
 
     #[test]

@@ -69,12 +69,10 @@ impl Dnf {
     /// returned by [`Dnf::bind`]).
     #[must_use]
     pub fn matches(&self, tuple: &Tuple, bound: &[Vec<usize>]) -> bool {
-        self.disjuncts.iter().zip(bound).any(|(q, idx)| {
-            q.terms()
-                .iter()
-                .zip(idx.iter())
-                .all(|(term, &i)| term.matches_at(tuple, i))
-        })
+        self.disjuncts
+            .iter()
+            .zip(bound)
+            .any(|(q, idx)| q.matches(tuple, idx))
     }
 }
 

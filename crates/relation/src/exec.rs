@@ -18,12 +18,7 @@ pub fn select(relation: &Relation, query: &Query) -> Result<Relation, RelationEr
     let indices = query.bind(relation.schema())?;
     let mut out = Relation::empty(relation.schema().clone());
     for tuple in relation.tuples() {
-        let hit = query
-            .terms()
-            .iter()
-            .zip(indices.iter())
-            .all(|(term, &i)| term.matches_at(tuple, i));
-        if hit {
+        if query.matches(tuple, &indices) {
             out.insert(tuple.clone())
                 .expect("tuple from same schema always validates");
         }
@@ -53,13 +48,7 @@ pub fn project(relation: &Relation, projection: &Projection) -> Result<Vec<Tuple
 /// Returns binding errors (unknown attribute, type mismatch).
 pub fn delete(relation: &mut Relation, query: &Query) -> Result<usize, RelationError> {
     let indices = query.bind(relation.schema())?;
-    Ok(relation.remove_where(|tuple| {
-        query
-            .terms()
-            .iter()
-            .zip(indices.iter())
-            .all(|(term, &i)| term.matches_at(tuple, i))
-    }))
+    Ok(relation.remove_where(|tuple| query.matches(tuple, &indices)))
 }
 
 #[cfg(test)]

@@ -107,6 +107,18 @@ impl Query {
     pub fn bind(&self, schema: &Schema) -> Result<Vec<usize>, RelationError> {
         self.terms.iter().map(|t| t.bind(schema)).collect()
     }
+
+    /// `σ` on one tuple: whether every term holds, given the positions
+    /// [`Query::bind`] returned. Every plaintext check of a conjunction
+    /// (selects, deletes, DNF disjuncts, the client's false-positive
+    /// filter) runs through here.
+    #[must_use]
+    pub fn matches(&self, tuple: &Tuple, bound: &[usize]) -> bool {
+        self.terms
+            .iter()
+            .zip(bound)
+            .all(|(term, &i)| term.matches_at(tuple, i))
+    }
 }
 
 impl fmt::Display for Query {

@@ -27,12 +27,14 @@
 //! that takes no key material** beyond the trapdoor: that keylessness
 //! is what makes the operation outsourceable, and — as the paper's
 //! Theorem 2.1 shows — what makes `q > 0` security impossible.
+//!
+//! The crate stops at one word. Documents, tables and the conjunctive
+//! `ψ` over them belong to `dbph-core` (`swp_ph::execute_query`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod basic;
-pub mod collection;
 pub mod controlled;
 mod engine;
 pub mod error;
@@ -46,7 +48,6 @@ pub mod traits;
 pub mod word;
 
 pub use basic::BasicScheme;
-pub use collection::EncryptedCollection;
 pub use controlled::ControlledScheme;
 pub use error::SwpError;
 pub use final_scheme::FinalScheme;
@@ -54,6 +55,6 @@ pub use hidden::HiddenScheme;
 pub use kernel::ScanKernel;
 pub use label::{index_label, IndexLabel, INDEX_LABEL_LEN};
 pub use params::SwpParams;
-pub use search::{matches, matches_document, PreparedTrapdoor};
+pub use search::{matches, PreparedTrapdoor};
 pub use traits::{CipherWord, Location, SearchableScheme, TrapdoorData};
 pub use word::Word;

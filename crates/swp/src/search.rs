@@ -164,20 +164,6 @@ impl PreparedTrapdoor {
     }
 }
 
-/// Conjunctive document match: every prepared trapdoor must match at
-/// least one of the document's cipher words. This is the whole of `ψ`
-/// for one document under a conjunction of terms.
-#[must_use]
-pub fn matches_document(
-    params: &SwpParams,
-    terms: &[PreparedTrapdoor],
-    words: &[CipherWord],
-) -> bool {
-    terms
-        .iter()
-        .all(|t| words.iter().any(|w| t.matches(params, w)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,39 +317,5 @@ mod tests {
                 matches(&params, &td, &CipherWord(w.clone()))
             );
         }
-    }
-
-    #[test]
-    fn matches_document_is_conjunctive() {
-        let params = SwpParams::new(8, 3, 24).unwrap();
-        let make = |seed: u64| {
-            let key = splatter(seed, 32);
-            let x = splatter(seed ^ 1, 8);
-            let s = splatter(seed ^ 2, 5);
-            let f = HmacPrf::new(&key).eval(&s, 3);
-            let mut c = Vec::new();
-            c.extend(x[..5].iter().zip(&s).map(|(a, b)| a ^ b));
-            c.extend(x[5..].iter().zip(&f).map(|(a, b)| a ^ b));
-            (
-                PreparedTrapdoor::new(&RawTrapdoor { target: x, key }),
-                CipherWord(c),
-            )
-        };
-        let (td_a, word_a) = make(10);
-        let (td_b, word_b) = make(20);
-        let doc = vec![word_a.clone(), word_b];
-        assert!(matches_document(
-            &params,
-            &[td_a.clone(), td_b.clone()],
-            &doc
-        ));
-        assert!(
-            matches_document(&params, &[], &doc),
-            "empty conjunction matches everything"
-        );
-        assert!(
-            !matches_document(&params, &[td_a, td_b], &[word_a]),
-            "dropping b's word must break the conjunction"
-        );
     }
 }

@@ -19,7 +19,8 @@
 //!   positions keeps their match sets and postings apart.
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
-use dbph::core::server::{execute_query, ServerEvent};
+use dbph::core::server::ServerEvent;
+use dbph::core::swp_ph::execute_query;
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{Client, DatabasePh, EncryptedTable, FinalSwpPh, Server, ServerConfig, WordCodec};
 use dbph::crypto::{HmacPrf, Prf, SecretKey};

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use dbph::core::executor::Executor;
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
-use dbph::core::server::execute_query;
 use dbph::core::storage::SHARD_DOCS;
+use dbph::core::swp_ph::execute_query;
 use dbph::core::wire::WireEncode;
 use dbph::core::{DatabasePh, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::SecretKey;

@@ -29,8 +29,8 @@
 //!    sessions and replays each against both transports.
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
-use dbph::core::server::execute_query;
 use dbph::core::storage::SHARD_DOCS;
+use dbph::core::swp_ph::execute_query;
 use dbph::core::{
     DatabasePh, EncryptedTable, FinalSwpPh, NetServer, PooledClient, Server, ServerConfig,
     Transport,

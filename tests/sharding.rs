@@ -25,8 +25,9 @@
 //!    the per-batch memo).
 
 use dbph::core::protocol::{ClientMessage, ServerResponse, WireTrapdoor};
-use dbph::core::server::{execute_query, ServerEvent};
+use dbph::core::server::ServerEvent;
 use dbph::core::storage::SHARD_DOCS;
+use dbph::core::swp_ph::execute_query;
 use dbph::core::wire::{WireDecode, WireEncode};
 use dbph::core::{Client, DatabasePh, FinalSwpPh, Server, ServerConfig};
 use dbph::crypto::SecretKey;

@@ -608,6 +608,8 @@ fn follower_resync_and_chunk_counters_move() {
     .to_wire();
     let _ = primary.handle(&delete);
     replica.sync().unwrap();
+    let chunks_before = replica.server().telemetry().repl_chunks_applied.get();
+    assert!(chunks_before > 0, "tailing must count applied chunks");
     primary.compact().unwrap();
     let _ = primary.handle(&delete);
     replica.sync().unwrap();
@@ -617,6 +619,10 @@ fn follower_resync_and_chunk_counters_move() {
     assert!(
         follower_t.repl_resyncs.get() > 0,
         "resyncs must be operator-visible on the follower registry"
+    );
+    assert!(
+        follower_t.repl_chunks_applied.get() >= chunks_before,
+        "a resync must not reset the follower's counters"
     );
     assert!(
         primary.telemetry().repl_chunks_shipped.get() > 0,
