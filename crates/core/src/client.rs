@@ -173,9 +173,10 @@ impl<T: Transport> Client<T> {
 
     /// Runs a disjunctive (DNF) query: one encrypted exact-select per
     /// disjunct — all disjuncts shipped in a single `QueryBatch`
-    /// round-trip and fanned over the server's worker pool — results
-    /// unioned by document identity client-side, keeping a candidate
-    /// only when the whole DNF holds on its plaintext. That is the set
+    /// round-trip and fanned over the server's worker pool. The
+    /// candidate sets are unioned by document id client-side, so each
+    /// candidate is decrypted once, and a candidate is kept only when
+    /// the whole DNF holds on its plaintext. That is the set
     /// per-disjunct filtering would keep: `ψ` has no false negatives,
     /// so a tuple matching disjunct `j` is among `j`'s candidates.
     /// Each disjunct leaks its own access
@@ -199,17 +200,12 @@ impl<T: Transport> Client<T> {
             },
             dnf.disjuncts().len(),
         )?;
-        let mut seen: std::collections::BTreeMap<u64, Tuple> = std::collections::BTreeMap::new();
-        for candidates in &candidate_tables {
-            for (doc_id, tuple) in self.ph.decrypt_docs(candidates)? {
-                if dnf.matches(&tuple, &bound) {
-                    seen.insert(doc_id, tuple);
-                }
-            }
-        }
+        let candidates = union_by_doc_id(*self.ph.params(), candidate_tables);
         let mut out = Relation::empty(self.ph.schema().clone());
-        for tuple in seen.into_values() {
-            out.insert(tuple)?;
+        for (_, tuple) in self.ph.decrypt_docs(&candidates)? {
+            if dnf.matches(&tuple, &bound) {
+                out.insert(tuple)?;
+            }
         }
         Ok(out)
     }
@@ -321,8 +317,8 @@ impl<T: Transport> Client<T> {
     /// # Errors
     /// Fails on protocol or decryption errors; on failure the old
     /// table may already be dropped — callers wanting stronger
-    /// atomicity should snapshot first ([`Self::export_snapshot`] /
-    /// `dbph_core::snapshot`).
+    /// atomicity should snapshot first: [`Self::fetch_table_chunked`],
+    /// then `dbph_core::snapshot::export`.
     pub fn rekey(&mut self, new_ph: FinalSwpPh) -> Result<(), PhError> {
         if new_ph.schema() != self.ph.schema() {
             return Err(PhError::SchemaMismatch {
@@ -400,18 +396,6 @@ impl<T: Transport> Client<T> {
         self.ph.decrypt_table(&table)
     }
 
-    /// Streams the table ciphertext down in bounded chunks and packs
-    /// it into a `dbph_core::snapshot` export blob — the offline
-    /// backup Alex takes before risky operations, now without ever
-    /// buffering the table in one transport frame.
-    ///
-    /// # Errors
-    /// As [`Self::fetch_table_chunked`].
-    pub fn export_snapshot(&self, chunk_bytes: u64) -> Result<Vec<u8>, PhError> {
-        let table = self.fetch_table_chunked(chunk_bytes)?;
-        Ok(crate::snapshot::export(&self.table_name, &table))
-    }
-
     /// Downloads and decrypts the whole table.
     ///
     /// # Errors
@@ -431,6 +415,28 @@ impl<T: Transport> Client<T> {
         self.expect_ok(&ClientMessage::DropTable {
             name: self.table_name.clone(),
         })
+    }
+}
+
+/// Unions the candidate tables of a batch by document id, in
+/// ascending id order, so a document that several queries return is
+/// decrypted once.
+fn union_by_doc_id(
+    params: dbph_swp::SwpParams,
+    tables: Vec<crate::swp_ph::EncryptedTable>,
+) -> crate::swp_ph::EncryptedTable {
+    let mut docs = std::collections::BTreeMap::new();
+    let mut next_doc_id = 0;
+    for table in tables {
+        next_doc_id = next_doc_id.max(table.next_doc_id);
+        for (doc_id, words) in table.docs {
+            docs.entry(doc_id).or_insert(words);
+        }
+    }
+    crate::swp_ph::EncryptedTable {
+        params,
+        docs: docs.into_iter().collect(),
+        next_doc_id,
     }
 }
 
@@ -675,6 +681,34 @@ mod tests {
     }
 
     #[test]
+    fn union_by_doc_id_keeps_each_document_once() {
+        let params = dbph_swp::SwpParams::new(13, 4, 32).unwrap();
+        let table = |ids: &[u64], next_doc_id: u64| crate::swp_ph::EncryptedTable {
+            params,
+            docs: ids
+                .iter()
+                .map(|&id| (id, vec![dbph_swp::CipherWord(vec![id as u8; 13])]))
+                .collect(),
+            next_doc_id,
+        };
+        let union = union_by_doc_id(
+            params,
+            vec![
+                table(&[1, 4, 7], 9),
+                table(&[], 9),
+                table(&[0, 4, 8], 9),
+                table(&[7, 1, 2], 9),
+            ],
+        );
+        assert_eq!(union.doc_ids(), vec![0, 1, 2, 4, 7, 8]);
+        for (id, words) in &union.docs {
+            assert_eq!(words, &vec![dbph_swp::CipherWord(vec![*id as u8; 13])]);
+        }
+        assert_eq!(union.next_doc_id, 9);
+        assert_eq!(union.params, params);
+    }
+
+    #[test]
     fn select_dnf_single_disjunct_matches_plain_select() {
         let (mut client, _server) = setup();
         client.outsource(&emp()).unwrap();
@@ -811,7 +845,8 @@ mod tests {
     fn export_snapshot_streams_and_imports_back() {
         let (mut client, _server) = setup();
         client.outsource(&emp()).unwrap();
-        let blob = client.export_snapshot(128).unwrap();
+        let streamed = client.fetch_table_chunked(128).unwrap();
+        let blob = crate::snapshot::export(client.table_name(), &streamed);
         let (name, table) = crate::snapshot::import(&blob).unwrap();
         assert_eq!(name, client.table_name());
         // The snapshot holds the exact ciphertext a FetchAll returns.

@@ -8,7 +8,8 @@
 //!   by a seeded deterministic generator, loses requests before
 //!   delivery, loses responses *after* the server applied the request
 //!   (the crash-after-apply-before-reply case that breaks naive retry),
-//!   delays exchanges, or cuts pipelined batches short mid-way.
+//!   or delays exchanges. A batch travels as one message (`AppendBatch`,
+//!   `QueryBatch`), so it is lost or applied whole, like any other.
 //! * [`ChaosProxy`] sits between a real TCP client and a real
 //!   [`NetServer`](crate::net::NetServer), forwarding length-prefixed
 //!   frames and injecting connection resets, torn half-written frames,
@@ -129,9 +130,7 @@ enum Fault {
 ///
 /// Faulted exchanges return [`PhError::Transport`]; a lost *response*
 /// still drives the inner transport first, so the server genuinely
-/// applied the mutation the client will now retry. Batched calls can
-/// be cut short mid-way, applying a prefix of the batch and failing
-/// the rest — the partial-pipeline case.
+/// applied the mutation the client will now retry.
 ///
 /// [`FaultTransport::disarm`] turns injection off (pass-through) so a
 /// test can end its run in calm weather and let outstanding retries
@@ -198,12 +197,6 @@ impl<T: Transport> FaultTransport<T> {
         }
         fault
     }
-
-    /// How many leading requests of an unluckily-cut batch still get
-    /// applied (somewhere in `0..len`).
-    fn cut_point(&self, len: usize) -> usize {
-        self.rng.lock().below(len as u64) as usize
-    }
 }
 
 impl<T: Transport> Transport for FaultTransport<T> {
@@ -223,34 +216,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
                 self.inner.call(request)
             }
             Fault::Pass => self.inner.call(request),
-        }
-    }
-
-    fn call_many(&self, requests: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, PhError> {
-        match self.pick() {
-            Fault::LoseRequest => {
-                // The pipeline died mid-send: a prefix of the batch
-                // reached the server and was applied, the rest never
-                // arrived, and the client saw no responses at all.
-                let applied = self.cut_point(requests.len());
-                for request in &requests[..applied] {
-                    let _ = self.inner.call(request)?;
-                }
-                Err(PhError::Transport(
-                    "injected fault: pipeline cut mid-batch".into(),
-                ))
-            }
-            Fault::LoseResponse => {
-                let _applied = self.inner.call_many(requests)?;
-                Err(PhError::Transport(
-                    "injected fault: batch responses lost after apply".into(),
-                ))
-            }
-            Fault::Delay => {
-                std::thread::sleep(self.plan.delay);
-                self.inner.call_many(requests)
-            }
-            Fault::Pass => self.inner.call_many(requests),
         }
     }
 }

@@ -27,12 +27,11 @@
 //!   another session's scan, and a follower's replication long-poll
 //!   (`ReplPull`) parks only its own thread.
 //! * [`PooledClient`] — a connection pool with bounded capacity,
-//!   blocking checkout/return, transparent reconnect when a pooled
-//!   connection has gone stale (server restart, idle timeout, EOF),
-//!   and pipelining: [`Transport::call_many`] streams all request
-//!   frames back-to-back while concurrently draining responses, so a
-//!   session of K messages pays one round-trip, not K — at any frame
-//!   size.
+//!   blocking checkout/return, and transparent reconnect when a pooled
+//!   connection has gone stale (server restart, idle timeout, EOF).
+//!   Every exchange is one request frame out and one response frame
+//!   in; a session that wants K operations in one round trip sends one
+//!   batch message (`QueryBatch`, `AppendBatch`), not K frames.
 //!
 //! **Leakage argument.** The socket adds *timing* and *framing*, never
 //! content: each frame's payload is byte-for-byte the message
@@ -45,6 +44,7 @@
 //! responses *and* transcripts over loopback TCP must be byte-identical
 //! to the in-process path for the whole workload matrix.
 
+use std::borrow::Cow;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -82,16 +82,6 @@ pub trait Transport {
     /// [`PhError::Transport`] when the transport fails; the in-process
     /// transport never fails.
     fn call(&self, request: &[u8]) -> Result<Vec<u8>, PhError>;
-
-    /// Sends several independent requests, returning their responses
-    /// in order. The default forwards to [`Transport::call`] one at a
-    /// time; networked transports override it to pipeline.
-    ///
-    /// # Errors
-    /// As [`Transport::call`].
-    fn call_many(&self, requests: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, PhError> {
-        requests.iter().map(|r| self.call(r)).collect()
-    }
 }
 
 /// The in-process transport: the function call the repro always had.
@@ -105,9 +95,6 @@ impl Transport for Server {
 impl<T: Transport> Transport for Arc<T> {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>, PhError> {
         (**self).call(request)
-    }
-    fn call_many(&self, requests: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, PhError> {
-        (**self).call_many(requests)
     }
 }
 
@@ -295,7 +282,7 @@ const MAX_CONSECUTIVE_ACCEPT_FAILURES: usize = 500;
 /// clamps to `net.core.somaxconn`). `TcpListener::bind` hardcodes a
 /// backlog of 128, which a thousand-session connect storm overflows —
 /// and with syncookies an overflowed handshake surfaces as a
-/// connection *reset* on a client that already pipelined requests,
+/// connection *reset* on a client that already sent its requests,
 /// not as polite queueing. Re-listening deepens the queue in place.
 const ACCEPT_BACKLOG: i32 = 4096;
 
@@ -676,11 +663,6 @@ impl Default for PoolOptions {
 ///   those identical bytes, so the server's dedup window replays the
 ///   original response instead of re-applying. Queries are idempotent
 ///   and retried untagged.
-/// * **Pipelining.** [`Transport::call_many`] streams every request
-///   frame back-to-back while a concurrent reader drains the in-order
-///   responses from the same connection — see
-///   `PooledClient::pipeline`'s note on why the concurrency is what
-///   makes large pipelined frames deadlock-free.
 ///
 /// Cloning shares the pool (the clone is the same pool, same budget),
 /// so several crypto clients — or threads — can hold it cheaply.
@@ -918,115 +900,31 @@ impl PooledClient {
         self.inner.returned.notify_one();
     }
 
-    /// One exchange on one connection: all request frames streamed
-    /// back-to-back, responses read in order. Frames go straight to
-    /// the socket — no staging copy of the (possibly multi-megabyte)
-    /// payloads.
-    ///
-    /// For a multi-frame pipeline the sender runs on its own scoped
-    /// thread while this thread reads responses. That concurrency is
-    /// load-bearing, not an optimization: the server handles one
-    /// request at a time per connection and blocks writing each
-    /// response before reading the next request, so a client that
-    /// finished *all* its writes before its first read would deadlock
-    /// with the server as soon as the frames in flight outgrow the
-    /// kernel's socket buffers (a single large table response is
-    /// enough). Reading while writing keeps both windows draining at
-    /// any frame size.
-    fn pipeline<B: AsRef<[u8]> + Sync>(
-        conn: &mut TcpStream,
-        requests: &[B],
-    ) -> Result<Vec<Vec<u8>>, PhError> {
-        if let [request] = requests {
-            // Unary fast path: the server necessarily reads the whole
-            // request before writing anything back, so a plain
-            // write-then-read cannot deadlock and needs no thread.
-            codec::write_frame(conn, request.as_ref())?;
-            return match codec::read_frame(conn)? {
-                Some(response) => Ok(vec![response]),
-                None => Err(PhError::Transport(
-                    "server closed the connection mid-exchange".into(),
-                )),
-            };
-        }
-        let mut sender_stream = conn
-            .try_clone()
-            .map_err(|e| PhError::Transport(format!("clone for pipelined send failed: {e}")))?;
-        std::thread::scope(|scope| {
-            let sender = scope.spawn(move || -> Result<(), PhError> {
-                let result = requests.iter().try_for_each(|request| {
-                    codec::write_frame(&mut sender_stream, request.as_ref())
-                });
-                if result.is_err() {
-                    // A request will never reach the server, so its
-                    // response will never arrive; half-close so the
-                    // server sees EOF, hangs up, and unblocks the
-                    // reader below instead of leaving it waiting.
-                    let _ = sender_stream.shutdown(Shutdown::Write);
-                }
-                result
-            });
-            let mut responses = Vec::with_capacity(requests.len());
-            let mut read_error = None;
-            for _ in requests {
-                match codec::read_frame(conn) {
-                    Ok(Some(response)) => responses.push(response),
-                    Ok(None) => {
-                        read_error = Some(PhError::Transport(
-                            "server closed the connection mid-exchange".into(),
-                        ));
-                        break;
-                    }
-                    Err(e) => {
-                        read_error = Some(e);
-                        break;
-                    }
-                }
-            }
-            if read_error.is_some() {
-                // The exchange is dead; a sender wedged on a full
-                // socket buffer must be unblocked or the scope join
-                // below would hang.
-                let _ = conn.shutdown(Shutdown::Both);
-            }
-            let send_result = sender
-                .join()
-                .unwrap_or_else(|_| Err(PhError::Transport("pipelined sender panicked".into())));
-            match (read_error, send_result) {
-                // All responses arrived: the exchange succeeded even
-                // if the socket then failed under the sender's final
-                // flush — the connection is returned and the next
-                // checkout's staleness probe deals with the corpse.
-                (None, _) => Ok(responses),
-                // Both sides failed: the send failure is the root
-                // cause (the read side merely saw the hang-up).
-                (Some(_), Err(send_error)) => Err(send_error),
-                (Some(read_error), Ok(())) => Err(read_error),
-            }
-        })
-    }
-
-    /// Checkout → pipeline → return. Checkout already replaced any
-    /// detectably dead pooled connection; a failure from here on means
-    /// the request may or may not have reached the server, so the
-    /// connection is dropped and the error surfaces — deliberately no
-    /// silent re-send (see the type-level docs).
-    fn exchange<B: AsRef<[u8]> + Sync>(&self, requests: &[B]) -> Result<Vec<Vec<u8>>, PhError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// Checkout → one request frame out, one response frame in →
+    /// return. The frame goes straight to the socket, with no staging
+    /// copy of a (possibly multi-megabyte) payload, and the server reads
+    /// the whole request before it writes anything back, so
+    /// write-then-read cannot deadlock at any frame size. Checkout
+    /// already replaced any detectably dead pooled connection; a failure
+    /// from here on means the request may or may not have reached the
+    /// server, so the connection is dropped and the error surfaces —
+    /// deliberately no silent re-send (see the type-level docs).
+    fn exchange(&self, request: &[u8]) -> Result<Vec<u8>, PhError> {
         let mut conn = self.checkout()?;
-        match Self::pipeline(&mut conn, requests) {
-            Ok(responses) => {
-                self.give_back(conn);
-                Ok(responses)
-            }
-            Err(e) => {
-                drop(conn);
-                self.release_slot();
-                Err(e)
-            }
+        let response = codec::write_frame(&mut conn, request)
+            .and_then(|()| codec::read_frame(&mut conn))
+            .and_then(|frame| {
+                frame.ok_or_else(|| {
+                    PhError::Transport("server closed the connection mid-exchange".into())
+                })
+            });
+        if response.is_ok() {
+            self.give_back(conn);
+        } else {
+            drop(conn);
+            self.release_slot();
         }
+        response
     }
 
     /// Wraps `request` in a [`tag::TAGGED`] envelope with a freshly
@@ -1034,15 +932,15 @@ impl PooledClient {
     /// through unchanged. Only called on the retrying path — the
     /// envelope bytes are built once per call and resent verbatim on
     /// every attempt, which is what makes server-side dedup sound.
-    fn prepare(&self, request: &[u8]) -> Vec<u8> {
+    fn prepare<'a>(&self, request: &'a [u8]) -> Cow<'a, [u8]> {
         match request.first() {
             Some(&t) if tag::is_mutation_tag(t) => {
                 let seq = self.inner.seq.fetch_add(1, Ordering::SeqCst);
                 let mut tagged = Vec::with_capacity(request.len() + 17);
                 protocol::encode_tagged(self.inner.client_id, seq, request, &mut tagged);
-                tagged
+                Cow::Owned(tagged)
             }
-            _ => request.to_vec(),
+            _ => Cow::Borrowed(request),
         }
     }
 
@@ -1057,20 +955,17 @@ impl PooledClient {
     /// attempts burn in milliseconds and the caller learns the server
     /// is *gone* (not slow) fast enough to fail over to a promoted
     /// follower via [`redirect`](Self::redirect).
-    fn exchange_with_retry<B: AsRef<[u8]> + Sync>(
-        &self,
-        requests: &[B],
-    ) -> Result<Vec<Vec<u8>>, PhError> {
+    fn exchange_with_retry(&self, request: &[u8]) -> Result<Vec<u8>, PhError> {
         let policy = &self.inner.retry;
         if policy.max_attempts <= 1 {
-            return self.exchange(requests);
+            return self.exchange(request);
         }
-        let prepared: Vec<Vec<u8>> = requests.iter().map(|r| self.prepare(r.as_ref())).collect();
+        let prepared = self.prepare(request);
         let started = Instant::now();
         let mut attempt = 1u32;
         loop {
             match self.exchange(&prepared) {
-                Ok(responses) => return Ok(responses),
+                Ok(response) => return Ok(response),
                 Err(e @ PhError::Transport(_)) => {
                     if attempt >= policy.max_attempts {
                         return Err(e);
@@ -1103,14 +998,7 @@ impl PooledClient {
 
 impl Transport for PooledClient {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>, PhError> {
-        let mut responses = self.exchange_with_retry(std::slice::from_ref(&request))?;
-        responses
-            .pop()
-            .ok_or_else(|| PhError::Transport("exchange returned no response".into()))
-    }
-
-    fn call_many(&self, requests: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, PhError> {
-        self.exchange_with_retry(requests)
+        self.exchange_with_retry(request)
     }
 }
 
@@ -1171,49 +1059,12 @@ mod tests {
     }
 
     #[test]
-    fn call_many_pipelines_in_order() {
-        let (_server, handle) = spawn_server();
-        let client = PooledClient::connect(handle.addr(), 1).unwrap();
-        let mut requests = vec![ClientMessage::CreateTable {
-            name: "t".into(),
-            table: table(5).into(),
-        }
-        .to_wire()];
-        // Interleave fetches and appends; responses must track exactly.
-        requests.push(ClientMessage::FetchAll { name: "t".into() }.to_wire());
-        requests.push(
-            ClientMessage::Append {
-                name: "t".into(),
-                doc_id: 5,
-                words: vec![CipherWord(vec![9; 13])],
-            }
-            .to_wire(),
-        );
-        requests.push(ClientMessage::FetchAll { name: "t".into() }.to_wire());
-
-        let responses = client.call_many(&requests).unwrap();
-        assert_eq!(responses.len(), 4);
-        assert_eq!(
-            ServerResponse::from_wire(&responses[0]).unwrap(),
-            ServerResponse::Ok
-        );
-        match ServerResponse::from_wire(&responses[1]).unwrap() {
-            ServerResponse::Table(t) => assert_eq!(t.len(), 5),
-            other => panic!("unexpected {other:?}"),
-        }
-        match ServerResponse::from_wire(&responses[3]).unwrap() {
-            ServerResponse::Table(t) => assert_eq!(t.len(), 6),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pipelined_large_frames_do_not_deadlock() {
-        // Frames far beyond the kernel's socket buffers, pipelined:
-        // a ~8 MiB table response flows back while the ~8 MiB create
-        // request for a second table is still being written. Without
-        // the concurrent sender this wedges both sides permanently
-        // (CI's timeout is what would catch a regression here).
+    fn large_frames_round_trip_in_both_directions() {
+        // Frames far beyond the kernel's socket buffers, one per
+        // exchange: a ~8 MiB create request, then a ~8 MiB table
+        // response, both through the pool's write-then-read path. The
+        // server reads each request whole before answering, so neither
+        // side can wedge (CI's timeout is what would catch one).
         let (_server, handle) = spawn_server();
         let client = PooledClient::connect(handle.addr(), 1).unwrap();
         let big = EncryptedTable {
@@ -1223,42 +1074,24 @@ mod tests {
                 .collect(),
             next_doc_id: 2048,
         };
-        let create_t1 = ClientMessage::CreateTable {
+        let create = ClientMessage::CreateTable {
             name: "t1".into(),
             table: big.clone().into(),
         }
         .to_wire();
+        assert!(create.len() > 8 << 20);
         assert_eq!(
-            ServerResponse::from_wire(&client.call(&create_t1).unwrap()).unwrap(),
+            ServerResponse::from_wire(&client.call(&create).unwrap()).unwrap(),
             ServerResponse::Ok
         );
-        let fetch_t1 = ClientMessage::FetchAll { name: "t1".into() }.to_wire();
-        let create_t2 = ClientMessage::CreateTable {
-            name: "t2".into(),
-            table: big.into(),
+        let fetch = ClientMessage::FetchAll { name: "t1".into() }.to_wire();
+        let response = client.call(&fetch).unwrap();
+        assert!(response.len() > 8 << 20);
+        match ServerResponse::from_wire(&response).unwrap() {
+            ServerResponse::Table(t) => assert_eq!(t, big),
+            other => panic!("unexpected {other:?}"),
         }
-        .to_wire();
-        let responses = client
-            .call_many(&[fetch_t1.clone(), create_t2, fetch_t1])
-            .unwrap();
-        assert_eq!(responses.len(), 3);
-        for slot in [0usize, 2] {
-            match ServerResponse::from_wire(&responses[slot]).unwrap() {
-                ServerResponse::Table(t) => assert_eq!(t.len(), 2048),
-                other => panic!("slot {slot}: unexpected {other:?}"),
-            }
-        }
-        assert_eq!(
-            ServerResponse::from_wire(&responses[1]).unwrap(),
-            ServerResponse::Ok
-        );
-    }
-
-    #[test]
-    fn empty_call_many_touches_nothing() {
-        let (_server, handle) = spawn_server();
-        let client = PooledClient::connect(handle.addr(), 1).unwrap();
-        assert!(client.call_many(&[]).unwrap().is_empty());
+        assert_eq!(client.open_connections(), 1);
     }
 
     #[test]

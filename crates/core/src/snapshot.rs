@@ -9,11 +9,11 @@
 //!
 //! Layout: `magic ‖ version ‖ table-name ‖ EncryptedTable ‖ sha256`.
 //!
-//! Fetching the table to snapshot no longer requires one monolithic
-//! `FetchAll` frame: [`crate::client::Client::export_snapshot`]
-//! streams the ciphertext down as bounded `FetchChunk` pages and packs
-//! the reassembled table through [`export`], so the snapshot path
-//! works for tables beyond the transport's frame cap.
+//! Fetching the table to snapshot needs no monolithic `FetchAll`
+//! frame: [`crate::client::Client::fetch_table_chunked`] streams the
+//! ciphertext down as bounded `FetchChunk` pages, and [`export`] packs
+//! the reassembled table, so the snapshot path works for tables beyond
+//! the transport's frame cap.
 
 use dbph_crypto::sha256::Sha256;
 

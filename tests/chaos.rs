@@ -11,11 +11,11 @@
 //!    protocol drift.
 //! 2. **In-process chaos.** A seeded [`FaultTransport`] loses
 //!    requests, loses responses *after* the server applied them (the
-//!    schedule that breaks naive retry), cuts pipelined batches short,
-//!    and delays exchanges, while the client retries each mutation
-//!    envelope verbatim. Every mutation must end acknowledged `Ok`,
-//!    and the final store must equal a reference store that applied
-//!    each mutation exactly once.
+//!    schedule that breaks naive retry), and delays exchanges, while
+//!    the client retries each mutation envelope verbatim — one-row
+//!    appends and four-row `AppendBatch` messages alike. Every mutation
+//!    must end acknowledged `Ok`, and the final store must equal a
+//!    reference store that applied each mutation exactly once.
 //! 3. **Crash-restart.** The same discipline across a durable server
 //!    kill: acked-then-retried envelopes replay from the recovered
 //!    dedup window (rebuilt from the raw log records) instead of
@@ -208,7 +208,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
-    fn pipelined_batches_cut_mid_way_still_apply_exactly_once(seed in any::<u64>()) {
+    fn tagged_append_batches_apply_exactly_once_under_faults(seed in any::<u64>()) {
         let server = Server::open(&ServerConfig::default(), None).unwrap();
         let faulty = FaultTransport::new(server.clone(), seed, FaultPlan::default());
         let reference = Server::open(&ServerConfig::default(), None).unwrap();
@@ -216,38 +216,28 @@ proptest! {
         prop_assert!(is_ok(&retry_until_acked(&faulty, &create_msg("T").tagged(3, 1).to_wire())));
         prop_assert!(is_ok(&reference.handle(&create_msg("T").to_wire())));
 
-        // Three batches of four appends; a batch cut mid-way applies a
-        // prefix server-side, and the whole-batch retry must replay
-        // the applied prefix and freshly apply the rest.
+        // Three batches of four appends, each one tagged `AppendBatch`
+        // message: a batch is applied whole or not at all, and a retry
+        // of one whose response was lost must replay, not re-apply.
         for batch in 0..3u64 {
-            let envelopes: Vec<Vec<u8>> = (0..4u64)
+            let docs = (0..4u64)
                 .map(|k| {
                     let id = batch * 4 + k;
-                    append_msg("T", id).tagged(3, 2 + id).to_wire()
+                    (id, vec![word(id)])
                 })
                 .collect();
-            let mut attempts = 0;
-            let acked = loop {
-                match faulty.call_many(&envelopes) {
-                    Ok(responses) => break responses,
-                    Err(_) if attempts < 12 => attempts += 1,
-                    Err(_) => {
-                        // End the storm; the clean retry must replay,
-                        // not re-apply.
-                        faulty.disarm();
-                        let responses = faulty.call_many(&envelopes).expect("clean batch");
-                        faulty.arm();
-                        break responses;
-                    }
-                }
-            };
-            for (k, resp) in acked.iter().enumerate() {
-                prop_assert!(
-                    is_ok(resp),
-                    "seed {seed}: batch {batch} slot {k} acked an error: {:?}",
-                    decode(resp)
-                );
+            let envelope = ClientMessage::AppendBatch {
+                name: "T".into(),
+                docs,
             }
+            .tagged(3, 2 + batch)
+            .to_wire();
+            let acked = retry_until_acked(&faulty, &envelope);
+            prop_assert!(
+                is_ok(&acked),
+                "seed {seed}: batch {batch} acked an error: {:?}",
+                decode(&acked)
+            );
             for k in 0..4u64 {
                 prop_assert!(is_ok(&reference.handle(&append_msg("T", batch * 4 + k).to_wire())));
             }

@@ -19,8 +19,9 @@
 //!    sits above `handle`, so it cannot add, drop, reorder, or tag
 //!    events.
 //! 3. **Concurrency discipline.** Eight client threads multiplexed
-//!    over a two-connection pool, firing pipelined batches, each see
-//!    only their own session's responses, in order, and the server
+//!    over a two-connection pool, each firing runs of three
+//!    type-alternating calls, see only their own session's responses,
+//!    in order, and the server
 //!    shuts down cleanly afterwards (accept loop and every connection
 //!    thread joined — a leak hangs the test, which CI runs under a
 //!    timeout).
@@ -270,49 +271,6 @@ fn tcp_responses_and_transcripts_equal_in_process_across_matrix() {
 }
 
 #[test]
-fn pipelined_replay_is_byte_identical_too() {
-    // The same workload pushed through call_many — every frame
-    // streamed before the first read — must still produce the same
-    // bytes in the same order.
-    let relation = EmployeeGen {
-        rows: 150,
-        ..EmployeeGen::default()
-    }
-    .generate(3);
-    let messages = workload_messages(&relation);
-
-    let local = Server::open(
-        &ServerConfig {
-            transcript: true,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    let local_responses = replay(&local, &messages);
-
-    let remote = Server::open(
-        &ServerConfig {
-            transcript: true,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    let handle = NetServer::spawn(remote.clone(), "127.0.0.1:0").unwrap();
-    let pool = PooledClient::connect(handle.addr(), 1).unwrap();
-    let tcp_responses = pool.call_many(&messages).unwrap();
-
-    assert_eq!(tcp_responses, local_responses);
-    let events = local.observer().events();
-    assert!(!events.is_empty(), "the local session recorded no events");
-    assert_eq!(remote.observer().events(), events);
-    // The whole pipeline crossed exactly one connection.
-    assert_eq!(remote.telemetry().net_conns_accepted.get(), 1);
-    handle.shutdown();
-}
-
-#[test]
 fn crypto_client_sessions_agree_across_transports() {
     // End-to-end through the key-holding client: decrypted results
     // over TCP equal decrypted results in-process.
@@ -435,12 +393,13 @@ fn stress_eight_sessions_over_two_connections() {
                 .to_wire();
 
                 for _ in 0..ROUNDS {
-                    // Pipelined, type-alternating batch: the response
+                    // Three type-alternating calls: the response
                     // *variants* pin per-session ordering (Table, Ok,
                     // Table) and the doc ids pin session identity.
-                    let responses = pool
-                        .call_many(&[fetch.clone(), noop_delete.clone(), query.clone()])
-                        .unwrap();
+                    let responses: Vec<Vec<u8>> = [&fetch, &noop_delete, &query]
+                        .into_iter()
+                        .map(|request| pool.call(request).unwrap())
+                        .collect();
                     assert_eq!(responses.len(), 3);
                     match ServerResponse::from_wire(&responses[0]).unwrap() {
                         ServerResponse::Table(t) => {

@@ -16,8 +16,9 @@
 //!    implies the live follower already has it durably; with no
 //!    follower the wait degrades to async after the timeout and is
 //!    counted, never wedged.
-//! 4. **Chaos failover.** Kill the primary mid-pipelined-batch with a
-//!    `ChaosProxy` on the replication link, promote the follower,
+//! 4. **Chaos failover.** Kill the primary while a client sends its
+//!    mutations one call at a time, with a `ChaosProxy` on the
+//!    replication link; promote the follower,
 //!    redirect the retrying `PooledClient`, re-send every envelope —
 //!    every acked mutation lands exactly once on the new primary, and
 //!    the final store equals a reference that applied each op once.
@@ -855,21 +856,30 @@ proptest! {
             prop_assert!(is_ok(&resp), "seed {}: acked an error", seed);
         }
 
-        // Phase 2: pipeline the rest and kill the primary mid-batch.
+        // Phase 2: send the rest one call at a time and kill the
+        // primary part-way through; the sender stops at its first
+        // error.
         let tail: Vec<Vec<u8>> = ops[split..].to_vec();
-        let batch_client = client.clone();
-        let sender = std::thread::spawn(move || batch_client.call_many(&tail));
+        let tail_client = client.clone();
+        let sender = std::thread::spawn(move || {
+            let mut responses = Vec::new();
+            for bytes in &tail {
+                match tail_client.call(bytes) {
+                    Ok(resp) => responses.push(resp),
+                    Err(_) => break,
+                }
+            }
+            responses
+        });
         std::thread::sleep(Duration::from_millis(seed % 7 + 1));
         handle.sever_connections();
         handle.shutdown();
-        // An Err means the kill landed mid-batch: an unknown prefix
-        // applied, and exactly-once for those ops is exactly what the
-        // re-send below must prove. An Ok means the batch finished
-        // first — then every response it returned was a real ack.
-        if let Ok(responses) = sender.join().expect("sender panicked") {
-            for resp in &responses {
-                prop_assert!(is_ok(resp), "seed {}: pipelined ack was an error", seed);
-            }
+        // A short list means the kill landed mid-tail: the failed call
+        // may or may not have applied, and exactly-once for it is
+        // exactly what the re-send below must prove. Every response
+        // that did arrive was a real ack.
+        for resp in &sender.join().expect("sender panicked") {
+            prop_assert!(is_ok(resp), "seed {}: tail ack was an error", seed);
         }
         drop(primary); // release the dir lock: the primary process is gone
 
