@@ -155,7 +155,7 @@ impl Default for DurableOptions {
 
 /// Wire shape of a persisted index image: per table, each posting as
 /// `((attr, label bytes), (bound, doc ids))`.
-type IndexImageWire = Vec<(String, Vec<((u8, Vec<u8>), (u64, Vec<u64>))>)>;
+pub(crate) type IndexImageWire = Vec<(String, Vec<((u8, Vec<u8>), (u64, Vec<u64>))>)>;
 
 /// Mutable write-side state, guarded by [`DurableLog::writer`].
 struct Writer {

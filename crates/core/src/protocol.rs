@@ -581,6 +581,9 @@ impl WireEncode for ServerResponse {
                 records,
                 next_offset,
             } => {
+                // A chunk runs to megabytes: size the buffer once, since
+                // growing into it would leave it at twice the chunk.
+                buf.reserve(1 + 8 + records.len() + 8);
                 buf.push(6);
                 records.encode(buf);
                 next_offset.encode(buf);

@@ -77,12 +77,23 @@ pub const PARALLEL_DECRYPT_ROWS: usize = 16;
 /// row encrypts in about 1.6–1.9 µs: serial time over fan-out time
 /// (medians of nine) was 0.67 at 16 rows, 0.94 at 32, 1.00 at 48,
 /// 1.21 at 64, 1.31 at 96 and 1.57 at 256. So a 16-row
-/// `insert_many` stays on the caller's thread.
+/// `insert_many` stays on the caller's thread. A batch below one
+/// [`FAN_OUT_WAVE_ROWS`] wave is one wave at any wave size, so the
+/// wave size leaves this trade alone. Re-measured with 1,024-row waves
+/// on the same kind of host (medians of seven): 1.13 at 64, 1.31 at
+/// 128, 1.34 at 256, 1.46 at 512 and 1.46 at 1,024; an earlier set
+/// under heavier load read 0.80 at 64 and 0.88 at 128.
 pub const PARALLEL_ENCRYPT_ROWS: usize = 64;
 
 /// Rows per fan-out wave: a wave's rows are split over the pool, one
 /// contiguous chunk per core, and each job copies only its chunk.
-pub const FAN_OUT_WAVE_ROWS: usize = 256;
+/// Every wave pays two cross-thread wake-ups (scatter and join).
+/// Measured on a 2-vCPU AVX-512 host: `encrypt_columnar` of 20,000
+/// `Emp` rows, medians of five interleaved rounds of nine, took
+/// 48.6 ms serial and 38.0 / 35.6 / 33.8 / 34.1 / 32.9 ms at 256 /
+/// 512 / 1,024 / 2,048 / 4,096 rows per wave. Past 1,024 the gain is
+/// inside the noise while each job's copy keeps growing.
+pub const FAN_OUT_WAVE_ROWS: usize = 1024;
 
 /// Alex's pool for row encryption and result decryption, built on
 /// first use with one

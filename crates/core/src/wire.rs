@@ -12,6 +12,17 @@
 //! Varints are deliberately avoided: fixed-width integers keep message
 //! sizes independent of the values they carry, which matters when the
 //! bytes are adversary-visible.
+//!
+//! A list is a `u64` length prefix and its elements, coded one by one
+//! ([`WireEncode::encode_slice`], [`WireDecode::decode_vec`]). That is
+//! for structured elements; byte strings — every `Vec<u8>`: cipher
+//! words, trapdoor fields, index labels, log images, replication
+//! chunks — cross as the length prefix plus one copy, because `u8`
+//! overrides both methods. The one copy writes exactly the bytes, and
+//! refuses truncated input with exactly the errors, of the
+//! element-by-element coding (`wire::tests` pins both against a
+//! per-element reference), so no byte on the wire, on disk or in a
+//! replication stream depends on which path produced it.
 
 use crate::arena::WordArena;
 use crate::error::PhError;
@@ -21,6 +32,17 @@ use crate::swp_ph::ColumnarTable;
 pub trait WireEncode {
     /// Appends this value's encoding to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
+
+    /// Appends the elements of a list, without its length prefix: one
+    /// [`Self::encode`] each. `u8` overrides it with one copy.
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
+    }
 
     /// Convenience: encodes into a fresh buffer.
     fn to_wire(&self) -> Vec<u8> {
@@ -37,6 +59,20 @@ pub trait WireDecode: Sized {
     /// # Errors
     /// Returns [`PhError::Wire`] on truncated or malformed input.
     fn decode(r: &mut Reader<'_>) -> Result<Self, PhError>;
+
+    /// Reads the `len` elements of a list whose length prefix was
+    /// already read and bounded: one [`Self::decode`] each. `u8`
+    /// overrides it with one copy.
+    ///
+    /// # Errors
+    /// Returns [`PhError::Wire`] on truncated or malformed input.
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, PhError> {
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 
     /// Convenience: decodes a whole buffer, requiring full consumption.
     ///
@@ -108,11 +144,19 @@ impl WireEncode for u8 {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(*self);
     }
+
+    fn encode_slice(items: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
 }
 
 impl WireDecode for u8 {
     fn decode(r: &mut Reader<'_>) -> Result<Self, PhError> {
         Ok(r.take(1)?[0])
+    }
+
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<u8>, PhError> {
+        Ok(r.take(len)?.to_vec())
     }
 }
 
@@ -186,20 +230,14 @@ impl WireDecode for String {
 impl<T: WireEncode> WireEncode for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.len().encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
 }
 
 impl<T: WireDecode> WireDecode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, PhError> {
         let len = bounded_len(r)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_vec(r, len)
     }
 }
 
@@ -514,6 +552,136 @@ mod tests {
             assert_eq!(predicted, (now - prev) as u64);
             prev = now;
         }
+    }
+
+    /// The element-by-element byte-string encoder: a `u64` length,
+    /// then one byte at a time.
+    fn reference_bytes(bytes: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        for &b in bytes {
+            buf.push(b);
+        }
+    }
+
+    /// The element-by-element byte-string decoder: the bounded length
+    /// prefix, then one `u8::decode` per byte.
+    fn reference_decode(r: &mut Reader<'_>) -> Result<Vec<u8>, PhError> {
+        let len = bounded_len(r)?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(u8::decode(r)?);
+        }
+        Ok(out)
+    }
+
+    /// A document list read with [`reference_decode`] for every word.
+    fn reference_decode_docs(r: &mut Reader<'_>) -> Result<(), PhError> {
+        for _ in 0..bounded_len(r)? {
+            u64::decode(r)?;
+            for _ in 0..bounded_len(r)? {
+                reference_decode(r)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn byte_strings_encode_as_the_element_wise_reference() {
+        for len in (0..=70).chain([4_096, 2 << 20]) {
+            let bytes = patterned(len);
+            let mut expected = Vec::new();
+            reference_bytes(&bytes, &mut expected);
+            let wire = bytes.to_wire();
+            assert_eq!(wire, expected, "length {len}");
+            assert_eq!(Vec::<u8>::from_wire(&wire).unwrap(), bytes, "length {len}");
+            let mut r = Reader::new(&wire);
+            assert_eq!(reference_decode(&mut r).unwrap(), bytes, "length {len}");
+            r.expect_end().unwrap();
+        }
+    }
+
+    #[test]
+    fn truncated_byte_strings_fail_as_the_element_wise_reference() {
+        let wire = patterned(40).to_wire();
+        for cut in 0..wire.len() {
+            let got = Vec::<u8>::from_wire(&wire[..cut]).unwrap_err();
+            let expected = reference_decode(&mut Reader::new(&wire[..cut])).unwrap_err();
+            assert_eq!(got, expected, "cut at {cut}");
+        }
+        // The two shapes of refusal, as text.
+        assert_eq!(
+            Vec::<u8>::from_wire(&wire[..3]).unwrap_err(),
+            PhError::Wire("truncated: wanted 8 bytes at offset 0, have 3".into())
+        );
+        assert_eq!(
+            Vec::<u8>::from_wire(&wire[..13]).unwrap_err(),
+            PhError::Wire("length 40 exceeds remaining input".into())
+        );
+        // Inside a structure, a cut byte string is refused with its
+        // own offset.
+        let word = dbph_swp::CipherWord(patterned(13));
+        let doc = vec![(9u64, vec![word.clone(), word])].to_wire();
+        for cut in 0..doc.len() {
+            let got = Vec::<(u64, Vec<dbph_swp::CipherWord>)>::from_wire(&doc[..cut]).unwrap_err();
+            let expected = reference_decode_docs(&mut Reader::new(&doc[..cut])).unwrap_err();
+            assert_eq!(got, expected, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn byte_carrying_messages_roundtrip_as_the_reference() {
+        let word = dbph_swp::CipherWord(patterned(13));
+        let mut expected = Vec::new();
+        reference_bytes(&word.0, &mut expected);
+        assert_eq!(word.to_wire(), expected);
+        roundtrip(word);
+
+        let trapdoor = crate::protocol::WireTrapdoor {
+            attr: 2,
+            target: patterned(13),
+            check_key: patterned(32),
+        };
+        let mut expected = vec![2];
+        reference_bytes(&trapdoor.target, &mut expected);
+        reference_bytes(&trapdoor.check_key, &mut expected);
+        assert_eq!(trapdoor.to_wire(), expected);
+        roundtrip(trapdoor);
+
+        let chunk = crate::protocol::ServerResponse::ReplRecords {
+            records: patterned(1_650),
+            next_offset: 0x0102_0304_0506,
+        };
+        let mut expected = vec![6];
+        reference_bytes(&patterned(1_650), &mut expected);
+        expected.extend_from_slice(&0x0102_0304_0506u64.to_le_bytes());
+        assert_eq!(chunk.to_wire(), expected);
+        roundtrip(chunk);
+
+        let label = patterned(32);
+        let image: crate::durable::IndexImageWire = vec![
+            (
+                String::from("Emp"),
+                vec![((1, label.clone()), (7, vec![3, 5]))],
+            ),
+            (String::from("Empty"), vec![]),
+        ];
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&2u64.to_le_bytes());
+        String::from("Emp").encode(&mut expected);
+        expected.extend_from_slice(&1u64.to_le_bytes());
+        expected.push(1);
+        reference_bytes(&label, &mut expected);
+        for v in [7u64, 2, 3, 5] {
+            expected.extend_from_slice(&v.to_le_bytes());
+        }
+        String::from("Empty").encode(&mut expected);
+        expected.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(image.to_wire(), expected);
+        roundtrip(image);
     }
 
     #[test]

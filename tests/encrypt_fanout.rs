@@ -6,12 +6,13 @@
 //! or more, waves of `FAN_OUT_WAVE_ROWS` rows split over the client
 //! pool. The reference here is one row at a time (`append_tuple` onto
 //! a growing table), whose three words are below one dispatch and so
-//! take the scalar `encrypt_word`. Tables of 0–600 rows cross the
-//! threshold and the first two wave boundaries.
+//! take the scalar `encrypt_word`. Random tables of 0–600 rows cross
+//! the threshold; one table of `2 * FAN_OUT_WAVE_ROWS + 40` rows
+//! crosses the first two wave boundaries.
 //!
 //! * `encrypt_table` and `encrypt_rows` (at any first document id)
 //!   equal the reference byte for byte, in order.
-//! * With invalid tuples planted at two random rows, the error is the
+//! * With invalid tuples planted at two rows, the error is the
 //!   reference's, which is the earlier row's.
 //! * `Client::insert_many` of a fanned-out batch lands rows a select
 //!   finds.
@@ -44,12 +45,21 @@ fn one_row_at_a_time(
     Ok(table)
 }
 
-// The sweep below crosses the threshold and two wave boundaries, and
-// a 16-row `insert_many` stays on the caller's thread.
+// The sweep below crosses the threshold, and a 16-row `insert_many`
+// stays on the caller's thread.
 const _: () = {
-    assert!(16 < PARALLEL_ENCRYPT_ROWS);
-    assert!(PARALLEL_ENCRYPT_ROWS < 2 * FAN_OUT_WAVE_ROWS && 2 * FAN_OUT_WAVE_ROWS < 600);
+    assert!(16 < PARALLEL_ENCRYPT_ROWS && PARALLEL_ENCRYPT_ROWS < 600);
 };
+
+/// Plants a type error at row `a` and an arity error at row `b`.
+fn with_bad_rows(tuples: &[Tuple], a: usize, b: usize) -> Vec<Tuple> {
+    let mut bad = tuples.to_vec();
+    bad[a] = Tuple::new(vec![Value::int(1), Value::str("HR"), Value::int(2)]);
+    if b != a {
+        bad[b] = Tuple::new(vec![Value::str("short")]);
+    }
+    bad
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -81,16 +91,45 @@ proptest! {
         if rows > 0 {
             // A type error and an arity error; the earlier row's must
             // be the one reported.
-            let mut bad = tuples.to_vec();
-            let a = (a % rows as u64) as usize;
-            let b = (b % rows as u64) as usize;
-            bad[a] = Tuple::new(vec![Value::int(1), Value::str("HR"), Value::int(2)]);
-            if b != a {
-                bad[b] = Tuple::new(vec![Value::str("short")]);
-            }
+            let bad = with_bad_rows(tuples, (a % rows as u64) as usize, (b % rows as u64) as usize);
             let expected = one_row_at_a_time(&ph, first_id, &bad).unwrap_err();
             prop_assert_eq!(&ph.encrypt_rows(first_id, &bad).unwrap_err(), &expected);
         }
+    }
+}
+
+#[test]
+fn encryption_across_wave_boundaries_equals_the_serial_path() {
+    let rows = 2 * FAN_OUT_WAVE_ROWS + 40;
+    let relation = EmployeeGen {
+        rows,
+        ..EmployeeGen::default()
+    }
+    .generate(5);
+    let ph = FinalSwpPh::new(EmployeeGen::schema(), &SecretKey::from_bytes([9u8; 32])).unwrap();
+    let tuples = relation.tuples();
+    let first_id = 1u64 << 40;
+
+    let serial = one_row_at_a_time(&ph, first_id, tuples).unwrap();
+    assert_eq!(
+        ph.encrypt_rows(first_id, tuples).unwrap().to_docs(),
+        serial.docs
+    );
+
+    // Two rows in one wave's two chunks, then rows in the third and
+    // second waves: the earlier row's error is the one reported.
+    let half = FAN_OUT_WAVE_ROWS / 2;
+    for (a, b) in [
+        (FAN_OUT_WAVE_ROWS + 3, FAN_OUT_WAVE_ROWS + half + 3),
+        (rows - 1, FAN_OUT_WAVE_ROWS + 1),
+    ] {
+        let bad = with_bad_rows(tuples, a, b);
+        let expected = one_row_at_a_time(&ph, first_id, &bad).unwrap_err();
+        assert_eq!(
+            ph.encrypt_rows(first_id, &bad).unwrap_err(),
+            expected,
+            "rows {a}, {b}"
+        );
     }
 }
 
