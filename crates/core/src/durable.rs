@@ -40,8 +40,8 @@
 //!   the dedup and index images install where they sit in the log,
 //!   and every mutation record goes to a callback — the server's
 //!   `apply_logged`, the same function a follower's tailer applies
-//!   shipped records with — so index clears on drop and create and
-//!   purges on delete happen exactly as they did live.
+//!   shipped records with — so a drop or re-create takes a table's
+//!   postings with it and a delete purges them, exactly as live.
 //!   A torn tail record in the **active** segment — the expected shape
 //!   of a crash mid-write or mid-fsync — is truncated away, never a
 //!   panic and never a partial apply (a record replays only if its
@@ -413,7 +413,8 @@ struct SnapshotTable {
 /// dedup image and the index image install into `store` at their place
 /// in the log, and every mutation record goes to `apply` — the
 /// server's own apply path, so a replayed mutation does exactly what
-/// it did live (index clears on drop and create, purges on delete).
+/// it did live (a drop or re-create takes the table's postings with
+/// it, a delete purges them).
 struct Replay<'s, F> {
     store: &'s TableStore,
     apply: F,
@@ -485,7 +486,8 @@ impl<F: FnMut(&[u8]) -> Result<(), PhError>> Replay<'_, F> {
     /// One index-record body: the multimap image a compaction cut
     /// persisted, `Vec<(table, Vec<((attr, label), (bound, posting ids))>)>`.
     /// Installing it re-enables the index: the record exists only
-    /// because the index was on when the snapshot was cut.
+    /// because the index was on when the snapshot was cut. Entries for
+    /// a table that is not stored are dropped.
     fn install_index(&self, body: &[u8]) -> Result<(), PhError> {
         let mut r = Reader::new(body);
         let image = IndexImageWire::decode(&mut r)?;
@@ -501,7 +503,7 @@ impl<F: FnMut(&[u8]) -> Result<(), PhError>> Replay<'_, F> {
             }
             tables.push((name, entries));
         }
-        self.store.index().install_snapshot(tables);
+        self.store.install_index_image(tables);
         Ok(())
     }
 }
@@ -1367,10 +1369,9 @@ impl DurableLog {
         // reason. Skipped when the index is off (or has no postings),
         // so scan-only segment bytes are unchanged from the pre-index
         // format.
-        if store.index().is_enabled() {
+        if store.index_enabled() {
             let index_image: IndexImageWire = store
-                .index()
-                .snapshot()
+                .index_image()
                 .into_iter()
                 .map(|(name, postings)| {
                     let postings = postings
@@ -1951,5 +1952,36 @@ mod tests {
         assert!(path.is_dir());
         drop(a);
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn an_index_image_naming_an_absent_table_opens_and_drops_its_entry() {
+        // Before postings lived with their table, a probe racing a drop
+        // could persist postings under a name no table holds. Such a
+        // segment must still open: the present table's postings
+        // install, the absent table's are dropped, and the index is on.
+        let tmp = TempDir::new("durable-orphan-index").unwrap();
+        let server = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
+        let _ = server.handle(&create_msg("t", 7));
+        let active = server.durable_log().unwrap().active_segment_path();
+        drop(server);
+        let image: IndexImageWire = vec![
+            ("gone".into(), vec![((0, vec![9; 32]), (7, vec![1]))]),
+            ("t".into(), vec![((0, vec![3; 32]), (7, vec![1, 4]))]),
+        ];
+        let mut file = File::options().append(true).open(&active).unwrap();
+        write_record(&mut file, TAG_INDEX, &[&image.to_wire()]).unwrap();
+        drop(file);
+
+        let reopened = Server::open(&ServerConfig::default(), Some(tmp.path())).unwrap();
+        assert!(reopened.index_enabled());
+        assert_eq!(
+            reopened.index_at_rest("t"),
+            vec![((0, [3; 32]), vec![1, 4])]
+        );
+        assert!(reopened.index_at_rest("gone").is_empty());
+        let gauges = reopened.stats_snapshot();
+        let sizes = ["index_postings", "index_posting_ids"].map(|g| gauges.scalar(g));
+        assert_eq!(sizes, [Some(1), Some(2)]);
     }
 }

@@ -43,6 +43,13 @@
 //! * **Layout changes are free.** Postings are keyed by document
 //!   *id*, not position, and neither a new shard nor a merge of two
 //!   shards renames an id — so shard churn requires no index work.
+//! * **Postings live with their table.** Each table in
+//!   [`crate::storage::TableStore`] owns its [`TableIndex`], and a
+//!   query's table snapshot carries that handle, so a probe reads from
+//!   and installs into the table it scanned. A drop takes the table's
+//!   postings with it and a created or recovered table starts with
+//!   none: a probe that races a drop and re-create installs into the
+//!   dropped table, never into the new one of the same name.
 //!
 //! Correctness (pinned by `tests/index_equivalence.rs`): the SWP match
 //! decision is **deterministic** per (attr, trapdoor bytes, stored word
@@ -82,46 +89,51 @@ pub struct Posting {
     pub bound: u64,
 }
 
-/// The per-table encrypted multimap: `(attr, label)` → posting list.
+/// One table's encrypted multimap: `(attr, label)` → posting list,
+/// behind the table's own lock. Each stored table owns one, shared
+/// with the query snapshots cut from it, so postings are created,
+/// served and dropped with the table they describe.
 #[derive(Debug, Default)]
 pub struct TableIndex {
-    postings: HashMap<PostingKey, Posting>,
+    postings: Mutex<HashMap<PostingKey, Posting>>,
 }
 
 impl TableIndex {
     /// Looks up the cached posting for `key`, if any.
     #[must_use]
     pub fn lookup(&self, key: &PostingKey) -> Option<Posting> {
-        self.postings.get(key).cloned()
+        self.postings.lock().get(key).cloned()
     }
 
     /// Installs (or replaces) the posting for `key`.
-    pub fn install(&mut self, key: PostingKey, posting: Posting) {
-        self.postings.insert(key, posting);
+    pub fn install(&self, key: PostingKey, posting: Posting) {
+        self.postings.lock().insert(key, posting);
     }
 
-    /// Eagerly removes `deleted` ids from every posting — the
-    /// no-tombstone delete rule (see the module docs for the leakage
-    /// consequence).
-    pub fn purge(&mut self, deleted: &[u64]) {
+    /// Eagerly removes `deleted` ids (strictly ascending, as
+    /// [`crate::storage::TableStore::delete_docs`] returns them) from
+    /// every posting — the no-tombstone delete rule (see the module
+    /// docs for the leakage consequence). One binary search per posted
+    /// id, so P posted ids cost P·log k for k deleted ones.
+    pub fn purge(&self, deleted: &[u64]) {
+        debug_assert!(deleted.windows(2).all(|w| w[0] < w[1]), "unsorted purge");
         if deleted.is_empty() {
             return;
         }
-        for posting in self.postings.values_mut() {
-            posting.doc_ids.retain(|id| !deleted.contains(id));
+        for posting in self.postings.lock().values_mut() {
+            posting
+                .doc_ids
+                .retain(|id| deleted.binary_search(id).is_err());
         }
     }
 
-    /// Number of cached keys.
+    /// `(postings, ids)`: how many posting keys are cached, and how
+    /// many document ids those postings hold.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Whether no postings are cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.postings.is_empty()
+    pub fn sizes(&self) -> (usize, usize) {
+        let postings = self.postings.lock();
+        let ids = postings.values().map(|posting| posting.doc_ids.len());
+        (postings.len(), ids.sum())
     }
 
     /// The at-rest image, sorted by key for determinism: what Eve
@@ -130,109 +142,12 @@ impl TableIndex {
     pub fn at_rest(&self) -> Vec<(PostingKey, Posting)> {
         let mut all: Vec<(PostingKey, Posting)> = self
             .postings
+            .lock()
             .iter()
             .map(|(key, posting)| (*key, posting.clone()))
             .collect();
         all.sort_by_key(|entry| entry.0);
         all
-    }
-}
-
-/// The store-wide index state: per-table multimaps behind one lock,
-/// plus the opt-in switch. Default **off** — with the index disabled
-/// every code path, response byte, observer transcript, and durable
-/// segment is identical to the scan-only server.
-#[derive(Debug, Default)]
-pub struct IndexState {
-    enabled: std::sync::atomic::AtomicBool,
-    tables: Mutex<HashMap<String, TableIndex>>,
-}
-
-impl IndexState {
-    /// A disabled, empty index.
-    #[must_use]
-    pub fn new() -> Self {
-        IndexState::default()
-    }
-
-    /// Turns the index on (idempotent). There is deliberately no `off`
-    /// switch: disabling mid-flight would have to answer what happens
-    /// to persisted postings, and no caller needs it.
-    pub fn enable(&self) {
-        self.enabled
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-    }
-
-    /// Whether the index is on.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Runs `f` over the (possibly absent) multimap for `name`.
-    pub(crate) fn with_table<R>(&self, name: &str, f: impl FnOnce(&mut TableIndex) -> R) -> R {
-        let mut tables = self.tables.lock();
-        f(tables.entry(name.to_string()).or_default())
-    }
-
-    /// Drops all postings for `name` — table drop / re-create / replay
-    /// install all invalidate the memo wholesale.
-    pub(crate) fn clear_table(&self, name: &str) {
-        self.tables.lock().remove(name);
-    }
-
-    /// Eagerly purges `deleted` ids from `name`'s postings.
-    pub(crate) fn purge(&self, name: &str, deleted: &[u64]) {
-        if deleted.is_empty() {
-            return;
-        }
-        let mut tables = self.tables.lock();
-        if let Some(index) = tables.get_mut(name) {
-            index.purge(deleted);
-        }
-    }
-
-    /// `(postings, ids)`: how many posting keys all tables cache, and
-    /// how many document ids those postings hold.
-    #[must_use]
-    pub fn sizes(&self) -> (usize, usize) {
-        let tables = self.tables.lock();
-        let postings = tables.values().map(TableIndex::len).sum();
-        let ids = tables
-            .values()
-            .flat_map(|index| index.postings.values())
-            .map(|posting| posting.doc_ids.len())
-            .sum();
-        (postings, ids)
-    }
-
-    /// The whole at-rest image, sorted by table name then key — the
-    /// compaction snapshot input and the adversary's view.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(String, Vec<(PostingKey, Posting)>)> {
-        let tables = self.tables.lock();
-        let mut all: Vec<(String, Vec<(PostingKey, Posting)>)> = tables
-            .iter()
-            .filter(|(_, index)| !index.is_empty())
-            .map(|(name, index)| (name.clone(), index.at_rest()))
-            .collect();
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
-    }
-
-    /// Installs a persisted image (recovery path) and enables the
-    /// index — a `TAG_INDEX` record only ever exists because the index
-    /// was on when the snapshot was cut.
-    pub(crate) fn install_snapshot(&self, image: Vec<(String, Vec<(PostingKey, Posting)>)>) {
-        let mut tables = self.tables.lock();
-        for (name, postings) in image {
-            let index = tables.entry(name).or_default();
-            for (key, posting) in postings {
-                index.install(key, posting);
-            }
-        }
-        drop(tables);
-        self.enable();
     }
 }
 
@@ -268,7 +183,7 @@ mod tests {
 
     #[test]
     fn install_lookup_purge() {
-        let mut index = TableIndex::default();
+        let index = TableIndex::default();
         assert!(index.lookup(&key(1)).is_none());
         index.install(
             key(1),
@@ -285,16 +200,57 @@ mod tests {
             },
         );
         assert_eq!(index.lookup(&key(1)).unwrap().doc_ids, vec![1, 5, 9]);
+        assert_eq!(index.sizes(), (2, 4));
         index.purge(&[5, 9]);
         assert_eq!(index.lookup(&key(1)).unwrap().doc_ids, vec![1]);
         assert!(index.lookup(&key(2)).unwrap().doc_ids.is_empty());
         // Bounds survive a purge: coverage is unchanged, membership is.
         assert_eq!(index.lookup(&key(2)).unwrap().bound, 10);
+        assert_eq!(index.sizes(), (2, 1));
+    }
+
+    #[test]
+    fn purge_matches_the_linear_reference() {
+        // A fixed-seed xorshift: ascending lists of every shape, the
+        // deleted list drawn from the posted ids, around them, or both.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut ascending = |len: u64, span: u64, offset: u64| {
+            let mut ids: Vec<u64> = (0..len).map(|_| offset + next(span.max(1))).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        for round in 0..400u64 {
+            let posted = ascending(round % 60, 200, 0);
+            let deleted = match round % 4 {
+                0 => Vec::new(),
+                1 => posted.clone(),
+                2 => ascending(round % 30, 200, 1_000),
+                _ => ascending(round % 90, 220, 0),
+            };
+            let index = TableIndex::default();
+            let posting = |doc_ids| Posting {
+                doc_ids,
+                bound: 1_300,
+            };
+            index.install(key(1), posting(posted.clone()));
+            index.purge(&deleted);
+            let mut reference = posted;
+            reference.retain(|id| !deleted.contains(id));
+            let purged = index.lookup(&key(1)).unwrap().doc_ids;
+            assert_eq!(purged, reference, "round {round}: deleted {deleted:?}");
+        }
     }
 
     #[test]
     fn same_label_at_two_attrs_is_two_postings() {
-        let mut index = TableIndex::default();
+        let index = TableIndex::default();
         let label = [4u8; 32];
         let posting = |ids: Vec<u64>| Posting {
             doc_ids: ids,
@@ -302,72 +258,11 @@ mod tests {
         };
         index.install((0, label), posting(vec![1]));
         index.install((2, label), posting(vec![3, 4]));
-        assert_eq!(index.len(), 2);
+        assert_eq!(index.sizes().0, 2);
         assert_eq!(index.lookup(&(0, label)).unwrap().doc_ids, vec![1]);
         assert_eq!(index.lookup(&(2, label)).unwrap().doc_ids, vec![3, 4]);
         assert!(index.lookup(&(1, label)).is_none());
         let keys: Vec<PostingKey> = index.at_rest().into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![(0, label), (2, label)], "sorted by attr first");
-    }
-
-    #[test]
-    fn state_snapshot_is_sorted_and_skips_empty_tables() {
-        let state = IndexState::new();
-        assert!(!state.is_enabled());
-        state.enable();
-        assert!(state.is_enabled());
-        state.with_table("zeta", |index| {
-            index.install(
-                key(3),
-                Posting {
-                    doc_ids: vec![2],
-                    bound: 3,
-                },
-            );
-            index.install(
-                key(1),
-                Posting {
-                    doc_ids: vec![],
-                    bound: 3,
-                },
-            );
-        });
-        state.with_table("alpha", |index| {
-            index.install(
-                key(9),
-                Posting {
-                    doc_ids: vec![0, 1],
-                    bound: 2,
-                },
-            );
-        });
-        state.with_table("empty", |_| ());
-        let snap = state.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, "alpha");
-        assert_eq!(snap[1].0, "zeta");
-        assert_eq!(snap[1].1[0].0, key(1), "keys sorted within a table");
-        state.clear_table("zeta");
-        assert_eq!(state.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn snapshot_roundtrips_through_install() {
-        let state = IndexState::new();
-        state.enable();
-        state.with_table("t", |index| {
-            index.install(
-                key(7),
-                Posting {
-                    doc_ids: vec![4, 8],
-                    bound: 9,
-                },
-            );
-        });
-        let image = state.snapshot();
-        let restored = IndexState::new();
-        restored.install_snapshot(image.clone());
-        assert!(restored.is_enabled(), "a persisted image implies enabled");
-        assert_eq!(restored.snapshot(), image);
     }
 }

@@ -70,7 +70,7 @@ pub use encoding::WordCodec;
 pub use error::PhError;
 pub use executor::{Executor, ExecutorStats};
 pub use fault::{ChaosPlan, ChaosProxy, FaultPlan, FaultRng, FaultTransport};
-pub use index::{IndexState, Posting, ProbeStats, TableIndex};
+pub use index::{Posting, ProbeStats, TableIndex};
 pub use net::{
     NetOptions, NetServer, PoolOptions, PooledClient, RetryPolicy, ServerHandle, Transport,
 };

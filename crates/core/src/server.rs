@@ -604,7 +604,7 @@ impl Server {
             MetricValue::Counter(self.store.cow_bytes()),
         ));
         let (dedup_clients, dedup_entries) = self.store.dedup().sizes();
-        let (index_postings, index_posting_ids) = self.store.index().sizes();
+        let (index_postings, index_posting_ids) = self.store.index_sizes();
         let sizes = [
             self.observer.len(),
             dedup_clients,
@@ -631,7 +631,7 @@ impl Server {
     /// Whether the encrypted index is enabled.
     #[must_use]
     pub fn index_enabled(&self) -> bool {
-        self.store.index().is_enabled()
+        self.store.index_enabled()
     }
 
     /// The at-rest encrypted-multimap image for `name` — Eve reading

@@ -43,6 +43,13 @@
 //! when it has more than one worker and the call checks at least
 //! `PARALLEL_THRESHOLD` documents, the caller's thread otherwise.
 //!
+//! Each stored table keeps its shards and its postings together (a
+//! [`TableIndex`] behind an `Arc`), in the store's one name-keyed
+//! map. The snapshot a query runs on carries both, so a probe installs
+//! into the table it scanned even if that table is dropped and
+//! re-created under its name meanwhile: the posting dies with the
+//! dropped table, and the new one starts with none.
+//!
 //! Terms are attribute-addressed ([`WireTrapdoor::attr`]): a term is
 //! checked against one word per document, the word at its attribute's
 //! position, so a scan runs one SWP check per row per term. A document
@@ -81,6 +88,7 @@
 //!   identical for every layout and pool size.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -91,7 +99,7 @@ use dbph_swp::{CipherWord, PreparedTrapdoor, ScanKernel, SwpParams};
 use crate::arena::WordArena;
 use crate::error::PhError;
 use crate::executor::Executor;
-use crate::index::{IndexState, Posting, PostingKey, ProbeStats};
+use crate::index::{Posting, PostingKey, ProbeStats, TableIndex};
 use crate::protocol::{ServerResponse, WireTrapdoor};
 use crate::swp_ph::{ColumnarTable, EncryptedTable};
 use crate::telemetry::Counter;
@@ -924,6 +932,26 @@ impl DedupWindow {
     }
 }
 
+/// One stored table: its shards and the postings the index memoized
+/// over them. A clone is a query's snapshot (two reference counts), so
+/// a probe installs into the postings of the very table it scanned.
+#[derive(Clone)]
+struct StoredTable {
+    table: ShardedTable,
+    index: Arc<TableIndex>,
+}
+
+impl StoredTable {
+    /// A table with no postings yet: every created or installed table
+    /// starts here.
+    fn new(table: ShardedTable) -> Self {
+        StoredTable {
+            table,
+            index: Arc::default(),
+        }
+    }
+}
+
 /// Thread-safe named-table storage: each table a run of
 /// fixed-capacity shards, every scan executed on one persistent worker
 /// pool.
@@ -932,18 +960,18 @@ impl DedupWindow {
 /// of one protocol operation. Methods return [`PhError::Protocol`] for
 /// conditions the server reports to the client as errors.
 ///
-/// Queries run on a *snapshot*: the table's shard list is `Arc`-cloned
-/// under the read lock (O(1)) and the lock released before
+/// Queries run on a *snapshot*: the table's shard list and postings
+/// are `Arc`-cloned under the read lock (O(1)) and the lock released before
 /// any scanning happens, so a long scan never blocks appends or
 /// deletes — copy-on-write mutation gives the scan a consistent view.
 pub struct TableStore {
     pool: Arc<Executor>,
-    tables: RwLock<HashMap<String, ShardedTable>>,
+    tables: RwLock<HashMap<String, StoredTable>>,
     dedup: DedupWindow,
-    /// The opt-in encrypted inverted index ([`crate::index`]). Off by
-    /// default; while off, no code path touches it and the server is
-    /// bit-for-bit the scan-only server.
-    index: IndexState,
+    /// Whether the opt-in encrypted inverted index ([`crate::index`])
+    /// is on. Off by default; while off, no query reads or writes a
+    /// posting and the server is bit-for-bit the scan-only server.
+    index_on: AtomicBool,
     /// SWP checks run by scans and index delta scans — always on, like
     /// the executor's pool statistics.
     scan_checks: Counter,
@@ -962,7 +990,7 @@ impl TableStore {
             pool,
             tables: RwLock::new(HashMap::new()),
             dedup: DedupWindow::new(),
-            index: IndexState::new(),
+            index_on: AtomicBool::new(false),
             scan_checks: Counter::default(),
             cow_bytes: Counter::default(),
         }
@@ -985,17 +1013,27 @@ impl TableStore {
         self.cow_bytes.get()
     }
 
-    /// The store's encrypted-index state. Like the dedup window it
-    /// lives on the store so the durable log — which only sees
-    /// `&TableStore` during compaction — can persist and restore it.
-    #[must_use]
-    pub fn index(&self) -> &IndexState {
-        &self.index
+    /// Opts this store into the encrypted inverted index (idempotent).
+    /// There is deliberately no `off` switch: disabling mid-flight
+    /// would have to answer what happens to persisted postings, and no
+    /// caller needs it.
+    pub fn enable_index(&self) {
+        self.index_on.store(true, Ordering::SeqCst);
     }
 
-    /// Opts this store into the encrypted inverted index (idempotent).
-    pub fn enable_index(&self) {
-        self.index.enable();
+    /// Whether the encrypted inverted index is on.
+    #[must_use]
+    pub fn index_enabled(&self) -> bool {
+        self.index_on.load(Ordering::SeqCst)
+    }
+
+    /// `(postings, ids)`: how many posting keys all tables cache, and
+    /// how many document ids those postings hold.
+    #[must_use]
+    pub fn index_sizes(&self) -> (usize, usize) {
+        let tables = self.tables.read();
+        let sizes = tables.values().map(|stored| stored.index.sizes());
+        sizes.fold((0, 0), |(keys, ids), (k, i)| (keys + k, ids + i))
     }
 
     /// The store's idempotent-request dedup window. It lives on the
@@ -1013,8 +1051,9 @@ impl TableStore {
         &self.pool
     }
 
-    /// Cheap consistent snapshot of a table (Arc-backed shard list).
-    fn snapshot(&self, name: &str) -> Result<ShardedTable, PhError> {
+    /// Cheap consistent snapshot of a table: its Arc-backed shard list
+    /// and its postings handle.
+    fn snapshot(&self, name: &str) -> Result<StoredTable, PhError> {
         self.tables
             .read()
             .get(name)
@@ -1051,10 +1090,7 @@ impl TableStore {
         if tables.contains_key(name) {
             return Err(PhError::Protocol(format!("table exists: {name}")));
         }
-        tables.insert(name.to_string(), sharded);
-        // A name can be reused after a drop; any memoized postings for
-        // the old incarnation are invalid for the new one.
-        self.index.clear_table(name);
+        tables.insert(name.to_string(), StoredTable::new(sharded));
         Ok(())
     }
 
@@ -1078,25 +1114,28 @@ impl TableStore {
         name: &str,
         queries: &[Vec<WireTrapdoor>],
     ) -> Result<Vec<Answer>, PhError> {
-        let table = self.snapshot(name)?;
-        if self.index.is_enabled() {
-            let answer = |terms: &Vec<WireTrapdoor>| self.query_indexed(name, &table, terms);
+        let stored = self.snapshot(name)?;
+        if self.index_enabled() {
+            let answer = |terms: &Vec<WireTrapdoor>| self.query_indexed(&stored, terms);
             return Ok(queries.iter().map(answer).collect());
         }
         let views: Vec<&[WireTrapdoor]> = queries.iter().map(Vec::as_slice).collect();
-        Ok(table
+        Ok(stored
+            .table
             .scan_batch_on(&self.pool, &views, &self.scan_checks)
             .into_iter()
             .map(|result| (result, None))
             .collect())
     }
 
-    /// The index plan for one query over the snapshot `table`: per
+    /// The index plan for one query over the snapshot `stored`: per
     /// term, an index probe (cached posting + delta scan over the
-    /// documents appended since the posting's bound), then an
+    /// documents appended since the posting's bound) that reads from
+    /// and installs into the snapshot's own postings, then an
     /// ascending-id intersection and a crypto-free reassembly, with
     /// one [`ProbeStats`] per probed term for the observer.
-    fn query_indexed(&self, name: &str, table: &ShardedTable, terms: &[WireTrapdoor]) -> Answer {
+    fn query_indexed(&self, stored: &StoredTable, terms: &[WireTrapdoor]) -> Answer {
+        let table = &stored.table;
         if terms.is_empty() {
             // Empty conjunction matches the whole table (scan parity).
             return (table.to_table(), Some(Vec::new()));
@@ -1105,7 +1144,7 @@ impl TableStore {
         let mut survivors: Option<Vec<u64>> = None;
         for term in terms {
             let key = (term.attr, dbph_swp::index_label(term));
-            let cached = self.index.with_table(name, |index| index.lookup(&key));
+            let cached = stored.index.lookup(&key);
             let (mut ids, delta_from, cached_len) = match cached {
                 Some(posting) => {
                     let len = posting.doc_ids.len();
@@ -1118,6 +1157,9 @@ impl TableStore {
             // deleted by a racing purge after this snapshot was cut is
             // dropped at reassembly (`docs_by_ids` skips absent ids),
             // so ghosts can linger in the memo but never in a response.
+            // A racing drop takes these postings with the dropped
+            // table, so what this probe installs is never served
+            // against a table re-created under the same name.
             let (delta, checked) = table.match_doc_ids_from(&self.pool, term, delta_from);
             self.scan_checks.add(checked);
             ids.extend(delta);
@@ -1132,8 +1174,7 @@ impl TableStore {
                 posting: refreshed.doc_ids.len(),
                 checked,
             });
-            self.index
-                .with_table(name, |index| index.install(key, refreshed));
+            stored.index.install(key, refreshed);
             survivors = Some(match survivors {
                 None => ids,
                 Some(acc) => intersect_sorted(&acc, &ids),
@@ -1155,12 +1196,13 @@ impl TableStore {
     /// The at-rest encrypted-multimap image for one table, sorted by
     /// key: `((attr, label), posting ids)` pairs. This is the
     /// adversary's view of her own memory — the games crate reads it to
-    /// measure what the index leaks (a scan-only store returns an
-    /// empty image).
+    /// measure what the index leaks (a scan-only store, and an unknown
+    /// name, return an empty image).
     #[must_use]
     pub fn index_at_rest(&self, name: &str) -> Vec<(PostingKey, Vec<u64>)> {
-        self.index
-            .with_table(name, |index| index.at_rest())
+        let image = self.tables.read().get(name).map(|t| t.index.at_rest());
+        image
+            .unwrap_or_default()
             .into_iter()
             .map(|(key, posting)| (key, posting.doc_ids))
             .collect()
@@ -1171,7 +1213,7 @@ impl TableStore {
     /// # Errors
     /// Fails for unknown tables.
     pub fn fetch_all(&self, name: &str) -> Result<EncryptedTable, PhError> {
-        Ok(self.snapshot(name)?.to_table())
+        Ok(self.snapshot(name)?.table.to_table())
     }
 
     /// One bounded chunk of a table (see [`ShardedTable::fetch_chunk`])
@@ -1186,7 +1228,7 @@ impl TableStore {
         token: u64,
         max_bytes: u64,
     ) -> Result<(EncryptedTable, Option<u64>), PhError> {
-        Ok(self.snapshot(name)?.fetch_chunk(token, max_bytes))
+        Ok(self.snapshot(name)?.table.fetch_chunk(token, max_bytes))
     }
 
     /// Consistent snapshot of every table, sorted by name — the
@@ -1197,20 +1239,52 @@ impl TableStore {
         let tables = self.tables.read();
         let mut all: Vec<(String, ShardedTable)> = tables
             .iter()
-            .map(|(name, table)| (name.clone(), table.clone()))
+            .map(|(name, stored)| (name.clone(), stored.table.clone()))
             .collect();
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all
     }
 
+    /// The whole at-rest index image, sorted by table name then key,
+    /// skipping tables with no postings — the compaction snapshot
+    /// input and the adversary's view.
+    #[must_use]
+    pub(crate) fn index_image(&self) -> Vec<(String, Vec<(PostingKey, Posting)>)> {
+        let tables = self.tables.read();
+        let mut image: Vec<(String, Vec<(PostingKey, Posting)>)> = tables
+            .iter()
+            .map(|(name, stored)| (name.clone(), stored.index.at_rest()))
+            .filter(|(_, postings)| !postings.is_empty())
+            .collect();
+        image.sort_by(|a, b| a.0.cmp(&b.0));
+        image
+    }
+
+    /// Installs a persisted index image (recovery) into the tables it
+    /// names and turns the index on: a `TAG_INDEX` record exists only
+    /// because the index was on when the snapshot was cut. Postings
+    /// for a table that is not stored are dropped, since a posting is
+    /// only a memo; a segment written while postings sat in a map of
+    /// their own can name a table a racing probe outlived.
+    pub(crate) fn install_index_image(&self, image: Vec<(String, Vec<(PostingKey, Posting)>)>) {
+        let tables = self.tables.read();
+        for (name, postings) in image {
+            if let Some(stored) = tables.get(&name) {
+                for (key, posting) in postings {
+                    stored.index.install(key, posting);
+                }
+            }
+        }
+        drop(tables);
+        self.enable_index();
+    }
+
     /// Installs a table loaded from a compaction snapshot under `name`,
-    /// replacing any previous entry.
+    /// replacing any previous entry, with no postings: a persisted
+    /// index image, when present, follows the tables it describes in
+    /// the log.
     pub(crate) fn install(&self, name: String, table: ShardedTable) {
-        // The table arrives wholesale; stale memoized postings (if any)
-        // are invalid for it. A persisted index image, when present,
-        // follows the tables it describes in the log.
-        self.index.clear_table(&name);
-        self.tables.write().insert(name, table);
+        self.tables.write().insert(name, StoredTable::new(table));
     }
 
     /// Appends a batch of documents atomically: every id must be fresh
@@ -1221,9 +1295,10 @@ impl TableStore {
     /// Fails for unknown tables and stale/unordered ids.
     pub fn append_batch(&self, name: &str, docs: Vec<Doc>) -> Result<(), PhError> {
         let mut tables = self.tables.write();
-        let table = tables
+        let table = &mut tables
             .get_mut(name)
-            .ok_or_else(|| PhError::Protocol(format!("unknown table: {name}")))?;
+            .ok_or_else(|| PhError::Protocol(format!("unknown table: {name}")))?
+            .table;
         fresh_ids(table.next_doc_id, docs.iter().map(|&(id, _)| id))?;
         for (doc_id, words) in docs {
             table.push(doc_id, &words, &self.cow_bytes);
@@ -1239,27 +1314,26 @@ impl TableStore {
     /// Fails for unknown tables.
     pub fn delete_docs(&self, name: &str, doc_ids: &[u64]) -> Result<Vec<u64>, PhError> {
         let mut tables = self.tables.write();
-        let table = tables
+        let stored = tables
             .get_mut(name)
             .ok_or_else(|| PhError::Protocol(format!("unknown table: {name}")))?;
         let victims: BTreeSet<u64> = doc_ids.iter().copied().collect();
-        let removed = table.delete(&victims, &self.cow_bytes);
+        let removed = stored.table.delete(&victims, &self.cow_bytes);
         // Eager purge (no tombstones): deleted ids leave every posting
         // immediately. See [`crate::index`] for the leakage argument.
-        self.index.purge(name, &removed);
+        stored.index.purge(&removed);
         Ok(removed)
     }
 
-    /// Drops the table.
+    /// Drops the table, and its postings with it.
     ///
     /// # Errors
     /// Fails for unknown tables.
     pub fn drop_table(&self, name: &str) -> Result<(), PhError> {
-        if self.tables.write().remove(name).is_none() {
-            return Err(PhError::Protocol(format!("unknown table: {name}")));
+        match self.tables.write().remove(name) {
+            Some(_) => Ok(()),
+            None => Err(PhError::Protocol(format!("unknown table: {name}"))),
         }
-        self.index.clear_table(name);
-        Ok(())
     }
 
     /// Names of the stored tables, sorted (public metadata — the
@@ -1276,7 +1350,7 @@ impl TableStore {
     #[must_use]
     pub fn stats(&self, name: &str) -> Option<(usize, usize)> {
         let tables = self.tables.read();
-        let table = tables.get(name)?;
+        let table = &tables.get(name)?.table;
         Some((table.doc_count(), table.ciphertext_bytes()))
     }
 }
@@ -1596,7 +1670,7 @@ mod tests {
         for i in 1_000..21_000u64 {
             store.append_batch("t", vec![(i, word(i))]).unwrap();
         }
-        let st = store.snapshot("t").unwrap();
+        let st = store.snapshot("t").unwrap().table;
         assert_layout(&st, "grown by appends");
         assert!(sizes(&st).iter().all(|&s| s <= SHARD_DOCS));
         let before = pool.stats().tasks.get();
@@ -1640,7 +1714,7 @@ mod tests {
                 .map(|store| {
                     store.delete_docs("t", &victims).unwrap();
                     store.append_batch("t", appended.clone()).unwrap();
-                    let st = store.snapshot("t").unwrap();
+                    let st = store.snapshot("t").unwrap().table;
                     assert_layout(&st, &format!("round {round}"));
                     assert_eq!(st.to_table().doc_ids(), live, "order changed");
                     store.query_batch("t", &queries).unwrap()
@@ -1650,7 +1724,7 @@ mod tests {
         }
         // The churn did merge: fewer shards than an append-only table
         // of the same history would hold.
-        let st = stores[0].snapshot("t").unwrap();
+        let st = stores[0].snapshot("t").unwrap().table;
         assert!(st.shards().len() < (next as usize).div_ceil(SHARD_DOCS));
     }
 
@@ -1666,7 +1740,7 @@ mod tests {
 
         // A query's snapshot shares every shard: the append copies the
         // one shard it fills, no more, and the snapshot keeps its view.
-        let snapshot = store.snapshot("t").unwrap();
+        let snapshot = store.snapshot("t").unwrap().table;
         let last = snapshot.shards().last().unwrap().heap_bytes() as u64;
         store
             .append_batch("t", vec![(n + 1, word(n + 1)), (n + 2, word(n + 2))])
@@ -1904,7 +1978,7 @@ mod tests {
         append(610..1210);
         let suffixes = 1210u64.div_ceil(c) - 610 / c;
         assert_eq!(
-            store.snapshot("t").unwrap().shards().len() as u64,
+            store.snapshot("t").unwrap().table.shards().len() as u64,
             1210u64.div_ceil(c)
         );
         assert_eq!(probe(), 600);
@@ -1992,5 +2066,114 @@ mod tests {
             .create("gaps", upload(vec![(2, word(1)), (9, word(2))], 10))
             .unwrap();
         assert_eq!(store.fetch_all("gaps").unwrap().doc_ids(), vec![2, 9]);
+    }
+
+    #[test]
+    fn a_probe_racing_a_drop_and_recreate_leaves_the_new_table_exact() {
+        use crate::ph::DatabasePh;
+        use crate::swp_ph::{execute_query, FinalSwpPh};
+        use dbph_relation::schema::emp_schema;
+        use dbph_relation::{tuple, Query, Relation};
+
+        let master = dbph_crypto::SecretKey::from_bytes([7; 32]);
+        let ph = FinalSwpPh::new(emp_schema(), &master).unwrap();
+        let upload = |depts: [&str; 4]| {
+            let rows = depts.iter().map(|&d| tuple!["Ann", d, 1000i64]).collect();
+            let relation = Relation::from_tuples(emp_schema(), rows).unwrap();
+            ph.encrypt_columnar(&relation).unwrap()
+        };
+        let query = ph.encrypt_query(&Query::select("dept", "HR")).unwrap();
+        let terms: Vec<WireTrapdoor> = query
+            .terms
+            .iter()
+            .map(WireTrapdoor::from_trapdoor)
+            .collect();
+        let store = TableStore::new(Executor::global());
+        store.enable_index();
+        store.create("t", upload(["HR", "IT", "IT", "HR"])).unwrap();
+
+        // The interleaving by hand: a probe cuts its snapshot, a drop
+        // and re-create run, then the probe finishes and installs.
+        let stale = store.snapshot("t").unwrap();
+        store.drop_table("t").unwrap();
+        store.create("t", upload(["IT", "HR", "HR", "IT"])).unwrap();
+        let (old, _) = store.query_indexed(&stale, &terms);
+        assert_eq!(
+            old.doc_ids(),
+            vec![0, 3],
+            "the probe answers its own snapshot"
+        );
+
+        // The new table answers from its own (empty) postings, exactly
+        // as the scan does.
+        let (answer, probes) = store
+            .query_batch("t", std::slice::from_ref(&terms))
+            .unwrap()
+            .pop()
+            .unwrap();
+        let scanned = execute_query(&store.fetch_all("t").unwrap(), &terms);
+        assert_eq!(answer, scanned);
+        assert_eq!(answer.doc_ids(), vec![1, 2]);
+        assert_eq!(
+            probes.unwrap()[0].cached,
+            None,
+            "a re-created table starts cold"
+        );
+    }
+
+    fn posting(doc_ids: Vec<u64>, bound: u64) -> Posting {
+        Posting { doc_ids, bound }
+    }
+
+    #[test]
+    fn index_image_is_sorted_and_skips_tables_without_postings() {
+        let store = TableStore::new(Executor::global());
+        assert!(!store.index_enabled());
+        store.enable_index();
+        assert!(store.index_enabled());
+        for name in ["zeta", "alpha", "empty"] {
+            store.create(name, table(4).into()).unwrap();
+        }
+        let index = |name: &str| store.snapshot(name).unwrap().index;
+        index("zeta").install((0, [3; 32]), posting(vec![2], 3));
+        index("zeta").install((0, [1; 32]), posting(vec![], 3));
+        index("alpha").install((0, [9; 32]), posting(vec![0, 1], 2));
+        let image = store.index_image();
+        let names: Vec<&str> = image.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, vec!["alpha", "zeta"]);
+        assert_eq!(image[1].1[0].0, (0, [1; 32]), "keys sorted within a table");
+        assert_eq!(store.index_sizes(), (3, 3));
+        // A drop takes the table's postings with it.
+        store.drop_table("zeta").unwrap();
+        assert_eq!(store.index_image().len(), 1);
+        assert_eq!(store.index_sizes(), (1, 2));
+    }
+
+    #[test]
+    fn index_image_roundtrips_through_install() {
+        let store = TableStore::new(Executor::global());
+        store.enable_index();
+        store.create("t", table(9).into()).unwrap();
+        let index = store.snapshot("t").unwrap().index;
+        index.install((0, [7; 32]), posting(vec![4, 8], 9));
+        let image = store.index_image();
+        let restored = TableStore::new(Executor::global());
+        restored.create("t", table(9).into()).unwrap();
+        restored.install_index_image(image.clone());
+        assert!(
+            restored.index_enabled(),
+            "a persisted image implies enabled"
+        );
+        assert_eq!(restored.index_image(), image);
+    }
+
+    #[test]
+    fn index_at_rest_of_an_unknown_name_is_empty() {
+        let store = TableStore::new(Executor::global());
+        store.enable_index();
+        assert!(store.index_at_rest("nope").is_empty());
+        store.create("t", table(3).into()).unwrap();
+        assert!(store.index_at_rest("t").is_empty());
+        assert!(store.index_image().is_empty());
     }
 }
