@@ -1,7 +1,6 @@
-//! Baseline outsourcing schemes — the prior work the paper attacks.
-//!
-//! Four [`dbph_core::DatabasePh`] implementations, each a faithful
-//! small-scale reconstruction of a scheme discussed in the paper:
+//! Schemes Eve never serves — the prior work the paper attacks, and
+//! its own variable-width scheme: five [`dbph_core::DatabasePh`]s for
+//! the games, experiments and benches (the deployment runs only §3's):
 //!
 //! * [`bucketization::BucketizationPh`] — Hacıgümüş, Iyer, Li &
 //!   Mehrotra (SIGMOD 2002): tuples encrypted with a secure cipher,
@@ -18,8 +17,11 @@
 //!   positives, maximal equality leakage.
 //! * [`plaintext::PlaintextPh`] — the identity PH: no confidentiality,
 //!   the performance floor for every bench.
+//! * [`varlen::VarlenPh`] — §3 with the "attributes of variable
+//!   length" the paper defers: a word width and an SWP instance per
+//!   attribute, on the one word format (`dbph_core::encoding`).
 //!
-//! All four satisfy Definition 1.1's homomorphism law (their *results*
+//! All five satisfy Definition 1.1's homomorphism law (their *results*
 //! are correct — correctness was never the problem); what differs is
 //! what Eve's transcript reveals, which is exactly what `dbph-games`
 //! quantifies.
@@ -32,8 +34,10 @@ pub mod damiani;
 pub mod det;
 pub mod payload;
 pub mod plaintext;
+pub mod varlen;
 
 pub use bucketization::{BucketConfig, BucketizationPh};
 pub use damiani::DamianiPh;
 pub use det::DeterministicPh;
 pub use plaintext::PlaintextPh;
+pub use varlen::VarlenPh;

@@ -16,22 +16,14 @@
 //! giving independent PRG streams — reusing one stream across columns
 //! of different word widths would overlap keystream (a two-time pad).
 
-use serde::{Deserialize, Serialize};
-
+use dbph_core::encoding::{decode_word, encode_word, FRAMING};
+use dbph_core::{DatabasePh, IncrementalPh, PhError};
 use dbph_crypto::SecretKey;
-use dbph_relation::{Query, Relation, Schema, Tuple, Value};
-use dbph_swp::{matches, CipherWord, FinalScheme, Location, SearchableScheme, SwpParams, Word};
-
-use crate::error::PhError;
-use crate::ph::{DatabasePh, IncrementalPh};
-
-/// Framing per word: 2-byte length prefix + 1-byte attribute index
-/// (kept for symmetry with the fixed-width codec and for corruption
-/// detection during decryption).
-const FRAMING: usize = 3;
+use dbph_relation::{Query, Relation, Schema, Tuple};
+use dbph_swp::{matches, CipherWord, FinalScheme, Location, SearchableScheme, SwpParams};
 
 /// Table ciphertext of the variable-length construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VarlenTable {
     /// Per-attribute SWP parameters (public).
     pub attr_params: Vec<SwpParams>,
@@ -115,54 +107,13 @@ impl VarlenPh {
         &self.params
     }
 
-    fn encode(&self, attr_index: usize, value: &Value) -> Result<Word, PhError> {
-        let attr = &self.schema.attributes()[attr_index];
-        value.check_type(&attr.ty, &attr.name)?;
-        let bytes = value.encode();
-        let word_len = self.params[attr_index].word_len;
-        let mut out = Vec::with_capacity(word_len);
-        out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-        out.extend_from_slice(&bytes);
-        out.resize(word_len - 1, crate::encoding::PAD);
-        out.push(attr_index as u8);
-        Ok(Word::from_bytes_unchecked(out))
-    }
-
-    fn decode(&self, attr_index: usize, word: &Word) -> Result<Value, PhError> {
-        let bytes = word.as_bytes();
-        let word_len = self.params[attr_index].word_len;
-        if bytes.len() != word_len {
-            return Err(PhError::CorruptCiphertext(format!(
-                "attribute {attr_index}: word length {} != {word_len}",
-                bytes.len()
-            )));
-        }
-        if bytes[word_len - 1] as usize != attr_index {
-            return Err(PhError::CorruptCiphertext(format!(
-                "attribute {attr_index}: word carries index {}",
-                bytes[word_len - 1]
-            )));
-        }
-        let value_len = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
-        if value_len > word_len - FRAMING {
-            return Err(PhError::CorruptCiphertext(
-                "value length exceeds capacity".into(),
-            ));
-        }
-        Value::decode(
-            &self.schema.attributes()[attr_index].ty,
-            &bytes[2..2 + value_len],
-        )
-        .map_err(|e| PhError::CorruptCiphertext(e.to_string()))
-    }
-
     fn encrypt_tuple(&self, doc_id: u64, tuple: &Tuple) -> Result<Vec<CipherWord>, PhError> {
         tuple
             .values()
             .iter()
             .enumerate()
             .map(|(i, v)| {
-                let w = self.encode(i, v)?;
+                let w = encode_word(&self.schema, self.params[i].word_len, i, v)?;
                 self.schemes[i]
                     .encrypt_word(Location::new(doc_id, i as u32), &w)
                     .map_err(PhError::from)
@@ -210,7 +161,13 @@ impl DatabasePh for VarlenPh {
             let mut values = Vec::with_capacity(words.len());
             for (i, cw) in words.iter().enumerate() {
                 let w = self.schemes[i].decrypt_word(Location::new(*doc_id, i as u32), cw)?;
-                values.push(self.decode(i, &w)?);
+                let (attr_index, value) = decode_word(&self.schema, self.params[i].word_len, &w)?;
+                if attr_index != i {
+                    return Err(PhError::CorruptCiphertext(format!(
+                        "word {i} carries attribute index {attr_index}"
+                    )));
+                }
+                values.push(value);
             }
             out.insert(Tuple::new(values))?;
         }
@@ -220,9 +177,9 @@ impl DatabasePh for VarlenPh {
     fn encrypt_query(&self, query: &Query) -> Result<VarlenQuery, PhError> {
         let indices = query.bind(&self.schema)?;
         let mut terms = Vec::with_capacity(indices.len());
-        for (term, attr_index) in query.terms().iter().zip(indices) {
-            let w = self.encode(attr_index, &term.value)?;
-            terms.push((attr_index, self.schemes[attr_index].trapdoor(&w)?));
+        for (term, i) in query.terms().iter().zip(indices) {
+            let w = encode_word(&self.schema, self.params[i].word_len, i, &term.value)?;
+            terms.push((i, self.schemes[i].trapdoor(&w)?));
         }
         Ok(VarlenQuery { terms })
     }
@@ -270,8 +227,8 @@ impl IncrementalPh for VarlenPh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ph::check_homomorphism_law;
-    use crate::swp_ph::FinalSwpPh;
+    use dbph_core::ph::check_homomorphism_law;
+    use dbph_core::FinalSwpPh;
     use dbph_relation::schema::{emp_schema, hospital_schema};
     use dbph_relation::{tuple, ExactSelect};
 
@@ -358,7 +315,6 @@ mod tests {
 
     #[test]
     fn incremental_append() {
-        use crate::ph::IncrementalPh as _;
         let ph = VarlenPh::new(emp_schema(), &master()).unwrap();
         let mut ct = ph.encrypt_table(&emp()).unwrap();
         ph.append_tuple(&mut ct, &tuple!["Kim", "HR", 7500i64])
@@ -366,6 +322,49 @@ mod tests {
         let q = Query::select("dept", "HR");
         let sub = VarlenPh::apply(&ct, &ph.encrypt_query(&q).unwrap());
         assert_eq!(ph.decrypt_result(&sub, &q).unwrap().len(), 2);
+    }
+
+    /// Pins the ciphertext and trapdoor bytes. The roundtrip and law
+    /// tests pass under any change made on both sides of the codec;
+    /// this one fails if the word format (`len ‖ value ‖ '#'-padding ‖
+    /// attr_index` at each attribute's width), the per-attribute key
+    /// derivation or a primitive moves a single byte.
+    #[test]
+    fn ciphertext_and_trapdoor_bytes_are_pinned() {
+        use dbph_crypto::sha256::Sha256;
+        use dbph_swp::TrapdoorData;
+
+        fn hex(d: [u8; 32]) -> String {
+            d.iter().map(|b| format!("{b:02x}")).collect()
+        }
+
+        let ph = VarlenPh::new(emp_schema(), &master()).unwrap();
+        let mut h = Sha256::new();
+        for (id, words) in &ph.encrypt_table(&emp()).unwrap().docs {
+            h.update(&id.to_le_bytes());
+            for w in words {
+                h.update(w.as_bytes());
+            }
+        }
+        let table = hex(h.finalize());
+
+        let query = ph.encrypt_query(&Query::select("dept", "IT")).unwrap();
+        let mut h = Sha256::new();
+        for (attr_index, td) in &query.terms {
+            h.update(&(*attr_index as u64).to_le_bytes());
+            h.update(td.target());
+            h.update(td.check_key());
+        }
+        let trapdoor = hex(h.finalize());
+
+        assert_eq!(
+            table,
+            "61f0b6419099bb40bad1796dc67a7a56b194606da3fcaab677abd834b39cfe92"
+        );
+        assert_eq!(
+            trapdoor,
+            "c7374565b683f13d67e7e43fd2c6fcd06e6f46f1aa99dc5a9d9cee4747b08382"
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use dbph_core::{DatabasePh, FinalSwpPh, VarlenPh};
+use dbph_baselines::VarlenPh;
+use dbph_core::{DatabasePh, FinalSwpPh};
 use dbph_crypto::SecretKey;
 use dbph_relation::Query;
 use dbph_workload::EmployeeGen;

@@ -6,8 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use dbph_baselines::{BucketConfig, BucketizationPh, DamianiPh, DeterministicPh, PlaintextPh};
-use dbph_core::{DatabasePh, FinalSwpPh, VarlenPh};
+use dbph_baselines::{
+    BucketConfig, BucketizationPh, DamianiPh, DeterministicPh, PlaintextPh, VarlenPh,
+};
+use dbph_core::{DatabasePh, FinalSwpPh};
 use dbph_crypto::SecretKey;
 use dbph_workload::EmployeeGen;
 

@@ -11,9 +11,11 @@
 //! Usage: `exp_e2_hospital [patients] [seeds] [base_seed]`
 //! (defaults 2000, 5, 100).
 
-use dbph_baselines::{BucketConfig, BucketizationPh, DamianiPh, DeterministicPh, PlaintextPh};
+use dbph_baselines::{
+    BucketConfig, BucketizationPh, DamianiPh, DeterministicPh, PlaintextPh, VarlenPh,
+};
 use dbph_bench::Table;
-use dbph_core::{DatabasePh, FinalSwpPh, VarlenPh};
+use dbph_core::{DatabasePh, FinalSwpPh};
 use dbph_crypto::SecretKey;
 use dbph_games::attacks::hospital::{run_inference, HospitalPriors};
 use dbph_relation::schema::hospital_schema;

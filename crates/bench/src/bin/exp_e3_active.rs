@@ -8,9 +8,11 @@
 //!
 //! Usage: `exp_e3_active [trials] [seed]` (defaults 300, 7).
 
-use dbph_baselines::{BucketConfig, BucketizationPh, DamianiPh, DeterministicPh, PlaintextPh};
+use dbph_baselines::{
+    BucketConfig, BucketizationPh, DamianiPh, DeterministicPh, PlaintextPh, VarlenPh,
+};
 use dbph_bench::Table;
-use dbph_core::{DatabasePh, FinalSwpPh, VarlenPh};
+use dbph_core::{DatabasePh, FinalSwpPh};
 use dbph_crypto::{DeterministicRng, SecretKey};
 use dbph_games::attacks::active::{locate_john, CardinalityAdversary};
 use dbph_games::attacks::passive::PassiveSizeAdversary;

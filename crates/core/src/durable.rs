@@ -78,7 +78,9 @@ use crate::index::Posting;
 use crate::storage::{ShardedTable, TableStore};
 use crate::swp_ph::ColumnarTable;
 use crate::telemetry::Telemetry;
-use crate::wire::{decode_docs_into, encode_arena_doc, Reader, WireDecode, WireEncode};
+use crate::wire::{
+    decode_docs_into, encode_arena_doc, seal, unseal, Reader, WireDecode, WireEncode,
+};
 
 /// Manifest file name inside the data directory.
 const MANIFEST: &str = "MANIFEST";
@@ -342,19 +344,15 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), PhError> {
 }
 
 pub(crate) fn write_manifest(dir: &Path, segments: &[u64]) -> Result<(), PhError> {
-    let mut body = Vec::with_capacity(16 + 8 * segments.len());
-    body.extend_from_slice(MANIFEST_MAGIC);
-    MANIFEST_VERSION.encode(&mut body);
-    segments.len().encode(&mut body);
-    for id in segments {
-        id.encode(&mut body);
-    }
-    let digest = Sha256::digest(&body);
-    body.extend_from_slice(&digest);
-
+    let bytes = seal(MANIFEST_MAGIC, MANIFEST_VERSION, |body| {
+        segments.len().encode(body);
+        for id in segments {
+            id.encode(body);
+        }
+    });
     let tmp = dir.join(MANIFEST_TMP);
     let mut file = File::create(&tmp).map_err(|e| io_err("create manifest tmp", &e))?;
-    file.write_all(&body)
+    file.write_all(&bytes)
         .and_then(|()| file.sync_all())
         .map_err(|e| io_err("write manifest tmp", &e))?;
     fs::rename(&tmp, dir.join(MANIFEST)).map_err(|e| io_err("install manifest", &e))?;
@@ -362,25 +360,9 @@ pub(crate) fn write_manifest(dir: &Path, segments: &[u64]) -> Result<(), PhError
 }
 
 fn read_manifest(dir: &Path) -> Result<Vec<u64>, PhError> {
-    const DIGEST: usize = 32;
     let bytes = fs::read(dir.join(MANIFEST)).map_err(|e| io_err("read manifest", &e))?;
-    if bytes.len() < MANIFEST_MAGIC.len() + 2 + DIGEST {
-        return Err(PhError::Durability("manifest too short".into()));
-    }
-    let (body, sum) = bytes.split_at(bytes.len() - DIGEST);
-    if Sha256::digest(body) != *sum {
-        return Err(PhError::Durability("manifest checksum mismatch".into()));
-    }
-    let mut r = Reader::new(body);
-    if r.take(MANIFEST_MAGIC.len()).map_err(wire_to_durability)? != MANIFEST_MAGIC {
-        return Err(PhError::Durability("bad manifest magic".into()));
-    }
-    let version = u16::decode(&mut r).map_err(wire_to_durability)?;
-    if version != MANIFEST_VERSION {
-        return Err(PhError::Durability(format!(
-            "unsupported manifest version {version}"
-        )));
-    }
+    let mut r = unseal(&bytes, MANIFEST_MAGIC, MANIFEST_VERSION, "manifest")
+        .map_err(PhError::Durability)?;
     let count = usize::decode(&mut r).map_err(wire_to_durability)?;
     if count == 0 || count.saturating_mul(8) > r.remaining() {
         return Err(PhError::Durability(

@@ -74,57 +74,14 @@ impl WordCodec {
         SwpParams::for_word_len(self.word_len).map_err(PhError::from)
     }
 
-    /// Encodes `(attribute index, value)` as a word:
-    /// `len ‖ value ‖ padding ‖ attr_index`.
-    ///
-    /// # Errors
-    /// Fails if the attribute index is out of range or the value does
-    /// not fit the attribute's declared width.
+    /// [`encode_word`] at this codec's fixed width, with its errors.
     pub fn encode(&self, attr_index: usize, value: &Value) -> Result<Word, PhError> {
-        let attr = self.schema.attributes().get(attr_index).ok_or_else(|| {
-            PhError::Relation(dbph_relation::RelationError::UnknownAttribute(format!(
-                "index {attr_index}"
-            )))
-        })?;
-        value.check_type(&attr.ty, &attr.name)?;
-
-        let bytes = value.encode();
-        debug_assert!(bytes.len() <= self.word_len - FRAMING);
-        let mut out = Vec::with_capacity(self.word_len);
-        out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-        out.extend_from_slice(&bytes);
-        out.resize(self.word_len - 1, PAD);
-        out.push(attr_index as u8);
-        Ok(Word::from_bytes_unchecked(out))
+        encode_word(&self.schema, self.word_len, attr_index, value)
     }
 
-    /// Decodes a word back to `(attribute index, value)`.
-    ///
-    /// # Errors
-    /// Returns [`PhError::CorruptCiphertext`] on malformed framing.
+    /// [`decode_word`] at this codec's fixed width, with its errors.
     pub fn decode(&self, word: &Word) -> Result<(usize, Value), PhError> {
-        let bytes = word.as_bytes();
-        if bytes.len() != self.word_len {
-            return Err(PhError::CorruptCiphertext(format!(
-                "word length {} != {}",
-                bytes.len(),
-                self.word_len
-            )));
-        }
-        let attr_index = bytes[self.word_len - 1] as usize;
-        let attr = self.schema.attributes().get(attr_index).ok_or_else(|| {
-            PhError::CorruptCiphertext(format!("attribute index {attr_index} out of range"))
-        })?;
-        let value_len = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
-        if value_len > self.word_len - FRAMING {
-            return Err(PhError::CorruptCiphertext(format!(
-                "value length {value_len} exceeds word capacity"
-            )));
-        }
-        let value_bytes = &bytes[2..2 + value_len];
-        let value = Value::decode(&attr.ty, value_bytes)
-            .map_err(|e| PhError::CorruptCiphertext(e.to_string()))?;
-        Ok((attr_index, value))
+        decode_word(&self.schema, self.word_len, word)
     }
 
     /// Encodes each attribute of a tuple, in attribute order — the
@@ -186,6 +143,69 @@ impl WordCodec {
             })
             .collect()
     }
+}
+
+/// Encodes `(attribute index, value)` as the `word_len`-byte word
+/// `len ‖ value ‖ '#'-padding ‖ attr_index`. [`WordCodec`] calls it at
+/// its one fixed width; the paper's variable-width scheme (in
+/// `dbph-baselines`) at each attribute's own width.
+///
+/// # Errors
+/// Fails if the attribute index is out of range or the value does not
+/// fit the attribute's declared width.
+pub fn encode_word(
+    schema: &Schema,
+    word_len: usize,
+    attr_index: usize,
+    value: &Value,
+) -> Result<Word, PhError> {
+    let attr = schema.attributes().get(attr_index).ok_or_else(|| {
+        PhError::Relation(dbph_relation::RelationError::UnknownAttribute(format!(
+            "index {attr_index}"
+        )))
+    })?;
+    value.check_type(&attr.ty, &attr.name)?;
+
+    let bytes = value.encode();
+    debug_assert!(bytes.len() <= word_len - FRAMING);
+    let mut out = Vec::with_capacity(word_len);
+    out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
+    out.extend_from_slice(&bytes);
+    out.resize(word_len - 1, PAD);
+    out.push(attr_index as u8);
+    Ok(Word::from_bytes_unchecked(out))
+}
+
+/// Decodes a `word_len`-byte word made by [`encode_word`] back to
+/// `(attribute index, value)`.
+///
+/// # Errors
+/// Returns [`PhError::CorruptCiphertext`] on malformed framing.
+pub fn decode_word(
+    schema: &Schema,
+    word_len: usize,
+    word: &Word,
+) -> Result<(usize, Value), PhError> {
+    let bytes = word.as_bytes();
+    if bytes.len() != word_len {
+        return Err(PhError::CorruptCiphertext(format!(
+            "word length {} != {word_len}",
+            bytes.len()
+        )));
+    }
+    let attr_index = bytes[word_len - 1] as usize;
+    let attr = schema.attributes().get(attr_index).ok_or_else(|| {
+        PhError::CorruptCiphertext(format!("attribute index {attr_index} out of range"))
+    })?;
+    let value_len = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
+    if value_len > word_len - FRAMING {
+        return Err(PhError::CorruptCiphertext(format!(
+            "value length {value_len} exceeds word capacity"
+        )));
+    }
+    let value = Value::decode(&attr.ty, &bytes[2..2 + value_len])
+        .map_err(|e| PhError::CorruptCiphertext(e.to_string()))?;
+    Ok((attr_index, value))
 }
 
 /// The paper's literal (ambiguous) rendering of a word:

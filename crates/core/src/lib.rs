@@ -16,13 +16,11 @@
 //! * The scheme: [`ph`] (the Definition 1.1 trait; `ψ` runs keyless),
 //!   [`encoding`] (the §3 attribute encoding), [`swp_ph`] (the §3
 //!   construction over SWP and the one reference `ψ`,
-//!   [`swp_ph::execute_query`]), [`varlen`] (per-attribute word
-//!   widths).
+//!   [`swp_ph::execute_query`]).
 //! * Alex and Eve: [`client`], [`server`], [`protocol`] and [`wire`]
 //!   (the byte-level messages), [`codec`] and [`net`] (framed TCP, a
 //!   thread-per-connection front-end, a pooled client with retries),
-//!   [`sys`] (the raw `listen` that deepens the accept backlog),
-//!   [`fault`] (seeded fault injection for the chaos suites).
+//!   [`sys`] (the raw `listen` that deepens the accept backlog).
 //! * Eve's engine: [`storage`] (fixed-capacity columnar shards, batch scans,
 //!   the dedup window), [`arena`] (columnar word storage), [`executor`]
 //!   (the worker pool), [`index`] (the opt-in encrypted multimap).
@@ -30,6 +28,9 @@
 //!   compaction, recovery), [`replica`] (log-shipping followers),
 //!   [`snapshot`] (Alex's integrity-checked offline export).
 //! * The operator plane: [`telemetry`] (transcript-invisible metrics).
+//!
+//! Only what the deployment runs lives here: schemes Eve never serves
+//! are in `dbph-baselines`, the fault harness in dev-only `dbph-testkit`.
 //!
 //! Every server-internal mechanism — table layout, pool size, transport,
 //! durability, index, telemetry — must leave responses and transcripts
@@ -48,7 +49,6 @@ pub mod durable;
 pub mod encoding;
 pub mod error;
 pub mod executor;
-pub mod fault;
 pub mod index;
 pub mod net;
 pub mod ph;
@@ -60,7 +60,6 @@ pub mod storage;
 pub mod swp_ph;
 pub mod sys;
 pub mod telemetry;
-pub mod varlen;
 pub mod wire;
 
 pub use arena::WordArena;
@@ -69,7 +68,6 @@ pub use durable::{DurableLog, DurableOptions, ReplicationOptions, ScrubReport, T
 pub use encoding::WordCodec;
 pub use error::PhError;
 pub use executor::{Executor, ExecutorStats};
-pub use fault::{ChaosPlan, ChaosProxy, FaultPlan, FaultRng, FaultTransport};
 pub use index::{Posting, ProbeStats, TableIndex};
 pub use net::{
     NetOptions, NetServer, PoolOptions, PooledClient, RetryPolicy, ServerHandle, Transport,
@@ -80,4 +78,3 @@ pub use server::{Observer, Server, ServerConfig};
 pub use storage::{ShardedTable, TableStore};
 pub use swp_ph::{ColumnarTable, EncryptedQuery, EncryptedTable, FinalSwpPh, SwpPh};
 pub use telemetry::{HistogramSnapshot, MetricValue, StatsSnapshot, Telemetry};
-pub use varlen::VarlenPh;

@@ -15,11 +15,9 @@
 //! the reassembled table, so the snapshot path works for tables beyond
 //! the transport's frame cap.
 
-use dbph_crypto::sha256::Sha256;
-
 use crate::error::PhError;
 use crate::swp_ph::EncryptedTable;
-use crate::wire::{Reader, WireDecode, WireEncode};
+use crate::wire::{seal, unseal, WireDecode, WireEncode};
 
 /// File magic: `dbphsnap`.
 const MAGIC: &[u8; 8] = b"dbphsnap";
@@ -29,14 +27,10 @@ const VERSION: u16 = 1;
 /// Serializes `(name, table)` into a snapshot byte blob.
 #[must_use]
 pub fn export(name: &str, table: &EncryptedTable) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.extend_from_slice(MAGIC);
-    VERSION.encode(&mut body);
-    name.to_string().encode(&mut body);
-    table.encode(&mut body);
-    let digest = Sha256::digest(&body);
-    body.extend_from_slice(&digest);
-    body
+    seal(MAGIC, VERSION, |body| {
+        name.to_string().encode(body);
+        table.encode(body);
+    })
 }
 
 /// Parses and verifies a snapshot, returning the table name and
@@ -46,25 +40,7 @@ pub fn export(name: &str, table: &EncryptedTable) -> Vec<u8> {
 /// Returns [`PhError::Wire`] on bad magic, unsupported version,
 /// truncation, or checksum mismatch.
 pub fn import(bytes: &[u8]) -> Result<(String, EncryptedTable), PhError> {
-    const DIGEST: usize = 32;
-    if bytes.len() < MAGIC.len() + 2 + DIGEST {
-        return Err(PhError::Wire("snapshot too short".into()));
-    }
-    let (body, checksum) = bytes.split_at(bytes.len() - DIGEST);
-    if Sha256::digest(body) != *checksum {
-        return Err(PhError::Wire("snapshot checksum mismatch".into()));
-    }
-    let mut r = Reader::new(body);
-    let magic = r.take(MAGIC.len())?;
-    if magic != MAGIC {
-        return Err(PhError::Wire("bad snapshot magic".into()));
-    }
-    let version = u16::decode(&mut r)?;
-    if version != VERSION {
-        return Err(PhError::Wire(format!(
-            "unsupported snapshot version {version}"
-        )));
-    }
+    let mut r = unseal(bytes, MAGIC, VERSION, "snapshot").map_err(PhError::Wire)?;
     let name = String::decode(&mut r)?;
     let table = EncryptedTable::decode(&mut r)?;
     r.expect_end()?;
@@ -74,6 +50,7 @@ pub fn import(bytes: &[u8]) -> Result<(String, EncryptedTable), PhError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbph_crypto::sha256::Sha256;
     use dbph_swp::{CipherWord, SwpParams};
 
     fn sample() -> EncryptedTable {

@@ -24,6 +24,8 @@
 //! per-element reference), so no byte on the wire, on disk or in a
 //! replication stream depends on which path produced it.
 
+use dbph_crypto::sha256::{Sha256, DIGEST_LEN};
+
 use crate::arena::WordArena;
 use crate::error::PhError;
 use crate::swp_ph::ColumnarTable;
@@ -291,6 +293,46 @@ impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
 #[must_use]
 pub fn encoded_doc_len(word_lens: impl Iterator<Item = usize>) -> u64 {
     16 + word_lens.map(|len| 8 + len as u64).sum::<u64>()
+}
+
+/// Seals `body` in the envelope snapshots and the durable manifest
+/// share: `magic(8) ‖ u16 version ‖ body ‖ SHA-256`, the digest over
+/// everything before it.
+pub(crate) fn seal(magic: &[u8; 8], version: u16, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    version.encode(&mut out);
+    body(&mut out);
+    let digest = Sha256::digest(&out);
+    out.extend_from_slice(&digest);
+    out
+}
+
+/// Opens a [`seal`]ed blob, checking its length, digest, magic and
+/// version in that order, and returns a reader over the body. The
+/// error names `noun` ("snapshot", "manifest"); the caller wraps it in
+/// its own [`PhError`] variant.
+pub(crate) fn unseal<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u16,
+    noun: &str,
+) -> Result<Reader<'a>, String> {
+    if bytes.len() < magic.len() + 2 + DIGEST_LEN {
+        return Err(format!("{noun} too short"));
+    }
+    let (sealed, digest) = bytes.split_at(bytes.len() - DIGEST_LEN);
+    if Sha256::digest(sealed) != *digest {
+        return Err(format!("{noun} checksum mismatch"));
+    }
+    let (head, body) = sealed.split_at(magic.len() + 2);
+    if head[..magic.len()] != magic[..] {
+        return Err(format!("bad {noun} magic"));
+    }
+    let found = u16::from_le_bytes([head[8], head[9]]);
+    if found != version {
+        return Err(format!("unsupported {noun} version {found}"));
+    }
+    Ok(Reader::new(body))
 }
 
 /// Appends document `i` of `arena` as one element of a wire document

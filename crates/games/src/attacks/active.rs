@@ -134,8 +134,8 @@ pub fn locate_john<P: DatabasePh>(
 mod tests {
     use super::*;
     use crate::dbgame::{run_db_game, AdversaryMode};
-    use dbph_baselines::{DamianiPh, DeterministicPh, PlaintextPh};
-    use dbph_core::{FinalSwpPh, VarlenPh};
+    use dbph_baselines::{DamianiPh, DeterministicPh, PlaintextPh, VarlenPh};
+    use dbph_core::FinalSwpPh;
     use dbph_crypto::SecretKey;
     use dbph_workload::HospitalConfig;
 

@@ -11,7 +11,7 @@
 //!   or delays exchanges. A batch travels as one message (`AppendBatch`,
 //!   `QueryBatch`), so it is lost or applied whole, like any other.
 //! * [`ChaosProxy`] sits between a real TCP client and a real
-//!   [`NetServer`](crate::net::NetServer), forwarding length-prefixed
+//!   [`NetServer`](dbph_core::NetServer), forwarding length-prefixed
 //!   frames and injecting connection resets, torn half-written frames,
 //!   dropped responses, and delays at frame boundaries — the same fault
 //!   classes, but exercised through the kernel socket path the
@@ -19,15 +19,16 @@
 //!
 //! Every fault a faulted exchange reports is a
 //! [`PhError::Transport`] — exactly the error class the client's
-//! [`RetryPolicy`](crate::net::RetryPolicy) retries — so a chaos run is
+//! [`RetryPolicy`](dbph_core::RetryPolicy) retries — so a chaos run is
 //! "normal operation plus weather", not a separate protocol.
 //!
 //! Determinism: both harnesses derive every decision from their seed
 //! (per-connection streams in the proxy are split from the root seed by
 //! connection index), so a failing schedule replays from a single
-//! `u64`.
+//! `u64`. Only a planned fault, the client's EOF or shutdown ends a
+//! proxied session: an idle client keeps its connection.
 
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,9 +36,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::codec;
-use crate::error::PhError;
-use crate::net::Transport;
+use dbph_core::{codec, PhError, Transport};
 
 /// A tiny deterministic generator (xorshift64*) for fault schedules.
 ///
@@ -79,11 +78,6 @@ impl FaultRng {
         } else {
             self.next_u64() % bound
         }
-    }
-
-    /// True with probability `percent`/100.
-    pub fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
     }
 }
 
@@ -154,11 +148,6 @@ impl<T: Transport> FaultTransport<T> {
             armed: AtomicBool::new(true),
             injected: AtomicUsize::new(0),
         }
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
     }
 
     /// Number of faults injected so far.
@@ -257,7 +246,7 @@ impl Default for ChaosPlan {
 /// A frame-aware TCP proxy that injects seeded faults between a real
 /// client and a real server.
 ///
-/// Point a [`PooledClient`](crate::net::PooledClient) at
+/// Point a [`PooledClient`](dbph_core::PooledClient) at
 /// [`ChaosProxy::addr`] and it experiences resets, torn frames,
 /// swallowed responses, and delays on the genuine kernel socket path,
 /// while the upstream server stays perfectly healthy — which is what
@@ -322,7 +311,7 @@ impl ChaosProxy {
                                 sessions.push(handle);
                             }
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(2));
                         }
                         Err(_) => break,
@@ -372,6 +361,25 @@ impl Drop for ChaosProxy {
     }
 }
 
+/// A proxied client socket whose timed-out reads are retried until
+/// shutdown: the short read timeout only lets the session notice
+/// shutdown, so an idle client keeps its session and a frame that
+/// arrives in pieces is read whole.
+struct ClientReader<'a>(&'a TcpStream, &'a AtomicBool);
+
+impl Read for ClientReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.0.read(buf) {
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                        && !self.1.load(Ordering::SeqCst) => {}
+                other => return other,
+            }
+        }
+    }
+}
+
 /// One proxied session: read a client frame, roll for a fault, forward
 /// to upstream (dialed lazily on first need), and relay the response.
 fn proxy_connection(
@@ -384,27 +392,10 @@ fn proxy_connection(
 ) {
     let mut rng = FaultRng::new(seed);
     let mut upstream: Option<TcpStream> = None;
-    // Bound reads so a proxy thread parked on a dead peer notices
-    // shutdown instead of outliving the test.
     let _ = client.set_read_timeout(Some(Duration::from_millis(200)));
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
+    while !shutdown.load(Ordering::SeqCst) {
+        let Ok(Some(request)) = codec::read_frame(&mut ClientReader(&client, shutdown)) else {
             break;
-        }
-        let request = match codec::read_frame(&mut client) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            Err(_) => {
-                // Timeout or torn input from the client; keep waiting
-                // unless the peer is actually gone. `read_frame` folds
-                // the cause into a string, so probe liveness cheaply:
-                // a zero-byte peek means EOF.
-                let mut probe = [0u8; 1];
-                match client.peek(&mut probe) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => continue,
-                }
-            }
         };
         let roll = rng.below(100);
         let p = plan;
@@ -488,6 +479,46 @@ mod tests {
     fn zero_seed_is_nudged_off_the_fixed_point() {
         let mut rng = FaultRng::new(0);
         assert_ne!(rng.next_u64(), 0);
+    }
+
+    /// An idle client keeps its proxied session: only EOF, a planned
+    /// fault or shutdown ends one, so under an all-zero plan a second
+    /// frame sent a second after the first is answered, and no fault
+    /// is counted.
+    #[test]
+    fn idle_client_session_survives_an_all_zero_plan() {
+        use dbph_core::protocol::{ClientMessage, ServerResponse};
+        use dbph_core::wire::{WireDecode as _, WireEncode as _};
+        use dbph_core::{NetServer, Server, ServerConfig};
+
+        let server = Server::open(&ServerConfig::default(), None).unwrap();
+        let handle = NetServer::spawn(server, "127.0.0.1:0").unwrap();
+        let calm = ChaosPlan {
+            reset_pct: 0,
+            drop_response_pct: 0,
+            torn_frame_pct: 0,
+            delay_pct: 0,
+            delay: Duration::ZERO,
+        };
+        let proxy = ChaosProxy::spawn(handle.addr(), 9, calm).unwrap();
+        let mut conn = TcpStream::connect(proxy.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let stats = ClientMessage::Stats.to_wire();
+        for gap in [Duration::ZERO, Duration::from_secs(1)] {
+            std::thread::sleep(gap);
+            codec::write_frame(&mut conn, &stats).unwrap();
+            let frame = codec::read_frame(&mut conn)
+                .unwrap()
+                .unwrap_or_else(|| panic!("session closed after a {gap:?} idle gap"));
+            assert!(matches!(
+                ServerResponse::from_wire(&frame).unwrap(),
+                ServerResponse::StatsSnapshot(_)
+            ));
+        }
+        assert_eq!(proxy.faults_injected(), 0);
+        drop(conn);
+        proxy.shutdown();
+        handle.shutdown();
     }
 
     #[test]

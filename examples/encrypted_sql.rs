@@ -78,8 +78,10 @@
 //!   *replayed* from its dedup window, never applied twice.
 //! * `--chaos-seed <s>` — interpose a seeded fault-injecting proxy
 //!   (connection resets, torn frames, swallowed acks, delays) between
-//!   this client and the server. The same seed reproduces the same
-//!   weather; pair it with `--retry` or the session will simply fail.
+//!   this client and the server: `dbph_testkit::ChaosProxy`, from the
+//!   dev-only test harness the examples may use and the library never
+//!   does. The same seed reproduces the same weather; pair it with
+//!   `--retry` or the session will simply fail.
 //!
 //! ```text
 //! # terminal 1 — durable server
@@ -216,12 +218,13 @@ use std::time::Duration;
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
-    ChaosPlan, ChaosProxy, Client, FinalSwpPh, NetServer, PoolOptions, PooledClient, Replica,
-    ReplicaOptions, RetryPolicy, Server, ServerConfig, Transport,
+    Client, FinalSwpPh, NetServer, PoolOptions, PooledClient, Replica, ReplicaOptions, RetryPolicy,
+    Server, ServerConfig, Transport,
 };
 use dbph::crypto::SecretKey;
 use dbph::relation::sql::{self, ExecOutcome, Statement};
 use dbph::relation::{Catalog, Tuple};
+use dbph_testkit::{ChaosPlan, ChaosProxy};
 
 /// Builds the server for a server-side mode: durable when the user
 /// passed `--data-dir`, in-memory otherwise.

@@ -25,14 +25,18 @@
 //!    dials through a [`ChaosProxy`] injecting resets, torn frames,
 //!    swallowed responses, and delays on the kernel socket path; the
 //!    durable store recovered afterwards equals the reference.
+//!
+//! Both harnesses come from the dev-only `dbph-testkit` crate
+//! (`dbph_testkit::{FaultTransport, ChaosProxy}`): code the deployment
+//! never runs, which only this package's tests and examples may name.
 
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
-    ChaosPlan, ChaosProxy, FaultPlan, FaultTransport, NetServer, PoolOptions, PooledClient,
-    RetryPolicy, Server, ServerConfig, TempDir, Transport,
+    NetServer, PoolOptions, PooledClient, RetryPolicy, Server, ServerConfig, TempDir, Transport,
 };
 use dbph::swp::{CipherWord, SwpParams};
+use dbph_testkit::{ChaosPlan, ChaosProxy, FaultPlan, FaultTransport};
 
 use proptest::prelude::*;
 use std::time::Duration;

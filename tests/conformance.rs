@@ -1,9 +1,11 @@
 //! Cross-scheme conformance: every `DatabasePh` in the workspace obeys
 //! Definition 1.1's homomorphism law on the same workloads.
 
-use dbph::baselines::{BucketConfig, BucketizationPh, DamianiPh, DeterministicPh, PlaintextPh};
+use dbph::baselines::{
+    BucketConfig, BucketizationPh, DamianiPh, DeterministicPh, PlaintextPh, VarlenPh,
+};
 use dbph::core::ph::check_homomorphism_law;
-use dbph::core::{DatabasePh, FinalSwpPh, VarlenPh};
+use dbph::core::{DatabasePh, FinalSwpPh};
 use dbph::crypto::SecretKey;
 use dbph::relation::schema::{emp_schema, hospital_schema};
 use dbph::relation::{ExactSelect, Query, Relation, Value};

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 
+use dbph::baselines::VarlenPh;
 use dbph::core::wire::{WireDecode, WireEncode};
-use dbph::core::{DatabasePh, FinalSwpPh, VarlenPh, WordCodec};
+use dbph::core::{DatabasePh, FinalSwpPh, WordCodec};
 use dbph::crypto::cipher::{
     DeterministicCipher, RandomizedCipher, SealedCipher, StreamCipher, WideBlockPrp,
 };

@@ -17,19 +17,21 @@
 //!    follower the wait degrades to async after the timeout and is
 //!    counted, never wedged.
 //! 4. **Chaos failover.** Kill the primary while a client sends its
-//!    mutations one call at a time, with a `ChaosProxy` on the
-//!    replication link; promote the follower,
-//!    redirect the retrying `PooledClient`, re-send every envelope —
-//!    every acked mutation lands exactly once on the new primary, and
-//!    the final store equals a reference that applied each op once.
+//!    mutations one call at a time, with a `ChaosProxy` (from the
+//!    dev-only `dbph-testkit`) on the replication link; promote the
+//!    follower, redirect the retrying `PooledClient`, re-send every
+//!    envelope — every acked mutation lands exactly once on the new
+//!    primary, and the final store equals a reference that applied
+//!    each op once.
 
 use dbph::core::protocol::{ClientMessage, ServerResponse};
 use dbph::core::wire::{WireDecode as _, WireEncode as _};
 use dbph::core::{
-    ChaosPlan, ChaosProxy, NetServer, PhError, PoolOptions, PooledClient, Replica, ReplicaOptions,
-    ReplicationOptions, RetryPolicy, Server, ServerConfig, TempDir, Transport,
+    NetServer, PhError, PoolOptions, PooledClient, Replica, ReplicaOptions, ReplicationOptions,
+    RetryPolicy, Server, ServerConfig, TempDir, Transport,
 };
 use dbph::swp::{CipherWord, SwpParams};
+use dbph_testkit::{ChaosPlan, ChaosProxy};
 
 use proptest::prelude::*;
 use std::sync::Arc;
